@@ -34,13 +34,14 @@
 /// whose speedup the table PR targets at >= 10x. Sub-widths 0..3 are swept
 /// exhaustively for id identity. Report: BENCH_npn4.json (--npn4-out).
 ///
-/// A fifth phase benchmarks the block-packed v3 base-segment layout against
-/// the dense v2 layout: --cold-records synthetic classes (default 1M at
-/// --cold-n 7) written in BOTH formats, probed cold through fresh mmaps
-/// with a present/absent key mix. Reports pages touched per probe (the
-/// segment's deterministic accounting plus the OS minor-fault counter as a
-/// cross-check) and lookups/s per version, asserts v3 <= 2 pages/probe and
-/// v2/v3 id bit-identity. Fields land in BENCH_store_lookup.json.
+/// A fifth phase benchmarks cold probes of the block-packed base-segment
+/// layout: --cold-records synthetic classes (default 1M at --cold-n 7),
+/// probed cold through a fresh mmap with a mix of present keys and planted
+/// misses. Reports pages touched per probe (the segment's deterministic
+/// accounting plus the OS minor-fault counter as a cross-check) and
+/// lookups/s, asserts <= 2 pages/probe, and checks every present key
+/// against the id its record was written with and every planted miss
+/// misses. Fields land in BENCH_store_lookup.json.
 ///
 /// Defaults are laptop-scale; the acceptance-scale run of the store PR is
 ///   bench_store_lookup --n 6 --funcs 120000
@@ -214,28 +215,23 @@ int main(int argc, char** argv)
             << "warm vs live speedup: " << speedup << "x\n"
             << "bit-identical to BatchEngine: " << (identical ? "yes" : "NO") << "\n";
 
-  // --- cold probes: block-packed v3 vs dense v2 page touches ---------------
-  // The same sorted synthetic record set written in both base-segment
-  // layouts, probed through fresh mmaps. The headline is pages touched per
-  // probe: a dense v2 binary search faults O(log N) cold data pages, the v3
-  // block-key search faults ~1 (plus zero for provably-absent keys). Pages
-  // are counted two ways — MmapSegment's deterministic probe accounting,
-  // and the OS's minor-fault counter as a cross-check.
+  // --- cold probes: page touches of the block-packed layout ---------------
+  // A sorted synthetic record set probed through a fresh mmap. The headline
+  // is pages touched per probe: the block-key search faults ~1 cold data
+  // page (plus zero for provably-absent keys). Pages are counted two ways —
+  // MmapSegment's deterministic probe accounting, and the OS's minor-fault
+  // counter as a cross-check.
   const int cold_n = static_cast<int>(args.get_int("cold-n", 7));
   const std::size_t cold_count = static_cast<std::size_t>(args.get_int("cold-records", 1000000));
   const std::size_t cold_probe_count =
       static_cast<std::size_t>(args.get_int("cold-probes", 20000));
-  const std::string cold_v2_path = args.get_string("cold-v2-index", "bench_cold_v2.fcs");
   const std::string cold_v3_path = args.get_string("cold-v3-index", "bench_cold_v3.fcs");
 
   std::cout << "\ncold probes: n = " << cold_n << ", " << cold_count
-            << " synthetic classes, v2 vs v3 segment layout\n";
+            << " synthetic classes, block-packed segment layout\n";
 
-  double cold_pages_v2 = 0.0;
   double cold_pages_v3 = 0.0;
-  double cold_faults_v2 = 0.0;
   double cold_faults_v3 = 0.0;
-  double cold_rate_v2 = 0.0;
   double cold_rate_v3 = 0.0;
   bool cold_identical = true;
   bool cold_target_met = true;
@@ -265,88 +261,75 @@ int main(int argc, char** argv)
       for (const auto& record : cold_set) {
         pointers.push_back(&record);
       }
-      std::ofstream v2{cold_v2_path, std::ios::binary | std::ios::trunc};
-      write_base_segment_v2(v2, cold_n, cold_set.size(), pointers);
       std::ofstream v3{cold_v3_path, std::ios::binary | std::ios::trunc};
       write_base_segment(v3, cold_n, cold_set.size(), pointers);
     }
 
     // Probe keys: alternate present records (strided across the index) and
-    // random keys that are overwhelmingly absent — both probe shapes matter
-    // (a miss still walks the full v2 search; v3 answers many misses from
-    // the in-RAM block keys alone).
+    // planted misses — random keys checked absent. Both probe shapes matter:
+    // many misses resolve from the in-RAM block keys alone.
     std::vector<TruthTable> probe_keys;
+    std::vector<std::optional<std::uint32_t>> expected_ids;
     probe_keys.reserve(cold_probe_count);
+    expected_ids.reserve(cold_probe_count);
     {
+      const auto present = [&](const TruthTable& key) {
+        const auto it = std::lower_bound(
+            cold_set.begin(), cold_set.end(), key,
+            [](const StoreRecord& r, const TruthTable& k) { return r.canonical < k; });
+        return it != cold_set.end() && it->canonical == key;
+      };
       std::mt19937_64 rng{0xabc01dULL};
       const std::size_t stride = std::max<std::size_t>(1, 2 * cold_set.size() / cold_probe_count);
       std::size_t next = 0;
       for (std::size_t i = 0; i < cold_probe_count; ++i) {
         if (i % 2 == 0) {
-          probe_keys.push_back(cold_set[next % cold_set.size()].canonical);
+          const StoreRecord& record = cold_set[next % cold_set.size()];
+          probe_keys.push_back(record.canonical);
+          expected_ids.emplace_back(record.class_id);
           next += stride;
-        } else {
-          probe_keys.push_back(tt_random(cold_n, rng));
+          continue;
         }
+        TruthTable miss = tt_random(cold_n, rng);
+        while (present(miss)) {
+          miss = tt_random(cold_n, rng);
+        }
+        probe_keys.push_back(std::move(miss));
+        expected_ids.emplace_back(std::nullopt);
       }
     }
 
-    struct ColdRun {
-      double pages_per_probe = 0.0;
-      double faults_per_probe = 0.0;
-      double lookups_per_sec = 0.0;
-      std::vector<std::optional<std::uint32_t>> ids;
-    };
-    const auto run_cold_probes = [&](const std::string& path) {
-      ColdRun run;
-      run.ids.reserve(probe_keys.size());
-      const std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
-      const auto stats_before = segment->probe_stats();
-      const long long faults_before = minor_faults();
-      Stopwatch probe_watch;
-      for (const auto& key : probe_keys) {
-        run.ids.push_back(segment->find_class_id(key));
-      }
-      const double seconds = probe_watch.seconds();
-      const long long faults_after = minor_faults();
-      const auto stats_after = segment->probe_stats();
-      const double probes =
-          static_cast<double>(stats_after.probes - stats_before.probes);
-      run.pages_per_probe =
-          probes > 0 ? static_cast<double>(stats_after.pages - stats_before.pages) / probes : 0.0;
-      run.faults_per_probe =
-          probe_keys.empty() ? 0.0
-                             : static_cast<double>(faults_after - faults_before) /
-                                   static_cast<double>(probe_keys.size());
-      run.lookups_per_sec = seconds > 0 ? static_cast<double>(probe_keys.size()) / seconds : 0.0;
-      return run;
-    };
-    const ColdRun v2_run = run_cold_probes(cold_v2_path);
-    const ColdRun v3_run = run_cold_probes(cold_v3_path);
-    cold_pages_v2 = v2_run.pages_per_probe;
-    cold_pages_v3 = v3_run.pages_per_probe;
-    cold_faults_v2 = v2_run.faults_per_probe;
-    cold_faults_v3 = v3_run.faults_per_probe;
-    cold_rate_v2 = v2_run.lookups_per_sec;
-    cold_rate_v3 = v3_run.lookups_per_sec;
-    cold_identical = v2_run.ids == v3_run.ids;
-    for (std::size_t i = 0; i < probe_keys.size(); i += 2) {
-      // Even slots are known-present keys: both layouts must resolve them.
-      cold_identical = cold_identical && v2_run.ids[i].has_value();
+    std::vector<std::optional<std::uint32_t>> ids;
+    ids.reserve(probe_keys.size());
+    const std::shared_ptr<MmapSegment> segment = MmapSegment::open(cold_v3_path);
+    const auto stats_before = segment->probe_stats();
+    const long long faults_before = minor_faults();
+    Stopwatch probe_watch;
+    for (const auto& key : probe_keys) {
+      ids.push_back(segment->find_class_id(key));
     }
-    // The tentpole target: a v3 cold probe touches at most ~1 data page
-    // (misses resolved off the in-RAM block keys touch zero); 2 leaves
-    // headroom without ever passing an O(log N) regression.
+    const double seconds = probe_watch.seconds();
+    const long long faults_after = minor_faults();
+    const auto stats_after = segment->probe_stats();
+    const double probes = static_cast<double>(stats_after.probes - stats_before.probes);
+    cold_pages_v3 =
+        probes > 0 ? static_cast<double>(stats_after.pages - stats_before.pages) / probes : 0.0;
+    cold_faults_v3 = probe_keys.empty() ? 0.0
+                                        : static_cast<double>(faults_after - faults_before) /
+                                              static_cast<double>(probe_keys.size());
+    cold_rate_v3 = seconds > 0 ? static_cast<double>(probe_keys.size()) / seconds : 0.0;
+    cold_identical = ids == expected_ids;
+    // A cold probe touches at most ~1 data page (misses resolved off the
+    // in-RAM block keys touch zero); 2 leaves headroom without ever
+    // passing an O(log N) regression.
     cold_target_met = cold_pages_v3 <= 2.0;
-    std::remove(cold_v2_path.c_str());
     std::remove(cold_v3_path.c_str());
 
-    std::cout << "v2 dense:   " << cold_pages_v2 << " pages/probe (" << cold_faults_v2
-              << " minor faults/probe), " << cold_rate_v2 << " lookups/s\n"
-              << "v3 blocked: " << cold_pages_v3 << " pages/probe (" << cold_faults_v3
+    std::cout << "blocked: " << cold_pages_v3 << " pages/probe (" << cold_faults_v3
               << " minor faults/probe), " << cold_rate_v3 << " lookups/s\n"
-              << "v3 page target (<= 2): " << (cold_target_met ? "met" : "MISSED") << "\n"
-              << "v3 ids bit-identical to v2: " << (cold_identical ? "yes" : "NO") << "\n";
+              << "page target (<= 2): " << (cold_target_met ? "met" : "MISSED") << "\n"
+              << "ids match the written records, planted misses miss: "
+              << (cold_identical ? "yes" : "NO") << "\n";
   } else {
     std::cout << "mmap unsupported on this platform; cold-probe phase skipped\n";
   }
@@ -367,11 +350,8 @@ int main(int argc, char** argv)
        << "  \"cold_probe_n\": " << cold_n << ",\n"
        << "  \"cold_probe_records\": " << cold_count << ",\n"
        << "  \"cold_probe_count\": " << cold_probe_count << ",\n"
-       << "  \"cold_probe_pages_v2\": " << cold_pages_v2 << ",\n"
        << "  \"cold_probe_pages_v3\": " << cold_pages_v3 << ",\n"
-       << "  \"cold_probe_minflt_v2\": " << cold_faults_v2 << ",\n"
        << "  \"cold_probe_minflt_v3\": " << cold_faults_v3 << ",\n"
-       << "  \"cold_probe_lookups_per_sec_v2\": " << cold_rate_v2 << ",\n"
        << "  \"cold_probe_lookups_per_sec_v3\": " << cold_rate_v3 << ",\n"
        << "  \"cold_probe_v3_page_target_met\": " << (cold_target_met ? "true" : "false") << ",\n"
        << "  \"cold_probe_identical\": " << (cold_identical ? "true" : "false") << "\n"

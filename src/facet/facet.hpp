@@ -59,7 +59,6 @@
 #include "facet/store/store_format.hpp"
 #include "facet/store/store_router.hpp"
 #include "facet/tt/bit_ops.hpp"
-#include "facet/tt/static_truth_table.hpp"
 #include "facet/tt/truth_table.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"

@@ -15,11 +15,9 @@
 ///
 ///   facet_store_lookup_latency{tier=cache|memo|index|live|miss,width=<n>}
 ///   facet_store_probe_pages{width=<n>}       (data pages touched per mmap
-///                                             base-segment probe; ~1 for
-///                                             block-packed v3, O(log N) for
-///                                             dense v2)
+///                                             base-segment probe: 0 or 1)
 ///   facet_segment_block_scan_len{width=<n>}  (records scanned inside the
-///                                             one v3 block a probe lands on)
+///                                             one block a probe lands on)
 ///   facet_serve_request_latency{verb=lookup|mlookup|info|stats|metrics|err}
 ///   facet_serve_batch_size{verb=mlookup}
 ///   facet_serve_connection_lifetime

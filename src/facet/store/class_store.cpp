@@ -300,8 +300,7 @@ ClassStore ClassStore::load(std::istream& is, ClassStoreOptions options)
 {
   LoadedBase base = read_base_segment(is);
   try {
-    return ClassStore{static_cast<int>(base.header.num_vars), std::move(base.records),
-                      base.header.num_classes, options};
+    return ClassStore{base.num_vars, std::move(base.records), base.num_classes, options};
   } catch (const std::invalid_argument& e) {
     throw StoreFormatError{std::string{"corrupt store records: "} + e.what()};
   }
@@ -316,16 +315,26 @@ ClassStore ClassStore::load(const std::string& path, ClassStoreOptions options)
   return load(is, options);
 }
 
+ClassStore::OpenedBase ClassStore::open_base(const std::string& path, bool use_mmap)
+{
+  if (use_mmap) {
+    std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
+    const std::uint64_t num_classes = segment->num_classes();
+    return {std::move(segment), num_classes};
+  }
+  std::ifstream is{path, std::ios::binary};
+  if (!is) {
+    throw StoreFormatError{"cannot open store file: " + path};
+  }
+  LoadedBase loaded = read_base_segment(is);
+  return {std::make_shared<MaterializedSegment>(loaded.num_vars, std::move(loaded.records)),
+          loaded.num_classes};
+}
+
 ClassStore ClassStore::open(const std::string& path, const StoreOpenOptions& options)
 {
-  ClassStore store = [&] {
-    if (options.use_mmap) {
-      std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
-      const std::uint64_t num_classes = segment->num_classes();
-      return ClassStore{std::move(segment), num_classes, /*mmap_backed=*/true, options.store};
-    }
-    return load(path, options.store);
-  }();
+  OpenedBase base = open_base(path, options.use_mmap);
+  ClassStore store{std::move(base.segment), base.num_classes, options.use_mmap, options.store};
 
   const std::string dlog_path = delta_log_path(path);
   std::ifstream dlog{dlog_path, std::ios::binary};
@@ -353,22 +362,9 @@ std::size_t ClassStore::reload(const std::string& path)
   // Build the replacement tiers fully before taking the gate — the re-open
   // and replay are the slow part, and readers keep serving the old epoch
   // until the single publish below.
-  std::shared_ptr<const Segment> base;
-  std::uint64_t next_class_id = 0;
-  if (mmap_backed_) {
-    std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
-    next_class_id = segment->num_classes();
-    base = std::move(segment);
-  } else {
-    std::ifstream is{path, std::ios::binary};
-    if (!is) {
-      throw StoreFormatError{"cannot open store file: " + path};
-    }
-    LoadedBase loaded = read_base_segment(is);
-    next_class_id = loaded.header.num_classes;
-    base = std::make_shared<MaterializedSegment>(static_cast<int>(loaded.header.num_vars),
-                                                 std::move(loaded.records));
-  }
+  OpenedBase opened = open_base(path, mmap_backed_);
+  std::shared_ptr<const Segment> base = std::move(opened.segment);
+  std::uint64_t next_class_id = opened.num_classes;
   if (base->num_vars() != num_vars_) {
     throw StoreFormatError{"reloaded store file has a different width: " + path};
   }
@@ -931,13 +927,6 @@ std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
   return result;
 }
 
-std::optional<StoreLookupResult> ClassStore::lookup_canonical(const TruthTable& f,
-                                                              const CanonResult& canon) const
-{
-  check_width(f, "ClassStore::lookup_canonical");
-  return lookup_canonical_impl(f, canon, nullptr);
-}
-
 std::optional<StoreLookupResult> ClassStore::lookup_canonical_impl(const TruthTable& f,
                                                                    const CanonResult& canon,
                                                                    const SemiclassKey* key) const
@@ -1010,14 +999,6 @@ StoreLookupResult ClassStore::lookup_or_classify(const TruthTable& f, bool appen
   return result;
 }
 
-StoreLookupResult ClassStore::lookup_or_classify_canonical(const TruthTable& f,
-                                                           const CanonResult& canon,
-                                                           bool append_on_miss)
-{
-  check_width(f, "ClassStore::lookup_or_classify_canonical");
-  return lookup_or_classify_impl(f, canon, append_on_miss, nullptr);
-}
-
 StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
                                                       const CanonResult& canon,
                                                       bool append_on_miss,
@@ -1042,7 +1023,7 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
     return result;
   };
 
-  // Known classes resolve without entering the gate, like lookup_canonical.
+  // Known classes resolve without entering the gate, like lookup().
   if (const std::optional<StoreRecord> record = find_canonical(canon.canonical)) {
     return resolve_hit(*record);
   }

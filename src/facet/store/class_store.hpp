@@ -83,9 +83,9 @@
 ///     written file, and only the caller's own file-level coordination
 ///     prevents two writers racing on one target path.
 ///
-/// Thread-safe from any mix of threads: lookup(), lookup_canonical(),
-/// probe_cache(), find_canonical(), find_class_id(), lookup_or_classify(),
-/// lookup_or_classify_canonical(), flush_delta(), the three-phase
+/// Thread-safe from any mix of threads: lookup(), probe_cache(),
+/// find_canonical(), find_class_id(), lookup_or_classify(), flush_delta(),
+/// the three-phase
 /// compaction API, and the counters (num_records / num_appended /
 /// num_delta_segments / num_classes / ...). Readers never enter the
 /// mutation gate: the snapshot pin and the memtable probe each take a
@@ -283,15 +283,15 @@ class ClassStore {
   // -- persistence ---------------------------------------------------------
 
   /// Serializes base + deltas + memtable, re-sorted by canonical form, as
-  /// one fresh v2 base segment. Live-transient class ids (non-appending
+  /// one fresh base segment. Live-transient class ids (non-appending
   /// misses) are not persisted.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
 
   /// Loads a store with a fully-materialized, eagerly-validated base:
-  /// header magic/version/width, record/page checksums, canonical
-  /// sortedness/uniqueness, transform sanity. Reads v1 and v2 files.
-  /// Throws StoreFormatError on any violation.
+  /// header magic/version/width, table and block checksums, canonical
+  /// sortedness/uniqueness, transform sanity. Throws StoreFormatError on
+  /// any violation, including a file of any version but kStoreVersion.
   [[nodiscard]] static ClassStore load(std::istream& is, ClassStoreOptions options = {});
   [[nodiscard]] static ClassStore load(const std::string& path, ClassStoreOptions options = {});
 
@@ -352,7 +352,7 @@ class ClassStore {
       const CompactionSnapshot& snapshot);
 
   /// Phase 2b (heavy; runs with no gate held): writes `merged` as a fresh
-  /// v2 base segment at `tmp_path` (not yet visible at the store's real
+  /// base segment at `tmp_path` (not yet visible at the store's real
   /// path).
   static void write_compacted(const std::string& tmp_path, const CompactionSnapshot& snapshot,
                               const std::vector<StoreRecord>& merged);
@@ -402,15 +402,6 @@ class ClassStore {
   /// not in the store.
   [[nodiscard]] std::optional<StoreLookupResult> lookup(const TruthTable& f) const;
 
-  /// lookup() minus the cache/memo probes and canonicalization: resolves f
-  /// against the index through a caller-precomputed canonicalization
-  /// (`canon` must be exact_npn_canonical_with_transform(f)), warming the
-  /// cache on a hit. Canonicalization is the expensive step, so a caller
-  /// that already paid for it — the serve session — reuses it here and in
-  /// lookup_or_classify_canonical().
-  [[nodiscard]] std::optional<StoreLookupResult> lookup_canonical(const TruthTable& f,
-                                                                 const CanonResult& canon) const;
-
   /// Lookup with live fallback: unknown canonical forms are classified live
   /// under the next dense class id. With `append_on_miss` the new class
   /// becomes a persistent record (and is served from the index from then
@@ -423,12 +414,6 @@ class ClassStore {
   /// canonicalizes.
   [[nodiscard]] StoreLookupResult lookup_or_classify(const TruthTable& f,
                                                      bool append_on_miss = false);
-
-  /// lookup_or_classify() through a caller-precomputed canonicalization
-  /// (no cache/memo probes, no canonicalization — see lookup_canonical).
-  [[nodiscard]] StoreLookupResult lookup_or_classify_canonical(const TruthTable& f,
-                                                               const CanonResult& canon,
-                                                               bool append_on_miss);
 
   // -- hot cache -----------------------------------------------------------
 
@@ -539,6 +524,14 @@ class ClassStore {
   void check_width(const TruthTable& f, const char* who) const;
   /// Replaces the published base (construction/open time; not concurrent).
   void reset_base(std::shared_ptr<const Segment> base);
+  /// A base segment and the next fresh class id its header records.
+  struct OpenedBase {
+    std::shared_ptr<const Segment> segment;
+    std::uint64_t num_classes = 0;
+  };
+  /// Opens the base segment at `path` in either flavor — the one base
+  /// reader behind open() and reload().
+  [[nodiscard]] static OpenedBase open_base(const std::string& path, bool use_mmap);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
   /// Memo probe: copies f's bucket out under the memo mutex, then confirms
@@ -549,13 +542,15 @@ class ClassStore {
   /// Memoizes a resolved class under `key` (dedup by canonical form;
   /// wholesale clear on overflow). No-op when the memo is disabled.
   void memo_insert(const SemiclassKey& key, const StoreRecord& record) const;
-  /// lookup_canonical plus memo learning: a non-null `key` memoizes the
-  /// record on an index hit.
+  /// Resolves f against the index through its precomputed
+  /// canonicalization, warming the cache on a hit; a non-null `key` also
+  /// memoizes the record.
   [[nodiscard]] std::optional<StoreLookupResult> lookup_canonical_impl(
       const TruthTable& f, const CanonResult& canon, const SemiclassKey* key) const;
-  /// lookup_or_classify_canonical plus memo learning: a non-null `key`
-  /// memoizes index hits and appended live misses (never the transient
-  /// non-appending misses, which must keep reporting known=false).
+  /// lookup_or_classify() past the fast tiers, through f's precomputed
+  /// canonicalization; a non-null `key` memoizes index hits and appended
+  /// live misses (never the transient non-appending misses, which must keep
+  /// reporting known=false).
   [[nodiscard]] StoreLookupResult lookup_or_classify_impl(const TruthTable& f,
                                                           const CanonResult& canon,
                                                           bool append_on_miss,

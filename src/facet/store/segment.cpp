@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <istream>
-#include <iterator>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -41,7 +39,7 @@ namespace {
 constexpr unsigned kProbeSample = 64;
 
 /// `facet_store_probe_pages{width=}`: distinct data pages one mmap probe
-/// examined — ~log2(N) for dense v2 binary search, 0–1 for block-packed v3.
+/// examined — 0 when the in-RAM block keys prove the key absent, else 1.
 obs::LatencyHistogram& probe_pages_histogram(int width)
 {
   static const auto histograms = [] {
@@ -56,7 +54,7 @@ obs::LatencyHistogram& probe_pages_histogram(int width)
 }
 
 /// `facet_segment_block_scan_len{width=}`: records scanned linearly inside
-/// the one v3 block a probe lands on (bounded by store_records_per_block).
+/// the one block a probe lands on (bounded by store_records_per_block).
 obs::LatencyHistogram& block_scan_len_histogram(int width)
 {
   static const auto histograms = [] {
@@ -93,37 +91,13 @@ StoreRecord decode_record(const unsigned char* bytes, int num_vars)
                      static_cast<std::uint32_t>(id_size & 0xffffffffULL)};
 }
 
-std::uint64_t pages_for_words(std::uint64_t total_words) noexcept
+/// Reads `is` to its end. Both stream loaders parse from bytes, like the
+/// mmap path parses its mapping.
+std::string read_to_end(std::istream& is)
 {
-  return (total_words + kStorePageWords - 1) / kStorePageWords;
-}
-
-/// Page checksums of a record stream, emitted via for_each_record_word —
-/// the write-side twin of the lazy per-page validation.
-std::vector<std::uint64_t> page_hashes_of(const std::vector<const StoreRecord*>& records,
-                                          std::uint64_t total_words)
-{
-  std::vector<std::uint64_t> hashes;
-  hashes.reserve(static_cast<std::size_t>(pages_for_words(total_words)));
-  PayloadHasher page{0};
-  std::uint64_t word_index = 0;
-  for (const auto* r : records) {
-    for_each_record_word(*r, [&](std::uint64_t word) {
-      if (word_index % kStorePageWords == 0) {
-        if (word_index != 0) {
-          hashes.push_back(page.value());
-        }
-        page = PayloadHasher{
-            std::min<std::uint64_t>(kStorePageWords, total_words - word_index)};
-      }
-      page.mix(word);
-      ++word_index;
-    });
-  }
-  if (total_words != 0) {
-    hashes.push_back(page.value());
-  }
-  return hashes;
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  return std::move(buffer).str();
 }
 
 void check_sorted_by_canonical(const std::vector<StoreRecord>& records, const char* what)
@@ -174,7 +148,7 @@ bool mmap_supported() noexcept
 namespace {
 
 /// Fills `block` (kStorePageWords words, zero-padded) with the records of
-/// v3 block `b` and returns how many records landed in it.
+/// block `b` and returns how many records landed in it.
 std::size_t pack_block(std::vector<std::uint64_t>& block,
                        const std::vector<const StoreRecord*>& records, std::size_t b,
                        std::size_t per_block)
@@ -265,244 +239,134 @@ void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classe
   }
 }
 
-void write_base_segment_v2(std::ostream& os, int num_vars, std::uint64_t num_classes,
-                           const std::vector<const StoreRecord*>& records)
+// -- base segment parser -----------------------------------------------------
+
+namespace {
+
+/// Parses a base segment from its `size` raw bytes and checks everything
+/// but the data blocks: magic, version, width, size against the record
+/// count, zero header padding, the table hash and the footer.
+BaseSegmentLayout parse_base_segment(const unsigned char* bytes, std::size_t size)
 {
-  const std::uint64_t total_words =
-      static_cast<std::uint64_t>(store_record_words(num_vars)) * records.size();
-  const std::vector<std::uint64_t> page_hashes = page_hashes_of(records, total_words);
-
-  PayloadHasher table_hasher{page_hashes.size()};
-  for (const auto h : page_hashes) {
-    table_hasher.mix(h);
+  if (size < kStoreHeaderBytes) {
+    throw StoreFormatError{"store file truncated while reading the header"};
+  }
+  if (load_le64(bytes) != kStoreMagic) {
+    throw StoreFormatError{"not a facet class store (bad magic)"};
+  }
+  const std::uint64_t version_vars = load_le64(bytes + 8);
+  const auto version = static_cast<std::uint32_t>(version_vars & 0xffffffffULL);
+  const auto num_vars = static_cast<std::uint32_t>(version_vars >> 32);
+  if (version != kStoreVersion) {
+    std::ostringstream msg;
+    msg << "unsupported store version " << version << " (this build reads version "
+        << kStoreVersion << ")";
+    throw StoreFormatError{msg.str()};
+  }
+  if (num_vars > static_cast<std::uint32_t>(kMaxVars)) {
+    std::ostringstream msg;
+    msg << "corrupt header: num_vars " << num_vars << " exceeds kMaxVars " << kMaxVars;
+    throw StoreFormatError{msg.str()};
   }
 
-  StoreHeader header;
-  header.version = kStoreVersionV2;
-  header.num_vars = static_cast<std::uint32_t>(num_vars);
-  header.num_records = records.size();
-  header.num_classes = num_classes;
-  header.payload_hash = table_hasher.value();
-  write_store_header(os, header);
+  BaseSegmentLayout layout;
+  layout.num_vars = static_cast<int>(num_vars);
+  layout.num_classes = load_le64(bytes + 24);
+  layout.record_stride = store_record_words(layout.num_vars) * 8;
+  layout.records_per_block = store_records_per_block(layout.num_vars);
+  const std::uint64_t num_records = load_le64(bytes + 16);
+  const std::uint64_t payload_hash = load_le64(bytes + 32);
+  // Bound the record count by the buffer before any size arithmetic, so a
+  // crafted huge count cannot wrap the multiplications below into a
+  // plausible-looking geometry.
+  if (num_records > size / layout.record_stride) {
+    throw StoreFormatError{"store file truncated (size disagrees with its record count)"};
+  }
+  const std::size_t key_words = words_for_vars(layout.num_vars);
+  const std::uint64_t num_blocks = store_num_blocks(num_records, layout.num_vars);
+  const std::uint64_t table_words = num_blocks * key_words + num_blocks;
+  const std::uint64_t expected_bytes =
+      kStorePageBytes + num_blocks * kStorePageBytes + table_words * 8 + kStoreFooterBytes;
+  if (size != expected_bytes) {
+    throw StoreFormatError{size < expected_bytes
+                               ? "store file truncated (size disagrees with its record count)"
+                               : "store file has trailing bytes after the last record"};
+  }
+  layout.num_records = static_cast<std::size_t>(num_records);
+  layout.num_blocks = static_cast<std::size_t>(num_blocks);
 
-  for (const auto* r : records) {
-    for_each_record_word(*r, [&](std::uint64_t word) { write_u64_le(os, word); });
+  // The header page is zero-padded so every block below is page-aligned.
+  for (std::size_t w = kStoreHeaderBytes / 8; w < kStorePageWords; ++w) {
+    if (load_le64(bytes + 8 * w) != 0) {
+      throw StoreFormatError{"corrupt store: header page padding is not zero"};
+    }
   }
-  for (const auto h : page_hashes) {
-    write_u64_le(os, h);
+  layout.blocks = bytes + kStorePageBytes;
+  const unsigned char* key_table = layout.blocks + num_blocks * kStorePageBytes;
+  layout.block_checksums = key_table + num_blocks * key_words * 8;
+
+  // Both tables ride the header's payload hash.
+  if (checksum_le_words(key_table, static_cast<std::size_t>(table_words)) != payload_hash) {
+    throw StoreFormatError{"store block-table checksum mismatch (file corrupt)"};
   }
-  SegmentFooter footer;
-  footer.page_size = kStorePageBytes;
-  footer.num_pages = page_hashes.size();
-  footer.record_words = total_words;
-  write_segment_footer(os, footer);
-  if (!os) {
-    throw StoreFormatError{"store write failed"};
+  const SegmentFooter footer = parse_segment_footer(layout.block_checksums + num_blocks * 8);
+  if (footer.page_size != kStorePageBytes || footer.num_pages != num_blocks ||
+      footer.record_words != num_records * (layout.record_stride / 8)) {
+    throw StoreFormatError{"corrupt store: segment footer disagrees with the header"};
+  }
+
+  layout.block_keys.resize(layout.num_blocks * key_words);
+  for (std::size_t w = 0; w < layout.block_keys.size(); ++w) {
+    layout.block_keys[w] = load_le64(key_table + 8 * w);
+  }
+  return layout;
+}
+
+/// Checks data block `b` of a parsed segment: its checksum, the block key
+/// it is indexed under, and the zero padding past its last record.
+void validate_base_block(const BaseSegmentLayout& layout, std::size_t b)
+{
+  const unsigned char* block = layout.blocks + b * kStorePageBytes;
+  if (checksum_le_words(block, kStorePageWords) != load_le64(layout.block_checksums + 8 * b)) {
+    std::ostringstream msg;
+    msg << "store block " << b << " failed checksum validation (file corrupt)";
+    throw StoreFormatError{msg.str()};
+  }
+  // The sparse index entry must lead the block's first record.
+  const std::size_t key_words = words_for_vars(layout.num_vars);
+  for (std::size_t k = 0; k < key_words; ++k) {
+    if (load_le64(block + 8 * k) != layout.block_keys[b * key_words + k]) {
+      throw StoreFormatError{"corrupt store: block key disagrees with its block"};
+    }
+  }
+  // The checksum covers the padding too, but a writer bug would hide there.
+  const std::size_t used =
+      std::min(layout.records_per_block, layout.num_records - b * layout.records_per_block) *
+      layout.record_stride;
+  if (std::any_of(block + used, block + kStorePageBytes, [](unsigned char c) { return c != 0; })) {
+    throw StoreFormatError{"corrupt store: block tail padding is not zero"};
   }
 }
 
-// -- materialized readers ----------------------------------------------------
-
-StoreRecord read_store_record(std::istream& is, int num_vars, PayloadHasher& hasher)
-{
-  const auto take = [&](const char* what) {
-    const std::uint64_t word = read_u64_le(is, what);
-    hasher.mix(word);
-    return word;
-  };
-  const std::size_t num_words = words_for_vars(num_vars);
-  std::vector<std::uint64_t> canonical(num_words);
-  for (auto& w : canonical) {
-    w = take("record canonical words");
-  }
-  std::vector<std::uint64_t> representative(num_words);
-  for (auto& w : representative) {
-    w = take("record representative words");
-  }
-  const std::uint64_t id_size = take("record id/size word");
-  const std::array<std::uint64_t, 2> packed = {take("record transform words"),
-                                               take("record transform words")};
-  return StoreRecord{TruthTable{num_vars, std::move(canonical)},
-                     TruthTable{num_vars, std::move(representative)},
-                     unpack_transform(num_vars, packed),
-                     static_cast<std::uint32_t>(id_size >> 32),
-                     static_cast<std::uint32_t>(id_size & 0xffffffffULL)};
-}
+}  // namespace
 
 LoadedBase read_base_segment(std::istream& is)
 {
+  const std::string bytes = read_to_end(is);
+  const BaseSegmentLayout layout =
+      parse_base_segment(reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size());
   LoadedBase out;
-  out.header = read_store_header(is);
-  const int num_vars = static_cast<int>(out.header.num_vars);
-  // Reject record counts whose region size would overflow — a wrapped-small
-  // region with a large decode loop is an out-of-bounds read, not a
-  // truncation error.
-  if (out.header.num_records >
-      (std::numeric_limits<std::uint64_t>::max() / 8) / store_record_words(num_vars)) {
-    throw StoreFormatError{"corrupt header: record count overflows the record region size"};
+  out.num_vars = layout.num_vars;
+  out.num_classes = layout.num_classes;
+  for (std::size_t b = 0; b < layout.num_blocks; ++b) {
+    validate_base_block(layout, b);
   }
-  const std::uint64_t total_words =
-      static_cast<std::uint64_t>(store_record_words(num_vars)) * out.header.num_records;
-
-  // A corrupt record count must surface as a truncation error when the
-  // stream runs dry, not as an up-front allocation of header.num_records
-  // slots — so cap reservations and let growth proceed past them.
-  const auto capped = [](std::uint64_t n) {
-    return static_cast<std::size_t>(std::min<std::uint64_t>(n, 1ULL << 20));
-  };
-
-  if (out.header.version == kStoreVersionV1) {
-    // v1: records followed by nothing; the header hash covers every word.
-    PayloadHasher hasher{total_words};
-    out.records.reserve(capped(out.header.num_records));
-    for (std::uint64_t i = 0; i < out.header.num_records; ++i) {
-      out.records.push_back(read_store_record(is, num_vars, hasher));
+  out.records.reserve(layout.num_records);
+  for (std::size_t i = 0; i < layout.num_records; ++i) {
+    out.records.push_back(decode_record(layout.record(i), layout.num_vars));
+    if (out.records.back().class_id >= out.num_classes) {
+      throw StoreFormatError{"corrupt store: record class id exceeds the header's class count"};
     }
-    if (hasher.value() != out.header.payload_hash) {
-      throw StoreFormatError{"store payload checksum mismatch (file corrupt)"};
-    }
-  } else if (out.header.version == kStoreVersionV2) {
-    // v2: records, page-checksum table, footer. Buffer the record region so
-    // page checksums are computed exactly as the lazy mmap path would.
-    std::vector<unsigned char> region;
-    region.reserve(capped(total_words) * 8);
-    {
-      std::vector<char> chunk(1 << 16);
-      std::uint64_t remaining = total_words * 8;
-      while (remaining > 0) {
-        const std::streamsize want =
-            static_cast<std::streamsize>(std::min<std::uint64_t>(remaining, chunk.size()));
-        is.read(chunk.data(), want);
-        if (is.gcount() != want) {
-          throw StoreFormatError{"store file truncated while reading the record region"};
-        }
-        region.insert(region.end(), chunk.data(), chunk.data() + want);
-        remaining -= static_cast<std::uint64_t>(want);
-      }
-    }
-
-    const std::uint64_t num_pages = pages_for_words(total_words);
-    PayloadHasher table_hasher{num_pages};
-    for (std::uint64_t p = 0; p < num_pages; ++p) {
-      const std::uint64_t expected = read_u64_le(is, "page checksum table");
-      table_hasher.mix(expected);
-      const std::size_t words_in_page = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kStorePageWords, total_words - p * kStorePageWords));
-      const std::uint64_t actual =
-          checksum_le_words(region.data() + p * kStorePageBytes, words_in_page);
-      if (actual != expected) {
-        std::ostringstream msg;
-        msg << "store page " << p << " failed checksum validation (file corrupt)";
-        throw StoreFormatError{msg.str()};
-      }
-    }
-    if (table_hasher.value() != out.header.payload_hash) {
-      throw StoreFormatError{"store page-table checksum mismatch (file corrupt)"};
-    }
-
-    const SegmentFooter footer = read_segment_footer(is);
-    if (footer.page_size != kStorePageBytes || footer.num_pages != num_pages ||
-        footer.record_words != total_words) {
-      throw StoreFormatError{"corrupt store: segment footer disagrees with the header"};
-    }
-
-    out.records.reserve(capped(out.header.num_records));
-    const std::size_t stride = store_record_words(num_vars) * 8;
-    for (std::uint64_t i = 0; i < out.header.num_records; ++i) {
-      out.records.push_back(decode_record(region.data() + i * stride, num_vars));
-    }
-  } else {
-    // v3: padded header page, block-packed records, block-key table,
-    // block-checksum table, footer. The eager loader validates everything
-    // the lazy mmap path would ever check, padding included.
-    const std::size_t per_block = store_records_per_block(num_vars);
-    const std::size_t key_words = words_for_vars(num_vars);
-    const std::uint64_t num_blocks = store_num_blocks(out.header.num_records, num_vars);
-    if (num_blocks > std::numeric_limits<std::uint64_t>::max() / kStorePageBytes) {
-      throw StoreFormatError{"corrupt header: record count overflows the block region size"};
-    }
-    for (std::size_t w = kStoreHeaderBytes / 8; w < kStorePageWords; ++w) {
-      if (read_u64_le(is, "header page padding") != 0) {
-        throw StoreFormatError{"corrupt store: header page padding is not zero"};
-      }
-    }
-
-    std::vector<unsigned char> region;
-    region.reserve(capped(num_blocks * kStorePageWords) * 8);
-    {
-      std::vector<char> chunk(1 << 16);
-      std::uint64_t remaining = num_blocks * kStorePageBytes;
-      while (remaining > 0) {
-        const std::streamsize want =
-            static_cast<std::streamsize>(std::min<std::uint64_t>(remaining, chunk.size()));
-        is.read(chunk.data(), want);
-        if (is.gcount() != want) {
-          throw StoreFormatError{"store file truncated while reading the record region"};
-        }
-        region.insert(region.end(), chunk.data(), chunk.data() + want);
-        remaining -= static_cast<std::uint64_t>(want);
-      }
-    }
-
-    // Both tables ride the header's payload hash; block checksums and the
-    // sparse index are each cross-checked against the blocks themselves.
-    std::vector<std::uint64_t> block_keys(
-        static_cast<std::size_t>(num_blocks) * key_words);
-    PayloadHasher table_hasher{num_blocks * key_words + num_blocks};
-    for (auto& w : block_keys) {
-      w = read_u64_le(is, "block key table");
-      table_hasher.mix(w);
-    }
-    for (std::uint64_t b = 0; b < num_blocks; ++b) {
-      const std::uint64_t expected = read_u64_le(is, "block checksum table");
-      table_hasher.mix(expected);
-      const std::uint64_t actual =
-          checksum_le_words(region.data() + b * kStorePageBytes, kStorePageWords);
-      if (actual != expected) {
-        std::ostringstream msg;
-        msg << "store block " << b << " failed checksum validation (file corrupt)";
-        throw StoreFormatError{msg.str()};
-      }
-      for (std::size_t k = 0; k < key_words; ++k) {
-        if (load_le64(region.data() + b * kStorePageBytes + 8 * k) !=
-            block_keys[static_cast<std::size_t>(b) * key_words + k]) {
-          throw StoreFormatError{"corrupt store: block key disagrees with its block"};
-        }
-      }
-    }
-    if (table_hasher.value() != out.header.payload_hash) {
-      throw StoreFormatError{"store block-table checksum mismatch (file corrupt)"};
-    }
-
-    const SegmentFooter footer = read_segment_footer(is);
-    if (footer.page_size != kStorePageBytes || footer.num_pages != num_blocks ||
-        footer.record_words != total_words) {
-      throw StoreFormatError{"corrupt store: segment footer disagrees with the header"};
-    }
-
-    const std::size_t stride = store_record_words(num_vars) * 8;
-    out.records.reserve(capped(out.header.num_records));
-    for (std::uint64_t i = 0; i < out.header.num_records; ++i) {
-      const std::uint64_t offset =
-          (i / per_block) * kStorePageBytes + (i % per_block) * stride;
-      out.records.push_back(decode_record(region.data() + offset, num_vars));
-    }
-    // Zero padding past the records of each block (the block checksums
-    // already cover it, but a writer bug would otherwise hide there).
-    for (std::uint64_t b = 0; b < num_blocks; ++b) {
-      const std::uint64_t first = b * per_block;
-      const std::uint64_t used =
-          std::min<std::uint64_t>(per_block, out.header.num_records - first) * stride;
-      for (std::uint64_t byte = used; byte < kStorePageBytes; ++byte) {
-        if (region[static_cast<std::size_t>(b * kStorePageBytes + byte)] != 0) {
-          throw StoreFormatError{"corrupt store: block tail padding is not zero"};
-        }
-      }
-    }
-  }
-
-  if (is.peek() != std::char_traits<char>::eof()) {
-    throw StoreFormatError{"store file has trailing bytes after the last record"};
   }
   check_sorted_by_canonical(out.records, "store");
   return out;
@@ -540,7 +404,7 @@ DeltaLogReplay read_delta_log(std::istream& is, int num_vars)
   // Slurp the log: frames are small relative to the base, and buffer
   // parsing is what lets a torn trailing frame be told apart from
   // mid-log corruption.
-  const std::string log{std::istreambuf_iterator<char>{is}, std::istreambuf_iterator<char>{}};
+  const std::string log = read_to_end(is);
   const auto* bytes = reinterpret_cast<const unsigned char*>(log.data());
   const std::size_t stride = store_record_words(num_vars) * 8;
 
@@ -557,9 +421,7 @@ DeltaLogReplay read_delta_log(std::istream& is, int num_vars)
     const std::uint64_t version_vars = load_le64(bytes + offset + 8);
     const auto version = static_cast<std::uint32_t>(version_vars & 0xffffffffULL);
     const auto frame_vars = static_cast<std::uint32_t>(version_vars >> 32);
-    // Frame codec is identical across store versions 2 and 3 — logs written
-    // by either build replay here.
-    if (version != kStoreVersion && version != kStoreVersionV2) {
+    if (version != kStoreVersion) {
       std::ostringstream msg;
       msg << "unsupported delta frame version " << version;
       throw StoreFormatError{msg.str()};
@@ -616,7 +478,7 @@ std::shared_ptr<MmapSegment> MmapSegment::open(const std::string& path)
   const std::size_t mapped_bytes = static_cast<std::size_t>(st.st_size);
   if (mapped_bytes < kStoreHeaderBytes) {
     ::close(fd);
-    throw StoreFormatError{"store file truncated while reading header magic"};
+    throw StoreFormatError{"store file truncated while reading the header"};
   }
   void* map = ::mmap(nullptr, mapped_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
@@ -629,133 +491,11 @@ std::shared_ptr<MmapSegment> MmapSegment::open(const std::string& path)
   segment->mapped_bytes_ = mapped_bytes;
   mapped_segment_bytes_gauge().add(static_cast<std::int64_t>(mapped_bytes));
 
-  // Parse the header straight from the mapping (same checks as
-  // read_store_header, which wants a stream).
-  const unsigned char* bytes = segment->data_;
-  if (load_le64(bytes) != kStoreMagic) {
-    throw StoreFormatError{"not a facet class store (bad magic)"};
-  }
-  const std::uint64_t version_vars = load_le64(bytes + 8);
-  const auto version = static_cast<std::uint32_t>(version_vars & 0xffffffffULL);
-  const auto num_vars = static_cast<std::uint32_t>(version_vars >> 32);
-  if (version != kStoreVersion && version != kStoreVersionV2 && version != kStoreVersionV1) {
-    std::ostringstream msg;
-    msg << "unsupported store version " << version << " (this build reads versions "
-        << kStoreVersionV1 << " through " << kStoreVersion << ")";
-    throw StoreFormatError{msg.str()};
-  }
-  if (num_vars > static_cast<std::uint32_t>(kMaxVars)) {
-    throw StoreFormatError{"corrupt header: num_vars exceeds kMaxVars"};
-  }
-  const std::uint64_t num_records = load_le64(bytes + 16);
-  segment->num_classes_ = load_le64(bytes + 24);
-  const std::uint64_t payload_hash = load_le64(bytes + 32);
-
-  segment->num_vars_ = static_cast<int>(num_vars);
-  segment->num_records_ = static_cast<std::size_t>(num_records);
-  segment->record_stride_ = store_record_words(segment->num_vars_) * 8;
-  segment->format_version_ = version;
-  // Bound the record count by the mapping before any size arithmetic, so a
-  // crafted huge count cannot wrap the multiplications below into a
-  // plausible-looking geometry. (Holds for every version: v3 padding only
-  // adds bytes on top of the records themselves.)
-  if (num_records > mapped_bytes / segment->record_stride_) {
-    throw StoreFormatError{"store file truncated (size disagrees with its record count)"};
-  }
-  const std::uint64_t record_bytes = num_records * segment->record_stride_;
-  const std::uint64_t total_words = record_bytes / 8;
-  segment->record_bytes_ = static_cast<std::size_t>(record_bytes);
-  segment->records_begin_ = bytes + kStoreHeaderBytes;
-
-  if (version == kStoreVersion) {
-    // v3 block-packed layout: padded header page, page-aligned blocks,
-    // block-key table, block-checksum table, footer. The sparse index is
-    // lifted into RAM here so a probe's binary search faults zero data
-    // pages; blocks validate lazily on first touch.
-    const std::size_t per_block = store_records_per_block(segment->num_vars_);
-    const std::size_t key_words = words_for_vars(segment->num_vars_);
-    const std::uint64_t num_blocks = store_num_blocks(num_records, segment->num_vars_);
-    const std::uint64_t table_words = num_blocks * key_words + num_blocks;
-    const std::uint64_t expected_bytes =
-        kStorePageBytes + num_blocks * kStorePageBytes + table_words * 8 + kStoreFooterBytes;
-    if (mapped_bytes != expected_bytes) {
-      throw StoreFormatError{mapped_bytes < expected_bytes
-                                 ? "store file truncated (size disagrees with its record count)"
-                                 : "store file has trailing bytes after the last record"};
-    }
-    for (std::size_t w = kStoreHeaderBytes / 8; w < kStorePageWords; ++w) {
-      if (load_le64(bytes + 8 * w) != 0) {
-        throw StoreFormatError{"corrupt store: header page padding is not zero"};
-      }
-    }
-    segment->records_begin_ = bytes + kStorePageBytes;
-    segment->records_per_block_ = per_block;
-    segment->num_pages_ = static_cast<std::size_t>(num_blocks);
-    const unsigned char* key_table = segment->records_begin_ + num_blocks * kStorePageBytes;
-    segment->page_table_ = key_table + num_blocks * key_words * 8;
-
-    if (checksum_le_words(key_table, static_cast<std::size_t>(table_words)) != payload_hash) {
-      throw StoreFormatError{"store block-table checksum mismatch (file corrupt)"};
-    }
-    const SegmentFooter footer =
-        parse_segment_footer(segment->page_table_ + num_blocks * 8);
-    if (footer.page_size != kStorePageBytes || footer.num_pages != num_blocks ||
-        footer.record_words != total_words) {
-      throw StoreFormatError{"corrupt store: segment footer disagrees with the header"};
-    }
-
-    segment->block_keys_.resize(static_cast<std::size_t>(num_blocks) * key_words);
-    for (std::size_t w = 0; w < segment->block_keys_.size(); ++w) {
-      segment->block_keys_[w] = load_le64(key_table + 8 * w);
-    }
-    segment->page_states_ =
-        std::make_unique<std::atomic<std::uint8_t>[]>(segment->num_pages_);
-    for (std::size_t p = 0; p < segment->num_pages_; ++p) {
-      segment->page_states_[p].store(0, std::memory_order_relaxed);
-    }
-    return segment;
-  }
-
-  if (version == kStoreVersionV1) {
-    // v1 has no page table: validate the whole payload once at open. The
-    // records still serve from the mapping, so no decode or allocation
-    // happens per record until a lookup materializes its result.
-    if (mapped_bytes != kStoreHeaderBytes + record_bytes) {
-      throw StoreFormatError{"store file size disagrees with its record count"};
-    }
-    if (checksum_le_words(segment->records_begin_, static_cast<std::size_t>(total_words)) !=
-        payload_hash) {
-      throw StoreFormatError{"store payload checksum mismatch (file corrupt)"};
-    }
-    return segment;
-  }
-
-  const std::uint64_t num_pages = pages_for_words(total_words);
-  const std::uint64_t expected_bytes =
-      kStoreHeaderBytes + record_bytes + num_pages * 8 + kStoreFooterBytes;
-  if (mapped_bytes != expected_bytes) {
-    throw StoreFormatError{mapped_bytes < expected_bytes
-                               ? "store file truncated (size disagrees with its record count)"
-                               : "store file has trailing bytes after the last record"};
-  }
-  segment->page_table_ = segment->records_begin_ + record_bytes;
-  segment->num_pages_ = static_cast<std::size_t>(num_pages);
-
-  const SegmentFooter footer =
-      parse_segment_footer(segment->page_table_ + num_pages * 8);
-  if (footer.page_size != kStorePageBytes || footer.num_pages != num_pages ||
-      footer.record_words != total_words) {
-    throw StoreFormatError{"corrupt store: segment footer disagrees with the header"};
-  }
-  if (checksum_le_words(segment->page_table_, static_cast<std::size_t>(num_pages)) !=
-      payload_hash) {
-    throw StoreFormatError{"store page-table checksum mismatch (file corrupt)"};
-  }
-
-  segment->page_states_ =
-      std::make_unique<std::atomic<std::uint8_t>[]>(segment->num_pages_);
-  for (std::size_t p = 0; p < segment->num_pages_; ++p) {
-    segment->page_states_[p].store(0, std::memory_order_relaxed);
+  segment->layout_ = parse_base_segment(segment->data_, mapped_bytes);
+  const std::size_t num_blocks = segment->layout_.num_blocks;
+  segment->page_states_ = std::make_unique<std::atomic<std::uint8_t>[]>(num_blocks);
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    segment->page_states_[b].store(0, std::memory_order_relaxed);
   }
   return segment;
 }
@@ -780,84 +520,31 @@ MmapSegment::~MmapSegment() = default;
 
 #endif  // FACET_HAS_MMAP
 
-const unsigned char* MmapSegment::record_ptr(std::size_t i) const noexcept
+void MmapSegment::validate_page(std::size_t block) const
 {
-  if (records_per_block_ != 0) {
-    return records_begin_ + (i / records_per_block_) * kStorePageBytes +
-           (i % records_per_block_) * record_stride_;
-  }
-  return records_begin_ + i * record_stride_;
-}
-
-void MmapSegment::validate_page(std::size_t page) const
-{
-  std::atomic<std::uint8_t>& state = page_states_[page];
+  std::atomic<std::uint8_t>& state = page_states_[block];
   if (state.load(std::memory_order_acquire) == 1) {
     return;
   }
-  // v3 blocks checksum their full zero-padded page; v2 pages are dense
-  // slices of the record region, the last possibly partial.
-  const std::size_t total_words = record_bytes_ / 8;
-  const std::size_t words_in_page =
-      block_packed() ? kStorePageWords
-                     : std::min(kStorePageWords, total_words - page * kStorePageWords);
-  const std::uint64_t actual =
-      checksum_le_words(records_begin_ + page * kStorePageBytes, words_in_page);
-  const std::uint64_t expected = load_le64(page_table_ + 8 * page);
-  if (actual != expected) {
-    std::ostringstream msg;
-    msg << "store " << (block_packed() ? "block " : "page ") << page
-        << " failed checksum validation (file corrupt)";
-    throw StoreFormatError{msg.str()};
-  }
-  if (block_packed()) {
-    // Cross-check the sparse index against the block it samples: the key
-    // must lead the block's first record.
-    const std::size_t key_words = words_for_vars(num_vars_);
-    const unsigned char* first_record = records_begin_ + page * kStorePageBytes;
-    for (std::size_t k = 0; k < key_words; ++k) {
-      if (load_le64(first_record + 8 * k) != block_keys_[page * key_words + k]) {
-        throw StoreFormatError{"corrupt store: block key disagrees with its block"};
-      }
-    }
-  }
+  validate_base_block(layout_, block);
   // Concurrent validators may race here; both computed the same verdict, so
   // the double store is harmless.
   state.store(1, std::memory_order_release);
 }
 
-void MmapSegment::touch_record(std::size_t i) const
-{
-  if (page_states_ == nullptr) {
-    return;  // v1 mapping, validated eagerly at open
-  }
-  if (records_per_block_ != 0) {
-    validate_page(i / records_per_block_);  // records never straddle blocks
-    return;
-  }
-  const std::size_t first = (i * record_stride_) / kStorePageBytes;
-  const std::size_t last = (i * record_stride_ + record_stride_ - 1) / kStorePageBytes;
-  for (std::size_t p = first; p <= last; ++p) {
-    validate_page(p);
-  }
-}
-
 std::size_t MmapSegment::pages_validated() const noexcept
 {
-  if (page_states_ == nullptr) {
-    return num_pages_;
-  }
   std::size_t count = 0;
-  for (std::size_t p = 0; p < num_pages_; ++p) {
-    count += page_states_[p].load(std::memory_order_relaxed) == 1 ? 1 : 0;
+  for (std::size_t b = 0; b < layout_.num_blocks; ++b) {
+    count += page_states_[b].load(std::memory_order_relaxed) == 1 ? 1 : 0;
   }
   return count;
 }
 
 int MmapSegment::compare_canonical(std::size_t i, const TruthTable& key) const
 {
-  touch_record(i);
-  const unsigned char* rec = record_ptr(i);
+  validate_page(i / layout_.records_per_block);
+  const unsigned char* rec = layout_.record(i);
   const auto words = key.words();
   for (std::size_t w = words.size(); w-- > 0;) {
     const std::uint64_t a = load_le64(rec + 8 * w);
@@ -871,90 +558,38 @@ int MmapSegment::compare_canonical(std::size_t i, const TruthTable& key) const
 
 StoreRecord MmapSegment::record_at(std::size_t i) const
 {
-  touch_record(i);
-  return decode_record(record_ptr(i), num_vars_);
+  validate_page(i / layout_.records_per_block);
+  return decode_record(layout_.record(i), layout_.num_vars);
 }
 
 std::optional<std::size_t> MmapSegment::find_index(const TruthTable& key) const
 {
-  if (key.num_vars() != num_vars_) {
+  if (key.num_vars() != layout_.num_vars) {
     return std::nullopt;
   }
   std::uint64_t pages_examined = 0;
-  const auto result = records_per_block_ != 0 ? find_index_blocked(key, pages_examined)
-                                              : find_index_dense(key, pages_examined);
+  const auto result = find_index_blocked(key, pages_examined);
   probe_count_.fetch_add(1, std::memory_order_relaxed);
   probe_pages_.fetch_add(pages_examined, std::memory_order_relaxed);
   if (obs::sample_1_in<kProbeSample>()) {
-    probe_pages_histogram(num_vars_).record_ns(pages_examined);
+    probe_pages_histogram(layout_.num_vars).record_ns(pages_examined);
   }
   return result;
-}
-
-std::optional<std::size_t> MmapSegment::find_index_dense(const TruthTable& key,
-                                                         std::uint64_t& pages_examined) const
-{
-  // Distinct-page accounting for the probe telemetry: a binary search's
-  // mids are distinct records, but neighboring mids can share a page near
-  // convergence, so dedupe against the (at most ~2 log N) pages seen.
-  std::array<std::size_t, 160> seen;  // tracked by seen_count, no init needed
-  std::size_t seen_count = 0;
-  const auto note_pages = [&](std::size_t i) {
-    const std::size_t first = (i * record_stride_) / kStorePageBytes;
-    const std::size_t last = (i * record_stride_ + record_stride_ - 1) / kStorePageBytes;
-    for (std::size_t p = first; p <= last; ++p) {
-      bool duplicate = false;
-      for (std::size_t s = 0; s < seen_count; ++s) {
-        if (seen[s] == p) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        if (seen_count < seen.size()) {
-          seen[seen_count++] = p;
-        }
-        ++pages_examined;
-      }
-    }
-  };
-
-  std::size_t lo = 0;
-  std::size_t hi = num_records_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    note_pages(mid);
-    if (compare_canonical(mid, key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < num_records_) {
-    note_pages(lo);
-    if (compare_canonical(lo, key) == 0) {
-      return lo;
-    }
-  }
-  return std::nullopt;
 }
 
 std::optional<std::size_t> MmapSegment::find_index_blocked(const TruthTable& key,
                                                            std::uint64_t& pages_examined) const
 {
-  if (num_records_ == 0) {
-    return std::nullopt;
-  }
-  const std::size_t key_words = words_for_vars(num_vars_);
+  const std::size_t key_words = words_for_vars(layout_.num_vars);
   const auto target = key.words();
   // Binary search the in-RAM sparse index for the one block that could hold
   // the key: the last block whose first key is <= the target. No data page
   // is touched yet.
   std::size_t lo = 0;
-  std::size_t hi = num_pages_;
+  std::size_t hi = layout_.num_blocks;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t* block_key = block_keys_.data() + mid * key_words;
+    const std::uint64_t* block_key = layout_.block_keys.data() + mid * key_words;
     int cmp = 0;
     for (std::size_t w = key_words; w-- > 0;) {
       if (block_key[w] != target[w]) {
@@ -969,8 +604,8 @@ std::optional<std::size_t> MmapSegment::find_index_blocked(const TruthTable& key
     }
   }
   if (lo == 0) {
-    // The target sorts before the first record of the segment: provably
-    // absent without touching a single data page.
+    // The target sorts before the first record of the segment (or the
+    // segment is empty): provably absent without touching a data page.
     return std::nullopt;
   }
 
@@ -978,8 +613,8 @@ std::optional<std::size_t> MmapSegment::find_index_blocked(const TruthTable& key
   const std::size_t block = lo - 1;
   pages_examined = 1;
   validate_page(block);
-  const std::size_t first = block * records_per_block_;
-  const std::size_t count = std::min(records_per_block_, num_records_ - first);
+  const std::size_t first = block * layout_.records_per_block;
+  const std::size_t count = std::min(layout_.records_per_block, layout_.num_records - first);
   std::size_t scanned = 0;
   std::optional<std::size_t> found;
   for (std::size_t r = 0; r < count; ++r) {
@@ -994,7 +629,7 @@ std::optional<std::size_t> MmapSegment::find_index_blocked(const TruthTable& key
     }
   }
   if (obs::sample_1_in<kProbeSample>()) {
-    block_scan_len_histogram(num_vars_).record_ns(scanned);
+    block_scan_len_histogram(layout_.num_vars).record_ns(scanned);
   }
   return found;
 }
@@ -1016,10 +651,10 @@ std::optional<StoreRecord> MmapSegment::find(const TruthTable& canonical) const
 std::optional<std::uint32_t> MmapSegment::find_class_id(const TruthTable& canonical) const
 {
   if (const auto i = find_index(canonical)) {
-    // compare_canonical already validated the record's pages; the id rides
+    // compare_canonical already validated the record's block; the id rides
     // in the word after the two tables, no decode needed.
-    const std::size_t num_words = words_for_vars(num_vars_);
-    return static_cast<std::uint32_t>(load_le64(record_ptr(*i) + 8 * (2 * num_words)) >> 32);
+    const std::size_t num_words = words_for_vars(layout_.num_vars);
+    return static_cast<std::uint32_t>(load_le64(layout_.record(*i) + 8 * (2 * num_words)) >> 32);
   }
   return std::nullopt;
 }

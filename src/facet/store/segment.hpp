@@ -14,17 +14,18 @@
 ///     front.
 ///   * MmapSegment — the record region of a `.fcs` file mapped read-only
 ///     and searched **in place**. Nothing is decoded at open beyond the
-///     header, the checksum table and the footer, so opening a
-///     million-class index costs microseconds instead of a full decode.
-///     v3 files are block-packed: the block-key table is lifted into RAM at
-///     open, a probe binary-searches it without touching a single data
-///     page, and then scans exactly one 4 KiB block linearly — O(log
-///     N_blocks) RAM compares + ~1 cold page per probe, vs the O(log N)
-///     cold pages a dense v2 binary search faults. Blocks/pages are
-///     checksum-validated lazily on first touch; a bit-flipped page raises
+///     header, the tables and the footer, so opening a million-class index
+///     costs microseconds instead of a full decode. The block-key table is
+///     lifted into RAM at open, a probe binary-searches it without touching
+///     a single data page, and then scans exactly one 4 KiB block linearly
+///     — O(log N_blocks) RAM compares + ~1 cold page per probe. Blocks are
+///     checksum-validated lazily on first touch; a bit-flipped block raises
 ///     StoreFormatError at the first lookup that reads it, never silently.
-///     Version-1 files (no page table) are validated eagerly at open —
-///     still without materializing records.
+///
+/// Both flavors read a file through one layout parser and one block
+/// validator (segment.cpp): the materialized loader over a buffered stream,
+/// validating every block eagerly; the mmap flavor over its mapping,
+/// validating each block lazily.
 ///
 /// All Segment methods are const and safe to call from many threads at once
 /// (lazy validation uses atomic page flags; double validation is idempotent).
@@ -92,6 +93,32 @@ class MaterializedSegment final : public Segment {
   std::vector<StoreRecord> records_;
 };
 
+/// Layout of one v3 base segment, parsed from its raw bytes by the one
+/// layout parser both base flavors share (segment.cpp). The pointers alias
+/// the parsed buffer (a mapping or a buffered stream); the block-key table
+/// is copied out into RAM.
+struct BaseSegmentLayout {
+  int num_vars = 0;
+  std::size_t num_records = 0;
+  std::uint64_t num_classes = 0;  ///< next fresh class id
+  std::size_t num_blocks = 0;
+  std::size_t records_per_block = 0;
+  std::size_t record_stride = 0;                   ///< bytes per record
+  const unsigned char* blocks = nullptr;           ///< first page-aligned data block
+  const unsigned char* block_checksums = nullptr;  ///< u64 per block
+  /// The sparse footer index: block b's first canonical form at words
+  /// [b * W, (b + 1) * W). Probing it never faults a data page.
+  std::vector<std::uint64_t> block_keys;
+
+  /// Raw bytes of record i (0 <= i < num_records); no record straddles a
+  /// block.
+  [[nodiscard]] const unsigned char* record(std::size_t i) const noexcept
+  {
+    return blocks + (i / records_per_block) * kStorePageBytes +
+           (i % records_per_block) * record_stride;
+  }
+};
+
 /// Segment over the record region of a `.fcs` file mapped read-only.
 class MmapSegment final : public Segment {
  public:
@@ -104,78 +131,49 @@ class MmapSegment final : public Segment {
     std::uint64_t pages = 0;
   };
 
-  /// Maps `path` and validates header, footer and the block/page checksum
-  /// table (v3/v2) or the whole payload (v1 — no table to defer to). Data
-  /// blocks/pages are validated lazily on first touch; a v3 block-key table
-  /// is copied into RAM so probes fault zero pages before the final block
-  /// scan. Throws StoreFormatError on any structural violation, and
-  /// std::runtime_error when the platform has no mmap (see
-  /// mmap_supported()).
+  /// Maps `path` and parses its layout; data blocks are validated lazily on
+  /// first touch. Throws StoreFormatError on any
+  /// structural violation, and std::runtime_error when the platform has no
+  /// mmap (see mmap_supported()).
   [[nodiscard]] static std::shared_ptr<MmapSegment> open(const std::string& path);
 
   ~MmapSegment() override;
   MmapSegment(const MmapSegment&) = delete;
   MmapSegment& operator=(const MmapSegment&) = delete;
 
-  [[nodiscard]] int num_vars() const noexcept override { return num_vars_; }
-  [[nodiscard]] std::size_t size() const noexcept override { return num_records_; }
+  [[nodiscard]] int num_vars() const noexcept override { return layout_.num_vars; }
+  [[nodiscard]] std::size_t size() const noexcept override { return layout_.num_records; }
   [[nodiscard]] StoreRecord record_at(std::size_t i) const override;
   [[nodiscard]] std::optional<StoreRecord> find(const TruthTable& canonical) const override;
   [[nodiscard]] std::optional<std::uint32_t> find_class_id(
       const TruthTable& canonical) const override;
 
   /// Next fresh class id recorded in the mapped header.
-  [[nodiscard]] std::uint64_t num_classes() const noexcept { return num_classes_; }
-  /// True when record blocks/pages validate lazily (v3/v2); v1 maps
-  /// validate at open.
-  [[nodiscard]] bool lazy_validation() const noexcept { return page_states_ != nullptr; }
-  /// Blocks/pages already checksum-validated (for telemetry and tests).
+  [[nodiscard]] std::uint64_t num_classes() const noexcept { return layout_.num_classes; }
+  /// Blocks already checksum-validated (for telemetry and tests).
   [[nodiscard]] std::size_t pages_validated() const noexcept;
-  [[nodiscard]] std::size_t num_pages() const noexcept { return num_pages_; }
-  /// True when this mapping is block-packed (a v3 file).
-  [[nodiscard]] bool block_packed() const noexcept { return records_per_block_ != 0; }
-  /// Format version of the mapped file.
-  [[nodiscard]] std::uint32_t format_version() const noexcept { return format_version_; }
+  [[nodiscard]] std::size_t num_pages() const noexcept { return layout_.num_blocks; }
   /// Cumulative probe page-touch counters (see ProbeStats).
   [[nodiscard]] ProbeStats probe_stats() const noexcept;
 
  private:
   MmapSegment() = default;
 
-  [[nodiscard]] const unsigned char* record_ptr(std::size_t i) const noexcept;
-  /// Validates every page overlapping record `i` (first touch only).
-  void touch_record(std::size_t i) const;
-  void validate_page(std::size_t page) const;
+  /// Validates block `block` (first touch only).
+  void validate_page(std::size_t block) const;
   /// -1 / 0 / +1 of record i's canonical vs `key` (most-significant first).
   [[nodiscard]] int compare_canonical(std::size_t i, const TruthTable& key) const;
   /// Index of the record whose canonical equals `key`, if any.
   [[nodiscard]] std::optional<std::size_t> find_index(const TruthTable& key) const;
-  /// find_index over a dense (v1/v2) record region: binary search the
-  /// records themselves, faulting O(log N) cold pages.
-  [[nodiscard]] std::optional<std::size_t> find_index_dense(const TruthTable& key,
-                                                           std::uint64_t& pages_examined) const;
-  /// find_index over a block-packed (v3) region: binary search the in-RAM
-  /// block keys, then scan one block linearly.
+  /// find_index minus the accounting: binary search the in-RAM block keys,
+  /// then scan one block linearly.
   [[nodiscard]] std::optional<std::size_t> find_index_blocked(const TruthTable& key,
                                                              std::uint64_t& pages_examined) const;
 
   const unsigned char* data_ = nullptr;  // whole mapping
   std::size_t mapped_bytes_ = 0;
-  const unsigned char* records_begin_ = nullptr;
-  const unsigned char* page_table_ = nullptr;  // v3 block / v2 page checksums
-  std::size_t record_bytes_ = 0;
-  std::size_t record_stride_ = 0;  // bytes per record
-  std::size_t num_records_ = 0;
-  std::size_t num_pages_ = 0;      // v3: blocks; v2: 4 KiB slices
-  std::size_t records_per_block_ = 0;  // v3 only; 0 = dense v1/v2 layout
-  std::uint64_t num_classes_ = 0;
-  std::uint32_t format_version_ = 0;
-  int num_vars_ = 0;
-  /// v3 sparse footer index, lifted off the mapping at open: block b's
-  /// first canonical form at words [b * W, (b + 1) * W). Probing it never
-  /// faults a data page.
-  std::vector<std::uint64_t> block_keys_;
-  /// 0 = not yet validated, 1 = validated. Null for eagerly-validated maps.
+  BaseSegmentLayout layout_;
+  /// 0 = not yet validated, 1 = validated, one flag per block.
   mutable std::unique_ptr<std::atomic<std::uint8_t>[]> page_states_;
   mutable std::atomic<std::uint64_t> probe_count_{0};
   mutable std::atomic<std::uint64_t> probe_pages_{0};
@@ -191,21 +189,14 @@ class MmapSegment final : public Segment {
 void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classes,
                         const std::vector<const StoreRecord*>& records);
 
-/// Writes the legacy dense v2 layout — header, records, page-checksum
-/// table, footer. Kept for mixed-version tests and the v2-vs-v3 bench
-/// baseline; production writers emit v3.
-void write_base_segment_v2(std::ostream& os, int num_vars, std::uint64_t num_classes,
-                           const std::vector<const StoreRecord*>& records);
-
-/// Reads a record (shared by the materialized base loader and the delta
-/// replay), mixing every word into `hasher`.
-[[nodiscard]] StoreRecord read_store_record(std::istream& is, int num_vars, PayloadHasher& hasher);
-
-/// Materialized read of a base segment (v1 or v2): every record decoded,
-/// every checksum and structural invariant validated eagerly, including
-/// canonical sortedness/uniqueness and the absence of trailing bytes.
+/// Materialized read of a base segment: the stream is buffered and parsed
+/// by the same layout parser as MmapSegment::open, every block is checked
+/// by the same block validator, and every record is decoded, with
+/// canonical sortedness/uniqueness and class ids below the header's class
+/// count checked on top.
 struct LoadedBase {
-  StoreHeader header;
+  int num_vars = 0;
+  std::uint64_t num_classes = 0;
   std::vector<StoreRecord> records;
 };
 [[nodiscard]] LoadedBase read_base_segment(std::istream& is);

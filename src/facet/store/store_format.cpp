@@ -1,7 +1,5 @@
 #include "facet/store/store_format.hpp"
 
-#include <cstring>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -66,20 +64,6 @@ void write_u64_le(std::ostream& os, std::uint64_t value)
   os.write(bytes, 8);
 }
 
-std::uint64_t read_u64_le(std::istream& is, const char* what)
-{
-  char bytes[8];
-  is.read(bytes, 8);
-  if (is.gcount() != 8) {
-    throw StoreFormatError{std::string{"store file truncated while reading "} + what};
-  }
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i])) << (8 * i);
-  }
-  return value;
-}
-
 void write_store_header(std::ostream& os, const StoreHeader& header)
 {
   write_u64_le(os, kStoreMagic);
@@ -91,35 +75,6 @@ void write_store_header(std::ostream& os, const StoreHeader& header)
   write_u64_le(os, 0);  // reserved
 }
 
-StoreHeader read_store_header(std::istream& is)
-{
-  const std::uint64_t magic = read_u64_le(is, "header magic");
-  if (magic != kStoreMagic) {
-    throw StoreFormatError{"not a facet class store (bad magic)"};
-  }
-  const std::uint64_t version_vars = read_u64_le(is, "header version");
-  StoreHeader header;
-  header.version = static_cast<std::uint32_t>(version_vars & 0xffffffffULL);
-  header.num_vars = static_cast<std::uint32_t>(version_vars >> 32);
-  if (header.version != kStoreVersion && header.version != kStoreVersionV2 &&
-      header.version != kStoreVersionV1) {
-    std::ostringstream msg;
-    msg << "unsupported store version " << header.version << " (this build reads versions "
-        << kStoreVersionV1 << " through " << kStoreVersion << ")";
-    throw StoreFormatError{msg.str()};
-  }
-  if (header.num_vars > static_cast<std::uint32_t>(kMaxVars)) {
-    std::ostringstream msg;
-    msg << "corrupt header: num_vars " << header.num_vars << " exceeds kMaxVars " << kMaxVars;
-    throw StoreFormatError{msg.str()};
-  }
-  header.num_records = read_u64_le(is, "header record count");
-  header.num_classes = read_u64_le(is, "header class count");
-  header.payload_hash = read_u64_le(is, "header payload hash");
-  (void)read_u64_le(is, "header reserved word");
-  return header;
-}
-
 void write_segment_footer(std::ostream& os, const SegmentFooter& footer)
 {
   write_u64_le(os, kStoreFooterMagic);
@@ -127,16 +82,6 @@ void write_segment_footer(std::ostream& os, const SegmentFooter& footer)
   write_u64_le(os, footer.num_pages);
   write_u64_le(os, footer.record_words);
   write_u64_le(os, footer_hash(footer));
-}
-
-SegmentFooter read_segment_footer(std::istream& is)
-{
-  unsigned char bytes[kStoreFooterBytes];
-  is.read(reinterpret_cast<char*>(bytes), static_cast<std::streamsize>(kStoreFooterBytes));
-  if (static_cast<std::size_t>(is.gcount()) != kStoreFooterBytes) {
-    throw StoreFormatError{"store file truncated while reading segment footer"};
-  }
-  return parse_segment_footer(bytes);
 }
 
 SegmentFooter parse_segment_footer(const unsigned char* bytes)
@@ -162,43 +107,6 @@ void write_delta_frame_header(std::ostream& os, const DeltaFrameHeader& header)
   write_u64_le(os, header.num_records);
   write_u64_le(os, header.num_classes_after);
   write_u64_le(os, header.payload_hash);
-}
-
-std::optional<DeltaFrameHeader> read_delta_frame_header(std::istream& is)
-{
-  char magic_bytes[8];
-  is.read(magic_bytes, 8);
-  if (is.gcount() == 0) {
-    return std::nullopt;  // clean end of log
-  }
-  if (is.gcount() != 8) {
-    throw StoreFormatError{"delta log truncated inside a frame header"};
-  }
-  std::uint64_t magic = 0;
-  for (int i = 0; i < 8; ++i) {
-    magic |= static_cast<std::uint64_t>(static_cast<unsigned char>(magic_bytes[i])) << (8 * i);
-  }
-  if (magic != kDeltaFrameMagic) {
-    throw StoreFormatError{"corrupt delta log: bad frame magic"};
-  }
-  const std::uint64_t version_vars = read_u64_le(is, "delta frame version");
-  DeltaFrameHeader header;
-  header.version = static_cast<std::uint32_t>(version_vars & 0xffffffffULL);
-  header.num_vars = static_cast<std::uint32_t>(version_vars >> 32);
-  // The frame codec is unchanged between store versions 2 and 3; logs
-  // written by either build replay identically.
-  if (header.version != kStoreVersion && header.version != kStoreVersionV2) {
-    std::ostringstream msg;
-    msg << "unsupported delta frame version " << header.version;
-    throw StoreFormatError{msg.str()};
-  }
-  if (header.num_vars > static_cast<std::uint32_t>(kMaxVars)) {
-    throw StoreFormatError{"corrupt delta frame: num_vars exceeds kMaxVars"};
-  }
-  header.num_records = read_u64_le(is, "delta frame record count");
-  header.num_classes_after = read_u64_le(is, "delta frame class count");
-  header.payload_hash = read_u64_le(is, "delta frame payload hash");
-  return header;
 }
 
 std::array<std::uint64_t, 2> pack_transform(const NpnTransform& t) noexcept

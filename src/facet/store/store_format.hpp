@@ -6,19 +6,17 @@
 /// by records sorted by canonical form, so a reader answers "which class is
 /// this canonical form?" with one binary search — in RAM after a materialized
 /// load, or directly in the page cache through a read-only mmap
-/// (segment.hpp). Version 3 layout (all integers little-endian):
+/// (segment.hpp). Layout (version 3, all integers little-endian):
 ///
 ///   header (48 bytes)
 ///     u64  magic         "FACETFCS"
-///     u32  version       kStoreVersion (version-1/-2 files remain readable)
+///     u32  version       kStoreVersion (any other version is rejected)
 ///     u32  num_vars      function width n (0 <= n <= kMaxVars)
 ///     u64  num_records   record count
 ///     u64  num_classes   next fresh class id (== class count for built
 ///                        stores; appended deltas may leave gaps)
-///     u64  payload_hash  v3: hash_words over the block-key table and the
-///                        block-checksum table in file order;
-///                        v2: hash_words over the page-checksum table;
-///                        v1: hash_words over every record word in file order
+///     u64  payload_hash  hash_words over the block-key table and the
+///                        block-checksum table in file order
 ///     u64  reserved      zero
 ///
 ///   record ((2 * W + 3) * 8 bytes each, W = words_for_vars(n))
@@ -28,38 +26,30 @@
 ///     u64[2]  packed NPN transform with
 ///             apply_transform(representative, t) == canonical
 ///
-///   header padding (v3 only)
+///   header padding
 ///     The header page is zero-padded to kStorePageBytes so every data
 ///     block below starts page-aligned in the mapping — the property that
 ///     makes "one block" mean "one page fault".
 ///
-///   blocks (v3; num_blocks * kStorePageBytes bytes)
+///   blocks (num_blocks * kStorePageBytes bytes)
 ///     Records are packed into fixed-size kStorePageBytes blocks — one
 ///     page each, store_records_per_block(n) records per block, no record
 ///     straddling a block boundary. The tail of the last block is
 ///     zero-padded. A probe binary-searches the in-RAM block-key table
 ///     (below) and then touches exactly one data page, scanned linearly.
 ///
-///   block-key table (v3; num_blocks * W * 8 bytes)
+///   block-key table (num_blocks * W * 8 bytes)
 ///     u64[W] per block — the canonical form of each block's first record,
 ///     the sparse footer index. Readers lift this into RAM at open so the
 ///     block search faults zero data pages.
 ///
-///   block-checksum table (v3; num_blocks * 8 bytes)
+///   block-checksum table (num_blocks * 8 bytes)
 ///     u64[num_blocks]  checksum of each full kStorePageWords-word block
 ///                      (zero padding included). The mmap reader validates
 ///                      blocks lazily on first touch; the materialized
 ///                      loader validates all of them.
 ///
-///   page-checksum table (v2 only; num_pages * 8 bytes)
-///     u64[num_pages]  checksum of each kStorePageBytes-sized slice of the
-///                     densely-packed record region (the last page may be
-///                     partial; records straddle page boundaries). The
-///                     mmap reader validates pages lazily on first touch;
-///                     the materialized loader validates all of them.
-///
-///   segment footer (v2/v3; 40 bytes, see SegmentFooter — num_pages counts
-///   v3 blocks or v2 pages)
+///   segment footer (40 bytes, see SegmentFooter — num_pages counts blocks)
 ///
 /// Appends between compactions live outside the base segment in a
 /// log-structured **delta log** (`<index>.dlog`): a sequence of independent
@@ -83,7 +73,6 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -102,19 +91,16 @@ class StoreFormatError : public std::runtime_error {
 /// "FACETFCS" read as a little-endian u64.
 inline constexpr std::uint64_t kStoreMagic = 0x5343'4654'4543'4146ULL;
 
-/// Current format version (block-packed segments with a sparse block-key
-/// footer index); bumped on any layout change. Version-2 files (dense
-/// records + page-checksum table) and version-1 files (whole-payload
-/// checksum, no footer) still load.
+/// The one format version (block-packed segments with a sparse block-key
+/// footer index); bumped on any layout change. Files and delta frames of
+/// any other version are rejected.
 inline constexpr std::uint32_t kStoreVersion = 3;
-inline constexpr std::uint32_t kStoreVersionV2 = 2;
-inline constexpr std::uint32_t kStoreVersionV1 = 1;
 
 /// Serialized header size in bytes.
 inline constexpr std::size_t kStoreHeaderBytes = 48;
 
-/// Granularity of lazy checksum validation on the mmap read path: the record
-/// region is checksummed in slices of this many bytes.
+/// Size of one record block — the granularity of lazy checksum validation
+/// on the mmap read path.
 inline constexpr std::size_t kStorePageBytes = 4096;
 inline constexpr std::size_t kStorePageWords = kStorePageBytes / 8;
 
@@ -138,11 +124,10 @@ struct StoreHeader {
   std::uint64_t payload_hash = 0;
 };
 
-/// Trailer of a v2/v3 base segment, after the checksum table. Lets a
-/// reader cross-check the record/page geometry implied by the header and
-/// reject files whose tail was cut or overwritten. For v3 segments
-/// num_pages counts blocks and record_words counts actual record words
-/// (zero padding excluded).
+/// Trailer of a base segment, after the checksum table. Lets a reader
+/// cross-check the record/block geometry implied by the header and reject
+/// files whose tail was cut or overwritten. num_pages counts blocks and
+/// record_words counts actual record words (zero padding excluded).
 struct SegmentFooter {
   std::uint64_t page_size = kStorePageBytes;
   std::uint64_t num_pages = 0;
@@ -176,18 +161,18 @@ struct StoreRecord {
 /// Number of u64 words one record occupies for an n-variable store.
 [[nodiscard]] std::size_t store_record_words(int num_vars) noexcept;
 
-/// Records packed into one v3 block (>= 1 for every width the truth-table
+/// Records packed into one block (>= 1 for every width the truth-table
 /// kernel supports — a record is at most (2 * 4 + 3) * 8 = 88 bytes at
 /// kMaxVars).
 [[nodiscard]] std::size_t store_records_per_block(int num_vars) noexcept;
 
-/// Number of v3 blocks holding `num_records` records of an n-variable store.
+/// Number of blocks holding `num_records` records of an n-variable store.
 [[nodiscard]] std::uint64_t store_num_blocks(std::uint64_t num_records, int num_vars) noexcept;
 
 /// Streaming checksum over a u64 word sequence, seeded with the sequence
 /// length so truncations that happen to hash-collide on a prefix are still
-/// rejected. Both the record payload (v1), the page slices and the page
-/// table (v2) use this.
+/// rejected. The data blocks, the header's table hash, the footer and the
+/// delta frames all use this.
 class PayloadHasher {
  public:
   explicit PayloadHasher(std::uint64_t num_words) noexcept
@@ -202,7 +187,7 @@ class PayloadHasher {
   std::uint64_t state_;
 };
 
-/// Decodes a little-endian u64 from raw bytes (the mmap read path).
+/// Decodes a little-endian u64 from raw bytes (every read path).
 [[nodiscard]] std::uint64_t load_le64(const unsigned char* bytes) noexcept;
 
 /// Checksum of `num_words` little-endian u64 words starting at `bytes`.
@@ -212,34 +197,17 @@ class PayloadHasher {
 /// Writes the header (including magic) to `os`.
 void write_store_header(std::ostream& os, const StoreHeader& header);
 
-/// Reads and validates magic, version and num_vars; throws StoreFormatError
-/// on a short read, wrong magic, unsupported version or impossible width.
-/// Accepts kStoreVersion, kStoreVersionV2 and kStoreVersionV1 (callers
-/// branch on header.version for the tail layout).
-[[nodiscard]] StoreHeader read_store_header(std::istream& is);
-
 /// Writes the footer (magic, fields, self-hash) to `os`.
 void write_segment_footer(std::ostream& os, const SegmentFooter& footer);
 
-/// Reads and validates a footer (magic + self-hash); throws StoreFormatError
-/// on mismatch.
-[[nodiscard]] SegmentFooter read_segment_footer(std::istream& is);
-
-/// Parses a footer from its raw serialized bytes (the mmap read path);
-/// throws StoreFormatError on a bad magic or self-hash.
+/// Parses a footer from its raw serialized bytes; throws StoreFormatError
+/// on a bad magic or self-hash.
 [[nodiscard]] SegmentFooter parse_segment_footer(const unsigned char* bytes);
 
 void write_delta_frame_header(std::ostream& os, const DeltaFrameHeader& header);
 
-/// Reads the next frame header from a delta log. Returns nullopt at a clean
-/// end of log; throws StoreFormatError on a torn header, bad magic, version
-/// or width.
-[[nodiscard]] std::optional<DeltaFrameHeader> read_delta_frame_header(std::istream& is);
-
-/// Little-endian integer plumbing, shared with the record codec in
-/// segment.cpp. Readers throw StoreFormatError on a short read.
+/// Little-endian u64 writer, shared with the record codec in segment.cpp.
 void write_u64_le(std::ostream& os, std::uint64_t value);
-[[nodiscard]] std::uint64_t read_u64_le(std::istream& is, const char* what);
 
 /// Packs an NpnTransform into two words: word 0 carries perm as 16 nibbles,
 /// word 1 carries input_neg (low 32 bits) and output_neg (bit 32).

@@ -615,12 +615,12 @@ TEST(StoreFormat, TransformPackUnpackRoundTrips)
 TEST(StoreFormat, UnpackRejectsCorruptTransforms)
 {
   // perm word with a repeated target is not a permutation.
-  EXPECT_THROW(unpack_transform(3, {0x000ULL, 0}), StoreFormatError);
+  EXPECT_THROW((void)unpack_transform(3, {0x000ULL, 0}), StoreFormatError);
   // input_neg beyond the width.
   const auto packed = pack_transform(NpnTransform::identity(3));
-  EXPECT_THROW(unpack_transform(3, {packed[0], 0xffULL}), StoreFormatError);
+  EXPECT_THROW((void)unpack_transform(3, {packed[0], 0xffULL}), StoreFormatError);
   // reserved high bits must be zero.
-  EXPECT_THROW(unpack_transform(3, {packed[0], 1ULL << 40}), StoreFormatError);
+  EXPECT_THROW((void)unpack_transform(3, {packed[0], 1ULL << 40}), StoreFormatError);
 }
 
 }  // namespace

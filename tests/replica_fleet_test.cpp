@@ -119,7 +119,7 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < num_replicas; ++r) {
     readers.emplace_back([&, r] {
-      const int port = replicas[r]->tcp_port();
+      const std::uint16_t port = replicas[r]->tcp_port();
       std::size_t round = 0;
       while (!stop_readers.load()) {
         std::string script;

@@ -1,9 +1,8 @@
 /// Tests of the block-packed v3 base-segment format: geometry and probe
 /// accounting of the sparse block-key index, edge cases at block
-/// boundaries, per-block corruption rejection, mixed-version stores (dense
-/// v2 bases under v3 delta logs, compaction and fcs-merge emitting v3),
-/// router dispatch over mixed versions, and ClassStore::reload — the
-/// replica half of the compaction handshake.
+/// boundaries, per-block corruption rejection by both base flavors,
+/// fcs-merge emitting v3, router dispatch over two widths, and
+/// ClassStore::reload — the replica half of the compaction handshake.
 
 #include <gtest/gtest.h>
 
@@ -88,17 +87,6 @@ void write_v3_file(const std::string& path, int n, const std::vector<StoreRecord
   write_base_segment(os, n, records.size(), pointers);
 }
 
-void write_v2_file(const std::string& path, int n, const std::vector<StoreRecord>& records)
-{
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(records.size());
-  for (const auto& record : records) {
-    pointers.push_back(&record);
-  }
-  std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  write_base_segment_v2(os, n, records.size(), pointers);
-}
-
 std::vector<TruthTable> make_npn_workload(int n, std::size_t bases, std::size_t images_per_base,
                                           std::uint64_t seed)
 {
@@ -143,8 +131,7 @@ TEST(StoreBlockPack, V3ProbesTouchOneBlock)
   write_v3_file(path, n, records);
 
   const auto segment = MmapSegment::open(path);
-  EXPECT_TRUE(segment->block_packed());
-  EXPECT_EQ(segment->format_version(), kStoreVersion);
+  EXPECT_EQ(file_version(path), kStoreVersion);
   EXPECT_EQ(segment->num_pages(), store_num_blocks(count, n));
   ASSERT_EQ(segment->size(), count);
 
@@ -235,6 +222,13 @@ TEST(StoreBlockPack, EmptyOneRecordAndBlockBoundaryCounts)
   }
 }
 
+void store_le64(std::string& bytes, std::size_t offset, std::uint64_t value)
+{
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + static_cast<std::size_t>(i)] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
 TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
 {
   const int n = 6;
@@ -244,147 +238,119 @@ TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
   const std::string path = temp_path("blockpack_corrupt.fcs");
   write_v3_file(path, n, records);
   const std::string good = read_file(path);
+  // n = 6 geometry: one key word per block, three blocks.
+  const std::size_t last_block = kStorePageBytes + 2 * kStorePageBytes;
+  const std::size_t key_table = kStorePageBytes + 3 * kStorePageBytes;
+  const std::size_t checksum_table = key_table + 3 * 8;
+  // Re-stamps the header's table hash, so only the block checks can object.
+  const auto rehash_tables = [&](std::string& bytes) {
+    store_le64(bytes, 32,
+               checksum_le_words(reinterpret_cast<const unsigned char*>(bytes.data()) + key_table,
+                                 6));
+  };
 
-  // A flipped bit in the LAST block: eager load rejects up front; the mmap
-  // flavor opens, serves untouched blocks, and throws at first touch of
-  // the corrupt one.
-  {
-    std::string bad = good;
-    const std::size_t offset =
-        kStorePageBytes + 2 * kStorePageBytes + 5 * store_record_words(n) * 8 + 2;
-    bad[offset] = static_cast<char>(bad[offset] ^ 0x40);
+  // Damage the layout parse sees: both flavors reject at open.
+  const auto expect_rejected_at_open = [&](const std::string& bad) {
     write_file(path, bad);
     EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
+    EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = false}),
+                 StoreFormatError);
+    if (mmap_supported()) {
+      EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = true}),
+                   StoreFormatError);
+    }
+  };
+  // Damage inside the last block: the materialized loader rejects up front;
+  // the mmap flavor opens, serves untouched blocks, and throws at first
+  // touch of the damaged one.
+  const auto expect_rejected_at_last_block = [&](const std::string& bad) {
+    write_file(path, bad);
+    EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
+    EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = false}),
+                 StoreFormatError);
     if (mmap_supported()) {
       const auto segment = MmapSegment::open(path);
-      EXPECT_TRUE(segment->lazy_validation());
+      EXPECT_EQ(segment->pages_validated(), 0u);
       EXPECT_TRUE(segment->find_class_id(records.front().canonical).has_value());
       EXPECT_THROW((void)segment->find_class_id(records.back().canonical), StoreFormatError);
       EXPECT_THROW((void)segment->record_at(count - 1), StoreFormatError);
     }
-  }
-  // A flipped bit in the block-key table breaks the header's table
-  // checksum — rejected at open by both flavors.
+  };
+
+  // A flipped bit in a record of the last block fails its block checksum.
   {
     std::string bad = good;
-    const std::size_t key_table_offset = kStorePageBytes + 3 * kStorePageBytes + 4;
-    bad[key_table_offset] = static_cast<char>(bad[key_table_offset] ^ 0x01);
-    write_file(path, bad);
-    EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
-    if (mmap_supported()) {
-      EXPECT_THROW((void)MmapSegment::open(path), StoreFormatError);
-    }
+    const std::size_t offset = last_block + 5 * store_record_words(n) * 8 + 2;
+    bad[offset] = static_cast<char>(bad[offset] ^ 0x40);
+    expect_rejected_at_last_block(bad);
+  }
+  // A block key that no longer leads its block, under a re-stamped table
+  // hash: only the key-vs-block cross-check catches it. The key still
+  // sorts between its neighbours, so probes keep landing on that block.
+  {
+    std::string bad = good;
+    const std::uint64_t key = load_le64(reinterpret_cast<const unsigned char*>(bad.data()) +
+                                        key_table + 2 * 8);
+    store_le64(bad, key_table + 2 * 8, key - 1);
+    rehash_tables(bad);
+    expect_rejected_at_last_block(bad);
+  }
+  // Nonzero bytes past the last record of a block, under a re-stamped
+  // block checksum and table hash: only the padding check catches it.
+  {
+    std::string bad = good;
+    ASSERT_LT(per_block * store_record_words(n) * 8, kStorePageBytes);
+    bad[last_block + kStorePageBytes - 1] = 0x5a;
+    store_le64(bad, checksum_table + 2 * 8,
+               checksum_le_words(reinterpret_cast<const unsigned char*>(bad.data()) + last_block,
+                                 kStorePageWords));
+    rehash_tables(bad);
+    expect_rejected_at_last_block(bad);
+  }
+  // A flipped bit in the block-key table breaks the header's table
+  // checksum.
+  {
+    std::string bad = good;
+    bad[key_table + 4] = static_cast<char>(bad[key_table + 4] ^ 0x01);
+    expect_rejected_at_open(bad);
   }
   // Nonzero bytes in the header padding page are a structural violation.
   {
     std::string bad = good;
     bad[kStoreHeaderBytes + 17] = 0x5a;
-    write_file(path, bad);
-    EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
-    if (mmap_supported()) {
-      EXPECT_THROW((void)MmapSegment::open(path), StoreFormatError);
-    }
+    expect_rejected_at_open(bad);
   }
   // A truncated tail (lost footer) never passes.
-  {
-    write_file(path, good.substr(0, good.size() - 8));
-    EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
-    if (mmap_supported()) {
-      EXPECT_THROW((void)MmapSegment::open(path), StoreFormatError);
-    }
-  }
+  expect_rejected_at_open(good.substr(0, good.size() - 8));
   std::remove(path.c_str());
 }
 
-class StoreMixedVersion : public ::testing::TestWithParam<bool> {};
-
-TEST_P(StoreMixedVersion, V2BaseServesUnderV3DeltasAndCompactsToV3)
-{
-  const bool use_mmap = GetParam();
-  if (use_mmap && !mmap_supported()) {
-    GTEST_SKIP() << "no mmap on this platform";
-  }
-  const int n = 5;
-  const auto funcs = make_npn_workload(n, 40, 2, 0xa1bULL);
-  const ClassStore built = build_class_store(funcs, {});
-  const std::string path = temp_path(use_mmap ? "mixed_v2_mmap.fcs" : "mixed_v2.fcs");
-  const std::string dlog = ClassStore::delta_log_path(path);
-  std::remove(dlog.c_str());
-  // The pre-upgrade on-disk state: a dense v2 base, no delta log.
-  write_v2_file(path, n, built.records());
-  ASSERT_EQ(file_version(path), kStoreVersionV2);
-
-  // This build opens it, appends, and flushes v3-stamped frames alongside.
-  std::vector<TruthTable> novel;
-  std::vector<std::uint32_t> ids;
-  {
-    ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
-    ASSERT_EQ(store.num_records(), built.num_records());
-    novel = novel_functions(store, 5, 0xa1cULL);
-    for (const auto& f : novel) {
-      ids.push_back(store.lookup_or_classify(f, /*append_on_miss=*/true).class_id);
-    }
-    ASSERT_EQ(store.flush_delta(dlog), novel.size());
-  }
-
-  // Replay: v2 base + v3 delta log serve together.
-  {
-    ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
-    EXPECT_EQ(store.num_delta_segments(), 1u);
-    store.clear_hot_cache();
-    for (std::size_t i = 0; i < novel.size(); ++i) {
-      const auto hit = store.lookup(novel[i]);
-      ASSERT_TRUE(hit.has_value());
-      EXPECT_EQ(hit->class_id, ids[i]);
-    }
-    for (const auto& f : funcs) {
-      EXPECT_TRUE(store.lookup(f).has_value());
-    }
-    // Compaction folds base + runs into a BLOCK-PACKED v3 file.
-    store.compact(path);
-    EXPECT_EQ(file_version(path), kStoreVersion);
-    EXPECT_FALSE(std::ifstream{dlog}.good());
-  }
-
-  // The compacted v3 file serves every class with unchanged ids.
-  ClassStore compacted = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
-  EXPECT_EQ(compacted.num_records(), built.num_records() + novel.size());
-  for (std::size_t i = 0; i < novel.size(); ++i) {
-    const auto hit = compacted.lookup(novel[i]);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->class_id, ids[i]);
-  }
-  std::remove(path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(MaterializedAndMmap, StoreMixedVersion, ::testing::Values(false, true));
-
-TEST(StoreBlockPack, MergeReadsV2AndEmitsV3)
+TEST(StoreBlockPack, MergeReadsBothBaseFlavorsAndEmitsV3)
 {
   const int n = 5;
   const auto funcs_a = make_npn_workload(n, 25, 2, 0x33aULL);
   const auto funcs_b = make_npn_workload(n, 25, 2, 0x33bULL);
   const ClassStore built_a = build_class_store(funcs_a, {});
   const ClassStore built_b = build_class_store(funcs_b, {});
-  const std::string path_a = temp_path("merge_v2_input.fcs");
-  const std::string path_b = temp_path("merge_v3_input.fcs");
-  const std::string path_out = temp_path("merge_v3_output.fcs");
-  write_v2_file(path_a, n, built_a.records());  // legacy input
-  built_b.save(path_b);                         // current (v3) input
-  ASSERT_EQ(file_version(path_a), kStoreVersionV2);
-  ASSERT_EQ(file_version(path_b), kStoreVersion);
+  const std::string path_a = temp_path("merge_input_a.fcs");
+  const std::string path_b = temp_path("merge_input_b.fcs");
+  const std::string path_out = temp_path("merge_output.fcs");
+  built_a.save(path_a);
+  built_b.save(path_b);
 
+  // One materialized input and one mmap-backed input (where supported).
   const ClassStore loaded_a = ClassStore::load(path_a);
-  const ClassStore loaded_b = ClassStore::load(path_b);
-  const ClassStore merged = merge_class_stores({&loaded_a, &loaded_b});
+  const ClassStore opened_b =
+      ClassStore::open(path_b, StoreOpenOptions{.use_mmap = mmap_supported()});
+  const ClassStore merged = merge_class_stores({&loaded_a, &opened_b});
   merged.save(path_out);
   EXPECT_EQ(file_version(path_out), kStoreVersion);
 
   const ClassStore reopened = ClassStore::open(path_out);
-  for (const auto& record : loaded_a.records()) {
+  for (const auto& record : built_a.records()) {
     EXPECT_TRUE(reopened.find_canonical(record.canonical).has_value());
   }
-  for (const auto& record : loaded_b.records()) {
+  for (const auto& record : built_b.records()) {
     EXPECT_TRUE(reopened.find_canonical(record.canonical).has_value());
   }
   std::remove(path_a.c_str());
@@ -392,35 +358,35 @@ TEST(StoreBlockPack, MergeReadsV2AndEmitsV3)
   std::remove(path_out.c_str());
 }
 
-TEST(StoreBlockPack, RouterDispatchesOverMixedVersions)
+TEST(StoreBlockPack, RouterDispatchesOverTwoWidths)
 {
-  const int n_v2 = 5;
-  const int n_v3 = 6;
-  const auto funcs_v2 = make_npn_workload(n_v2, 20, 2, 0x70aULL);
-  const auto funcs_v3 = make_npn_workload(n_v3, 20, 2, 0x70bULL);
-  const ClassStore built_v2 = build_class_store(funcs_v2, {});
-  const ClassStore built_v3 = build_class_store(funcs_v3, {});
-  const std::string path_v2 = temp_path("router_width5_v2.fcs");
-  const std::string path_v3 = temp_path("router_width6_v3.fcs");
-  write_v2_file(path_v2, n_v2, built_v2.records());
-  built_v3.save(path_v3);
+  const int n_a = 5;
+  const int n_b = 6;
+  const auto funcs_a = make_npn_workload(n_a, 20, 2, 0x70aULL);
+  const auto funcs_b = make_npn_workload(n_b, 20, 2, 0x70bULL);
+  const ClassStore built_a = build_class_store(funcs_a, {});
+  const ClassStore built_b = build_class_store(funcs_b, {});
+  const std::string path_a = temp_path("router_width5.fcs");
+  const std::string path_b = temp_path("router_width6.fcs");
+  built_a.save(path_a);
+  built_b.save(path_b);
 
-  StoreRouter router = StoreRouter::open({path_v2, path_v3});
+  StoreRouter router = StoreRouter::open({path_a, path_b});
   ASSERT_EQ(router.num_stores(), 2u);
-  for (const auto& f : funcs_v2) {
-    const auto expected = built_v2.lookup(f);
+  for (const auto& f : funcs_a) {
+    const auto expected = built_a.lookup(f);
     const auto routed = router.lookup(f);
     ASSERT_TRUE(routed.has_value());
     EXPECT_EQ(routed->class_id, expected->class_id);
   }
-  for (const auto& f : funcs_v3) {
-    const auto expected = built_v3.lookup(f);
+  for (const auto& f : funcs_b) {
+    const auto expected = built_b.lookup(f);
     const auto routed = router.lookup(f);
     ASSERT_TRUE(routed.has_value());
     EXPECT_EQ(routed->class_id, expected->class_id);
   }
-  std::remove(path_v2.c_str());
-  std::remove(path_v3.c_str());
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 class StoreReload : public ::testing::TestWithParam<bool> {};

@@ -184,7 +184,6 @@ TEST(StoreConcurrency, ReadersAgainstLazyMmapBase)
   ClassStore store = ClassStore::open(path, open_options);
   const auto* segment = dynamic_cast<const MmapSegment*>(&store.base_segment());
   ASSERT_NE(segment, nullptr);
-  ASSERT_TRUE(segment->lazy_validation());
   EXPECT_EQ(segment->pages_validated(), 0u);
 
   // A handful of full lookups keeps the canonicalize + cache path in the

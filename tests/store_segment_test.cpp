@@ -1,7 +1,7 @@
 /// Tests of the segmented storage engine: mmap-backed base segments
 /// (bit-identity with materialized loads, lazy per-page corruption
-/// detection, v1 compatibility), log-structured delta segments (flush,
-/// replay, torn-log rejection) and compaction.
+/// detection, rejection of other format versions), log-structured delta
+/// segments (flush, replay, torn-log rejection) and compaction.
 
 #include "facet/store/segment.hpp"
 
@@ -164,7 +164,6 @@ TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
   const ClassStore mapped = ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
   const auto* segment = dynamic_cast<const MmapSegment*>(&mapped.base_segment());
   ASSERT_NE(segment, nullptr);
-  EXPECT_TRUE(segment->lazy_validation());
   EXPECT_EQ(segment->pages_validated(), 0u);
 
   const auto clean = mapped.find_canonical(built.records().front().canonical);
@@ -178,70 +177,124 @@ TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
   std::remove(path.c_str());
 }
 
-TEST(StoreSegment, Version1FilesStillLoadAndMmap)
+/// A base file in a retired layout: version 1 (header, then bare records
+/// under a whole-payload hash) or version 2 (dense records, then a
+/// per-page checksum table and the footer).
+std::string legacy_base_file(std::uint32_t version, const ClassStore& built)
+{
+  std::ostringstream records;
+  for (const auto& record : built.records()) {
+    for_each_record_word(record, [&](std::uint64_t word) { write_u64_le(records, word); });
+  }
+  const std::string region = records.str();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(region.data());
+  const std::size_t total_words = region.size() / 8;
+
+  StoreHeader header;
+  header.version = version;
+  header.num_vars = static_cast<std::uint32_t>(built.num_vars());
+  header.num_records = built.records().size();
+  header.num_classes = built.num_classes();
+  header.payload_hash = checksum_le_words(bytes, total_words);
+  std::ostringstream tail;
+  if (version == 2) {
+    std::size_t num_pages = 0;
+    for (std::size_t w = 0; w < total_words; w += kStorePageWords, ++num_pages) {
+      write_u64_le(tail, checksum_le_words(bytes + 8 * w,
+                                           std::min(kStorePageWords, total_words - w)));
+    }
+    const std::string page_table = tail.str();
+    header.payload_hash =
+        checksum_le_words(reinterpret_cast<const unsigned char*>(page_table.data()), num_pages);
+    write_segment_footer(tail, SegmentFooter{kStorePageBytes, num_pages, total_words});
+  }
+  std::ostringstream os;
+  write_store_header(os, header);
+  os << region << tail.str();
+  return os.str();
+}
+
+TEST(StoreSegment, OtherFormatVersionsAreRejectedOnEveryLoadPath)
 {
   const int n = 4;
   const auto funcs = make_npn_workload(n, 30, 2, 0x5e603ULL);
   const ClassStore built = build_class_store(funcs, {});
+  const std::string good_path = temp_path("segment_versions_good.fcs");
+  const std::string bad_path = temp_path("segment_versions_bad.fcs");
+  const std::string bad_dlog = ClassStore::delta_log_path(bad_path);
+  std::remove(ClassStore::delta_log_path(good_path).c_str());
+  std::remove(bad_dlog.c_str());
+  built.save(good_path);
 
-  // Serialize the v1 layout by hand: header with a whole-payload hash, then
-  // bare records — exactly what PR-2 builds wrote.
-  std::ostringstream os;
-  const std::uint64_t total_words =
-      static_cast<std::uint64_t>(store_record_words(n)) * built.records().size();
-  PayloadHasher hasher{total_words};
-  for (const auto& record : built.records()) {
-    for_each_record_word(record, [&](std::uint64_t word) { hasher.mix(word); });
-  }
-  StoreHeader header;
-  header.version = kStoreVersionV1;
-  header.num_vars = static_cast<std::uint32_t>(n);
-  header.num_records = built.records().size();
-  header.num_classes = built.num_classes();
-  header.payload_hash = hasher.value();
-  write_store_header(os, header);
-  for (const auto& record : built.records()) {
-    for_each_record_word(record, [&](std::uint64_t word) { write_u64_le(os, word); });
-  }
-  const std::string v1_bytes = os.str();
-
-  // Materialized load reads v1.
-  std::istringstream is{v1_bytes};
-  const ClassStore loaded = ClassStore::load(is);
-  ASSERT_EQ(loaded.num_records(), built.num_records());
-  for (const auto& f : funcs) {
-    const auto a = built.lookup(f);
-    const auto b = loaded.lookup(f);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(a->class_id, b->class_id);
-  }
-
-  // A corrupted v1 payload still fails its (eager) checksum.
-  std::string corrupt = v1_bytes;
-  corrupt[kStoreHeaderBytes + 9] = static_cast<char>(corrupt[kStoreHeaderBytes + 9] ^ 0x04);
-  std::istringstream corrupt_is{corrupt};
-  EXPECT_THROW((void)ClassStore::load(corrupt_is), StoreFormatError);
-
-  // The mmap path reads v1 too — eagerly validated, no page table.
+  std::vector<bool> flavors{false};
   if (mmap_supported()) {
-    const std::string path = temp_path("segment_v1_compat.fcs");
-    write_file(path, v1_bytes);
-    const ClassStore mapped = ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
-    const auto* segment = dynamic_cast<const MmapSegment*>(&mapped.base_segment());
-    ASSERT_NE(segment, nullptr);
-    EXPECT_FALSE(segment->lazy_validation());
-    for (const auto& f : funcs) {
-      const auto a = built.lookup(f);
-      const auto b = mapped.lookup(f);
-      ASSERT_TRUE(b.has_value());
-      EXPECT_EQ(a->class_id, b->class_id);
-    }
-    write_file(path, corrupt);
-    EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = true}),
-                 StoreFormatError);
-    std::remove(path.c_str());
+    flavors.push_back(true);
   }
+  // Replicas serving the good file, to reload from the bad one.
+  std::vector<ClassStore> replicas;
+  for (const bool use_mmap : flavors) {
+    replicas.push_back(ClassStore::open(good_path, StoreOpenOptions{.use_mmap = use_mmap}));
+  }
+  const auto expect_version_error = [](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "a file of another version must not load";
+    } catch (const StoreFormatError& e) {
+      EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos) << e.what();
+    }
+  };
+  const auto expect_open_and_reload_reject = [&] {
+    for (const bool use_mmap : flavors) {
+      SCOPED_TRACE(use_mmap ? "mmap" : "materialized");
+      expect_version_error(
+          [&] { (void)ClassStore::open(bad_path, StoreOpenOptions{.use_mmap = use_mmap}); });
+    }
+    for (auto& replica : replicas) {
+      SCOPED_TRACE(replica.mmap_backed() ? "mmap replica" : "materialized replica");
+      expect_version_error([&] { (void)replica.reload(bad_path); });
+    }
+  };
+
+  // Base files written by the retired layouts.
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("base version " + std::to_string(version));
+    const std::string bytes = legacy_base_file(version, built);
+    std::istringstream is{bytes};
+    expect_version_error([&] { (void)ClassStore::load(is); });
+    write_file(bad_path, bytes);
+    expect_version_error([&] { (void)ClassStore::load(bad_path); });
+    expect_open_and_reload_reject();
+  }
+
+  // A version-2 delta frame under a good base. load() reads no delta log,
+  // so open() and reload() are the paths that must object.
+  {
+    SCOPED_TRACE("delta frame version 2");
+    write_file(bad_path, read_file(good_path));
+    {
+      ClassStore writer = ClassStore::open(bad_path);
+      for (const auto& f : novel_functions(writer, 2, 0x5e608ULL)) {
+        (void)writer.lookup_or_classify(f, /*append_on_miss=*/true);
+      }
+      ASSERT_EQ(writer.flush_delta(bad_dlog), 2u);
+    }
+    std::string frame = read_file(bad_dlog);
+    frame[8] = 2;  // low byte of the frame's version field
+    write_file(bad_dlog, frame);
+    expect_open_and_reload_reject();
+  }
+
+  // The replicas kept serving their good epoch throughout.
+  for (const auto& replica : replicas) {
+    for (const auto& f : funcs) {
+      const auto hit = replica.lookup(f);
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(hit->class_id, built.lookup(f)->class_id);
+    }
+  }
+  std::remove(bad_dlog.c_str());
+  std::remove(bad_path.c_str());
+  std::remove(good_path.c_str());
 }
 
 TEST(StoreSegment, FlushDeltaSealsTheMemtableIntoASegment)
