@@ -20,7 +20,13 @@ Aig::Literal Aig::add_input(std::string name)
   const Node node = static_cast<Node>(nodes_.size());
   nodes_.push_back(NodeData{});
   inputs_.push_back(node);
-  input_names_.push_back(name.empty() ? "i" + std::to_string(inputs_.size() - 1) : std::move(name));
+  if (name.empty()) {
+    // Appended, not `"i" + std::to_string(...)`: GCC 12 reports a spurious
+    // -Wrestrict on that inlined concatenation.
+    name.push_back('i');
+    name += std::to_string(inputs_.size() - 1);
+  }
+  input_names_.push_back(std::move(name));
   return make_literal(node);
 }
 
@@ -73,7 +79,11 @@ void Aig::add_output(Literal lit, std::string name)
     throw std::invalid_argument("Aig::add_output: literal out of range");
   }
   outputs_.push_back(lit);
-  output_names_.push_back(name.empty() ? "o" + std::to_string(outputs_.size() - 1) : std::move(name));
+  if (name.empty()) {
+    name.push_back('o');
+    name += std::to_string(outputs_.size() - 1);
+  }
+  output_names_.push_back(std::move(name));
 }
 
 }  // namespace facet

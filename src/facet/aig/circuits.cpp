@@ -88,6 +88,15 @@ struct SumCarry {
   return ge;
 }
 
+/// "<prefix><index>", e.g. "a3". Built by appending: GCC 12 reports a
+/// spurious -Wrestrict on an inlined `"lit" + std::string`.
+std::string numbered(const char* prefix, std::size_t index)
+{
+  std::string name{prefix};
+  name += std::to_string(index);
+  return name;
+}
+
 }  // namespace
 
 Aig make_adder(int width)
@@ -98,15 +107,15 @@ Aig make_adder(int width)
   Aig aig;
   std::vector<Lit> a(width), b(width);
   for (int i = 0; i < width; ++i) {
-    a[i] = aig.add_input("a" + std::to_string(i));
+    a[i] = aig.add_input(numbered("a", i));
   }
   for (int i = 0; i < width; ++i) {
-    b[i] = aig.add_input("b" + std::to_string(i));
+    b[i] = aig.add_input(numbered("b", i));
   }
   Lit carry = Aig::kFalse;
   for (int i = 0; i < width; ++i) {
     const auto fa = full_adder(aig, a[i], b[i], carry);
-    aig.add_output(fa.sum, "s" + std::to_string(i));
+    aig.add_output(fa.sum, numbered("s", i));
     carry = fa.carry;
   }
   aig.add_output(carry, "cout");
@@ -121,10 +130,10 @@ Aig make_multiplier(int width)
   Aig aig;
   std::vector<Lit> a(width), b(width);
   for (int i = 0; i < width; ++i) {
-    a[i] = aig.add_input("a" + std::to_string(i));
+    a[i] = aig.add_input(numbered("a", i));
   }
   for (int i = 0; i < width; ++i) {
-    b[i] = aig.add_input("b" + std::to_string(i));
+    b[i] = aig.add_input(numbered("b", i));
   }
   // Partial-product columns, reduced with full adders.
   std::vector<std::vector<Lit>> columns(static_cast<std::size_t>(2 * width), std::vector<Lit>{});
@@ -155,7 +164,7 @@ Aig make_multiplier(int width)
         }
       }
     }
-    aig.add_output(col.empty() ? Aig::kFalse : col[0], "p" + std::to_string(w));
+    aig.add_output(col.empty() ? Aig::kFalse : col[0], numbered("p", w));
     carry = Aig::kFalse;
   }
   return aig;
@@ -170,11 +179,11 @@ Aig make_barrel_shifter(int width)
   Aig aig;
   std::vector<Lit> data(width);
   for (int i = 0; i < width; ++i) {
-    data[i] = aig.add_input("d" + std::to_string(i));
+    data[i] = aig.add_input(numbered("d", i));
   }
   std::vector<Lit> shift(stages);
   for (int s = 0; s < stages; ++s) {
-    shift[s] = aig.add_input("s" + std::to_string(s));
+    shift[s] = aig.add_input(numbered("s", s));
   }
   for (int s = 0; s < stages; ++s) {
     const int amount = 1 << s;
@@ -186,7 +195,7 @@ Aig make_barrel_shifter(int width)
     data = std::move(next);
   }
   for (int i = 0; i < width; ++i) {
-    aig.add_output(data[i], "q" + std::to_string(i));
+    aig.add_output(data[i], numbered("q", i));
   }
   return aig;
 }
@@ -199,10 +208,10 @@ Aig make_max(int width)
   Aig aig;
   std::vector<Lit> a(width), b(width);
   for (int i = 0; i < width; ++i) {
-    a[i] = aig.add_input("a" + std::to_string(i));
+    a[i] = aig.add_input(numbered("a", i));
   }
   for (int i = 0; i < width; ++i) {
-    b[i] = aig.add_input("b" + std::to_string(i));
+    b[i] = aig.add_input(numbered("b", i));
   }
   // a > b from MSB down.
   Lit gt = Aig::kFalse;
@@ -213,7 +222,7 @@ Aig make_max(int width)
     eq = aig.add_and(eq, Aig::literal_not(aig.add_xor(a[i], b[i])));
   }
   for (int i = 0; i < width; ++i) {
-    aig.add_output(aig.add_mux(gt, a[i], b[i]), "m" + std::to_string(i));
+    aig.add_output(aig.add_mux(gt, a[i], b[i]), numbered("m", i));
   }
   aig.add_output(gt, "a_gt_b");
   return aig;
@@ -251,7 +260,7 @@ Aig make_decoder(int select_width)
       const Lit bit = ((v >> s) & 1) ? sel[s] : Aig::literal_not(sel[s]);
       line = aig.add_and(line, bit);
     }
-    aig.add_output(line, "y" + std::to_string(v));
+    aig.add_output(line, numbered("y", v));
   }
   return aig;
 }
@@ -282,7 +291,7 @@ Aig make_priority(int width)
     none_before = aig.add_and(none_before, Aig::literal_not(req[i]));
   }
   for (int b = 0; b < index_bits; ++b) {
-    aig.add_output(index[b], "idx" + std::to_string(b));
+    aig.add_output(index[b], numbered("idx", b));
   }
   aig.add_output(valid, "valid");
   return aig;
@@ -314,12 +323,12 @@ Aig make_mux_tree(int select_width)
   Aig aig;
   std::vector<Lit> sel(select_width);
   for (int s = 0; s < select_width; ++s) {
-    sel[s] = aig.add_input("s" + std::to_string(s));
+    sel[s] = aig.add_input(numbered("s", s));
   }
   const int leaves = 1 << select_width;
   std::vector<Lit> data(leaves);
   for (int i = 0; i < leaves; ++i) {
-    data[i] = aig.add_input("d" + std::to_string(i));
+    data[i] = aig.add_input(numbered("d", i));
   }
   for (int s = 0; s < select_width; ++s) {
     const std::size_t half = data.size() / 2;
@@ -341,10 +350,10 @@ Aig make_alu(int width)
   Aig aig;
   std::vector<Lit> a(width), b(width);
   for (int i = 0; i < width; ++i) {
-    a[i] = aig.add_input("a" + std::to_string(i));
+    a[i] = aig.add_input(numbered("a", i));
   }
   for (int i = 0; i < width; ++i) {
-    b[i] = aig.add_input("b" + std::to_string(i));
+    b[i] = aig.add_input(numbered("b", i));
   }
   const Lit op0 = aig.add_input("op0");
   const Lit op1 = aig.add_input("op1");
@@ -359,7 +368,7 @@ Aig make_alu(int width)
     // op: 00 -> AND, 01 -> OR, 10 -> XOR, 11 -> ADD
     const Lit low = aig.add_mux(op0, or_i, and_i);
     const Lit high = aig.add_mux(op0, fa.sum, xor_i);
-    aig.add_output(aig.add_mux(op1, high, low), "y" + std::to_string(i));
+    aig.add_output(aig.add_mux(op1, high, low), numbered("y", i));
   }
   return aig;
 }
@@ -376,7 +385,7 @@ Aig make_popcount(int width)
   }
   const auto count = popcount_tree(aig, in);
   for (std::size_t b = 0; b < count.size(); ++b) {
-    aig.add_output(count[b], "c" + std::to_string(b));
+    aig.add_output(count[b], numbered("c", b));
   }
   return aig;
 }

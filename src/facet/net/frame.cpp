@@ -207,19 +207,21 @@ FrameStep FrameSession::consume(std::string& in, std::string& out)
     }
     const auto* base = reinterpret_cast<const unsigned char*>(in.data()) + offset;
     const FrameHeader header = decode_header(base);
-    if (header.magic != kFrameRequestMagic || header.flags != 0) {
-      respond_err(out, static_cast<FrameVerb>(header.verb), FrameStatus::kBadFrame,
-                  "bad frame header (wrong magic or nonzero flags)");
-      step = FrameStep::kClose;
-      offset = in.size();
-      break;
-    }
-    if (header.payload_bytes > kMaxFramePayloadBytes) {
+    const bool bad_header = header.magic != kFrameRequestMagic || header.flags != 0;
+    if (bad_header || header.payload_bytes > kMaxFramePayloadBytes) {
+      // A framing fault: the stream can no longer be trusted. It counts one
+      // request and one error, answers an err frame, and closes.
+      dispatcher_->count_request();
+      dispatcher_->count_error();
       std::ostringstream reason;
-      reason << "frame payload " << header.payload_bytes << " exceeds "
-             << kMaxFramePayloadBytes << " bytes";
-      respond_err(out, static_cast<FrameVerb>(header.verb), FrameStatus::kTooLarge,
-                  reason.str());
+      if (bad_header) {
+        reason << "bad frame header (wrong magic or nonzero flags)";
+      } else {
+        reason << "frame payload " << header.payload_bytes << " exceeds "
+               << kMaxFramePayloadBytes << " bytes";
+      }
+      respond_err(out, static_cast<FrameVerb>(header.verb),
+                  bad_header ? FrameStatus::kBadFrame : FrameStatus::kTooLarge, reason.str());
       step = FrameStep::kClose;
       offset = in.size();
       break;
@@ -247,7 +249,6 @@ FrameStep FrameSession::consume(std::string& in, std::string& out)
   if (offset > 0) {
     in.erase(0, offset);
   }
-  dispatcher_->sync_aggregate();
   return step;
 }
 

@@ -84,15 +84,18 @@ std::array<std::uint64_t, 6> index_stamp(const std::string& index_path) noexcept
 }  // namespace
 
 ServeServer::ServeServer(ClassStore& store, std::string index_path, ServeServerOptions options)
-    : store_{&store}, options_{std::move(options)}
+    : options_{std::move(options)}
 {
-  index_paths_.emplace(store.num_vars(), std::move(index_path));
+  served_.emplace(store.num_vars(), ServedIndex{&store, std::move(index_path)});
 }
 
 ServeServer::ServeServer(StoreRouter& router, std::map<int, std::string> index_paths,
                          ServeServerOptions options)
-    : router_{&router}, index_paths_{std::move(index_paths)}, options_{std::move(options)}
+    : options_{std::move(options)}
 {
+  for (const int width : router.widths()) {
+    served_.emplace(width, ServedIndex{router.store_for(width), std::move(index_paths[width])});
+  }
 }
 
 std::vector<CompactionEvent> ServeServer::compaction_log() const
@@ -113,27 +116,35 @@ ServeOptions ServeServer::session_options()
   // v2 `append` frame must be durable even when the v1-facing default is
   // lookup-only. A session that appended nothing flushes nothing.
   if (!options_.readonly) {
-    if (router_ != nullptr) {
-      for (const auto& [width, path] : index_paths_) {
-        session.dlog_paths.emplace(width, ClassStore::delta_log_path(path));
+    for (const auto& [width, index] : served_) {
+      if (!index.path.empty()) {
+        session.dlog_paths.emplace(width, ClassStore::delta_log_path(index.path));
       }
-    } else {
-      session.dlog_path = ClassStore::delta_log_path(index_paths_.begin()->second);
     }
   }
   return session;
 }
 
+std::vector<ClassStore*> ServeServer::served_stores() const
+{
+  std::vector<ClassStore*> stores;
+  for (const auto& [width, index] : served_) {
+    stores.push_back(index.store);
+  }
+  return stores;
+}
+
 /// One reactor-owned connection: sniffs (or is pinned to) a protocol on its
 /// first bytes, then runs the shared ServeDispatcher through either the v2
 /// FrameSession or a v1 line splitter. Methods run on one worker at a time
-/// (the reactor's dispatch contract); the dispatcher's counters sync into
-/// the server's aggregate.
+/// (the reactor's dispatch contract), so the dispatcher's plain session
+/// counters need no synchronization; it bumps the server's aggregate
+/// directly.
 class ServeConnection final : public ReactorConnection {
  public:
   ServeConnection(ServeServer* server, int forced_proto)
       : server_{server},
-        dispatcher_{server->store_, server->router_, server->session_options()},
+        dispatcher_{server->served_stores(), server->session_options()},
         frame_{&dispatcher_},
         proto_{forced_proto},
         accepted_ticks_{obs::now_ticks()}
@@ -179,7 +190,6 @@ class ServeConnection final : public ReactorConnection {
   {
     try {
       dispatcher_.flush_on_exit();
-      dispatcher_.sync_aggregate();
     } catch (...) {
       // flush failure must not escape the reactor's close path; the final
       // server-wide flush retries on shutdown
@@ -300,8 +310,10 @@ void ServeServer::start()
   if (options_.readonly && options_.reload_poll.count() > 0) {
     // Stamp before launching so startup never triggers a spurious reload —
     // the stores already serve exactly what is on disk right now.
-    for (const auto& [width, path] : index_paths_) {
-      reload_stamps_[width] = index_stamp(path);
+    for (const auto& [width, index] : served_) {
+      if (!index.path.empty()) {
+        reload_stamps_[width] = index_stamp(index.path);
+      }
     }
     reload_thread_ = std::thread{[this] { reload_poll_loop(); }};
   }
@@ -421,13 +433,12 @@ void ServeServer::final_flush()
   // Sessions already flush on exit; this catches a store mutated outside
   // any session (belt and braces — shutdown must lose zero appends).
   // flush_delta serializes inside each store's gate.
-  for (const auto& [width, path] : index_paths_) {
-    ClassStore* store = router_ != nullptr ? router_->store_for(width) : store_;
-    if (store == nullptr || store->num_appended() == 0) {
+  for (const auto& [width, index] : served_) {
+    if (index.path.empty() || index.store->num_appended() == 0) {
       continue;
     }
     try {
-      stats_.flushed_records += store->flush_delta(ClassStore::delta_log_path(path));
+      stats_.flushed_records += index.store->flush_delta(ClassStore::delta_log_path(index.path));
     } catch (const std::exception& e) {
       std::cerr << "facet-serve: final flush of width " << width << " failed: " << e.what()
                 << "\n";
@@ -466,18 +477,17 @@ void ServeServer::reload_poll_loop()
 std::size_t ServeServer::run_due_reloads()
 {
   std::size_t performed = 0;
-  for (const auto& [width, path] : index_paths_) {
-    ClassStore* store = router_ != nullptr ? router_->store_for(width) : store_;
-    if (store == nullptr) {
+  for (const auto& [width, index] : served_) {
+    if (index.path.empty()) {
       continue;
     }
-    const std::array<std::uint64_t, 6> stamp = index_stamp(path);
+    const std::array<std::uint64_t, 6> stamp = index_stamp(index.path);
     auto& last = reload_stamps_[width];
     if (stamp == last) {
       continue;
     }
     try {
-      store->reload(path);
+      index.store->reload(index.path);
       // Stamp what was observed BEFORE the reload: if the primary wrote
       // again mid-reload, the next poll sees another change and re-reloads
       // — stale is impossible, double-reload merely cheap.
@@ -497,23 +507,22 @@ std::size_t ServeServer::run_due_reloads()
 std::size_t ServeServer::run_due_compactions()
 {
   std::size_t performed = 0;
-  for (const auto& [width, path] : index_paths_) {
-    ClassStore* store = router_ != nullptr ? router_->store_for(width) : store_;
-    if (store == nullptr) {
+  for (const auto& [width, index] : served_) {
+    if (index.path.empty()) {
       continue;
     }
     // Trigger probes read the published tier snapshot without entering the
     // store gate.
     const bool due = (options_.compact_after_runs != 0 &&
-                      store->num_delta_segments() >= options_.compact_after_runs) ||
+                      index.store->num_delta_segments() >= options_.compact_after_runs) ||
                      (options_.compact_after_bytes != 0 &&
-                      ClassStore::delta_log_size(ClassStore::delta_log_path(path)) >=
+                      ClassStore::delta_log_size(ClassStore::delta_log_path(index.path)) >=
                           options_.compact_after_bytes);
     if (!due) {
       continue;
     }
     try {
-      compact_one(width, *store, path);
+      compact_one(width, *index.store, index.path);
       ++performed;
     } catch (const std::exception& e) {
       // A failed compaction leaves the store serving its old tiers — log

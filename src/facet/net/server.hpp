@@ -129,12 +129,13 @@ struct CompactionEvent {
 
 class ServeServer {
  public:
-  /// Serves one single-width store with the single-store protocol.
-  /// `index_path` locates the base segment (its delta log rides alongside).
+  /// Serves one store: a one-width table. `index_path` locates the base
+  /// segment (its delta log rides alongside).
   ServeServer(ClassStore& store, std::string index_path, ServeServerOptions options);
 
-  /// Serves a router (mixed widths, width inferred per operand).
-  /// `index_paths` maps each routed width to its base-segment path.
+  /// Serves every width `router` routes. `index_paths` maps a routed width
+  /// to its base-segment path; a width without one is served from memory
+  /// only (no exit flush, compaction or reload).
   ServeServer(StoreRouter& router, std::map<int, std::string> index_paths,
               ServeServerOptions options);
 
@@ -182,6 +183,7 @@ class ServeServer {
 
   void accept_loop();
   [[nodiscard]] ServeOptions session_options();
+  [[nodiscard]] std::vector<ClassStore*> served_stores() const;
   /// ServeConnection::on_close callback: books the finished connection
   /// into the stats/gauges and nudges the compactor. Worker-thread safe.
   void on_connection_closed(std::uint64_t accepted_ticks) noexcept;
@@ -198,11 +200,13 @@ class ServeServer {
 
   void final_flush();
 
-  // Exactly one of store_/router_ is non-null.
-  ClassStore* store_ = nullptr;
-  StoreRouter* router_ = nullptr;
-  /// width -> base path for every served store (single store: one entry).
-  std::map<int, std::string> index_paths_;
+  /// One served store and its base-segment path (empty = memory only).
+  struct ServedIndex {
+    ClassStore* store = nullptr;
+    std::string path;
+  };
+  /// width -> served store, built once by the constructor.
+  std::map<int, ServedIndex> served_;
   ServeServerOptions options_;
 
   ServeAggregateStats stats_;

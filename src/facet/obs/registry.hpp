@@ -13,12 +13,12 @@
 /// and label conventions are documented in the README's Observability
 /// section; the major series:
 ///
-///   facet_store_lookup_latency{tier=cache|memo|index|live|miss,width=<n>}
+///   facet_store_lookup_latency{tier=cache|memo|table|index|live|miss,width=<n>}
 ///   facet_store_probe_pages{width=<n>}       (data pages touched per mmap
 ///                                             base-segment probe: 0 or 1)
 ///   facet_segment_block_scan_len{width=<n>}  (records scanned inside the
 ///                                             one block a probe lands on)
-///   facet_serve_request_latency{verb=lookup|mlookup|info|stats|metrics|err}
+///   facet_serve_request_latency{verb=lookup|mlookup|info|stats|metrics|quit|other}
 ///   facet_serve_batch_size{verb=mlookup}
 ///   facet_serve_connection_lifetime
 ///   facet_compaction_duration{phase=flush|merge|write|adopt|total}

@@ -17,60 +17,43 @@
 
 namespace facet {
 
-ServeAggregateSnapshot ServeAggregateStats::snapshot() const noexcept
-{
-  ServeAggregateSnapshot s;
-  s.connections_active = connections_active.load(std::memory_order_relaxed);
-  s.connections_total = connections_total.load(std::memory_order_relaxed);
-  s.requests = requests.load(std::memory_order_relaxed);
-  s.lookups = lookups.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  s.memo_hits = memo_hits.load(std::memory_order_relaxed);
-  s.table_hits = table_hits.load(std::memory_order_relaxed);
-  s.index_hits = index_hits.load(std::memory_order_relaxed);
-  s.live = live.load(std::memory_order_relaxed);
-  s.errors = errors.load(std::memory_order_relaxed);
-  s.flushed_records = flushed_records.load(std::memory_order_relaxed);
-  s.compactions = compactions.load(std::memory_order_relaxed);
-  s.compacted_runs = compacted_runs.load(std::memory_order_relaxed);
-  s.compacted_records = compacted_records.load(std::memory_order_relaxed);
-  s.compacted_bytes = compacted_bytes.load(std::memory_order_relaxed);
-  s.last_compaction_ms = last_compaction_ms.load(std::memory_order_relaxed);
-  for (std::size_t n = 0; n < s.width.size(); ++n) {
-    s.width[n].lookups = width[n].lookups.load(std::memory_order_relaxed);
-    s.width[n].cache_hits = width[n].cache_hits.load(std::memory_order_relaxed);
-    s.width[n].memo_hits = width[n].memo_hits.load(std::memory_order_relaxed);
-    s.width[n].table_hits = width[n].table_hits.load(std::memory_order_relaxed);
-    s.width[n].index_hits = width[n].index_hits.load(std::memory_order_relaxed);
-    s.width[n].live = width[n].live.load(std::memory_order_relaxed);
-    s.width[n].appended = width[n].appended.load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
 namespace {
 
-/// Bumps the per-source counter of any counter block exposing
-/// cache_hits/memo_hits/index_hits/live atomics (ServeCounters,
-/// ServeWidthCounters).
+[[nodiscard]] std::uint64_t load(const std::atomic<std::uint64_t>& counter) noexcept
+{
+  return counter.load(std::memory_order_relaxed);
+}
+
+void bump(std::uint64_t& counter) noexcept
+{
+  ++counter;
+}
+
+void bump(std::atomic<std::uint64_t>& counter) noexcept
+{
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Bumps the per-source counter of a session block (plain ServeStats) or
+/// an aggregate width row (ServeWidthCounters atomics).
 template <typename Counters>
 void count_source(Counters& stats, LookupSource source)
 {
   switch (source) {
     case LookupSource::kHotCache:
-      stats.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      bump(stats.cache_hits);
       break;
     case LookupSource::kMemo:
-      stats.memo_hits.fetch_add(1, std::memory_order_relaxed);
+      bump(stats.memo_hits);
       break;
     case LookupSource::kTable:
-      stats.table_hits.fetch_add(1, std::memory_order_relaxed);
+      bump(stats.table_hits);
       break;
     case LookupSource::kIndex:
-      stats.index_hits.fetch_add(1, std::memory_order_relaxed);
+      bump(stats.index_hits);
       break;
     case LookupSource::kLive:
-      stats.live.fetch_add(1, std::memory_order_relaxed);
+      bump(stats.live);
       break;
   }
 }
@@ -89,7 +72,7 @@ void count_source(Counters& stats, LookupSource source)
   return token;
 }
 
-/// Digit-level validity shared by both loops: empty payloads (a bare "0x")
+/// Digit-level validity: empty payloads (a bare "0x")
 /// and non-hex digits are rejected before any width/parse logic runs, so
 /// every malformed operand fails in one place with one message shape.
 /// Returns the reason, or an empty string for a well-formed payload.
@@ -106,7 +89,7 @@ void count_source(Counters& stats, LookupSource source)
   return {};
 }
 
-/// The one canonical err shape for malformed operands in both loops.
+/// The one canonical err shape for malformed operands.
 [[nodiscard]] std::string operand_err(const std::string& token, const std::string& reason)
 {
   return "err operand '" + token + "': " + reason;
@@ -196,12 +179,76 @@ constexpr std::array<const char*, 7> kVerbNames{"lookup", "mlookup", "info",
   return s.str();
 }
 
+/// The stores a (store, router) pair serves: `store` alone, or every
+/// routed store.
+std::vector<ClassStore*> served_stores(ClassStore* store, StoreRouter* router)
+{
+  if (router == nullptr) {
+    return {store};
+  }
+  std::vector<ClassStore*> stores;
+  for (const int width : router->widths()) {
+    stores.push_back(router->store_for(width));
+  }
+  return stores;
+}
+
+/// The `ok id=... rep=... t=... src=... known=...` answer to one lookup.
+[[nodiscard]] std::string answer_line(const StoreLookupResult& result)
+{
+  std::ostringstream line;
+  line << "ok id=" << result.class_id << " rep=" << to_hex(result.representative)
+       << " t=" << transform_to_compact(result.to_representative)
+       << " src=" << lookup_source_name(result.source) << " known=" << (result.known ? 1 : 0);
+  return line.str();
+}
+
+/// Hex value of one already-validated nibble.
+[[nodiscard]] unsigned nibble_value(char c) noexcept
+{
+  if (c >= '0' && c <= '9') {
+    return static_cast<unsigned>(c - '0');
+  }
+  return static_cast<unsigned>((c >= 'a' ? c - 'a' : c - 'A') + 10);
+}
+
 }  // namespace
+
+ServeStats ServeAggregateStats::totals() const noexcept
+{
+  ServeStats s;
+  s.requests = load(requests);
+  s.errors = load(errors);
+  s.flushed = load(flushed_records);
+  for (const ServeWidthCounters& row : width) {
+    s.lookups += load(row.lookups);
+    s.cache_hits += load(row.cache_hits);
+    s.memo_hits += load(row.memo_hits);
+    s.table_hits += load(row.table_hits);
+    s.index_hits += load(row.index_hits);
+    s.live += load(row.live);
+  }
+  return s;
+}
 
 ServeDispatcher::ServeDispatcher(ClassStore* store, StoreRouter* router,
                                  const ServeOptions& options)
-    : store_{store}, router_{router}, options_{options}
+    : ServeDispatcher{served_stores(store, router), options}
 {
+}
+
+ServeDispatcher::ServeDispatcher(const std::vector<ClassStore*>& stores,
+                                 const ServeOptions& options)
+    : options_{options}
+{
+  for (ClassStore* store : stores) {
+    by_width_[static_cast<std::size_t>(store->num_vars())] = store;
+  }
+  for (ClassStore* store : by_width_) {
+    if (store != nullptr) {
+      stores_.push_back(store);
+    }
+  }
   if (options_.aggregate == nullptr) {
     // A standalone (stdin) session is its own aggregate, so `stats all`
     // always answers something meaningful.
@@ -234,16 +281,14 @@ ServeStats ServeDispatcher::run(std::istream& in, std::ostream& out)
     }
   }
   flush_on_exit();
-  sync_aggregate();
-  return stats_.snapshot();
+  return stats_;
 }
 
 void ServeDispatcher::handle_oversized_line(std::ostream& out)
 {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
+  count_request();
+  count_error();
   out << "err request line exceeds " << kMaxRequestLineBytes << " bytes\n" << std::flush;
-  sync_aggregate();
 }
 
 bool ServeDispatcher::handle_request_line(const std::string& line, std::ostream& out)
@@ -252,14 +297,13 @@ bool ServeDispatcher::handle_request_line(const std::string& line, std::ostream&
   if (!normalize_request(line, trimmed)) {
     return true;
   }
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  count_request();
   const std::uint64_t t0 = obs::now_ticks();
   verb_ = Verb::kOther;
   request_width_ = -1;
   request_src_ = nullptr;
   const bool keep_serving = handle(trimmed, out);
   finish_request(t0);
-  sync_aggregate();
   return keep_serving;
 }
 
@@ -291,7 +335,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
   if (command == "metrics") {
     verb_ = Verb::kMetrics;
     if (!read_operands(request).empty()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      count_error();
       out << "err metrics takes no argument\n" << std::flush;
       return true;
     }
@@ -306,7 +350,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
       return true;
     }
     if (!operands.empty()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      count_error();
       out << "err stats takes no argument or 'all'\n" << std::flush;
       return true;
     }
@@ -315,7 +359,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
   }
   // `lookup@<n>` / `mlookup@<n>` pin the operand width to n instead of
   // inferring it from the digit count — the only way to reach a width-0/1
-  // store through a router, since a single nibble infers n = 2.
+  // store among several widths, since a single nibble infers n = 2.
   std::string base = command;
   int width_override = -1;
   if (const auto at = command.find('@'); at != std::string::npos) {
@@ -323,7 +367,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     if (head == "lookup" || head == "mlookup") {
       width_override = parse_width_override(std::string_view{command}.substr(at + 1));
       if (width_override < 0) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
+        count_error();
         out << "err bad width in '" << command << "' (use " << head << "@<n>, 0 <= n <= "
             << kMaxVars << ")\n"
             << std::flush;
@@ -336,7 +380,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     verb_ = Verb::kLookup;
     const std::vector<std::string> operands = read_operands(request);
     if (operands.size() != 1) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      count_error();
       out << "err lookup takes exactly one hex truth table\n" << std::flush;
       return true;
     }
@@ -347,7 +391,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     verb_ = Verb::kMlookup;
     const std::vector<std::string> operands = read_operands(request);
     if (operands.empty()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      count_error();
       out << "err mlookup takes one or more hex truth tables\n" << std::flush;
       return true;
     }
@@ -361,54 +405,44 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     out << std::flush;
     return true;
   }
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
+  count_error();
   out << "err unknown command '" << command << "' (lookup|mlookup|info|stats|metrics|quit)\n"
       << std::flush;
   return true;
 }
 
 /// Resolves one hex operand end to end: digit validation, width
-/// inference/override/check, store dispatch, tiered lookup. Returns the
-/// response line without its newline; malformed operands answer the
-/// canonical `err operand '<token>': <reason>` shape and never throw.
-/// `width_override` >= 0 pins the operand width (lookup@<n>).
+/// pinning/inference, store dispatch, tiered lookup. Returns the response
+/// line without its newline; malformed operands answer the canonical
+/// `err operand '<token>': <reason>` shape and never throw.
+/// `width_override` >= 0 pins the operand width (lookup@<n>); without it, a
+/// session serving exactly one width pins that width, and one serving
+/// several infers the width from the digit count.
 std::string ServeDispatcher::resolve_operand(const std::string& token, int width_override)
 {
   const std::string_view payload = hex_payload(token);
   if (std::string reason = payload_error(payload); !reason.empty()) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    count_error();
     return operand_err(token, reason);
   }
 
-  ClassStore* store = store_;
-  if (width_override >= 0) {
-    const std::size_t expected =
-        std::max<std::size_t>(1, (std::size_t{1} << width_override) / 4);
+  int width = width_override;
+  if (width < 0 && stores_.size() == 1) {
+    width = stores_.front()->num_vars();
+  }
+  if (width >= 0) {
+    const std::size_t expected = std::max<std::size_t>(1, (std::size_t{1} << width) / 4);
     if (payload.size() != expected) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      count_error();
       std::ostringstream reason;
-      reason << "expected " << expected << " hex digits for " << width_override
-             << " variables, got " << payload.size();
+      reason << "expected " << expected << " hex digits for " << width << " variables, got "
+             << payload.size();
       return operand_err(token, reason.str());
     }
-    if (router_ != nullptr) {
-      store = router_->store_for(width_override);
-      if (store == nullptr) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        std::ostringstream line;
-        line << "err no store routes width " << width_override;
-        return line.str();
-      }
-    } else if (store->num_vars() != width_override) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream line;
-      line << "err store serves width " << store->num_vars() << ", not " << width_override;
-      return line.str();
-    }
-  } else if (router_ != nullptr) {
-    const int width = hex_operand_width(token);
+  } else {
+    width = hex_operand_width(token);
     if (width < 0) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      count_error();
       std::ostringstream reason;
       reason << "digit count " << payload.size()
              << " maps to no function width (must be a power of two, n <= " << kMaxVars << ")";
@@ -416,94 +450,56 @@ std::string ServeDispatcher::resolve_operand(const std::string& token, int width
     }
     if (payload.size() == 1) {
       // A single nibble names up to three widths (n = 0, 1, 2 all
-      // serialize as one digit) — resolve it against every routed
-      // candidate instead of hard-wiring n = 2.
-      return resolve_single_nibble(token, payload);
-    }
-    store = router_->store_for(width);
-    if (store == nullptr) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream line;
-      line << "err no store routes width " << width;
-      return line.str();
-    }
-  } else {
-    const std::size_t expected =
-        std::max<std::size_t>(1, (std::size_t{1} << store->num_vars()) / 4);
-    if (payload.size() != expected) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream reason;
-      reason << "expected " << expected << " hex digits for " << store->num_vars()
-             << " variables, got " << payload.size();
-      return operand_err(token, reason.str());
+      // serialize as one digit): gather every served width that can encode
+      // the digit (value < 2^(2^n)) instead of hard-wiring n = 2. Exactly
+      // one candidate answers through the normal path below.
+      const unsigned value = nibble_value(payload.front());
+      std::vector<int> candidates;
+      for (int n = 0; n <= 2; ++n) {
+        if (value < (1u << (1u << static_cast<unsigned>(n))) && store_for_width(n) != nullptr) {
+          candidates.push_back(n);
+        }
+      }
+      if (candidates.size() != 1) {
+        return resolve_ambiguous_nibble(token, candidates);
+      }
+      width = candidates.front();
     }
   }
-
+  ClassStore* store = store_for_width(width);
+  if (store == nullptr) {
+    count_error();
+    return "err no store routes width " + std::to_string(width);
+  }
   try {
-    const TruthTable query = from_hex(store->num_vars(), token);
-    return lookup_line(*store, query);
+    return lookup_line(*store, from_hex(width, token));
   } catch (const std::exception& e) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    count_error();
     return operand_err(token, e.what());
   }
 }
 
-namespace {
-
-/// Hex value of one already-validated nibble.
-[[nodiscard]] unsigned nibble_value(char c) noexcept
+/// A single-nibble operand that zero or several served widths can encode.
+/// Several answer only when every read-only probe names the SAME answer —
+/// equal class id, representative hex and known flag — rendered once, at
+/// the smallest width (the transform is width-specific, so the line itself
+/// cannot be compared). A disagreement — or no candidate at all — answers
+/// err with a lookup@<n> hint.
+std::string ServeDispatcher::resolve_ambiguous_nibble(const std::string& token,
+                                                      const std::vector<int>& candidates)
 {
-  if (c >= '0' && c <= '9') {
-    return static_cast<unsigned>(c - '0');
-  }
-  return static_cast<unsigned>((c >= 'a' ? c - 'a' : c - 'A') + 10);
-}
-
-}  // namespace
-
-/// A single-nibble operand with no width override names up to three
-/// widths: n = 0, 1 and 2 all serialize as one hex digit. Resolve it
-/// against every routed width that can encode the digit (value <
-/// 2^(2^n)): one candidate answers directly through the normal tier
-/// stack; several candidates answer only when every read-only probe
-/// names the SAME answer — equal class id, representative hex and known
-/// flag — rendered once, at the smallest width (the transform is
-/// width-specific, so the line itself cannot be compared). A
-/// disagreement — or no routed candidate at all — answers err with a
-/// lookup@<n> hint.
-std::string ServeDispatcher::resolve_single_nibble(const std::string& token,
-                                                   std::string_view payload)
-{
-  const unsigned value = nibble_value(payload.front());
-  std::vector<int> candidates;
-  for (int n = 0; n <= 2; ++n) {
-    if (value < (1u << (1u << static_cast<unsigned>(n))) &&
-        router_->store_for(n) != nullptr) {
-      candidates.push_back(n);
-    }
-  }
   if (candidates.empty()) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    count_error();
     return "err no store routes width 2 (a single hex digit infers n=2; widths 0 and 1"
            " also encode as one digit — pin the width with lookup@<n>)";
   }
-  if (candidates.size() == 1) {
-    ClassStore& store = *router_->store_for(candidates.front());
-    try {
-      return lookup_line(store, from_hex(store.num_vars(), token));
-    } catch (const std::exception& e) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return operand_err(token, e.what());
-    }
-  }
-  // Several routed widths can encode the digit: probe each read-only —
+  // Several served widths can encode the digit: probe each read-only —
   // an ambiguous nibble must never classify live or append — and answer
   // only a unanimous response.
   std::optional<StoreLookupResult> first;
   bool unanimous = true;
   for (const int n : candidates) {
-    ClassStore& store = *router_->store_for(n);
-    const auto hit = store.lookup(from_hex(n, token));
+    const auto hit = store_for_width(n)->lookup(from_hex(n, token));
     if (!hit.has_value()) {
       unanimous = false;
       break;
@@ -520,19 +516,10 @@ std::string ServeDispatcher::resolve_single_nibble(const std::string& token,
     }
   }
   if (unanimous) {
-    const int width = candidates.front();
-    count_source(stats_, first->source);
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    count_width(width, *first, options_.append_on_miss && !options_.readonly);
-    request_width_ = width;
-    request_src_ = lookup_source_name(first->source);
-    std::ostringstream line;
-    line << "ok id=" << first->class_id << " rep=" << to_hex(first->representative)
-         << " t=" << transform_to_compact(first->to_representative)
-         << " src=" << lookup_source_name(first->source) << " known=" << (first->known ? 1 : 0);
-    return line.str();
+    count_lookup(candidates.front(), *first, options_.append_on_miss && !options_.readonly);
+    return answer_line(*first);
   }
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
+  count_error();
   std::ostringstream line;
   line << "err operand '" << token << "': ambiguous single nibble (widths";
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -555,7 +542,7 @@ std::string ServeDispatcher::lookup_line(ClassStore& store, const TruthTable& qu
   if (options_.readonly) {
     const auto hit = store.lookup(query);
     if (!hit.has_value()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      count_error();
       return "err unknown function (readonly session)";
     }
     result = *hit;
@@ -566,30 +553,13 @@ std::string ServeDispatcher::lookup_line(ClassStore& store, const TruthTable& qu
     // miss.
     result = store.lookup_or_classify(query, options_.append_on_miss);
   }
-
-  count_source(stats_, result.source);
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  count_width(store.num_vars(), result, options_.append_on_miss && !options_.readonly);
-  // Last resolved operand of this request — what a slow-request log line
-  // names as the width/tier that hurt.
-  request_width_ = store.num_vars();
-  request_src_ = lookup_source_name(result.source);
-  std::ostringstream line;
-  line << "ok id=" << result.class_id << " rep=" << to_hex(result.representative)
-       << " t=" << transform_to_compact(result.to_representative)
-       << " src=" << lookup_source_name(result.source) << " known=" << (result.known ? 1 : 0);
-  return line.str();
+  count_lookup(store.num_vars(), result, options_.append_on_miss && !options_.readonly);
+  return answer_line(result);
 }
 
-ClassStore* ServeDispatcher::store_for_width(int width) noexcept
+ClassStore* ServeDispatcher::store_for_width(int width) const noexcept
 {
-  if (width < 0 || width > kMaxVars) {
-    return nullptr;
-  }
-  if (router_ != nullptr) {
-    return router_->store_for(width);
-  }
-  return store_->num_vars() == width ? store_ : nullptr;
+  return width < 0 || width > kMaxVars ? nullptr : by_width_[static_cast<std::size_t>(width)];
 }
 
 std::optional<StoreLookupResult> ServeDispatcher::lookup_binary(ClassStore& store,
@@ -608,107 +578,103 @@ std::optional<StoreLookupResult> ServeDispatcher::lookup_binary(ClassStore& stor
   } else {
     result = store.lookup_or_classify(query, /*append_on_miss=*/true);
   }
-  count_source(stats_, result.source);
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  count_width(store.num_vars(), result, append && !options_.readonly);
+  count_lookup(store.num_vars(), result, append && !options_.readonly);
   return result;
 }
 
-/// Bumps the aggregate's per-width row for one answered lookup (the
-/// `stats all` width rows). Direct relaxed increments — no sync step.
+/// Counts one answered lookup: the session block, the aggregate's width
+/// row (the `stats all` rows, whose sums are the aggregate totals), and the
+/// request's last resolved width/tier for the slow-request log.
 /// `append_policy` is the effective per-request append policy: a live
 /// answer under it is exactly an appended record.
-void ServeDispatcher::count_width(int width, const StoreLookupResult& result, bool append_policy)
+void ServeDispatcher::count_lookup(int width, const StoreLookupResult& result,
+                                   bool append_policy)
 {
-  if (width < 0 || width > kMaxVars) {
-    return;
-  }
+  ++stats_.lookups;
+  count_source(stats_, result.source);
   ServeWidthCounters& row = options_.aggregate->width[static_cast<std::size_t>(width)];
-  row.lookups.fetch_add(1, std::memory_order_relaxed);
+  bump(row.lookups);
   count_source(row, result.source);
   if (result.source == LookupSource::kLive && append_policy) {
-    row.appended.fetch_add(1, std::memory_order_relaxed);
+    bump(row.appended);
   }
+  request_width_ = width;
+  request_src_ = lookup_source_name(result.source);
 }
 
 void ServeDispatcher::emit_info(std::ostream& out)
 {
-  if (router_ != nullptr) {
-    out << "ok widths=";
-    const std::vector<int> widths = router_->widths();
-    for (std::size_t i = 0; i < widths.size(); ++i) {
-      out << (i == 0 ? "" : ",") << widths[i];
-    }
-    out << " stores=" << router_->num_stores() << " records=" << router_->num_records()
-        << " classes=" << router_->num_classes()
-        << " cache_entries=" << router_->hot_cache_entries() << "\n"
+  if (stores_.size() == 1) {
+    const ClassStore& store = *stores_.front();
+    out << "ok n=" << store.num_vars() << " records=" << store.num_records()
+        << " appended=" << store.num_appended() << " deltas=" << store.num_delta_segments()
+        << " classes=" << store.num_classes()
+        << " cache_entries=" << store.hot_cache_stats().entries << "\n"
         << std::flush;
     return;
   }
-  out << "ok n=" << store_->num_vars() << " records=" << store_->num_records()
-      << " appended=" << store_->num_appended() << " deltas=" << store_->num_delta_segments()
-      << " classes=" << store_->num_classes()
-      << " cache_entries=" << store_->hot_cache_stats().entries << "\n"
+  std::size_t records = 0;
+  std::uint64_t classes = 0;
+  std::size_t cache_entries = 0;
+  out << "ok widths=";
+  for (const ClassStore* store : stores_) {
+    records += store->num_records();
+    classes += store->num_classes();
+    cache_entries += store->hot_cache_stats().entries;
+    out << (store == stores_.front() ? "" : ",") << store->num_vars();
+  }
+  out << " stores=" << stores_.size() << " records=" << records << " classes=" << classes
+      << " cache_entries=" << cache_entries << "\n"
       << std::flush;
 }
 
 void ServeDispatcher::emit_stats(std::ostream& out)
 {
   std::size_t appended = 0;
-  if (router_ != nullptr) {
-    for (const int width : router_->widths()) {
-      appended += router_->store_for(width)->num_appended();
-    }
-  } else {
-    appended = store_->num_appended();
+  for (const ClassStore* store : stores_) {
+    appended += store->num_appended();
   }
-  const ServeStats stats = stats_.snapshot();
-  out << "ok requests=" << stats.requests << " lookups=" << stats.lookups
-      << " cache_hits=" << stats.cache_hits << " memo_hits=" << stats.memo_hits
-      << " table_hits=" << stats.table_hits << " index_hits=" << stats.index_hits
-      << " live=" << stats.live << " appended=" << appended << " errors=" << stats.errors
+  out << "ok requests=" << stats_.requests << " lookups=" << stats_.lookups
+      << " cache_hits=" << stats_.cache_hits << " memo_hits=" << stats_.memo_hits
+      << " table_hits=" << stats_.table_hits << " index_hits=" << stats_.index_hits
+      << " live=" << stats_.live << " appended=" << appended << " errors=" << stats_.errors
       << "\n"
       << std::flush;
 }
 
-/// The widths this session serves, ascending — the `stats all` rows.
-std::vector<int> ServeDispatcher::served_widths() const
-{
-  return router_ != nullptr ? router_->widths() : std::vector<int>{store_->num_vars()};
-}
-
 void ServeDispatcher::emit_stats_all(std::ostream& out)
 {
-  sync_aggregate();  // make this session's own numbers visible
-  const ServeAggregateSnapshot agg = options_.aggregate->snapshot();
-  const std::vector<int> widths = served_widths();
+  const ServeAggregateStats& agg = *options_.aggregate;
+  const ServeStats totals = agg.totals();
   // Process-wide request-latency quantiles over the lookup verbs (the
   // telemetry histograms the `metrics` verb also exposes). `widths=` must
   // stay the LAST field: clients key row-count parsing off it.
   obs::HistogramSnapshot requests =
       request_latency_[static_cast<std::size_t>(Verb::kLookup)]->snapshot();
   requests.merge(request_latency_[static_cast<std::size_t>(Verb::kMlookup)]->snapshot());
-  out << "ok connections=" << agg.connections_active << " sessions=" << agg.connections_total
-      << " requests=" << agg.requests << " lookups=" << agg.lookups
-      << " cache_hits=" << agg.cache_hits << " memo_hits=" << agg.memo_hits
-      << " table_hits=" << agg.table_hits << " index_hits=" << agg.index_hits
-      << " live=" << agg.live << " errors=" << agg.errors
-      << " flushed=" << agg.flushed_records << " compactions=" << agg.compactions
-      << " compacted_runs=" << agg.compacted_runs
-      << " compacted_records=" << agg.compacted_records
-      << " compact_bytes=" << agg.compacted_bytes
-      << " last_compact_ms=" << agg.last_compaction_ms
+  out << "ok connections=" << load(agg.connections_active)
+      << " sessions=" << load(agg.connections_total) << " requests=" << totals.requests
+      << " lookups=" << totals.lookups << " cache_hits=" << totals.cache_hits
+      << " memo_hits=" << totals.memo_hits << " table_hits=" << totals.table_hits
+      << " index_hits=" << totals.index_hits << " live=" << totals.live
+      << " errors=" << totals.errors << " flushed=" << totals.flushed
+      << " compactions=" << load(agg.compactions)
+      << " compacted_runs=" << load(agg.compacted_runs)
+      << " compacted_records=" << load(agg.compacted_records)
+      << " compact_bytes=" << load(agg.compacted_bytes)
+      << " last_compact_ms=" << load(agg.last_compaction_ms)
       << " p50_us=" << format_us(requests.quantile_ns(0.5))
-      << " p99_us=" << format_us(requests.quantile_ns(0.99)) << " widths=" << widths.size()
+      << " p99_us=" << format_us(requests.quantile_ns(0.99)) << " widths=" << stores_.size()
       << "\n";
   // One row per served store; `widths=<count>` above tells clients how
   // many rows to read.
-  for (const int width : widths) {
-    const ServeWidthStats& row = agg.width[static_cast<std::size_t>(width)];
-    out << "ok width=" << width << " lookups=" << row.lookups
-        << " cache_hits=" << row.cache_hits << " memo_hits=" << row.memo_hits
-        << " table_hits=" << row.table_hits << " index_hits=" << row.index_hits
-        << " live=" << row.live << " appended=" << row.appended << "\n";
+  for (const ClassStore* store : stores_) {
+    const int width = store->num_vars();
+    const ServeWidthCounters& row = agg.width[static_cast<std::size_t>(width)];
+    out << "ok width=" << width << " lookups=" << load(row.lookups)
+        << " cache_hits=" << load(row.cache_hits) << " memo_hits=" << load(row.memo_hits)
+        << " table_hits=" << load(row.table_hits) << " index_hits=" << load(row.index_hits)
+        << " live=" << load(row.live) << " appended=" << load(row.appended) << "\n";
   }
   out << std::flush;
 }
@@ -744,12 +710,8 @@ std::string ServeDispatcher::metrics_text()
 void ServeDispatcher::refresh_store_gauges()
 {
   auto& registry = obs::MetricRegistry::global();
-  for (const int width : served_widths()) {
-    ClassStore* store = router_ != nullptr ? router_->store_for(width) : store_;
-    if (store == nullptr) {
-      continue;
-    }
-    const std::string width_label = obs::label("width", width);
+  for (const ClassStore* store : stores_) {
+    const std::string width_label = obs::label("width", store->num_vars());
     registry.gauge("facet_store_delta_runs", width_label)
         .set(static_cast<std::int64_t>(store->num_delta_segments()));
     registry.gauge("facet_store_memo_entries", width_label)
@@ -779,11 +741,6 @@ void ServeDispatcher::finish_request(std::uint64_t start_ticks)
       << "\n";
 }
 
-bool ServeDispatcher::flush_configured() const noexcept
-{
-  return router_ != nullptr ? !options_.dlog_paths.empty() : !options_.dlog_path.empty();
-}
-
 /// Seals the session's appends into the configured delta log(s) — once;
 /// both the quit path and the end-of-input path land here, so appends
 /// survive a client that drops the connection without a clean quit.
@@ -791,52 +748,31 @@ bool ServeDispatcher::flush_configured() const noexcept
 /// different widths flush independently.
 std::size_t ServeDispatcher::flush_on_exit()
 {
-  if (exit_flushed_ || !flush_configured()) {
-    exit_flushed_ = true;
+  if (exit_flushed_) {
     return 0;
   }
   exit_flushed_ = true;
   std::size_t flushed = 0;
-  if (router_ != nullptr) {
-    for (const auto& [width, dlog_path] : options_.dlog_paths) {
-      if (ClassStore* store = router_->store_for(width)) {
-        flushed += store->flush_delta(dlog_path);
-      }
+  for (const auto& [width, dlog_path] : options_.dlog_paths) {
+    if (ClassStore* store = store_for_width(width)) {
+      flushed += store->flush_delta(dlog_path);
     }
-  } else {
-    flushed += store_->flush_delta(options_.dlog_path);
   }
-  stats_.flushed.fetch_add(flushed, std::memory_order_relaxed);
+  stats_.flushed += flushed;
+  options_.aggregate->flushed_records.fetch_add(flushed, std::memory_order_relaxed);
   return flushed;
 }
 
 void ServeDispatcher::count_request() noexcept
 {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.requests;
+  bump(options_.aggregate->requests);
 }
 
 void ServeDispatcher::count_error() noexcept
 {
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Adds this session's not-yet-reported counter increments to the shared
-/// aggregate (atomic, no lock), so `stats all` on any connection sees
-/// every session's traffic.
-void ServeDispatcher::sync_aggregate()
-{
-  const ServeStats stats = stats_.snapshot();
-  ServeAggregateStats& agg = *options_.aggregate;
-  agg.requests += stats.requests - synced_.requests;
-  agg.lookups += stats.lookups - synced_.lookups;
-  agg.cache_hits += stats.cache_hits - synced_.cache_hits;
-  agg.memo_hits += stats.memo_hits - synced_.memo_hits;
-  agg.table_hits += stats.table_hits - synced_.table_hits;
-  agg.index_hits += stats.index_hits - synced_.index_hits;
-  agg.live += stats.live - synced_.live;
-  agg.errors += stats.errors - synced_.errors;
-  agg.flushed_records += stats.flushed - synced_.flushed;
-  synced_ = stats;
+  ++stats_.errors;
+  bump(options_.aggregate->errors);
 }
 
 int hex_operand_width(const std::string& hex) noexcept
@@ -864,20 +800,6 @@ int hex_operand_width(const std::string& hex) noexcept
     ++width;
   }
   return width <= kMaxVars ? width : -1;
-}
-
-ServeStats serve_loop(ClassStore& store, std::istream& in, std::ostream& out,
-                      const ServeOptions& options)
-{
-  ServeDispatcher session{&store, nullptr, options};
-  return session.run(in, out);
-}
-
-ServeStats serve_router_loop(StoreRouter& router, std::istream& in, std::ostream& out,
-                             const ServeOptions& options)
-{
-  ServeDispatcher session{nullptr, &router, options};
-  return session.run(in, out);
 }
 
 }  // namespace facet

@@ -1,7 +1,7 @@
 /// \file serve.hpp
 /// \brief Long-lived line-protocol sessions serving class stores over streams.
 ///
-/// `facet_cli serve` runs these loops over stdin/stdout, and the network
+/// `facet_cli serve` runs a session over stdin/stdout, and the network
 /// listener (net/server.hpp) runs the same protocol per accepted socket, so
 /// other processes (a mapper, a test harness, a fleet of remote clients) can
 /// drive a store without re-loading the index per query. One request per
@@ -66,20 +66,20 @@
 ///                              log *before* the response, so a client that
 ///                              reads it knows its appends are durable)
 ///
-/// `serve_loop` serves one single-width ClassStore. `serve_router_loop`
-/// serves a StoreRouter — one session answering mixed-width queries, with
-/// each operand's width inferred from its hex digit count (2^n bits = 4 *
-/// digits) unless the request pins it with `lookup@<n>`, so a mapper can
-/// stream n=3..8 cut functions down one pipe. A single-nibble operand names
-/// up to three widths (n = 0, 1, 2 all serialize as one digit); the router
-/// resolves it against every routed width that can encode the digit — one
-/// candidate answers directly, several answer only when their responses
-/// agree, and a genuine disagreement (or zero candidates) answers `err`
-/// telling the client to pin with lookup@<n>. Its `info` line reports the
-/// routed widths:
+/// A session serves one width -> store table (one store, or every width of
+/// a StoreRouter), and only its size shapes the wire. With exactly one
+/// width, an operand without `@<n>` is pinned to it and `info` answers the
+/// `ok n=...` line above. With several, each operand's width is inferred
+/// from its digit count (2^n bits = 4 * digits), so a mapper can stream
+/// n=3..8 cut functions down one pipe; a single-nibble operand (n = 0, 1, 2
+/// all serialize as one digit) resolves against every served width that
+/// can encode it, answering when exactly one does or all agree, else `err`
+/// with a lookup@<n> hint; and `info` reports the widths:
 ///
 ///   info                ->  ok widths=<w1,w2,...> stores=<s> records=<r>
 ///                              classes=<c> cache_entries=<e>
+///
+/// An unserved width answers `err no store routes width <n>` either way.
 ///
 /// ## Concurrency
 ///
@@ -93,8 +93,10 @@
 /// session thread; exact canonicalization — the expensive step of a
 /// genuinely novel query — runs before any store gate is involved, and
 /// table/memo hits skip it entirely.
-/// Session counters and the process-wide aggregate are atomics; `stats all`
-/// snapshots them with relaxed loads.
+///
+/// Counters: each session owns one plain ServeStats block (`stats`), touched
+/// only by its own thread; the per-server ServeAggregateStats (`stats all`)
+/// is atomics, bumped where each request, error, flush and lookup counts.
 ///
 /// Hardening (the same code path serves untrusted network clients):
 ///
@@ -102,7 +104,7 @@
 ///     surrounding whitespace are stripped.
 ///   * Any malformed request answers `err <message>` and the loop continues.
 ///     A malformed hex operand — invalid digit, bad digit count, empty
-///     `0x` payload — answers one canonical shape in both loops:
+///     `0x` payload — answers one canonical shape:
 ///     `err operand '<token>': <reason>`.
 ///   * Request lines are capped at kMaxRequestLineBytes; an oversized line
 ///     is consumed and answered with a single `err` instead of buffering
@@ -123,7 +125,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "facet/store/class_store.hpp"
@@ -140,9 +141,10 @@ class LatencyHistogram;
 /// hostile client cannot balloon the server by never sending a newline.
 inline constexpr std::size_t kMaxRequestLineBytes = 1u << 20;
 
-/// Plain-value session counters — what serve_loop/serve_router_loop return
-/// and what `stats` reports. Also the snapshot type of the atomic counter
-/// blocks below.
+/// One session's counters — what ServeDispatcher::run returns and what
+/// `stats` reports. Plain values: only the session's own thread touches
+/// them (the reactor runs one connection's callbacks on one worker at a
+/// time).
 struct ServeStats {
   std::uint64_t requests = 0;    ///< non-blank, non-comment request lines
   std::uint64_t lookups = 0;     ///< lookup/mlookup operands answered ok
@@ -155,40 +157,7 @@ struct ServeStats {
   std::uint64_t flushed = 0;     ///< appended records flushed on session exit
 };
 
-/// One session's counters as atomics: the session thread increments them
-/// mid-request while another thread (a `stats all` on a different
-/// connection, the server's shutdown report) snapshots — without the
-/// process-wide lock that used to serialize these, plain ints would be
-/// torn-read UB.
-struct ServeCounters {
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> table_hits{0};
-  std::atomic<std::uint64_t> index_hits{0};
-  std::atomic<std::uint64_t> live{0};
-  std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> flushed{0};
-
-  /// Relaxed-load copy; each counter is individually coherent.
-  [[nodiscard]] ServeStats snapshot() const noexcept
-  {
-    ServeStats s;
-    s.requests = requests.load(std::memory_order_relaxed);
-    s.lookups = lookups.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-    s.memo_hits = memo_hits.load(std::memory_order_relaxed);
-    s.table_hits = table_hits.load(std::memory_order_relaxed);
-    s.index_hits = index_hits.load(std::memory_order_relaxed);
-    s.live = live.load(std::memory_order_relaxed);
-    s.errors = errors.load(std::memory_order_relaxed);
-    s.flushed = flushed.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-
-/// Per-width traffic counters of the aggregate: which routed stores run hot.
+/// Per-width traffic counters of the aggregate: which served stores run hot.
 struct ServeWidthCounters {
   std::atomic<std::uint64_t> lookups{0};
   std::atomic<std::uint64_t> cache_hits{0};
@@ -199,52 +168,15 @@ struct ServeWidthCounters {
   std::atomic<std::uint64_t> appended{0};
 };
 
-/// Relaxed-load snapshot of one ServeWidthCounters row.
-struct ServeWidthStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t table_hits = 0;
-  std::uint64_t index_hits = 0;
-  std::uint64_t live = 0;
-  std::uint64_t appended = 0;
-};
-
-/// Relaxed-load snapshot of the whole aggregate (ServeAggregateStats).
-struct ServeAggregateSnapshot {
-  std::uint64_t connections_active = 0;
-  std::uint64_t connections_total = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t table_hits = 0;
-  std::uint64_t index_hits = 0;
-  std::uint64_t live = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t flushed_records = 0;
-  std::uint64_t compactions = 0;
-  std::uint64_t compacted_runs = 0;
-  std::uint64_t compacted_records = 0;
-  std::uint64_t compacted_bytes = 0;
-  std::uint64_t last_compaction_ms = 0;
-  std::array<ServeWidthStats, kMaxVars + 1> width{};
-};
-
-/// Process-wide counters shared by every serve session (and the background
-/// compactor) of one serving process — the numbers behind `stats all`. All
-/// fields are atomics: sessions on different connections bump them without
-/// coordination.
+/// Counters shared by every serve session (and the background compactor)
+/// of one server — the numbers behind `stats all`. All fields are atomics:
+/// sessions on different connections bump them without coordination, and
+/// renderers read them with relaxed loads. Lookup and tier totals have no
+/// field of their own: they are the sums of the per-width rows.
 struct ServeAggregateStats {
   std::atomic<std::uint64_t> connections_active{0};
   std::atomic<std::uint64_t> connections_total{0};
   std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> table_hits{0};
-  std::atomic<std::uint64_t> index_hits{0};
-  std::atomic<std::uint64_t> live{0};
   std::atomic<std::uint64_t> errors{0};
   /// Appended records made durable (session-exit and shutdown flushes).
   std::atomic<std::uint64_t> flushed_records{0};
@@ -259,7 +191,10 @@ struct ServeAggregateStats {
   /// Per-width traffic, indexed by function width (0..kMaxVars).
   std::array<ServeWidthCounters, kMaxVars + 1> width{};
 
-  [[nodiscard]] ServeAggregateSnapshot snapshot() const noexcept;
+  /// The whole server's traffic as one session block: requests, errors and
+  /// flushed from the atomics above, lookups and tier hits summed over the
+  /// width rows (relaxed loads; each counter is individually coherent).
+  [[nodiscard]] ServeStats totals() const noexcept;
 };
 
 struct ServeOptions {
@@ -271,13 +206,10 @@ struct ServeOptions {
   /// share one index read-only. Overrides append_on_miss.
   bool readonly = false;
 
-  /// When non-empty (single-store loop): the delta-log path appends are
-  /// flushed to when the session ends — on `quit` (reported as
-  /// `ok bye flushed=<k>`) and on EOF. Without it appends only persist if
-  /// the caller flushes after the loop returns.
-  std::string dlog_path;
-
-  /// Router-loop equivalent: width -> delta-log path.
+  /// width -> delta-log path that served store's appends are flushed to
+  /// when the session ends — on `quit` (reported as `ok bye flushed=<k>`)
+  /// and on EOF. Empty: appends only persist if the caller flushes after
+  /// the session returns.
   std::map<int, std::string> dlog_paths;
 
   /// When set, the session also accumulates into these process-wide
@@ -299,31 +231,34 @@ struct ServeOptions {
 
 /// The transport-independent core of one serve session: verb semantics
 /// (lookup/append policy, width routing, stats/metrics rendering, exit
-/// flush, counters) shared by every protocol front end — the v1 line loops
-/// below, the network server's reactor connections, and the protocol v2
-/// frame sessions (net/frame.hpp). Exactly one of store/router is non-null.
+/// flush, counters) shared by every protocol front end — the v1 line loop
+/// (run), the network server's reactor connections, and the protocol v2
+/// frame sessions (net/frame.hpp).
 ///
 /// The dispatcher holds no lock, ever: every store access synchronizes
-/// inside ClassStore/StoreRouter (snapshot-epoch reads, a per-store
-/// mutation gate — class_store.hpp). Queries resolve through the store's
-/// own tier stack (NPN4 norm table for width <= 4, hot cache, semiclass
-/// memo, index, live); exact canonicalization — the expensive step of a
-/// genuinely novel wide query — runs in the calling thread before any
-/// store gate.
+/// inside ClassStore (snapshot-epoch reads, a per-store mutation gate —
+/// class_store.hpp). Queries resolve through the store's own tier stack
+/// (NPN4 norm table for width <= 4, hot cache, semiclass memo, index,
+/// live); exact canonicalization — the expensive step of a genuinely novel
+/// wide query — runs in the calling thread before any store gate.
 class ServeDispatcher {
  public:
+  /// Serves `store` alone when `router` is null, else every width `router`
+  /// routes. Either way the constructor only fills the width -> store table.
   ServeDispatcher(ClassStore* store, StoreRouter* router, const ServeOptions& options);
+
+  /// Serves every store of `stores`, each under its own width.
+  ServeDispatcher(const std::vector<ClassStore*>& stores, const ServeOptions& options);
 
   // ---- v1 line protocol -------------------------------------------------
 
-  /// The full v1 loop over streams (what serve_loop/serve_router_loop and a
-  /// stdin session run): read lines until `quit` or end of input, flush on
-  /// exit, return the session stats.
+  /// The full v1 loop over streams (what a stdin session runs): read lines
+  /// until `quit` or end of input, flush on exit, return the session stats.
   ServeStats run(std::istream& in, std::ostream& out);
 
   /// Handles one raw v1 request line (newline stripped): trims, counts,
-  /// dispatches, records latency, syncs the aggregate. Returns false when
-  /// the session ends (`quit`). Blank/comment lines are skipped for free.
+  /// dispatches, records latency. Returns false when the session ends
+  /// (`quit`). Blank/comment lines are skipped for free.
   bool handle_request_line(const std::string& line, std::ostream& out);
 
   /// The response to a line that exceeded kMaxRequestLineBytes (the caller
@@ -332,10 +267,8 @@ class ServeDispatcher {
 
   // ---- shared verb semantics (protocol v2 and other front ends) ---------
 
-  /// The store serving `width`, honoring routing: under a router the routed
-  /// store (nullptr when the width is unrouted), standalone the single
-  /// store (nullptr on a width mismatch).
-  [[nodiscard]] ClassStore* store_for_width(int width) noexcept;
+  /// The store serving `width`; nullptr when the width is not served.
+  [[nodiscard]] ClassStore* store_for_width(int width) const noexcept;
 
   /// Resolves one parsed query with a per-request append policy: `append`
   /// false is a pure gate-free read (a miss answers nullopt and never
@@ -366,18 +299,13 @@ class ServeDispatcher {
 
   /// Whether an exit flush has anywhere to go (a delta-log path is
   /// configured for at least one served store).
-  [[nodiscard]] bool flush_configured() const noexcept;
+  [[nodiscard]] bool flush_configured() const noexcept { return !options_.dlog_paths.empty(); }
 
-  /// Bumps the session request/error counters (frame front ends count one
-  /// request per frame; malformed frames also count one error).
+  /// Count one request / one error in the session block and the aggregate
+  /// (frame front ends count one request per frame; malformed frames also
+  /// count one error).
   void count_request() noexcept;
   void count_error() noexcept;
-
-  /// Publishes this session's counter deltas into the shared aggregate.
-  void sync_aggregate();
-
-  /// Relaxed snapshot of this session's counters.
-  [[nodiscard]] ServeStats session_stats() const noexcept { return stats_.snapshot(); }
 
  private:
   enum class Verb : std::size_t { kLookup, kMlookup, kInfo, kStats, kMetrics, kQuit, kOther };
@@ -385,23 +313,23 @@ class ServeDispatcher {
 
   bool handle(const std::string& trimmed, std::ostream& out);
   [[nodiscard]] std::string resolve_operand(const std::string& token, int width_override);
-  [[nodiscard]] std::string resolve_single_nibble(const std::string& token,
-                                                  std::string_view payload);
+  [[nodiscard]] std::string resolve_ambiguous_nibble(const std::string& token,
+                                                     const std::vector<int>& candidates);
   [[nodiscard]] std::string lookup_line(ClassStore& store, const TruthTable& query);
-  void count_width(int width, const StoreLookupResult& result, bool append_policy);
+  void count_lookup(int width, const StoreLookupResult& result, bool append_policy);
   void emit_info(std::ostream& out);
   void emit_stats(std::ostream& out);
-  [[nodiscard]] std::vector<int> served_widths() const;
   void emit_stats_all(std::ostream& out);
   void emit_metrics(std::ostream& out);
   void refresh_store_gauges();
   void finish_request(std::uint64_t start_ticks);
 
-  ClassStore* store_;
-  StoreRouter* router_;
+  /// width -> store (nullptr = not served), and the served stores by
+  /// ascending width. Filled once by the constructor.
+  std::array<ClassStore*, kMaxVars + 1> by_width_{};
+  std::vector<ClassStore*> stores_;
   ServeOptions options_;
-  ServeCounters stats_;
-  ServeStats synced_;
+  ServeStats stats_;
   ServeAggregateStats local_aggregate_;
   bool exit_flushed_ = false;
 
@@ -417,23 +345,15 @@ class ServeDispatcher {
   const char* request_src_ = nullptr;
 };
 
-/// Serves `store` until `quit` or end of input; returns the session stats.
-ServeStats serve_loop(ClassStore& store, std::istream& in, std::ostream& out,
-                      const ServeOptions& options = {});
-
-/// Serves `router` (mixed widths, one session) until `quit` or end of
-/// input; returns the session stats.
-ServeStats serve_router_loop(StoreRouter& router, std::istream& in, std::ostream& out,
-                             const ServeOptions& options = {});
-
 /// Function width implied by a hex operand of the line protocol: 4 * digits
 /// = 2^n bits. One digit is genuinely ambiguous — n = 0, 1 and 2 all
 /// serialize as a single nibble — and reads as n = 2, the LARGEST width a
-/// single nibble encodes (the common case in cut streams). The router loop
-/// refines this: it resolves a single nibble against every routed width
-/// that can encode the digit, answering directly when one candidate exists
-/// (or all candidates agree) and erring with a lookup@<n> hint only on a
-/// genuine disagreement or when no candidate is routed. Returns -1
+/// single nibble encodes (the common case in cut streams). A session
+/// serving several widths refines this: it resolves a single nibble against
+/// every served width that can encode the digit, answering directly when
+/// one candidate exists (or all candidates agree) and erring with a
+/// lookup@<n> hint only on a genuine disagreement or when no candidate is
+/// served. Returns -1
 /// for an impossible digit count or any non-hex digit — a malformed operand
 /// is rejected at width inference, not later inside parsing. The "0x"
 /// prefix is tolerated (a bare "0x" is malformed).

@@ -6,8 +6,8 @@
 /// mappers enumerating cuts of mixed sizes — queries many widths through a
 /// single session. A StoreRouter owns one ClassStore per width n and
 /// dispatches every query by `num_vars`, so the batch engine
-/// (BatchEngine::attach_router), the serve loop (serve_router_loop) and the
-/// CLI (`facet_cli serve --route`) talk to one object regardless of how many
+/// (BatchEngine::attach_router), the serve dispatcher and the CLI
+/// (`facet_cli serve --route`) talk to one object regardless of how many
 /// widths are indexed.
 ///
 /// Concurrency: the routing table is immutable once serving starts —

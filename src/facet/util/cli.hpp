@@ -39,7 +39,9 @@ class CliArgs {
                  std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[arg] = argv[++i];
       } else {
-        values_[arg] = "1";  // boolean flag
+        // Boolean flag. A whole std::string, not `= "1"`: GCC 12 reports a
+        // spurious -Wrestrict on the inlined char* assignment.
+        values_[arg] = std::string{"1"};
       }
     }
   }

@@ -431,6 +431,58 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
   EXPECT_EQ(server.stats().connections_total.load(), 2u);
 }
 
+/// Framing faults (bad magic, oversized length prefix) answer an err frame
+/// and close; each counts one request and one error, like any other
+/// malformed frame.
+TEST(Frame, FramingFaultsCountOneRequestAndOneError)
+{
+  if (!net_supported()) {
+    GTEST_SKIP() << "no sockets on this platform";
+  }
+  const std::string path = ::testing::TempDir() + "frame_faults_5.fcs";
+  build_class_store(random_funcs(5, 10, 0xF2D5ULL), {}).save(path);
+  std::remove(ClassStore::delta_log_path(path).c_str());
+
+  ClassStore store = ClassStore::open(path);
+  ServeServerOptions options;
+  options.listen = "127.0.0.1:0";
+  options.proto = "v2";  // auto would sniff a bad-magic first byte as v1
+  ServeServer server{store, path, options};
+  server.start();
+  ASSERT_NE(server.tcp_port(), 0);
+
+  FrameHeader oversized;
+  oversized.magic = kFrameRequestMagic;
+  oversized.verb = static_cast<std::uint8_t>(FrameVerb::kLookup);
+  oversized.payload_bytes = kMaxFramePayloadBytes + 1;
+  std::string oversized_wire;
+  encode_header(oversized_wire, oversized);
+  const std::vector<std::pair<std::string, FrameStatus>> faults{
+      {"GET / HTTP/1.1\r\n\r\n", FrameStatus::kBadFrame},
+      {oversized_wire, FrameStatus::kTooLarge}};
+  for (const auto& [wire, status] : faults) {
+    Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+    ASSERT_TRUE(send_all(client.fd(), wire));
+    EXPECT_EQ(read_response(client.fd()).header.aux, static_cast<std::uint8_t>(status));
+  }
+
+  // `stats all` (the v2 stats verb) counts itself, then both faults.
+  {
+    Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+    ASSERT_TRUE(send_all(client.fd(), encode_control_request(FrameVerb::kStats)));
+    const Response stats = read_response(client.fd());
+    EXPECT_EQ(stats.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
+    EXPECT_NE(stats.payload.find(" requests=3 "), std::string::npos) << stats.payload;
+    EXPECT_NE(stats.payload.find(" errors=2 "), std::string::npos) << stats.payload;
+  }
+
+  server.request_shutdown();
+  server.wait();
+  EXPECT_EQ(server.stats().requests.load(), 3u);
+  EXPECT_EQ(server.stats().errors.load(), 2u);
+  std::remove(path.c_str());
+}
+
 #endif  // sockets
 
 }  // namespace

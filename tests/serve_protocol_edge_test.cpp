@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,9 +21,13 @@
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
 #include "facet/tt/tt_transform.hpp"
+#include "serve_session.hpp"
 
 namespace facet {
 namespace {
+
+using serve_test::run_serve;
+using serve_test::run_router_serve;
 
 ClassStore make_store(int n, std::uint64_t seed, std::size_t count = 30)
 {
@@ -31,44 +37,6 @@ ClassStore make_store(int n, std::uint64_t seed, std::size_t count = 30)
     funcs.push_back(tt_random(n, rng));
   }
   return build_class_store(funcs, {});
-}
-
-std::vector<std::string> run_serve(ClassStore& store, const std::string& script,
-                                   ServeStats* stats_out = nullptr,
-                                   const ServeOptions& options = {})
-{
-  std::istringstream in{script};
-  std::ostringstream out;
-  const ServeStats stats = serve_loop(store, in, out, options);
-  if (stats_out != nullptr) {
-    *stats_out = stats;
-  }
-  std::vector<std::string> lines;
-  std::istringstream reader{out.str()};
-  std::string line;
-  while (std::getline(reader, line)) {
-    lines.push_back(line);
-  }
-  return lines;
-}
-
-std::vector<std::string> run_router_serve(StoreRouter& router, const std::string& script,
-                                          ServeStats* stats_out = nullptr,
-                                          const ServeOptions& options = {})
-{
-  std::istringstream in{script};
-  std::ostringstream out;
-  const ServeStats stats = serve_router_loop(router, in, out, options);
-  if (stats_out != nullptr) {
-    *stats_out = stats;
-  }
-  std::vector<std::string> lines;
-  std::istringstream reader{out.str()};
-  std::string line;
-  while (std::getline(reader, line)) {
-    lines.push_back(line);
-  }
-  return lines;
 }
 
 StoreRouter make_router(std::uint64_t seed)
@@ -223,7 +191,7 @@ TEST(ServeProtocolEdge, QuitFlushesAppendsAndReportsCount)
 
   ServeOptions options;
   options.append_on_miss = true;
-  options.dlog_path = dlog;
+  options.dlog_paths = {{n, dlog}};
   ServeStats stats;
   const auto lines = run_serve(store, "lookup " + to_hex(novel) + "\nquit\n", &stats, options);
   ASSERT_EQ(lines.size(), 2u);
@@ -258,7 +226,7 @@ TEST(ServeProtocolEdge, EofFlushesAppendsWithoutQuit)
 
   ServeOptions options;
   options.append_on_miss = true;
-  options.dlog_path = dlog;
+  options.dlog_paths = {{n, dlog}};
   ServeStats stats;
   // No quit: the pipe just ends — the EOF path must flush identically.
   (void)run_serve(store, "lookup " + to_hex(novel) + "\n", &stats, options);
@@ -447,7 +415,141 @@ TEST(ServeProtocolEdge, LookupAtChecksTheSingleStoreWidth)
       store, "lookup@3 " + hex + "\nlookup@4 " + hex + hex + "\nquit\n");
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[1], "err store serves width 3, not 4");
+  // A single store is a one-width route: an unserved width answers the
+  // router's line.
+  EXPECT_EQ(lines[1], "err no store routes width 4");
+}
+
+/// The single-store edge cases above, replayed through a store served alone
+/// and through a one-width router over an identical twin: a single store is
+/// a one-width route, so both answer byte for byte alike.
+TEST(ServeProtocolEdge, SingleStoreEdgeCasesAnswerAlikeThroughAOneWidthRouter)
+{
+  const auto known = [](const ClassStore& store) {
+    return to_hex(store.records().front().representative);
+  };
+  const auto novel = [](const ClassStore& store) {
+    std::mt19937_64 rng{0xed50ULL};
+    TruthTable f{store.num_vars()};
+    do {
+      f = tt_random(store.num_vars(), rng);
+    } while (store.lookup(f).has_value());
+    return to_hex(f);
+  };
+  struct Case {
+    int n;
+    std::function<std::string(const ClassStore&)> script;
+    ServeOptions options;
+  };
+  ServeOptions readonly;
+  readonly.readonly = true;
+  ServeOptions append;
+  append.append_on_miss = true;
+  const std::vector<Case> cases{
+      {4,
+       [&](const ClassStore& s) {
+         return "lookup " + known(s) + "\r\ninfo\r\n  stats  \r\nquit\r\n";
+       },
+       {}},
+      {3, [](const ClassStore&) { return std::string{"\n\r\n   \t \n# comment\n  # c\n"}; }, {}},
+      {4,
+       [](const ClassStore&) {
+         return std::string{"lookup 0x\nlookup zzzz\nlookup ffff00\nlookup abc\nlookup f\n"
+                            "lookup\nlookup e8 extra\nfrobnicate\nstats\nquit\n"};
+       },
+       {}},
+      {3,
+       [&](const ClassStore& s) {
+         return "lookup " + known(s) + "\n" + std::string(kMaxRequestLineBytes + 100, 'a') +
+                "\nlookup " + known(s) + "\nquit\n";
+       },
+       {}},
+      {5,
+       [&](const ClassStore& s) {
+         return "mlookup\nmlookup " + known(s) + " zzzz 0x fff " + known(s) + "\nstats\nquit\n";
+       },
+       {}},
+      {3,
+       [&](const ClassStore& s) {
+         return "lookup " + known(s) + "\nstats all\nstats bogus\nmetrics now\nquit\n";
+       },
+       {}},
+      {3,
+       [&](const ClassStore& s) {
+         return "lookup@3 " + known(s) + "\nlookup@4 " + known(s) + known(s) + "\nlookup@4 " +
+                known(s) + "\nlookup@xy " + known(s) + "\nmlookup@3 " + known(s) + " " +
+                known(s) + "\nquit\n";
+       },
+       {}},
+      {4,
+       [&](const ClassStore& s) {
+         return "lookup " + known(s) + "\nlookup " + novel(s) + "\nstats\nquit\n";
+       },
+       readonly},
+      {5,
+       [&](const ClassStore& s) {
+         return "lookup " + novel(s) + "\nlookup " + novel(s) + "\ninfo\nstats\nstats all\nquit\n";
+       },
+       append},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const Case& c = cases[i];
+    (void)serve_test::expect_one_width_router_answers_alike(
+        [&] { return make_store(c.n, 0xed51ULL + i); }, c.script, c.options);
+  }
+}
+
+/// `stats all` has no lookup or tier counters of its own: its totals are
+/// the sums of the per-width rows, across widths and tiers.
+TEST(ServeProtocolEdge, StatsAllTotalsEqualTheSumOfWidthRows)
+{
+  StoreRouter router;
+  router.attach(std::make_unique<ClassStore>(make_store(3, 0xed60ULL)));
+  router.attach(std::make_unique<ClassStore>(make_store(5, 0xed61ULL)));
+  router.attach(std::make_unique<ClassStore>(make_store(6, 0xed62ULL)));
+  const std::string hex3 = to_hex(router.store_for(3)->records().front().representative);
+  const std::string hex5 = to_hex(router.store_for(5)->records().front().representative);
+  const std::string hex6 = to_hex(router.store_for(6)->records().back().representative);
+  std::mt19937_64 rng{0xed63ULL};
+  TruthTable novel6{6};
+  do {
+    novel6 = tt_random(6, rng);
+  } while (router.lookup(novel6).has_value());
+
+  ServeOptions options;
+  options.append_on_miss = true;
+  ServeStats session;
+  const auto lines = run_router_serve(router,
+                                      "lookup " + hex3 + "\nmlookup " + hex5 + " " + hex5 + " " +
+                                          hex6 + " zzzz\nlookup " + to_hex(novel6) +
+                                          "\nlookup " + to_hex(novel6) + "\nstats all\nquit\n",
+                                      &session, options);
+  ASSERT_EQ(lines.size(), 12u);
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find(" " + key + "=");
+    EXPECT_NE(at, std::string::npos) << key << " in " << line;
+    return at == std::string::npos ? 0 : std::stoull(line.substr(at + key.size() + 2));
+  };
+  const std::string& aggregate = lines[7];
+  ASSERT_EQ(aggregate.rfind("ok connections=", 0), 0u) << aggregate;
+  EXPECT_EQ(field(aggregate, "widths"), 3u);
+  for (const std::string key :
+       {"lookups", "cache_hits", "memo_hits", "table_hits", "index_hits", "live"}) {
+    std::uint64_t rows = 0;
+    for (std::size_t r = 8; r < 11; ++r) {
+      ASSERT_EQ(lines[r].rfind("ok width=", 0), 0u) << lines[r];
+      rows += field(lines[r], key);
+    }
+    EXPECT_EQ(field(aggregate, key), rows) << key << ": " << aggregate;
+  }
+  // The mix really spread over widths and tiers.
+  EXPECT_EQ(field(aggregate, "lookups"), 6u) << aggregate;
+  EXPECT_GE(field(aggregate, "table_hits"), 1u) << aggregate;
+  EXPECT_GE(field(aggregate, "cache_hits"), 1u) << aggregate;
+  EXPECT_EQ(field(aggregate, "live"), 1u) << aggregate;
+  EXPECT_EQ(field(aggregate, "errors"), 1u) << aggregate;
+  EXPECT_EQ(session.lookups, 6u);
 }
 
 TEST(ServeProtocolEdge, SingleNibbleWithoutWidth2StoreSuggestsLookupAt)

@@ -366,8 +366,8 @@ TEST(StoreBlockPack, RouterDispatchesOverTwoWidths)
   const auto funcs_b = make_npn_workload(n_b, 20, 2, 0x70bULL);
   const ClassStore built_a = build_class_store(funcs_a, {});
   const ClassStore built_b = build_class_store(funcs_b, {});
-  const std::string path_a = temp_path("router_width5.fcs");
-  const std::string path_b = temp_path("router_width6.fcs");
+  const std::string path_a = temp_path("blockpack_router_width5.fcs");
+  const std::string path_b = temp_path("blockpack_router_width6.fcs");
   built_a.save(path_a);
   built_b.save(path_b);
 

@@ -23,9 +23,12 @@
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
 #include "facet/tt/tt_transform.hpp"
+#include "serve_session.hpp"
 
 namespace facet {
 namespace {
+
+using serve_test::run_router_serve;
 
 std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t seed)
 {
@@ -165,25 +168,6 @@ TEST(StoreRouter, BatchEngineRouterFastPathIsBitIdenticalOnMixedWidths)
 }
 
 // -- serve protocol ----------------------------------------------------------
-
-std::vector<std::string> run_router_serve(StoreRouter& router, const std::string& script,
-                                          ServeStats* stats_out = nullptr,
-                                          const ServeOptions& options = {})
-{
-  std::istringstream in{script};
-  std::ostringstream out;
-  const ServeStats stats = serve_router_loop(router, in, out, options);
-  if (stats_out != nullptr) {
-    *stats_out = stats;
-  }
-  std::vector<std::string> lines;
-  std::istringstream reader{out.str()};
-  std::string line;
-  while (std::getline(reader, line)) {
-    lines.push_back(line);
-  }
-  return lines;
-}
 
 TEST(StoreRouterServe, HexOperandWidthInference)
 {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,9 +13,12 @@
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
+#include "serve_session.hpp"
 
 namespace facet {
 namespace {
+
+using serve_test::run_serve;
 
 ClassStore make_store(int n, std::uint64_t seed, std::size_t count = 40)
 {
@@ -26,25 +28,6 @@ ClassStore make_store(int n, std::uint64_t seed, std::size_t count = 40)
     funcs.push_back(tt_random(n, rng));
   }
   return build_class_store(funcs, {});
-}
-
-std::vector<std::string> run_serve(ClassStore& store, const std::string& script,
-                                   ServeStats* stats_out = nullptr,
-                                   const ServeOptions& options = {})
-{
-  std::istringstream in{script};
-  std::ostringstream out;
-  const ServeStats stats = serve_loop(store, in, out, options);
-  if (stats_out != nullptr) {
-    *stats_out = stats;
-  }
-  std::vector<std::string> lines;
-  std::istringstream reader{out.str()};
-  std::string line;
-  while (std::getline(reader, line)) {
-    lines.push_back(line);
-  }
-  return lines;
 }
 
 TEST(StoreServe, LookupInfoStatsQuit)
@@ -164,6 +147,40 @@ TEST(StoreServe, UnknownFunctionsFallBackToLiveAndCanAppend)
     EXPECT_NE(lines[1].find("known=1"), std::string::npos) << lines[1];
     EXPECT_EQ(stats.live, 1u);
     EXPECT_EQ(store.num_appended(), 1u);
+  }
+}
+
+/// The cases above through a store served alone and through a one-width
+/// router over an identical twin: both answer byte for byte alike.
+TEST(StoreServe, OneWidthRouterAnswersLikeTheStoreAlone)
+{
+  const auto known = [](const ClassStore& store) {
+    return to_hex(store.records().front().representative);
+  };
+  const auto novel = [](const ClassStore& store) {
+    std::mt19937_64 rng{0x5e18ULL};
+    TruthTable f{store.num_vars()};
+    do {
+      f = tt_random(store.num_vars(), rng);
+    } while (store.lookup(f).has_value());
+    return to_hex(apply_transform(f, NpnTransform::random(store.num_vars(), rng))) + "\nlookup " +
+           to_hex(f);
+  };
+  ServeOptions append;
+  append.append_on_miss = true;
+  for (const int n : {3, 4, 5}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto make = [n] { return make_store(n, 0x5e19ULL + static_cast<unsigned>(n), 10); };
+    const auto lines = serve_test::expect_one_width_router_answers_alike(
+        make, [&](const ClassStore& s) {
+          return "lookup " + known(s) + "\nlookup " + known(s) + "\nlookup " + novel(s) +
+                 "\n\n# c\ninfo\nstats\nfrobnicate\nlookup\nlookup zz\nlookup e8 extra\nquit\n";
+        });
+    ASSERT_EQ(lines.size(), 11u);
+    EXPECT_EQ(lines[4].rfind("ok n=" + std::to_string(n) + " ", 0), 0u) << lines[4];
+    (void)serve_test::expect_one_width_router_answers_alike(
+        make, [&](const ClassStore& s) { return "lookup " + novel(s) + "\ninfo\nstats\nquit\n"; },
+        append);
   }
 }
 

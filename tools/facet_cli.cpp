@@ -4,9 +4,10 @@
 ///   classify     NPN-classify a list of truth tables (hex, one per line)
 ///   build-index  classify a dataset and persist it as a `.fcs` class store
 ///   lookup       resolve functions against a `.fcs` store (live fallback)
-///   serve        long-lived line-protocol loop over one `.fcs` store, or —
-///                with --route — over one store per width (queries dispatch
-///                by inferred width); --listen/--unix serve the same
+///   serve        long-lived line-protocol loop over one `.fcs` store
+///                (--index F, the same as --route F), or over one store per
+///                width (--route A B ...: queries dispatch by inferred
+///                width); --listen/--unix serve the same
 ///                protocol over TCP / Unix sockets to concurrent clients,
 ///                with background compaction and graceful shutdown
 ///   fleet        one writable primary + N read-only replica processes on
@@ -46,8 +47,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
+#include <atomic>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -278,12 +281,20 @@ int cmd_lookup(const CliArgs& args)
   return 0;
 }
 
-void report_serve_stats(const ServeStats& stats)
+/// "<q> request(s): <k> lookup(s), <per-tier hits>, <e> error(s)" — the
+/// traffic part of both exit reports below.
+void print_traffic(const ServeStats& stats)
 {
-  std::cerr << "served " << stats.requests << " request(s): " << stats.lookups << " lookup(s), "
+  std::cerr << stats.requests << " request(s): " << stats.lookups << " lookup(s), "
             << stats.cache_hits << " cache / " << stats.memo_hits << " memo / "
             << stats.table_hits << " table / " << stats.index_hits << " index / " << stats.live
             << " live, " << stats.errors << " error(s)";
+}
+
+void report_serve_stats(const ServeStats& stats)
+{
+  std::cerr << "served ";
+  print_traffic(stats);
   if (stats.flushed != 0) {
     std::cerr << ", flushed " << stats.flushed << " record(s)";
   }
@@ -292,24 +303,24 @@ void report_serve_stats(const ServeStats& stats)
 
 void report_server_stats(const ServeAggregateStats& stats)
 {
-  const ServeAggregateSnapshot agg = stats.snapshot();
-  std::cerr << "served " << agg.connections_total << " connection(s), " << agg.requests
-            << " request(s): " << agg.lookups << " lookup(s), " << agg.cache_hits << " cache / "
-            << agg.memo_hits << " memo / " << agg.table_hits << " table / " << agg.index_hits
-            << " index / " << agg.live << " live, " << agg.errors
-            << " error(s), flushed " << agg.flushed_records << " record(s), " << agg.compactions
-            << " compaction(s) (" << agg.compacted_runs << " run(s), " << agg.compacted_records
-            << " record(s))\n";
+  const auto load = [](const std::atomic<std::uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  std::cerr << "served " << load(stats.connections_total) << " connection(s), ";
+  print_traffic(stats.totals());
+  std::cerr << ", flushed " << load(stats.flushed_records) << " record(s), "
+            << load(stats.compactions) << " compaction(s) (" << load(stats.compacted_runs)
+            << " run(s), " << load(stats.compacted_records) << " record(s))\n";
   // The `stats all` per-width rows, for operators reading the exit log.
-  for (std::size_t n = 0; n < agg.width.size(); ++n) {
-    const ServeWidthStats& row = agg.width[n];
-    if (row.lookups == 0) {
+  for (std::size_t n = 0; n < stats.width.size(); ++n) {
+    const ServeWidthCounters& row = stats.width[n];
+    if (load(row.lookups) == 0) {
       continue;
     }
-    std::cerr << "  width " << n << ": " << row.lookups << " lookup(s), " << row.cache_hits
-              << " cache / " << row.memo_hits << " memo / " << row.table_hits << " table / "
-              << row.index_hits << " index / " << row.live << " live, " << row.appended
-              << " appended\n";
+    std::cerr << "  width " << n << ": " << load(row.lookups) << " lookup(s), "
+              << load(row.cache_hits) << " cache / " << load(row.memo_hits) << " memo / "
+              << load(row.table_hits) << " table / " << load(row.index_hits) << " index / "
+              << load(row.live) << " live, " << load(row.appended) << " appended\n";
   }
 }
 
@@ -416,6 +427,21 @@ int cmd_serve(const CliArgs& args)
     std::cerr << "error: --append and --readonly are mutually exclusive\n";
     return 1;
   }
+  // `--index F` is a one-path `--route F`: every .fcs path is served by
+  // one router, one store per width (widths come from the file headers).
+  std::vector<std::string> index_paths;
+  if (args.get_bool("route")) {
+    index_paths.assign(args.positional().begin() + 1, args.positional().end());
+  } else if (args.has("index")) {
+    index_paths.push_back(args.get_string("index", ""));
+  }
+  if (index_paths.empty() || index_paths.front().empty()) {
+    std::cerr << "usage: facet_cli serve --index FILE.fcs [--append] [--mmap] [--flush] "
+                 "[--save[=FILE]]\n"
+                 "       facet_cli serve --route FILE.fcs [FILE.fcs...] [--append] [--mmap] "
+                 "[--flush]\n";
+    return 1;
+  }
   // Network mode: same stores, same protocol, N concurrent connections.
   const bool network = args.has("listen") || args.has("unix");
   if (network && args.has("save")) {
@@ -423,84 +449,42 @@ int cmd_serve(const CliArgs& args)
                  "delta log continuously; run `facet_cli compact` offline)\n";
     return 1;
   }
-
-  if (args.get_bool("route")) {
-    // Route mode: one store per width behind a single session; every .fcs
-    // path is positional, widths come from the file headers.
-    if (args.positional().size() < 2) {
-      std::cerr << "usage: facet_cli serve --route FILE.fcs [FILE.fcs...] [--append] [--mmap] "
-                   "[--flush]\n";
-      return 1;
-    }
-    if (args.has("save")) {
-      // Refuse rather than silently drop the session's appends: compaction
-      // of N indexes is a deliberate per-index operation (`compact`).
-      std::cerr << "error: --save is not supported with --route; use --flush to append each "
-                   "store's delta log, then `facet_cli compact --index FILE.fcs` per index\n";
-      return 1;
-    }
-    const StoreOpenOptions open_options = open_options_from(args);
-    StoreRouter router;
-    std::vector<std::pair<int, std::string>> paths;  // width -> path, for --flush
-    for (std::size_t k = 1; k < args.positional().size(); ++k) {
-      const std::string& path = args.positional()[k];
-      auto store = std::make_unique<ClassStore>(ClassStore::open(path, open_options));
-      paths.emplace_back(store->num_vars(), path);
-      router.attach(std::move(store));
-    }
-
-    if (network) {
-      ServeServer server{router, std::map<int, std::string>{paths.begin(), paths.end()},
-                         server_options_from(args)};
-      return run_serve_server(server, metrics_json);
-    }
-
-    if (options.append_on_miss) {
-      // Appends are flushed to each store's delta log when the session ends
-      // (quit or EOF) — a dropped pipe never silently loses classes.
-      for (const auto& [width, path] : paths) {
-        options.dlog_paths.emplace(width, ClassStore::delta_log_path(path));
-      }
-    }
-    const ServeStats stats = serve_router_loop(router, std::cin, std::cout, options);
-    dump_metrics_json(metrics_json);
-
-    if (args.get_bool("flush")) {
-      for (const auto& [width, path] : paths) {
-        ClassStore* store = router.store_for(width);
-        const std::size_t flushed = store->flush_delta(ClassStore::delta_log_path(path));
-        if (flushed != 0) {
-          std::cerr << "flushed " << flushed << " record(s) to "
-                    << ClassStore::delta_log_path(path) << "\n";
-        }
-      }
-    }
-    report_serve_stats(stats);
-    return 0;
-  }
-
-  const std::string index = args.get_string("index", "");
-  if (index.empty()) {
-    std::cerr << "usage: facet_cli serve --index FILE.fcs [--append] [--mmap] [--flush] "
-                 "[--save[=FILE]]\n"
-                 "       facet_cli serve --route FILE.fcs [FILE.fcs...] [--append] [--mmap]\n";
+  if (index_paths.size() > 1 && args.has("save")) {
+    // Refuse rather than silently drop the session's appends: compaction
+    // of N indexes is a deliberate per-index operation (`compact`).
+    std::cerr << "error: --save needs exactly one served index; use --flush to append each "
+                 "store's delta log, then `facet_cli compact --index FILE.fcs` per index\n";
     return 1;
   }
-  ClassStore store = ClassStore::open(index, open_options_from(args));
+
+  const StoreOpenOptions open_options = open_options_from(args);
+  StoreRouter router;
+  std::map<int, std::string> paths;  // width -> base path
+  for (const std::string& path : index_paths) {
+    auto store = std::make_unique<ClassStore>(ClassStore::open(path, open_options));
+    const int width = store->num_vars();
+    router.attach(std::move(store));
+    paths.emplace(width, path);
+  }
 
   if (network) {
-    ServeServer server{store, index, server_options_from(args)};
+    ServeServer server{router, paths, server_options_from(args)};
     return run_serve_server(server, metrics_json);
   }
 
   if (options.append_on_miss) {
-    // Flush-on-exit: appends persist to the delta log on quit and EOF.
-    options.dlog_path = ClassStore::delta_log_path(index);
+    // Appends are flushed to each store's delta log when the session ends
+    // (quit or EOF) — a dropped pipe never silently loses classes.
+    for (const auto& [width, path] : paths) {
+      options.dlog_paths.emplace(width, ClassStore::delta_log_path(path));
+    }
   }
-  const ServeStats stats = serve_loop(store, std::cin, std::cout, options);
+  const ServeStats stats = ServeDispatcher{nullptr, &router, options}.run(std::cin, std::cout);
   dump_metrics_json(metrics_json);
 
-  persist_store_if_requested(args, store, index);
+  for (const auto& [width, path] : paths) {
+    persist_store_if_requested(args, *router.store_for(width), path);
+  }
   report_serve_stats(stats);
   return 0;
 }
@@ -751,7 +735,8 @@ void print_usage()
                "               --slow-us T logs any request slower than T microseconds to\n"
                "               stderr; --metrics-json FILE dumps the registry as JSON on exit)\n"
                "  serve       --route FILE.fcs [FILE.fcs...] [--append] [--mmap] [--flush]\n"
-               "              (one store per width; query width inferred from hex length)\n"
+               "              (one store per width; across several widths the query width\n"
+               "               is inferred from hex length; --index F is --route F)\n"
                "  serve       ... --listen [HOST:]PORT and/or --unix PATH [--readonly]\n"
                "              [--max-conns N] [--idle-timeout-ms T] [--workers N]\n"
                "              [--proto auto|v1|v2]\n"
