@@ -176,7 +176,7 @@ enum class FrameStep {
 /// Transport-independent v2 session: feed it raw received bytes, it consumes
 /// complete frames from the front of `in` and appends response frames to
 /// `out`. One FrameSession per connection; not thread-safe (the reactor
-/// guarantees one worker per connection at a time).
+/// runs every call for a connection on the loop that owns it).
 class FrameSession {
  public:
   explicit FrameSession(ServeDispatcher* dispatcher);

@@ -17,9 +17,7 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <iostream>
 #include <mutex>
@@ -35,16 +33,18 @@ namespace facet {
 
 namespace {
 
-/// Readiness poller owned by the reactor thread. Connection fds are armed
-/// one-shot (a fired fd stays silent until rearm), the wake pipe is
-/// persistent level-triggered.
+/// Level-triggered readiness poller owned by one loop: a registered fd is
+/// reported on every wait for as long as it stays ready. Watching for
+/// writability replaces watching for readability (a connection with a
+/// parked reply reads nothing until the reply drains).
 class Poller {
  public:
   virtual ~Poller() = default;
+  /// Registers fd for readability.
   virtual void add(int fd) = 0;
-  virtual void rearm(int fd) = 0;
+  /// Switches fd between watching readability and watching writability.
+  virtual void watch_write(int fd, bool write) = 0;
   virtual void remove(int fd) = 0;
-  virtual void add_persistent(int fd) = 0;
   /// Appends every ready fd to `ready`; blocks up to timeout_ms (-1 =
   /// forever). EINTR returns with nothing ready.
   virtual void wait(std::vector<int>& ready, int timeout_ms) = 0;
@@ -61,10 +61,12 @@ class EpollPoller final : public Poller {
   }
   ~EpollPoller() override { ::close(ep_); }
 
-  void add(int fd) override { ctl(EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT); }
-  void rearm(int fd) override { ctl(EPOLL_CTL_MOD, fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT); }
+  void add(int fd) override { ctl(EPOLL_CTL_ADD, fd, EPOLLIN); }
+  void watch_write(int fd, bool write) override
+  {
+    ctl(EPOLL_CTL_MOD, fd, write ? EPOLLOUT : EPOLLIN);
+  }
   void remove(int fd) override { ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
-  void add_persistent(int fd) override { ctl(EPOLL_CTL_ADD, fd, EPOLLIN); }
 
   void wait(std::vector<int>& ready, int timeout_ms) override
   {
@@ -96,26 +98,20 @@ class EpollPoller final : public Poller {
 };
 #endif  // __linux__
 
-/// Portable poll(2) backend: the armed set is rebuilt into one pollfd array
-/// per wait. O(connections) per wake where epoll is O(ready) — correct
+/// Portable poll(2) backend: the watched set is rebuilt into one pollfd
+/// array per wait. O(connections) per wake where epoll is O(ready) — correct
 /// everywhere, fast enough for the platforms that lack epoll.
 class PollPoller final : public Poller {
  public:
-  void add(int fd) override { armed_[fd] = true; }
-  void rearm(int fd) override { armed_[fd] = true; }
-  void remove(int fd) override { armed_.erase(fd); }
-  void add_persistent(int fd) override { persistent_.push_back(fd); }
+  void add(int fd) override { watched_[fd] = POLLIN; }
+  void watch_write(int fd, bool write) override { watched_[fd] = write ? POLLOUT : POLLIN; }
+  void remove(int fd) override { watched_.erase(fd); }
 
   void wait(std::vector<int>& ready, int timeout_ms) override
   {
     fds_.clear();
-    for (const int fd : persistent_) {
-      fds_.push_back(pollfd{fd, POLLIN, 0});
-    }
-    for (const auto& [fd, on] : armed_) {
-      if (on) {
-        fds_.push_back(pollfd{fd, POLLIN, 0});
-      }
+    for (const auto& [fd, events] : watched_) {
+      fds_.push_back(pollfd{fd, events, 0});
     }
     const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
     if (n < 0) {
@@ -124,52 +120,40 @@ class PollPoller final : public Poller {
       }
       throw NetError{std::string{"poll: "} + std::strerror(errno)};
     }
-    for (std::size_t i = 0; i < fds_.size(); ++i) {
-      if ((fds_[i].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) == 0) {
-        continue;
-      }
-      ready.push_back(fds_[i].fd);
-      // one-shot semantics: disarm fired connection fds until rearm
-      if (i >= persistent_.size()) {
-        armed_[fds_[i].fd] = false;
+    for (const pollfd& fd : fds_) {
+      if (fd.revents != 0) {
+        ready.push_back(fd.fd);
       }
     }
   }
 
  private:
-  std::unordered_map<int, bool> armed_;
-  std::vector<int> persistent_;
+  std::unordered_map<int, short> watched_;
   std::vector<pollfd> fds_;
 };
 
-/// Blocking full write; EINTR retried, SIGPIPE suppressed. False on any
-/// unrecoverable failure (peer gone).
-bool write_all(int fd, const std::string& data)
+/// Sends as much of `data` as the socket takes without blocking and erases
+/// the sent prefix; EINTR retried, SIGPIPE suppressed. False once the peer
+/// is gone.
+bool send_some(int fd, std::string& data)
 {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
-      continue;
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else if (n == 0 || errno != EINTR) {
+      return false;
     }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && errno == ENOTSOCK) {
-      const ssize_t m = ::write(fd, data.data() + sent, data.size() - sent);
-      if (m > 0) {
-        sent += static_cast<std::size_t>(m);
-        continue;
-      }
-      if (m < 0 && errno == EINTR) {
-        continue;
-      }
-    }
-    return false;
   }
+  data.erase(0, sent);
   return true;
 }
+
+using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
@@ -177,382 +161,334 @@ struct Reactor::Impl {
   struct Conn {
     Socket socket;
     std::unique_ptr<ReactorConnection> session;
-    std::string in;  ///< received-but-unconsumed bytes, owned by the worker while busy
-    std::chrono::steady_clock::time_point deadline{};
-    bool busy = false;      ///< dispatched to a worker; reactor thread only
-    bool in_wheel = false;  ///< has a live timer-wheel entry; reactor thread only
-    bool draining = false;  ///< read side already shut down for drain
+    std::string in;        ///< received-but-unconsumed bytes
+    std::string parked;    ///< reply tail the socket could not take yet
+    Clock::time_point deadline{};
+    bool closing = false;  ///< condemned: retire once `parked` drains
   };
 
-  struct Task {
-    Conn* conn = nullptr;
-    bool close = false;  ///< true: run on_close and retire (idle expiry / drain)
+  using PendingAdd = std::pair<Socket, std::unique_ptr<ReactorConnection>>;
+  static constexpr std::size_t kWheelSlots = 64;
+
+  /// One event loop on one thread. It owns its connections for their whole
+  /// life: reads, runs the session, writes and expires them. Only `add`
+  /// (the pending list under add_mutex, the wake pipe) and `load` are
+  /// touched from other threads.
+  struct Loop {
+    Impl& reactor;
+    std::unique_ptr<Poller> poller;
+    std::unordered_map<int, std::unique_ptr<Conn>> conns;
+    std::array<std::vector<int>, kWheelSlots> wheel;
+    std::size_t wheel_pos = 0;
+    Clock::time_point next_tick{};
+    Socket wake_read;  ///< wake pipe: add() and stop() write a byte
+    Socket wake_write;
+    std::mutex add_mutex;
+    std::vector<PendingAdd> pending_adds;
+    /// Connections placed here and not yet condemned — the placement key.
+    std::atomic<std::size_t> load{0};
+    std::thread thread;
+
+    explicit Loop(Impl& owner) : reactor{owner}
+    {
+#ifdef __linux__
+      if (!reactor.options.use_poll) {
+        poller = std::make_unique<EpollPoller>();
+      }
+#endif
+      if (!poller) {
+        poller = std::make_unique<PollPoller>();
+      }
+      int pipe_fds[2];
+      if (::pipe(pipe_fds) != 0) {
+        throw NetError{std::string{"pipe: "} + std::strerror(errno)};
+      }
+      wake_read = Socket{pipe_fds[0]};
+      wake_write = Socket{pipe_fds[1]};
+      ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
+      ::fcntl(pipe_fds[1], F_SETFL, O_NONBLOCK);
+      poller->add(pipe_fds[0]);
+      next_tick = Clock::now() + reactor.tick;
+    }
+    Loop(const Loop&) = delete;
+    Loop& operator=(const Loop&) = delete;
+
+    void wake() noexcept
+    {
+      const char byte = 'w';
+      [[maybe_unused]] const ssize_t n = ::write(wake_write.fd(), &byte, 1);
+    }
+
+    // --------------------------------------------------------- timer wheel
+
+    /// Files a connection into the wheel slot nearest its deadline (clamped
+    /// to one revolution). Every live connection has exactly one entry:
+    /// adoption files it, and a popped entry whose deadline moved re-files
+    /// itself, so bumping a deadline is free.
+    void file_in_wheel(const Conn& conn, int fd, Clock::time_point now)
+    {
+      const std::chrono::milliseconds tick = reactor.tick;
+      if (tick.count() == 0) {
+        return;
+      }
+      const auto rel = conn.deadline > now
+                           ? std::chrono::duration_cast<std::chrono::milliseconds>(
+                                 conn.deadline - now)
+                           : std::chrono::milliseconds{0};
+      std::size_t ticks_ahead = static_cast<std::size_t>(rel / tick) + 1;
+      ticks_ahead = std::min(ticks_ahead, kWheelSlots - 1);
+      wheel[(wheel_pos + ticks_ahead) % kWheelSlots].push_back(fd);
+    }
+
+    void advance_wheel(Clock::time_point now)
+    {
+      if (reactor.tick.count() == 0) {
+        return;
+      }
+      while (now >= next_tick) {
+        std::vector<int> entries = std::move(wheel[wheel_pos]);
+        wheel[wheel_pos].clear();
+        wheel_pos = (wheel_pos + 1) % kWheelSlots;
+        next_tick += reactor.tick;
+        for (const int fd : entries) {
+          const auto it = conns.find(fd);
+          if (it == conns.end()) {
+            continue;  // closed since it was filed
+          }
+          if (now >= it->second->deadline) {
+            retire(fd);
+          } else {
+            file_in_wheel(*it->second, fd, now);
+          }
+        }
+      }
+    }
+
+    // --------------------------------------------------------- connections
+
+    /// Marks a connection as closing. Placement sees the freed slot at
+    /// once, before the final reply is written: a client that reconnects
+    /// after reading it lands back on this loop.
+    void condemn(Conn& conn)
+    {
+      if (!conn.closing) {
+        conn.closing = true;
+        load.fetch_sub(1);
+      }
+    }
+
+    void retire(int fd)
+    {
+      const auto it = conns.find(fd);
+      Conn& conn = *it->second;
+      condemn(conn);
+      conn.session->on_close();
+      poller->remove(fd);
+      conns.erase(it);
+      reactor.active.fetch_sub(1);
+    }
+
+    /// Serves one readiness event: pushes a parked reply on, or reads once,
+    /// runs the session and writes its answer without blocking.
+    void serve(int fd, Conn& conn, Clock::time_point now)
+    {
+      conn.deadline = now + reactor.options.idle_timeout;
+      if (!conn.parked.empty()) {
+        if (!send_some(fd, conn.parked)) {
+          retire(fd);
+        } else if (conn.parked.empty()) {
+          if (conn.closing) {
+            retire(fd);
+          } else {
+            poller->watch_write(fd, false);
+          }
+        }
+        return;
+      }
+
+      char buf[16384];
+      const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+          retire(fd);
+        }
+        return;
+      }
+      conn.in.append(buf, static_cast<std::size_t>(n));
+      const bool eof = n == 0;
+      std::string out;
+      bool keep = true;
+      try {
+        keep = conn.session->on_data(conn.in, out);
+        if (eof && keep) {
+          conn.session->on_eof(conn.in, out);
+        }
+      } catch (const std::exception& e) {
+        std::cerr << "facet-serve: session error: " << e.what() << "\n";
+        keep = false;
+      }
+      if (eof || !keep) {
+        condemn(conn);
+      }
+      if (!send_some(fd, out)) {
+        retire(fd);
+      } else if (!out.empty() && !reactor.stopping.load()) {
+        // backpressure: read nothing more until the peer takes the tail
+        conn.parked = std::move(out);
+        poller->watch_write(fd, true);
+      } else if (conn.closing || !out.empty()) {
+        retire(fd);  // mid-drain, the tail a slow peer left is dropped
+      }
+    }
+
+    void adopt_pending(Clock::time_point now)
+    {
+      std::vector<PendingAdd> adds;
+      {
+        const std::lock_guard<std::mutex> lock{add_mutex};
+        adds.swap(pending_adds);
+      }
+      for (auto& [socket, session] : adds) {
+        if (reactor.stopping.load()) {
+          load.fetch_sub(1);
+          session->on_close();
+          continue;  // socket closes via RAII
+        }
+        const int fd = socket.fd();
+        auto conn = std::make_unique<Conn>();
+        conn->socket = std::move(socket);
+        conn->session = std::move(session);
+        conn->deadline = now + reactor.options.idle_timeout;
+        Conn& raw = *conn;
+        conns[fd] = std::move(conn);
+        reactor.active.fetch_add(1);
+        try {
+          poller->add(fd);
+        } catch (const std::exception& e) {
+          std::cerr << "facet-serve: reactor add failed: " << e.what() << "\n";
+          retire(fd);
+          continue;
+        }
+        file_in_wheel(raw, fd, now);
+      }
+    }
+
+    /// First drain step: shut down every connection's read side. Each then
+    /// reports EOF and retires through the normal close path, so in-flight
+    /// replies are written and on_close flushes appends. A connection whose
+    /// peer is not taking its parked reply is retired at once.
+    void begin_drain()
+    {
+      std::vector<int> stalled;
+      for (const auto& [fd, conn] : conns) {
+        if (conn->parked.empty()) {
+          ::shutdown(fd, SHUT_RD);
+        } else {
+          stalled.push_back(fd);
+        }
+      }
+      for (const int fd : stalled) {
+        retire(fd);
+      }
+    }
+
+    void run()
+    {
+      bool drain_begun = false;
+      std::vector<int> ready;
+      for (;;) {
+        const auto now = Clock::now();
+        if (reactor.stopping.load() && !drain_begun) {
+          begin_drain();
+          drain_begun = true;
+        }
+        {
+          // exit only with nothing left to own or adopt
+          const std::lock_guard<std::mutex> lock{add_mutex};
+          if (drain_begun && conns.empty() && pending_adds.empty()) {
+            return;
+          }
+        }
+        int timeout_ms = -1;
+        if (reactor.tick.count() != 0) {
+          const auto until =
+              std::chrono::duration_cast<std::chrono::milliseconds>(next_tick - now);
+          timeout_ms = static_cast<int>(std::max<long long>(0, until.count()));
+        }
+        ready.clear();
+        poller->wait(ready, timeout_ms);
+        const auto woke = Clock::now();
+        for (const int fd : ready) {
+          if (fd == wake_read.fd()) {
+            char drain[64];
+            while (::read(fd, drain, sizeof drain) > 0) {
+            }
+            continue;
+          }
+          const auto it = conns.find(fd);
+          if (it != conns.end()) {
+            reactor.busy_workers->add(1);
+            const std::uint64_t t0 = obs::now_ticks();
+            serve(fd, *it->second, woke);
+            reactor.worker_busy_ns->inc(obs::ticks_to_ns(obs::now_ticks() - t0));
+            reactor.worker_tasks->inc();
+            reactor.busy_workers->sub(1);
+          }
+        }
+        adopt_pending(woke);
+        advance_wheel(woke);
+      }
+    }
+
+    /// After the thread is joined: retires whatever a dead loop left
+    /// behind, plus any add that raced the loop's exit.
+    void retire_leftovers()
+    {
+      while (!conns.empty()) {
+        retire(conns.begin()->first);
+      }
+      const std::lock_guard<std::mutex> lock{add_mutex};
+      for (auto& [socket, session] : pending_adds) {
+        session->on_close();
+      }
+      pending_adds.clear();
+    }
   };
 
   explicit Impl(const ReactorOptions& opts) : options{opts}
   {
     auto& registry = obs::MetricRegistry::global();
-    queue_depth = &registry.gauge("facet_serve_queue_depth");
     workers_gauge = &registry.gauge("facet_serve_workers");
     busy_workers = &registry.gauge("facet_serve_busy_workers");
     worker_tasks = &registry.counter("facet_serve_worker_tasks");
     worker_busy_ns = &registry.counter("facet_serve_worker_busy_ns");
   }
 
-  // ---- configuration / metrics ----
+  /// The loop with the fewest live connections; ties go to the lowest
+  /// index, so a loop a closing client just left gets its reconnect.
+  Loop& least_loaded()
+  {
+    Loop* best = loops.front().get();
+    for (const auto& loop : loops) {
+      if (loop->load.load() < best->load.load()) {
+        best = loop.get();
+      }
+    }
+    return *best;
+  }
+
   ReactorOptions options;
-  obs::Gauge* queue_depth = nullptr;
+  std::chrono::milliseconds tick{0};  ///< timer-wheel slot width; 0 = no wheel
   obs::Gauge* workers_gauge = nullptr;
   obs::Gauge* busy_workers = nullptr;
   obs::Counter* worker_tasks = nullptr;
   obs::Counter* worker_busy_ns = nullptr;
 
-  // ---- reactor-thread state ----
-  std::unique_ptr<Poller> poller;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns;
-  static constexpr std::size_t kWheelSlots = 64;
-  std::array<std::vector<int>, kWheelSlots> wheel;
-  std::size_t wheel_pos = 0;
-  std::chrono::milliseconds tick{0};
-  std::chrono::steady_clock::time_point next_tick{};
-
-  // ---- cross-thread state ----
   std::atomic<std::size_t> active{0};
   std::atomic<bool> stopping{false};
-
-  std::mutex add_mutex;
-  std::vector<std::pair<Socket, std::unique_ptr<ReactorConnection>>> pending_adds;
-
-  std::mutex done_mutex;
-  std::vector<std::pair<int, bool>> done;  // (fd, close)
-
-  std::mutex task_mutex;
-  std::condition_variable task_cv;
-  std::deque<Task> tasks;
-  bool workers_quit = false;
-
-  int wake_read = -1;
-  int wake_write = -1;
   bool started = false;
   bool stopped = false;
-  std::size_t worker_count = 0;
-  std::thread loop_thread;
-  std::vector<std::thread> workers;
-
-  // ------------------------------------------------------------------ wake
-
-  void wake() noexcept
-  {
-    const char byte = 'w';
-    [[maybe_unused]] const ssize_t n = ::write(wake_write, &byte, 1);
-  }
-
-  void drain_wake_pipe() noexcept
-  {
-    char buf[64];
-    while (::read(wake_read, buf, sizeof buf) > 0) {
-    }
-  }
-
-  // ----------------------------------------------------------- timer wheel
-
-  /// Files a connection into the wheel slot nearest its deadline (clamped
-  /// to one revolution). Lazy reinsertion: a popped entry whose deadline
-  /// moved simply re-files itself, so bumping a deadline is free.
-  void file_in_wheel(Conn* conn, int fd, std::chrono::steady_clock::time_point now)
-  {
-    if (conn->in_wheel || tick.count() == 0) {
-      return;
-    }
-    const auto rel = conn->deadline > now
-                         ? std::chrono::duration_cast<std::chrono::milliseconds>(
-                               conn->deadline - now)
-                         : std::chrono::milliseconds{0};
-    std::size_t ticks_ahead = static_cast<std::size_t>(rel / tick) + 1;
-    ticks_ahead = std::min(ticks_ahead, kWheelSlots - 1);
-    wheel[(wheel_pos + ticks_ahead) % kWheelSlots].push_back(fd);
-    conn->in_wheel = true;
-  }
-
-  void advance_wheel(std::chrono::steady_clock::time_point now)
-  {
-    if (tick.count() == 0) {
-      return;
-    }
-    while (now >= next_tick) {
-      std::vector<int> entries = std::move(wheel[wheel_pos]);
-      wheel[wheel_pos].clear();
-      wheel_pos = (wheel_pos + 1) % kWheelSlots;
-      next_tick += tick;
-      for (const int fd : entries) {
-        const auto it = conns.find(fd);
-        if (it == conns.end()) {
-          continue;  // closed since it was filed
-        }
-        Conn* conn = it->second.get();
-        conn->in_wheel = false;
-        if (conn->busy) {
-          // a worker owns it — re-check one tick after it comes back
-          file_in_wheel(conn, fd, now);
-          continue;
-        }
-        if (now >= conn->deadline) {
-          // Expire through the worker pool so on_close (which may flush a
-          // delta log) never blocks the event loop.
-          conn->busy = true;
-          enqueue(Task{conn, /*close=*/true});
-          continue;
-        }
-        file_in_wheel(conn, fd, now);
-      }
-    }
-  }
-
-  // ------------------------------------------------------------ task queue
-
-  void enqueue(Task task)
-  {
-    {
-      const std::lock_guard<std::mutex> lock{task_mutex};
-      tasks.push_back(task);
-    }
-    queue_depth->add(1);
-    task_cv.notify_one();
-  }
-
-  void post_done(int fd, bool close)
-  {
-    {
-      const std::lock_guard<std::mutex> lock{done_mutex};
-      done.emplace_back(fd, close);
-    }
-    wake();
-  }
-
-  // ------------------------------------------------------------ worker side
-
-  void worker_loop()
-  {
-    for (;;) {
-      Task task;
-      {
-        std::unique_lock<std::mutex> lock{task_mutex};
-        task_cv.wait(lock, [this] { return workers_quit || !tasks.empty(); });
-        if (tasks.empty()) {
-          return;  // workers_quit and drained
-        }
-        task = tasks.front();
-        tasks.pop_front();
-      }
-      queue_depth->sub(1);
-      busy_workers->add(1);
-      const std::uint64_t t0 = obs::now_ticks();
-      run_task(task);
-      worker_busy_ns->inc(obs::ticks_to_ns(obs::now_ticks() - t0));
-      worker_tasks->inc();
-      busy_workers->sub(1);
-    }
-  }
-
-  void run_task(const Task& task)
-  {
-    Conn* conn = task.conn;
-    const int fd = conn->socket.fd();
-    if (task.close) {
-      conn->session->on_close();
-      conn->socket.shutdown_both();
-      post_done(fd, /*close=*/true);
-      return;
-    }
-
-    // Drain everything the kernel has buffered; the fd is one-shot armed,
-    // so bytes left unread here would wait for the next poll wake.
-    bool eof = false;
-    bool fail = false;
-    char buf[16384];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
-      if (n > 0) {
-        conn->in.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        eof = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      fail = true;
-      break;
-    }
-
-    std::string out;
-    bool keep = true;
-    try {
-      keep = conn->session->on_data(conn->in, out);
-      if (eof && keep) {
-        conn->session->on_eof(conn->in, out);
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "facet-serve: session error: " << e.what() << "\n";
-      keep = false;
-    }
-    if (!out.empty() && !write_all(fd, out)) {
-      fail = true;
-    }
-    if (eof || fail || !keep) {
-      conn->session->on_close();
-      conn->socket.shutdown_both();
-      post_done(fd, /*close=*/true);
-      return;
-    }
-    post_done(fd, /*close=*/false);
-  }
-
-  // ----------------------------------------------------------- reactor side
-
-  void process_pending_adds(std::chrono::steady_clock::time_point now)
-  {
-    std::vector<std::pair<Socket, std::unique_ptr<ReactorConnection>>> adds;
-    {
-      const std::lock_guard<std::mutex> lock{add_mutex};
-      adds.swap(pending_adds);
-    }
-    for (auto& [socket, session] : adds) {
-      if (stopping.load(std::memory_order_relaxed)) {
-        session->on_close();
-        continue;  // socket closes via RAII
-      }
-      const int fd = socket.fd();
-      auto conn = std::make_unique<Conn>();
-      conn->socket = std::move(socket);
-      conn->session = std::move(session);
-      conn->deadline = now + options.idle_timeout;
-      Conn* raw = conn.get();
-      conns[fd] = std::move(conn);
-      active.fetch_add(1, std::memory_order_relaxed);
-      try {
-        poller->add(fd);
-      } catch (const std::exception& e) {
-        std::cerr << "facet-serve: reactor add failed: " << e.what() << "\n";
-        raw->session->on_close();
-        conns.erase(fd);
-        active.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      file_in_wheel(raw, fd, now);
-    }
-  }
-
-  void process_done(std::chrono::steady_clock::time_point now)
-  {
-    std::vector<std::pair<int, bool>> finished;
-    {
-      const std::lock_guard<std::mutex> lock{done_mutex};
-      finished.swap(done);
-    }
-    for (const auto& [fd, close] : finished) {
-      const auto it = conns.find(fd);
-      if (it == conns.end()) {
-        continue;
-      }
-      Conn* conn = it->second.get();
-      conn->busy = false;
-      if (close) {
-        poller->remove(fd);
-        conns.erase(it);
-        active.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (stopping.load(std::memory_order_relaxed) && !conn->draining) {
-        ::shutdown(fd, SHUT_RD);  // next read wakes as EOF -> close path
-        conn->draining = true;
-      }
-      conn->deadline = now + options.idle_timeout;
-      try {
-        poller->rearm(fd);
-      } catch (const std::exception& e) {
-        std::cerr << "facet-serve: reactor rearm failed: " << e.what() << "\n";
-        conn->session->on_close();
-        poller->remove(fd);
-        conns.erase(fd);
-        active.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      file_in_wheel(conn, fd, now);
-    }
-  }
-
-  void dispatch_ready(const std::vector<int>& ready,
-                      std::chrono::steady_clock::time_point now)
-  {
-    for (const int fd : ready) {
-      if (fd == wake_read) {
-        continue;
-      }
-      const auto it = conns.find(fd);
-      if (it == conns.end()) {
-        continue;
-      }
-      Conn* conn = it->second.get();
-      if (conn->busy) {
-        continue;  // cannot fire (one-shot), but defend anyway
-      }
-      conn->busy = true;
-      conn->deadline = now + options.idle_timeout;
-      enqueue(Task{conn, /*close=*/false});
-    }
-  }
-
-  /// First drain step: shut down every connection's read side. Each then
-  /// wakes with EOF and retires through the normal worker close path, so
-  /// in-flight responses are written and on_close flushes appends.
-  void begin_drain()
-  {
-    for (const auto& [fd, conn] : conns) {
-      if (!conn->draining) {
-        ::shutdown(fd, SHUT_RD);
-        conn->draining = true;
-      }
-    }
-  }
-
-  void event_loop()
-  {
-    bool drain_begun = false;
-    std::vector<int> ready;
-    for (;;) {
-      const auto now = std::chrono::steady_clock::now();
-      if (stopping.load(std::memory_order_relaxed) && !drain_begun) {
-        begin_drain();
-        drain_begun = true;
-      }
-      {
-        // exit only with nothing left to own or adopt
-        const std::lock_guard<std::mutex> lock{add_mutex};
-        if (drain_begun && conns.empty() && pending_adds.empty()) {
-          return;
-        }
-      }
-      int timeout_ms = -1;
-      if (tick.count() != 0) {
-        const auto until =
-            std::chrono::duration_cast<std::chrono::milliseconds>(next_tick - now);
-        timeout_ms = static_cast<int>(std::max<long long>(0, until.count()));
-      }
-      ready.clear();
-      poller->wait(ready, timeout_ms);
-      drain_wake_pipe();
-      process_done(std::chrono::steady_clock::now());
-      process_pending_adds(std::chrono::steady_clock::now());
-      dispatch_ready(ready, std::chrono::steady_clock::now());
-      advance_wheel(std::chrono::steady_clock::now());
-    }
-  }
+  std::vector<std::unique_ptr<Loop>> loops;
 };
 
 Reactor::Reactor(const ReactorOptions& options) : impl_{std::make_unique<Impl>(options)} {}
@@ -570,47 +506,27 @@ void Reactor::start()
   }
   im.started = true;
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw NetError{std::string{"pipe: "} + std::strerror(errno)};
-  }
-  im.wake_read = pipe_fds[0];
-  im.wake_write = pipe_fds[1];
-  ::fcntl(im.wake_read, F_SETFL, O_NONBLOCK);
-  ::fcntl(im.wake_write, F_SETFL, O_NONBLOCK);
-
-#ifdef __linux__
-  if (!im.options.use_poll) {
-    im.poller = std::make_unique<EpollPoller>();
-  }
-#endif
-  if (!im.poller) {
-    im.poller = std::make_unique<PollPoller>();
-  }
-  im.poller->add_persistent(im.wake_read);
-
   if (im.options.idle_timeout.count() > 0) {
     im.tick = std::max<std::chrono::milliseconds>(
         std::chrono::milliseconds{1},
         im.options.idle_timeout / static_cast<int>(Impl::kWheelSlots / 2));
-    im.next_tick = std::chrono::steady_clock::now() + im.tick;
   }
-
-  im.worker_count = im.options.workers != 0
-                        ? im.options.workers
-                        : std::max(1u, std::thread::hardware_concurrency());
-  im.workers_gauge->set(static_cast<std::int64_t>(im.worker_count));
-  im.workers.reserve(im.worker_count);
-  for (std::size_t i = 0; i < im.worker_count; ++i) {
-    im.workers.emplace_back([this] { impl_->worker_loop(); });
+  const std::size_t count = im.options.workers != 0
+                                ? im.options.workers
+                                : std::max(1u, std::thread::hardware_concurrency());
+  for (std::size_t i = 0; i < count; ++i) {
+    im.loops.push_back(std::make_unique<Impl::Loop>(im));
   }
-  im.loop_thread = std::thread{[this] {
-    try {
-      impl_->event_loop();
-    } catch (const std::exception& e) {
-      std::cerr << "facet-serve: reactor loop died: " << e.what() << "\n";
-    }
-  }};
+  im.workers_gauge->set(static_cast<std::int64_t>(count));
+  for (const auto& loop : im.loops) {
+    loop->thread = std::thread{[&loop = *loop] {
+      try {
+        loop.run();
+      } catch (const std::exception& e) {
+        std::cerr << "facet-serve: reactor loop died: " << e.what() << "\n";
+      }
+    }};
+  }
 }
 
 void Reactor::stop()
@@ -620,44 +536,29 @@ void Reactor::stop()
     return;
   }
   im.stopped = true;
-  im.stopping.store(true, std::memory_order_relaxed);
-  im.wake();
-  if (im.loop_thread.joinable()) {
-    im.loop_thread.join();
+  im.stopping.store(true);
+  for (const auto& loop : im.loops) {
+    loop->wake();
   }
-  // Adopt any add that raced the loop exit: its on_close must still run.
-  {
-    const std::lock_guard<std::mutex> lock{im.add_mutex};
-    for (auto& [socket, session] : im.pending_adds) {
-      session->on_close();
+  for (const auto& loop : im.loops) {
+    if (loop->thread.joinable()) {
+      loop->thread.join();
     }
-    im.pending_adds.clear();
+    loop->retire_leftovers();
   }
-  {
-    const std::lock_guard<std::mutex> lock{im.task_mutex};
-    im.workers_quit = true;
-  }
-  im.task_cv.notify_all();
-  for (std::thread& worker : im.workers) {
-    if (worker.joinable()) {
-      worker.join();
-    }
-  }
-  im.workers.clear();
-  ::close(im.wake_read);
-  ::close(im.wake_write);
-  im.wake_read = im.wake_write = -1;
   im.workers_gauge->set(0);
 }
 
 void Reactor::add(Socket socket, std::unique_ptr<ReactorConnection> session)
 {
   Impl& im = *impl_;
-  {
-    const std::lock_guard<std::mutex> lock{im.add_mutex};
-    if (!im.stopping.load(std::memory_order_relaxed) && im.started && !im.stopped) {
-      im.pending_adds.emplace_back(std::move(socket), std::move(session));
-      im.wake();
+  if (im.started) {
+    Impl::Loop& loop = im.least_loaded();
+    const std::lock_guard<std::mutex> lock{loop.add_mutex};
+    if (!im.stopping.load()) {
+      loop.load.fetch_add(1);
+      loop.pending_adds.emplace_back(std::move(socket), std::move(session));
+      loop.wake();
       return;
     }
   }
@@ -666,12 +567,12 @@ void Reactor::add(Socket socket, std::unique_ptr<ReactorConnection> session)
 
 std::size_t Reactor::active_connections() const noexcept
 {
-  return impl_->active.load(std::memory_order_relaxed);
+  return impl_->active.load();
 }
 
 std::size_t Reactor::num_workers() const noexcept
 {
-  return impl_->worker_count;
+  return impl_->loops.size();
 }
 
 }  // namespace facet

@@ -1,28 +1,37 @@
 /// \file reactor.hpp
-/// \brief Epoll (poll fallback) event loop + fixed worker pool for the server.
+/// \brief Per-worker epoll (poll fallback) event loops for the server.
 ///
-/// One reactor thread owns every connection fd through a readiness poller;
-/// a fixed pool of workers runs the protocol sessions. An idle connection
-/// costs one poller registration and one timer-wheel entry — no thread, no
-/// stack — so thousands of mostly-idle clients share a worker pool sized to
-/// the hardware.
+/// A Reactor runs one event loop per worker thread. Each loop owns a share
+/// of the connections for their whole life — its own poller, connection
+/// table, timer wheel and wake pipe — and reads, dispatches, writes and
+/// expires them on its own thread: the thread that reads a frame answers
+/// it. An idle connection costs one poller registration and one timer-wheel
+/// entry — no thread, no stack — so thousands of mostly-idle clients share
+/// a few loops sized to the hardware.
 ///
 /// Ownership and threading contract:
-///  - The reactor thread is the only mutator of the connection table and the
-///    only caller of the poller. Workers never touch the poller.
-///  - A ready fd is dispatched to a worker with the connection marked busy;
-///    the poller registration is one-shot, so the same fd cannot be
-///    dispatched twice. The worker reads, runs the session, writes the
-///    response, then posts a done message back; only then does the reactor
-///    rearm or erase the connection. A worker therefore always holds an
-///    exclusive, live connection.
-///  - Idle timeout is a 64-slot hashed timer wheel with lazy reinsertion:
-///    activity just bumps the deadline, and a popped entry whose deadline
-///    moved re-files itself. Busy connections are never expired.
+///  - add() (the accept thread) places a connection on the loop with the
+///    fewest live connections, ties to the lowest index, and hands it over
+///    through that loop's pending list and wake pipe. From then on only the
+///    owning loop touches it. A loop frees its placement slot when it
+///    decides to close a connection, before the final reply is written, so
+///    a client that reconnects after reading it lands on the loop it left.
+///  - Registrations are level-triggered. A ready connection is read once
+///    (up to 16 KiB) per event; whatever remains is reported next turn.
+///  - Replies are sent without blocking. A reply the socket cannot take
+///    whole is parked on the connection, which then watches writability
+///    only and reads no further requests until the tail drains — a peer
+///    that does not read stalls itself, never its loop.
+///  - Idle timeout is a 64-slot hashed timer wheel per loop with lazy
+///    reinsertion: activity just bumps the deadline, and a popped entry
+///    whose deadline moved re-files itself. Expiry runs on_close on the
+///    owning loop.
 ///  - stop() shuts down every connection's read side and drains: EOF events
-///    flow through the normal worker close path (on_close flushes appends),
-///    and stop() returns only when the table is empty — the graceful-drain
-///    guarantee the thread-per-connection server had, at fleet scale.
+///    flow through the normal close path (on_close flushes appends). A
+///    connection still holding a parked reply is retired at once, its tail
+///    dropped. stop() returns when every loop's table is empty — the
+///    graceful-drain guarantee the thread-per-connection server had, at
+///    fleet scale.
 
 #pragma once
 
@@ -35,18 +44,18 @@
 
 namespace facet {
 
-/// Protocol session owned by one reactor connection. Implementations are
-/// called by exactly one worker at a time (never concurrently), but not
-/// always the same worker — keep per-connection state in the object, not in
-/// thread-locals.
+/// Protocol session owned by one reactor connection. Every call for one
+/// connection — on_data, on_eof, on_close — runs on the thread of the loop
+/// that owns it, never concurrently. A session handed over while the
+/// reactor stops gets only on_close, on whichever thread retires it.
 class ReactorConnection {
  public:
   virtual ~ReactorConnection() = default;
 
   /// Called with every byte received so far (`in` accumulates; consume what
-  /// you parse by erasing it). Append response bytes to `out` — the worker
-  /// writes them before the connection is rearmed. Return false to close
-  /// the connection after `out` drains.
+  /// you parse by erasing it). Append response bytes to `out` — the loop
+  /// sends them before it reads from this connection again. Return false to
+  /// close the connection after `out` drains.
   virtual bool on_data(std::string& in, std::string& out) = 0;
 
   /// Called once when the peer half-closes, with whatever unconsumed bytes
@@ -60,12 +69,12 @@ class ReactorConnection {
 
   /// Called exactly once, just before the connection is destroyed — on EOF,
   /// error, protocol close, idle expiry, or drain. Flush durable state
-  /// here.
+  /// here. Runs on the owning loop, which serves nothing else meanwhile.
   virtual void on_close() noexcept = 0;
 };
 
 struct ReactorOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Event loops, one thread each; 0 = std::thread::hardware_concurrency().
   std::size_t workers = 0;
   /// Close connections idle for this long; <= 0 disables the timer wheel.
   std::chrono::milliseconds idle_timeout{0};
@@ -83,14 +92,14 @@ class Reactor {
 
   void start();
 
-  /// Graceful drain: shuts down every connection's read side, lets workers
-  /// finish in-flight requests and run on_close, then joins everything.
-  /// Idempotent.
+  /// Graceful drain: shuts down every connection's read side, lets each
+  /// loop finish in-flight requests and run on_close, then joins every
+  /// loop. Idempotent; always returns, even with peers that never read.
   void stop();
 
-  /// Hands a connected socket to the reactor. Thread-safe (called from the
-  /// accept loop). If the reactor is stopping the session's on_close runs
-  /// immediately and the socket is dropped.
+  /// Hands a connected socket to the least-loaded loop. Thread-safe (called
+  /// from the accept loop). If the reactor is stopping the session's
+  /// on_close runs immediately and the socket is dropped.
   void add(Socket socket, std::unique_ptr<ReactorConnection> session);
 
   [[nodiscard]] std::size_t active_connections() const noexcept;

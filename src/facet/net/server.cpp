@@ -136,8 +136,8 @@ std::vector<ClassStore*> ServeServer::served_stores() const
 
 /// One reactor-owned connection: sniffs (or is pinned to) a protocol on its
 /// first bytes, then runs the shared ServeDispatcher through either the v2
-/// FrameSession or a v1 line splitter. Methods run on one worker at a time
-/// (the reactor's dispatch contract), so the dispatcher's plain session
+/// FrameSession or a v1 line splitter. Methods run on the owning loop's
+/// thread only (the reactor's contract), so the dispatcher's plain session
 /// counters need no synchronization; it bumps the server's aggregate
 /// directly.
 class ServeConnection final : public ReactorConnection {
@@ -409,9 +409,9 @@ void ServeServer::wait()
   }
 
   // Drain: the reactor shuts down every connection's read side; each wakes
-  // with EOF, its worker writes any in-flight response, and on_close
-  // flushes appends to the delta log — stop() returns only when the
-  // connection table is empty.
+  // with EOF, its loop writes any in-flight response, and on_close
+  // flushes appends to the delta log — stop() returns only when every
+  // loop's connection table is empty.
   if (reactor_) {
     reactor_->stop();
   }

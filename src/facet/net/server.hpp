@@ -7,11 +7,12 @@
 /// either the v1 line protocol of store/serve.hpp or the v2 binary frame
 /// protocol of net/frame.hpp (`--proto auto` sniffs the first byte: 0xFB
 /// is a v2 frame, anything else a v1 line) against ONE shared store.
-/// Connections are owned by an epoll/poll Reactor (net/reactor.hpp): an
-/// idle connection costs one poller registration instead of a thread, and
-/// a fixed worker pool (`--workers`, default hardware_concurrency) runs
-/// the protocol sessions — thousands of mostly-idle clients share a pool
-/// sized to the machine. The server carries NO store lock of its own —
+/// Connections are owned by an epoll/poll Reactor (net/reactor.hpp): one
+/// event loop per worker thread (`--workers`, default
+/// hardware_concurrency), each owning its connections for their whole
+/// life — the thread that reads a frame answers it. An idle connection
+/// costs one poller registration instead of a thread, so thousands of
+/// mostly-idle clients share a few loops sized to the machine. The server carries NO store lock of its own —
 /// synchronization lives inside the store layer (class_store.hpp,
 /// store_router.hpp):
 ///
@@ -92,7 +93,7 @@ struct ServeServerOptions {
   /// connection, "v1" / "v2" pin every connection to one protocol.
   std::string proto = "auto";
 
-  /// Worker threads running protocol sessions; 0 = hardware_concurrency.
+  /// Event-loop threads running protocol sessions; 0 = hardware_concurrency.
   std::size_t workers = 0;
 
   /// Sessions log any request slower than this many microseconds to stderr
@@ -148,7 +149,7 @@ class ServeServer {
   void start();
 
   /// Blocks until a shutdown request, then drains: stops accepting, wakes
-  /// every in-flight connection, joins workers, runs the final flush.
+  /// every in-flight connection, joins the loops, runs the final flush.
   void wait();
 
   /// start() + wait().
@@ -185,7 +186,7 @@ class ServeServer {
   [[nodiscard]] ServeOptions session_options();
   [[nodiscard]] std::vector<ClassStore*> served_stores() const;
   /// ServeConnection::on_close callback: books the finished connection
-  /// into the stats/gauges and nudges the compactor. Worker-thread safe.
+  /// into the stats/gauges and nudges the compactor. Safe from any loop.
   void on_connection_closed(std::uint64_t accepted_ticks) noexcept;
 
   void compactor_loop();

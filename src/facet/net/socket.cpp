@@ -72,13 +72,6 @@ void Socket::close() noexcept
   }
 }
 
-void Socket::shutdown_both() noexcept
-{
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-  }
-}
-
 Socket listen_tcp(const TcpEndpoint& endpoint, int backlog)
 {
   addrinfo hints{};
@@ -240,8 +233,6 @@ void Socket::close() noexcept
 {
   fd_ = -1;
 }
-
-void Socket::shutdown_both() noexcept {}
 
 Socket listen_tcp(const TcpEndpoint&, int)
 {

@@ -41,10 +41,6 @@ class Socket {
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   void close() noexcept;
 
-  /// shutdown(SHUT_RDWR): wakes any thread blocked reading this socket —
-  /// the graceful-drain signal for in-flight connections.
-  void shutdown_both() noexcept;
-
  private:
   int fd_ = -1;
 };

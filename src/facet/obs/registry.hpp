@@ -24,7 +24,13 @@
 ///   facet_compaction_duration{phase=flush|merge|write|adopt|total}
 ///   facet_canonicalize_latency{path=bb|walk}
 ///   facet_batch_shard_classify_latency{classifier=<kind>}
+///   facet_serve_frame_latency{proto=v1|v2,verb=...}
 ///   facet_serve_active_connections        (gauge)
+///   facet_serve_workers / facet_serve_busy_workers   (gauges: reactor
+///                                         event loops / loops serving)
+///   facet_serve_worker_tasks / facet_serve_worker_busy_ns   (counters:
+///                                         readiness events served / ns
+///                                         spent serving them)
 ///   facet_store_delta_runs{width=<n>}     (gauge)
 ///   facet_store_memo_entries{width=<n>}   (gauge)
 ///   facet_store_mapped_segment_bytes      (gauge)

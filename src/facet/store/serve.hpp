@@ -143,8 +143,8 @@ inline constexpr std::size_t kMaxRequestLineBytes = 1u << 20;
 
 /// One session's counters — what ServeDispatcher::run returns and what
 /// `stats` reports. Plain values: only the session's own thread touches
-/// them (the reactor runs one connection's callbacks on one worker at a
-/// time).
+/// them (the reactor runs every callback of a connection on the one loop
+/// that owns it).
 struct ServeStats {
   std::uint64_t requests = 0;    ///< non-blank, non-comment request lines
   std::uint64_t lookups = 0;     ///< lookup/mlookup operands answered ok

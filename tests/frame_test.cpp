@@ -431,6 +431,84 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
   EXPECT_EQ(server.stats().connections_total.load(), 2u);
 }
 
+/// CI's protocol v2 smoke at test scale: an idle fleet pins reactor slots
+/// on four loops while one client runs a v2 batch, a live append and quit;
+/// a v1 client on the same port answers the v2 batch's id; and the drain,
+/// with the whole fleet still connected, persists the append.
+TEST(Frame, IdleFleetV2AppendAndSniffedV1AgreeThenDrainPersists)
+{
+  if (!net_supported()) {
+    GTEST_SKIP() << "no sockets on this platform";
+  }
+  const auto funcs = random_funcs(5, 30, 0xF2D6ULL);
+  const ClassificationResult expected = classify_batch(funcs, ClassifierKind::kExhaustive, {});
+  const TruthTable novel = random_funcs(5, 1, 0xF2D7ULL).front();
+  const std::string path = ::testing::TempDir() + "frame_fleet_5.fcs";
+  build_class_store(funcs, {}).save(path);
+  std::remove(ClassStore::delta_log_path(path).c_str());
+
+  {
+    ClassStore store = ClassStore::open(path);
+    ServeServerOptions options;
+    options.listen = "127.0.0.1:0";
+    options.append_on_miss = true;
+    options.max_connections = 300;
+    options.workers = 4;
+    ServeServer server{store, path, options};
+    server.start();
+    ASSERT_NE(server.tcp_port(), 0);
+    std::vector<Socket> idle;
+    for (int i = 0; i < 200; ++i) {
+      idle.push_back(connect_tcp({"127.0.0.1", server.tcp_port()}));
+    }
+
+    std::uint32_t first_id = kFrameMissClassId;
+    {
+      Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+      ASSERT_TRUE(send_all(client.fd(), encode_batch_request(FrameVerb::kLookup, 5, funcs)));
+      const auto records = decode_records(read_response(client.fd()).payload);
+      ASSERT_TRUE(records.has_value());
+      ASSERT_EQ(records->size(), funcs.size());
+      for (std::size_t i = 0; i < funcs.size(); ++i) {
+        EXPECT_EQ((*records)[i].class_id, expected.class_of[i]);
+      }
+      first_id = records->front().class_id;
+
+      ASSERT_TRUE(send_all(client.fd(), encode_batch_request(FrameVerb::kAppend, 5, {novel})));
+      const auto appended = decode_records(read_response(client.fd()).payload);
+      ASSERT_TRUE(appended.has_value());
+      ASSERT_EQ(appended->size(), 1u);
+      EXPECT_NE(appended->front().class_id, kFrameMissClassId);
+      EXPECT_EQ(appended->front().src, static_cast<std::uint8_t>(FrameSrc::kLive));
+
+      ASSERT_TRUE(send_all(client.fd(), encode_control_request(FrameVerb::kQuit)));
+      EXPECT_EQ(read_response(client.fd()).payload.size(), 8u);  // u64 flushed count
+    }
+    {
+      Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+      FdStreamBuf buf{client.fd()};
+      std::ostream out{&buf};
+      std::istream in{&buf};
+      out << "lookup " << to_hex(funcs.front()) << "\nquit\n" << std::flush;
+      std::string line;
+      ASSERT_TRUE(std::getline(in, line));
+      // "ok id=<k> rep=..." — the id is the second token's value
+      EXPECT_EQ(line.rfind("ok id=" + std::to_string(first_id) + " ", 0), 0u) << line;
+    }
+
+    server.request_shutdown();
+    server.wait();  // returns with all 200 idle connections still open
+    EXPECT_EQ(server.stats().errors.load(), 0u);
+  }
+
+  const ClassStore reopened = ClassStore::open(path);
+  const auto hit = reopened.lookup(novel);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->known);
+  std::remove(ClassStore::delta_log_path(path).c_str());
+  std::remove(path.c_str());
+}
+
 /// Framing faults (bad magic, oversized length prefix) answer an err frame
 /// and close; each counts one request and one error, like any other
 /// malformed frame.

@@ -742,9 +742,9 @@ void print_usage()
                "              [--proto auto|v1|v2]\n"
                "              [--compact-after-runs K] [--compact-after-bytes B]\n"
                "              [--slow-us T] [--metrics-json FILE]\n"
-               "              (socket server: an epoll reactor owns every connection and a\n"
-               "               fixed worker pool (--workers, default = hardware threads)\n"
-               "               runs the sessions; --proto auto sniffs the v2 binary frame\n"
+               "              (socket server: one epoll event loop per worker (--workers,\n"
+               "               default = hardware threads) owns its share of the connections\n"
+               "               and runs their sessions; --proto auto sniffs the v2 binary frame\n"
                "               protocol vs the v1 line protocol per connection (first byte\n"
                "               0xFB = v2), v1/v2 pin it; port 0 binds an ephemeral port,\n"
                "               reported on stderr;\n"
