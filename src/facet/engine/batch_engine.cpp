@@ -38,18 +38,12 @@ struct BatchShardState {
   /// kExact: MSV bucket -> representatives, mirrors classify_exact's buckets.
   std::unordered_map<std::vector<std::uint32_t>, std::vector<TruthTable>, U32VectorHash> exact_buckets;
 
-  /// kExhaustive: one entry per class already canonicalized by this shard,
-  /// bucketed by the NPN-invariant semiclass key (semiclass.hpp). A new
-  /// member of a seen class resolves through a signature-pruned matcher
-  /// probe instead of a fresh exact canonicalization — sound, because
-  /// NPN-equivalent functions share one canonical form. The image_cache
-  /// above only helps bit-identical repeats; this tier catches equivalent
-  /// ones.
-  struct CanonEntry {
-    TruthTable canon;
-    NpnMatchKeys keys;  ///< npn_match_keys(canon), computed once
-  };
-  std::unordered_map<SemiclassKey, std::vector<CanonEntry>, SemiclassKeyHash> semiclass_memo;
+  /// kExhaustive: semiclass image (semiclass_form, semiclass.hpp) ->
+  /// canonical form. The image is a member of the input's NPN orbit, so
+  /// every function mapping onto a seen image shares its canonical form and
+  /// skips the exact canonicalizer. The image_cache above only helps
+  /// bit-identical repeats; this memo catches equivalent ones.
+  std::unordered_map<TruthTable, TruthTable, TruthTableHash> semiclass_memo;
 
   void clear()
   {
@@ -171,30 +165,24 @@ LocalResult group_by_key(const Dedup& d, std::vector<Key> key_of_unique, std::si
   return local;
 }
 
-/// Exact canonical form of `tt` through the shard's semiclass memo: probe
-/// the memoized classes sharing tt's semiclass key with the Boolean matcher
-/// (a hit is sound — an NPN-equivalent function has the same canonical
-/// form), else pay the exact canonicalizer once and memoize the class.
+/// Exact canonical form of `tt` through the shard's semiclass memo: a seen
+/// semiclass image answers directly (it lies in tt's orbit, so its
+/// canonical form is tt's), else pay the exact canonicalizer once and
+/// memoize the image.
 TruthTable canonical_via_semiclass(BatchShardState& state, const TruthTable& tt)
 {
   if (tt.num_vars() <= kNpn4MaxVars) {
     // The exact canonicalizer is a single NPN4 norm-table load at these
-    // widths — cheaper than the memo's hash + matcher probe, so the memo
-    // would only add overhead (and bucket growth) for what the table
-    // already answers in O(1).
+    // widths — cheaper than deriving the image, so the memo would only add
+    // overhead for what the table already answers in O(1).
     return exact_npn_canonical(tt);
   }
-  auto& bucket = state.semiclass_memo[semiclass_key(tt)];
-  if (!bucket.empty()) {
-    const NpnMatchKeys tt_keys = npn_match_keys(tt);
-    for (const auto& entry : bucket) {
-      if (npn_match(tt, tt_keys, entry.canon, entry.keys).has_value()) {
-        return entry.canon;
-      }
-    }
+  SemiclassResult sc = semiclass_form(tt);
+  if (const auto it = state.semiclass_memo.find(sc.image); it != state.semiclass_memo.end()) {
+    return it->second;
   }
   TruthTable canon = exact_npn_canonical(tt);
-  bucket.push_back(BatchShardState::CanonEntry{canon, npn_match_keys(canon)});
+  state.semiclass_memo.emplace(std::move(sc.image), canon);
   return canon;
 }
 

@@ -13,7 +13,9 @@
 ///     (work_queue.hpp), with a per-shard memo cache of canonical forms /
 ///     signature vectors so repeated functions — ubiquitous in
 ///     cut-enumeration workloads — never pay canonicalization twice, within
-///     a call or across calls;
+///     a call or across calls. The exhaustive kind also memoizes semiclass
+///     image -> canonical form (semiclass.hpp), so an NPN image of a seen
+///     class whose one-pass image was seen before skips the canonicalizer;
 ///  3. merge: renumber shard-local class ids into dense global ids by first
 ///     occurrence in input order.
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "facet/npn/enumerate.hpp"
@@ -155,9 +156,8 @@ CanonResult walk(const TruthTable& tt)
 template <bool track>
 class Bnb {
  public:
-  explicit Bnb(const TruthTable& tt) : n_{tt.num_vars()}
+  Bnb(const TruthTable& tt, const SemiclassResult& seed) : n_{tt.num_vars()}
   {
-    const SemiclassResult seed = semiclass_form(tt);
     best_.canonical = seed.image;
     best_.transform = seed.transform;
     for (int out = 0; out <= 1; ++out) {
@@ -410,9 +410,9 @@ class Bnb {
 template <bool track>
 class WordBnb {
  public:
-  explicit WordBnb(const TruthTable& tt) : n_{tt.num_vars()}, bits_{tt.num_bits()}
+  WordBnb(const TruthTable& tt, const SemiclassResult& seed)
+      : n_{tt.num_vars()}, bits_{tt.num_bits()}
   {
-    const SemiclassResult seed = semiclass_form(tt);
     best_word_ = seed.image.word(0);
     best_transform_ = seed.transform;
     const std::uint64_t table_mask = low_bits_mask(n_);
@@ -585,8 +585,9 @@ class WordBnb {
   std::array<int, 8> assigned_phase_{};
 };
 
+/// `seed` is semiclass_form(tt) when the caller already has it, else null.
 template <bool track>
-CanonResult canonical_dispatch(const TruthTable& tt)
+CanonResult canonical_dispatch(const TruthTable& tt, const SemiclassResult* seed = nullptr)
 {
   const int n = tt.num_vars();
   if (n > 8) {
@@ -596,10 +597,24 @@ CanonResult canonical_dispatch(const TruthTable& tt)
     // Orbits are tiny; the walk's incremental steps beat the bound machinery.
     return walk<track>(tt);
   }
-  if (n <= kVarsPerWord) {
-    return WordBnb<track>{tt}.result(tt);
+  std::optional<SemiclassResult> own;
+  if (seed == nullptr) {
+    own = semiclass_form(tt);
+    seed = &*own;
   }
-  return Bnb<track>{tt}.result();
+  if (n <= kVarsPerWord) {
+    return WordBnb<track>{tt, *seed}.result(tt);
+  }
+  return Bnb<track>{tt, *seed}.result();
+}
+
+CanonResult timed_search_with_transform(const TruthTable& tt, const SemiclassResult* seed)
+{
+  static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
+  const std::uint64_t t0 = obs::now_ticks();
+  CanonResult result = canonical_dispatch<true>(tt, seed);
+  latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+  return result;
 }
 
 }  // namespace
@@ -621,7 +636,15 @@ CanonResult exact_npn_canonical_with_transform(const TruthTable& tt)
     return CanonResult{TruthTable::from_word(tt.num_vars(), result.canonical_word),
                        result.transform};
   }
-  return exact_npn_canonical_search_with_transform(tt);
+  return timed_search_with_transform(tt, nullptr);
+}
+
+CanonResult exact_npn_canonical_with_transform(const TruthTable& tt, const SemiclassResult& seed)
+{
+  if (tt.num_vars() <= kNpn4MaxVars) {
+    return exact_npn_canonical_with_transform(tt);
+  }
+  return timed_search_with_transform(tt, &seed);
 }
 
 TruthTable exact_npn_canonical_search(const TruthTable& tt)
@@ -635,11 +658,7 @@ TruthTable exact_npn_canonical_search(const TruthTable& tt)
 
 CanonResult exact_npn_canonical_search_with_transform(const TruthTable& tt)
 {
-  static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
-  const std::uint64_t t0 = obs::now_ticks();
-  CanonResult result = canonical_dispatch<true>(tt);
-  latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
-  return result;
+  return timed_search_with_transform(tt, nullptr);
 }
 
 TruthTable exact_npn_canonical_walk(const TruthTable& tt)

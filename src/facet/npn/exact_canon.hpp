@@ -31,6 +31,7 @@
 
 #pragma once
 
+#include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/tt/truth_table.hpp"
 
@@ -50,6 +51,13 @@ struct CanonResult {
 /// Canonical form plus a witnessing transform (table for n <= 4,
 /// branch-and-bound beyond; n <= 8).
 [[nodiscard]] CanonResult exact_npn_canonical_with_transform(const TruthTable& tt);
+
+/// Same result, reusing `seed` == semiclass_form(tt) as the branch-and-bound
+/// incumbent instead of deriving it again (the store has it from its memo
+/// probe). A wrong seed that would change the result fails the witness
+/// check and throws std::logic_error.
+[[nodiscard]] CanonResult exact_npn_canonical_with_transform(const TruthTable& tt,
+                                                             const SemiclassResult& seed);
 
 /// The pre-table dispatch (walk for n <= 3, branch-and-bound beyond):
 /// identical results to exact_npn_canonical at every width, but never

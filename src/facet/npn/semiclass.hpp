@@ -1,33 +1,35 @@
 /// \file semiclass.hpp
-/// \brief Invariant semiclass kernel: the prefilter tier's bucket key.
+/// \brief One-pass semiclass form (the store memo's key) and its invariant
+///        digest.
 ///
 /// semi_canonical.hpp is the paper's -6 baseline: a one-pass cofactor-ordered
 /// form whose index tie-breaks deliberately sacrifice invariance for speed.
-/// This module is its NPN-invariant refinement, built for the store's
-/// semiclass memo tier (class_store.hpp):
-///
-///  * semiclass_key(f) is a TRUE NPN invariant — every function in an NPN
-///    orbit produces the same key, so NPN-equivalent functions provably share
-///    a memo bucket. The key digests only invariant quantities: the
-///    polarity-normalized satisfy count and, per variable, the phase-
-///    insensitive cofactor pair and the influence (Theorem 1), as a sorted
-///    multiset. For balanced functions (where output polarity is not
-///    distinguished by the satisfy count) the digest is the min over both
-///    polarities; cofactor counts complement to 2^(n-1) - c under output
-///    negation while influence is unchanged, so the min is itself invariant.
+/// This module builds on the same face/point characteristics:
 ///
 ///  * semiclass_form(f) is the one-pass cofactor-ordered orbit element in the
 ///    style of pressmold's npn_semiclass: choose the sparser output polarity,
 ///    flip each input so its 1-side cofactor is the smaller one, and sort
 ///    variables by 1-side count so the sparsest variable drives the most
-///    significant position. Unlike the key, the image is NOT invariant (ties
-///    are broken by index) — it is a cheap, usually-small member of the orbit,
-///    used to seed the branch-and-bound canonicalizer's incumbent and to
-///    constrain which permutations/phases the exact search must consider.
+///    significant position. The image is NOT invariant (ties are broken by
+///    index), but it is an exact member of f's orbit with a witnessing
+///    transform. That makes it the key of the store's semiclass memo and of
+///    the batch engine's exhaustive-kind memo (class_store.hpp,
+///    batch_engine.cpp): every function mapping onto a memoized image is in
+///    that image's class, so a hit is exact by construction. It also seeds
+///    the branch-and-bound canonicalizer's incumbent and constrains which
+///    permutations/phases the exact search must consider.
 ///
-/// Keys are 64-bit digests; distinct classes may collide. That is harmless by
-/// construction: every memo probe is verified by the complete matcher
-/// (matcher.hpp), which never reports a false match.
+///  * semiclass_key(f) is a TRUE NPN invariant — every function in an NPN
+///    orbit produces the same key. The key digests only invariant
+///    quantities: the polarity-normalized satisfy count and, per variable,
+///    the phase-insensitive cofactor pair and the influence (Theorem 1), as
+///    a sorted multiset. For balanced functions (where output polarity is
+///    not distinguished by the satisfy count) the digest is the min over
+///    both polarities; cofactor counts complement to 2^(n-1) - c under
+///    output negation while influence is unchanged, so the min is itself
+///    invariant. It is off the lookup path; tests and the ledger use it as
+///    a bucket key (equal keys are necessary, not sufficient, for NPN
+///    equivalence: distinct classes may collide in the 64-bit digest).
 
 #pragma once
 
@@ -40,8 +42,9 @@
 namespace facet {
 
 /// NPN-invariant bucket key. Equal for every member of an NPN orbit;
-/// inequality proves two functions are NOT NPN equivalent (up to the 64-bit
-/// digest, whose collisions only cost a verified-and-rejected probe).
+/// inequality proves two functions are NOT NPN equivalent. Equality does not
+/// prove equivalence: a caller bucketing by the 64-bit digest must confirm
+/// candidates with a complete check (matcher.hpp).
 struct SemiclassKey {
   int num_vars = 0;
   std::uint64_t digest = 0;

@@ -32,7 +32,7 @@
 ///                                         readiness events served / ns
 ///                                         spent serving them)
 ///   facet_store_delta_runs{width=<n>}     (gauge)
-///   facet_store_memo_entries{width=<n>}   (gauge)
+///   facet_store_memo_entries{width=<n>}   (gauge: semiclass images memoized)
 ///   facet_store_mapped_segment_bytes      (gauge)
 ///
 /// Exposition: `render_prometheus()` emits the text format scraped by the

@@ -42,8 +42,8 @@ ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
           TierSnapshot{std::make_shared<MaterializedSegment>(num_vars, std::vector<StoreRecord>{}),
                        {}}))},
       memtable_{std::make_unique<Memtable>()},
-      memo_{std::make_unique<SemiclassMemo>()},
-      cache_{options.hot_cache_capacity, options.hot_cache_shards}
+      cache_{options.hot_cache_capacity, options.hot_cache_shards},
+      memo_{options.semiclass_memo_capacity, options.hot_cache_shards}
 {
   if (num_vars < 0 || num_vars > kMaxVars) {
     throw std::invalid_argument{"ClassStore: num_vars out of range"};
@@ -110,17 +110,14 @@ ClassStore::ClassStore(ClassStore&& other) noexcept
       gate_{std::move(other.gate_)},
       mmap_backed_{other.mmap_backed_},
       memtable_{std::move(other.memtable_)},
-      memo_{std::move(other.memo_)},
-      memo_hits_{other.memo_hits_.load(std::memory_order_relaxed)},
-      memo_probes_{other.memo_probes_.load(std::memory_order_relaxed)},
-      memo_bypassed_{other.memo_bypassed_.load(std::memory_order_relaxed)},
       canonicalizations_{other.canonicalizations_.load(std::memory_order_relaxed)},
       npn4_{std::move(other.npn4_)},
       table_hits_{other.table_hits_.load(std::memory_order_relaxed)},
       miss_records_{std::move(other.miss_records_)},
       next_class_id_{other.next_class_id_.load(std::memory_order_relaxed)},
       compactions_{other.compactions_.load(std::memory_order_relaxed)},
-      cache_{std::move(other.cache_)}
+      cache_{std::move(other.cache_)},
+      memo_{std::move(other.memo_)}
 {
   lookup_latency_ = other.lookup_latency_;
 }
@@ -132,12 +129,6 @@ ClassStore& ClassStore::operator=(ClassStore&& other) noexcept
   gate_ = std::move(other.gate_);
   mmap_backed_ = other.mmap_backed_;
   memtable_ = std::move(other.memtable_);
-  memo_ = std::move(other.memo_);
-  memo_hits_.store(other.memo_hits_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  memo_probes_.store(other.memo_probes_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  memo_bypassed_.store(other.memo_bypassed_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
   canonicalizations_.store(other.canonicalizations_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
   npn4_ = std::move(other.npn4_);
@@ -148,6 +139,7 @@ ClassStore& ClassStore::operator=(ClassStore&& other) noexcept
   compactions_.store(other.compactions_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   cache_ = std::move(other.cache_);
+  memo_ = std::move(other.memo_);
   lookup_latency_ = other.lookup_latency_;
   return *this;
 }
@@ -783,78 +775,29 @@ std::optional<StoreLookupResult> ClassStore::probe_cache(const TruthTable& f) co
   return std::nullopt;
 }
 
-std::size_t ClassStore::memo_entries() const
-{
-  const std::lock_guard<std::mutex> lock{memo_->mutex};
-  return memo_->entries;
-}
-
 std::optional<StoreLookupResult> ClassStore::memo_probe(const TruthTable& f,
-                                                        const SemiclassKey& key) const
+                                                        const SemiclassResult& sc) const
 {
-  if (options_.semiclass_memo_capacity == 0) {
+  const auto entry = memo_.get(sc.image);
+  if (!entry) {
     return std::nullopt;
   }
-  // Probation accounting: after memo_probation_probes probes (empty-bucket
-  // misses included — the key derivation they wasted is the cost being
-  // measured), a memo that scored fewer than memo_probation_min_hits hits
-  // is bypassed for the life of the store. Workloads with little semiclass
-  // locality (wide widths, uniform-random functions) otherwise pay key
-  // derivation + a mutex hop on every miss for nothing — the regression
-  // BENCH_store_misspath caught at n=6.
-  const std::uint64_t probes = memo_probes_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (options_.memo_probation_probes != 0 && probes == options_.memo_probation_probes &&
-      memo_hits_.load(std::memory_order_relaxed) < options_.memo_probation_min_hits) {
-    memo_bypassed_.store(true, std::memory_order_relaxed);
-  }
-  // Copy the bucket (a handful of shared_ptrs) out under the lock; the
-  // matcher probes below run on the immutable entries with no lock held.
-  std::vector<std::shared_ptr<const MemoEntry>> bucket;
-  {
-    const std::lock_guard<std::mutex> lock{memo_->mutex};
-    if (const auto it = memo_->buckets.find(key); it != memo_->buckets.end()) {
-      bucket = it->second;
-    }
-  }
-  if (bucket.empty()) {
-    return std::nullopt;
-  }
-  const NpnMatchKeys f_keys = npn_match_keys(f);
-  for (const auto& entry : bucket) {
-    if (const auto t = npn_match(f, f_keys, entry->record.canonical, entry->keys)) {
-      // t maps f onto the entry's canonical form — exactly the witness the
-      // exact canonicalizer would have produced a class id for.
-      StoreLookupResult result = make_result(entry->record, *t, LookupSource::kMemo);
-      cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return result;
-    }
-  }
-  return std::nullopt;
+  // f --sc.transform--> image --entry->to_representative--> representative.
+  StoreLookupResult result;
+  result.class_id = entry->class_id;
+  result.representative = entry->representative;
+  result.to_representative = compose(entry->to_representative, sc.transform);
+  result.known = true;
+  result.source = LookupSource::kMemo;
+  cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
+  return result;
 }
 
-void ClassStore::memo_insert(const SemiclassKey& key, const StoreRecord& record) const
+void ClassStore::memo_insert(const SemiclassResult& sc, const StoreLookupResult& result) const
 {
-  if (options_.semiclass_memo_capacity == 0) {
-    return;
-  }
-  // Derive the matcher keys before taking the lock — they are the expensive
-  // part of the entry.
-  auto entry = std::make_shared<const MemoEntry>(
-      MemoEntry{record, npn_match_keys(record.canonical)});
-  const std::lock_guard<std::mutex> lock{memo_->mutex};
-  if (memo_->entries >= options_.semiclass_memo_capacity) {
-    memo_->buckets.clear();
-    memo_->entries = 0;
-  }
-  auto& bucket = memo_->buckets[key];
-  for (const auto& existing : bucket) {
-    if (existing->record.canonical == record.canonical) {
-      return;  // two racing resolvers of one class: first insert wins
-    }
-  }
-  bucket.push_back(std::move(entry));
-  ++memo_->entries;
+  // image --inverse(sc.transform)--> f --result.to_representative--> representative.
+  memo_.put(sc.image, CacheEntry{result.class_id, result.representative,
+                                 compose(result.to_representative, inverse(sc.transform))});
 }
 
 std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
@@ -904,12 +847,10 @@ std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
     }
     return cached;
   }
-  std::optional<SemiclassKey> key;
-  // A bypassed memo skips the key derivation too — the derivation is most
-  // of what the probation measured as waste.
-  if (options_.semiclass_memo_capacity > 0 && !memo_bypassed()) {
-    key = semiclass_key(f);
-    if (auto memoized = memo_probe(f, *key)) {
+  std::optional<SemiclassResult> sc;
+  if (options_.semiclass_memo_capacity > 0) {
+    sc = semiclass_form(f);
+    if (auto memoized = memo_probe(f, *sc)) {
       if (sampled) {
         record_lookup_latency(static_cast<std::size_t>(LookupSource::kMemo), t0);
       }
@@ -920,8 +861,10 @@ std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
     t0 = obs::now_ticks();
   }
   canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-  auto result = lookup_canonical_impl(f, exact_npn_canonical_with_transform(f),
-                                      key ? &*key : nullptr);
+  // A memo miss hands its semiclass form to the canonicalizer as the seed.
+  const CanonResult canon =
+      sc ? exact_npn_canonical_with_transform(f, *sc) : exact_npn_canonical_with_transform(f);
+  auto result = lookup_canonical_impl(f, canon, sc ? &*sc : nullptr);
   record_lookup_latency(
       result.has_value() ? static_cast<std::size_t>(result->source) : kMissTier, t0);
   return result;
@@ -929,7 +872,7 @@ std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
 
 std::optional<StoreLookupResult> ClassStore::lookup_canonical_impl(const TruthTable& f,
                                                                    const CanonResult& canon,
-                                                                   const SemiclassKey* key) const
+                                                                   const SemiclassResult* sc) const
 {
   const std::optional<StoreRecord> record = find_canonical(canon.canonical);
   if (!record.has_value()) {
@@ -937,8 +880,8 @@ std::optional<StoreLookupResult> ClassStore::lookup_canonical_impl(const TruthTa
   }
   StoreLookupResult result = make_result(*record, canon.transform, LookupSource::kIndex);
   cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-  if (key != nullptr) {
-    memo_insert(*key, *record);
+  if (sc != nullptr) {
+    memo_insert(*sc, result);
   }
   return result;
 }
@@ -979,10 +922,10 @@ StoreLookupResult ClassStore::lookup_or_classify(const TruthTable& f, bool appen
     }
     return *cached;
   }
-  std::optional<SemiclassKey> key;
-  if (options_.semiclass_memo_capacity > 0 && !memo_bypassed()) {
-    key = semiclass_key(f);
-    if (auto memoized = memo_probe(f, *key)) {
+  std::optional<SemiclassResult> sc;
+  if (options_.semiclass_memo_capacity > 0) {
+    sc = semiclass_form(f);
+    if (auto memoized = memo_probe(f, *sc)) {
       if (sampled) {
         record_lookup_latency(static_cast<std::size_t>(LookupSource::kMemo), t0);
       }
@@ -993,8 +936,10 @@ StoreLookupResult ClassStore::lookup_or_classify(const TruthTable& f, bool appen
     t0 = obs::now_ticks();
   }
   canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-  const StoreLookupResult result = lookup_or_classify_impl(
-      f, exact_npn_canonical_with_transform(f), append_on_miss, key ? &*key : nullptr);
+  const CanonResult canon =
+      sc ? exact_npn_canonical_with_transform(f, *sc) : exact_npn_canonical_with_transform(f);
+  const StoreLookupResult result =
+      lookup_or_classify_impl(f, canon, append_on_miss, sc ? &*sc : nullptr);
   record_lookup_latency(static_cast<std::size_t>(result.source), t0);
   return result;
 }
@@ -1002,7 +947,7 @@ StoreLookupResult ClassStore::lookup_or_classify(const TruthTable& f, bool appen
 StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
                                                       const CanonResult& canon,
                                                       bool append_on_miss,
-                                                      const SemiclassKey* key,
+                                                      const SemiclassResult* sc,
                                                       const std::size_t* npn4_class)
 {
   // On the table-tier path (non-null npn4_class) an index hit is reported
@@ -1017,8 +962,8 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
     }
     StoreLookupResult result = make_result(record, canon.transform, LookupSource::kIndex);
     cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-    if (key != nullptr) {
-      memo_insert(*key, record);
+    if (sc != nullptr) {
+      memo_insert(*sc, result);
     }
     return result;
   };
@@ -1069,13 +1014,9 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
       // known=false until someone appends them.
       npn4_publish(*npn4_class, record);
     } else {
+      // Appends warm only the hot cache: the memo learns the class from its
+      // first index hit, so a novel-class stream never fills it.
       cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-      if (key != nullptr) {
-        // The class is persistent from here on, so the memo may serve it.
-        // Transient misses (the else branch) are never memoized: they must
-        // keep reporting known=false until someone appends them.
-        memo_insert(*key, record);
-      }
     }
   } else if (transient == miss_records_.end()) {
     miss_records_.emplace(record.canonical, record);

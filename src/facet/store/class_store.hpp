@@ -15,10 +15,10 @@
 ///                    — no canonicalizer, no cache, no gate, no search;
 ///   1. hot cache   — f itself was looked up recently: one sharded-LRU
 ///                    probe, no canonicalization at all (hot_cache.hpp);
-///   2. memo        — semiclass memo: hash f's NPN-invariant semiclass key
-///                    (semiclass.hpp) into a bucket of previously resolved
-///                    classes and confirm membership with the Boolean
-///                    matcher (matcher.hpp) — no exact canonicalization;
+///   2. memo        — semiclass memo: map f to its one-pass semiclass image
+///                    (semiclass_form, semiclass.hpp) and probe a second
+///                    sharded LRU keyed by that exact image — no search, no
+///                    exact canonicalization;
 ///   3. memtable    — canonicalize f with a witnessing transform, then probe
 ///                    the unflushed appends (hash map);
 ///   4. delta runs  — flushed-but-uncompacted append runs, consulted
@@ -33,10 +33,13 @@
 ///
 /// The semiclass memo exists because exact canonicalization dominates every
 /// tier below it: a memo hit replaces the canonical-form search with one
-/// invariant-key hash plus a signature-pruned matcher probe. The memo learns
-/// every class the slow path resolves (index hits and appended live misses;
-/// never the transient non-appending misses, which must keep reporting
-/// known=false), and its hits are matcher-verified, so class ids are
+/// cofactor-ordering pass plus a hash probe. The memo maps a semiclass image
+/// to its class id, representative and image->representative transform, and
+/// a hit composes that transform with the query's witness onto the image —
+/// exact by construction, since the image is a member of the query's orbit.
+/// Only index hits are memoized: appends and live misses never insert (a
+/// class's first index hit through some image memoizes that image), so the
+/// transient non-appending misses keep reporting known=false. Class ids are
 /// bit-identical with the memo enabled, disabled, or mid-eviction.
 ///
 /// Appends accumulate in the memtable until flush_delta() seals them into an
@@ -67,12 +70,10 @@
 ///   * The memtable is guarded by a mutex of its own, held only for the
 ///     hash probe / insert — never across canonicalization, segment
 ///     searches or I/O.
-///   * The semiclass memo follows the memtable pattern: a dedicated mutex
-///     held only to copy a bucket out (probe) or splice an entry in
-///     (insert). Matcher probes and key derivation run outside the lock on
-///     immutable shared entries, so a reader verifying a candidate never
-///     blocks an inserter. The lock order is gate -> memo (append inserts
-///     happen under the gate); no path takes them the other way around.
+///   * The semiclass memo is a sharded LRU like the hot cache: each shard
+///     mutex is held for one hash probe or insert, and the image derivation
+///     runs outside it. Shard mutexes are leaf locks (an index hit resolved
+///     under the gate inserts while holding it; nothing is taken after).
 ///   * Mutations — lookup_or_classify's live tier, flush_delta, compact,
 ///     the adopt_compacted swap — serialize on one small per-store gate.
 ///     Canonicalization (the expensive step) always happens before the
@@ -121,7 +122,6 @@
 #include <vector>
 
 #include "facet/npn/exact_canon.hpp"
-#include "facet/npn/matcher.hpp"
 #include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/obs/histogram.hpp"
@@ -136,7 +136,7 @@ namespace facet {
 /// Which tier resolved a lookup.
 enum class LookupSource {
   kHotCache,  ///< sharded-LRU hit; no canonicalization performed
-  kMemo,      ///< semiclass-memo hit: matcher-verified, no canonicalization
+  kMemo,      ///< semiclass-memo hit: exact image key, no canonicalization
   kTable,     ///< NPN4 norm table (width <= 4): one array load, no search
   kIndex,     ///< canonicalized, found in memtable / delta runs / base
   kLive,      ///< canonicalized, unknown: classified live (fresh class id)
@@ -162,21 +162,10 @@ struct ClassStoreOptions {
   /// Total hot-cache entries across shards; 0 disables the cache.
   std::size_t hot_cache_capacity = 1u << 16;
   std::size_t hot_cache_shards = 8;
-  /// Total semiclass-memo entries across buckets; 0 disables the memo tier.
-  /// On overflow the memo is cleared wholesale and relearns — correctness
-  /// never depends on what the memo holds.
+  /// Total semiclass-memo entries (one per memoized image) across
+  /// `hot_cache_shards` LRU shards; 0 disables the memo tier. Eviction is
+  /// per-shard LRU — correctness never depends on what the memo holds.
   std::size_t semiclass_memo_capacity = 1u << 16;
-  /// Adaptive memo bypass: after this many memo probes, a store whose memo
-  /// scored fewer than `memo_probation_min_hits` hits disables the memo
-  /// tier for the rest of its lifetime (sticky). Append-heavy workloads —
-  /// nearly every query a novel class — pay the semiclass-key derivation
-  /// on every miss and never collect a hit, making the memo a pure tax;
-  /// the probation window detects that shape and routes straight to the
-  /// canonicalizer. 0 disables the bypass (the memo always probes).
-  std::uint64_t memo_probation_probes = 1024;
-  /// Minimum memo hits inside the probation window that keep the memo
-  /// enabled (~1.5% of the default window).
-  std::uint64_t memo_probation_min_hits = 16;
   /// Resolve width <= 4 queries through the baked NPN4 norm table
   /// (LookupSource::kTable): one array load replaces the hot cache, the
   /// semiclass memo AND the canonicalizer. Class ids are bit-identical
@@ -398,8 +387,8 @@ class ClassStore {
   /// load resolves class + canonical + witness (src=table) — no cache, no
   /// memo, no canonicalization, and no gate pin once the class's slot is
   /// filled. Otherwise: hot cache, else semiclass memo, else canonicalize +
-  /// index (warming the cache and memo on a hit). nullopt if the class is
-  /// not in the store.
+  /// index (warming the cache, and the memo under f's image, on a hit).
+  /// nullopt if the class is not in the store.
   [[nodiscard]] std::optional<StoreLookupResult> lookup(const TruthTable& f) const;
 
   /// Lookup with live fallback: unknown canonical forms are classified live
@@ -411,7 +400,7 @@ class ClassStore {
   /// re-probes, so concurrent sessions racing on one novel class agree on
   /// one id. Resolves through the full tier stack: norm table (width <= 4),
   /// hot cache, semiclass memo, index, live — a table or memo hit never
-  /// canonicalizes.
+  /// canonicalizes. Only index hits fill the memo; appends never do.
   [[nodiscard]] StoreLookupResult lookup_or_classify(const TruthTable& f,
                                                      bool append_on_miss = false);
 
@@ -423,10 +412,7 @@ class ClassStore {
   // -- semiclass memo --------------------------------------------------------
 
   /// Lookups resolved by the semiclass memo (LookupSource::kMemo).
-  [[nodiscard]] std::uint64_t num_memo_hits() const noexcept
-  {
-    return memo_hits_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t num_memo_hits() const { return memo_.stats().hits; }
   /// Exact canonicalizations performed inside lookup() / lookup_or_classify()
   /// — queries that missed both the hot cache and the memo. Probes through
   /// the *_canonical entry points canonicalize on the caller's side and are
@@ -435,20 +421,17 @@ class ClassStore {
   {
     return canonicalizations_.load(std::memory_order_relaxed);
   }
-  /// Classes currently held by the semiclass memo.
-  [[nodiscard]] std::size_t memo_entries() const;
-  /// Memo probes attempted (hits + misses), the probation-window input.
-  [[nodiscard]] std::uint64_t num_memo_probes() const noexcept
+  /// Semiclass images currently held by the memo (several per class).
+  [[nodiscard]] std::size_t memo_entries() const { return memo_.size(); }
+  /// Memo probes attempted (hits + misses).
+  [[nodiscard]] std::uint64_t num_memo_probes() const
   {
-    return memo_probes_.load(std::memory_order_relaxed);
+    const HotCacheStats stats = memo_.stats();
+    return stats.hits + stats.misses;
   }
-  /// True once the probation window closed the memo tier (see
-  /// ClassStoreOptions::memo_probation_probes). Sticky for the store's
-  /// lifetime; lookups skip key derivation, probe and insert from then on.
-  [[nodiscard]] bool memo_bypassed() const noexcept
-  {
-    return memo_bypassed_.load(std::memory_order_relaxed);
-  }
+  /// Always false: the memo is never switched off at run time. Kept for
+  /// callers that report it as a counter.
+  [[nodiscard]] bool memo_bypassed() const noexcept { return false; }
 
   // -- NPN4 table tier -------------------------------------------------------
 
@@ -461,6 +444,9 @@ class ClassStore {
   }
 
  private:
+  /// A resolved answer for one key table — the query itself (hot cache) or
+  /// a semiclass image (memo): apply_transform(key, to_representative) ==
+  /// representative.
   struct CacheEntry {
     std::uint32_t class_id = 0;
     TruthTable representative;
@@ -475,26 +461,6 @@ class ClassStore {
     mutable std::mutex mutex;
     std::vector<StoreRecord> records;
     std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> index;
-  };
-
-  /// One memoized class: the resolved store record plus the precomputed
-  /// matcher keys of its canonical form. Immutable once published; buckets
-  /// hold shared_ptrs so a probe verifies candidates with no lock held.
-  struct MemoEntry {
-    StoreRecord record;
-    NpnMatchKeys keys;
-  };
-
-  /// The semiclass memo (tier 2): resolved classes bucketed by the
-  /// NPN-invariant semiclass key. Guarded by its own mutex, held for map
-  /// operations only — matcher probes and key derivation run outside it
-  /// (lock order: gate before memo, never the reverse).
-  struct SemiclassMemo {
-    mutable std::mutex mutex;
-    std::unordered_map<SemiclassKey, std::vector<std::shared_ptr<const MemoEntry>>,
-                       SemiclassKeyHash>
-        buckets;
-    std::size_t entries = 0;
   };
 
   /// Tier 0 (width <= 4 with use_npn4_table): one write-once slot per NPN
@@ -534,27 +500,24 @@ class ClassStore {
   [[nodiscard]] static OpenedBase open_base(const std::string& path, bool use_mmap);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
-  /// Memo probe: copies f's bucket out under the memo mutex, then confirms
-  /// membership with the Boolean matcher lock-free. nullopt when the memo is
-  /// disabled or holds no equivalent class.
+  /// Memo probe by f's semiclass image `sc`; a hit warms the hot cache.
+  /// nullopt when no resolved class was memoized under that image.
   [[nodiscard]] std::optional<StoreLookupResult> memo_probe(const TruthTable& f,
-                                                            const SemiclassKey& key) const;
-  /// Memoizes a resolved class under `key` (dedup by canonical form;
-  /// wholesale clear on overflow). No-op when the memo is disabled.
-  void memo_insert(const SemiclassKey& key, const StoreRecord& record) const;
+                                                            const SemiclassResult& sc) const;
+  /// Memoizes an index-resolved answer for f under f's semiclass image `sc`.
+  void memo_insert(const SemiclassResult& sc, const StoreLookupResult& result) const;
   /// Resolves f against the index through its precomputed
-  /// canonicalization, warming the cache on a hit; a non-null `key` also
-  /// memoizes the record.
+  /// canonicalization, warming the cache on a hit; a non-null `sc` also
+  /// memoizes the answer under f's semiclass image.
   [[nodiscard]] std::optional<StoreLookupResult> lookup_canonical_impl(
-      const TruthTable& f, const CanonResult& canon, const SemiclassKey* key) const;
+      const TruthTable& f, const CanonResult& canon, const SemiclassResult* sc) const;
   /// lookup_or_classify() past the fast tiers, through f's precomputed
-  /// canonicalization; a non-null `key` memoizes index hits and appended
-  /// live misses (never the transient non-appending misses, which must keep
-  /// reporting known=false).
+  /// canonicalization; a non-null `sc` memoizes index hits under f's
+  /// semiclass image (live misses, appended or not, are never memoized).
   [[nodiscard]] StoreLookupResult lookup_or_classify_impl(const TruthTable& f,
                                                           const CanonResult& canon,
                                                           bool append_on_miss,
-                                                          const SemiclassKey* key,
+                                                          const SemiclassResult* sc,
                                                           const std::size_t* npn4_class = nullptr);
   /// Publishes `record` into the table-tier slot of `class_index`
   /// (double-checked under the slot writer mutex; no-op when already
@@ -602,14 +565,6 @@ class ClassStore {
   std::unique_ptr<StoreGate<TierSnapshot>> gate_;
   bool mmap_backed_ = false;
   std::unique_ptr<Memtable> memtable_;
-  /// The semiclass memo (tier 2). unique_ptr so the store stays movable;
-  /// memoization mutates it from const lookups (like the hot cache).
-  std::unique_ptr<SemiclassMemo> memo_;
-  mutable std::atomic<std::uint64_t> memo_hits_{0};
-  mutable std::atomic<std::uint64_t> memo_probes_{0};
-  /// Set once when the probation window ends hit-starved; checked before
-  /// key derivation so a bypassed memo costs one relaxed load per lookup.
-  mutable std::atomic<bool> memo_bypassed_{false};
   mutable std::atomic<std::uint64_t> canonicalizations_{0};
   /// Tier 0 slots; non-null iff num_vars_ <= 4 and use_npn4_table. unique_ptr
   /// so the store stays movable (slot atomics are not).
@@ -622,6 +577,9 @@ class ClassStore {
   std::atomic<std::uint64_t> next_class_id_{0};
   std::atomic<std::uint64_t> compactions_{0};
   ShardedLruCache<TruthTable, CacheEntry, TruthTableHash> cache_;
+  /// The semiclass memo (tier 2): semiclass image -> answer for that image.
+  /// Warmed from const lookups, like the hot cache.
+  ShardedLruCache<TruthTable, CacheEntry, TruthTableHash> memo_;
 };
 
 }  // namespace facet

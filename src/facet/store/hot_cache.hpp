@@ -11,7 +11,9 @@
 /// spreads the load.
 ///
 /// The template is generic over (Key, Value, Hash); the store instantiates
-/// it with TruthTable keys.
+/// it with TruthTable keys, twice: the hot cache (query -> answer) and the
+/// semiclass memo (semiclass image -> answer). Each entry stores its key
+/// once, in the LRU list node; the hash index points at that copy.
 
 #pragma once
 
@@ -61,7 +63,7 @@ class ShardedLruCache {
   {
     Shard& shard = shard_for(key);
     const std::lock_guard<std::mutex> lock{shard.mutex};
-    const auto it = shard.index.find(key);
+    const auto it = shard.index.find(&key);
     if (it == shard.index.end()) {
       ++shard.misses;
       return std::nullopt;
@@ -79,18 +81,18 @@ class ShardedLruCache {
     }
     Shard& shard = shard_for(key);
     const std::lock_guard<std::mutex> lock{shard.mutex};
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
+    if (const auto it = shard.index.find(&key); it != shard.index.end()) {
       it->second->second = std::move(value);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return;
     }
     if (shard.lru.size() >= shard_capacity_) {
-      shard.index.erase(shard.lru.back().first);
+      shard.index.erase(&shard.lru.back().first);
       shard.lru.pop_back();
       ++shard.evictions;
     }
     shard.lru.emplace_front(key, std::move(value));
-    shard.index.emplace(key, shard.lru.begin());
+    shard.index.emplace(&shard.lru.front().first, shard.lru.begin());
     ++shard.insertions;
   }
 
@@ -98,8 +100,8 @@ class ShardedLruCache {
   {
     for (const auto& shard : shards_) {
       const std::lock_guard<std::mutex> lock{shard->mutex};
-      shard->lru.clear();
       shard->index.clear();
+      shard->lru.clear();
     }
   }
 
@@ -123,11 +125,22 @@ class ShardedLruCache {
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
 
  private:
+  /// Hash and equality of the index's key pointers, by the keys they point
+  /// at (list nodes never move, so the pointers stay valid until erased).
+  struct PointeeHash {
+    [[nodiscard]] std::size_t operator()(const Key* key) const { return Hash{}(*key); }
+  };
+  struct PointeeEqual {
+    [[nodiscard]] bool operator()(const Key* a, const Key* b) const { return *a == *b; }
+  };
+
   struct Shard {
     mutable std::mutex mutex;
     /// front = most recently used.
     std::list<std::pair<Key, Value>> lru;
-    std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator, Hash> index;
+    std::unordered_map<const Key*, typename std::list<std::pair<Key, Value>>::iterator,
+                       PointeeHash, PointeeEqual>
+        index;
     mutable std::uint64_t hits = 0;
     mutable std::uint64_t misses = 0;
     std::uint64_t insertions = 0;

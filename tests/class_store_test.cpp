@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "facet/engine/batch_engine.hpp"
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/exact_classifier.hpp"
+#include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/store/store_format.hpp"
@@ -42,6 +44,21 @@ std::vector<TruthTable> make_npn_workload(int n, std::size_t bases, std::size_t 
   }
   std::shuffle(funcs.begin(), funcs.end(), rng);
   return funcs;
+}
+
+/// A function g != f with the same semiclass image as f: an NPN image the
+/// image-keyed memo answers once f's image is memoized. Bounded search over
+/// random transforms; nullopt if none turns up.
+std::optional<TruthTable> same_image_sibling(const TruthTable& f, std::mt19937_64& rng)
+{
+  const TruthTable image = semiclass_form(f).image;
+  for (int attempt = 0; attempt < 4096; ++attempt) {
+    TruthTable g = apply_transform(f, NpnTransform::random(f.num_vars(), rng));
+    if (g != f && semiclass_form(g).image == image) {
+      return g;
+    }
+  }
+  return std::nullopt;
 }
 
 std::string serialize(const ClassStore& store)
@@ -322,18 +339,16 @@ TEST(ClassStore, SemiclassMemoServesEquivalentsWithoutRecanonicalizing)
   EXPECT_EQ(store.num_canonicalizations(), 1u);
   EXPECT_EQ(store.num_memo_hits(), 0u);
 
-  // A distinct NPN image of f must resolve through the memo: same id, no
-  // second exact canonicalization.
-  TruthTable g{n};
-  do {
-    g = apply_transform(f, NpnTransform::random(n, rng));
-  } while (g == f);
-  const auto second = store.lookup(g);
+  // A distinct NPN image of f sharing f's semiclass image must resolve
+  // through the memo: same id, no second exact canonicalization.
+  const std::optional<TruthTable> g = same_image_sibling(f, rng);
+  ASSERT_TRUE(g.has_value());
+  const auto second = store.lookup(*g);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->source, LookupSource::kMemo);
   EXPECT_TRUE(second->known);
   EXPECT_EQ(second->class_id, first->class_id);
-  EXPECT_EQ(apply_transform(g, second->to_representative), second->representative);
+  EXPECT_EQ(apply_transform(*g, second->to_representative), second->representative);
   EXPECT_EQ(store.num_canonicalizations(), 1u);
   EXPECT_EQ(store.num_memo_hits(), 1u);
   EXPECT_GE(store.memo_entries(), 1u);
@@ -393,14 +408,14 @@ TEST(ClassStore, TransientMissesAreNeverMemoized)
   EXPECT_EQ(store.memo_entries(), 0u);
 }
 
-TEST(ClassStore, AppendedClassesAreServedFromTheMemo)
+TEST(ClassStore, AppendsNeverFillTheMemo)
 {
   const int n = 4;
   std::mt19937_64 rng{0xadd5ULL};
   ClassStoreOptions options;
   options.hot_cache_capacity = 0;
   // NPN4 table off: with it on, the appended class would be served from the
-  // table slot rather than the memo this test observes.
+  // table slot rather than the index and memo tiers this test observes.
   options.use_npn4_table = false;
   ClassStore store{n, options};
   const TruthTable f = tt_random(n, rng);
@@ -412,13 +427,22 @@ TEST(ClassStore, AppendedClassesAreServedFromTheMemo)
   const auto appended = store.lookup_or_classify(f, /*append_on_miss=*/true);
   EXPECT_EQ(appended.source, LookupSource::kLive);
   EXPECT_FALSE(appended.known);
-  // The appended record was memoized, so the equivalent image skips both
-  // the index probe's canonicalization and the live tier.
-  const auto served = store.lookup_or_classify(g, /*append_on_miss=*/true);
+  EXPECT_EQ(store.memo_entries(), 0u);
+  // The memo is empty, so the equivalent g canonicalizes and finds the
+  // appended record in the index — which memoizes g's semiclass image.
+  const auto indexed = store.lookup_or_classify(g, /*append_on_miss=*/true);
+  EXPECT_EQ(indexed.source, LookupSource::kIndex);
+  EXPECT_TRUE(indexed.known);
+  EXPECT_EQ(indexed.class_id, appended.class_id);
+  EXPECT_EQ(store.memo_entries(), 1u);
+  // A g' sharing g's image is then served by the memo.
+  const std::optional<TruthTable> g2 = same_image_sibling(g, rng);
+  ASSERT_TRUE(g2.has_value());
+  const auto served = store.lookup_or_classify(*g2, /*append_on_miss=*/true);
   EXPECT_EQ(served.source, LookupSource::kMemo);
   EXPECT_TRUE(served.known);
   EXPECT_EQ(served.class_id, appended.class_id);
-  EXPECT_EQ(apply_transform(g, served.to_representative), served.representative);
+  EXPECT_EQ(apply_transform(*g2, served.to_representative), served.representative);
   EXPECT_EQ(store.num_memo_hits(), 1u);
   EXPECT_EQ(store.num_appended(), 1u);
 }
@@ -447,6 +471,54 @@ TEST(ClassStore, MemoAssistedLearningMatchesSequentialClassifier)
   // 5 images per base the memo must have absorbed a large share.
   EXPECT_GT(store.num_memo_hits(), 0u);
   EXPECT_LT(store.num_canonicalizations(), funcs.size());
+}
+
+TEST(ClassStore, MemoHitsAreExact)
+{
+  // Property: every memo answer is exact by construction. Random NPN
+  // images of a store's members resolve, through the memo where their
+  // semiclass image was seen before, to a witnessed representative with
+  // the id a memo-less twin store assigns.
+  for (const int n : {5, 6, 7}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::mt19937_64 rng{0xe4ac7ULL + static_cast<std::uint64_t>(n)};
+    const auto funcs = make_npn_workload(n, 24, 3, 0x3e3aULL + static_cast<std::uint64_t>(n));
+    StoreBuildOptions build_options;
+    build_options.num_threads = 1;
+    // No hot cache: repeats must reach the memo, not short-circuit above it.
+    build_options.store.hot_cache_capacity = 0;
+    const ClassStore store = build_class_store(funcs, build_options);
+    build_options.store.semiclass_memo_capacity = 0;
+    const ClassStore twin = build_class_store(funcs, build_options);
+
+    std::size_t memo_answers = 0;
+    std::size_t walk_checks = 0;
+    for (int round = 0; round < 4; ++round) {
+      for (const auto& member : funcs) {
+        const TruthTable q = apply_transform(member, NpnTransform::random(n, rng));
+        const auto result = store.lookup(q);
+        const auto expected = twin.lookup(q);
+        ASSERT_TRUE(result.has_value());
+        ASSERT_TRUE(expected.has_value());
+        EXPECT_EQ(result->class_id, expected->class_id);
+        if (result->source != LookupSource::kMemo) {
+          continue;
+        }
+        ++memo_answers;
+        EXPECT_TRUE(result->known);
+        EXPECT_EQ(apply_transform(q, result->to_representative), result->representative);
+        // The exhaustive walk is the oracle; it is affordable at n <= 6 on
+        // a sample of the memo answers.
+        if (n <= 6 && walk_checks < 32) {
+          ++walk_checks;
+          EXPECT_EQ(exact_npn_canonical(result->representative), exact_npn_canonical_walk(q));
+        }
+      }
+    }
+    EXPECT_GT(memo_answers, 0u);
+    EXPECT_EQ(store.num_memo_hits(), memo_answers);
+    EXPECT_EQ(twin.num_memo_hits(), 0u);
+  }
 }
 
 TEST(ClassStore, WidthMismatchesAreRejected)

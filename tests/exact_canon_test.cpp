@@ -10,6 +10,7 @@
 
 #include "facet/npn/enumerate.hpp"
 #include "facet/npn/exact_classifier.hpp"
+#include "facet/npn/semiclass.hpp"
 #include "facet/tt/tt_generate.hpp"
 
 namespace facet {
@@ -120,6 +121,22 @@ TEST(ExactCanon, StructuredFunctions)
     for (int trial = 0; trial < 5; ++trial) {
       const NpnTransform t = NpnTransform::random(5, rng);
       EXPECT_EQ(exact_npn_canonical(apply_transform(f, t)), canon);
+    }
+  }
+}
+
+TEST(ExactCanon, SeededSearchMatchesUnseeded)
+{
+  // Handing the caller's semiclass form in as the seed must not change the
+  // canonical form or the witness, at every width the search dispatches on.
+  std::mt19937_64 rng{0x5eedULL};
+  for (int n = 2; n <= 8; ++n) {
+    for (int trial = 0; trial < (n <= 6 ? 20 : 3); ++trial) {
+      const TruthTable f = tt_random(n, rng);
+      const CanonResult unseeded = exact_npn_canonical_with_transform(f);
+      const CanonResult seeded = exact_npn_canonical_with_transform(f, semiclass_form(f));
+      EXPECT_EQ(seeded.canonical, unseeded.canonical) << "n=" << n;
+      EXPECT_EQ(seeded.transform, unseeded.transform) << "n=" << n;
     }
   }
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "facet/npn/exact_canon.hpp"
+#include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/class_store.hpp"
 #include "facet/store/segment.hpp"
@@ -355,29 +356,62 @@ TEST(StoreConcurrency, RacingAppendersAgreeOnOneIdPerClass)
   }
 }
 
-/// Racing appenders pushing NPN *images* of shared novel classes: most
-/// queries resolve through the semiclass memo while other threads are
-/// appending to the same classes. Every thread must still observe one id
-/// per class, and memoized answers must be bit-identical to the gate's.
+/// A function g != f with the same semiclass image as f (bounded search
+/// over random transforms; f itself if none turns up).
+TruthTable same_image_sibling(const TruthTable& f, std::mt19937_64& rng)
+{
+  const TruthTable image = semiclass_form(f).image;
+  for (int attempt = 0; attempt < 4096; ++attempt) {
+    TruthTable g = apply_transform(f, NpnTransform::random(f.num_vars(), rng));
+    if (g != f && semiclass_form(g).image == image) {
+      return g;
+    }
+  }
+  return f;
+}
+
+/// Racing appenders pushing NPN *images* of shared classes. The seeded
+/// classes were appended and index-resolved through one image before the
+/// race, so their queries sharing that semiclass image resolve through the
+/// memo; the novel classes are appended by the race itself, with other
+/// threads resolving (and memoizing) their images meanwhile. Every thread
+/// must observe one id per class, and memoized answers must be
+/// bit-identical to the gate's.
 TEST(StoreConcurrency, RacingAppendersThroughTheMemoAgreeOnOneIdPerClass)
 {
   const int n = 5;
-  ClassStore store{n};
+  ClassStoreOptions options;
+  // No hot cache: repeats must reach the memo rather than stop above it.
+  options.hot_cache_capacity = 0;
+  ClassStore store{n, options};
   std::mt19937_64 rng{0x3e3e0ULL};
-  const std::size_t num_bases = 12;
+  const std::size_t num_seeded = 12;
+  const std::size_t num_bases = 18;
   const std::size_t images_per_base = 6;
   std::vector<TruthTable> bases;
   for (std::size_t b = 0; b < num_bases; ++b) {
     bases.push_back(tt_random(n, rng));
   }
-  // queries[b][j]: image j of base b; image 0 is the base itself.
+  // queries[b][j]: image j of base b; image 0 is the base itself, image 1
+  // the seeded image of a seeded class, images 2-3 share its semiclass
+  // image, and the rest are random images.
   std::vector<std::vector<TruthTable>> queries(num_bases);
   for (std::size_t b = 0; b < num_bases; ++b) {
     queries[b].push_back(bases[b]);
-    for (std::size_t j = 1; j < images_per_base; ++j) {
+    queries[b].push_back(apply_transform(bases[b], NpnTransform::random(n, rng)));
+    queries[b].push_back(same_image_sibling(queries[b][1], rng));
+    queries[b].push_back(same_image_sibling(queries[b][1], rng));
+    while (queries[b].size() < images_per_base) {
       queries[b].push_back(apply_transform(bases[b], NpnTransform::random(n, rng)));
     }
   }
+  for (std::size_t b = 0; b < num_seeded; ++b) {
+    ASSERT_NE(queries[b][2], queries[b][1]) << "no same-image sibling for base " << b;
+    (void)store.lookup_or_classify(bases[b], /*append_on_miss=*/true);
+    const auto seeded = store.lookup_or_classify(queries[b][1], /*append_on_miss=*/true);
+    ASSERT_EQ(seeded.source, LookupSource::kIndex);
+  }
+  ASSERT_EQ(store.num_memo_hits(), 0u);
 
   const std::size_t num_threads = 8;
   std::vector<std::vector<std::uint32_t>> seen(num_threads);
@@ -386,12 +420,12 @@ TEST(StoreConcurrency, RacingAppendersThroughTheMemoAgreeOnOneIdPerClass)
   for (std::size_t t = 0; t < num_threads; ++t) {
     threads.emplace_back([&, t] {
       seen[t].assign(num_bases, 0xffffffffU);
-      for (std::size_t i = 0; i < num_bases; ++i) {
-        // Offset walks so threads collide on different classes at once;
-        // vary the image per thread so the memo (keyed by semiclass, matched
-        // per image) is exercised with distinct tables of the same class.
+      for (std::size_t i = 0; i < num_bases * images_per_base; ++i) {
+        // Offset walks so threads collide on different classes at once, and
+        // vary the image per thread so one class is queried through
+        // distinct tables concurrently.
         const std::size_t b = (i + t * 5) % num_bases;
-        const std::size_t j = (i + t) % images_per_base;
+        const std::size_t j = (i / num_bases + t) % images_per_base;
         const auto result =
             store.lookup_or_classify(queries[b][j], /*append_on_miss=*/true);
         if (apply_transform(queries[b][j], result.to_representative) !=
@@ -411,6 +445,7 @@ TEST(StoreConcurrency, RacingAppendersThroughTheMemoAgreeOnOneIdPerClass)
     thread.join();
   }
   EXPECT_EQ(witness_failures.load(), 0u);
+  EXPECT_GT(store.num_memo_hits(), 0u);
 
   // Every thread agreed on the id of every class...
   for (std::size_t b = 0; b < num_bases; ++b) {
