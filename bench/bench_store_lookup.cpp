@@ -5,7 +5,7 @@
 ///   * index build time (BatchEngine classification + record assembly);
 ///   * cold lookup throughput — empty hot cache, every query pays one
 ///     canonicalization plus a binary search;
-///   * warm lookup throughput — every query answered by the sharded LRU
+///   * warm lookup throughput — every query answered by the set-associative
 ///     hot cache, the steady state of a serving workload;
 ///   * live single-thread exact classification throughput (the baseline the
 ///     store replaces), measured on a sample;
@@ -156,9 +156,9 @@ int main(int argc, char** argv)
   // --- build ---------------------------------------------------------------
   StoreBuildOptions build_options;
   build_options.num_threads = jobs;
-  // Size the cache to hold the whole workload with headroom for per-shard
+  // Size the cache to hold the whole workload with headroom for per-set
   // load skew, so the warm pass measures steady-state cache throughput, not
-  // LRU thrash.
+  // eviction churn.
   build_options.store.hot_cache_capacity = 2 * funcs.size() + 16;
   Stopwatch watch;
   ClassStore store = build_class_store(funcs, build_options);

@@ -35,7 +35,7 @@ int main(int argc, char** argv)
   std::cout << "saved:   " << path << ", reloaded " << store.num_records() << " records\n\n";
 
   // 4. Lookups. The first query canonicalizes and binary-searches the index;
-  //    the repeat is answered by the sharded LRU hot cache without touching
+  //    the repeat is answered by the set-associative hot cache without touching
   //    the canonicalizer.
   const TruthTable query = funcs.front();
   for (int round = 0; round < 2; ++round) {

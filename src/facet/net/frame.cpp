@@ -1,5 +1,6 @@
 #include "facet/net/frame.hpp"
 
+#include <array>
 #include <cstring>
 #include <exception>
 #include <sstream>
@@ -115,13 +116,20 @@ void encode_operand(std::string& out, const TruthTable& tt)
 TruthTable decode_operand(int width, const unsigned char* p)
 {
   const std::size_t bytes = frame_operand_bytes(width);
-  std::vector<std::uint64_t> words(words_for_vars(width), 0);
+  // Widths up to 7 assemble their words on the stack; wider tables own
+  // heap storage anyway.
+  const std::size_t num_words = words_for_vars(width);
+  std::array<std::uint64_t, TtWordStorage::kInlineWords> inline_words{};
+  std::vector<std::uint64_t> wide_words(num_words > inline_words.size() ? num_words : 0);
+  const std::span<std::uint64_t> words =
+      wide_words.empty() ? std::span<std::uint64_t>{inline_words}.first(num_words)
+                         : std::span<std::uint64_t>{wide_words};
   for (std::size_t i = 0; i < bytes; ++i) {
     words[i / 8] |= static_cast<std::uint64_t>(p[i]) << ((i % 8) * 8);
   }
   // The TruthTable constructor clears excess high bits, so a width-2
   // operand byte with junk in bits 4..7 still decodes to a valid table.
-  return TruthTable{width, std::move(words)};
+  return TruthTable{width, std::span<const std::uint64_t>{words}};
 }
 
 std::string encode_batch_request(FrameVerb verb, int width,

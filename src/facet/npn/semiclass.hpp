@@ -17,7 +17,11 @@
 ///    batch_engine.cpp): every function mapping onto a memoized image is in
 ///    that image's class, so a hit is exact by construction. It also seeds
 ///    the branch-and-bound canonicalizer's incumbent and constrains which
-///    permutations/phases the exact search must consider.
+///    permutations/phases the exact search must consider. It works on the
+///    table's words: cofactor counts are masked popcounts (variables >= 6
+///    select word blocks), the stable order is a branch-free rank over a
+///    fixed array, and the image is built by in-place flips and
+///    delta-swaps, with no heap allocation for n <= 7.
 ///
 ///  * semiclass_key(f) is a TRUE NPN invariant — every function in an NPN
 ///    orbit produces the same key. The key digests only invariant

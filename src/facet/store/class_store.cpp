@@ -18,6 +18,18 @@
 
 namespace facet {
 
+namespace {
+
+/// Words per table of the store's width: the fixed key and representative
+/// stride of its hot cache and memo. Clamped so an out-of-range width
+/// reaches the constructor's own check.
+[[nodiscard]] std::size_t table_words(int num_vars) noexcept
+{
+  return words_for_vars(std::clamp(num_vars, 0, kMaxVars));
+}
+
+}  // namespace
+
 const char* lookup_source_name(LookupSource source) noexcept
 {
   switch (source) {
@@ -42,8 +54,10 @@ ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
           TierSnapshot{std::make_shared<MaterializedSegment>(num_vars, std::vector<StoreRecord>{}),
                        {}}))},
       memtable_{std::make_unique<Memtable>()},
-      cache_{options.hot_cache_capacity, options.hot_cache_shards},
-      memo_{options.semiclass_memo_capacity, options.hot_cache_shards}
+      cache_{table_words(num_vars), table_words(num_vars), options.hot_cache_capacity,
+             options.hot_cache_shards},
+      memo_{table_words(num_vars), table_words(num_vars), options.semiclass_memo_capacity,
+            options.hot_cache_shards}
 {
   if (num_vars < 0 || num_vars > kMaxVars) {
     throw std::invalid_argument{"ClassStore: num_vars out of range"};
@@ -755,7 +769,10 @@ void ClassStore::npn4_prefill()
 
 std::optional<StoreLookupResult> ClassStore::probe_cache(const TruthTable& f) const
 {
-  if (npn4_ != nullptr && f.num_vars() == num_vars_) {
+  if (f.num_vars() != num_vars_) {
+    return std::nullopt;
+  }
+  if (npn4_ != nullptr) {
     const Npn4Result entry = npn4_lookup(f);
     if (const StoreRecord* slot =
             npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
@@ -763,110 +780,131 @@ std::optional<StoreLookupResult> ClassStore::probe_cache(const TruthTable& f) co
       return make_result(*slot, entry.transform, LookupSource::kTable);
     }
   }
-  if (const auto entry = cache_.get(f)) {
-    StoreLookupResult result;
-    result.class_id = entry->class_id;
-    result.representative = entry->representative;
-    result.to_representative = entry->to_representative;
-    result.known = true;
-    result.source = LookupSource::kHotCache;
-    return result;
+  return cached_answer(cache_, f, LookupSource::kHotCache);
+}
+
+std::optional<StoreLookupResult> ClassStore::cached_answer(const AnswerCache& cache,
+                                                           const TruthTable& key,
+                                                           LookupSource source) const
+{
+  std::optional<StoreLookupResult> result{std::in_place};
+  result->representative = TruthTable{num_vars_};
+  CacheEntry entry;
+  if (cache.get(key.words(), entry, result->representative.words())) {
+    result->class_id = entry.class_id;
+    result->to_representative = entry.to_representative;
+    result->known = true;
+    result->source = source;
+  } else {
+    result.reset();
   }
-  return std::nullopt;
+  return result;
+}
+
+void ClassStore::cache_put(const TruthTable& f, const StoreLookupResult& result) const
+{
+  cache_.put(f.words(), CacheEntry{result.class_id, result.to_representative},
+             result.representative.words());
 }
 
 std::optional<StoreLookupResult> ClassStore::memo_probe(const TruthTable& f,
                                                         const SemiclassResult& sc) const
 {
-  const auto entry = memo_.get(sc.image);
-  if (!entry) {
-    return std::nullopt;
+  std::optional<StoreLookupResult> result = cached_answer(memo_, sc.image, LookupSource::kMemo);
+  if (result.has_value()) {
+    // f --sc.transform--> image --entry.to_representative--> representative.
+    result->to_representative = compose(result->to_representative, sc.transform);
+    cache_put(f, *result);
   }
-  // f --sc.transform--> image --entry->to_representative--> representative.
-  StoreLookupResult result;
-  result.class_id = entry->class_id;
-  result.representative = entry->representative;
-  result.to_representative = compose(entry->to_representative, sc.transform);
-  result.known = true;
-  result.source = LookupSource::kMemo;
-  cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
   return result;
 }
 
 void ClassStore::memo_insert(const SemiclassResult& sc, const StoreLookupResult& result) const
 {
   // image --inverse(sc.transform)--> f --result.to_representative--> representative.
-  memo_.put(sc.image, CacheEntry{result.class_id, result.representative,
-                                 compose(result.to_representative, inverse(sc.transform))});
+  memo_.put(sc.image.words(),
+            CacheEntry{result.class_id, compose(result.to_representative, inverse(sc.transform))},
+            result.representative.words());
+}
+
+/// The searchless tiers' leftovers for the slow tiers: the norm-table entry
+/// of a cold slot (width <= 4), or f's semiclass form (the canonicalizer's
+/// seed and the memo insert key), and the slow tiers' clock start.
+struct ClassStore::FastMiss {
+  std::uint64_t t0 = 0;
+  std::optional<Npn4Result> table;
+  std::optional<SemiclassResult> sc;
+};
+
+std::optional<StoreLookupResult> ClassStore::probe_fast_tiers(const TruthTable& f,
+                                                              FastMiss& miss) const
+{
+  // The table/cache/memo tiers resolve in a few hundred ns — even one clock
+  // read stalls them measurably, so their series sample 1 in
+  // kFastTierSample events (see obs::sample_1_in). The canonicalize-and-
+  // search tiers are microseconds-scale and time every event; an unsampled
+  // slow lookup starts its clock after the fast probes, which under-reports
+  // by the probe cost (~2% of a cold lookup) instead of taxing every warm
+  // hit.
+  const bool sampled = obs::sample_1_in<kFastTierSample>();
+  miss.t0 = sampled ? obs::now_ticks() : 0;
+  std::optional<StoreLookupResult> hit;
+  if (npn4_ != nullptr) {
+    // Tier 0: one table load resolves class index + canonical + witness.
+    // No cache, no memo, no canonicalization — the table IS the
+    // canonicalizer here, and a filled slot never pins the gate.
+    const Npn4Result& entry = miss.table.emplace(npn4_lookup(f));
+    if (const StoreRecord* slot =
+            npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
+      table_hits_.fetch_add(1, std::memory_order_relaxed);
+      hit = make_result(*slot, entry.transform, LookupSource::kTable);
+    }
+  } else {
+    hit = cached_answer(cache_, f, LookupSource::kHotCache);
+    if (!hit.has_value() && options_.semiclass_memo_capacity > 0) {
+      hit = memo_probe(f, miss.sc.emplace(semiclass_form(f)));
+    }
+  }
+  if (hit.has_value()) {
+    if (sampled) {
+      record_lookup_latency(static_cast<std::size_t>(hit->source), miss.t0);
+    }
+  } else if (!sampled) {
+    miss.t0 = obs::now_ticks();
+  }
+  return hit;
 }
 
 std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
 {
   check_width(f, "ClassStore::lookup");
-  // The cache/memo tiers resolve in a few hundred ns — even one clock read
-  // stalls them measurably, so their series sample 1 in kFastTierSample
-  // events (see obs::sample_1_in). The canonicalize-and-search tiers are
-  // microseconds-scale and time every event; an unsampled slow lookup
-  // starts its clock after the fast probes, which under-reports by the
-  // probe cost (~2% of a cold lookup) instead of taxing every warm hit.
-  const bool sampled = obs::sample_1_in<kFastTierSample>();
-  std::uint64_t t0 = sampled ? obs::now_ticks() : 0;
-  if (npn4_ != nullptr) {
-    // Tier 0: one table load resolves class index + canonical + witness.
-    // No cache, no memo, no canonicalization — the table IS the
-    // canonicalizer here, and a filled slot never pins the gate.
-    const Npn4Result entry = npn4_lookup(f);
-    if (const StoreRecord* slot =
-            npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      StoreLookupResult result = make_result(*slot, entry.transform, LookupSource::kTable);
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), t0);
-      }
-      return result;
-    }
+  FastMiss miss;
+  std::optional<StoreLookupResult> result = probe_fast_tiers(f, miss);
+  if (result.has_value()) {
+    return result;
+  }
+  if (miss.table.has_value()) {
     // Slot cold: probe the index with the table-provided canonical form —
     // still searchless, and a hit fills the slot for every later query.
-    if (!sampled) {
-      t0 = obs::now_ticks();
-    }
-    const TruthTable canonical = TruthTable::from_word(num_vars_, entry.canonical_word);
+    const TruthTable canonical = TruthTable::from_word(num_vars_, miss.table->canonical_word);
     if (const std::optional<StoreRecord> record = find_canonical(canonical)) {
-      npn4_publish(entry.class_index, *record);
+      npn4_publish(miss.table->class_index, *record);
       table_hits_.fetch_add(1, std::memory_order_relaxed);
-      StoreLookupResult result = make_result(*record, entry.transform, LookupSource::kTable);
-      record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), t0);
+      result = make_result(*record, miss.table->transform, LookupSource::kTable);
+      record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), miss.t0);
       return result;
     }
-    record_lookup_latency(kMissTier, t0);
+    record_lookup_latency(kMissTier, miss.t0);
     return std::nullopt;
-  }
-  if (auto cached = probe_cache(f)) {
-    if (sampled) {
-      record_lookup_latency(static_cast<std::size_t>(LookupSource::kHotCache), t0);
-    }
-    return cached;
-  }
-  std::optional<SemiclassResult> sc;
-  if (options_.semiclass_memo_capacity > 0) {
-    sc = semiclass_form(f);
-    if (auto memoized = memo_probe(f, *sc)) {
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kMemo), t0);
-      }
-      return memoized;
-    }
-  }
-  if (!sampled) {
-    t0 = obs::now_ticks();
   }
   canonicalizations_.fetch_add(1, std::memory_order_relaxed);
   // A memo miss hands its semiclass form to the canonicalizer as the seed.
+  const SemiclassResult* sc = miss.sc ? &*miss.sc : nullptr;
   const CanonResult canon =
       sc ? exact_npn_canonical_with_transform(f, *sc) : exact_npn_canonical_with_transform(f);
-  auto result = lookup_canonical_impl(f, canon, sc ? &*sc : nullptr);
+  result = lookup_canonical_impl(f, canon, sc);
   record_lookup_latency(
-      result.has_value() ? static_cast<std::size_t>(result->source) : kMissTier, t0);
+      result.has_value() ? static_cast<std::size_t>(result->source) : kMissTier, miss.t0);
   return result;
 }
 
@@ -879,7 +917,7 @@ std::optional<StoreLookupResult> ClassStore::lookup_canonical_impl(const TruthTa
     return std::nullopt;
   }
   StoreLookupResult result = make_result(*record, canon.transform, LookupSource::kIndex);
-  cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
+  cache_put(f, result);
   if (sc != nullptr) {
     memo_insert(*sc, result);
   }
@@ -889,58 +927,26 @@ std::optional<StoreLookupResult> ClassStore::lookup_canonical_impl(const TruthTa
 StoreLookupResult ClassStore::lookup_or_classify(const TruthTable& f, bool append_on_miss)
 {
   check_width(f, "ClassStore::lookup_or_classify");
-  // Same sampling split as lookup(): fast tiers 1-in-K, slow tiers always.
-  const bool sampled = obs::sample_1_in<kFastTierSample>();
-  std::uint64_t t0 = sampled ? obs::now_ticks() : 0;
-  if (npn4_ != nullptr) {
+  FastMiss miss;
+  if (std::optional<StoreLookupResult> hit = probe_fast_tiers(f, miss)) {
+    return std::move(*hit);
+  }
+  StoreLookupResult result;
+  if (miss.table.has_value()) {
     // Tier 0, mirroring lookup(): the table replaces cache, memo and the
     // canonicalizer wholesale for width <= 4.
-    const Npn4Result entry = npn4_lookup(f);
-    if (const StoreRecord* slot =
-            npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      StoreLookupResult result = make_result(*slot, entry.transform, LookupSource::kTable);
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), t0);
-      }
-      return result;
-    }
-    if (!sampled) {
-      t0 = obs::now_ticks();
-    }
-    const std::size_t class_index = entry.class_index;
-    const CanonResult canon{TruthTable::from_word(num_vars_, entry.canonical_word),
-                            entry.transform};
-    const StoreLookupResult result =
-        lookup_or_classify_impl(f, canon, append_on_miss, nullptr, &class_index);
-    record_lookup_latency(static_cast<std::size_t>(result.source), t0);
-    return result;
+    const std::size_t class_index = miss.table->class_index;
+    const CanonResult canon{TruthTable::from_word(num_vars_, miss.table->canonical_word),
+                            miss.table->transform};
+    result = lookup_or_classify_impl(f, canon, append_on_miss, nullptr, &class_index);
+  } else {
+    canonicalizations_.fetch_add(1, std::memory_order_relaxed);
+    const SemiclassResult* sc = miss.sc ? &*miss.sc : nullptr;
+    const CanonResult canon =
+        sc ? exact_npn_canonical_with_transform(f, *sc) : exact_npn_canonical_with_transform(f);
+    result = lookup_or_classify_impl(f, canon, append_on_miss, sc);
   }
-  if (auto cached = probe_cache(f)) {
-    if (sampled) {
-      record_lookup_latency(static_cast<std::size_t>(LookupSource::kHotCache), t0);
-    }
-    return *cached;
-  }
-  std::optional<SemiclassResult> sc;
-  if (options_.semiclass_memo_capacity > 0) {
-    sc = semiclass_form(f);
-    if (auto memoized = memo_probe(f, *sc)) {
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kMemo), t0);
-      }
-      return *memoized;
-    }
-  }
-  if (!sampled) {
-    t0 = obs::now_ticks();
-  }
-  canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-  const CanonResult canon =
-      sc ? exact_npn_canonical_with_transform(f, *sc) : exact_npn_canonical_with_transform(f);
-  const StoreLookupResult result =
-      lookup_or_classify_impl(f, canon, append_on_miss, sc ? &*sc : nullptr);
-  record_lookup_latency(static_cast<std::size_t>(result.source), t0);
+  record_lookup_latency(static_cast<std::size_t>(result.source), miss.t0);
   return result;
 }
 
@@ -952,7 +958,7 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
 {
   // On the table-tier path (non-null npn4_class) an index hit is reported
   // as src=table — the table did the canonicalization — and fills the
-  // class's slot so every later query is one array load; the LRU cache and
+  // class's slot so every later query is one array load; the hot cache and
   // the memo stay cold (the slot outperforms both).
   const auto resolve_hit = [&](const StoreRecord& record) {
     if (npn4_class != nullptr) {
@@ -961,7 +967,7 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
       return make_result(record, canon.transform, LookupSource::kTable);
     }
     StoreLookupResult result = make_result(record, canon.transform, LookupSource::kIndex);
-    cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
+    cache_put(f, result);
     if (sc != nullptr) {
       memo_insert(*sc, result);
     }
@@ -1016,7 +1022,7 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
     } else {
       // Appends warm only the hot cache: the memo learns the class from its
       // first index hit, so a novel-class stream never fills it.
-      cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
+      cache_put(f, result);
     }
   } else if (transient == miss_records_.end()) {
     miss_records_.emplace(record.canonical, record);

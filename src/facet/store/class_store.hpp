@@ -13,12 +13,14 @@
 ///                    and witness in ONE array load, and a per-class
 ///                    write-once slot turns that into the full store answer
 ///                    — no canonicalizer, no cache, no gate, no search;
-///   1. hot cache   — f itself was looked up recently: one sharded-LRU
-///                    probe, no canonicalization at all (hot_cache.hpp);
+///   1. hot cache   — f itself was looked up recently: one probe of a
+///                    sharded set-associative table keyed by f's words, no
+///                    canonicalization at all (hot_cache.hpp);
 ///   2. memo        — semiclass memo: map f to its one-pass semiclass image
-///                    (semiclass_form, semiclass.hpp) and probe a second
-///                    sharded LRU keyed by that exact image — no search, no
-///                    exact canonicalization;
+///                    (semiclass_form, semiclass.hpp, word-level and
+///                    allocation-free for n <= 7) and probe a second such
+///                    table keyed by that exact image — no search, no exact
+///                    canonicalization;
 ///   3. memtable    — canonicalize f with a witnessing transform, then probe
 ///                    the unflushed appends (hash map);
 ///   4. delta runs  — flushed-but-uncompacted append runs, consulted
@@ -70,10 +72,11 @@
 ///   * The memtable is guarded by a mutex of its own, held only for the
 ///     hash probe / insert — never across canonicalization, segment
 ///     searches or I/O.
-///   * The semiclass memo is a sharded LRU like the hot cache: each shard
-///     mutex is held for one hash probe or insert, and the image derivation
-///     runs outside it. Shard mutexes are leaf locks (an index hit resolved
-///     under the gate inserts while holding it; nothing is taken after).
+///   * The semiclass memo is a sharded set-associative table like the hot
+///     cache: each shard mutex is held for one set probe or insert, and the
+///     image derivation runs outside it. Shard mutexes are leaf locks (an
+///     index hit resolved under the gate inserts while holding it; nothing
+///     is taken after).
 ///   * Mutations — lookup_or_classify's live tier, flush_delta, compact,
 ///     the adopt_compacted swap — serialize on one small per-store gate.
 ///     Canonicalization (the expensive step) always happens before the
@@ -135,7 +138,7 @@ namespace facet {
 
 /// Which tier resolved a lookup.
 enum class LookupSource {
-  kHotCache,  ///< sharded-LRU hit; no canonicalization performed
+  kHotCache,  ///< hot-cache hit (query's own words); no canonicalization
   kMemo,      ///< semiclass-memo hit: exact image key, no canonicalization
   kTable,     ///< NPN4 norm table (width <= 4): one array load, no search
   kIndex,     ///< canonicalized, found in memtable / delta runs / base
@@ -159,12 +162,15 @@ struct StoreLookupResult {
 };
 
 struct ClassStoreOptions {
-  /// Total hot-cache entries across shards; 0 disables the cache.
+  /// Total hot-cache entries across shards (a hard bound); 0 disables the
+  /// cache.
   std::size_t hot_cache_capacity = 1u << 16;
   std::size_t hot_cache_shards = 8;
   /// Total semiclass-memo entries (one per memoized image) across
-  /// `hot_cache_shards` LRU shards; 0 disables the memo tier. Eviction is
-  /// per-shard LRU — correctness never depends on what the memo holds.
+  /// `hot_cache_shards` shards; 0 disables the memo tier. Like the hot
+  /// cache, the memo is a set-associative table: a put into a full set
+  /// evicts that set's least recently used entry — correctness never
+  /// depends on what the memo holds. Both tables allocate as they fill.
   std::size_t semiclass_memo_capacity = 1u << 16;
   /// Resolve width <= 4 queries through the baked NPN4 norm table
   /// (LookupSource::kTable): one array load replaces the hot cache, the
@@ -380,7 +386,8 @@ class ClassStore {
 
   /// Fast-front probe by the query function itself; never canonicalizes.
   /// On a width <= 4 store with the table on, a filled norm-table slot
-  /// answers first (src=table); otherwise this is the sharded-LRU probe.
+  /// answers first (src=table); otherwise this is one hot-cache set probe.
+  /// nullopt for a query of another width.
   [[nodiscard]] std::optional<StoreLookupResult> probe_cache(const TruthTable& f) const;
 
   /// Full read-only lookup. Width <= 4 with the table on: one norm-table
@@ -446,12 +453,14 @@ class ClassStore {
  private:
   /// A resolved answer for one key table — the query itself (hot cache) or
   /// a semiclass image (memo): apply_transform(key, to_representative) ==
-  /// representative.
+  /// representative. The representative's words are the entry's payload.
   struct CacheEntry {
     std::uint32_t class_id = 0;
-    TruthTable representative;
     NpnTransform to_representative;
   };
+  using AnswerCache = SetAssociativeCache<CacheEntry>;
+  /// What the searchless tiers hand the slow tiers on a miss (class_store.cpp).
+  struct FastMiss;
 
   /// The memtable (tier 2): live misses with append_on_miss, hash-indexed
   /// by canonical form; sealed into a delta run by flush_delta(). Only gate
@@ -500,6 +509,18 @@ class ClassStore {
   [[nodiscard]] static OpenedBase open_base(const std::string& path, bool use_mmap);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
+  /// The searchless prefix of lookup() and lookup_or_classify(): the
+  /// table slot (width <= 4), else the hot cache, else f's semiclass form
+  /// and the memo. A hit's latency is recorded when sampled; on a miss,
+  /// `miss` carries what the slow tiers reuse and their clock start.
+  [[nodiscard]] std::optional<StoreLookupResult> probe_fast_tiers(const TruthTable& f,
+                                                                  FastMiss& miss) const;
+  /// The answer `cache` holds under `key`, reported as `source`.
+  [[nodiscard]] std::optional<StoreLookupResult> cached_answer(const AnswerCache& cache,
+                                                               const TruthTable& key,
+                                                               LookupSource source) const;
+  /// Hot-cache put of f's resolved answer.
+  void cache_put(const TruthTable& f, const StoreLookupResult& result) const;
   /// Memo probe by f's semiclass image `sc`; a hit warms the hot cache.
   /// nullopt when no resolved class was memoized under that image.
   [[nodiscard]] std::optional<StoreLookupResult> memo_probe(const TruthTable& f,
@@ -576,10 +597,11 @@ class ClassStore {
   std::unordered_map<TruthTable, StoreRecord, TruthTableHash> miss_records_;
   std::atomic<std::uint64_t> next_class_id_{0};
   std::atomic<std::uint64_t> compactions_{0};
-  ShardedLruCache<TruthTable, CacheEntry, TruthTableHash> cache_;
+  /// The hot cache (tier 1): query -> answer. Warmed from const lookups.
+  AnswerCache cache_;
   /// The semiclass memo (tier 2): semiclass image -> answer for that image.
   /// Warmed from const lookups, like the hot cache.
-  ShardedLruCache<TruthTable, CacheEntry, TruthTableHash> memo_;
+  AnswerCache memo_;
 };
 
 }  // namespace facet

@@ -23,7 +23,7 @@ namespace {
 
 TruthTable::TruthTable(int num_vars) : num_vars_{num_vars}, words_{checked_words(num_vars)} {}
 
-TruthTable::TruthTable(int num_vars, std::vector<std::uint64_t> words)
+TruthTable::TruthTable(int num_vars, std::span<const std::uint64_t> words)
     : num_vars_{num_vars}, words_{checked_words(num_vars)}
 {
   if (words.size() != words_.size()) {
@@ -38,7 +38,7 @@ TruthTable TruthTable::from_word(int num_vars, std::uint64_t bits)
   if (num_vars > kVarsPerWord) {
     throw std::invalid_argument("TruthTable::from_word requires num_vars <= 6");
   }
-  return TruthTable{num_vars, std::vector<std::uint64_t>{bits}};
+  return TruthTable{num_vars, std::span<const std::uint64_t>{&bits, 1}};
 }
 
 std::uint64_t TruthTable::count_ones() const noexcept

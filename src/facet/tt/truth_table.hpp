@@ -68,8 +68,15 @@ class TruthTable {
   explicit TruthTable(int num_vars = 0);
 
   /// Constructs from explicit words (little-endian: words[0] holds minterms
-  /// 0..63). Excess high bits in the last word are cleared.
-  TruthTable(int num_vars, std::vector<std::uint64_t> words);
+  /// 0..63). Excess high bits in the last word are cleared. Copies straight
+  /// into the table's storage: no heap temporary for n <= 7.
+  TruthTable(int num_vars, std::span<const std::uint64_t> words);
+
+  /// Same, from an owned vector (e.g. a braced word list).
+  TruthTable(int num_vars, const std::vector<std::uint64_t>& words)
+      : TruthTable{num_vars, std::span<const std::uint64_t>{words}}
+  {
+  }
 
   /// Convenience for n <= 6: single-word construction.
   static TruthTable from_word(int num_vars, std::uint64_t bits);

@@ -6,7 +6,10 @@
 ///    every table AND every transform at small widths, over the full
 ///    65536-table space with random transforms at n = 4, and on random
 ///    wide tables.
-///  * semiclass_form returns a witnessed orbit member whose key matches.
+///  * semiclass_form returns a witnessed orbit member whose key matches, and
+///    its word-level image and transform are bit-identical to the reference
+///    below (cofactor pairs, std::stable_sort, apply_transform_fast) on
+///    random and tie-heavy functions at every width 0..8 plus n = 9, 10.
 ///  * the 4-argument npn_match(f, f_keys, g, g_keys) overload is
 ///    bit-identical to the 2-argument matcher on equivalent and
 ///    inequivalent pairs alike.
@@ -22,7 +25,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -31,10 +37,106 @@
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/matcher.hpp"
 #include "facet/npn/transform.hpp"
+#include "facet/sig/cofactor.hpp"
 #include "facet/tt/tt_generate.hpp"
 
 namespace facet {
 namespace {
+
+/// The generic semiclass form: cofactor pairs of the chosen polarity, a
+/// stable sort by (1-side, 0-side) count, and apply_transform_fast. The
+/// library's word-level semiclass_form must reproduce it bit for bit.
+SemiclassResult reference_form_polarity(const TruthTable& tt, bool output_neg)
+{
+  const TruthTable h = output_neg ? ~tt : tt;
+  const int n = h.num_vars();
+  const auto pairs = cofactor_pairs(h);
+
+  NpnTransform t = NpnTransform::identity(n);
+  t.output_neg = output_neg;
+
+  std::array<std::uint32_t, kMaxVars> one_side{};
+  std::array<std::uint32_t, kMaxVars> zero_side{};
+  for (int i = 0; i < n; ++i) {
+    std::uint32_t c0 = pairs[static_cast<std::size_t>(i)].count0;
+    std::uint32_t c1 = pairs[static_cast<std::size_t>(i)].count1;
+    if (c1 > c0) {
+      t.input_neg |= 1u << i;
+      std::swap(c0, c1);
+    }
+    one_side[static_cast<std::size_t>(i)] = c1;
+    zero_side[static_cast<std::size_t>(i)] = c0;
+  }
+
+  std::array<int, kMaxVars> sorted{};
+  std::iota(sorted.begin(), sorted.begin() + std::max(n, 1), 0);
+  std::stable_sort(sorted.begin(), sorted.begin() + n, [&](int a, int b) {
+    const auto ai = static_cast<std::size_t>(a);
+    const auto bi = static_cast<std::size_t>(b);
+    if (one_side[ai] != one_side[bi]) {
+      return one_side[ai] < one_side[bi];
+    }
+    return zero_side[ai] < zero_side[bi];
+  });
+  for (int k = 0; k < n; ++k) {
+    t.perm[static_cast<std::size_t>(sorted[static_cast<std::size_t>(k)])] =
+        static_cast<std::uint8_t>(n - 1 - k);
+  }
+  return SemiclassResult{apply_transform_fast(tt, t), t};
+}
+
+SemiclassResult reference_semiclass_form(const TruthTable& tt)
+{
+  const std::uint64_t ones = tt.count_ones();
+  const std::uint64_t bits = tt.num_bits();
+  if (2 * ones < bits) {
+    return reference_form_polarity(tt, false);
+  }
+  if (2 * ones > bits) {
+    return reference_form_polarity(tt, true);
+  }
+  SemiclassResult a = reference_form_polarity(tt, false);
+  SemiclassResult b = reference_form_polarity(tt, true);
+  return a.image <= b.image ? a : b;
+}
+
+/// f(x) = 1 iff popcount(x) is in `weights` (bit w: weight w accepted).
+TruthTable totally_symmetric(int n, std::uint32_t weights)
+{
+  TruthTable tt{n};
+  for (std::uint64_t m = 0; m < tt.num_bits(); ++m) {
+    if (((weights >> std::popcount(m)) & 1u) != 0) {
+      tt.set_bit(m);
+    }
+  }
+  return tt;
+}
+
+/// Functions whose cofactor counts tie a lot: sparse ANDs of 3-4 random
+/// tables, balanced tables, totally symmetric functions, constants and
+/// single literals, in rotation.
+TruthTable tie_heavy(int n, int k, std::mt19937_64& rng)
+{
+  switch (k % 6) {
+    case 0: {
+      TruthTable f = tt_random(n, rng) & tt_random(n, rng) & tt_random(n, rng);
+      return (rng() & 1u) != 0 ? f & tt_random(n, rng) : f;
+    }
+    case 1:
+      return tt_random_with_ones(n, n == 0 ? 0 : std::uint64_t{1} << (n - 1), rng);
+    case 2:
+      return totally_symmetric(n, static_cast<std::uint32_t>(rng()) & ((2u << n) - 1));
+    case 3:
+      return tt_constant(n, (rng() & 1u) != 0);
+    default: {
+      if (n == 0) {
+        return tt_constant(n, (k & 1) != 0);
+      }
+      const TruthTable lit = tt_projection(n, static_cast<int>(rng() % static_cast<unsigned>(n)));
+      return k % 6 == 4 ? lit : ~lit;
+    }
+  }
+}
 
 /// All 2 * 2^n * n! transforms of width n, enumerated deterministically.
 std::vector<NpnTransform> all_transforms(int n)
@@ -157,6 +259,32 @@ TEST(SemiclassForm, WitnessedOrbitMemberWithMatchingKey)
       EXPECT_EQ(apply_transform(f, r.transform), r.image);
       EXPECT_EQ(apply_transform_fast(f, r.transform), r.image);
       EXPECT_EQ(semiclass_key(r.image), semiclass_key(f));
+    }
+  }
+}
+
+TEST(SemiclassForm, WordLevelFormIsBitIdenticalToTheReference)
+{
+  std::mt19937_64 rng{0x5eedf0ULL};
+  const auto check = [](const TruthTable& f) {
+    const SemiclassResult got = semiclass_form(f);
+    const SemiclassResult want = reference_semiclass_form(f);
+    ASSERT_EQ(got.image, want.image) << "n=" << f.num_vars();
+    ASSERT_EQ(got.transform, want.transform)
+        << "n=" << f.num_vars() << " got " << got.transform.to_string() << " want "
+        << want.transform.to_string();
+  };
+  for (int n = 0; n <= 10; ++n) {
+    const int samples = n <= 8 ? 2000 : 100;
+    for (int k = 0; k < samples; ++k) {
+      check(tt_random(n, rng));
+      check(tie_heavy(n, k, rng));
+    }
+  }
+  // Every table at n <= 3, whose faces tie constantly.
+  for (int n = 0; n <= 3; ++n) {
+    for (const auto& f : all_tables(n)) {
+      check(f);
     }
   }
 }
