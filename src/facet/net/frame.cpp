@@ -343,7 +343,7 @@ FrameStep FrameSession::handle_batch(const FrameHeader& header,
   for (std::uint32_t i = 0; i < count; ++i) {
     const TruthTable query = decode_operand(width, payload + 4 + i * operand_bytes);
     const std::optional<StoreLookupResult> result =
-        dispatcher_->lookup_binary(*store, query, append);
+        dispatcher_->lookup(*store, query, append ? MissPolicy::kAppend : MissPolicy::kNone);
     if (result.has_value()) {
       append_u32(body, static_cast<std::uint32_t>(result->class_id));
       body.push_back(static_cast<char>(result->known ? 1 : 0));

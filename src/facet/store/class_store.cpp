@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "facet/npn/exact_canon.hpp"
-#include "facet/npn/npn4_table.hpp"
 #include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
 #include "facet/util/hash.hpp"
@@ -772,15 +771,26 @@ std::optional<StoreLookupResult> ClassStore::probe_cache(const TruthTable& f) co
   if (f.num_vars() != num_vars_) {
     return std::nullopt;
   }
-  if (npn4_ != nullptr) {
-    const Npn4Result entry = npn4_lookup(f);
-    if (const StoreRecord* slot =
-            npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      return make_result(*slot, entry.transform, LookupSource::kTable);
-    }
+  std::optional<Npn4Result> table;
+  return probe_front(f, table);
+}
+
+std::optional<StoreLookupResult> ClassStore::probe_front(const TruthTable& f,
+                                                         std::optional<Npn4Result>& table) const
+{
+  if (npn4_ == nullptr) {
+    return cached_answer(cache_, f, LookupSource::kHotCache);
   }
-  return cached_answer(cache_, f, LookupSource::kHotCache);
+  // Tier 0: one table load resolves class index + canonical + witness. No
+  // cache, no memo, no canonicalization — the table IS the canonicalizer
+  // here, and a filled slot never pins the gate.
+  const Npn4Result& entry = table.emplace(npn4_lookup(f));
+  const StoreRecord* slot = npn4_->slots[entry.class_index].load(std::memory_order_acquire);
+  if (slot == nullptr) {
+    return std::nullopt;
+  }
+  table_hits_.fetch_add(1, std::memory_order_relaxed);
+  return make_result(*slot, entry.transform, LookupSource::kTable);
 }
 
 std::optional<StoreLookupResult> ClassStore::cached_answer(const AnswerCache& cache,
@@ -827,17 +837,21 @@ void ClassStore::memo_insert(const SemiclassResult& sc, const StoreLookupResult&
             result.representative.words());
 }
 
-/// The searchless tiers' leftovers for the slow tiers: the norm-table entry
-/// of a cold slot (width <= 4), or f's semiclass form (the canonicalizer's
-/// seed and the memo insert key), and the slow tiers' clock start.
-struct ClassStore::FastMiss {
-  std::uint64_t t0 = 0;
-  std::optional<Npn4Result> table;
-  std::optional<SemiclassResult> sc;
+/// What a tier walk that resolved nowhere searchless hands the index probe
+/// and the miss policy: the query, its canonical form and witness (from the
+/// norm table, or from the canonicalizer), and where an index hit warms —
+/// the table slot of the query's class (width <= 4 with the table on), or
+/// the query's semiclass form (the memo key; null with the memo off).
+struct ClassStore::Miss {
+  const TruthTable& query;
+  CanonResult canon;
+  std::optional<std::size_t> npn4_class;
+  const SemiclassResult* sc = nullptr;
 };
 
-std::optional<StoreLookupResult> ClassStore::probe_fast_tiers(const TruthTable& f,
-                                                              FastMiss& miss) const
+template <typename OnMiss>
+std::optional<StoreLookupResult> ClassStore::walk(const TruthTable& f,
+                                                  OnMiss&& on_miss) const
 {
   // The table/cache/memo tiers resolve in a few hundred ns — even one clock
   // read stalls them measurably, so their series sample 1 in
@@ -847,161 +861,104 @@ std::optional<StoreLookupResult> ClassStore::probe_fast_tiers(const TruthTable& 
   // by the probe cost (~2% of a cold lookup) instead of taxing every warm
   // hit.
   const bool sampled = obs::sample_1_in<kFastTierSample>();
-  miss.t0 = sampled ? obs::now_ticks() : 0;
-  std::optional<StoreLookupResult> hit;
-  if (npn4_ != nullptr) {
-    // Tier 0: one table load resolves class index + canonical + witness.
-    // No cache, no memo, no canonicalization — the table IS the
-    // canonicalizer here, and a filled slot never pins the gate.
-    const Npn4Result& entry = miss.table.emplace(npn4_lookup(f));
-    if (const StoreRecord* slot =
-            npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      hit = make_result(*slot, entry.transform, LookupSource::kTable);
+  std::uint64_t t0 = sampled ? obs::now_ticks() : 0;
+  std::optional<Npn4Result> table;
+  std::optional<StoreLookupResult> result = probe_front(f, table);
+  std::optional<SemiclassResult> sc;
+  if (!result.has_value() && !table.has_value() && options_.semiclass_memo_capacity > 0) {
+    result = memo_probe(f, sc.emplace(semiclass_form(f)));
+  }
+  const bool searched = !result.has_value();
+  if (searched) {
+    if (!sampled) {
+      t0 = obs::now_ticks();
     }
-  } else {
-    hit = cached_answer(cache_, f, LookupSource::kHotCache);
-    if (!hit.has_value() && options_.semiclass_memo_capacity > 0) {
-      hit = memo_probe(f, miss.sc.emplace(semiclass_form(f)));
+    CanonResult canon;
+    std::optional<std::size_t> npn4_class;
+    if (table.has_value()) {
+      // Slot cold: the table entry is f's canonical form and witness —
+      // still searchless, and an index hit fills the slot.
+      canon = {TruthTable::from_word(num_vars_, table->canonical_word), table->transform};
+      npn4_class = table->class_index;
+    } else {
+      // A memo miss hands its semiclass form to the canonicalizer as the
+      // seed.
+      canonicalizations_.fetch_add(1, std::memory_order_relaxed);
+      canon = sc.has_value() ? exact_npn_canonical_with_transform(f, *sc)
+                             : exact_npn_canonical_with_transform(f);
+    }
+    const Miss miss{f, std::move(canon), npn4_class, sc.has_value() ? &*sc : nullptr};
+    result = probe_index(miss);
+    if (!result.has_value()) {
+      result = on_miss(miss);
     }
   }
-  if (hit.has_value()) {
-    if (sampled) {
-      record_lookup_latency(static_cast<std::size_t>(hit->source), miss.t0);
-    }
-  } else if (!sampled) {
-    miss.t0 = obs::now_ticks();
+  if (sampled || searched) {
+    record_lookup_latency(
+        result.has_value() ? static_cast<std::size_t>(result->source) : kMissTier, t0);
   }
-  return hit;
+  return result;
+}
+
+std::optional<StoreLookupResult> ClassStore::probe_index(const Miss& miss) const
+{
+  const std::optional<StoreRecord> record = find_canonical(miss.canon.canonical);
+  if (!record.has_value()) {
+    return std::nullopt;
+  }
+  if (miss.npn4_class.has_value()) {
+    // The table did the canonicalization, so the hit reports src=table and
+    // fills the class's slot: every later query is one array load. The hot
+    // cache and the memo stay cold (the slot outperforms both).
+    npn4_publish(*miss.npn4_class, *record);
+    table_hits_.fetch_add(1, std::memory_order_relaxed);
+    return make_result(*record, miss.canon.transform, LookupSource::kTable);
+  }
+  StoreLookupResult result = make_result(*record, miss.canon.transform, LookupSource::kIndex);
+  cache_put(miss.query, result);
+  if (miss.sc != nullptr) {
+    memo_insert(*miss.sc, result);
+  }
+  return result;
 }
 
 std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
 {
   check_width(f, "ClassStore::lookup");
-  FastMiss miss;
-  std::optional<StoreLookupResult> result = probe_fast_tiers(f, miss);
-  if (result.has_value()) {
-    return result;
-  }
-  if (miss.table.has_value()) {
-    // Slot cold: probe the index with the table-provided canonical form —
-    // still searchless, and a hit fills the slot for every later query.
-    const TruthTable canonical = TruthTable::from_word(num_vars_, miss.table->canonical_word);
-    if (const std::optional<StoreRecord> record = find_canonical(canonical)) {
-      npn4_publish(miss.table->class_index, *record);
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      result = make_result(*record, miss.table->transform, LookupSource::kTable);
-      record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), miss.t0);
-      return result;
-    }
-    record_lookup_latency(kMissTier, miss.t0);
-    return std::nullopt;
-  }
-  canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-  // A memo miss hands its semiclass form to the canonicalizer as the seed.
-  const SemiclassResult* sc = miss.sc ? &*miss.sc : nullptr;
-  const CanonResult canon =
-      sc ? exact_npn_canonical_with_transform(f, *sc) : exact_npn_canonical_with_transform(f);
-  result = lookup_canonical_impl(f, canon, sc);
-  record_lookup_latency(
-      result.has_value() ? static_cast<std::size_t>(result->source) : kMissTier, miss.t0);
-  return result;
-}
-
-std::optional<StoreLookupResult> ClassStore::lookup_canonical_impl(const TruthTable& f,
-                                                                   const CanonResult& canon,
-                                                                   const SemiclassResult* sc) const
-{
-  const std::optional<StoreRecord> record = find_canonical(canon.canonical);
-  if (!record.has_value()) {
-    return std::nullopt;
-  }
-  StoreLookupResult result = make_result(*record, canon.transform, LookupSource::kIndex);
-  cache_put(f, result);
-  if (sc != nullptr) {
-    memo_insert(*sc, result);
-  }
-  return result;
+  return walk(f, [](const Miss&) { return std::optional<StoreLookupResult>{}; });
 }
 
 StoreLookupResult ClassStore::lookup_or_classify(const TruthTable& f, bool append_on_miss)
 {
   check_width(f, "ClassStore::lookup_or_classify");
-  FastMiss miss;
-  if (std::optional<StoreLookupResult> hit = probe_fast_tiers(f, miss)) {
-    return std::move(*hit);
-  }
-  StoreLookupResult result;
-  if (miss.table.has_value()) {
-    // Tier 0, mirroring lookup(): the table replaces cache, memo and the
-    // canonicalizer wholesale for width <= 4.
-    const std::size_t class_index = miss.table->class_index;
-    const CanonResult canon{TruthTable::from_word(num_vars_, miss.table->canonical_word),
-                            miss.table->transform};
-    result = lookup_or_classify_impl(f, canon, append_on_miss, nullptr, &class_index);
-  } else {
-    canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-    const SemiclassResult* sc = miss.sc ? &*miss.sc : nullptr;
-    const CanonResult canon =
-        sc ? exact_npn_canonical_with_transform(f, *sc) : exact_npn_canonical_with_transform(f);
-    result = lookup_or_classify_impl(f, canon, append_on_miss, sc);
-  }
-  record_lookup_latency(static_cast<std::size_t>(result.source), miss.t0);
-  return result;
+  return *walk(f, [&](const Miss& miss) { return classify_miss(miss, append_on_miss); });
 }
 
-StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
-                                                      const CanonResult& canon,
-                                                      bool append_on_miss,
-                                                      const SemiclassResult* sc,
-                                                      const std::size_t* npn4_class)
+StoreLookupResult ClassStore::classify_miss(const Miss& miss, bool append_on_miss)
 {
-  // On the table-tier path (non-null npn4_class) an index hit is reported
-  // as src=table — the table did the canonicalization — and fills the
-  // class's slot so every later query is one array load; the hot cache and
-  // the memo stay cold (the slot outperforms both).
-  const auto resolve_hit = [&](const StoreRecord& record) {
-    if (npn4_class != nullptr) {
-      npn4_publish(*npn4_class, record);
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      return make_result(record, canon.transform, LookupSource::kTable);
-    }
-    StoreLookupResult result = make_result(record, canon.transform, LookupSource::kIndex);
-    cache_put(f, result);
-    if (sc != nullptr) {
-      memo_insert(*sc, result);
-    }
-    return result;
-  };
-
-  // Known classes resolve without entering the gate, like lookup().
-  if (const std::optional<StoreRecord> record = find_canonical(canon.canonical)) {
-    return resolve_hit(*record);
-  }
-
-  // Miss: serialize through the gate and re-probe — a concurrent session
-  // may have appended this very class between our probe and the gate.
+  // Serialize through the gate and re-probe — a concurrent session may have
+  // appended this very class between the walk's probe and the gate.
   const auto gate = gate_->acquire();
-  if (const std::optional<StoreRecord> record = find_canonical(canon.canonical)) {
-    return resolve_hit(*record);
+  if (std::optional<StoreLookupResult> hit = probe_index(miss)) {
+    return std::move(*hit);
   }
 
   // Live tier: the class is new. Reuse (or allocate) its dense id and keep
   // the first query as representative so repeated misses stay consistent.
-  const auto transient = miss_records_.find(canon.canonical);
+  const auto transient = miss_records_.find(miss.canon.canonical);
   StoreRecord record;
   if (transient != miss_records_.end()) {
     record = transient->second;
   } else {
-    record.canonical = canon.canonical;
-    record.representative = f;
-    record.rep_to_canonical = canon.transform;
+    record.canonical = miss.canon.canonical;
+    record.representative = miss.query;
+    record.rep_to_canonical = miss.canon.transform;
     record.class_id =
         static_cast<std::uint32_t>(next_class_id_.fetch_add(1, std::memory_order_acq_rel));
     record.class_size = 1;
   }
 
-  StoreLookupResult result = make_result(record, canon.transform, LookupSource::kLive);
+  StoreLookupResult result = make_result(record, miss.canon.transform, LookupSource::kLive);
   result.known = false;
 
   if (append_on_miss) {
@@ -1014,15 +971,15 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
                                static_cast<std::uint32_t>(memtable_->records.size()));
       memtable_->records.push_back(record);
     }
-    if (npn4_class != nullptr) {
+    if (miss.npn4_class.has_value()) {
       // Persistent from here on: the slot may serve it. Transient misses
       // (the else branch) never fill a slot — they must keep reporting
       // known=false until someone appends them.
-      npn4_publish(*npn4_class, record);
+      npn4_publish(*miss.npn4_class, record);
     } else {
       // Appends warm only the hot cache: the memo learns the class from its
       // first index hit, so a novel-class stream never fills it.
-      cache_put(f, result);
+      cache_put(miss.query, result);
     }
   } else if (transient == miss_records_.end()) {
     miss_records_.emplace(record.canonical, record);

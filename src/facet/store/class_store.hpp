@@ -6,13 +6,17 @@
 /// (exact_npn_canonical), carrying the dense class id, the first dataset
 /// member as representative, the class size, and the transform mapping the
 /// representative onto the canonical form. Lookup of a query function f
-/// resolves through a tiered read path:
+/// resolves through one tier walk — the single description of the read
+/// path; lookup() and lookup_or_classify() share tiers 0-5 and differ only
+/// in what a miss does:
 ///
 ///   0. table       — width <= 4 only: the baked NPN4 norm table
 ///                    (npn4_table.hpp) resolves class index, canonical form
 ///                    and witness in ONE array load, and a per-class
 ///                    write-once slot turns that into the full store answer
-///                    — no canonicalizer, no cache, no gate, no search;
+///                    — no canonicalizer, no cache, no gate, no search. A
+///                    cold slot skips tiers 1-2 and probes the index with
+///                    the table's canonical form; a hit fills the slot;
 ///   1. hot cache   — f itself was looked up recently: one probe of a
 ///                    sharded set-associative table keyed by f's words, no
 ///                    canonicalization at all (hot_cache.hpp);
@@ -21,16 +25,19 @@
 ///                    allocation-free for n <= 7) and probe a second such
 ///                    table keyed by that exact image — no search, no exact
 ///                    canonicalization;
-///   3. memtable    — canonicalize f with a witnessing transform, then probe
-///                    the unflushed appends (hash map);
+///   3. memtable    — canonicalize f with a witnessing transform (seeded by
+///                    its semiclass form), then probe the unflushed appends
+///                    (hash map);
 ///   4. delta runs  — flushed-but-uncompacted append runs, consulted
 ///                    newest-first (each a small sorted MaterializedSegment);
 ///   5. base        — the compacted index: a binary search over the sorted
 ///                    records, either materialized in RAM (load) or executed
 ///                    in place over a read-only mmap of the `.fcs` file
-///                    (open with use_mmap; lazily page-validated);
-///   6. live        — unknown canonical form: fall back to live
-///                    classification, allocating the next dense class id,
+///                    (open with use_mmap; lazily page-validated). An index
+///                    hit warms the hot cache and the memo;
+///   6. live        — lookup_or_classify() only (lookup() answers nullopt):
+///                    under the store gate, re-probe tiers 3-5, then
+///                    classify live, allocating the next dense class id,
 ///                    and optionally appending the new class to the store.
 ///
 /// The semiclass memo exists because exact canonicalization dominates every
@@ -125,6 +132,7 @@
 #include <vector>
 
 #include "facet/npn/exact_canon.hpp"
+#include "facet/npn/npn4_table.hpp"
 #include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/obs/histogram.hpp"
@@ -384,30 +392,24 @@ class ClassStore {
   /// skips record materialization on every tier.
   [[nodiscard]] std::optional<std::uint32_t> find_class_id(const TruthTable& canonical) const;
 
-  /// Fast-front probe by the query function itself; never canonicalizes.
-  /// On a width <= 4 store with the table on, a filled norm-table slot
-  /// answers first (src=table); otherwise this is one hot-cache set probe.
+  /// The walk's first two tiers by the query function itself; never
+  /// canonicalizes. On a width <= 4 store with the table on, f's filled
+  /// norm-table slot (src=table); otherwise one hot-cache set probe.
   /// nullopt for a query of another width.
   [[nodiscard]] std::optional<StoreLookupResult> probe_cache(const TruthTable& f) const;
 
-  /// Full read-only lookup. Width <= 4 with the table on: one norm-table
-  /// load resolves class + canonical + witness (src=table) — no cache, no
-  /// memo, no canonicalization, and no gate pin once the class's slot is
-  /// filled. Otherwise: hot cache, else semiclass memo, else canonicalize +
-  /// index (warming the cache, and the memo under f's image, on a hit).
+  /// Full read-only lookup: the tier walk (file comment) through tier 5.
   /// nullopt if the class is not in the store.
   [[nodiscard]] std::optional<StoreLookupResult> lookup(const TruthTable& f) const;
 
-  /// Lookup with live fallback: unknown canonical forms are classified live
-  /// under the next dense class id. With `append_on_miss` the new class
-  /// becomes a persistent record (and is served from the index from then
-  /// on); without it the id is remembered only for this store object's
-  /// lifetime, keeping repeated queries consistent. Known classes resolve
-  /// without touching the gate; the miss path serializes through it and
-  /// re-probes, so concurrent sessions racing on one novel class agree on
-  /// one id. Resolves through the full tier stack: norm table (width <= 4),
-  /// hot cache, semiclass memo, index, live — a table or memo hit never
-  /// canonicalizes. Only index hits fill the memo; appends never do.
+  /// The same tier walk as lookup(), with live fallback on a miss: unknown
+  /// canonical forms are classified live under the next dense class id.
+  /// With `append_on_miss` the new class becomes a persistent record (and
+  /// is served from the index from then on); without it the id is
+  /// remembered only for this store object's lifetime, keeping repeated
+  /// queries consistent. Known classes resolve without touching the gate;
+  /// the miss path serializes through it and re-probes, so concurrent
+  /// sessions racing on one novel class agree on one id.
   [[nodiscard]] StoreLookupResult lookup_or_classify(const TruthTable& f,
                                                      bool append_on_miss = false);
 
@@ -459,10 +461,11 @@ class ClassStore {
     NpnTransform to_representative;
   };
   using AnswerCache = SetAssociativeCache<CacheEntry>;
-  /// What the searchless tiers hand the slow tiers on a miss (class_store.cpp).
-  struct FastMiss;
+  /// What a walk that found nothing searchless hands the index probe and
+  /// the miss policy (class_store.cpp).
+  struct Miss;
 
-  /// The memtable (tier 2): live misses with append_on_miss, hash-indexed
+  /// The memtable (tier 3): live misses with append_on_miss, hash-indexed
   /// by canonical form; sealed into a delta run by flush_delta(). Only gate
   /// holders mutate it; the mutex lets readers probe it concurrently, and
   /// is held for single map operations only — never across I/O.
@@ -509,12 +512,11 @@ class ClassStore {
   [[nodiscard]] static OpenedBase open_base(const std::string& path, bool use_mmap);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
-  /// The searchless prefix of lookup() and lookup_or_classify(): the
-  /// table slot (width <= 4), else the hot cache, else f's semiclass form
-  /// and the memo. A hit's latency is recorded when sampled; on a miss,
-  /// `miss` carries what the slow tiers reuse and their clock start.
-  [[nodiscard]] std::optional<StoreLookupResult> probe_fast_tiers(const TruthTable& f,
-                                                                  FastMiss& miss) const;
+  /// The walk's first two tiers, shared with probe_cache(): with the table
+  /// on, the norm-table entry of f (kept in `table` for the slower tiers)
+  /// and its class's slot; otherwise the hot cache.
+  [[nodiscard]] std::optional<StoreLookupResult> probe_front(
+      const TruthTable& f, std::optional<Npn4Result>& table) const;
   /// The answer `cache` holds under `key`, reported as `source`.
   [[nodiscard]] std::optional<StoreLookupResult> cached_answer(const AnswerCache& cache,
                                                                const TruthTable& key,
@@ -527,19 +529,19 @@ class ClassStore {
                                                             const SemiclassResult& sc) const;
   /// Memoizes an index-resolved answer for f under f's semiclass image `sc`.
   void memo_insert(const SemiclassResult& sc, const StoreLookupResult& result) const;
-  /// Resolves f against the index through its precomputed
-  /// canonicalization, warming the cache on a hit; a non-null `sc` also
-  /// memoizes the answer under f's semiclass image.
-  [[nodiscard]] std::optional<StoreLookupResult> lookup_canonical_impl(
-      const TruthTable& f, const CanonResult& canon, const SemiclassResult* sc) const;
-  /// lookup_or_classify() past the fast tiers, through f's precomputed
-  /// canonicalization; a non-null `sc` memoizes index hits under f's
-  /// semiclass image (live misses, appended or not, are never memoized).
-  [[nodiscard]] StoreLookupResult lookup_or_classify_impl(const TruthTable& f,
-                                                          const CanonResult& canon,
-                                                          bool append_on_miss,
-                                                          const SemiclassResult* sc,
-                                                          const std::size_t* npn4_class = nullptr);
+  /// The tier walk behind lookup() and lookup_or_classify(): tiers 0-5 of
+  /// the file comment, then `on_miss(miss)` when none resolved f.
+  /// Records the call's latency under its resolving tier.
+  template <typename OnMiss>
+  [[nodiscard]] std::optional<StoreLookupResult> walk(const TruthTable& f,
+                                                      OnMiss&& on_miss) const;
+  /// The index tiers (memtable, delta runs, base) by the miss's canonical
+  /// form, and the one index-hit handler: a hit fills the class's table
+  /// slot (width <= 4), else warms the hot cache and the memo.
+  [[nodiscard]] std::optional<StoreLookupResult> probe_index(const Miss& miss) const;
+  /// lookup_or_classify()'s miss policy: the gated re-probe, then the live
+  /// tier (live misses, appended or not, are never memoized).
+  [[nodiscard]] StoreLookupResult classify_miss(const Miss& miss, bool append_on_miss);
   /// Publishes `record` into the table-tier slot of `class_index`
   /// (double-checked under the slot writer mutex; no-op when already
   /// filled). const because slots warm from const lookups, like the cache.
@@ -581,7 +583,7 @@ class ClassStore {
   /// registry: stable forever, shared by stores of the same width, copied
   /// wholesale on move.
   std::array<obs::LatencyHistogram*, 6> lookup_latency_{};
-  /// The store gate: publishes the TierSnapshot epochs (tiers 3 + 4) and
+  /// The store gate: publishes the TierSnapshot epochs (tiers 4 + 5) and
   /// serializes mutators. unique_ptr so the store stays movable.
   std::unique_ptr<StoreGate<TierSnapshot>> gate_;
   bool mmap_backed_ = false;

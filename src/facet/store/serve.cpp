@@ -472,7 +472,14 @@ std::string ServeDispatcher::resolve_operand(const std::string& token, int width
     return "err no store routes width " + std::to_string(width);
   }
   try {
-    return lookup_line(*store, from_hex(width, token));
+    const std::optional<StoreLookupResult> result =
+        lookup(*store, from_hex(width, token),
+               options_.append_on_miss ? MissPolicy::kAppend : MissPolicy::kTransient);
+    if (!result.has_value()) {
+      count_error();
+      return "err unknown function (readonly session)";
+    }
+    return answer_line(*result);
   } catch (const std::exception& e) {
     count_error();
     return operand_err(token, e.what());
@@ -516,7 +523,7 @@ std::string ServeDispatcher::resolve_ambiguous_nibble(const std::string& token,
     }
   }
   if (unanimous) {
-    count_lookup(candidates.front(), *first, options_.append_on_miss && !options_.readonly);
+    count_lookup(candidates.front(), *first, /*append_policy=*/false);
     return answer_line(*first);
   }
   count_error();
@@ -529,56 +536,24 @@ std::string ServeDispatcher::resolve_ambiguous_nibble(const std::string& token,
   return line.str();
 }
 
-/// The tiered lookup of one parsed query, delegated wholesale to the
-/// store (hot cache -> semiclass memo -> index -> live): a cache or memo
-/// hit never canonicalizes, and a genuine miss canonicalizes exactly once
-/// — in this thread, inside the store but before its mutation gate — so a
-/// cold query never stalls other connections. (The session must NOT probe
-/// the cache and canonicalize on its own: that is precisely the
-/// double-canonicalization the memo tier removes from the miss path.)
-std::string ServeDispatcher::lookup_line(ClassStore& store, const TruthTable& query)
-{
-  StoreLookupResult result;
-  if (options_.readonly) {
-    const auto hit = store.lookup(query);
-    if (!hit.has_value()) {
-      count_error();
-      return "err unknown function (readonly session)";
-    }
-    result = *hit;
-  } else {
-    // One call resolves both outcomes: known classes through the
-    // gate-free tiers, genuine misses through the gated live tier — a
-    // separate lookup first would just repeat the index search on every
-    // miss.
-    result = store.lookup_or_classify(query, options_.append_on_miss);
-  }
-  count_lookup(store.num_vars(), result, options_.append_on_miss && !options_.readonly);
-  return answer_line(result);
-}
-
 ClassStore* ServeDispatcher::store_for_width(int width) const noexcept
 {
   return width < 0 || width > kMaxVars ? nullptr : by_width_[static_cast<std::size_t>(width)];
 }
 
-std::optional<StoreLookupResult> ServeDispatcher::lookup_binary(ClassStore& store,
-                                                                const TruthTable& query,
-                                                                bool append)
+std::optional<StoreLookupResult> ServeDispatcher::lookup(ClassStore& store,
+                                                          const TruthTable& query,
+                                                          MissPolicy policy)
 {
-  StoreLookupResult result;
-  if (!append || options_.readonly) {
-    // Per-request readonly: the pure gate-free read path, no live
-    // classification — a protocol v2 `lookup` can never mutate the store.
-    const auto hit = store.lookup(query);
-    if (!hit.has_value()) {
-      return std::nullopt;
-    }
-    result = *hit;
-  } else {
-    result = store.lookup_or_classify(query, /*append_on_miss=*/true);
+  if (options_.readonly) {
+    policy = MissPolicy::kNone;
   }
-  count_lookup(store.num_vars(), result, append && !options_.readonly);
+  std::optional<StoreLookupResult> result =
+      policy == MissPolicy::kNone ? store.lookup(query)
+                                  : store.lookup_or_classify(query, policy == MissPolicy::kAppend);
+  if (result.has_value()) {
+    count_lookup(store.num_vars(), *result, policy == MissPolicy::kAppend);
+  }
   return result;
 }
 

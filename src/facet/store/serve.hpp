@@ -88,11 +88,8 @@
 /// a gated miss/append path, per-width striping through StoreRouter), so N
 /// concurrent sessions call plain store methods and every read proceeds
 /// without blocking behind appends, flushes or compaction swaps on ANY
-/// width. A query resolves through the store's own tier stack (NPN4 norm
-/// table for width <= 4, hot cache, semiclass memo, index, live) in the
-/// session thread; exact canonicalization — the expensive step of a
-/// genuinely novel query — runs before any store gate is involved, and
-/// table/memo hits skip it entirely.
+/// width. A query resolves in the session thread through the store's tier
+/// walk (the tier list in class_store.hpp).
 ///
 /// Counters: each session owns one plain ServeStats block (`stats`), touched
 /// only by its own thread; the per-server ServeAggregateStats (`stats all`)
@@ -197,6 +194,13 @@ struct ServeAggregateStats {
   [[nodiscard]] ServeStats totals() const noexcept;
 };
 
+/// What a lookup does when the store does not hold the query's class.
+enum class MissPolicy {
+  kNone,       ///< answer nothing (ClassStore::lookup)
+  kTransient,  ///< classify live; the id lasts as long as the store object
+  kAppend,     ///< classify live and append the class to the store
+};
+
 struct ServeOptions {
   /// Persist unknown classes into the store (lookup_or_classify append tier).
   bool append_on_miss = false;
@@ -237,10 +241,8 @@ struct ServeOptions {
 ///
 /// The dispatcher holds no lock, ever: every store access synchronizes
 /// inside ClassStore (snapshot-epoch reads, a per-store mutation gate —
-/// class_store.hpp). Queries resolve through the store's own tier stack
-/// (NPN4 norm table for width <= 4, hot cache, semiclass memo, index,
-/// live); exact canonicalization — the expensive step of a genuinely novel
-/// wide query — runs in the calling thread before any store gate.
+/// class_store.hpp). Queries resolve through the store's tier walk (the
+/// tier list in class_store.hpp) in the calling thread.
 class ServeDispatcher {
  public:
   /// Serves `store` alone when `router` is null, else every width `router`
@@ -270,15 +272,15 @@ class ServeDispatcher {
   /// The store serving `width`; nullptr when the width is not served.
   [[nodiscard]] ClassStore* store_for_width(int width) const noexcept;
 
-  /// Resolves one parsed query with a per-request append policy: `append`
-  /// false is a pure gate-free read (a miss answers nullopt and never
-  /// classifies or appends — protocol v2 `lookup`); `append` true runs the
-  /// store's full miss path and persists novel classes (protocol v2
-  /// `append`; refused by the caller under process readonly). Counters and
-  /// per-width aggregate rows are bumped either way.
-  [[nodiscard]] std::optional<StoreLookupResult> lookup_binary(ClassStore& store,
-                                                               const TruthTable& query,
-                                                               bool append);
+  /// Resolves one parsed query through the store's tier walk under
+  /// `policy` — kNone on a readonly server, whatever is asked — and counts
+  /// the answer in the session block and the per-width aggregate rows.
+  /// nullopt: a miss under kNone. The v1 line protocol asks kAppend under
+  /// append_on_miss, else kTransient; protocol v2 asks kAppend for an
+  /// `append` frame, else kNone.
+  [[nodiscard]] std::optional<StoreLookupResult> lookup(ClassStore& store,
+                                                        const TruthTable& query,
+                                                        MissPolicy policy);
 
   /// Process-level readonly (appends refused regardless of request policy).
   [[nodiscard]] bool readonly() const noexcept { return options_.readonly; }
@@ -315,7 +317,6 @@ class ServeDispatcher {
   [[nodiscard]] std::string resolve_operand(const std::string& token, int width_override);
   [[nodiscard]] std::string resolve_ambiguous_nibble(const std::string& token,
                                                      const std::vector<int>& candidates);
-  [[nodiscard]] std::string lookup_line(ClassStore& store, const TruthTable& query);
   void count_lookup(int width, const StoreLookupResult& result, bool append_policy);
   void emit_info(std::ostream& out);
   void emit_stats(std::ostream& out);

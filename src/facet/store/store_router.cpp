@@ -70,37 +70,4 @@ std::uint64_t StoreRouter::num_classes() const noexcept
   return total;
 }
 
-std::size_t StoreRouter::hot_cache_entries() const
-{
-  std::size_t total = 0;
-  for (const auto& [width, store] : stores_) {
-    total += store->hot_cache_stats().entries;
-  }
-  return total;
-}
-
-const ClassStore& StoreRouter::routed_store(const TruthTable& f, const char* who) const
-{
-  const ClassStore* store = store_for(f.num_vars());
-  if (store == nullptr) {
-    std::ostringstream msg;
-    msg << who << ": no store routes width " << f.num_vars();
-    throw std::invalid_argument{msg.str()};
-  }
-  return *store;
-}
-
-std::optional<StoreLookupResult> StoreRouter::lookup(const TruthTable& f) const
-{
-  return routed_store(f, "StoreRouter::lookup").lookup(f);
-}
-
-StoreLookupResult StoreRouter::lookup_or_classify(const TruthTable& f, bool append_on_miss)
-{
-  // routed_store's constness is only a lookup guard; the mutation happens on
-  // the owned store, which this non-const method is entitled to.
-  return const_cast<ClassStore&>(routed_store(f, "StoreRouter::lookup_or_classify"))
-      .lookup_or_classify(f, append_on_miss);
-}
-
 }  // namespace facet

@@ -1,11 +1,11 @@
 /// \file store_router.hpp
 /// \brief Multi-width store federation: one ClassStore per function width
-///        behind a single lookup surface.
+///        behind one routing table.
 ///
 /// One `.fcs` index holds one function width, but production NPN lookup —
 /// mappers enumerating cuts of mixed sizes — queries many widths through a
 /// single session. A StoreRouter owns one ClassStore per width n and
-/// dispatches every query by `num_vars`, so the batch engine
+/// routes every query by `num_vars` (store_for), so the batch engine
 /// (BatchEngine::attach_router), the serve dispatcher and the CLI
 /// (`facet_cli serve --route`) talk to one object regardless of how many
 /// widths are indexed.
@@ -16,14 +16,14 @@
 /// mutation gate). Synchronization is therefore striped per width: an
 /// append, flush or compaction swap on the n=6 store never blocks readers
 /// *or* writers on n=7, because the only gates in the system are the
-/// per-store ones. lookup(), lookup_or_classify() and the aggregate
-/// accessors are all safe from any mix of threads after setup.
+/// per-store ones. store_for() and the aggregate accessors are safe from
+/// any mix of threads after setup; queries go to store_for(n)'s lookup()
+/// or lookup_or_classify().
 
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,17 +58,8 @@ class StoreRouter {
   /// Aggregates across all routed stores.
   [[nodiscard]] std::size_t num_records() const;
   [[nodiscard]] std::uint64_t num_classes() const noexcept;
-  [[nodiscard]] std::size_t hot_cache_entries() const;
-
-  /// Dispatches to the store of f's width. Throws std::invalid_argument
-  /// when no store routes that width.
-  [[nodiscard]] std::optional<StoreLookupResult> lookup(const TruthTable& f) const;
-  [[nodiscard]] StoreLookupResult lookup_or_classify(const TruthTable& f,
-                                                     bool append_on_miss = false);
 
  private:
-  [[nodiscard]] const ClassStore& routed_store(const TruthTable& f, const char* who) const;
-
   std::map<int, std::unique_ptr<ClassStore>> stores_;
 };
 

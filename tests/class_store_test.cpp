@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "facet/engine/batch_engine.hpp"
@@ -518,6 +521,176 @@ TEST(ClassStore, MemoHitsAreExact)
     EXPECT_GT(memo_answers, 0u);
     EXPECT_EQ(store.num_memo_hits(), memo_answers);
     EXPECT_EQ(twin.num_memo_hits(), 0u);
+  }
+}
+
+/// A stream buffer whose first write blocks until `release` is set: handed
+/// to flush_delta, it holds the store gate open, so misses queue on it.
+class GateHoldingBuf : public std::stringbuf {
+ public:
+  std::promise<void> entered;
+  std::promise<void> release;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize count) override
+  {
+    hold();
+    return std::stringbuf::xsputn(s, count);
+  }
+  int_type overflow(int_type c) override
+  {
+    hold();
+    return std::stringbuf::overflow(c);
+  }
+
+ private:
+  void hold()
+  {
+    if (!held_) {
+      held_ = true;
+      entered.set_value();
+      released_.wait();
+    }
+  }
+  bool held_ = false;
+  std::shared_future<void> released_ = release.get_future().share();
+};
+
+/// A random function of width n whose class `store` does not hold.
+TruthTable novel_function(const ClassStore& store, int n, std::mt19937_64& rng)
+{
+  TruthTable f = tt_random(n, rng);
+  while (store.find_canonical(exact_npn_canonical(f)).has_value()) {
+    f = tt_random(n, rng);
+  }
+  return f;
+}
+
+/// An NPN image of f with other words than f.
+TruthTable other_image(const TruthTable& f, std::mt19937_64& rng)
+{
+  TruthTable g = apply_transform(f, NpnTransform::random(f.num_vars(), rng));
+  while (g == f) {
+    g = apply_transform(f, NpnTransform::random(f.num_vars(), rng));
+  }
+  return g;
+}
+
+TEST(ClassStore, LookupEntryPointsAgreeOnEveryTier)
+{
+  // lookup() and lookup_or_classify() walk one tier path and differ only
+  // in the miss policy: on every resolving tier the three entry points
+  // answer alike and count alike. Width 4 resolves through the NPN4 table,
+  // width 6 through the hot cache, memo and index.
+  for (const int n : {4, 6}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::mt19937_64 rng{0xa9eeULL + static_cast<std::uint64_t>(n)};
+    const auto funcs = make_npn_workload(n, 16, 2, 0xa9efULL + static_cast<std::uint64_t>(n));
+    StoreBuildOptions build_options;
+    build_options.num_threads = 1;
+    // Store k answers through entry point k; every query goes to all three,
+    // so their states stay equal as long as the entry points agree.
+    std::vector<ClassStore> stores;
+    for (int k = 0; k < 3; ++k) {
+      stores.push_back(build_class_store(funcs, build_options));
+    }
+    const auto expect_agree = [&](const TruthTable& q, LookupSource source,
+                                  std::uint64_t canonicalizations, std::uint64_t table_hits) {
+      std::optional<StoreLookupResult> first;
+      for (int k = 0; k < 3; ++k) {
+        ClassStore& store = stores[static_cast<std::size_t>(k)];
+        const std::uint64_t canon_before = store.num_canonicalizations();
+        const std::uint64_t table_before = store.num_table_hits();
+        const std::optional<StoreLookupResult> result =
+            k == 0 ? store.lookup(q) : store.lookup_or_classify(q, /*append_on_miss=*/k == 2);
+        ASSERT_TRUE(result.has_value()) << "entry point " << k;
+        EXPECT_EQ(result->source, source) << "entry point " << k;
+        EXPECT_TRUE(result->known) << "entry point " << k;
+        EXPECT_EQ(store.num_canonicalizations() - canon_before, canonicalizations);
+        EXPECT_EQ(store.num_table_hits() - table_before, table_hits);
+        if (!first.has_value()) {
+          first = result;
+          continue;
+        }
+        EXPECT_EQ(result->class_id, first->class_id);
+        EXPECT_EQ(result->representative, first->representative);
+        EXPECT_EQ(result->to_representative, first->to_representative);
+      }
+    };
+
+    // An unbalanced member, and its complement: same semiclass image.
+    const auto member = std::find_if(funcs.begin(), funcs.end(),
+                                     [](const TruthTable& f) { return !f.is_balanced(); });
+    ASSERT_NE(member, funcs.end());
+    const TruthTable f = *member;
+    if (n == 4) {
+      expect_agree(f, LookupSource::kTable, 0, 1);
+      expect_agree(f, LookupSource::kTable, 0, 1);
+    } else {
+      expect_agree(f, LookupSource::kIndex, 1, 0);
+      expect_agree(f, LookupSource::kHotCache, 0, 0);
+      ASSERT_EQ(semiclass_form(~f).image, semiclass_form(f).image);
+      expect_agree(~f, LookupSource::kMemo, 0, 0);
+    }
+
+    // A novel class: lookup() misses, a transient id is stable and
+    // unknown, and an appended class is served from the index (the table,
+    // whose slot the append filled, at width 4).
+    const TruthTable novel = novel_function(stores[0], n, rng);
+    const std::uint64_t searches = n == 4 ? 0 : 1;
+    const std::uint64_t canon_before = stores[0].num_canonicalizations();
+    EXPECT_FALSE(stores[0].lookup(novel).has_value());
+    EXPECT_EQ(stores[0].num_canonicalizations() - canon_before, searches);
+    const StoreLookupResult transient = stores[1].lookup_or_classify(novel);
+    const StoreLookupResult again = stores[1].lookup_or_classify(novel);
+    EXPECT_EQ(transient.source, LookupSource::kLive);
+    EXPECT_FALSE(transient.known);
+    EXPECT_EQ(again.source, LookupSource::kLive);
+    EXPECT_FALSE(again.known);
+    EXPECT_EQ(again.class_id, transient.class_id);
+    const StoreLookupResult appended = stores[2].lookup_or_classify(novel, true);
+    EXPECT_EQ(appended.source, LookupSource::kLive);
+    EXPECT_FALSE(appended.known);
+    EXPECT_EQ(appended.class_id, transient.class_id);
+    const auto served = stores[2].lookup(other_image(novel, rng));
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->source, n == 4 ? LookupSource::kTable : LookupSource::kIndex);
+    EXPECT_TRUE(served->known);
+    EXPECT_EQ(served->class_id, appended.class_id);
+
+    // The gated re-probe: two appenders of one novel class queue on the
+    // gate (held by a flush), so the one that enters second finds the
+    // other's record on its re-probe. It answers through the same hit
+    // handler and counts one search (width 6) or one table hit (width 4).
+    ClassStore& store = stores[0];
+    (void)store.lookup_or_classify(novel_function(store, n, rng), true);
+    const TruthTable racer = novel_function(store, n, rng);
+    const TruthTable racer_image = other_image(racer, rng);
+    const std::uint64_t canon_start = store.num_canonicalizations();
+    const std::uint64_t table_start = store.num_table_hits();
+    GateHoldingBuf buf;
+    std::future<void> entered = buf.entered.get_future();
+    std::thread flusher{[&] {
+      std::ostream os{&buf};
+      (void)store.flush_delta(os);
+    }};
+    entered.wait();
+    StoreLookupResult results[2];
+    std::thread first{[&] { results[0] = store.lookup_or_classify(racer, true); }};
+    std::thread second{[&] { results[1] = store.lookup_or_classify(racer_image, true); }};
+    std::this_thread::sleep_for(std::chrono::milliseconds{100});
+    buf.release.set_value();
+    first.join();
+    second.join();
+    flusher.join();
+    EXPECT_EQ(results[0].class_id, results[1].class_id);
+    EXPECT_NE(results[0].known, results[1].known);
+    const StoreLookupResult& live = results[0].known ? results[1] : results[0];
+    const StoreLookupResult& found = results[0].known ? results[0] : results[1];
+    EXPECT_EQ(live.source, LookupSource::kLive);
+    EXPECT_EQ(found.source, n == 4 ? LookupSource::kTable : LookupSource::kIndex);
+    EXPECT_EQ(store.num_canonicalizations() - canon_start, 2 * searches);
+    EXPECT_EQ(store.num_table_hits() - table_start, n == 4 ? 1u : 0u);
   }
 }
 

@@ -581,13 +581,13 @@ TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndComp
   StoreRouter reopened = StoreRouter::open({path4, path5});
   EXPECT_GE(reopened.store_for(5)->num_records(), base5_records + 1);
   for (std::size_t i = 0; i < novel5.size(); ++i) {
-    const auto result = reopened.lookup(novel5[i]);
+    const auto result = reopened.store_for(5)->lookup(novel5[i]);
     ASSERT_TRUE(result.has_value()) << "width-5 append " << i << " was lost in the drain";
     EXPECT_TRUE(result->known);
     EXPECT_EQ(static_cast<long>(result->class_id), appended_ids[i]);
   }
   for (std::size_t i = 0; i < funcs4.size(); ++i) {
-    const auto result = reopened.lookup(funcs4[i]);
+    const auto result = reopened.store_for(4)->lookup(funcs4[i]);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->class_id, expected4.class_of[i]);
   }

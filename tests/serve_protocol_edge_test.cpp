@@ -254,11 +254,11 @@ TEST(ServeProtocolEdge, RouterQuitFlushesEveryWidth)
   TruthTable novel3{3};
   do {
     novel3 = tt_random(3, rng);
-  } while (router.lookup(novel3).has_value());
+  } while (router.store_for(3)->lookup(novel3).has_value());
   TruthTable novel4{4};
   do {
     novel4 = tt_random(4, rng);
-  } while (router.lookup(novel4).has_value());
+  } while (router.store_for(4)->lookup(novel4).has_value());
 
   ServeOptions options;
   options.append_on_miss = true;
@@ -272,8 +272,8 @@ TEST(ServeProtocolEdge, RouterQuitFlushesEveryWidth)
   EXPECT_EQ(stats.flushed, 2u);
 
   StoreRouter reopened = StoreRouter::open({path3, path4});
-  EXPECT_TRUE(reopened.lookup(novel3).has_value());
-  EXPECT_TRUE(reopened.lookup(novel4).has_value());
+  EXPECT_TRUE(reopened.store_for(3)->lookup(novel3).has_value());
+  EXPECT_TRUE(reopened.store_for(4)->lookup(novel4).has_value());
   for (const auto& path : {path3, path4}) {
     std::remove(path.c_str());
     std::remove(ClassStore::delta_log_path(path).c_str());
@@ -357,7 +357,7 @@ TEST(ServeProtocolEdge, StatsAllCountsAppendsPerWidth)
   TruthTable novel{4};
   do {
     novel = tt_random(4, rng);
-  } while (router.lookup(novel).has_value());
+  } while (router.store_for(4)->lookup(novel).has_value());
 
   ServeOptions options;
   options.append_on_miss = true;
@@ -515,7 +515,7 @@ TEST(ServeProtocolEdge, StatsAllTotalsEqualTheSumOfWidthRows)
   TruthTable novel6{6};
   do {
     novel6 = tt_random(6, rng);
-  } while (router.lookup(novel6).has_value());
+  } while (router.store_for(6)->lookup(novel6).has_value());
 
   ServeOptions options;
   options.append_on_miss = true;

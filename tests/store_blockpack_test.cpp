@@ -375,13 +375,13 @@ TEST(StoreBlockPack, RouterDispatchesOverTwoWidths)
   ASSERT_EQ(router.num_stores(), 2u);
   for (const auto& f : funcs_a) {
     const auto expected = built_a.lookup(f);
-    const auto routed = router.lookup(f);
+    const auto routed = router.store_for(f.num_vars())->lookup(f);
     ASSERT_TRUE(routed.has_value());
     EXPECT_EQ(routed->class_id, expected->class_id);
   }
   for (const auto& f : funcs_b) {
     const auto expected = built_b.lookup(f);
-    const auto routed = router.lookup(f);
+    const auto routed = router.store_for(f.num_vars())->lookup(f);
     ASSERT_TRUE(routed.has_value());
     EXPECT_EQ(routed->class_id, expected->class_id);
   }
