@@ -15,7 +15,7 @@
 ///
 /// A second phase benchmarks the storage engine itself: cold open of a
 /// prebuilt --mmap-n index of --mmap-records classes, materialized
-/// ClassStore::load vs zero-copy ClassStore::open(use_mmap) — wall time and
+/// ClassStore::open vs zero-copy ClassStore::open(use_mmap) — wall time and
 /// resident-set growth — with find_canonical bit-identity checked between
 /// the two. Its report lands in BENCH_store_mmap.json (--mmap-out).
 ///
@@ -256,13 +256,8 @@ int main(int argc, char** argv)
       }
     }
     {
-      std::vector<const StoreRecord*> pointers;
-      pointers.reserve(cold_set.size());
-      for (const auto& record : cold_set) {
-        pointers.push_back(&record);
-      }
       std::ofstream v3{cold_v3_path, std::ios::binary | std::ios::trunc};
-      write_base_segment(v3, cold_n, cold_set.size(), pointers);
+      write_base_segment(v3, cold_n, cold_set.size(), cold_set);
     }
 
     // Probe keys: alternate present records (strided across the index) and
@@ -384,7 +379,7 @@ int main(int argc, char** argv)
   {
     const long long rss_before = rss_kib();
     watch.reset();
-    const ClassStore materialized = ClassStore::load(index_path);
+    const ClassStore materialized = ClassStore::open(index_path);
     materialized_seconds = watch.seconds();
     materialized_rss_kib = rss_kib() - rss_before;
 

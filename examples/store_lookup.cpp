@@ -31,7 +31,7 @@ int main(int argc, char** argv)
   // 3. Persist and reload — the round trip is validated by a checksum.
   const std::string path = "store_lookup_example.fcs";
   built.save(path);
-  ClassStore store = ClassStore::load(path);
+  ClassStore store = ClassStore::open(path);
   std::cout << "saved:   " << path << ", reloaded " << store.num_records() << " records\n\n";
 
   // 4. Lookups. The first query canonicalizes and binary-searches the index;

@@ -28,10 +28,12 @@
 /// timeout, drain) and the background compactor the ROADMAP asked for: a
 /// thread that watches every served store and, when the sealed delta-run
 /// count or the `.dlog` size crosses its threshold, folds base + runs into
-/// a fresh base segment using the three-phase ClassStore compaction API —
-/// the heavy merge and file write run against a pinned snapshot with no
-/// gate held, and only the final adopt_compacted swap enters the store's
-/// gate, so live traffic never stalls behind a compaction.
+/// a fresh base segment through the store's one compaction path
+/// (ClassStore::compact, run in its two halves begin_compaction /
+/// finish_compaction so the server can count what it folds) — the heavy
+/// merge and file write run against a pinned snapshot with no gate held,
+/// and only the final swap enters the store's gate, so live traffic never
+/// stalls behind a compaction.
 ///
 /// Shutdown (request_shutdown(), wired to SIGINT/SIGTERM by the CLI) is
 /// graceful: stop accepting, wake every in-flight connection (its session
@@ -102,8 +104,8 @@ struct ServeServerOptions {
 
   /// Readonly replicas only: re-stat every served index (base + delta log)
   /// at this interval and ClassStore::reload any store whose files changed
-  /// — the other half of the compaction handshake. adopt_compacted lands
-  /// the new base by rename, so a replica sees a new inode/mtime and swaps
+  /// — the other half of the compaction handshake. A compaction lands the
+  /// new base by rename, so a replica sees a new inode/mtime and swaps
   /// its tiers to the fresh epoch without dropping in-flight requests.
   /// zero() (default) disables polling; ignored on writable servers, which
   /// own their files.

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -102,18 +103,19 @@ ClassStore::ClassStore(int num_vars, std::vector<StoreRecord> records, std::uint
       throw std::invalid_argument{"ClassStore: record class id exceeds num_classes"};
     }
   }
-  reset_base(std::make_shared<MaterializedSegment>(num_vars_, std::move(records)));
+  reset_tiers(std::make_shared<TierSnapshot>(
+      TierSnapshot{std::make_shared<MaterializedSegment>(num_vars_, std::move(records)), {}}));
   next_class_id_.store(num_classes, std::memory_order_relaxed);
   npn4_prefill();
 }
 
-ClassStore::ClassStore(std::shared_ptr<const Segment> base, std::uint64_t num_classes,
-                       bool mmap_backed, ClassStoreOptions options)
-    : ClassStore{base->num_vars(), options}
+ClassStore::ClassStore(StoredTiers stored, bool mmap_backed, ClassStoreOptions options)
+    : ClassStore{stored.tiers->base->num_vars(), options}
 {
-  reset_base(std::move(base));
+  reset_tiers(std::move(stored.tiers));
   mmap_backed_ = mmap_backed;
-  next_class_id_.store(num_classes, std::memory_order_relaxed);
+  next_class_id_.store(stored.num_classes, std::memory_order_relaxed);
+  // Classes replayed from the delta log fill table-tier slots too.
   npn4_prefill();
 }
 
@@ -157,22 +159,162 @@ ClassStore& ClassStore::operator=(ClassStore&& other) noexcept
   return *this;
 }
 
-void ClassStore::reset_base(std::shared_ptr<const Segment> base)
+void ClassStore::reset_tiers(std::shared_ptr<const TierSnapshot> tiers)
 {
   const auto gate = gate_->acquire();
-  auto next = std::make_shared<TierSnapshot>(*gate_->pin());
-  next->base = std::move(base);
-  gate_->publish(gate, std::move(next));
+  gate_->publish(gate, std::move(tiers));
 }
+
+namespace {
+
+/// Records held by a tier epoch's delta runs.
+[[nodiscard]] std::size_t delta_records(const TierSnapshot& tiers) noexcept
+{
+  std::size_t total = 0;
+  for (const auto& delta : tiers.deltas) {
+    total += delta->size();
+  }
+  return total;
+}
+
+/// The one tier merge: the base, then the delta runs oldest first, then
+/// `memtable`. A later occurrence of a canonical form shadows an earlier
+/// one — the lookup order memtable -> deltas (newest first) -> base — and
+/// the result is sorted by canonical form.
+[[nodiscard]] std::vector<StoreRecord> merge_tiers(const TierSnapshot& tiers,
+                                                   std::vector<StoreRecord> memtable = {})
+{
+  std::vector<StoreRecord> merged;
+  merged.reserve(tiers.base->size() + delta_records(tiers) + memtable.size());
+  for (std::size_t i = 0; i < tiers.base->size(); ++i) {
+    merged.push_back(tiers.base->record_at(i));
+  }
+  for (const auto& delta : tiers.deltas) {
+    merged.insert(merged.end(), delta->records().begin(), delta->records().end());
+  }
+  std::move(memtable.begin(), memtable.end(), std::back_inserter(merged));
+  // Stable: equal canonical forms keep tier order, newest last, so keeping
+  // the last of each equal range keeps the newest.
+  std::stable_sort(merged.begin(), merged.end(), [](const StoreRecord& a, const StoreRecord& b) {
+    return a.canonical < b.canonical;
+  });
+  const auto newest = std::unique(merged.rbegin(), merged.rend(),
+                                  [](const StoreRecord& a, const StoreRecord& b) {
+                                    return a.canonical == b.canonical;
+                                  });
+  merged.erase(merged.begin(), newest.base());
+  return merged;
+}
+
+/// True while `pinned` is an earlier epoch of the same store as `current`:
+/// the same base, its delta runs a prefix of `current`'s (flushes only
+/// append runs; only a compaction swaps the base).
+[[nodiscard]] bool is_earlier_epoch(const TierSnapshot& pinned, const TierSnapshot& current)
+{
+  return pinned.base == current.base && pinned.deltas.size() <= current.deltas.size() &&
+         std::equal(pinned.deltas.begin(), pinned.deltas.end(), current.deltas.begin());
+}
+
+// The store's file operations, one function each.
+
+/// Removes the file at `path` if it exists.
+void remove_file(const std::string& path)
+{
+  std::remove(path.c_str());
+}
+
+/// Size of the file at `path`; 0 when absent.
+[[nodiscard]] std::uint64_t file_size_or_zero(const std::string& path) noexcept
+{
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  return ec ? 0 : static_cast<std::uint64_t>(size);
+}
+
+/// Writes what `writer` emits to a fresh tmp file next to `path` and
+/// returns its name; nothing is visible at `path` until rename_into_place.
+/// A failed write removes the tmp file and throws StoreFormatError.
+std::string write_tmp_file(const std::string& path,
+                           const std::function<void(std::ostream&)>& writer)
+{
+  const std::string tmp = path + ".tmp";
+  std::ofstream os{tmp, std::ios::binary | std::ios::trunc};
+  if (!os) {
+    throw StoreFormatError{"cannot open for writing: " + tmp};
+  }
+  try {
+    writer(os);
+    os.flush();
+    if (!os) {
+      throw StoreFormatError{"write failed: " + tmp};
+    }
+  } catch (...) {
+    os.close();
+    remove_file(tmp);
+    throw;
+  }
+  return tmp;
+}
+
+/// Renames a finished tmp file over `path` (a crash or full disk mid-write
+/// never destroys the file it replaces). On failure removes the tmp file
+/// and throws StoreFormatError.
+void rename_into_place(const std::string& tmp, const std::string& path)
+{
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    remove_file(tmp);
+    throw StoreFormatError{"cannot move finished file into place: " + path};
+  }
+}
+
+/// Truncates the file at `path` to `size` bytes; throws StoreFormatError
+/// on failure.
+void truncate_file(const std::string& path, std::uint64_t size)
+{
+  std::error_code ec;
+  std::filesystem::resize_file(path, size, ec);
+  if (ec) {
+    throw StoreFormatError{"cannot truncate " + path + " (" + ec.message() + ")"};
+  }
+}
+
+/// Appends what `writer` emits to `path` (created if absent). If the
+/// writer throws, the file is truncated back to its size before the append
+/// — a partial frame never stays behind for a later append to bury
+/// mid-log — and the exception propagates.
+void append_to_file(const std::string& path, const std::function<void(std::ostream&)>& writer)
+{
+  const std::uint64_t size_before = file_size_or_zero(path);
+  std::ofstream os{path, std::ios::binary | std::ios::app};
+  if (!os) {
+    throw StoreFormatError{"cannot open for appending: " + path};
+  }
+  try {
+    writer(os);
+  } catch (...) {
+    // Close first: closing flushes whatever the stream still buffers, and
+    // that must land before the truncate, not after it.
+    os.close();
+    truncate_file(path, size_before);
+    throw;
+  }
+}
+
+/// `facet_compaction_duration{phase=...}`: "total" spans the opening flush
+/// through the adopt; the phases separate the gate-free merge and write
+/// from the gated flush and swap.
+obs::LatencyHistogram& compaction_histogram(const char* phase)
+{
+  return obs::MetricRegistry::global().histogram("facet_compaction_duration",
+                                                 obs::label("phase", phase));
+}
+
+}  // namespace
 
 std::size_t ClassStore::num_records() const
 {
   const auto tiers = gate_->pin();
-  std::size_t total = tiers->base->size();
-  for (const auto& delta : tiers->deltas) {
-    total += delta->size();
-  }
-  return total + num_appended();
+  return tiers->base->size() + delta_records(*tiers) + num_appended();
 }
 
 std::size_t ClassStore::num_appended() const
@@ -188,12 +330,7 @@ std::size_t ClassStore::num_delta_segments() const
 
 std::size_t ClassStore::num_delta_records() const
 {
-  const auto tiers = gate_->pin();
-  std::size_t total = 0;
-  for (const auto& delta : tiers->deltas) {
-    total += delta->size();
-  }
-  return total;
+  return delta_records(*gate_->pin());
 }
 
 const std::vector<StoreRecord>& ClassStore::records() const
@@ -218,38 +355,7 @@ std::vector<StoreRecord> ClassStore::persisted_records() const
     const std::lock_guard<std::mutex> lock{memtable_->mutex};
     memtable = memtable_->records;
   }
-  const auto tiers = gate_->pin();
-
-  // Newest occurrence of a canonical form shadows older ones, mirroring the
-  // lookup order memtable -> deltas (newest first) -> base.
-  std::unordered_map<TruthTable, StoreRecord, TruthTableHash> merged;
-  std::size_t upper_bound = tiers->base->size() + memtable.size();
-  for (const auto& delta : tiers->deltas) {
-    upper_bound += delta->size();
-  }
-  merged.reserve(upper_bound);
-  for (std::size_t i = 0; i < tiers->base->size(); ++i) {
-    StoreRecord record = tiers->base->record_at(i);
-    TruthTable key = record.canonical;
-    merged.insert_or_assign(std::move(key), std::move(record));
-  }
-  for (const auto& delta : tiers->deltas) {
-    for (const auto& record : delta->records()) {
-      merged.insert_or_assign(record.canonical, record);
-    }
-  }
-  for (const auto& record : memtable) {
-    merged.insert_or_assign(record.canonical, record);
-  }
-
-  std::vector<StoreRecord> result;
-  result.reserve(merged.size());
-  for (auto& entry : merged) {
-    result.push_back(std::move(entry.second));
-  }
-  std::sort(result.begin(), result.end(),
-            [](const StoreRecord& a, const StoreRecord& b) { return a.canonical < b.canonical; });
-  return result;
+  return merge_tiers(*gate_->pin(), std::move(memtable));
 }
 
 // -- persistence -------------------------------------------------------------
@@ -259,46 +365,12 @@ void ClassStore::save(std::ostream& os) const
   const std::vector<StoreRecord> merged = persisted_records();
   // Loaded after the records are collected, so the header's class count
   // bounds every collected id even if an append lands in between.
-  const std::uint64_t num_classes = next_class_id_.load(std::memory_order_acquire);
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(merged.size());
-  for (const auto& record : merged) {
-    pointers.push_back(&record);
-  }
-  write_base_segment(os, num_vars_, num_classes, pointers);
+  write_base_segment(os, num_vars_, num_classes(), merged);
 }
-
-namespace {
-
-/// Write-then-rename: a crash or full disk mid-save must never destroy the
-/// existing index at `path`.
-void write_file_atomically(const std::string& path, const char* what,
-                           const std::function<void(std::ostream&)>& writer)
-{
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os{tmp, std::ios::binary | std::ios::trunc};
-    if (!os) {
-      throw StoreFormatError{std::string{"cannot open "} + what + " for writing: " + tmp};
-    }
-    writer(os);
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
-      throw StoreFormatError{std::string{what} + " write failed: " + tmp};
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw StoreFormatError{std::string{"cannot move finished "} + what + " into place: " + path};
-  }
-}
-
-}  // namespace
 
 void ClassStore::save(const std::string& path) const
 {
-  write_file_atomically(path, "store file", [&](std::ostream& os) { save(os); });
+  rename_into_place(write_tmp_file(path, [&](std::ostream& os) { save(os); }), path);
 }
 
 ClassStore ClassStore::load(std::istream& is, ClassStoreOptions options)
@@ -311,143 +383,79 @@ ClassStore ClassStore::load(std::istream& is, ClassStoreOptions options)
   }
 }
 
-ClassStore ClassStore::load(const std::string& path, ClassStoreOptions options)
+ClassStore::StoredTiers ClassStore::read_tiers(const std::string& path, bool use_mmap,
+                                               bool repair_torn_tail)
 {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) {
-    throw StoreFormatError{"cannot open store file: " + path};
-  }
-  return load(is, options);
-}
-
-ClassStore::OpenedBase ClassStore::open_base(const std::string& path, bool use_mmap)
-{
+  StoredTiers stored{std::make_shared<TierSnapshot>()};
   if (use_mmap) {
     std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
-    const std::uint64_t num_classes = segment->num_classes();
-    return {std::move(segment), num_classes};
+    stored.num_classes = segment->num_classes();
+    stored.tiers->base = std::move(segment);
+  } else {
+    std::ifstream is{path, std::ios::binary};
+    if (!is) {
+      throw StoreFormatError{"cannot open store file: " + path};
+    }
+    LoadedBase loaded = read_base_segment(is);
+    stored.num_classes = loaded.num_classes;
+    stored.tiers->base =
+        std::make_shared<MaterializedSegment>(loaded.num_vars, std::move(loaded.records));
   }
-  std::ifstream is{path, std::ios::binary};
-  if (!is) {
-    throw StoreFormatError{"cannot open store file: " + path};
+
+  const int num_vars = stored.tiers->base->num_vars();
+  const std::string dlog_path = delta_log_path(path);
+  std::ifstream dlog{dlog_path, std::ios::binary};
+  if (!dlog) {
+    return stored;
   }
-  LoadedBase loaded = read_base_segment(is);
-  return {std::make_shared<MaterializedSegment>(loaded.num_vars, std::move(loaded.records)),
-          loaded.num_classes};
+  DeltaLogReplay replay = read_delta_log(dlog, num_vars);
+  dlog.close();
+  for (auto& run : replay.runs) {
+    stored.num_classes = std::max(stored.num_classes, run.num_classes_after);
+    stored.tiers->deltas.push_back(
+        std::make_shared<MaterializedSegment>(num_vars, std::move(run.records)));
+  }
+  if (replay.torn_tail && repair_torn_tail) {
+    // Repair the crashed append: truncate back to the intact prefix so the
+    // next flush does not write after garbage.
+    truncate_file(dlog_path, replay.clean_bytes);
+  }
+  return stored;
 }
 
 ClassStore ClassStore::open(const std::string& path, const StoreOpenOptions& options)
 {
-  OpenedBase base = open_base(path, options.use_mmap);
-  ClassStore store{std::move(base.segment), base.num_classes, options.use_mmap, options.store};
-
-  const std::string dlog_path = delta_log_path(path);
-  std::ifstream dlog{dlog_path, std::ios::binary};
-  if (dlog) {
-    const DeltaLogReplay replay = store.load_deltas(dlog);
-    dlog.close();
-    if (replay.torn_tail) {
-      // Repair the crashed append: truncate back to the intact prefix so
-      // the next flush does not write after garbage.
-      std::error_code ec;
-      std::filesystem::resize_file(dlog_path, replay.clean_bytes, ec);
-      if (ec) {
-        throw StoreFormatError{"cannot truncate torn delta log: " + dlog_path + " (" +
-                               ec.message() + ")"};
-      }
-    }
-  }
-  // Classes replayed from the delta log fill table-tier slots too.
-  store.npn4_prefill();
-  return store;
+  return ClassStore{read_tiers(path, options.use_mmap, /*repair_torn_tail=*/true),
+                    options.use_mmap, options.store};
 }
 
 std::size_t ClassStore::reload(const std::string& path)
 {
   // Build the replacement tiers fully before taking the gate — the re-open
   // and replay are the slow part, and readers keep serving the old epoch
-  // until the single publish below.
-  OpenedBase opened = open_base(path, mmap_backed_);
-  std::shared_ptr<const Segment> base = std::move(opened.segment);
-  std::uint64_t next_class_id = opened.num_classes;
-  if (base->num_vars() != num_vars_) {
+  // until the single publish below. A torn tail is dropped from the replay
+  // but deliberately NOT truncated on disk: the log belongs to the primary,
+  // and a replica observing the primary mid-append must not repair (or
+  // race) the primary's file.
+  StoredTiers stored = read_tiers(path, mmap_backed_, /*repair_torn_tail=*/false);
+  if (stored.tiers->base->num_vars() != num_vars_) {
     throw StoreFormatError{"reloaded store file has a different width: " + path};
   }
-
-  std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
-  const std::string dlog_path = delta_log_path(path);
-  std::ifstream dlog{dlog_path, std::ios::binary};
-  if (dlog) {
-    // A torn tail is dropped from the replay but deliberately NOT truncated
-    // on disk: the log belongs to the primary, and a replica observing the
-    // primary mid-append must not repair (or race) the primary's file.
-    DeltaLogReplay replay = read_delta_log(dlog, num_vars_);
-    for (auto& run : replay.runs) {
-      for (const auto& record : run.records) {
-        if (record.class_id >= run.num_classes_after) {
-          throw StoreFormatError{"corrupt delta frame: record class id exceeds its class count"};
-        }
-      }
-      next_class_id = std::max(next_class_id, run.num_classes_after);
-      deltas.push_back(std::make_shared<MaterializedSegment>(num_vars_, std::move(run.records)));
-    }
-  }
-
-  std::size_t served = base->size();
-  for (const auto& delta : deltas) {
-    served += delta->size();
-  }
+  const std::size_t served = stored.tiers->base->size() + delta_records(*stored.tiers);
 
   const auto gate = gate_->acquire();
-  auto next = std::make_shared<TierSnapshot>();
-  next->base = std::move(base);
-  next->deltas = std::move(deltas);
   // Monotone: ids handed out by this process never regress even if the
   // on-disk state observed here is older than what we already served.
   std::uint64_t current = next_class_id_.load(std::memory_order_relaxed);
-  while (current < next_class_id &&
-         !next_class_id_.compare_exchange_weak(current, next_class_id,
+  while (current < stored.num_classes &&
+         !next_class_id_.compare_exchange_weak(current, stored.num_classes,
                                                std::memory_order_relaxed)) {
   }
-  gate_->publish(gate, std::move(next));
+  gate_->publish(gate, std::move(stored.tiers));
   // Table/cache/memo tiers survive a reload by design: class ids are stable
   // across compaction, so previously published slots stay correct.
   npn4_prefill();
   return served;
-}
-
-DeltaLogReplay ClassStore::load_deltas(std::istream& is)
-{
-  DeltaLogReplay replay = read_delta_log(is, num_vars_);
-  const auto gate = gate_->acquire();
-  auto next = std::make_shared<TierSnapshot>(*gate_->pin());
-  std::uint64_t next_class_id = next_class_id_.load(std::memory_order_relaxed);
-  for (auto& run : replay.runs) {
-    for (const auto& record : run.records) {
-      if (record.class_id >= run.num_classes_after) {
-        throw StoreFormatError{"corrupt delta frame: record class id exceeds its class count"};
-      }
-    }
-    next_class_id = std::max(next_class_id, run.num_classes_after);
-    next->deltas.push_back(
-        std::make_shared<MaterializedSegment>(num_vars_, std::move(run.records)));
-  }
-  next_class_id_.store(next_class_id, std::memory_order_relaxed);
-  gate_->publish(gate, std::move(next));
-  return replay;
-}
-
-std::vector<const StoreRecord*> ClassStore::sorted_memtable() const
-{
-  std::vector<const StoreRecord*> sorted;
-  sorted.reserve(memtable_->records.size());
-  for (const auto& record : memtable_->records) {
-    sorted.push_back(&record);
-  }
-  std::sort(sorted.begin(), sorted.end(), [](const StoreRecord* a, const StoreRecord* b) {
-    return a->canonical < b->canonical;
-  });
-  return sorted;
 }
 
 std::size_t ClassStore::flush_delta_locked(const std::unique_lock<std::mutex>& gate,
@@ -458,18 +466,21 @@ std::size_t ClassStore::flush_delta_locked(const std::unique_lock<std::mutex>& g
   if (memtable_->records.empty()) {
     return 0;
   }
-  const std::vector<const StoreRecord*> sorted = sorted_memtable();
-  write_delta_frame(os, num_vars_, next_class_id_.load(std::memory_order_relaxed), sorted);
-
-  std::vector<StoreRecord> run;
-  run.reserve(sorted.size());
-  for (const auto* record : sorted) {
-    run.push_back(*record);
+  std::vector<StoreRecord> run = memtable_->records;
+  std::sort(run.begin(), run.end(),
+            [](const StoreRecord& a, const StoreRecord& b) { return a.canonical < b.canonical; });
+  write_delta_frame(os, num_vars_, num_classes(), run);
+  os.flush();
+  if (!os) {
+    throw StoreFormatError{"delta frame write failed"};
   }
+
+  // Commit only now that the whole frame is written: a failed write above
+  // leaves the memtable and the published runs as they were. Publish the
+  // sealed run BEFORE clearing the memtable: a reader always finds an
+  // in-flight record through at least one of the two tiers.
   auto next = std::make_shared<TierSnapshot>(*gate_->pin());
   next->deltas.push_back(std::make_shared<MaterializedSegment>(num_vars_, std::move(run)));
-  // Publish the sealed run BEFORE clearing the memtable: a reader always
-  // finds an in-flight record through at least one of the two tiers.
   gate_->publish(gate, std::move(next));
   std::size_t flushed = 0;
   {
@@ -493,183 +504,106 @@ std::size_t ClassStore::flush_delta(const std::string& dlog_path)
   if (memtable_->records.empty()) {
     return 0;
   }
-  std::ofstream os{dlog_path, std::ios::binary | std::ios::app};
-  if (!os) {
-    throw StoreFormatError{"cannot open delta log for appending: " + dlog_path};
-  }
-  const std::size_t flushed = flush_delta_locked(gate, os);
-  os.flush();
-  if (!os) {
-    throw StoreFormatError{"delta log append failed: " + dlog_path};
-  }
+  std::size_t flushed = 0;
+  append_to_file(dlog_path, [&](std::ostream& os) { flushed = flush_delta_locked(gate, os); });
   return flushed;
 }
 
 void ClassStore::compact(const std::string& path)
 {
-  const auto gate = gate_->acquire();
-  std::vector<StoreRecord> merged = persisted_records();
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(merged.size());
-  for (const auto& record : merged) {
-    pointers.push_back(&record);
-  }
-  const std::uint64_t num_classes = next_class_id_.load(std::memory_order_relaxed);
-  write_file_atomically(path, "store file", [&](std::ostream& os) {
-    write_base_segment(os, num_vars_, num_classes, pointers);
-  });
-  std::remove(delta_log_path(path).c_str());
-
-  auto next = std::make_shared<TierSnapshot>();
-  if (mmap_backed_) {
-    next->base = MmapSegment::open(path);
-  } else {
-    next->base = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
-  }
-  gate_->publish(gate, std::move(next));
-  {
-    const std::lock_guard<std::mutex> lock{memtable_->mutex};
-    memtable_->records.clear();
-    memtable_->index.clear();
-  }
-  compactions_.fetch_add(1, std::memory_order_relaxed);
+  finish_compaction(path, begin_compaction(path));
 }
 
-// -- concurrent (three-phase) compaction -------------------------------------
-
-CompactionSnapshot ClassStore::compaction_snapshot() const
+CompactionSnapshot ClassStore::begin_compaction(const std::string& path)
 {
-  const auto tiers = gate_->pin();
   CompactionSnapshot snapshot;
-  snapshot.base = tiers->base;
-  snapshot.deltas = tiers->deltas;
+  snapshot.start_ticks = obs::now_ticks();
+  snapshot.flushed = flush_delta(delta_log_path(path));
+  snapshot.tiers = gate_->pin();
   // Loaded after the pin: every id in the pinned tiers predates the pin, so
   // this (possibly newer) count bounds them all — a valid, if conservative,
   // header value for the compacted base.
-  snapshot.num_classes = next_class_id_.load(std::memory_order_acquire);
-  snapshot.num_vars = num_vars_;
+  snapshot.num_classes = num_classes();
+  snapshot.flush_ns = obs::ticks_to_ns(obs::now_ticks() - snapshot.start_ticks);
   return snapshot;
 }
 
-std::vector<StoreRecord> ClassStore::merge_compaction_snapshot(const CompactionSnapshot& snapshot)
+void ClassStore::finish_compaction(const std::string& path, CompactionSnapshot snapshot)
 {
-  // Same shadowing order as lookups: delta runs (newest last, so later
-  // insert_or_assign wins) over the base.
-  std::unordered_map<TruthTable, StoreRecord, TruthTableHash> merged;
-  std::size_t upper_bound = snapshot.base->size();
-  for (const auto& delta : snapshot.deltas) {
-    upper_bound += delta->size();
+  static constexpr const char* kForeign =
+      "ClassStore::finish_compaction: snapshot is not from this store state";
+  // Cheap early check, so a foreign or stale snapshot writes nothing; the
+  // authoritative check runs under the gate below.
+  if (!is_earlier_epoch(*snapshot.tiers, *gate_->pin())) {
+    throw std::logic_error{kForeign};
   }
-  merged.reserve(upper_bound);
-  for (std::size_t i = 0; i < snapshot.base->size(); ++i) {
-    StoreRecord record = snapshot.base->record_at(i);
-    TruthTable key = record.canonical;
-    merged.insert_or_assign(std::move(key), std::move(record));
-  }
-  for (const auto& delta : snapshot.deltas) {
-    for (const auto& record : delta->records()) {
-      merged.insert_or_assign(record.canonical, record);
+
+  // Merge and write with no gate held: the pinned segments are immutable.
+  const std::uint64_t t_merge = obs::now_ticks();
+  std::vector<StoreRecord> merged = merge_tiers(*snapshot.tiers);
+  const std::uint64_t t_write = obs::now_ticks();
+  const std::string tmp = write_tmp_file(path, [&](std::ostream& os) {
+    write_base_segment(os, num_vars_, snapshot.num_classes, merged);
+  });
+  const std::uint64_t t_adopt = obs::now_ticks();
+
+  {
+    const auto gate = gate_->acquire();
+    const auto tiers = gate_->pin();
+    if (!is_earlier_epoch(*snapshot.tiers, *tiers)) {
+      remove_file(tmp);
+      throw std::logic_error{kForeign};
     }
-  }
 
-  std::vector<StoreRecord> result;
-  result.reserve(merged.size());
-  for (auto& entry : merged) {
-    result.push_back(std::move(entry.second));
-  }
-  std::sort(result.begin(), result.end(),
-            [](const StoreRecord& a, const StoreRecord& b) { return a.canonical < b.canonical; });
-  return result;
-}
-
-void ClassStore::write_compacted(const std::string& tmp_path, const CompactionSnapshot& snapshot,
-                                 const std::vector<StoreRecord>& merged)
-{
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(merged.size());
-  for (const auto& record : merged) {
-    pointers.push_back(&record);
-  }
-  std::ofstream os{tmp_path, std::ios::binary | std::ios::trunc};
-  if (!os) {
-    throw StoreFormatError{"cannot open compacted store file for writing: " + tmp_path};
-  }
-  write_base_segment(os, snapshot.num_vars, snapshot.num_classes, pointers);
-  os.flush();
-  if (!os) {
-    std::remove(tmp_path.c_str());
-    throw StoreFormatError{"compacted store file write failed: " + tmp_path};
-  }
-}
-
-void ClassStore::adopt_compacted(const std::string& path, const std::string& tmp_path,
-                                 const CompactionSnapshot& snapshot,
-                                 std::vector<StoreRecord> merged)
-{
-  const auto gate = gate_->acquire();
-  const auto tiers = gate_->pin();
-  if (snapshot.base.get() != tiers->base.get() || snapshot.deltas.size() > tiers->deltas.size()) {
-    throw std::logic_error{"ClassStore::adopt_compacted: snapshot is not from this store state"};
-  }
-  for (std::size_t i = 0; i < snapshot.deltas.size(); ++i) {
-    if (snapshot.deltas[i].get() != tiers->deltas[i].get()) {
-      throw std::logic_error{
-          "ClassStore::adopt_compacted: snapshot delta runs no longer prefix the store"};
-    }
-  }
-
-  // Swap order is crash-safe for concurrent open()s by other processes:
-  // first the new base lands (rename), then the delta log shrinks to the
-  // surviving runs. A crash in between leaves the new base plus a log that
-  // still replays the merged runs — they shadow the base with identical
-  // records, so the store stays consistent.
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    throw StoreFormatError{"cannot move compacted store file into place: " + path};
-  }
-
-  const std::string dlog = delta_log_path(path);
-  const std::size_t merged_runs = snapshot.deltas.size();
-  const std::uint64_t num_classes = next_class_id_.load(std::memory_order_relaxed);
-  if (merged_runs == tiers->deltas.size()) {
-    std::remove(dlog.c_str());
-  } else {
-    // Runs flushed while the merge ran survive: rewrite the log with only
-    // their frames. num_classes bounds every surviving id, so it is a
-    // valid (if conservative) num_classes_after for each frame.
-    write_file_atomically(dlog, "delta log", [&](std::ostream& os) {
-      for (std::size_t run = merged_runs; run < tiers->deltas.size(); ++run) {
-        std::vector<const StoreRecord*> pointers;
-        pointers.reserve(tiers->deltas[run]->size());
-        for (const auto& record : tiers->deltas[run]->records()) {
-          pointers.push_back(&record);
+    // Swap order is crash-safe for concurrent open()s by other processes:
+    // first the new base lands (rename), then the delta log shrinks to the
+    // surviving runs. A crash in between leaves the new base plus a log
+    // that still replays the merged runs — they shadow the base with
+    // identical records, so the store stays consistent.
+    rename_into_place(tmp, path);
+    const std::string dlog = delta_log_path(path);
+    const auto survivors = tiers->deltas.begin() +
+                           static_cast<std::ptrdiff_t>(snapshot.tiers->deltas.size());
+    if (survivors == tiers->deltas.end()) {
+      remove_file(dlog);
+    } else {
+      // Runs flushed while the merge ran survive: rewrite the log with only
+      // their frames. num_classes() bounds every surviving id, so it is a
+      // valid (if conservative) num_classes_after for each frame.
+      const std::string log_tmp = write_tmp_file(dlog, [&](std::ostream& os) {
+        for (auto run = survivors; run != tiers->deltas.end(); ++run) {
+          write_delta_frame(os, num_vars_, num_classes(), (*run)->records());
         }
-        write_delta_frame(os, num_vars_, num_classes, pointers);
-      }
-    });
-  }
+      });
+      rename_into_place(log_tmp, dlog);
+    }
 
-  // Construct the replacement base BEFORE publishing: if the re-open throws
-  // (transient fd pressure on an mmap-backed store), the published tiers
-  // must keep serving old base + runs — the disk is already consistent
-  // either way, and the compactor will simply retry.
-  auto next = std::make_shared<TierSnapshot>();
-  if (mmap_backed_) {
-    next->base = MmapSegment::open(path);
-  } else {
-    next->base = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
+    // Construct the replacement base BEFORE publishing: if the re-open
+    // throws (transient fd pressure on an mmap-backed store), the published
+    // tiers keep serving old base + runs — the disk is already consistent
+    // either way, and the compactor simply retries.
+    auto next = std::make_shared<TierSnapshot>();
+    if (mmap_backed_) {
+      next->base = MmapSegment::open(path);
+    } else {
+      next->base = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
+    }
+    next->deltas.assign(survivors, tiers->deltas.end());
+    gate_->publish(gate, std::move(next));
   }
-  next->deltas.assign(tiers->deltas.begin() + static_cast<std::ptrdiff_t>(merged_runs),
-                      tiers->deltas.end());
-  gate_->publish(gate, std::move(next));
   compactions_.fetch_add(1, std::memory_order_relaxed);
+
+  const std::uint64_t t_done = obs::now_ticks();
+  compaction_histogram("flush").record_ns(snapshot.flush_ns);
+  compaction_histogram("merge").record_ns(obs::ticks_to_ns(t_write - t_merge));
+  compaction_histogram("write").record_ns(obs::ticks_to_ns(t_adopt - t_write));
+  compaction_histogram("adopt").record_ns(obs::ticks_to_ns(t_done - t_adopt));
+  compaction_histogram("total").record_ns(obs::ticks_to_ns(t_done - snapshot.start_ticks));
 }
 
 std::uint64_t ClassStore::delta_log_size(const std::string& dlog_path) noexcept
 {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(dlog_path, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(size);
+  return file_size_or_zero(dlog_path);
 }
 
 // -- lookup tiers ------------------------------------------------------------

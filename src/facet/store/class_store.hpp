@@ -31,10 +31,10 @@
 ///   4. delta runs  — flushed-but-uncompacted append runs, consulted
 ///                    newest-first (each a small sorted MaterializedSegment);
 ///   5. base        — the compacted index: a binary search over the sorted
-///                    records, either materialized in RAM (load) or executed
-///                    in place over a read-only mmap of the `.fcs` file
-///                    (open with use_mmap; lazily page-validated). An index
-///                    hit warms the hot cache and the memo;
+///                    records, either materialized in RAM (open, load) or
+///                    executed in place over a read-only mmap of the `.fcs`
+///                    file (open with use_mmap; lazily page-validated). An
+///                    index hit warms the hot cache and the memo;
 ///   6. live        — lookup_or_classify() only (lookup() answers nullopt):
 ///                    under the store gate, re-probe tiers 3-5, then
 ///                    classify live, allocating the next dense class id,
@@ -54,9 +54,18 @@
 /// Appends accumulate in the memtable until flush_delta() seals them into an
 /// immutable delta run (and, given a path, appends one frame to the
 /// `<index>.fcs.dlog` log — an O(delta) write, unlike the O(index) rewrite
-/// of save()). compact() merges base + deltas + memtable back into a single
-/// fresh base via write-then-rename and clears the log. open() restores the
-/// whole hierarchy: base segment plus every logged delta run.
+/// of save()). A flush commits only once its whole frame is written: a
+/// failed write leaves the memtable and the runs as they were and the log
+/// at its size before the frame. compact() folds base + deltas + memtable
+/// back into a single fresh base via write-then-rename and clears the log.
+/// open() restores the whole hierarchy: base segment plus every logged
+/// delta run.
+///
+/// Persistence has one path per job (class_store.cpp): one tier merge
+/// (persisted_records, save and compaction), one tmp-file writer and one
+/// rename (save, the compacted base, the compaction's log rewrite), one
+/// frame append (flush), one truncate (a failed append, a torn log tail on
+/// open) and one delta-log replay (open and reload).
 ///
 /// Class ids are assigned by first occurrence at build time, exactly as the
 /// BatchEngine / sequential classifiers assign them, so classifying a
@@ -84,8 +93,9 @@
 ///     image derivation runs outside it. Shard mutexes are leaf locks (an
 ///     index hit resolved under the gate inserts while holding it; nothing
 ///     is taken after).
-///   * Mutations — lookup_or_classify's live tier, flush_delta, compact,
-///     the adopt_compacted swap — serialize on one small per-store gate.
+///   * Mutations — lookup_or_classify's live tier, flush_delta, the
+///     compaction's flush and its final swap — serialize on one small
+///     per-store gate.
 ///     Canonicalization (the expensive step) always happens before the
 ///     gate is taken; lookup_or_classify re-probes the index under the
 ///     gate, so two sessions racing on the same novel class agree on one
@@ -96,27 +106,27 @@
 ///
 /// Thread-safe from any mix of threads: lookup(), probe_cache(),
 /// find_canonical(), find_class_id(), lookup_or_classify(), flush_delta(),
-/// the three-phase
-/// compaction API, and the counters (num_records / num_appended /
-/// num_delta_segments / num_classes / ...). Readers never enter the
-/// mutation gate: the snapshot pin and the memtable probe each take a
-/// dedicated mutex for a pointer copy / one hash op — never across
+/// compact() and its two halves, and the counters (num_records /
+/// num_appended / num_delta_segments / num_classes / ...). Readers never
+/// enter the mutation gate: the snapshot pin and the memtable probe each
+/// take a dedicated mutex for a pointer copy / one hash op — never across
 /// canonicalization, segment searches or I/O, so a flush writing its frame
 /// or a compactor mid-merge cannot stall them.
-/// Not synchronized: construction, move,
-/// save()/compact() racing other mutators of the same *file*, and
-/// records()/base_segment(), whose returned references are only stable
+/// Not synchronized: construction, move, two compactions of one store
+/// overlapping, save()/compact() racing other mutators of the same *file*,
+/// and records()/base_segment(), whose returned references are only stable
 /// while no compaction swap lands (pin tier_snapshot() to hold an epoch
 /// across concurrent swaps).
 ///
-/// Background compaction (net/server.hpp's compactor thread) splits
-/// compact() into three phases so readers keep serving through the heavy
-/// merge: compaction_snapshot() pins the immutable base + delta runs
-/// (without entering the gate), merge_compaction_snapshot() +
-/// write_compacted() produce the
-/// fresh base with no gate held (the segments are immutable and shared),
-/// and adopt_compacted() swaps the new base in through the gate (cheap) —
-/// runs flushed or records appended while the merge ran survive untouched.
+/// compact() never stalls readers or appenders behind its heavy merge. It
+/// runs in four phases: flush the memtable into the delta log (gated, like
+/// any flush), pin the base + delta runs (no gate), merge and write the
+/// fresh base to a tmp file with no gate held (the segments are immutable
+/// and shared), then adopt it through the gate (cheap) — runs flushed or
+/// records appended while the merge ran survive untouched. The CLI, the
+/// background compactor (net/server.hpp) and the tests all run this one
+/// path; begin_compaction() / finish_compaction() expose its two halves
+/// for callers that act between them.
 
 #pragma once
 
@@ -197,18 +207,22 @@ struct TierSnapshot {
   std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
 };
 
-/// The compactable read tiers pinned at one instant: the base segment and
-/// the delta runs sealed so far (the memtable is excluded — flush it first
-/// to fold unflushed appends into the compaction). Segments are immutable
-/// and reference-counted, so the heavy merge/write phase of a background
-/// compaction works off this snapshot with no store gate held while readers
-/// keep serving.
+/// The first half of a compaction (ClassStore::begin_compaction): the
+/// tiers pinned right after the memtable was flushed into the delta log.
+/// Segments are immutable and reference-counted, so the merge and write of
+/// finish_compaction() work off this snapshot with no store gate held while
+/// readers and appenders keep going.
 struct CompactionSnapshot {
-  std::shared_ptr<const Segment> base;
-  std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
-  /// num_classes() at snapshot time — the compacted base's header value.
+  /// The base and the delta runs the compaction folds into the new base.
+  std::shared_ptr<const TierSnapshot> tiers;
+  /// num_classes() right after the pin — the new base's header value.
   std::uint64_t num_classes = 0;
-  int num_vars = 0;
+  /// Memtable records the opening flush sealed into the last run.
+  std::size_t flushed = 0;
+  /// obs::now_ticks() when the flush began, and the flush-and-pin time —
+  /// the start and the `flush` phase of `facet_compaction_duration`.
+  std::uint64_t start_ticks = 0;
+  std::uint64_t flush_ns = 0;
 };
 
 /// How ClassStore::open materializes the base segment.
@@ -274,36 +288,40 @@ class ClassStore {
   [[nodiscard]] bool mmap_backed() const noexcept { return mmap_backed_; }
 
   /// The materialized base records, for stores whose base lives in RAM
-  /// (built stores, load()). Throws std::logic_error on an mmap-backed base
-  /// — iterate via base_segment().record_at there. Like base_segment(),
-  /// stable only while no compaction swap lands.
+  /// (built stores, load(), open() without mmap). Throws std::logic_error
+  /// on an mmap-backed base — iterate via base_segment().record_at there.
+  /// Like base_segment(), stable only while no compaction swap lands.
   [[nodiscard]] const std::vector<StoreRecord>& records() const;
 
-  /// Every persisted record — base, delta runs and memtable merged (newest
-  /// occurrence of a canonical form wins) — sorted by canonical form.
+  /// Every persisted record — base, delta runs and memtable merged by the
+  /// one tier merge (newest occurrence of a canonical form wins) — sorted by
+  /// canonical form.
   [[nodiscard]] std::vector<StoreRecord> persisted_records() const;
 
   // -- persistence ---------------------------------------------------------
 
   /// Serializes base + deltas + memtable, re-sorted by canonical form, as
   /// one fresh base segment. Live-transient class ids (non-appending
-  /// misses) are not persisted.
+  /// misses) are not persisted. The path overload writes a tmp file and
+  /// renames it over `path`.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
 
-  /// Loads a store with a fully-materialized, eagerly-validated base:
-  /// header magic/version/width, table and block checksums, canonical
+  /// Reads a base segment from a stream (in-memory round trips) into a
+  /// fully-materialized, eagerly-validated store: header
+  /// magic/version/width, table and block checksums, canonical
   /// sortedness/uniqueness, transform sanity. Throws StoreFormatError on
   /// any violation, including a file of any version but kStoreVersion.
+  /// Files are read with open(), which also replays their delta log.
   [[nodiscard]] static ClassStore load(std::istream& is, ClassStoreOptions options = {});
-  [[nodiscard]] static ClassStore load(const std::string& path, ClassStoreOptions options = {});
 
-  /// Opens `path` (materialized, or zero-copy via mmap with use_mmap) and
-  /// replays its delta log (delta_log_path(path)) if present, restoring
-  /// every flushed run as an immutable delta segment. A torn trailing
-  /// frame — a crash or full disk mid-flush — is dropped and the log is
-  /// truncated back to its intact prefix, so a crashed append never bricks
-  /// the store; corruption before the tail throws StoreFormatError.
+  /// Opens `path` (materialized and eagerly validated like load(), or
+  /// zero-copy via mmap with use_mmap) and replays its delta log
+  /// (delta_log_path(path)) if present, restoring every flushed run as an
+  /// immutable delta segment. A torn trailing frame — a crash or full disk
+  /// mid-flush — is dropped and the log is truncated back to its intact
+  /// prefix, so a crashed append never bricks the store; corruption before
+  /// the tail throws StoreFormatError.
   [[nodiscard]] static ClassStore open(const std::string& path,
                                        const StoreOpenOptions& options = {});
 
@@ -329,50 +347,45 @@ class ClassStore {
 
   /// Seals the memtable into an immutable delta segment, appending it as
   /// one frame to `os`. Returns the number of records flushed (0 = no-op).
-  /// Serialized through the store gate; readers keep serving throughout.
+  /// Commits — publishes the run, clears the memtable — only after the
+  /// whole frame was written and `os` flushed; on a failed write it throws
+  /// StoreFormatError and changes nothing. Serialized through the store
+  /// gate; readers keep serving throughout.
   std::size_t flush_delta(std::ostream& os);
-  /// Same, appending the frame to the delta log at `dlog_path`.
+  /// Same, appending the frame to the delta log at `dlog_path`. A failed
+  /// append also truncates the log back to its size before the frame, so
+  /// the next flush never writes after a partial frame.
   std::size_t flush_delta(const std::string& dlog_path);
 
-  /// Merges base + deltas + memtable into a fresh base segment at `path`
-  /// (write-then-rename), removes the delta log, and re-tiers this store on
-  /// the compacted base (remapped when the store is mmap-backed). Holds the
-  /// gate for the whole merge — prefer the three-phase API below when
-  /// readers should keep serving.
+  /// Folds the memtable and every delta run into a fresh base segment at
+  /// `path` (always written, so `path` may name a new file), removes the
+  /// delta log, and re-tiers this store on the compacted base (remapped
+  /// when the store is mmap-backed): finish_compaction(path,
+  /// begin_compaction(path)). Readers and appenders keep going while it
+  /// merges and writes; appends that land meanwhile survive.
   void compact(const std::string& path);
 
-  // -- concurrent (three-phase) compaction ---------------------------------
+  /// compact()'s first half (cheap): flushes the memtable into
+  /// delta_log_path(path) (through the gate, like any flush), then pins the
+  /// base and every sealed delta run without entering the gate.
+  [[nodiscard]] CompactionSnapshot begin_compaction(const std::string& path);
 
-  /// Phase 1 (cheap; does not enter the gate): pins the base and every
-  /// sealed delta run. Flush the memtable first if its appends should be
-  /// part of the compaction.
-  [[nodiscard]] CompactionSnapshot compaction_snapshot() const;
+  /// compact()'s second half. With no gate held, merges the snapshot's
+  /// tiers (the one tier merge) and writes them as a base segment to a tmp
+  /// file. Then, through the gate: renames it over `path`, rewrites the
+  /// delta log to hold only the runs flushed *after* the snapshot (removing
+  /// it when none survive), drops the merged runs, and re-tiers this store
+  /// on the compacted base (remapped when mmap-backed). Records each phase
+  /// in `facet_compaction_duration{phase=flush|merge|write|adopt|total}`.
+  /// The snapshot must have been taken from this store and still prefix its
+  /// delta runs — throws std::logic_error otherwise, leaving `path` and the
+  /// log untouched. Appends and flushes that happened between the halves
+  /// survive; readers pinned to the old epoch keep serving it until they
+  /// drop the pin.
+  void finish_compaction(const std::string& path, CompactionSnapshot snapshot);
 
-  /// Phase 2a (heavy; runs with no gate held): merges a snapshot's tiers
-  /// into one sorted record vector, newest occurrence of a canonical form
-  /// winning — the same shadowing order lookups use.
-  [[nodiscard]] static std::vector<StoreRecord> merge_compaction_snapshot(
-      const CompactionSnapshot& snapshot);
-
-  /// Phase 2b (heavy; runs with no gate held): writes `merged` as a fresh
-  /// base segment at `tmp_path` (not yet visible at the store's real
-  /// path).
-  static void write_compacted(const std::string& tmp_path, const CompactionSnapshot& snapshot,
-                              const std::vector<StoreRecord>& merged);
-
-  /// Phase 3 (cheap; serialized through the gate): renames `tmp_path` over
-  /// `path`, rewrites the delta log to hold only the runs flushed *after*
-  /// the snapshot (removing it when none survive), drops the merged runs,
-  /// and re-tiers this store on the compacted base (remapped when
-  /// mmap-backed). The snapshot must have been taken from this store and
-  /// still match its delta prefix — throws std::logic_error otherwise.
-  /// Appends and flushes that happened between the phases survive; readers
-  /// pinned to the old epoch keep serving it until they drop the pin.
-  void adopt_compacted(const std::string& path, const std::string& tmp_path,
-                       const CompactionSnapshot& snapshot, std::vector<StoreRecord> merged);
-
-  /// Compactions applied to this store object (compact + adopt_compacted) —
-  /// trigger/telemetry input for the background compactor.
+  /// Compactions applied to this store object — trigger/telemetry input for
+  /// the background compactor.
   [[nodiscard]] std::uint64_t num_compactions() const noexcept
   {
     return compactions_.load(std::memory_order_relaxed);
@@ -492,24 +505,29 @@ class ClassStore {
     explicit Npn4Slots(std::size_t count) : slots(count) {}
   };
 
-  /// A store over an already-opened base segment (the mmap open path).
-  ClassStore(std::shared_ptr<const Segment> base, std::uint64_t num_classes, bool mmap_backed,
-             ClassStoreOptions options);
+  /// The tiers stored at one index path and the next fresh class id they
+  /// record (the base header's, raised by any replayed frame's).
+  struct StoredTiers {
+    std::shared_ptr<TierSnapshot> tiers;
+    std::uint64_t num_classes = 0;
+  };
+
+  /// A store over tiers read from disk (open()).
+  ClassStore(StoredTiers stored, bool mmap_backed, ClassStoreOptions options);
 
   [[nodiscard]] StoreLookupResult make_result(const StoreRecord& record,
                                               const NpnTransform& query_to_canonical,
                                               LookupSource source) const;
   void check_width(const TruthTable& f, const char* who) const;
-  /// Replaces the published base (construction/open time; not concurrent).
-  void reset_base(std::shared_ptr<const Segment> base);
-  /// A base segment and the next fresh class id its header records.
-  struct OpenedBase {
-    std::shared_ptr<const Segment> segment;
-    std::uint64_t num_classes = 0;
-  };
-  /// Opens the base segment at `path` in either flavor — the one base
-  /// reader behind open() and reload().
-  [[nodiscard]] static OpenedBase open_base(const std::string& path, bool use_mmap);
+  /// Replaces the published tiers (construction time; not concurrent).
+  void reset_tiers(std::shared_ptr<const TierSnapshot> tiers);
+  /// The one reader of an index path behind open() and reload(): its base
+  /// segment in either flavor plus the one delta-log replay, one run per
+  /// intact frame. A torn trailing frame is dropped; `repair_torn_tail`
+  /// (open) also truncates it away on disk — reload() leaves the file,
+  /// which belongs to the primary, alone.
+  [[nodiscard]] static StoredTiers read_tiers(const std::string& path, bool use_mmap,
+                                              bool repair_torn_tail);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
   /// The walk's first two tiers, shared with probe_cache(): with the table
@@ -550,14 +568,9 @@ class ClassStore {
   /// construction/open time, so an exhaustively-built store answers every
   /// query from the table without ever pinning the gate.
   void npn4_prefill();
-  /// Seals the memtable into `os` + a published delta run. Gate held.
+  /// Writes the memtable as one frame to `os` and flushes it; only then
+  /// publishes it as a delta run and clears the memtable. Gate held.
   std::size_t flush_delta_locked(const std::unique_lock<std::mutex>& gate, std::ostream& os);
-  /// Replays a delta log onto this store (open()); reports the clean
-  /// prefix so open() can repair a torn log.
-  DeltaLogReplay load_deltas(std::istream& is);
-  /// The memtable sorted by canonical form, as pointers for the writers.
-  /// Gate held (the memtable cannot shrink underneath the pointers).
-  [[nodiscard]] std::vector<const StoreRecord*> sorted_memtable() const;
 
   /// Resolves the per-tier lookup-latency histograms of this store's width
   /// from the global metric registry into lookup_latency_ (construction

@@ -149,16 +149,15 @@ namespace {
 
 /// Fills `block` (kStorePageWords words, zero-padded) with the records of
 /// block `b` and returns how many records landed in it.
-std::size_t pack_block(std::vector<std::uint64_t>& block,
-                       const std::vector<const StoreRecord*>& records, std::size_t b,
-                       std::size_t per_block)
+std::size_t pack_block(std::vector<std::uint64_t>& block, std::span<const StoreRecord> records,
+                       std::size_t b, std::size_t per_block)
 {
   std::fill(block.begin(), block.end(), 0);
   const std::size_t first = b * per_block;
   const std::size_t count = std::min(per_block, records.size() - first);
   std::size_t w = 0;
   for (std::size_t r = 0; r < count; ++r) {
-    for_each_record_word(*records[first + r], [&](std::uint64_t word) { block[w++] = word; });
+    for_each_record_word(records[first + r], [&](std::uint64_t word) { block[w++] = word; });
   }
   return count;
 }
@@ -166,7 +165,7 @@ std::size_t pack_block(std::vector<std::uint64_t>& block,
 }  // namespace
 
 void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classes,
-                        const std::vector<const StoreRecord*>& records)
+                        std::span<const StoreRecord> records)
 {
   const std::size_t per_block = store_records_per_block(num_vars);
   const std::size_t key_words = words_for_vars(num_vars);
@@ -375,13 +374,13 @@ LoadedBase read_base_segment(std::istream& is)
 // -- delta log ---------------------------------------------------------------
 
 void write_delta_frame(std::ostream& os, int num_vars, std::uint64_t num_classes_after,
-                       const std::vector<const StoreRecord*>& records)
+                       std::span<const StoreRecord> records)
 {
   const std::uint64_t total_words =
       static_cast<std::uint64_t>(store_record_words(num_vars)) * records.size();
   PayloadHasher hasher{total_words};
-  for (const auto* r : records) {
-    for_each_record_word(*r, [&](std::uint64_t word) { hasher.mix(word); });
+  for (const auto& r : records) {
+    for_each_record_word(r, [&](std::uint64_t word) { hasher.mix(word); });
   }
 
   DeltaFrameHeader header;
@@ -391,8 +390,8 @@ void write_delta_frame(std::ostream& os, int num_vars, std::uint64_t num_classes
   header.num_classes_after = num_classes_after;
   header.payload_hash = hasher.value();
   write_delta_frame_header(os, header);
-  for (const auto* r : records) {
-    for_each_record_word(*r, [&](std::uint64_t word) { write_u64_le(os, word); });
+  for (const auto& r : records) {
+    for_each_record_word(r, [&](std::uint64_t word) { write_u64_le(os, word); });
   }
   if (!os) {
     throw StoreFormatError{"delta frame write failed"};
@@ -451,6 +450,9 @@ DeltaLogReplay read_delta_log(std::istream& is, int num_vars)
     run.records.reserve(static_cast<std::size_t>(num_records));
     for (std::uint64_t i = 0; i < num_records; ++i) {
       run.records.push_back(decode_record(records_begin + i * stride, num_vars));
+      if (run.records.back().class_id >= num_classes_after) {
+        throw StoreFormatError{"corrupt delta frame: record class id exceeds its class count"};
+      }
     }
     check_sorted_by_canonical(run.records, "delta frame");
     out.runs.push_back(std::move(run));

@@ -10,8 +10,8 @@
 /// Two base flavors exist:
 ///
 ///   * MaterializedSegment — records decoded into a std::vector. What
-///     ClassStore::load produces; every byte of the file was validated up
-///     front.
+///     ClassStore::open without mmap (and load from a stream) produces;
+///     every byte of the file was validated up front.
 ///   * MmapSegment — the record region of a `.fcs` file mapped read-only
 ///     and searched **in place**. Nothing is decoded at open beyond the
 ///     header, the tables and the footer, so opening a million-class index
@@ -37,6 +37,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -187,7 +188,7 @@ class MmapSegment final : public Segment {
 /// by canonical form. Every base writer (save, compaction, fcs-merge)
 /// funnels through here.
 void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classes,
-                        const std::vector<const StoreRecord*>& records);
+                        std::span<const StoreRecord> records);
 
 /// Materialized read of a base segment: the stream is buffered and parsed
 /// by the same layout parser as MmapSegment::open, every block is checked
@@ -204,7 +205,7 @@ struct LoadedBase {
 /// Appends one delta frame holding `records` (sorted by canonical form) to
 /// `os`.
 void write_delta_frame(std::ostream& os, int num_vars, std::uint64_t num_classes_after,
-                       const std::vector<const StoreRecord*>& records);
+                       std::span<const StoreRecord> records);
 
 /// One decoded delta frame.
 struct DeltaRun {
@@ -223,12 +224,13 @@ struct DeltaLogReplay {
 };
 
 /// Reads the frames of a delta log; validates per-frame checksums, width
-/// agreement with `num_vars`, and canonical sortedness within each frame.
+/// agreement with `num_vars`, canonical sortedness within each frame, and
+/// that every record's class id is below its frame's num_classes_after.
 /// A truncated *trailing* frame — the signature of a crash or full disk
 /// mid-append — is dropped and reported via torn_tail, never breaking the
 /// intact prefix (standard write-ahead-log recovery). Corruption anywhere
-/// before the tail (bad magic, checksum mismatch on a complete frame)
-/// throws StoreFormatError.
+/// before the tail (bad magic, checksum mismatch or an out-of-range class
+/// id in a complete frame) throws StoreFormatError.
 [[nodiscard]] DeltaLogReplay read_delta_log(std::istream& is, int num_vars);
 
 }  // namespace facet

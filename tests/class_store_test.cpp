@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <future>
 #include <optional>
 #include <random>
@@ -146,7 +147,7 @@ TEST(ClassStore, FileRoundTripThroughDisk)
   const ClassStore built = build_class_store(funcs, {});
   const std::string path = ::testing::TempDir() + "class_store_test_roundtrip.fcs";
   built.save(path);
-  const ClassStore loaded = ClassStore::load(path);
+  const ClassStore loaded = ClassStore::open(path);
   EXPECT_EQ(loaded.num_records(), built.num_records());
   for (const auto& f : funcs) {
     const auto result = loaded.lookup(f);
@@ -759,9 +760,10 @@ std::vector<TruthTable> append_novel(ClassStore& store, std::size_t count, std::
   return appended;
 }
 
-/// The three-phase (background) compaction: snapshot -> off-lock merge and
-/// write -> adopt. Appends and flushes that land between the phases — the
-/// live-traffic case — must survive the swap, on disk and in memory.
+/// compact() through its split point: begin_compaction (flush + pin) ->
+/// finish_compaction (off-gate merge and write, then adopt). Appends and
+/// flushes that land between the halves — the live-traffic case — must
+/// survive the swap, on disk and in memory.
 TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
 {
   const int n = 4;
@@ -779,15 +781,17 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
     ClassStore store = ClassStore::open(path, open_options);
     const std::size_t base_records = store.num_records();
 
-    // Two sealed runs before the snapshot...
+    // One sealed run and one memtable before the snapshot; the snapshot's
+    // opening flush seals the second run...
     const auto first = append_novel(store, 3, 0x3f02ULL + (use_mmap ? 1 : 0));
     ASSERT_EQ(store.flush_delta(dlog), 3u);
     const auto second = append_novel(store, 2, 0x3f03ULL + (use_mmap ? 2 : 0));
-    ASSERT_EQ(store.flush_delta(dlog), 2u);
-    ASSERT_EQ(store.num_delta_segments(), 2u);
+    ASSERT_EQ(store.num_delta_segments(), 1u);
 
-    const CompactionSnapshot snapshot = store.compaction_snapshot();
-    EXPECT_EQ(snapshot.deltas.size(), 2u);
+    CompactionSnapshot snapshot = store.begin_compaction(path);
+    EXPECT_EQ(snapshot.flushed, 2u);
+    EXPECT_EQ(snapshot.tiers->deltas.size(), 2u);
+    EXPECT_EQ(store.num_appended(), 0u);
 
     // ...then traffic lands while the merge "runs": one more sealed run and
     // one unflushed memtable append.
@@ -795,10 +799,7 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
     ASSERT_EQ(store.flush_delta(dlog), 2u);
     const auto fourth = append_novel(store, 1, 0x3f05ULL + (use_mmap ? 4 : 0));
 
-    std::vector<StoreRecord> merged = ClassStore::merge_compaction_snapshot(snapshot);
-    EXPECT_EQ(merged.size(), base_records + first.size() + second.size());
-    ClassStore::write_compacted(path + ".cpt", snapshot, merged);
-    store.adopt_compacted(path, path + ".cpt", snapshot, std::move(merged));
+    store.finish_compaction(path, std::move(snapshot));
 
     EXPECT_EQ(store.num_compactions(), 1u);
     EXPECT_EQ(store.num_delta_segments(), 1u) << "the post-snapshot run must survive";
@@ -837,12 +838,22 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
 TEST(ClassStore, AdoptCompactedRejectsForeignSnapshots)
 {
   const int n = 3;
+  const std::string path = ::testing::TempDir() + "foreign_snapshot.fcs";
+  std::remove(path.c_str());
   ClassStore store = build_class_store(make_npn_workload(n, 6, 1, 0x3f10ULL), {});
   ClassStore other = build_class_store(make_npn_workload(n, 6, 1, 0x3f11ULL), {});
-  const CompactionSnapshot snapshot = other.compaction_snapshot();
-  std::vector<StoreRecord> merged = ClassStore::merge_compaction_snapshot(snapshot);
-  EXPECT_THROW(store.adopt_compacted("x.fcs", "x.fcs.cpt", snapshot, std::move(merged)),
-               std::logic_error);
+
+  // Another store's snapshot is refused before anything is written.
+  EXPECT_THROW(store.finish_compaction(path, other.begin_compaction(path)), std::logic_error);
+  EXPECT_FALSE(std::ifstream{path}.good());
+  EXPECT_FALSE(std::ifstream{path + ".tmp"}.good());
+
+  // So is a snapshot of this store that a later compaction made stale.
+  CompactionSnapshot stale = store.begin_compaction(path);
+  store.compact(path);
+  EXPECT_THROW(store.finish_compaction(path, std::move(stale)), std::logic_error);
+  EXPECT_EQ(store.num_compactions(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(StoreFormat, TransformPackUnpackRoundTrips)

@@ -78,13 +78,8 @@ std::vector<StoreRecord> synthetic_records(int n, std::size_t count, std::uint64
 
 void write_v3_file(const std::string& path, int n, const std::vector<StoreRecord>& records)
 {
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(records.size());
-  for (const auto& record : records) {
-    pointers.push_back(&record);
-  }
   std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  write_base_segment(os, n, records.size(), pointers);
+  write_base_segment(os, n, records.size(), records);
 }
 
 std::vector<TruthTable> make_npn_workload(int n, std::size_t bases, std::size_t images_per_base,
@@ -192,8 +187,8 @@ TEST(StoreBlockPack, EmptyOneRecordAndBlockBoundaryCounts)
     const std::string path = temp_path("blockpack_edge_" + std::to_string(count) + ".fcs");
     write_v3_file(path, n, records);
 
-    // Materialized load: eager full validation.
-    const ClassStore loaded = ClassStore::load(path);
+    // Materialized open: eager full validation.
+    const ClassStore loaded = ClassStore::open(path);
     ASSERT_EQ(loaded.num_records(), count);
     for (std::size_t i = 0; i < records.size(); ++i) {
       const auto hit = loaded.find_canonical(records[i].canonical);
@@ -252,7 +247,6 @@ TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
   // Damage the layout parse sees: both flavors reject at open.
   const auto expect_rejected_at_open = [&](const std::string& bad) {
     write_file(path, bad);
-    EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
     EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = false}),
                  StoreFormatError);
     if (mmap_supported()) {
@@ -265,7 +259,6 @@ TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
   // touch of the damaged one.
   const auto expect_rejected_at_last_block = [&](const std::string& bad) {
     write_file(path, bad);
-    EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
     EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = false}),
                  StoreFormatError);
     if (mmap_supported()) {
@@ -339,7 +332,7 @@ TEST(StoreBlockPack, MergeReadsBothBaseFlavorsAndEmitsV3)
   built_b.save(path_b);
 
   // One materialized input and one mmap-backed input (where supported).
-  const ClassStore loaded_a = ClassStore::load(path_a);
+  const ClassStore loaded_a = ClassStore::open(path_a);
   const ClassStore opened_b =
       ClassStore::open(path_b, StoreOpenOptions{.use_mmap = mmap_supported()});
   const ClassStore merged = merge_class_stores({&loaded_a, &opened_b});

@@ -2,8 +2,8 @@
 /// lookup() / probe_cache() / find_canonical() against stores with live
 /// delta segments and against lazily-validated mmap bases — and, since the
 /// store gained its internal gate (gate.hpp), mutators running
-/// *concurrently* with those readers: appends, flushes, three-phase
-/// compaction swaps, and racing appenders that must agree on one id per
+/// *concurrently* with those readers: appends, flushes,
+/// compact() swaps, and racing appenders that must agree on one id per
 /// class. Runs under the ASan/UBSan and TSan CI jobs, so data races on the
 /// lazy page flags, the sharded cache, the memtable or the snapshot swap
 /// surface as sanitizer failures, and every id mismatch is counted.
@@ -215,8 +215,9 @@ TEST(StoreConcurrency, ReadersAgainstLazyMmapBase)
 
 /// The tentpole contract of the store gate: readers keep resolving known
 /// classes bit-identically while a writer thread appends novel classes,
-/// seals delta runs, and swaps compacted bases through the three-phase API
-/// — with NO external lock anywhere.
+/// seals delta runs, and swaps compacted bases through compact() — whose
+/// opening flush and final swap are the only gated steps — with NO external
+/// lock anywhere.
 TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompacts)
 {
   const int n = 5;
@@ -267,7 +268,7 @@ TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompa
     });
   }
 
-  // The writer: rounds of append -> flush -> three-phase compaction, all
+  // The writer: rounds of append -> compaction (which flushes first), all
   // while the readers run. Every call is a plain store method.
   std::mt19937_64 writer_rng{0xc0d2ULL};
   std::vector<std::pair<TruthTable, std::uint32_t>> appended;
@@ -280,11 +281,9 @@ TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompa
       const StoreLookupResult result = store.lookup_or_classify(f, /*append_on_miss=*/true);
       appended.emplace_back(f, result.class_id);
     }
-    ASSERT_GT(store.flush_delta(dlog), 0u);
-    const CompactionSnapshot snapshot = store.compaction_snapshot();
-    std::vector<StoreRecord> merged = ClassStore::merge_compaction_snapshot(snapshot);
-    ClassStore::write_compacted(path + ".cpt", snapshot, merged);
-    store.adopt_compacted(path, path + ".cpt", snapshot, std::move(merged));
+    ASSERT_EQ(store.num_appended(), 4u);
+    store.compact(path);
+    ASSERT_EQ(store.num_appended(), 0u);
   }
 
   stop_readers.store(true);

@@ -302,7 +302,7 @@ TEST(StoreMerge, UnionDedupsByCanonicalAndRenumbersByFirstOccurrence)
   // Round trip through disk.
   const std::string path = ::testing::TempDir() + "merged_union.fcs";
   merged.save(path);
-  const ClassStore reloaded = ClassStore::load(path);
+  const ClassStore reloaded = ClassStore::open(path);
   ASSERT_EQ(reloaded.num_records(), merged.num_records());
   for (const auto& f : funcs_b) {
     const auto before = merged.lookup(f);

@@ -7,12 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#define FACET_TEST_HAS_RLIMIT 1
+#else
+#define FACET_TEST_HAS_RLIMIT 0
+#endif
 
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/transform.hpp"
@@ -85,7 +96,7 @@ TEST(StoreSegment, MmapOpenIsBitIdenticalToMaterializedLoad)
   const std::string path = temp_path("segment_mmap_identity.fcs");
   built.save(path);
 
-  const ClassStore materialized = ClassStore::load(path);
+  const ClassStore materialized = ClassStore::open(path);
   const ClassStore mapped = ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
   EXPECT_TRUE(mapped.mmap_backed());
   EXPECT_FALSE(materialized.mmap_backed());
@@ -156,8 +167,8 @@ TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0x10);
   write_file(path, bytes);
 
-  // Materialized load validates eagerly and must reject up front...
-  EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
+  // The materialized open validates eagerly and must reject up front...
+  EXPECT_THROW((void)ClassStore::open(path), StoreFormatError);
 
   // ...while the mmap open defers validation: the open succeeds, untouched
   // pages serve lookups, and the first touch of the corrupt page throws.
@@ -262,12 +273,11 @@ TEST(StoreSegment, OtherFormatVersionsAreRejectedOnEveryLoadPath)
     std::istringstream is{bytes};
     expect_version_error([&] { (void)ClassStore::load(is); });
     write_file(bad_path, bytes);
-    expect_version_error([&] { (void)ClassStore::load(bad_path); });
     expect_open_and_reload_reject();
   }
 
-  // A version-2 delta frame under a good base. load() reads no delta log,
-  // so open() and reload() are the paths that must object.
+  // A version-2 delta frame under a good base: open() and reload(), the
+  // paths that replay a delta log, must object.
   {
     SCOPED_TRACE("delta frame version 2");
     write_file(bad_path, read_file(good_path));
@@ -478,6 +488,216 @@ TEST(StoreSegment, TornDeltaTailIsRepairedAndCorruptionIsRejected)
   write_file(dlog, good);
   EXPECT_EQ(ClassStore::open(path).num_delta_records(), 3u);
 
+  std::remove(dlog.c_str());
+  std::remove(path.c_str());
+}
+
+/// A buffered stream sink that accepts `capacity` bytes and then fails
+/// every write — a full disk seen through an ostream. The small buffer means
+/// a frame can fail mid-write or only at the final flush, depending on
+/// `capacity`.
+class FullDiskBuf : public std::streambuf {
+ public:
+  explicit FullDiskBuf(std::size_t capacity) : capacity_{capacity}
+  {
+    setp(buffer_.data(), buffer_.data() + buffer_.size());
+  }
+  [[nodiscard]] const std::string& written() const noexcept { return written_; }
+
+ protected:
+  int_type overflow(int_type ch) override
+  {
+    if (!drain()) {
+      return traits_type::eof();
+    }
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(ch);
+      pbump(1);
+    }
+    return traits_type::not_eof(ch);
+  }
+  int sync() override { return drain() ? 0 : -1; }
+
+ private:
+  bool drain()
+  {
+    const auto pending = static_cast<std::size_t>(pptr() - pbase());
+    const std::size_t room = capacity_ - written_.size();
+    written_.append(pbase(), std::min(pending, room));
+    setp(buffer_.data(), buffer_.data() + buffer_.size());
+    return pending <= room;
+  }
+
+  std::array<char, 16> buffer_{};
+  std::size_t capacity_;
+  std::string written_;
+};
+
+TEST(StoreSegment, FailedFrameWriteLeavesMemtableAndRunsUntouched)
+{
+  const int n = 4;
+  ClassStore store = build_class_store(make_npn_workload(n, 10, 2, 0x5e610ULL), {});
+  const auto novel = novel_functions(store, 2, 0x5e611ULL);
+  std::vector<std::uint32_t> ids;
+  for (const auto& f : novel) {
+    ids.push_back(store.lookup_or_classify(f, /*append_on_miss=*/true).class_id);
+  }
+  const std::size_t frame_bytes = kDeltaFrameHeaderBytes + novel.size() * store_record_words(n) * 8;
+
+  // Cut the frame after k bytes — inside the header, at its end, inside
+  // the records, one byte short — and the flush throws without committing.
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, kDeltaFrameHeaderBytes - 1,
+                              kDeltaFrameHeaderBytes, kDeltaFrameHeaderBytes + 1,
+                              frame_bytes - 1}) {
+    SCOPED_TRACE("frame cut after " + std::to_string(k) + " bytes");
+    FullDiskBuf sink{k};
+    std::ostream os{&sink};
+    EXPECT_THROW((void)store.flush_delta(os), StoreFormatError);
+    EXPECT_EQ(sink.written().size(), k);
+    EXPECT_EQ(store.num_appended(), novel.size());
+    EXPECT_EQ(store.num_delta_segments(), 0u);
+    for (std::size_t i = 0; i < novel.size(); ++i) {
+      const auto hit = store.lookup(novel[i]);
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(hit->class_id, ids[i]);
+    }
+  }
+
+  // A sink with room for the whole frame takes it, and only then commits.
+  FullDiskBuf sink{frame_bytes};
+  std::ostream os{&sink};
+  EXPECT_EQ(store.flush_delta(os), novel.size());
+  EXPECT_EQ(sink.written().size(), frame_bytes);
+  EXPECT_EQ(store.num_appended(), 0u);
+  EXPECT_EQ(store.num_delta_segments(), 1u);
+}
+
+#if FACET_TEST_HAS_RLIMIT
+TEST(StoreSegment, FlushCutShortByAFileSizeLimitTruncatesTheLogBack)
+{
+  const int n = 4;
+  const std::string path = temp_path("segment_fsize_cut.fcs");
+  const std::string dlog = ClassStore::delta_log_path(path);
+  std::remove(dlog.c_str());
+  build_class_store(make_npn_workload(n, 15, 2, 0x5e612ULL), {}).save(path);
+
+  ClassStore store = ClassStore::open(path);
+  std::vector<TruthTable> appended;
+  std::vector<std::uint32_t> ids;
+  const auto append = [&](std::size_t count, std::uint64_t seed) {
+    for (const auto& f : novel_functions(store, count, seed)) {
+      appended.push_back(f);
+      ids.push_back(store.lookup_or_classify(f, /*append_on_miss=*/true).class_id);
+    }
+  };
+  append(2, 0x5e613ULL);
+  ASSERT_EQ(store.flush_delta(dlog), 2u);
+  append(3, 0x5e614ULL);
+  const auto pre_frame = std::filesystem::file_size(dlog);
+
+  // Let this process grow the log by only 50 bytes — a disk that fills
+  // mid-frame. SIGXFSZ is ignored so the write fails with EFBIG instead of
+  // killing the process. Both settings are restored right after the flush.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const rlim_t cap = static_cast<rlim_t>(pre_frame + 50);
+  if (saved.rlim_max != RLIM_INFINITY && saved.rlim_max < cap) {
+    GTEST_SKIP() << "hard RLIMIT_FSIZE below the test's cap";
+  }
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit limited = saved;
+  limited.rlim_cur = cap;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  bool threw = false;
+  try {
+    (void)store.flush_delta(dlog);
+  } catch (const StoreFormatError&) {
+    threw = true;
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_TRUE(threw) << "a frame cut short must fail the flush";
+  EXPECT_EQ(std::filesystem::file_size(dlog), pre_frame)
+      << "the failed flush must truncate the log back to its pre-frame size";
+  EXPECT_EQ(store.num_appended(), 3u);
+  EXPECT_EQ(store.num_delta_segments(), 1u);
+
+  // The next flush writes a whole frame where the cut one was, and a
+  // reopen serves every append with its original id.
+  ASSERT_EQ(store.flush_delta(dlog), 3u);
+  const ClassStore reopened = ClassStore::open(path);
+  EXPECT_EQ(reopened.num_delta_segments(), 2u);
+  for (std::size_t i = 0; i < appended.size(); ++i) {
+    const auto hit = reopened.lookup(appended[i]);
+    ASSERT_TRUE(hit.has_value()) << "append " << i << " lost";
+    EXPECT_EQ(hit->class_id, ids[i]);
+  }
+  std::remove(dlog.c_str());
+  std::remove(path.c_str());
+}
+#endif
+
+TEST(StoreSegment, DeltaFrameWithAnOutOfRangeClassIdIsRejected)
+{
+  const int n = 4;
+  const std::string path = temp_path("segment_bad_frame_id.fcs");
+  const std::string dlog = ClassStore::delta_log_path(path);
+  std::remove(dlog.c_str());
+  const auto funcs = make_npn_workload(n, 15, 2, 0x5e615ULL);
+  build_class_store(funcs, {}).save(path);
+
+  // A well-formed frame (its checksum is right) whose record's class id is
+  // not below the frame's num_classes_after.
+  std::string good;
+  {
+    ClassStore writer = ClassStore::open(path);
+    for (const auto& f : novel_functions(writer, 1, 0x5e616ULL)) {
+      (void)writer.lookup_or_classify(f, /*append_on_miss=*/true);
+    }
+    std::ostringstream frame;
+    ASSERT_EQ(writer.flush_delta(frame), 1u);
+    good = frame.str();
+  }
+  std::istringstream good_is{good};
+  const DeltaLogReplay replay = read_delta_log(good_is, n);
+  ASSERT_EQ(replay.runs.size(), 1u);
+  const std::vector<StoreRecord>& records = replay.runs.front().records;
+  std::ostringstream bad_frame;
+  write_delta_frame(bad_frame, n, records.front().class_id, records);
+  const std::string bad = bad_frame.str();
+
+  const auto expect_bound_error = [](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "a frame with an out-of-range class id must be rejected";
+    } catch (const StoreFormatError& e) {
+      EXPECT_NE(std::string{e.what()}.find("class id exceeds"), std::string::npos) << e.what();
+    }
+  };
+  std::istringstream bad_is{bad};
+  expect_bound_error([&] { (void)read_delta_log(bad_is, n); });
+
+  std::vector<ClassStore> replicas;
+  std::vector<bool> flavors{false};
+  if (mmap_supported()) {
+    flavors.push_back(true);
+  }
+  for (const bool use_mmap : flavors) {
+    replicas.push_back(ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap}));
+  }
+  write_file(dlog, bad);
+  for (const bool use_mmap : flavors) {
+    SCOPED_TRACE(use_mmap ? "open mmap" : "open materialized");
+    expect_bound_error(
+        [&] { (void)ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap}); });
+  }
+  for (auto& replica : replicas) {
+    SCOPED_TRACE(replica.mmap_backed() ? "reload mmap" : "reload materialized");
+    expect_bound_error([&] { (void)replica.reload(path); });
+    // The replica keeps serving its previous epoch.
+    EXPECT_TRUE(replica.lookup(funcs.front()).has_value());
+  }
   std::remove(dlog.c_str());
   std::remove(path.c_str());
 }
