@@ -23,8 +23,10 @@
 /// whole workload through lookup_or_classify(append_on_miss) — once with
 /// the semiclass memo enabled, once disabled — with every id checked
 /// against the BatchEngine reference, plus a branch-and-bound vs orbit-walk
-/// canonicalizer micro-benchmark. Report: BENCH_store_misspath.json
-/// (--misspath-out).
+/// canonicalizer micro-benchmark on the workload and fixed-work
+/// canonicalizer rows on seeded random functions at n = 5, 6, 7 (us/op as
+/// the min of 7 passes, each row checked against the walk).
+/// Report: BENCH_store_misspath.json (--misspath-out).
 ///
 /// A fourth phase benchmarks the NPN4 norm-table tier on the exhaustive
 /// 16-bit workload: an empty width-4 store learning all 65,536 tables with
@@ -502,6 +504,42 @@ int main(int argc, char** argv)
   const double walk_rate = per_sec(canon_sample, walk_seconds);
   const double canon_speedup = walk_rate > 0 ? bnb_rate / walk_rate : 0.0;
 
+  // Fixed-work canonicalizer rows: one seeded set of uniform random
+  // functions per width, canonical form plus witness, us/op as the min of
+  // 7 passes. The same inputs at every commit make the rows
+  // comparable across changes; each is gated on bit-identity to the walk,
+  // never on time.
+  struct CanonRow {
+    int n = 0;
+    std::size_t functions = 0;
+    double us_per_op = 0.0;
+    bool identical_to_walk = true;
+  };
+  constexpr int canon_passes = 7;
+  std::vector<CanonRow> canon_rows;
+  for (const int row_n : {5, 6, 7}) {
+    CanonRow row;
+    row.n = row_n;
+    const std::vector<TruthTable> row_funcs =
+        tt_random_set(row_n, row_n <= 6 ? 1000 : 50, 0xCA70ULL + static_cast<std::uint64_t>(row_n));
+    row.functions = row_funcs.size();
+    std::vector<TruthTable> row_results(row_funcs.size());
+    for (int pass = 0; pass < canon_passes; ++pass) {
+      watch.reset();
+      for (std::size_t i = 0; i < row_funcs.size(); ++i) {
+        row_results[i] = exact_npn_canonical_with_transform(row_funcs[i]).canonical;
+      }
+      const double us = watch.seconds() * 1e6 / static_cast<double>(row_funcs.size());
+      row.us_per_op = pass == 0 ? us : std::min(row.us_per_op, us);
+    }
+    for (std::size_t i = 0; i < row_funcs.size(); ++i) {
+      row.identical_to_walk =
+          row.identical_to_walk && exact_npn_canonical_walk(row_funcs[i]) == row_results[i];
+    }
+    canon_identical = canon_identical && row.identical_to_walk;
+    canon_rows.push_back(row);
+  }
+
   // The memo must never slow the miss path: it is always on, so it has to
   // beat the no-memo baseline outright.
   const bool memo_gate_ok = memo_speedup >= 1.0;
@@ -512,8 +550,13 @@ int main(int argc, char** argv)
             << "memo speedup: " << memo_speedup << "x"
             << (memo_gate_ok ? "" : " (REGRESSION: memo slower than no memo)") << "\n"
             << "canonicalizer (" << canon_sample << " sampled): B&B " << bnb_rate
-            << "/s vs walk " << walk_rate << "/s = " << canon_speedup << "x\n"
-            << "miss-path ids bit-identical to BatchEngine: "
+            << "/s vs walk " << walk_rate << "/s = " << canon_speedup << "x\n";
+  for (const CanonRow& row : canon_rows) {
+    std::cout << "canonicalizer, random n=" << row.n << " (" << row.functions << " functions, min of "
+              << canon_passes << " passes): " << row.us_per_op << " us/op, identical to walk: "
+              << (row.identical_to_walk ? "yes" : "NO") << "\n";
+  }
+  std::cout << "miss-path ids bit-identical to BatchEngine: "
             << (misspath_identical ? "yes" : "NO") << "\n"
             << "B&B bit-identical to walk: " << (canon_identical ? "yes" : "NO") << "\n";
 
@@ -533,6 +576,15 @@ int main(int argc, char** argv)
                 << "  \"bnb_per_sec\": " << bnb_rate << ",\n"
                 << "  \"walk_per_sec\": " << walk_rate << ",\n"
                 << "  \"bnb_vs_walk_speedup\": " << canon_speedup << ",\n"
+                << "  \"canon_passes\": " << canon_passes << ",\n"
+                << "  \"canon_random\": [";
+  for (std::size_t i = 0; i < canon_rows.size(); ++i) {
+    const CanonRow& row = canon_rows[i];
+    misspath_json << (i == 0 ? "\n" : ",\n") << "    {\"n\": " << row.n
+                  << ", \"functions\": " << row.functions << ", \"us_per_op\": " << row.us_per_op
+                  << ", \"identical_to_walk\": " << (row.identical_to_walk ? "true" : "false") << "}";
+  }
+  misspath_json << "\n  ],\n"
                 << "  \"identical_to_engine\": " << (misspath_identical ? "true" : "false") << ",\n"
                 << "  \"bnb_identical_to_walk\": " << (canon_identical ? "true" : "false") << "\n"
                 << "}\n";

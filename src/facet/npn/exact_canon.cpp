@@ -138,6 +138,140 @@ CanonResult walk(const TruthTable& tt)
   return best;
 }
 
+/// Free variables of the blocks the face bound works on: kPnMin4's width.
+constexpr int kFaceVars = 4;
+
+/// Least value any completion can give a block of 2^k bits holding `block`
+/// (k free variables): the remaining transforms permute and complement
+/// those k variables, so for k <= 4 the block's PN-minimum is exact; above
+/// that its ones packed at the low end.
+[[nodiscard]] std::uint64_t block_floor(std::uint64_t block, int k)
+{
+  if (k <= kFaceVars) {
+    return pn_min(k, block);
+  }
+  const int c = popcount64(block);
+  return c >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c) - 1;
+}
+
+/// Swaps table positions a and b of a single-word table (n <= 6).
+void swap_positions(std::uint64_t& w, int a, int b)
+{
+  if (a != b) {
+    w = swap_in_word(w, std::min(a, b), std::max(a, b));
+  }
+}
+
+void swap_positions(TruthTable& t, int a, int b) { swap_vars_in_place(t, a, b); }
+
+/// The c-th 16-bit chunk of a table: the 4-variable face its top positions
+/// select with value c.
+[[nodiscard]] std::uint64_t chunk16(std::uint64_t w, unsigned c) { return (w >> (16 * c)) & 0xFFFF; }
+
+[[nodiscard]] std::uint64_t chunk16(const TruthTable& t, unsigned c)
+{
+  return (t.word(c >> 2) >> (16 * (c & 3))) & 0xFFFF;
+}
+
+/// The (n-4)-variable faces (cofactors) of f and ~f whose PN-minimum is
+/// least. That least value is exactly the canonical form's top 2^4-bit
+/// block: the top block of any transform of f is a PN image of the face of
+/// f or ~f its n-4 top positions select, and a face reaching the least
+/// value, placed on top and PN-minimized below, is such a transform. So no
+/// leaf whose top positions select a face outside this list equals the
+/// canonical form, and the search only extends prefixes that some listed
+/// face is consistent with. `kCapacity` bounds the faces of one polarity,
+/// C(n, n-4) * 2^(n-4).
+template <std::size_t kCapacity>
+class LeastFaces {
+ public:
+  /// `f` is the table as one word (n <= 6) or as a TruthTable.
+  template <typename Table>
+  LeastFaces(Table f, int n) : fixed_{n - kFaceVars}
+  {
+    for (unsigned vars = 0; vars < (1u << n); ++vars) {
+      if (std::popcount(vars) != fixed_) {
+        continue;
+      }
+      // Move the fixed variables to the top positions, highest first, so a
+      // target position never holds a fixed variable still to be placed.
+      // Chunk c is then the face with the fixed variables, in order, at the
+      // values of c's bits.
+      std::array<int, 8> moved{};
+      int m = 0;
+      for (int v = n - 1; v >= 0; --v) {
+        if (((vars >> v) & 1u) != 0) {
+          moved[static_cast<std::size_t>(m)] = v;
+          swap_positions(f, v, n - 1 - m);
+          ++m;
+        }
+      }
+      for (unsigned c = 0; c < (1u << fixed_); ++c) {
+        unsigned values = 0;
+        for (unsigned rest = vars, bit = 0; rest != 0; rest &= rest - 1, ++bit) {
+          values |= ((c >> bit) & 1u) << std::countr_zero(rest);
+        }
+        const std::uint64_t face = chunk16(f, c);
+        add(0, vars, values, pn_min(kFaceVars, face));
+        add(1, vars, values, pn_min(kFaceVars, face ^ 0xFFFF));
+      }
+      for (int k = m; k-- > 0;) {
+        swap_positions(f, moved[static_cast<std::size_t>(k)], n - 1 - k);
+      }
+    }
+  }
+
+  /// True iff some least face is a face of f (output_neg false) or of ~f.
+  [[nodiscard]] bool any(bool output_neg) const { return count_[output_neg ? 1 : 0] != 0; }
+
+  /// The variables the next assignment may fix to 1 (index 0: phase 0)
+  /// and to 0 (index 1: phase 1) and still agree with a least face of this
+  /// polarity, when the prefix fixes the variables in `vars` to `values`.
+  /// Every variable once n-4 are fixed: the faces are decided.
+  [[nodiscard]] std::array<unsigned, 2> allowed(bool output_neg, unsigned vars,
+                                                unsigned values) const
+  {
+    if (std::popcount(vars) >= fixed_) {
+      return {~0u, ~0u};
+    }
+    const std::size_t side = output_neg ? 1 : 0;
+    std::array<unsigned, 2> next{};
+    for (std::size_t i = 0; i < count_[side]; ++i) {
+      const Face& face = faces_[side][i];
+      if ((face.vars & vars) == vars && ((face.values ^ values) & vars) == 0) {
+        next[0] |= face.values;
+        next[1] |= face.vars & ~face.values;
+      }
+    }
+    return next;
+  }
+
+ private:
+  /// Fixed-variable mask and their values (a subset of vars), n <= 8.
+  struct Face {
+    std::uint8_t vars = 0;
+    std::uint8_t values = 0;
+  };
+
+  void add(std::size_t side, unsigned vars, unsigned values, std::uint64_t value)
+  {
+    if (value > least_) {
+      return;
+    }
+    if (value < least_) {
+      least_ = value;
+      count_ = {};
+    }
+    faces_[side][count_[side]++] =
+        Face{static_cast<std::uint8_t>(vars), static_cast<std::uint8_t>(values)};
+  }
+
+  int fixed_;
+  std::uint64_t least_ = ~std::uint64_t{0};
+  std::array<std::array<Face, kCapacity>, 2> faces_{};
+  std::array<std::size_t, 2> count_{};
+};
+
 /// Branch-and-bound canonicalizer: assigns target positions most-significant
 /// first (position n-1 at depth 0, position n-1-d at depth d). A node at
 /// depth d is the table with the d assigned source variables moved to the
@@ -147,7 +281,10 @@ CanonResult walk(const TruthTable& tt)
 /// and preserves each block's popcount. Packing every block's ones at its
 /// low end is therefore a sound lower bound on every completion, compared
 /// lexicographically (most significant block first) against the incumbent:
-/// bound >= incumbent cuts the subtree. The incumbent is seeded with the
+/// bound >= incumbent cuts the subtree. A block with at most 4 free
+/// variables is bounded by its PN-minimum instead (block_floor), and the
+/// first n-4 assignments only extend prefixes some least face agrees with
+/// (LeastFaces). The incumbent is seeded with the
 /// semiclass image (a real orbit element whose cofactor ordering the search
 /// must then beat), and children are expanded sparsest-top-block first — the
 /// semiclass ordering — so the enumeration only descends into
@@ -156,7 +293,7 @@ CanonResult walk(const TruthTable& tt)
 template <bool track>
 class Bnb {
  public:
-  Bnb(const TruthTable& tt, const SemiclassResult& seed) : n_{tt.num_vars()}
+  Bnb(const TruthTable& tt, const SemiclassResult& seed) : n_{tt.num_vars()}, faces_{tt, n_}
   {
     best_.canonical = seed.image;
     best_.transform = seed.transform;
@@ -164,8 +301,8 @@ class Bnb {
       output_neg_ = out == 1;
       const TruthTable root = output_neg_ ? ~tt : tt;
       std::iota(vars_at_.begin(), vars_at_.begin() + n_, 0);
-      if (!bound_prunes(root, 0)) {
-        descend(root, 0, root.count_ones());
+      if (faces_.any(output_neg_) && !bound_prunes(root, 0)) {
+        descend(root, 0, root.count_ones(), 0, 0);
       }
     }
     if constexpr (track) {
@@ -188,8 +325,11 @@ class Bnb {
 
   /// `top_count` is the popcount of r's most significant depth-level block
   /// (the whole table at the root), passed down so each child's new
-  /// top-block count follows from one masked popcount on the parent.
-  void descend(const TruthTable& r, int depth, std::uint64_t top_count)
+  /// top-block count follows from one masked popcount on the parent. The
+  /// assigned source variables are `fixed_vars`; `fixed_values` holds the
+  /// value each takes in the top block (1 for phase 0).
+  void descend(const TruthTable& r, int depth, std::uint64_t top_count, unsigned fixed_vars,
+               unsigned fixed_values)
   {
     if (depth == n_) {
       if (r < best_.canonical) {
@@ -213,15 +353,19 @@ class Bnb {
     // (depth+1) is the half of r's top block where that variable is 1 for
     // phase 0 and 0 for phase 1 — counted on r, without materializing the
     // child. Children whose packed-low top-block bound already exceeds the
-    // incumbent's top block are dropped here.
+    // incumbent's top block, or that no least face agrees with, are dropped
+    // here.
     const int target = n_ - 1 - depth;
+    const std::array<unsigned, 2> face_vars = faces_.allowed(output_neg_, fixed_vars, fixed_values);
     std::array<Candidate, 16> candidates;
     std::size_t count = 0;
     for (int s = 0; s <= target; ++s) {
       const std::uint64_t ones_side = masked_top_count(r, depth, s);
       const std::uint64_t counts[2] = {ones_side, top_count - ones_side};
+      const int var = vars_at_[static_cast<std::size_t>(s)];
       for (int p = 0; p <= 1; ++p) {
-        if (compare_packed_with_incumbent_top(counts[p], depth + 1) > 0) {
+        if (((face_vars[static_cast<std::size_t>(p)] >> var) & 1u) == 0 ||
+            compare_packed_with_incumbent_top(counts[p], depth + 1) > 0) {
           continue;
         }
         candidates[count++] = Candidate{counts[p], s, p};
@@ -243,9 +387,9 @@ class Bnb {
     for (std::size_t k = 0; k < count; ++k) {
       const Candidate& c = candidates[k];
       // The incumbent tightens as siblings complete; re-test before paying
-      // for materialization. A strictly smaller top block can never be
-      // pruned by the full bound (the first differing block decides), so the
-      // full scan only runs on ties.
+      // for materialization. A strictly smaller packed top block is rarely
+      // pruned by the full bound (above 4 free variables never: the first
+      // differing block decides), so the full scan only runs on ties.
       const int cmp = compare_packed_with_incumbent_top(c.top_count, depth + 1);
       if (cmp > 0) {
         continue;
@@ -268,7 +412,8 @@ class Bnb {
         assigned_var_[static_cast<std::size_t>(depth)] = v;
         assigned_phase_[static_cast<std::size_t>(depth)] = c.phase;
       }
-      descend(child, depth + 1, c.top_count);
+      descend(child, depth + 1, c.top_count, fixed_vars | 1u << v,
+              c.phase == 0 ? fixed_values | 1u << v : fixed_values);
       vars_at_[static_cast<std::size_t>(c.slot)] = v;
       vars_at_[static_cast<std::size_t>(target)] = displaced;
     }
@@ -343,8 +488,9 @@ class Bnb {
   }
 
   /// True iff no completion of node `r` at `depth` can beat the incumbent:
-  /// compares the packed-low lower bound against best_, most significant
-  /// block first. Equality prunes too (only strict improvements matter).
+  /// compares the per-block floor (block_floor: PN-minimum up to 4 free
+  /// variables, packed low above) against best_, most significant block
+  /// first. Equality prunes too (only strict improvements matter).
   [[nodiscard]] bool bound_prunes(const TruthTable& r, int depth) const
   {
     const TruthTable& inc = best_.canonical;
@@ -385,8 +531,7 @@ class Bnb {
       const std::uint64_t bit = block * block_bits;
       const std::uint64_t rv = (r.word(bit >> 6) >> (bit & 63)) & mask;
       const std::uint64_t iv = (inc.word(bit >> 6) >> (bit & 63)) & mask;
-      const int c = popcount64(rv);
-      const std::uint64_t bv = c >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c) - 1;
+      const std::uint64_t bv = block_floor(rv, block_log);
       if (bv != iv) {
         return bv > iv;
       }
@@ -395,6 +540,7 @@ class Bnb {
   }
 
   int n_;
+  LeastFaces<70 * 16> faces_;
   CanonResult best_;
   bool output_neg_ = false;
   std::array<int, 8> vars_at_{};
@@ -411,7 +557,7 @@ template <bool track>
 class WordBnb {
  public:
   WordBnb(const TruthTable& tt, const SemiclassResult& seed)
-      : n_{tt.num_vars()}, bits_{tt.num_bits()}
+      : n_{tt.num_vars()}, bits_{tt.num_bits()}, faces_{tt.word(0), n_}
   {
     best_word_ = seed.image.word(0);
     best_transform_ = seed.transform;
@@ -420,11 +566,8 @@ class WordBnb {
       output_neg_ = out == 1;
       const std::uint64_t root = (out != 0 ? ~tt.word(0) : tt.word(0)) & table_mask;
       std::iota(vars_at_.begin(), vars_at_.begin() + n_, 0);
-      const std::uint64_t ones = static_cast<std::uint64_t>(popcount64(root));
-      // At depth 0 the top "block" is the whole table, so this packed-low
-      // comparison is the full bound; ties prune (nothing strictly smaller).
-      if (compare_packed_with_incumbent_top(ones, 0) < 0) {
-        descend(root, 0, ones);
+      if (faces_.any(output_neg_) && !bound_prunes(root, 0)) {
+        descend(root, 0, static_cast<std::uint64_t>(popcount64(root)), 0, 0);
       }
     }
   }
@@ -443,7 +586,8 @@ class WordBnb {
   }
 
  private:
-  void descend(std::uint64_t r, int depth, std::uint64_t top_count)
+  void descend(std::uint64_t r, int depth, std::uint64_t top_count, unsigned fixed_vars,
+               unsigned fixed_values)
   {
     if (depth == n_) {
       if (r < best_word_) {
@@ -467,14 +611,17 @@ class WordBnb {
     const std::uint64_t region_mask =
         (region >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << region) - 1) << (bits_ - region));
 
+    const std::array<unsigned, 2> face_vars = faces_.allowed(output_neg_, fixed_vars, fixed_values);
     std::array<Candidate, 12> candidates;
     std::size_t count = 0;
     for (int s = 0; s <= target; ++s) {
       const std::uint64_t ones_side = static_cast<std::uint64_t>(
           popcount64(r & region_mask & kVarMask[static_cast<std::size_t>(s)]));
       const std::uint64_t counts[2] = {ones_side, top_count - ones_side};
+      const int var = vars_at_[static_cast<std::size_t>(s)];
       for (int p = 0; p <= 1; ++p) {
-        if (compare_packed_with_incumbent_top(counts[p], depth + 1) > 0) {
+        if (((face_vars[static_cast<std::size_t>(p)] >> var) & 1u) == 0 ||
+            compare_packed_with_incumbent_top(counts[p], depth + 1) > 0) {
           continue;
         }
         candidates[count++] = Candidate{counts[p], s, p};
@@ -528,7 +675,8 @@ class WordBnb {
         assigned_var_[static_cast<std::size_t>(depth)] = v;
         assigned_phase_[static_cast<std::size_t>(depth)] = c.phase;
       }
-      descend(child, depth + 1, c.top_count);
+      descend(child, depth + 1, c.top_count, fixed_vars | 1u << v,
+              c.phase == 0 ? fixed_values | 1u << v : fixed_values);
       vars_at_[static_cast<std::size_t>(c.slot)] = v;
       vars_at_[static_cast<std::size_t>(target)] = displaced;
     }
@@ -550,6 +698,7 @@ class WordBnb {
 
   [[nodiscard]] bool bound_prunes(std::uint64_t r, int depth) const
   {
+    const int block_log = n_ - depth;
     const std::uint64_t block_bits = bits_ >> depth;
     const std::uint64_t mask =
         block_bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << block_bits) - 1;
@@ -557,17 +706,7 @@ class WordBnb {
       const std::uint64_t shift = block * block_bits;
       const std::uint64_t rv = (r >> shift) & mask;
       const std::uint64_t iv = (best_word_ >> shift) & mask;
-      const int c = popcount64(rv);
-      std::uint64_t bv = c >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c) - 1;
-      if (c == 2) {
-        // Sharper than packed-low: the remaining transforms permute/flip the
-        // block's variables, which preserves the Hamming distance d between
-        // the two 1-minterms; the smallest reachable two-ones pattern is
-        // {2^(d-1) - 1, 2^(d-1)}, i.e. 3 << (2^(d-1) - 1). Exact for c == 2.
-        const int d = popcount64(static_cast<std::uint64_t>(std::countr_zero(rv)) ^
-                                 static_cast<std::uint64_t>(63 - std::countl_zero(rv)));
-        bv = std::uint64_t{3} << ((std::uint64_t{1} << (d - 1)) - 1);
-      }
+      const std::uint64_t bv = block_floor(rv, block_log);
       if (bv != iv) {
         return bv > iv;
       }
@@ -577,6 +716,7 @@ class WordBnb {
 
   int n_;
   std::uint64_t bits_;
+  LeastFaces<15 * 4> faces_;
   std::uint64_t best_word_ = 0;
   NpnTransform best_transform_;
   bool output_neg_ = false;

@@ -16,15 +16,33 @@
 ///
 ///  * exact_npn_canonical — branch-and-bound in the spirit of the paper's
 ///    thesis: cheap invariant characteristics prune the transform search.
-///    Target positions are assigned most-significant first; at depth d the
-///    2^d top-block popcounts (d-ary cofactor counts of the partial
-///    assignment) give a sound lower bound on every completion (each block's
-///    ones packed at its low end), so subtrees that cannot beat the current
-///    incumbent are cut. The incumbent is seeded with the one-pass semiclass
-///    form (semiclass.hpp), which constrains the enumeration to
-///    permutations/phases consistent with the semiclass cofactor ordering —
-///    orders of magnitude fewer nodes than the full orbit on typical
-///    functions, while remaining exhaustive (bit-identical results).
+///    Target positions are assigned most-significant first, so after d
+///    steps the table splits into 2^d blocks whose contents only the n - d
+///    free variables still rearrange. The incumbent is seeded with the
+///    one-pass semiclass form (semiclass.hpp) and subtrees that cannot beat
+///    it strictly are cut by three bounds:
+///
+///     - packed-low: a block keeps its popcount, so its ones packed at the
+///       low end bound every completion (the only bound above 4 free
+///       variables);
+///     - PN-min blocks: with k <= 4 free variables a block can at best
+///       become kPnMin<k>[block] (npn4_table.hpp), its least image under
+///       the remaining input permutations and complementations;
+///     - least faces: the canonical form's top 2^4-bit block is exactly the
+///       least kPnMin4 value over every (n-4)-variable face (cofactor) of f
+///       and ~f (one lookup each: 120 at n = 6), so the first n-4
+///       assignments only extend prefixes that some face reaching that
+///       value agrees with, and an output polarity with no such face is
+///       skipped whole.
+///
+///    Every cut removes only subtrees with no leaf equal to the canonical
+///    form, and the traversal order (sparsest top block first, then slot,
+///    then phase) does not depend on the bounds. So the witness — the
+///    seed's transform when the seed is already canonical, else that of
+///    the first leaf in this order reaching the canonical form — does not
+///    depend on how much is pruned: the serve protocol's transform bytes
+///    and every stored rep_to_canonical stay bit-identical when a bound is
+///    sharpened (pinned by ExactCanon.WitnessGolden).
 ///
 /// Both are limited to n <= 8 and both output polarities are searched, so
 /// the results agree exactly (property-tested).

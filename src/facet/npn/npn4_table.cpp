@@ -171,6 +171,12 @@ TruthTable npn4_class_canonical(int num_vars, std::size_t class_index)
   return TruthTable::from_word(num_vars, bits);
 }
 
+// The generated kPnMin1..kPnMin4 and kPnMinTableGeneratedHash.
+#include "facet/npn/pn_min_table_data.inc"
+
+static_assert(kPnMinTableGeneratedHash == kPnMinGoldenTableHash,
+              "generated PN-min tables drifted from the checked-in golden hash");
+
 std::uint64_t npn4_table_hash() { return kNpn4TableGeneratedHash; }
 
 std::uint64_t npn4_table_lookups() { return g_lookups.load(std::memory_order_relaxed); }

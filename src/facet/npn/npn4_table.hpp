@@ -70,4 +70,31 @@ struct Npn4Result {
 /// resolved without ever touching a canonicalizer.
 [[nodiscard]] std::uint64_t npn4_table_lookups();
 
+/// PN-min tables, generated and hash-pinned like the norm table:
+/// kPnMin<k>[g] is the least 2^k-bit table reachable from g by permuting
+/// and complementing its k inputs, with no output negation. The
+/// branch-and-bound canonicalizer reads them as exact bounds on blocks with
+/// k free variables (exact_canon.hpp).
+extern const std::uint8_t kPnMin1[4];
+extern const std::uint8_t kPnMin2[16];
+extern const std::uint8_t kPnMin3[256];
+extern const std::uint16_t kPnMin4[65536];
+
+/// kPnMin<k>[g] for k = 1..4; the identity at k = 0.
+[[nodiscard]] inline std::uint64_t pn_min(int k, std::uint64_t g) noexcept
+{
+  switch (k) {
+    case 1:
+      return kPnMin1[g];
+    case 2:
+      return kPnMin2[g];
+    case 3:
+      return kPnMin3[g];
+    case 4:
+      return kPnMin4[g];
+    default:
+      return g;
+  }
+}
+
 }  // namespace facet

@@ -1,5 +1,5 @@
 /// \file npn4_table_golden.hpp
-/// \brief Checked-in golden hash of the generated NPN4 norm table.
+/// \brief Checked-in golden hashes of the generated NPN4 norm and PN-min tables.
 ///
 /// `tools/gen_npn4_table` emits the 64Ki-entry table into the build tree
 /// together with an FNV-1a digest of every packed entry and class canonical
@@ -17,5 +17,8 @@
 namespace facet {
 
 inline constexpr std::uint64_t kNpn4GoldenTableHash = 0x5e9fd5dc829ead42ULL;
+
+/// The same guard over the PN-min tables kPnMin1..kPnMin4 (npn4_table.hpp).
+inline constexpr std::uint64_t kPnMinGoldenTableHash = 0x371cef1bc52d8664ULL;
 
 }  // namespace facet

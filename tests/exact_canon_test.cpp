@@ -12,6 +12,7 @@
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/semiclass.hpp"
 #include "facet/tt/tt_generate.hpp"
+#include "facet/tt/tt_io.hpp"
 
 namespace facet {
 namespace {
@@ -138,6 +139,94 @@ TEST(ExactCanon, SeededSearchMatchesUnseeded)
       EXPECT_EQ(seeded.canonical, unseeded.canonical) << "n=" << n;
       EXPECT_EQ(seeded.transform, unseeded.transform) << "n=" << n;
     }
+  }
+}
+
+/// The witness-golden workload at width n: random functions, sparse and
+/// dense functions (1, 2, 3 and 2^n - 1 ones), and the symmetric majority,
+/// parity and threshold functions, whose many equal cofactors tie. Parity
+/// stops at n = 7: every one of its orbit members ties on every block
+/// bound, so at n = 8 the search visits millions of leaves (seconds).
+std::vector<TruthTable> witness_golden_set(int n)
+{
+  std::mt19937_64 rng{0x90D0ULL + static_cast<unsigned>(n)};
+  std::vector<TruthTable> funcs;
+  const int randoms = n <= 6 ? 200 : (n == 7 ? 24 : 6);
+  for (int i = 0; i < randoms; ++i) {
+    funcs.push_back(tt_random(n, rng));
+  }
+  const std::uint64_t bits = std::uint64_t{1} << n;
+  for (const std::uint64_t ones : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, bits - 1}) {
+    for (int i = 0; i < 4; ++i) {
+      funcs.push_back(tt_random_with_ones(n, ones, rng));
+    }
+  }
+  if (n <= 7) {
+    funcs.push_back(tt_parity(n));
+  }
+  funcs.push_back(tt_threshold(n, n / 2));
+  funcs.push_back(tt_threshold(n, 2));
+  if (n % 2 == 1) {
+    funcs.push_back(tt_majority(n));
+  }
+  return funcs;
+}
+
+TEST(ExactCanon, WitnessGolden)
+{
+  // Pins canonical forms AND witnesses at n = 5..8. The serve protocol's
+  // transform bytes and every stored rep_to_canonical are these witnesses,
+  // so a search change that reaches the same canonical form through a
+  // different transform shows up here.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      hash ^= (value >> (8 * b)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (int n = 5; n <= 8; ++n) {
+    for (const TruthTable& f : witness_golden_set(n)) {
+      const CanonResult result = exact_npn_canonical_with_transform(f);
+      for (const std::uint64_t word : result.canonical.words()) {
+        mix(word, 8);
+      }
+      for (int i = 0; i < n; ++i) {
+        mix(result.transform.perm[static_cast<std::size_t>(i)], 1);
+      }
+      mix(result.transform.input_neg, 4);
+      mix(result.transform.output_neg ? 1 : 0, 1);
+    }
+  }
+  EXPECT_EQ(hash, 0xebba649b8cd95582ULL);
+}
+
+TEST(ExactCanon, SearchMatchesWalk)
+{
+  // The table-off branch-and-bound against the exhaustive orbit walk.
+  std::mt19937_64 rng{0xA1CEULL};
+  std::vector<TruthTable> funcs;
+  for (int n = 5; n <= 6; ++n) {
+    const std::uint64_t bits = std::uint64_t{1} << n;
+    for (int i = 0; i < 400; ++i) {
+      funcs.push_back(tt_random(n, rng));
+    }
+    for (int i = 0; i < 120; ++i) {
+      const std::uint64_t ones = 1 + i % 4;
+      funcs.push_back(tt_random_with_ones(n, i % 2 == 0 ? ones : bits - ones, rng));
+    }
+  }
+  for (int t = 0; t <= 7; ++t) {
+    funcs.push_back(tt_threshold(6, t));
+  }
+  funcs.push_back(tt_parity(6));
+  funcs.push_back(tt_inner_product(6));
+  funcs.push_back(tt_majority(5));
+  for (int i = 0; i < 20; ++i) {
+    funcs.push_back(tt_random(7, rng));
+  }
+  for (const TruthTable& f : funcs) {
+    EXPECT_EQ(exact_npn_canonical_search(f), exact_npn_canonical_walk(f)) << to_hex(f);
   }
 }
 

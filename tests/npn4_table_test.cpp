@@ -2,22 +2,26 @@
 /// table (and every sub-width table down to the constants) must agree with
 /// the exhaustive orbit-walk oracle on canonical form, carry a valid
 /// witnessing transform, and index exactly the known class counts
-/// {1, 2, 4, 14, 222}; plus the golden-hash drift guard and the ClassStore
-/// table tier's bit-identity with a store built without it.
+/// {1, 2, 4, 14, 222}; plus the golden-hash drift guard, the ClassStore
+/// table tier's bit-identity with a store built without it, and the PN-min
+/// tables against brute force over every PN transform.
 
 #include "facet/npn/npn4_table.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <vector>
 
+#include "facet/npn/enumerate.hpp"
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/npn4_table_golden.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/class_store.hpp"
 #include "facet/store/store_builder.hpp"
+#include "facet/tt/bit_ops.hpp"
 #include "facet/tt/truth_table.hpp"
 #include "facet/tt/tt_generate.hpp"
 
@@ -102,6 +106,71 @@ TEST(Npn4Table, RejectsWidthsBeyondFour)
   EXPECT_THROW((void)npn4_num_classes(5), std::invalid_argument);
   EXPECT_THROW((void)npn4_class_canonical(5, 0), std::invalid_argument);
   EXPECT_THROW((void)npn4_class_canonical(4, kNpn4NumClasses), std::out_of_range);
+}
+
+/// Every PN transform at width k: the 2^k * k! input permutations and
+/// complementations, output polarity kept.
+std::vector<NpnTransform> pn_transforms(int k)
+{
+  std::vector<NpnTransform> transforms;
+  NpnTransform t = NpnTransform::identity(k);
+  do {
+    for (std::uint32_t neg = 0; neg < (1u << k); ++neg) {
+      t.input_neg = neg;
+      transforms.push_back(t);
+    }
+  } while (std::next_permutation(t.perm.begin(), t.perm.begin() + k));
+  return transforms;
+}
+
+std::uint64_t brute_force_pn_min(int k, std::uint64_t g, const std::vector<NpnTransform>& transforms)
+{
+  const TruthTable tt = TruthTable::from_word(k, g);
+  std::uint64_t least = g;
+  for (const NpnTransform& t : transforms) {
+    least = std::min(least, apply_transform(tt, t).word(0));
+  }
+  return least;
+}
+
+TEST(PnMinTable, EveryTableIsAnOrbitMinimum)
+{
+  // Constant along every generator move (k input flips, k - 1 adjacent
+  // swaps), idempotent, and never above its argument, at every entry.
+  for (int k = 1; k <= kNpn4MaxVars; ++k) {
+    const std::uint64_t mask = low_bits_mask(k);
+    for (std::uint64_t g = 0; g <= mask; ++g) {
+      const std::uint64_t least = pn_min(k, g);
+      ASSERT_LE(least, g) << "k=" << k << " g=" << g;
+      ASSERT_EQ(pn_min(k, least), least) << "k=" << k << " g=" << g;
+      for (int v = 0; v < k; ++v) {
+        ASSERT_EQ(pn_min(k, flip_in_word(g, v) & mask), least) << "k=" << k << " g=" << g;
+        if (v + 1 < k) {
+          ASSERT_EQ(pn_min(k, swap_in_word(g, v, v + 1)), least) << "k=" << k << " g=" << g;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pn_min(0, 1), 1u);
+}
+
+TEST(PnMinTable, MatchesBruteForceOverAllPnTransforms)
+{
+  // Exhaustive for k <= 3; 4,096 sampled entries at k = 4.
+  for (int k = 1; k <= 3; ++k) {
+    const std::vector<NpnTransform> transforms = pn_transforms(k);
+    ASSERT_EQ(transforms.size(), (std::uint64_t{1} << k) * factorial(k));
+    for (std::uint64_t g = 0; g <= low_bits_mask(k); ++g) {
+      ASSERT_EQ(pn_min(k, g), brute_force_pn_min(k, g, transforms)) << "k=" << k << " g=" << g;
+    }
+  }
+  const std::vector<NpnTransform> transforms = pn_transforms(4);
+  ASSERT_EQ(transforms.size(), 384u);
+  std::mt19937_64 rng{0x9417ULL};
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t g = rng() & 0xFFFF;
+    ASSERT_EQ(pn_min(4, g), brute_force_pn_min(4, g, transforms)) << "g=" << g;
+  }
 }
 
 std::vector<TruthTable> random_workload(int n, std::uint64_t seed, std::size_t count)

@@ -18,7 +18,15 @@
 /// its class — self-checked here, and exhaustively re-verified against the
 /// library's `exact_npn_canonical_walk` oracle in tests/npn4_table_test.cpp.
 ///
-/// Usage: gen_npn4_table <output.inc>
+/// It also emits `pn_min_table_data.inc`: for k = 1..4, kPnMin<k>[g] is the
+/// least 2^k-bit table reachable from g by permuting and complementing its
+/// k inputs (no output negation) — the exact bound the branch-and-bound
+/// canonicalizer (npn/exact_canon.cpp) puts on a block with k free
+/// variables. Each table is the orbit closure of an ascending sweep under
+/// the k input flips and k - 1 adjacent swaps, cross-checked at k = 4
+/// against the NPN4 classes: min(pn_min(g), pn_min(~g)) is g's canonical.
+///
+/// Usage: gen_npn4_table <npn4_table_data.inc> <pn_min_table_data.inc>
 
 #include <algorithm>
 #include <array>
@@ -97,12 +105,90 @@ std::uint64_t fnv1a(std::uint64_t hash, const unsigned char* data, std::size_t s
   return hash;
 }
 
+/// Bits of a 16-bit table where input v is 1 (v < 4).
+constexpr std::array<std::uint16_t, kNumVars> kVarMask16 = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
+
+/// Complements input v of a 2^k-bit table (k <= 4, v < k).
+std::uint16_t flip16(std::uint16_t g, int v, std::uint16_t table_mask)
+{
+  const int shift = 1 << v;
+  const std::uint16_t hi = kVarMask16[static_cast<std::size_t>(v)];
+  return static_cast<std::uint16_t>((((g & hi) >> shift) | ((g & ~hi) << shift)) & table_mask);
+}
+
+/// Exchanges inputs v and v + 1 of a 2^k-bit table (k <= 4, v + 1 < k).
+std::uint16_t swap_adjacent16(std::uint16_t g, int v)
+{
+  // Minterms with x_v = 1, x_{v+1} = 0 trade places with x_v = 0, x_{v+1} = 1,
+  // which sit 2^v positions higher.
+  const int shift = 1 << v;
+  const auto low = static_cast<std::uint16_t>(kVarMask16[static_cast<std::size_t>(v)] &
+                                              ~kVarMask16[static_cast<std::size_t>(v + 1)]);
+  const auto t = static_cast<std::uint16_t>(((g >> shift) ^ g) & low);
+  return static_cast<std::uint16_t>(g ^ t ^ (t << shift));
+}
+
+/// kPnMin<k> by an ascending sweep: the first unvisited word is the least of
+/// its PN orbit, so the orbit's closure under the generator moves is
+/// labelled with it.
+std::vector<std::uint16_t> pn_min_table(int k)
+{
+  const std::size_t size = std::size_t{1} << (1u << k);
+  const auto table_mask = static_cast<std::uint16_t>(size - 1);
+  std::vector<std::uint16_t> least(size);
+  std::vector<bool> seen(size, false);
+  std::vector<std::uint16_t> frontier;
+  for (std::size_t w = 0; w < size; ++w) {
+    if (seen[w]) {
+      continue;
+    }
+    const auto root = static_cast<std::uint16_t>(w);
+    seen[w] = true;
+    frontier.assign(1, root);
+    while (!frontier.empty()) {
+      const std::uint16_t g = frontier.back();
+      frontier.pop_back();
+      least[g] = root;
+      for (int v = 0; v < k; ++v) {
+        for (const std::uint16_t next :
+             {flip16(g, v, table_mask), v + 1 < k ? swap_adjacent16(g, v) : g}) {
+          if (!seen[next]) {
+            seen[next] = true;
+            frontier.push_back(next);
+          }
+        }
+      }
+    }
+  }
+  return least;
+}
+
+/// Self-check of one kPnMin table: idempotent, never above its argument,
+/// and constant along every generator move.
+bool pn_min_table_ok(const std::vector<std::uint16_t>& least, int k)
+{
+  const auto table_mask = static_cast<std::uint16_t>(least.size() - 1);
+  for (std::size_t w = 0; w < least.size(); ++w) {
+    const auto g = static_cast<std::uint16_t>(w);
+    if (least[g] > g || least[least[g]] != least[g]) {
+      return false;
+    }
+    for (int v = 0; v < k; ++v) {
+      if (least[flip16(g, v, table_mask)] != least[g] ||
+          (v + 1 < k && least[swap_adjacent16(g, v)] != least[g])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv)
 {
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: gen_npn4_table <output.inc>\n");
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: gen_npn4_table <npn4_table_data.inc> <pn_min_table_data.inc>\n");
     return 2;
   }
 
@@ -217,6 +303,34 @@ int main(int argc, char** argv)
     hash = fnv1a(hash, bytes, sizeof bytes);
   }
 
+  // PN-minimum tables, k = 1..4 (index k - 1), checked before writing.
+  std::array<std::vector<std::uint16_t>, kNumVars> pn_min;
+  for (int k = 1; k <= kNumVars; ++k) {
+    pn_min[static_cast<std::size_t>(k - 1)] = pn_min_table(k);
+    if (!pn_min_table_ok(pn_min[static_cast<std::size_t>(k - 1)], k)) {
+      std::fprintf(stderr, "gen_npn4_table: PN-min table at k=%d is not an orbit minimum\n", k);
+      return 1;
+    }
+  }
+  const std::vector<std::uint16_t>& least4 = pn_min[kNumVars - 1];
+  for (std::uint32_t w = 0; w < kTableSize; ++w) {
+    const std::uint16_t npn_least = std::min(least4[w], least4[w ^ 0xFFFF]);
+    if (npn_least != canonicals[packed[w] & 0xFF]) {
+      std::fprintf(stderr, "gen_npn4_table: PN-min of 0x%04x disagrees with its NPN class\n", w);
+      return 1;
+    }
+  }
+  // FNV-1a over the four tables, k = 1..4, entries as little-endian bytes
+  // (one byte each below k = 4): the golden kPnMinGoldenTableHash.
+  std::uint64_t pn_hash = 0xcbf29ce484222325ULL;
+  for (int k = 1; k <= kNumVars; ++k) {
+    for (const std::uint16_t entry : pn_min[static_cast<std::size_t>(k - 1)]) {
+      const unsigned char bytes[2] = {static_cast<unsigned char>(entry & 0xFF),
+                                      static_cast<unsigned char>((entry >> 8) & 0xFF)};
+      pn_hash = fnv1a(pn_hash, bytes, k == kNumVars ? 2 : 1);
+    }
+  }
+
   std::ofstream out{argv[1]};
   if (!out) {
     std::fprintf(stderr, "gen_npn4_table: cannot open '%s' for writing\n", argv[1]);
@@ -243,6 +357,32 @@ int main(int argc, char** argv)
   out.close();
   if (!out) {
     std::fprintf(stderr, "gen_npn4_table: write to '%s' failed\n", argv[1]);
+    return 1;
+  }
+
+  std::ofstream pn_out{argv[2]};
+  if (!pn_out) {
+    std::fprintf(stderr, "gen_npn4_table: cannot open '%s' for writing\n", argv[2]);
+    return 1;
+  }
+  pn_out << "// pn_min_table_data.inc — generated by tools/gen_npn4_table. Do not edit.\n"
+            "// kPnMin<k>[g]: the least 2^k-bit table reachable from g by permuting and\n"
+            "// complementing its k inputs.\n";
+  for (int k = 1; k <= kNumVars; ++k) {
+    const std::vector<std::uint16_t>& least = pn_min[static_cast<std::size_t>(k - 1)];
+    pn_out << "const std::" << (k == kNumVars ? "uint16_t" : "uint8_t") << " kPnMin" << k << "["
+           << least.size() << "] = {\n";
+    for (std::size_t i = 0; i < least.size(); ++i) {
+      std::snprintf(buf, sizeof buf, k == kNumVars ? "0x%04x," : "0x%02x,", least[i]);
+      pn_out << buf << ((i % 8 == 7 || i + 1 == least.size()) ? "\n" : "");
+    }
+    pn_out << "};\n\n";
+  }
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(pn_hash));
+  pn_out << "constexpr std::uint64_t kPnMinTableGeneratedHash = 0x" << buf << "ULL;\n";
+  pn_out.close();
+  if (!pn_out) {
+    std::fprintf(stderr, "gen_npn4_table: write to '%s' failed\n", argv[2]);
     return 1;
   }
   return 0;
