@@ -5,8 +5,9 @@
 ///   * index build time (BatchEngine classification + record assembly);
 ///   * cold lookup throughput — empty hot cache, every query pays one
 ///     canonicalization plus a binary search;
-///   * warm lookup throughput — every query answered by the set-associative
-///     hot cache, the steady state of a serving workload;
+///   * warm lookup throughput — the repeat pass, answered by the
+///     set-associative hot cache except where a set evicted a query (its
+///     hot-cache share is reported), the steady state of a serving workload;
 ///   * live single-thread exact classification throughput (the baseline the
 ///     store replaces), measured on a sample;
 /// and verifies that every store lookup reproduces the BatchEngine class id
@@ -177,14 +178,21 @@ int main(int argc, char** argv)
   }
   const double cold_seconds = watch.seconds();
 
-  // --- warm lookups: every query served by the hot cache -------------------
+  // --- warm lookups: the second pass, answered by the hot cache ------------
+  // The cache is set-associative, so residency is not guaranteed: a query
+  // whose set evicted it answers from a lower tier under the same id. The
+  // identity verdict covers ids and witnesses; the cache share is reported
+  // on its own.
+  std::size_t warm_cache_hits = 0;
   watch.reset();
   for (std::size_t i = 0; i < funcs.size(); ++i) {
     const auto result = store.lookup(funcs[i]);
-    identical = identical && result.has_value() && result->class_id == reference.class_of[i] &&
-                result->source == LookupSource::kHotCache;
+    identical = identical && result.has_value() && result->class_id == reference.class_of[i];
+    warm_cache_hits += result.has_value() && result->source == LookupSource::kHotCache ? 1 : 0;
   }
   const double warm_seconds = watch.seconds();
+  const double warm_cache_share =
+      funcs.empty() ? 0.0 : static_cast<double>(warm_cache_hits) / static_cast<double>(funcs.size());
 
   // Transform soundness on a sample spread across the workload.
   const std::size_t stride = funcs.size() < 512 ? 1 : funcs.size() / 512;
@@ -211,7 +219,8 @@ int main(int argc, char** argv)
   const double speedup = live_rate > 0 ? warm_rate / live_rate : 0.0;
 
   std::cout << "cold:    " << cold_rate << " lookups/s\n"
-            << "warm:    " << warm_rate << " lookups/s\n"
+            << "warm:    " << warm_rate << " lookups/s (hot-cache share " << warm_cache_share
+            << ")\n"
             << "live:    " << live_rate << " canonicalizations/s (single thread, " << sample
             << " sampled)\n"
             << "warm vs live speedup: " << speedup << "x\n"
@@ -340,6 +349,7 @@ int main(int argc, char** argv)
        << "  \"build_seconds\": " << build_seconds << ",\n"
        << "  \"cold_lookups_per_sec\": " << cold_rate << ",\n"
        << "  \"warm_lookups_per_sec\": " << warm_rate << ",\n"
+       << "  \"warm_hot_cache_share\": " << warm_cache_share << ",\n"
        << "  \"live_sample\": " << sample << ",\n"
        << "  \"live_single_thread_per_sec\": " << live_rate << ",\n"
        << "  \"warm_vs_live_speedup\": " << speedup << ",\n"

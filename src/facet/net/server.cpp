@@ -28,24 +28,6 @@ namespace facet {
 
 namespace {
 
-/// `facet_serve_active_connections`: connections currently inside
-/// handle_connection, process-wide.
-obs::Gauge& active_connections_gauge()
-{
-  static obs::Gauge& gauge =
-      obs::MetricRegistry::global().gauge("facet_serve_active_connections");
-  return gauge;
-}
-
-/// `facet_serve_connection_lifetime`: accept-to-close duration of every
-/// finished connection.
-obs::LatencyHistogram& connection_lifetime_histogram()
-{
-  static obs::LatencyHistogram& histogram =
-      obs::MetricRegistry::global().histogram("facet_serve_connection_lifetime");
-  return histogram;
-}
-
 #if FACET_HAS_SOCKETS
 
 /// (inode, mtime, size) of one file; zeros when absent. The readonly reload
@@ -100,7 +82,6 @@ ServeOptions ServeServer::session_options()
   ServeOptions session;
   session.readonly = options_.readonly;
   session.append_on_miss = options_.append_on_miss && !options_.readonly;
-  session.aggregate = &stats_;
   session.slow_request_us = options_.slow_request_us;
   // Delta logs are wired on every writable server — not just under
   // --append — because protocol v2 makes append a per-request policy: a
@@ -129,8 +110,9 @@ std::vector<ClassStore*> ServeServer::served_stores() const
 /// first bytes, then runs the shared ServeDispatcher through either the v2
 /// FrameSession or a v1 line splitter. Methods run on the owning loop's
 /// thread only (the reactor's contract), so the dispatcher's plain session
-/// counters need no synchronization; it bumps the server's aggregate
-/// directly.
+/// counters need no synchronization; the process-wide ones are registry
+/// atomics. Its ServeConnectionSlot, taken in the accept thread, holds one
+/// unit of the admission gauge until the reactor destroys the connection.
 class ServeConnection final : public ReactorConnection {
  public:
   ServeConnection(ServeServer* server, int forced_proto)
@@ -185,7 +167,11 @@ class ServeConnection final : public ReactorConnection {
       // flush failure must not escape the reactor's close path; the final
       // server-wide flush retries on shutdown
     }
-    server_->on_connection_closed(accepted_ticks_);
+    // `facet_serve_connection_lifetime`: accept to close.
+    static obs::LatencyHistogram& lifetime =
+        obs::MetricRegistry::global().histogram("facet_serve_connection_lifetime");
+    lifetime.record_ns(obs::ticks_to_ns(obs::now_ticks() - accepted_ticks_));
+    server_->compactor_cv_.notify_one();  // the exit flush may have sealed a new run
   }
 
  private:
@@ -225,6 +211,7 @@ class ServeConnection final : public ReactorConnection {
     return keep;
   }
 
+  ServeConnectionSlot slot_;
   ServeServer* server_;
   ServeDispatcher dispatcher_;
   FrameSession frame_;
@@ -361,16 +348,13 @@ void ServeServer::accept_loop()
         // EINTR / ECONNABORTED: retry immediately
         continue;
       }
-      if (stats_.connections_active.load() >= options_.max_connections) {
+      if (ServeConnectionSlot::active() >= static_cast<std::int64_t>(options_.max_connections)) {
         FdStreamBuf buf{connection.fd()};
         std::ostream out{&buf};
         out << "err server at capacity (" << options_.max_connections << " connections)\n"
             << std::flush;
         continue;  // connection closes on scope exit
       }
-      ++stats_.connections_active;
-      ++stats_.connections_total;
-      active_connections_gauge().add(1);
       reactor_->add(std::move(connection),
                     std::make_unique<ServeConnection>(this, forced_proto));
     }
@@ -380,14 +364,6 @@ void ServeServer::accept_loop()
   if (!options_.unix_path.empty()) {
     ::unlink(options_.unix_path.c_str());
   }
-}
-
-void ServeServer::on_connection_closed(std::uint64_t accepted_ticks) noexcept
-{
-  --stats_.connections_active;
-  active_connections_gauge().sub(1);
-  connection_lifetime_histogram().record_ns(obs::ticks_to_ns(obs::now_ticks() - accepted_ticks));
-  compactor_cv_.notify_one();  // the exit flush may have sealed a new run
 }
 
 void ServeServer::wait()
@@ -429,7 +405,7 @@ void ServeServer::final_flush()
       continue;
     }
     try {
-      stats_.flushed_records += index.store->flush_delta(ClassStore::delta_log_path(index.path));
+      index.store->flush_delta(ClassStore::delta_log_path(index.path));
     } catch (const std::exception& e) {
       std::cerr << "facet-serve: final flush of width " << width << " failed: " << e.what()
                 << "\n";
@@ -544,19 +520,22 @@ void ServeServer::compact_one(int width, ClassStore& store, const std::string& p
   for (const auto& run : snapshot.tiers->deltas) {
     delta_records += run->size();
   }
-  const std::size_t flushed = snapshot.flushed;
   store.finish_compaction(path, std::move(snapshot));
-  const std::uint64_t total_ns = obs::ticks_to_ns(obs::now_ticks() - t_start);
+  const CompactionEvent event{width, runs, delta_records, dlog_bytes,
+                              obs::ticks_to_ns(obs::now_ticks() - t_start) / 1'000'000};
 
-  ++stats_.compactions;
-  stats_.compacted_runs += runs;
-  stats_.compacted_records += delta_records;
-  stats_.compacted_bytes += dlog_bytes;
-  stats_.last_compaction_ms.store(total_ns / 1'000'000, std::memory_order_relaxed);
-  stats_.flushed_records += flushed;
+  // `stats all`'s compactor fields (compactions= and flushed= count in the store).
+  auto& registry = obs::MetricRegistry::global();
+  static obs::Counter& runs_total = registry.counter("facet_compaction_runs_total");
+  static obs::Counter& records_total = registry.counter("facet_compaction_records_total");
+  static obs::Counter& bytes_total = registry.counter("facet_compaction_bytes_total");
+  static obs::Gauge& last_ms = registry.gauge("facet_compaction_last_ms");
+  runs_total.inc(event.runs);
+  records_total.inc(event.records);
+  bytes_total.inc(event.bytes);
+  last_ms.set(static_cast<std::int64_t>(event.duration_ms));
   const std::lock_guard<std::mutex> log_lock{compaction_log_mutex_};
-  compaction_log_.push_back(
-      CompactionEvent{width, runs, delta_records, dlog_bytes, total_ns / 1'000'000});
+  compaction_log_.push_back(event);
 }
 
 #else  // !FACET_HAS_SOCKETS
@@ -576,7 +555,6 @@ void ServeServer::wait()
 void ServeServer::request_shutdown() noexcept {}
 
 void ServeServer::accept_loop() {}
-void ServeServer::on_connection_closed(std::uint64_t) noexcept {}
 void ServeServer::compactor_loop() {}
 std::size_t ServeServer::run_due_compactions()
 {

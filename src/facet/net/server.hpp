@@ -169,9 +169,6 @@ class ServeServer {
   /// requests for tests and logs). 0 when no TCP listener is configured.
   [[nodiscard]] std::uint16_t tcp_port() const noexcept { return tcp_port_; }
 
-  /// Aggregated protocol + compaction counters (the `stats all` numbers).
-  [[nodiscard]] const ServeAggregateStats& stats() const noexcept { return stats_; }
-
   /// Compactions performed so far (copy; internally synchronized).
   [[nodiscard]] std::vector<CompactionEvent> compaction_log() const;
 
@@ -187,9 +184,6 @@ class ServeServer {
   void accept_loop();
   [[nodiscard]] ServeOptions session_options();
   [[nodiscard]] std::vector<ClassStore*> served_stores() const;
-  /// ServeConnection::on_close callback: books the finished connection
-  /// into the stats/gauges and nudges the compactor. Safe from any loop.
-  void on_connection_closed(std::uint64_t accepted_ticks) noexcept;
 
   void compactor_loop();
   /// One trigger sweep over every served store; returns compactions done.
@@ -211,8 +205,6 @@ class ServeServer {
   /// width -> served store, built once by the constructor.
   std::map<int, ServedIndex> served_;
   ServeServerOptions options_;
-
-  ServeAggregateStats stats_;
 
   Socket tcp_listener_;
   Socket unix_listener_;

@@ -26,6 +26,11 @@
 ///   facet_batch_shard_classify_latency{classifier=<kind>}
 ///   facet_serve_frame_latency{proto=v1|v2,verb=...}
 ///   facet_serve_active_connections        (gauge)
+///   facet_serve_connections_total / facet_serve_requests_total /
+///   facet_serve_errors_total / facet_store_flushed_records_total (counters)
+///   facet_serve_lookups_total{tier=cache|memo|table|index|live,width=<n>}
+///   facet_serve_appended_total{width=<n>}
+///   facet_compaction_{runs,records,bytes}_total, facet_compaction_last_ms
 ///   facet_serve_workers / facet_serve_busy_workers   (gauges: reactor
 ///                                         event loops / loops serving)
 ///   facet_serve_worker_tasks / facet_serve_worker_busy_ns   (counters:

@@ -489,6 +489,10 @@ std::size_t ClassStore::flush_delta_locked(const std::unique_lock<std::mutex>& g
     memtable_->records.clear();
     memtable_->index.clear();
   }
+  // Every flush lands here: the one count behind `stats all`'s `flushed=`.
+  static obs::Counter& flushed_total =
+      obs::MetricRegistry::global().counter("facet_store_flushed_records_total");
+  flushed_total.inc(flushed);
   return flushed;
 }
 

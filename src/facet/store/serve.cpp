@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <exception>
 #include <iostream>
 #include <istream>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -19,43 +21,83 @@ namespace facet {
 
 namespace {
 
-[[nodiscard]] std::uint64_t load(const std::atomic<std::uint64_t>& counter) noexcept
-{
-  return counter.load(std::memory_order_relaxed);
-}
+/// The ServeStats field counting each tier, indexed by LookupSource.
+constexpr std::array<std::uint64_t ServeStats::*, 5> kTierFields{
+    &ServeStats::cache_hits, &ServeStats::memo_hits, &ServeStats::table_hits,
+    &ServeStats::index_hits, &ServeStats::live};
 
-void bump(std::uint64_t& counter) noexcept
-{
-  ++counter;
-}
+/// The verbs `facet_serve_request_latency{verb=...}` distinguishes, indexed
+/// by ServeDispatcher::Verb. kOther absorbs unknown commands (protocol
+/// errors still cost time worth seeing).
+constexpr std::array<const char*, 7> kVerbNames{"lookup", "mlookup", "info",
+                                                "stats",  "metrics", "quit", "other"};
 
-void bump(std::atomic<std::uint64_t>& counter) noexcept
-{
-  counter.fetch_add(1, std::memory_order_relaxed);
-}
+/// One width's `facet_serve_lookups_total{tier,width}` handles, indexed by
+/// LookupSource, then its `facet_serve_appended_total{width}`.
+using WidthSeries = std::array<obs::Counter*, kTierFields.size() + 1>;
 
-/// Bumps the per-source counter of a session block (plain ServeStats) or
-/// an aggregate width row (ServeWidthCounters atomics).
-template <typename Counters>
-void count_source(Counters& stats, LookupSource source)
-{
-  switch (source) {
-    case LookupSource::kHotCache:
-      bump(stats.cache_hits);
-      break;
-    case LookupSource::kMemo:
-      bump(stats.memo_hits);
-      break;
-    case LookupSource::kTable:
-      bump(stats.table_hits);
-      break;
-    case LookupSource::kIndex:
-      bump(stats.index_hits);
-      break;
-    case LookupSource::kLive:
-      bump(stats.live);
-      break;
+/// Every registry series the serve layer bumps or `stats all` reads,
+/// resolved once per process, so the per-request paths touch only stable
+/// handles. A width's row resolves on first use — the constructor of a
+/// dispatcher serving it, before any request — so widths no session serves
+/// stay out of the scrape.
+struct ServeSeries {
+  ServeSeries()
+  {
+    for (std::size_t v = 0; v < kVerbNames.size(); ++v) {
+      request_latency[v] =
+          &registry.histogram("facet_serve_request_latency", obs::label("verb", kVerbNames[v]));
+    }
   }
+
+  /// `width`'s row, resolving it on first use.
+  const WidthSeries& width(int width)
+  {
+    const auto n = static_cast<std::size_t>(width);
+    if (const WidthSeries* row = rows[n].load(std::memory_order_acquire)) {
+      return *row;
+    }
+    const std::lock_guard<std::mutex> lock{mutex};
+    if (rows[n].load(std::memory_order_relaxed) == nullptr) {
+      const std::string width_label = obs::label("width", width);
+      for (std::size_t tier = 0; tier < kTierFields.size(); ++tier) {
+        const char* name = lookup_source_name(static_cast<LookupSource>(tier));
+        storage[n][tier] = &registry.counter("facet_serve_lookups_total",
+                                             obs::label("tier", name) + "," + width_label);
+      }
+      storage[n].back() = &registry.counter("facet_serve_appended_total", width_label);
+      rows[n].store(&storage[n], std::memory_order_release);
+    }
+    return storage[n];
+  }
+
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  std::array<obs::LatencyHistogram*, kVerbNames.size()> request_latency{};
+  /// mlookup operands per batch (counts, not ns).
+  obs::LatencyHistogram& batch_size =
+      registry.histogram("facet_serve_batch_size", obs::label("verb", "mlookup"));
+  obs::Counter& requests = registry.counter("facet_serve_requests_total");
+  obs::Counter& errors = registry.counter("facet_serve_errors_total");
+  obs::Counter& connections = registry.counter("facet_serve_connections_total");
+  obs::Gauge& active_connections = registry.gauge("facet_serve_active_connections");
+  obs::Counter& flushed = registry.counter("facet_store_flushed_records_total");
+  obs::LatencyHistogram& compactions =
+      registry.histogram("facet_compaction_duration", obs::label("phase", "total"));
+  obs::Counter& compacted_runs = registry.counter("facet_compaction_runs_total");
+  obs::Counter& compacted_records = registry.counter("facet_compaction_records_total");
+  obs::Counter& compacted_bytes = registry.counter("facet_compaction_bytes_total");
+  obs::Gauge& last_compaction_ms = registry.gauge("facet_compaction_last_ms");
+  /// Per-width rows: `rows[n]` publishes `storage[n]` once resolved
+  /// (readers never create series); `mutex` serializes resolution.
+  std::mutex mutex;
+  std::array<WidthSeries, kMaxVars + 1> storage{};
+  std::array<std::atomic<const WidthSeries*>, kMaxVars + 1> rows{};
+};
+
+ServeSeries& series()
+{
+  static ServeSeries instance;
+  return instance;
 }
 
 [[nodiscard]] bool is_hex_digit(char c) noexcept
@@ -163,11 +205,6 @@ bool normalize_request(const std::string& line, std::string& request)
   return true;
 }
 
-/// The verbs `facet_serve_request_latency{verb=...}` distinguishes. kOther
-/// absorbs unknown commands (protocol errors still cost time worth seeing).
-constexpr std::array<const char*, 7> kVerbNames{"lookup", "mlookup", "info",
-                                                "stats",  "metrics", "quit", "other"};
-
 /// Microseconds with one decimal, for the stats-all p50/p99 columns (sub-us
 /// request latencies must not flatten to 0).
 [[nodiscard]] std::string format_us(double ns)
@@ -214,21 +251,42 @@ std::vector<ClassStore*> served_stores(ClassStore* store, StoreRouter* router)
 
 }  // namespace
 
-ServeStats ServeAggregateStats::totals() const noexcept
+ServeConnectionSlot::ServeConnectionSlot() noexcept
 {
-  ServeStats s;
-  s.requests = load(requests);
-  s.errors = load(errors);
-  s.flushed = load(flushed_records);
-  for (const ServeWidthCounters& row : width) {
-    s.lookups += load(row.lookups);
-    s.cache_hits += load(row.cache_hits);
-    s.memo_hits += load(row.memo_hits);
-    s.table_hits += load(row.table_hits);
-    s.index_hits += load(row.index_hits);
-    s.live += load(row.live);
+  series().connections.inc();
+  series().active_connections.add(1);
+}
+
+ServeConnectionSlot::~ServeConnectionSlot()
+{
+  series().active_connections.sub(1);
+}
+
+std::int64_t ServeConnectionSlot::active() noexcept
+{
+  return series().active_connections.value();
+}
+
+ServeStats serve_totals(int width)
+{
+  ServeSeries& s = series();
+  ServeStats totals;
+  totals.requests = s.requests.value();
+  totals.errors = s.errors.value();
+  totals.flushed = s.flushed.value();
+  for (int n = 0; n <= kMaxVars; ++n) {
+    const WidthSeries* row = s.rows[static_cast<std::size_t>(n)].load(std::memory_order_acquire);
+    if (row == nullptr || (width >= 0 && n != width)) {
+      continue;
+    }
+    for (std::size_t tier = 0; tier < kTierFields.size(); ++tier) {
+      const std::uint64_t answered = (*row)[tier]->value();
+      totals.*kTierFields[tier] += answered;
+      totals.lookups += answered;
+    }
+    totals.appended += row->back()->value();
   }
-  return s;
+  return totals;
 }
 
 ServeDispatcher::ServeDispatcher(ClassStore* store, StoreRouter* router,
@@ -249,26 +307,15 @@ ServeDispatcher::ServeDispatcher(const std::vector<ClassStore*>& stores,
       stores_.push_back(store);
     }
   }
-  if (options_.aggregate == nullptr) {
-    // A standalone (stdin) session is its own aggregate, so `stats all`
-    // always answers something meaningful.
-    local_aggregate_.connections_active.store(1);
-    local_aggregate_.connections_total.store(1);
-    options_.aggregate = &local_aggregate_;
+  // Resolve the served widths' rows now, so no request resolves a series.
+  for (const ClassStore* store : stores_) {
+    (void)series().width(store->num_vars());
   }
-  // Pre-resolve every per-verb latency handle once: the per-request path
-  // then costs two tick reads and one relaxed add, never the registry
-  // mutex.
-  auto& registry = obs::MetricRegistry::global();
-  for (std::size_t v = 0; v < kVerbNames.size(); ++v) {
-    request_latency_[v] =
-        &registry.histogram("facet_serve_request_latency", obs::label("verb", kVerbNames[v]));
-  }
-  batch_size_ = &registry.histogram("facet_serve_batch_size", obs::label("verb", "mlookup"));
 }
 
 ServeStats ServeDispatcher::run(std::istream& in, std::ostream& out)
 {
+  const ServeConnectionSlot connection;
   std::string line;
   bool overflow = false;
   while (read_request_line(in, line, overflow)) {
@@ -346,7 +393,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     verb_ = Verb::kStats;
     const std::vector<std::string> operands = read_operands(request);
     if (operands.size() == 1 && operands.front() == "all") {
-      emit_stats_all(out);
+      out << stats_all_text() << std::flush;
       return true;
     }
     if (!operands.empty()) {
@@ -395,7 +442,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
       out << "err mlookup takes one or more hex truth tables\n" << std::flush;
       return true;
     }
-    batch_size_->record_ns(operands.size());
+    series().batch_size.record_ns(operands.size());
     // One response line per operand, one flush per batch: pipelined
     // clients pay the flush latency once instead of per function. An err
     // on one operand answers in place; the batch always completes.
@@ -557,21 +604,22 @@ std::optional<StoreLookupResult> ServeDispatcher::lookup(ClassStore& store,
   return result;
 }
 
-/// Counts one answered lookup: the session block, the aggregate's width
-/// row (the `stats all` rows, whose sums are the aggregate totals), and the
-/// request's last resolved width/tier for the slow-request log.
+/// Counts one answered lookup: the session block, the width's registry
+/// series (the `stats all` rows, whose sums are the aggregate totals), and
+/// the request's last resolved width/tier for the slow-request log.
 /// `append_policy` is the effective per-request append policy: a live
 /// answer under it is exactly an appended record.
 void ServeDispatcher::count_lookup(int width, const StoreLookupResult& result,
                                    bool append_policy)
 {
+  const auto tier = static_cast<std::size_t>(result.source);
   ++stats_.lookups;
-  count_source(stats_, result.source);
-  ServeWidthCounters& row = options_.aggregate->width[static_cast<std::size_t>(width)];
-  bump(row.lookups);
-  count_source(row, result.source);
+  ++(stats_.*kTierFields[tier]);
+  const WidthSeries& row = series().width(width);
+  row[tier]->inc();
   if (result.source == LookupSource::kLive && append_policy) {
-    bump(row.appended);
+    ++stats_.appended;
+    row.back()->inc();
   }
   request_width_ = width;
   request_src_ = lookup_source_name(result.source);
@@ -617,27 +665,27 @@ void ServeDispatcher::emit_stats(std::ostream& out)
       << std::flush;
 }
 
-void ServeDispatcher::emit_stats_all(std::ostream& out)
+std::string ServeDispatcher::stats_all_text()
 {
-  const ServeAggregateStats& agg = *options_.aggregate;
-  const ServeStats totals = agg.totals();
-  // Process-wide request-latency quantiles over the lookup verbs (the
-  // telemetry histograms the `metrics` verb also exposes). `widths=` must
-  // stay the LAST field: clients key row-count parsing off it.
+  std::ostringstream out;
+  ServeSeries& s = series();
+  const ServeStats totals = serve_totals();
+  // Process-wide request-latency quantiles over the lookup verbs. `widths=`
+  // must stay the LAST field: clients key row-count parsing off it.
   obs::HistogramSnapshot requests =
-      request_latency_[static_cast<std::size_t>(Verb::kLookup)]->snapshot();
-  requests.merge(request_latency_[static_cast<std::size_t>(Verb::kMlookup)]->snapshot());
-  out << "ok connections=" << load(agg.connections_active)
-      << " sessions=" << load(agg.connections_total) << " requests=" << totals.requests
+      s.request_latency[static_cast<std::size_t>(Verb::kLookup)]->snapshot();
+  requests.merge(s.request_latency[static_cast<std::size_t>(Verb::kMlookup)]->snapshot());
+  out << "ok connections=" << s.active_connections.value()
+      << " sessions=" << s.connections.value() << " requests=" << totals.requests
       << " lookups=" << totals.lookups << " cache_hits=" << totals.cache_hits
       << " memo_hits=" << totals.memo_hits << " table_hits=" << totals.table_hits
       << " index_hits=" << totals.index_hits << " live=" << totals.live
       << " errors=" << totals.errors << " flushed=" << totals.flushed
-      << " compactions=" << load(agg.compactions)
-      << " compacted_runs=" << load(agg.compacted_runs)
-      << " compacted_records=" << load(agg.compacted_records)
-      << " compact_bytes=" << load(agg.compacted_bytes)
-      << " last_compact_ms=" << load(agg.last_compaction_ms)
+      << " compactions=" << s.compactions.snapshot().count()
+      << " compacted_runs=" << s.compacted_runs.value()
+      << " compacted_records=" << s.compacted_records.value()
+      << " compact_bytes=" << s.compacted_bytes.value()
+      << " last_compact_ms=" << s.last_compaction_ms.value()
       << " p50_us=" << format_us(requests.quantile_ns(0.5))
       << " p99_us=" << format_us(requests.quantile_ns(0.99)) << " widths=" << stores_.size()
       << "\n";
@@ -645,19 +693,12 @@ void ServeDispatcher::emit_stats_all(std::ostream& out)
   // many rows to read.
   for (const ClassStore* store : stores_) {
     const int width = store->num_vars();
-    const ServeWidthCounters& row = agg.width[static_cast<std::size_t>(width)];
-    out << "ok width=" << width << " lookups=" << load(row.lookups)
-        << " cache_hits=" << load(row.cache_hits) << " memo_hits=" << load(row.memo_hits)
-        << " table_hits=" << load(row.table_hits) << " index_hits=" << load(row.index_hits)
-        << " live=" << load(row.live) << " appended=" << load(row.appended) << "\n";
+    const ServeStats row = serve_totals(width);
+    out << "ok width=" << width << " lookups=" << row.lookups << " cache_hits=" << row.cache_hits
+        << " memo_hits=" << row.memo_hits << " table_hits=" << row.table_hits
+        << " index_hits=" << row.index_hits << " live=" << row.live
+        << " appended=" << row.appended << "\n";
   }
-  out << std::flush;
-}
-
-std::string ServeDispatcher::stats_all_text()
-{
-  std::ostringstream out;
-  emit_stats_all(out);
   return out.str();
 }
 
@@ -701,7 +742,7 @@ void ServeDispatcher::refresh_store_gauges()
 void ServeDispatcher::finish_request(std::uint64_t start_ticks)
 {
   const std::uint64_t ns = obs::ticks_to_ns(obs::now_ticks() - start_ticks);
-  request_latency_[static_cast<std::size_t>(verb_)]->record_ns(ns);
+  series().request_latency[static_cast<std::size_t>(verb_)]->record_ns(ns);
   if (options_.slow_request_us == 0 || ns / 1000 < options_.slow_request_us) {
     return;
   }
@@ -734,20 +775,19 @@ std::size_t ServeDispatcher::flush_on_exit()
     }
   }
   stats_.flushed += flushed;
-  options_.aggregate->flushed_records.fetch_add(flushed, std::memory_order_relaxed);
   return flushed;
 }
 
 void ServeDispatcher::count_request() noexcept
 {
   ++stats_.requests;
-  bump(options_.aggregate->requests);
+  series().requests.inc();
 }
 
 void ServeDispatcher::count_error() noexcept
 {
   ++stats_.errors;
-  bump(options_.aggregate->errors);
+  series().errors.inc();
 }
 
 int hex_operand_width(const std::string& hex) noexcept

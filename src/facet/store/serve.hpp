@@ -35,21 +35,20 @@
 ///                              compacted_runs=<r> compacted_records=<k>
 ///                              compact_bytes=<b> last_compact_ms=<t>
 ///                              p50_us=<p> p99_us=<q> widths=<w>
-///                           (compact_bytes/last_compact_ms describe the
-///                              background compactor: delta-log bytes folded
-///                              away and the last compaction's duration;
-///                              p50/p99 are process-wide lookup+mlookup
-///                              request latencies from the telemetry
-///                              histograms. `widths=` stays LAST.)
-///                           followed by <w> per-width rows, one per served
-///                              store (ascending width), so fleet operators
-///                              see which widths run hot:
+///                           (process-wide, read from the registry series
+///                              under "Counters" below. compact_bytes/
+///                              last_compact_ms describe the background
+///                              compactor: delta-log bytes folded away and
+///                              the last compaction's duration; p50/p99 are
+///                              lookup+mlookup request latencies. `widths=`
+///                              stays LAST.)
+///                           followed by <w> per-width rows, one per store
+///                              this session serves (ascending width), so
+///                              fleet operators see which widths run hot:
 ///                           ok width=<n> lookups=<k> cache_hits=<h>
 ///                              memo_hits=<m> table_hits=<t> index_hits=<i>
 ///                              live=<l> appended=<a>
-///                              (aggregated across every session of the
-///                               process; equals the session numbers for a
-///                               stdin session)
+///                              (that width's process-wide series)
 ///   metrics             ->  ok metrics lines=<k>
 ///                           followed by exactly k lines of Prometheus text
 ///                              exposition (obs/registry.hpp): every
@@ -92,8 +91,17 @@
 /// walk (the tier list in class_store.hpp).
 ///
 /// Counters: each session owns one plain ServeStats block (`stats`), touched
-/// only by its own thread; the per-server ServeAggregateStats (`stats all`)
-/// is atomics, bumped where each request, error, flush and lookup counts.
+/// only by its own thread. `stats all` is rendered from the process registry
+/// (obs/registry.hpp), whose serve series are each bumped at one site:
+/// facet_serve_requests_total / facet_serve_errors_total (count_request /
+/// count_error), facet_serve_lookups_total{tier,width} (count_lookup;
+/// `lookups=` is its sum), facet_serve_appended_total{width} (count_lookup),
+/// facet_serve_connections_total and the facet_serve_active_connections
+/// gauge (ServeConnectionSlot), facet_store_flushed_records_total (the
+/// store's one flush path), and the compactor's series (net/server.hpp;
+/// `compactions=` is the count of facet_compaction_duration{phase="total"}).
+/// Handles resolve once per process — a width's before the first request of
+/// a session serving it — so no request takes the registry mutex.
 ///
 /// Hardening (the same code path serves untrusted network clients):
 ///
@@ -116,7 +124,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -128,10 +135,6 @@
 #include "facet/store/store_router.hpp"
 
 namespace facet {
-
-namespace obs {
-class LatencyHistogram;
-}  // namespace obs
 
 /// Longest accepted request line (bytes, excluding the newline). Large
 /// enough for multi-thousand-operand mlookup batches, small enough that a
@@ -151,48 +154,31 @@ struct ServeStats {
   std::uint64_t index_hits = 0;  ///< answered from the persisted index
   std::uint64_t live = 0;        ///< fell back to live classification
   std::uint64_t errors = 0;      ///< `err` responses
+  std::uint64_t appended = 0;    ///< live answers that appended a class
   std::uint64_t flushed = 0;     ///< appended records flushed on session exit
 };
 
-/// Per-width traffic counters of the aggregate: which served stores run hot.
-struct ServeWidthCounters {
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> table_hits{0};
-  std::atomic<std::uint64_t> index_hits{0};
-  std::atomic<std::uint64_t> live{0};
-  std::atomic<std::uint64_t> appended{0};
+/// Holds one served connection in the process counters for its lifetime:
+/// construction bumps `facet_serve_connections_total` and the
+/// `facet_serve_active_connections` gauge, destruction drops the gauge.
+/// Every socket connection holds one, and so does a stream run().
+class ServeConnectionSlot {
+ public:
+  ServeConnectionSlot() noexcept;
+  ~ServeConnectionSlot();
+  ServeConnectionSlot(const ServeConnectionSlot&) = delete;
+  ServeConnectionSlot& operator=(const ServeConnectionSlot&) = delete;
+
+  /// Slots held right now, process-wide (the gauge): the server's
+  /// admission count.
+  [[nodiscard]] static std::int64_t active() noexcept;
 };
 
-/// Counters shared by every serve session (and the background compactor)
-/// of one server — the numbers behind `stats all`. All fields are atomics:
-/// sessions on different connections bump them without coordination, and
-/// renderers read them with relaxed loads. Lookup and tier totals have no
-/// field of their own: they are the sums of the per-width rows.
-struct ServeAggregateStats {
-  std::atomic<std::uint64_t> connections_active{0};
-  std::atomic<std::uint64_t> connections_total{0};
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> errors{0};
-  /// Appended records made durable (session-exit and shutdown flushes).
-  std::atomic<std::uint64_t> flushed_records{0};
-  /// Background-compactor activity (net/server.hpp).
-  std::atomic<std::uint64_t> compactions{0};
-  std::atomic<std::uint64_t> compacted_runs{0};
-  std::atomic<std::uint64_t> compacted_records{0};
-  /// Delta-log bytes folded away by compactions.
-  std::atomic<std::uint64_t> compacted_bytes{0};
-  /// Duration of the most recent compaction (flush through adopt), ms.
-  std::atomic<std::uint64_t> last_compaction_ms{0};
-  /// Per-width traffic, indexed by function width (0..kMaxVars).
-  std::array<ServeWidthCounters, kMaxVars + 1> width{};
-
-  /// The whole server's traffic as one session block: requests, errors and
-  /// flushed from the atomics above, lookups and tier hits summed over the
-  /// width rows (relaxed loads; each counter is individually coherent).
-  [[nodiscard]] ServeStats totals() const noexcept;
-};
+/// The process-wide serve traffic, read from the registry series: requests,
+/// errors and flushed records, plus the lookups by tier and the appends of
+/// `width` — or of every width when `width` < 0. What `stats all` and the
+/// CLI's server exit report render.
+[[nodiscard]] ServeStats serve_totals(int width = -1);
 
 /// What a lookup does when the store does not hold the query's class.
 enum class MissPolicy {
@@ -215,12 +201,6 @@ struct ServeOptions {
   /// and on EOF. Empty: appends only persist if the caller flushes after
   /// the session returns.
   std::map<int, std::string> dlog_paths;
-
-  /// When set, the session also accumulates into these process-wide
-  /// counters, and `stats all` reports them. Null = `stats all` reports the
-  /// session's own numbers. (Sessions sharing a store need nothing else:
-  /// the store gates its own mutations — class_store.hpp.)
-  ServeAggregateStats* aggregate = nullptr;
 
   /// When > 0: any request slower than this many microseconds logs one
   /// structured line — `facet-serve: slow verb=<v> width=<n> src=<tier>
@@ -274,7 +254,7 @@ class ServeDispatcher {
 
   /// Resolves one parsed query through the store's tier walk under
   /// `policy` — kNone on a readonly server, whatever is asked — and counts
-  /// the answer in the session block and the per-width aggregate rows.
+  /// the answer in the session block and the width's registry series.
   /// nullopt: a miss under kNone. The v1 line protocol asks kAppend under
   /// append_on_miss, else kTransient; protocol v2 asks kAppend for an
   /// `append` frame, else kNone.
@@ -303,7 +283,7 @@ class ServeDispatcher {
   /// configured for at least one served store).
   [[nodiscard]] bool flush_configured() const noexcept { return !options_.dlog_paths.empty(); }
 
-  /// Count one request / one error in the session block and the aggregate
+  /// Count one request / one error in the session block and the registry
   /// (frame front ends count one request per frame; malformed frames also
   /// count one error).
   void count_request() noexcept;
@@ -311,7 +291,6 @@ class ServeDispatcher {
 
  private:
   enum class Verb : std::size_t { kLookup, kMlookup, kInfo, kStats, kMetrics, kQuit, kOther };
-  static constexpr std::size_t kNumVerbs = 7;
 
   bool handle(const std::string& trimmed, std::ostream& out);
   [[nodiscard]] std::string resolve_operand(const std::string& token, int width_override);
@@ -320,7 +299,6 @@ class ServeDispatcher {
   void count_lookup(int width, const StoreLookupResult& result, bool append_policy);
   void emit_info(std::ostream& out);
   void emit_stats(std::ostream& out);
-  void emit_stats_all(std::ostream& out);
   void emit_metrics(std::ostream& out);
   void refresh_store_gauges();
   void finish_request(std::uint64_t start_ticks);
@@ -331,14 +309,8 @@ class ServeDispatcher {
   std::vector<ClassStore*> stores_;
   ServeOptions options_;
   ServeStats stats_;
-  ServeAggregateStats local_aggregate_;
   bool exit_flushed_ = false;
 
-  /// Pre-resolved `facet_serve_request_latency{verb=...}` handles, indexed
-  /// by Verb, plus the mlookup batch-size distribution (operand counts, not
-  /// ns). Stable pointers into the process registry.
-  std::array<obs::LatencyHistogram*, kNumVerbs> request_latency_{};
-  obs::LatencyHistogram* batch_size_ = nullptr;
   /// Per-request scratch for the latency series and the slow-request log:
   /// the verb being handled and the last resolved operand's width/tier.
   Verb verb_ = Verb::kOther;

@@ -21,6 +21,7 @@
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
+#include "serve_session.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
@@ -28,6 +29,8 @@
 
 namespace facet {
 namespace {
+
+using serve_test::serve_counter;
 
 std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t seed)
 {
@@ -392,6 +395,8 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
   ServeServer server{store, path, options};
   server.start();
   ASSERT_NE(server.tcp_port(), 0);
+  const std::uint64_t errors_before = serve_counter("facet_serve_errors_total");
+  const std::uint64_t sessions_before = serve_counter("facet_serve_connections_total");
 
   // v2 client: one binary batch over the whole set, then quit.
   {
@@ -427,8 +432,8 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
 
   server.request_shutdown();
   server.wait();
-  EXPECT_EQ(server.stats().errors.load(), 0u);
-  EXPECT_EQ(server.stats().connections_total.load(), 2u);
+  EXPECT_EQ(serve_counter("facet_serve_errors_total") - errors_before, 0u);
+  EXPECT_EQ(serve_counter("facet_serve_connections_total") - sessions_before, 2u);
 }
 
 /// CI's protocol v2 smoke at test scale: an idle fleet pins reactor slots
@@ -457,6 +462,7 @@ TEST(Frame, IdleFleetV2AppendAndSniffedV1AgreeThenDrainPersists)
     ServeServer server{store, path, options};
     server.start();
     ASSERT_NE(server.tcp_port(), 0);
+    const std::uint64_t errors_before = serve_counter("facet_serve_errors_total");
     std::vector<Socket> idle;
     for (int i = 0; i < 200; ++i) {
       idle.push_back(connect_tcp({"127.0.0.1", server.tcp_port()}));
@@ -498,7 +504,7 @@ TEST(Frame, IdleFleetV2AppendAndSniffedV1AgreeThenDrainPersists)
 
     server.request_shutdown();
     server.wait();  // returns with all 200 idle connections still open
-    EXPECT_EQ(server.stats().errors.load(), 0u);
+    EXPECT_EQ(serve_counter("facet_serve_errors_total") - errors_before, 0u);
   }
 
   const ClassStore reopened = ClassStore::open(path);
@@ -528,6 +534,8 @@ TEST(Frame, FramingFaultsCountOneRequestAndOneError)
   ServeServer server{store, path, options};
   server.start();
   ASSERT_NE(server.tcp_port(), 0);
+  const std::uint64_t requests_before = serve_counter("facet_serve_requests_total");
+  const std::uint64_t errors_before = serve_counter("facet_serve_errors_total");
 
   FrameHeader oversized;
   oversized.magic = kFrameRequestMagic;
@@ -544,20 +552,23 @@ TEST(Frame, FramingFaultsCountOneRequestAndOneError)
     EXPECT_EQ(read_response(client.fd()).header.aux, static_cast<std::uint8_t>(status));
   }
 
-  // `stats all` (the v2 stats verb) counts itself, then both faults.
+  // `stats all` (the v2 stats verb) counts itself, then both faults, on
+  // top of whatever the process counted before.
   {
     Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
     ASSERT_TRUE(send_all(client.fd(), encode_control_request(FrameVerb::kStats)));
     const Response stats = read_response(client.fd());
     EXPECT_EQ(stats.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
-    EXPECT_NE(stats.payload.find(" requests=3 "), std::string::npos) << stats.payload;
-    EXPECT_NE(stats.payload.find(" errors=2 "), std::string::npos) << stats.payload;
+    const std::string requests = " requests=" + std::to_string(requests_before + 3) + " ";
+    const std::string errors = " errors=" + std::to_string(errors_before + 2) + " ";
+    EXPECT_NE(stats.payload.find(requests), std::string::npos) << stats.payload;
+    EXPECT_NE(stats.payload.find(errors), std::string::npos) << stats.payload;
   }
 
   server.request_shutdown();
   server.wait();
-  EXPECT_EQ(server.stats().requests.load(), 3u);
-  EXPECT_EQ(server.stats().errors.load(), 2u);
+  EXPECT_EQ(serve_counter("facet_serve_requests_total") - requests_before, 3u);
+  EXPECT_EQ(serve_counter("facet_serve_errors_total") - errors_before, 2u);
   std::remove(path.c_str());
 }
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -25,9 +26,12 @@
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
 #include "facet/tt/tt_transform.hpp"
+#include "serve_session.hpp"
 
 namespace facet {
 namespace {
+
+using serve_test::serve_counter;
 
 std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t seed)
 {
@@ -88,6 +92,8 @@ TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
 
   StoreRouter router = StoreRouter::open({path4, path5});
   const std::string unix_path = ::testing::TempDir() + "net_server_test.sock";
+  const std::uint64_t errors_before = serve_counter("facet_serve_errors_total");
+  const std::uint64_t sessions_before = serve_counter("facet_serve_connections_total");
   ServeServerOptions options;
   options.listen = "127.0.0.1:0";
   options.unix_path = unix_path;
@@ -153,8 +159,8 @@ TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
     client.join();
   }
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(server.stats().errors.load(), 0u);
-  EXPECT_EQ(server.stats().connections_total.load(), num_clients);
+  EXPECT_EQ(serve_counter("facet_serve_errors_total") - errors_before, 0u);
+  EXPECT_EQ(serve_counter("facet_serve_connections_total") - sessions_before, num_clients);
 
   server.request_shutdown();
   server.wait();
@@ -236,12 +242,12 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
 
   // The compactor runs on a 5ms poll with a 1-run threshold: wait for it to
   // fold the sealed runs into the base.
-  for (int spin = 0; spin < 400 && server.stats().compactions.load() == 0; ++spin) {
+  for (int spin = 0; spin < 400 && server.compaction_log().empty(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
   }
   stop_reader.store(true);
   reader.join();
-  EXPECT_GE(server.stats().compactions.load(), 1u) << "no compaction was observed";
+  EXPECT_FALSE(server.compaction_log().empty()) << "no compaction was observed";
   EXPECT_EQ(reader_errors.load(), 0u) << "readers failed during compaction swaps";
 
   server.request_shutdown();
@@ -360,10 +366,10 @@ TEST(NetServer, IdleTimeoutDisconnectsAndFlushesLikeCleanExit)
   EXPECT_FALSE(static_cast<bool>(std::getline(in, line)))
       << "the idle connection was not cut: " << line;
 
-  for (int spin = 0; spin < 200 && server.stats().connections_active.load() != 0; ++spin) {
+  for (int spin = 0; spin < 200 && ServeConnectionSlot::active() != 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
   }
-  EXPECT_EQ(server.stats().connections_active.load(), 0u);
+  EXPECT_EQ(ServeConnectionSlot::active(), 0);
   server.request_shutdown();
   server.wait();
 
@@ -396,6 +402,7 @@ TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
   options.listen = "127.0.0.1:0";
   ServeServer server{store, path, options};
   server.start();
+  const std::uint64_t sessions_before = serve_counter("facet_serve_connections_total");
 
   // Lingerers connect, get one answer, then sit in a blocking read until
   // the drain cuts them (EOF) — they are the live connections at shutdown.
@@ -453,8 +460,8 @@ TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
     t.join();
   }
   EXPECT_EQ(lingered, num_lingerers);
-  EXPECT_EQ(server.stats().connections_active.load(), 0u);
-  EXPECT_GE(server.stats().connections_total.load(), num_lingerers);
+  EXPECT_EQ(ServeConnectionSlot::active(), 0);
+  EXPECT_GE(serve_counter("facet_serve_connections_total") - sessions_before, num_lingerers);
   std::remove(path.c_str());
 }
 
@@ -556,7 +563,7 @@ TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndComp
     }
     EXPECT_EQ(lines.back().rfind("ok bye flushed=", 0), 0u) << lines.back();
   }
-  for (int spin = 0; spin < 400 && server.stats().compactions.load() == 0; ++spin) {
+  for (int spin = 0; spin < 400 && server.compaction_log().empty(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
   }
   stop_readers.store(true);
@@ -565,7 +572,7 @@ TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndComp
   }
   EXPECT_EQ(reader_mismatches.load(), 0u)
       << "width-4 readers diverged while width 5 mutated";
-  EXPECT_GE(server.stats().compactions.load(), 1u);
+  EXPECT_FALSE(server.compaction_log().empty());
 
   server.request_shutdown();
   server.wait();
@@ -631,6 +638,74 @@ TEST(NetServer, CapacityOverflowAnswersErrAndCloses)
   first_out << "quit\n" << std::flush;
   server.request_shutdown();
   server.wait();
+  std::remove(path.c_str());
+}
+
+/// The admission count is the process-wide active-connections gauge: at a
+/// cap of 2, a third client reads the capacity err and sees the socket
+/// close, and once one client quits its slot is free for the next.
+TEST(NetServer, ConnectionCapRejectsTheThirdAndReadmitsAfterAQuit)
+{
+  if (!net_supported()) {
+    GTEST_SKIP() << "no sockets on this platform";
+  }
+  const auto funcs = random_funcs(3, 10, 0x4e31ULL);
+  const std::string path = ::testing::TempDir() + "net_server_cap2.fcs";
+  build_class_store(funcs, {}).save(path);
+  ClassStore store = ClassStore::open(path);
+
+  ServeServerOptions options;
+  options.listen = "127.0.0.1:0";
+  options.max_connections = 2;
+  // Bounds the test if admission breaks: an admitted third client would
+  // otherwise wait forever for a close.
+  options.idle_timeout = std::chrono::milliseconds{10'000};
+  ServeServer server{store, path, options};
+  server.start();
+
+  // Two held connections, each admitted (answered) before the next.
+  struct Held {
+    Socket socket;
+    std::unique_ptr<FdStreamBuf> buf;
+  };
+  std::vector<Held> held;
+  for (int c = 0; c < 2; ++c) {
+    Held h{connect_tcp({"127.0.0.1", server.tcp_port()}), nullptr};
+    h.buf = std::make_unique<FdStreamBuf>(h.socket.fd());
+    std::iostream io{h.buf.get()};
+    io << "info\n" << std::flush;
+    std::string line;
+    ASSERT_TRUE(static_cast<bool>(std::getline(io, line)));
+    EXPECT_EQ(line.rfind("ok n=3 ", 0), 0u) << line;
+    held.push_back(std::move(h));
+  }
+
+  // exchange() reads to EOF: exactly one line means the server closed.
+  const auto rejected = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), std::string{});
+  ASSERT_EQ(rejected.size(), 1u);
+  EXPECT_EQ(rejected[0], "err server at capacity (2 connections)");
+
+  {
+    std::iostream io{held.front().buf.get()};
+    io << "quit\n" << std::flush;
+    std::string line;
+    ASSERT_TRUE(static_cast<bool>(std::getline(io, line)));
+    EXPECT_EQ(line.rfind("ok bye", 0), 0u) << line;
+    EXPECT_FALSE(static_cast<bool>(std::getline(io, line))) << line;
+  }
+  for (int spin = 0; spin < 400 && ServeConnectionSlot::active() != 1; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  ASSERT_EQ(ServeConnectionSlot::active(), 1);
+  const auto admitted = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), "info\nquit\n");
+  ASSERT_EQ(admitted.size(), 2u);
+  EXPECT_EQ(admitted[0].rfind("ok n=3 ", 0), 0u) << admitted[0];
+  EXPECT_EQ(admitted[1].rfind("ok bye", 0), 0u) << admitted[1];
+
+  held.clear();
+  server.request_shutdown();
+  server.wait();
+  EXPECT_EQ(ServeConnectionSlot::active(), 0);
   std::remove(path.c_str());
 }
 

@@ -14,9 +14,11 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "facet/npn/transform.hpp"
+#include "facet/obs/registry.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
@@ -501,7 +503,8 @@ TEST(ServeProtocolEdge, SingleStoreEdgeCasesAnswerAlikeThroughAOneWidthRouter)
 }
 
 /// `stats all` has no lookup or tier counters of its own: its totals are
-/// the sums of the per-width rows, across widths and tiers.
+/// the sums of the per-width rows, across widths and tiers — and every
+/// field is the registry series it is rendered from.
 TEST(ServeProtocolEdge, StatsAllTotalsEqualTheSumOfWidthRows)
 {
   StoreRouter router;
@@ -550,6 +553,75 @@ TEST(ServeProtocolEdge, StatsAllTotalsEqualTheSumOfWidthRows)
   EXPECT_EQ(field(aggregate, "live"), 1u) << aggregate;
   EXPECT_EQ(field(aggregate, "errors"), 1u) << aggregate;
   EXPECT_EQ(session.lookups, 6u);
+
+  // The registry is the source of truth: a fresh render of `stats all`
+  // equals the Prometheus scrape, summed over labels on the aggregate line
+  // and per `width` label on each row.
+  const std::string text = ServeDispatcher{nullptr, &router, {}}.stats_all_text();
+  std::ostringstream exposition;
+  auto& registry = obs::MetricRegistry::global();
+  registry.render_prometheus(exposition);
+  const auto scraped = [&](const std::string& name, const std::vector<std::string>& labels) {
+    std::uint64_t sum = 0;
+    std::istringstream scrape{exposition.str()};
+    for (std::string line; std::getline(scrape, line);) {
+      const std::string series = line.substr(0, line.rfind(' '));
+      bool match = series == name || series.rfind(name + "{", 0) == 0;
+      for (const std::string& label : labels) {
+        match = match && series.find(label) != std::string::npos;
+      }
+      if (match) {
+        sum += std::stoull(line.substr(line.rfind(' ') + 1));
+      }
+    }
+    return sum;
+  };
+  const auto tier = [](const char* name) { return std::string{"tier=\""} + name + "\""; };
+  const std::vector<std::pair<std::string, std::string>> tiers{
+      {"cache_hits", tier("cache")}, {"memo_hits", tier("memo")},   {"table_hits", tier("table")},
+      {"index_hits", tier("index")}, {"live", tier("live")}};
+  std::istringstream rendered{text};
+  std::string agg;
+  ASSERT_TRUE(static_cast<bool>(std::getline(rendered, agg)));
+  EXPECT_EQ(field(agg, "connections"), scraped("facet_serve_active_connections", {})) << agg;
+  EXPECT_EQ(field(agg, "sessions"), scraped("facet_serve_connections_total", {})) << agg;
+  EXPECT_EQ(field(agg, "requests"), scraped("facet_serve_requests_total", {})) << agg;
+  EXPECT_EQ(field(agg, "lookups"), scraped("facet_serve_lookups_total", {})) << agg;
+  for (const auto& [key, label] : tiers) {
+    EXPECT_EQ(field(agg, key), scraped("facet_serve_lookups_total", {label})) << key;
+  }
+  EXPECT_EQ(field(agg, "errors"), scraped("facet_serve_errors_total", {})) << agg;
+  EXPECT_EQ(field(agg, "flushed"), scraped("facet_store_flushed_records_total", {})) << agg;
+  EXPECT_EQ(field(agg, "compactions"),
+            scraped("facet_compaction_duration_count", {"phase=\"total\""}))
+      << agg;
+  EXPECT_EQ(field(agg, "compacted_runs"), scraped("facet_compaction_runs_total", {})) << agg;
+  EXPECT_EQ(field(agg, "compacted_records"), scraped("facet_compaction_records_total", {}));
+  EXPECT_EQ(field(agg, "compact_bytes"), scraped("facet_compaction_bytes_total", {})) << agg;
+  EXPECT_EQ(field(agg, "last_compact_ms"), scraped("facet_compaction_last_ms", {})) << agg;
+  obs::HistogramSnapshot latency =
+      registry.histogram("facet_serve_request_latency", obs::label("verb", "lookup")).snapshot();
+  latency.merge(
+      registry.histogram("facet_serve_request_latency", obs::label("verb", "mlookup")).snapshot());
+  for (const auto& [key, q] : {std::pair{"p50_us", 0.5}, std::pair{"p99_us", 0.99}}) {
+    std::ostringstream us;
+    us.setf(std::ios::fixed);
+    us.precision(1);
+    us << latency.quantile_ns(q) / 1000.0;
+    EXPECT_NE(agg.find(std::string{" "} + key + "=" + us.str() + " "), std::string::npos)
+        << key << "=" << us.str() << " in " << agg;
+  }
+  for (const int width : {3, 5, 6}) {
+    std::string row;
+    ASSERT_TRUE(static_cast<bool>(std::getline(rendered, row)));
+    ASSERT_EQ(row.rfind("ok width=" + std::to_string(width) + " ", 0), 0u) << row;
+    const std::string w = obs::label("width", width);
+    EXPECT_EQ(field(row, "lookups"), scraped("facet_serve_lookups_total", {w})) << row;
+    for (const auto& [key, label] : tiers) {
+      EXPECT_EQ(field(row, key), scraped("facet_serve_lookups_total", {label, w})) << row;
+    }
+    EXPECT_EQ(field(row, "appended"), scraped("facet_serve_appended_total", {w})) << row;
+  }
 }
 
 TEST(ServeProtocolEdge, SingleNibbleWithoutWidth2StoreSuggestsLookupAt)

@@ -1,7 +1,8 @@
-/// Helpers shared by the v1 serve-protocol suites: run a request script
-/// through a ServeDispatcher and read the answer back as lines, and check
-/// that a single store and a one-width router over an identical twin store
-/// answer byte for byte alike.
+/// Helpers shared by the serve suites: run a request script through a
+/// ServeDispatcher and read the answer back as lines (with `stats all`
+/// counters as this session's growth), check that a single store and a
+/// one-width router over an identical twin store answer byte for byte
+/// alike, and read the process-wide serve counters.
 
 #pragma once
 
@@ -12,15 +13,81 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "facet/obs/registry.hpp"
 #include "facet/store/serve.hpp"
 
 namespace facet::serve_test {
 
+/// A process-wide serve counter, read straight from the registry. Tests
+/// compare its growth across the traffic they drive: every earlier case of
+/// the binary counted into the same series.
+inline std::uint64_t serve_counter(const std::string& name)
+{
+  return obs::MetricRegistry::global().counter(name).value();
+}
+
+/// The `<key>=<value>` fields of one protocol line, in order.
+inline std::vector<std::pair<std::string, std::string>> line_fields(const std::string& line)
+{
+  std::vector<std::pair<std::string, std::string>> fields;
+  std::istringstream tokens{line};
+  std::string token;
+  while (tokens >> token) {
+    if (const auto eq = token.find('='); eq != std::string::npos) {
+      fields.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+    }
+  }
+  return fields;
+}
+
+/// `stats all` is process-wide, so its counters carry every earlier session
+/// of the test binary. Rewrites each counter of a `stats all` line — the
+/// aggregate line or a `width=<n>` row — as its growth since the matching
+/// line of `baseline` (a stats_all_text() taken before the session), so a
+/// test asserts what its own session added. The levels stay as rendered:
+/// connections= (a gauge), last_compact_ms=, the latency quantiles and
+/// widths=. Any other line is returned unchanged.
+inline std::string stats_all_growth(const std::string& line, const std::string& baseline)
+{
+  const bool aggregate = line.rfind("ok connections=", 0) == 0;
+  if (!aggregate && line.rfind("ok width=", 0) != 0) {
+    return line;
+  }
+  // The matching baseline line: the aggregate line, or the same width's row.
+  const auto fields = line_fields(line);
+  std::vector<std::pair<std::string, std::string>> base;
+  std::istringstream reader{baseline};
+  for (std::string base_line; std::getline(reader, base_line) && base.empty();) {
+    auto head = line_fields(base_line);
+    if (!head.empty() && head.front().first == fields.front().first &&
+        (aggregate || head.front().second == fields.front().second)) {
+      base = std::move(head);
+    }
+  }
+  std::string rewritten = "ok";
+  for (const auto& [key, value] : fields) {
+    std::string shown = value;
+    const bool level = key == "connections" || key == "last_compact_ms" || key == "p50_us" ||
+                       key == "p99_us" || key == "widths" || key == "width";
+    for (const auto& [base_key, base_value] : base) {
+      if (!level && base_key == key) {
+        shown = std::to_string(std::stoull(value) - std::stoull(base_value));
+      }
+    }
+    rewritten += " " + key + "=" + shown;
+  }
+  return rewritten;
+}
+
+/// Runs `script` through `dispatcher`; returns the response lines, with
+/// every `stats all` line rewritten by stats_all_growth.
 inline std::vector<std::string> run_session(ServeDispatcher dispatcher, const std::string& script,
                                             ServeStats* stats_out)
 {
+  const std::string baseline = dispatcher.stats_all_text();
   std::istringstream in{script};
   std::ostringstream out;
   const ServeStats stats = dispatcher.run(in, out);
@@ -31,7 +98,7 @@ inline std::vector<std::string> run_session(ServeDispatcher dispatcher, const st
   std::istringstream reader{out.str()};
   std::string line;
   while (std::getline(reader, line)) {
-    lines.push_back(line);
+    lines.push_back(stats_all_growth(line, baseline));
   }
   return lines;
 }
@@ -54,9 +121,9 @@ inline std::vector<std::string> run_router_serve(StoreRouter& router, const std:
 
 /// Runs the script built by `script_of` once from a store served alone and
 /// once from a one-width router over an identical twin (`make_store` must
-/// be deterministic), and expects identical lines. `stats all` latency
-/// quantiles are process-wide, so they are masked. Returns the single-store
-/// lines.
+/// be deterministic), and expects identical lines. `stats all` counters
+/// compare as each session's growth; its latency quantiles are
+/// process-wide levels, so they are masked. Returns the single-store lines.
 inline std::vector<std::string> expect_one_width_router_answers_alike(
     const std::function<ClassStore()>& make_store,
     const std::function<std::string(const ClassStore&)>& script_of,

@@ -47,7 +47,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
-#include <atomic>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -301,26 +300,29 @@ void report_serve_stats(const ServeStats& stats)
   std::cerr << "\n";
 }
 
-void report_server_stats(const ServeAggregateStats& stats)
+/// The server's exit report, read from the process registry.
+void report_server_stats()
 {
-  const auto load = [](const std::atomic<std::uint64_t>& counter) {
-    return counter.load(std::memory_order_relaxed);
-  };
-  std::cerr << "served " << load(stats.connections_total) << " connection(s), ";
-  print_traffic(stats.totals());
-  std::cerr << ", flushed " << load(stats.flushed_records) << " record(s), "
-            << load(stats.compactions) << " compaction(s) (" << load(stats.compacted_runs)
-            << " run(s), " << load(stats.compacted_records) << " record(s))\n";
+  auto& registry = obs::MetricRegistry::global();
+  const auto count = [&](const char* name) { return registry.counter(name).value(); };
+  const auto& compactions =
+      registry.histogram("facet_compaction_duration", obs::label("phase", "total"));
+  const ServeStats totals = serve_totals();
+  std::cerr << "served " << count("facet_serve_connections_total") << " connection(s), ";
+  print_traffic(totals);
+  std::cerr << ", flushed " << totals.flushed << " record(s), " << compactions.snapshot().count()
+            << " compaction(s) (" << count("facet_compaction_runs_total") << " run(s), "
+            << count("facet_compaction_records_total") << " record(s))\n";
   // The `stats all` per-width rows, for operators reading the exit log.
-  for (std::size_t n = 0; n < stats.width.size(); ++n) {
-    const ServeWidthCounters& row = stats.width[n];
-    if (load(row.lookups) == 0) {
+  for (int n = 0; n <= kMaxVars; ++n) {
+    const ServeStats row = serve_totals(n);
+    if (row.lookups == 0) {
       continue;
     }
-    std::cerr << "  width " << n << ": " << load(row.lookups) << " lookup(s), "
-              << load(row.cache_hits) << " cache / " << load(row.memo_hits) << " memo / "
-              << load(row.table_hits) << " table / " << load(row.index_hits) << " index / "
-              << load(row.live) << " live, " << load(row.appended) << " appended\n";
+    std::cerr << "  width " << n << ": " << row.lookups << " lookup(s), " << row.cache_hits
+              << " cache / " << row.memo_hits << " memo / " << row.table_hits << " table / "
+              << row.index_hits << " index / " << row.live << " live, " << row.appended
+              << " appended\n";
   }
 }
 
@@ -353,7 +355,7 @@ void dump_metrics_json(const std::string& path)
 }
 
 /// Runs a started server until SIGINT/SIGTERM (or a client-side
-/// request_shutdown), then reports the aggregate session stats.
+/// request_shutdown), then reports the process-wide serve counters.
 int run_serve_server(ServeServer& server, const std::string& metrics_json_path = {})
 {
   // Handlers go in before start(): a signal arriving during bind/spawn
@@ -379,7 +381,7 @@ int run_serve_server(ServeServer& server, const std::string& metrics_json_path =
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   g_serve_server = nullptr;
-  report_server_stats(server.stats());
+  report_server_stats();
   dump_metrics_json(metrics_json_path);
   return 0;
 }
