@@ -30,12 +30,11 @@
 /// Report: BENCH_store_misspath.json (--misspath-out).
 ///
 /// A fourth phase benchmarks the NPN4 norm-table tier on the exhaustive
-/// 16-bit workload: an empty width-4 store learning all 65,536 tables with
-/// the table on vs off (ids must match bit for bit, the table-on store must
-/// never canonicalize), cold and warm lookup throughput in both configs,
-/// and the table-dispatch vs branch-and-bound canonicalizer micro-benchmark
-/// whose speedup the table PR targets at >= 10x. Sub-widths 0..3 are swept
-/// exhaustively for id identity. Report: BENCH_npn4.json (--npn4-out).
+/// 16-bit workload: an empty width-4 store learning all 65,536 tables (ids
+/// must equal classify_exhaustive's, the store must never canonicalize),
+/// then cold lookups (every one src=table) and warm lookups, plus the
+/// table-dispatch canonicalizer rate on a sample checked against the
+/// orbit walk. Report: BENCH_npn4.json (--npn4-out).
 ///
 /// A fifth phase benchmarks cold probes of the block-packed base-segment
 /// layout: --cold-records synthetic classes (default 1M at --cold-n 7),
@@ -614,141 +613,70 @@ int main(int argc, char** argv)
     std::shuffle(npn4_funcs.begin(), npn4_funcs.end(), shuffle_rng);
   }
 
-  bool npn4_identical = true;
-  std::vector<std::uint32_t> npn4_ids_off;
-  npn4_ids_off.reserve(npn4_funcs.size());
-  double npn4_learn_off_seconds = 0.0;
-  double npn4_learn_on_seconds = 0.0;
-  std::uint64_t npn4_table_hits = 0;
-  // Learning comparison: the same exhaustive workload appended into an empty
-  // store, table off (the pre-table miss path) vs table on. Ids must match
-  // bit for bit and the table-on store must never canonicalize.
-  {
-    ClassStoreOptions table_off;
-    table_off.use_npn4_table = false;
-    ClassStore learning{4, table_off};
-    watch.reset();
-    for (const auto& f : npn4_funcs) {
-      npn4_ids_off.push_back(learning.lookup_or_classify(f, /*append_on_miss=*/true).class_id);
-    }
-    npn4_learn_off_seconds = watch.seconds();
-    npn4_identical = npn4_identical && learning.num_classes() == 222;
-  }
+  // Learning pass: the exhaustive workload appended into an empty width-4
+  // store. Ids must equal the sequential classifier's (dense, by first
+  // occurrence) and the store must never canonicalize.
+  const ClassificationResult npn4_expected = classify_exhaustive(npn4_funcs);
+  bool npn4_identical = npn4_expected.num_classes == kNpn4NumClasses;
   ClassStore npn4_store{4};
-  {
-    watch.reset();
-    for (std::size_t i = 0; i < npn4_funcs.size(); ++i) {
-      const auto result = npn4_store.lookup_or_classify(npn4_funcs[i], /*append_on_miss=*/true);
-      npn4_identical = npn4_identical && result.class_id == npn4_ids_off[i];
-    }
-    npn4_learn_on_seconds = watch.seconds();
-    npn4_table_hits = npn4_store.num_table_hits();
-    npn4_identical = npn4_identical && npn4_store.num_classes() == 222 &&
-                     npn4_store.num_canonicalizations() == 0 && npn4_table_hits > 0;
+  watch.reset();
+  for (std::size_t i = 0; i < npn4_funcs.size(); ++i) {
+    const auto result = npn4_store.lookup_or_classify(npn4_funcs[i], /*append_on_miss=*/true);
+    npn4_identical = npn4_identical && result.class_id == npn4_expected.class_of[i];
   }
+  const double npn4_learn_seconds = watch.seconds();
+  const std::uint64_t npn4_table_hits = npn4_store.num_table_hits();
+  npn4_identical = npn4_identical && npn4_store.num_classes() == kNpn4NumClasses &&
+                   npn4_store.num_canonicalizations() == 0 && npn4_table_hits > 0;
 
-  // Cold + warm lookups over the fully-learned class set, both configs. With
-  // the table on, cold IS the steady state: every query is one table load +
-  // one slot load, hot cache never consulted.
-  double npn4_cold_on_seconds = 0.0;
-  double npn4_warm_on_seconds = 0.0;
-  double npn4_cold_off_seconds = 0.0;
-  double npn4_warm_off_seconds = 0.0;
+  // Cold + warm lookups over the fully-learned class set. Cold IS the
+  // steady state: every query is one table load + one slot load, the hot
+  // cache never consulted.
   npn4_store.clear_hot_cache();
   watch.reset();
   for (std::size_t i = 0; i < npn4_funcs.size(); ++i) {
     const auto result = npn4_store.lookup(npn4_funcs[i]);
     npn4_identical = npn4_identical && result.has_value() &&
-                     result->class_id == npn4_ids_off[i] &&
+                     result->class_id == npn4_expected.class_of[i] &&
                      result->source == LookupSource::kTable;
   }
-  npn4_cold_on_seconds = watch.seconds();
+  const double npn4_cold_seconds = watch.seconds();
   watch.reset();
   for (const auto& f : npn4_funcs) {
     (void)npn4_store.lookup(f);
   }
-  npn4_warm_on_seconds = watch.seconds();
-  {
-    ClassStoreOptions table_off;
-    table_off.use_npn4_table = false;
-    table_off.hot_cache_capacity = 2 * npn4_funcs.size() + 16;
-    StoreBuildOptions npn4_build;
-    npn4_build.store = table_off;
-    ClassStore off_store = build_class_store(npn4_funcs, npn4_build);
-    off_store.clear_hot_cache();
-    watch.reset();
-    for (std::size_t i = 0; i < npn4_funcs.size(); ++i) {
-      const auto result = off_store.lookup(npn4_funcs[i]);
-      npn4_identical =
-          npn4_identical && result.has_value() && result->class_id == npn4_ids_off[i];
-    }
-    npn4_cold_off_seconds = watch.seconds();
-    watch.reset();
-    for (const auto& f : npn4_funcs) {
-      (void)off_store.lookup(f);
-    }
-    npn4_warm_off_seconds = watch.seconds();
-  }
+  const double npn4_warm_seconds = watch.seconds();
+  npn4_identical = npn4_identical && npn4_store.num_canonicalizations() == 0;
 
-  // Sub-widths: exhaustive id identity, table on vs off, n = 0..3.
-  for (int sub_n = 0; sub_n <= 3; ++sub_n) {
-    ClassStoreOptions table_off;
-    table_off.use_npn4_table = false;
-    ClassStore on_store{sub_n};
-    ClassStore off_store{sub_n, table_off};
-    const std::uint64_t tables = 1ULL << (1u << sub_n);
-    for (std::uint64_t bits = 0; bits < tables; ++bits) {
-      const TruthTable tt = TruthTable::from_word(sub_n, bits);
-      const auto a = on_store.lookup_or_classify(tt, /*append_on_miss=*/true);
-      const auto b = off_store.lookup_or_classify(tt, /*append_on_miss=*/true);
-      npn4_identical = npn4_identical && a.class_id == b.class_id &&
-                       a.representative == b.representative;
-    }
-    npn4_identical = npn4_identical && on_store.num_canonicalizations() == 0;
-  }
-
-  // Canonicalizer micro-benchmark: the table dispatch vs the pre-table
-  // branch-and-bound search on the same n = 4 sample — the >= 10x the table
-  // tier targets on the miss path.
+  // Canonicalizer throughput: the table dispatch on an n = 4 sample, then
+  // the same sample checked against the exhaustive orbit walk.
   const std::size_t npn4_sample = std::min<std::size_t>(20000, npn4_funcs.size());
-  bool npn4_canon_identical = true;
+  std::vector<TruthTable> npn4_canon;
+  npn4_canon.reserve(npn4_sample);
   watch.reset();
   for (std::size_t i = 0; i < npn4_sample; ++i) {
-    (void)exact_npn_canonical(npn4_funcs[i]);
+    npn4_canon.push_back(exact_npn_canonical(npn4_funcs[i]));
   }
   const double npn4_table_seconds = watch.seconds();
-  watch.reset();
+  bool npn4_canon_identical = true;
   for (std::size_t i = 0; i < npn4_sample; ++i) {
-    npn4_canon_identical = npn4_canon_identical &&
-                           exact_npn_canonical_search(npn4_funcs[i]) ==
-                               exact_npn_canonical(npn4_funcs[i]);
+    npn4_canon_identical =
+        npn4_canon_identical && exact_npn_canonical_walk(npn4_funcs[i]) == npn4_canon[i];
   }
-  const double npn4_bnb_seconds = watch.seconds();
   const double npn4_table_rate = per_sec(npn4_sample, npn4_table_seconds);
-  // The B&B pass above also pays one table dispatch per check; subtract it.
-  const double npn4_bnb_rate =
-      per_sec(npn4_sample, std::max(npn4_bnb_seconds - npn4_table_seconds, 1e-9));
-  const double npn4_speedup = npn4_bnb_rate > 0 ? npn4_table_rate / npn4_bnb_rate : 0.0;
+  const double npn4_learn_rate = per_sec(npn4_funcs.size(), npn4_learn_seconds);
+  const double npn4_cold_rate = per_sec(npn4_funcs.size(), npn4_cold_seconds);
+  const double npn4_warm_rate = per_sec(npn4_funcs.size(), npn4_warm_seconds);
 
-  const double npn4_learn_on_rate = per_sec(npn4_funcs.size(), npn4_learn_on_seconds);
-  const double npn4_learn_off_rate = per_sec(npn4_funcs.size(), npn4_learn_off_seconds);
-  const double npn4_cold_on_rate = per_sec(npn4_funcs.size(), npn4_cold_on_seconds);
-  const double npn4_warm_on_rate = per_sec(npn4_funcs.size(), npn4_warm_on_seconds);
-  const double npn4_cold_off_rate = per_sec(npn4_funcs.size(), npn4_cold_off_seconds);
-  const double npn4_warm_off_rate = per_sec(npn4_funcs.size(), npn4_warm_off_seconds);
-
-  std::cout << "learn (table on):  " << npn4_learn_on_rate << " appends/s ("
-            << npn4_table_hits << " table hits, 0 canonicalizations)\n"
-            << "learn (table off): " << npn4_learn_off_rate << " appends/s\n"
-            << "cold  (table on):  " << npn4_cold_on_rate << " lookups/s\n"
-            << "warm  (table on):  " << npn4_warm_on_rate << " lookups/s\n"
-            << "cold  (table off): " << npn4_cold_off_rate << " lookups/s\n"
-            << "warm  (table off): " << npn4_warm_off_rate << " lookups/s\n"
+  std::cout << "learn: " << npn4_learn_rate << " appends/s (" << npn4_table_hits
+            << " table hits, 0 canonicalizations)\n"
+            << "cold:  " << npn4_cold_rate << " lookups/s\n"
+            << "warm:  " << npn4_warm_rate << " lookups/s\n"
             << "canonicalizer (" << npn4_sample << " sampled): table " << npn4_table_rate
-            << "/s vs B&B " << npn4_bnb_rate << "/s = " << npn4_speedup << "x (target >= 10x)\n"
-            << "table-on ids bit-identical to table-off: " << (npn4_identical ? "yes" : "NO")
-            << "\n"
-            << "table canonical bit-identical to B&B: "
+            << "/s\n"
+            << "table-tier ids bit-identical to the sequential classifier: "
+            << (npn4_identical ? "yes" : "NO") << "\n"
+            << "table canonical bit-identical to the orbit walk: "
             << (npn4_canon_identical ? "yes" : "NO") << "\n";
 
   std::ofstream npn4_json{npn4_out_path, std::ios::trunc};
@@ -756,21 +684,15 @@ int main(int argc, char** argv)
             << "  \"bench\": \"npn4_table\",\n"
             << "  \"n\": 4,\n"
             << "  \"functions\": " << npn4_funcs.size() << ",\n"
-            << "  \"classes\": 222,\n"
-            << "  \"learn_on_appends_per_sec\": " << npn4_learn_on_rate << ",\n"
-            << "  \"learn_off_appends_per_sec\": " << npn4_learn_off_rate << ",\n"
-            << "  \"cold_on_lookups_per_sec\": " << npn4_cold_on_rate << ",\n"
-            << "  \"warm_on_lookups_per_sec\": " << npn4_warm_on_rate << ",\n"
-            << "  \"cold_off_lookups_per_sec\": " << npn4_cold_off_rate << ",\n"
-            << "  \"warm_off_lookups_per_sec\": " << npn4_warm_off_rate << ",\n"
+            << "  \"classes\": " << kNpn4NumClasses << ",\n"
+            << "  \"learn_on_appends_per_sec\": " << npn4_learn_rate << ",\n"
+            << "  \"cold_on_lookups_per_sec\": " << npn4_cold_rate << ",\n"
+            << "  \"warm_on_lookups_per_sec\": " << npn4_warm_rate << ",\n"
             << "  \"table_hits\": " << npn4_table_hits << ",\n"
             << "  \"canon_sample\": " << npn4_sample << ",\n"
             << "  \"table_canon_per_sec\": " << npn4_table_rate << ",\n"
-            << "  \"bnb_canon_per_sec\": " << npn4_bnb_rate << ",\n"
-            << "  \"table_vs_bnb_speedup\": " << npn4_speedup << ",\n"
-            << "  \"speedup_target_met\": " << (npn4_speedup >= 10.0 ? "true" : "false") << ",\n"
-            << "  \"identical_table_on_off\": " << (npn4_identical ? "true" : "false") << ",\n"
-            << "  \"canon_identical_to_bnb\": " << (npn4_canon_identical ? "true" : "false")
+            << "  \"identical_to_classifier\": " << (npn4_identical ? "true" : "false") << ",\n"
+            << "  \"canon_identical_to_walk\": " << (npn4_canon_identical ? "true" : "false")
             << "\n"
             << "}\n";
   std::cout << "wrote " << npn4_out_path << "\n";

@@ -457,9 +457,6 @@ ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, Ba
       shard_latency_->record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
     }
   });
-  if (!options_.memoize) {
-    clear_cache();
-  }
 
   // Merge: renumber (shard, local id) pairs into dense global ids by first
   // occurrence in input order — exactly the order every sequential

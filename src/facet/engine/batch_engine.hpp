@@ -76,8 +76,6 @@ struct BatchEngineOptions {
   CodesignOptions codesign{};
   /// Refinement budget forwarded to classify_hierarchical.
   std::size_t hierarchical_refine_budget = 64;
-  /// Keep per-shard canonical-form caches alive across classify() calls.
-  bool memoize = true;
 };
 
 /// Telemetry of one classify() call.

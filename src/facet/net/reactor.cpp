@@ -285,7 +285,6 @@ struct Reactor::Impl {
       conn.session->on_close();
       poller->remove(fd);
       conns.erase(it);
-      reactor.active.fetch_sub(1);
     }
 
     /// Serves one readiness event: pushes a parked reply on, or reads once,
@@ -361,7 +360,6 @@ struct Reactor::Impl {
         conn->deadline = now + reactor.options.idle_timeout;
         Conn& raw = *conn;
         conns[fd] = std::move(conn);
-        reactor.active.fetch_add(1);
         try {
           poller->add(fd);
         } catch (const std::exception& e) {
@@ -484,7 +482,6 @@ struct Reactor::Impl {
   obs::Counter* worker_tasks = nullptr;
   obs::Counter* worker_busy_ns = nullptr;
 
-  std::atomic<std::size_t> active{0};
   std::atomic<bool> stopping{false};
   bool started = false;
   bool stopped = false;
@@ -565,11 +562,6 @@ void Reactor::add(Socket socket, std::unique_ptr<ReactorConnection> session)
   session->on_close();  // reactor gone: retire the session immediately
 }
 
-std::size_t Reactor::active_connections() const noexcept
-{
-  return impl_->active.load();
-}
-
 std::size_t Reactor::num_workers() const noexcept
 {
   return impl_->loops.size();
@@ -596,11 +588,6 @@ void Reactor::stop() {}
 void Reactor::add(Socket, std::unique_ptr<ReactorConnection> session)
 {
   session->on_close();
-}
-
-std::size_t Reactor::active_connections() const noexcept
-{
-  return 0;
 }
 
 std::size_t Reactor::num_workers() const noexcept

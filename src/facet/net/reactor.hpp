@@ -102,7 +102,6 @@ class Reactor {
   /// on_close runs immediately and the socket is dropped.
   void add(Socket socket, std::unique_ptr<ReactorConnection> session);
 
-  [[nodiscard]] std::size_t active_connections() const noexcept;
   [[nodiscard]] std::size_t num_workers() const noexcept;
 
  private:

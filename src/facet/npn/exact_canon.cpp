@@ -548,7 +548,7 @@ class Bnb {
   std::array<int, 8> assigned_phase_{};
 };
 
-/// Single-word specialization of the branch-and-bound for 4 <= n <= 6 — the
+/// Single-word specialization of the branch-and-bound for 5 <= n <= 6 — the
 /// store's hot range, where the whole table is one 64-bit word and every
 /// node operation is a handful of register instructions. Same search, same
 /// traversal order, bit-identical results to Bnb (property-tested via the
@@ -725,34 +725,25 @@ class WordBnb {
   std::array<int, 8> assigned_phase_{};
 };
 
-/// `seed` is semiclass_form(tt) when the caller already has it, else null.
+/// The search behind exact_npn_canonical* for 4 < n <= 8 (width <= 4 is
+/// the NPN4 table), timed into the "bb" histogram. `seed` is
+/// semiclass_form(tt) when the caller already has it, else null.
 template <bool track>
-CanonResult canonical_dispatch(const TruthTable& tt, const SemiclassResult* seed = nullptr)
+CanonResult canonical_dispatch(const TruthTable& tt, const SemiclassResult* seed)
 {
   const int n = tt.num_vars();
   if (n > 8) {
     throw std::invalid_argument("exact_npn_canonical: limited to n <= 8");
   }
-  if (n <= 3) {
-    // Orbits are tiny; the walk's incremental steps beat the bound machinery.
-    return walk<track>(tt);
-  }
+  static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
+  const std::uint64_t t0 = obs::now_ticks();
   std::optional<SemiclassResult> own;
   if (seed == nullptr) {
     own = semiclass_form(tt);
     seed = &*own;
   }
-  if (n <= kVarsPerWord) {
-    return WordBnb<track>{tt, *seed}.result(tt);
-  }
-  return Bnb<track>{tt, *seed}.result();
-}
-
-CanonResult timed_search_with_transform(const TruthTable& tt, const SemiclassResult* seed)
-{
-  static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
-  const std::uint64_t t0 = obs::now_ticks();
-  CanonResult result = canonical_dispatch<true>(tt, seed);
+  CanonResult result = n <= kVarsPerWord ? WordBnb<track>{tt, *seed}.result(tt)
+                                         : Bnb<track>{tt, *seed}.result();
   latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
   return result;
 }
@@ -766,7 +757,7 @@ TruthTable exact_npn_canonical(const TruthTable& tt)
     // of the bb/walk histograms — there is no search to time.
     return TruthTable::from_word(tt.num_vars(), npn4_lookup(tt).canonical_word);
   }
-  return exact_npn_canonical_search(tt);
+  return canonical_dispatch<false>(tt, nullptr).canonical;
 }
 
 CanonResult exact_npn_canonical_with_transform(const TruthTable& tt)
@@ -776,7 +767,7 @@ CanonResult exact_npn_canonical_with_transform(const TruthTable& tt)
     return CanonResult{TruthTable::from_word(tt.num_vars(), result.canonical_word),
                        result.transform};
   }
-  return timed_search_with_transform(tt, nullptr);
+  return canonical_dispatch<true>(tt, nullptr);
 }
 
 CanonResult exact_npn_canonical_with_transform(const TruthTable& tt, const SemiclassResult& seed)
@@ -784,21 +775,7 @@ CanonResult exact_npn_canonical_with_transform(const TruthTable& tt, const Semic
   if (tt.num_vars() <= kNpn4MaxVars) {
     return exact_npn_canonical_with_transform(tt);
   }
-  return timed_search_with_transform(tt, &seed);
-}
-
-TruthTable exact_npn_canonical_search(const TruthTable& tt)
-{
-  static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
-  const std::uint64_t t0 = obs::now_ticks();
-  TruthTable canonical = canonical_dispatch<false>(tt).canonical;
-  latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
-  return canonical;
-}
-
-CanonResult exact_npn_canonical_search_with_transform(const TruthTable& tt)
-{
-  return timed_search_with_transform(tt, nullptr);
+  return canonical_dispatch<true>(tt, &seed);
 }
 
 TruthTable exact_npn_canonical_walk(const TruthTable& tt)

@@ -1,5 +1,5 @@
 /// \file exact_canon.hpp
-/// \brief Exact NPN canonical form: orbit walk and branch-and-bound.
+/// \brief Exact NPN canonical form: orbit walk, NPN4 table and branch-and-bound.
 ///
 /// The canonical representative of an NPN class is the lexicographically
 /// smallest truth table in the orbit of f under all 2^(n+1) * n! NPN
@@ -14,8 +14,10 @@
 ///    with no pruning, which is why the paper reports it failing beyond 6
 ///    variables.
 ///
-///  * exact_npn_canonical — branch-and-bound in the spirit of the paper's
-///    thesis: cheap invariant characteristics prune the transform search.
+///  * exact_npn_canonical — for n <= 4 one load from the baked NPN4 norm
+///    table (npn4_table.hpp, checked exhaustively against the walk); for
+///    n > 4 branch-and-bound in the spirit of the paper's thesis: cheap
+///    invariant characteristics prune the transform search.
 ///    Target positions are assigned most-significant first, so after d
 ///    steps the table splits into 2^d blocks whose contents only the n - d
 ///    free variables still rearrange. The incumbent is seeded with the
@@ -45,7 +47,8 @@
 ///    sharpened (pinned by ExactCanon.WitnessGolden).
 ///
 /// Both are limited to n <= 8 and both output polarities are searched, so
-/// the results agree exactly (property-tested).
+/// the results agree exactly (property-tested). The walk is the oracle
+/// for both the table and the search.
 
 #pragma once
 
@@ -77,15 +80,8 @@ struct CanonResult {
 [[nodiscard]] CanonResult exact_npn_canonical_with_transform(const TruthTable& tt,
                                                              const SemiclassResult& seed);
 
-/// The pre-table dispatch (walk for n <= 3, branch-and-bound beyond):
-/// identical results to exact_npn_canonical at every width, but never
-/// consults the NPN4 table. Kept as the table-off baseline the benchmarks
-/// measure speedups against and the path a table-disabled store runs.
-[[nodiscard]] TruthTable exact_npn_canonical_search(const TruthTable& tt);
-[[nodiscard]] CanonResult exact_npn_canonical_search_with_transform(const TruthTable& tt);
-
 /// Reference implementation: exhaustive orbit walk with no pruning. Kept as
-/// the oracle the branch-and-bound is property-tested against.
+/// the oracle the NPN4 table and the branch-and-bound are tested against.
 [[nodiscard]] TruthTable exact_npn_canonical_walk(const TruthTable& tt);
 
 /// Walk-based canonical form plus a witnessing transform.

@@ -45,8 +45,9 @@ struct ExactClassifyStats {
                                                   const SignatureConfig& bucket_config = SignatureConfig::all(),
                                                   ExactClassifyStats* stats = nullptr);
 
-/// Exact classification via the exhaustive canonical walk (n <= 8 only);
-/// the Table III "Kitty" baseline.
+/// Exact classification by exact canonical form (n <= 8 only): the NPN4
+/// table at n <= 4, branch-and-bound beyond; dense ids by first
+/// occurrence. The Table III "Kitty" baseline.
 [[nodiscard]] ClassificationResult classify_exhaustive(std::span<const TruthTable> funcs);
 
 }  // namespace facet

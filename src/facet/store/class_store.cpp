@@ -62,7 +62,7 @@ ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
   if (num_vars < 0 || num_vars > kMaxVars) {
     throw std::invalid_argument{"ClassStore: num_vars out of range"};
   }
-  if (num_vars <= kNpn4MaxVars && options_.use_npn4_table) {
+  if (num_vars <= kNpn4MaxVars) {
     npn4_ = std::make_unique<Npn4Slots>(npn4_num_classes(num_vars));
   }
   resolve_metrics();
@@ -371,16 +371,6 @@ void ClassStore::save(std::ostream& os) const
 void ClassStore::save(const std::string& path) const
 {
   rename_into_place(write_tmp_file(path, [&](std::ostream& os) { save(os); }), path);
-}
-
-ClassStore ClassStore::load(std::istream& is, ClassStoreOptions options)
-{
-  LoadedBase base = read_base_segment(is);
-  try {
-    return ClassStore{base.num_vars, std::move(base.records), base.num_classes, options};
-  } catch (const std::invalid_argument& e) {
-    throw StoreFormatError{std::string{"corrupt store records: "} + e.what()};
-  }
 }
 
 ClassStore::StoredTiers ClassStore::read_tiers(const std::string& path, bool use_mmap,
@@ -778,7 +768,7 @@ void ClassStore::memo_insert(const SemiclassResult& sc, const StoreLookupResult&
 /// What a tier walk that resolved nowhere searchless hands the index probe
 /// and the miss policy: the query, its canonical form and witness (from the
 /// norm table, or from the canonicalizer), and where an index hit warms —
-/// the table slot of the query's class (width <= 4 with the table on), or
+/// the table slot of the query's class (width <= 4), or
 /// the query's semiclass form (the memo key; null with the memo off).
 struct ClassStore::Miss {
   const TruthTable& query;

@@ -10,7 +10,8 @@
 /// path; lookup() and lookup_or_classify() share tiers 0-5 and differ only
 /// in what a miss does:
 ///
-///   0. table       — width <= 4 only: the baked NPN4 norm table
+///   0. table       — every store of width <= 4, and no wider one: the
+///                    baked NPN4 norm table
 ///                    (npn4_table.hpp) resolves class index, canonical form
 ///                    and witness in ONE array load, and a per-class
 ///                    write-once slot turns that into the full store answer
@@ -31,7 +32,7 @@
 ///   4. delta runs  — flushed-but-uncompacted append runs, consulted
 ///                    newest-first (each a small sorted MaterializedSegment);
 ///   5. base        — the compacted index: a binary search over the sorted
-///                    records, either materialized in RAM (open, load) or
+///                    records, either materialized in RAM (open) or
 ///                    executed in place over a read-only mmap of the `.fcs`
 ///                    file (open with use_mmap; lazily page-validated). An
 ///                    index hit warms the hot cache and the memo;
@@ -158,7 +159,7 @@ namespace facet {
 enum class LookupSource {
   kHotCache,  ///< hot-cache hit (query's own words); no canonicalization
   kMemo,      ///< semiclass-memo hit: exact image key, no canonicalization
-  kTable,     ///< NPN4 norm table (width <= 4): one array load, no search
+  kTable,     ///< NPN4 norm table (every width <= 4 store): one array load, no search
   kIndex,     ///< canonicalized, found in memtable / delta runs / base
   kLive,      ///< canonicalized, unknown: classified live (fresh class id)
 };
@@ -190,12 +191,6 @@ struct ClassStoreOptions {
   /// evicts that set's least recently used entry — correctness never
   /// depends on what the memo holds. Both tables allocate as they fill.
   std::size_t semiclass_memo_capacity = 1u << 16;
-  /// Resolve width <= 4 queries through the baked NPN4 norm table
-  /// (LookupSource::kTable): one array load replaces the hot cache, the
-  /// semiclass memo AND the canonicalizer. Class ids are bit-identical
-  /// either way — the table changes how a class resolves, never which
-  /// class it is. No effect on stores wider than 4 variables.
-  bool use_npn4_table = true;
 };
 
 /// The immutable read tiers of one epoch: the base segment plus the delta
@@ -288,7 +283,7 @@ class ClassStore {
   [[nodiscard]] bool mmap_backed() const noexcept { return mmap_backed_; }
 
   /// The materialized base records, for stores whose base lives in RAM
-  /// (built stores, load(), open() without mmap). Throws std::logic_error
+  /// (built stores, open() without mmap). Throws std::logic_error
   /// on an mmap-backed base — iterate via base_segment().record_at there.
   /// Like base_segment(), stable only while no compaction swap lands.
   [[nodiscard]] const std::vector<StoreRecord>& records() const;
@@ -307,21 +302,17 @@ class ClassStore {
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
 
-  /// Reads a base segment from a stream (in-memory round trips) into a
-  /// fully-materialized, eagerly-validated store: header
+  /// Opens `path` and replays its delta log (delta_log_path(path)) if
+  /// present, restoring every flushed run as an immutable delta segment.
+  /// The base is materialized and eagerly validated — header
   /// magic/version/width, table and block checksums, canonical
-  /// sortedness/uniqueness, transform sanity. Throws StoreFormatError on
-  /// any violation, including a file of any version but kStoreVersion.
-  /// Files are read with open(), which also replays their delta log.
-  [[nodiscard]] static ClassStore load(std::istream& is, ClassStoreOptions options = {});
-
-  /// Opens `path` (materialized and eagerly validated like load(), or
-  /// zero-copy via mmap with use_mmap) and replays its delta log
-  /// (delta_log_path(path)) if present, restoring every flushed run as an
-  /// immutable delta segment. A torn trailing frame — a crash or full disk
-  /// mid-flush — is dropped and the log is truncated back to its intact
-  /// prefix, so a crashed append never bricks the store; corruption before
-  /// the tail throws StoreFormatError.
+  /// sortedness/uniqueness, class ids below the header count, transform
+  /// sanity — or, with use_mmap, mapped zero-copy and validated page by
+  /// page. Throws StoreFormatError on any violation, including a file of
+  /// any version but kStoreVersion. A torn trailing frame — a crash or full
+  /// disk mid-flush — is dropped and the log is truncated back to its
+  /// intact prefix, so a crashed append never bricks the store; corruption
+  /// before the tail throws StoreFormatError.
   [[nodiscard]] static ClassStore open(const std::string& path,
                                        const StoreOpenOptions& options = {});
 
@@ -406,8 +397,8 @@ class ClassStore {
   [[nodiscard]] std::optional<std::uint32_t> find_class_id(const TruthTable& canonical) const;
 
   /// The walk's first two tiers by the query function itself; never
-  /// canonicalizes. On a width <= 4 store with the table on, f's filled
-  /// norm-table slot (src=table); otherwise one hot-cache set probe.
+  /// canonicalizes. On a width <= 4 store, f's filled norm-table slot
+  /// (src=table); on a wider one, one hot-cache set probe.
   /// nullopt for a query of another width.
   [[nodiscard]] std::optional<StoreLookupResult> probe_cache(const TruthTable& f) const;
 
@@ -458,8 +449,7 @@ class ClassStore {
   // -- NPN4 table tier -------------------------------------------------------
 
   /// Lookups resolved by the NPN4 norm-table tier (LookupSource::kTable).
-  /// Always 0 on stores wider than 4 variables or built with
-  /// use_npn4_table = false.
+  /// Always 0 on stores wider than 4 variables.
   [[nodiscard]] std::uint64_t num_table_hits() const noexcept
   {
     return table_hits_.load(std::memory_order_relaxed);
@@ -488,7 +478,7 @@ class ClassStore {
     std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> index;
   };
 
-  /// Tier 0 (width <= 4 with use_npn4_table): one write-once slot per NPN
+  /// Tier 0 (every width <= 4 store): one write-once slot per NPN
   /// class of the store's width, indexed by the norm table's dense class
   /// index. A filled slot points at an immutable heap-owned record, so a
   /// reader resolves a query with one npn4_lookup plus one acquire load —
@@ -530,9 +520,9 @@ class ClassStore {
                                               bool repair_torn_tail);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
-  /// The walk's first two tiers, shared with probe_cache(): with the table
-  /// on, the norm-table entry of f (kept in `table` for the slower tiers)
-  /// and its class's slot; otherwise the hot cache.
+  /// The walk's first two tiers, shared with probe_cache(): at width <= 4,
+  /// the norm-table entry of f (kept in `table` for the slower tiers) and
+  /// its class's slot; wider, the hot cache.
   [[nodiscard]] std::optional<StoreLookupResult> probe_front(
       const TruthTable& f, std::optional<Npn4Result>& table) const;
   /// The answer `cache` holds under `key`, reported as `source`.
@@ -602,7 +592,7 @@ class ClassStore {
   bool mmap_backed_ = false;
   std::unique_ptr<Memtable> memtable_;
   mutable std::atomic<std::uint64_t> canonicalizations_{0};
-  /// Tier 0 slots; non-null iff num_vars_ <= 4 and use_npn4_table. unique_ptr
+  /// Tier 0 slots; non-null iff num_vars_ <= 4. unique_ptr
   /// so the store stays movable (slot atomics are not).
   std::unique_ptr<Npn4Slots> npn4_;
   mutable std::atomic<std::uint64_t> table_hits_{0};

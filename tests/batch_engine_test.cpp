@@ -197,12 +197,14 @@ TEST(BatchEngine, MemoizationOffStillMatchesSequential)
   const auto funcs = make_random_dataset(5, 200, 3);
   BatchEngineOptions options;
   options.num_threads = 4;
-  options.memoize = false;
   BatchEngine engine{ClassifierKind::kHierarchical, options};
-  expect_identical(engine.classify(funcs), classify_hierarchical(funcs));
-  // With memoization off the second call recomputes everything.
+  const ClassificationResult sequential = classify_hierarchical(funcs);
+  expect_identical(engine.classify(funcs), sequential);
+  // With the memo cleared between calls the second call recomputes
+  // everything, and still matches.
+  engine.clear_cache();
   BatchEngineStats stats;
-  (void)engine.classify(funcs, &stats);
+  expect_identical(engine.classify(funcs, &stats), sequential);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
   EXPECT_GT(stats.cache_misses, 0u);
 }

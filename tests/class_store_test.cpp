@@ -72,10 +72,28 @@ std::string serialize(const ClassStore& store)
   return os.str();
 }
 
-ClassStore deserialize(const std::string& bytes, ClassStoreOptions options = {})
+/// Opens `bytes` as a store file through ClassStore::open, the reader that
+/// serves real index files. The file (one per test, so parallel test
+/// processes never share it) is removed again before returning.
+ClassStore deserialize(const std::string& bytes)
 {
-  std::istringstream is{bytes};
-  return ClassStore::load(is, options);
+  const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string{test->test_suite_name()} + "_" + test->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::string path = ::testing::TempDir() + "deserialize_" + name + ".fcs";
+  std::remove(ClassStore::delta_log_path(path).c_str());
+  {
+    std::ofstream os{path, std::ios::binary | std::ios::trunc};
+    os << bytes;
+  }
+  try {
+    ClassStore store = ClassStore::open(path);
+    std::remove(path.c_str());
+    return store;
+  } catch (...) {
+    std::remove(path.c_str());
+    throw;
+  }
 }
 
 class StoreRoundTrip : public ::testing::TestWithParam<int> {};
@@ -275,14 +293,13 @@ TEST(ClassStore, RejectsCorruptedTruncatedAndMismatchedFiles)
 
 TEST(ClassStore, HotCacheServesRepeatsAndEvicts)
 {
-  const int n = 4;
+  // Width 5: this test pins cache/memo/index tier attribution, which the
+  // NPN4 table tier answers first at every width <= 4.
+  const int n = 5;
   const auto funcs = make_npn_workload(n, 20, 2, 0xcafeULL);
   ClassStoreOptions options;
   options.hot_cache_capacity = 4;
   options.hot_cache_shards = 1;
-  // NPN4 table off: this test pins cache/memo/index tier attribution, which
-  // the O(1) table tier would otherwise answer first at width 4.
-  options.use_npn4_table = false;
   StoreBuildOptions build_options;
   build_options.store = options;
   ClassStore store = build_class_store(funcs, build_options);
@@ -325,15 +342,15 @@ TEST(ClassStore, HotCacheServesRepeatsAndEvicts)
 
 TEST(ClassStore, SemiclassMemoServesEquivalentsWithoutRecanonicalizing)
 {
-  const int n = 4;
+  // Width 5: a width <= 4 store answers from the NPN4 table and never
+  // reaches the memo and index tiers.
+  const int n = 5;
   std::mt19937_64 rng{0x5e111ULL};
   const auto funcs = make_npn_workload(n, 20, 2, 0x5e11ULL);
   StoreBuildOptions build_options;
   // Disable the hot cache so tier attribution and the canonicalization
-  // counter are observable without cache interference; NPN4 table off so a
-  // width-4 store reaches the memo and index tiers at all.
+  // counter are observable without cache interference.
   build_options.store.hot_cache_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
 
   const TruthTable f = funcs[0];
@@ -360,13 +377,12 @@ TEST(ClassStore, SemiclassMemoServesEquivalentsWithoutRecanonicalizing)
 
 TEST(ClassStore, MemoDisabledFallsBackToExactCanonicalization)
 {
-  const int n = 4;
+  const int n = 5;  // above the NPN4 table's widths
   std::mt19937_64 rng{0x0ffULL};
   const auto funcs = make_npn_workload(n, 20, 2, 0x5e11ULL);
   StoreBuildOptions build_options;
   build_options.store.hot_cache_capacity = 0;
   build_options.store.semiclass_memo_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
 
   const TruthTable f = funcs[0];
@@ -392,7 +408,8 @@ TEST(ClassStore, TransientMissesAreNeverMemoized)
   // A non-appending miss reports known=false. If the memo learned it, a
   // later equivalent query would claim known=true for a class the store
   // never persisted — so transient misses must bypass the memo entirely.
-  const int n = 4;
+  // Width 5, where the memo is a tier at all (width <= 4 is the table's).
+  const int n = 5;
   std::mt19937_64 rng{0x404ULL};
   ClassStore store{n};
   const TruthTable f = tt_random(n, rng);
@@ -414,13 +431,12 @@ TEST(ClassStore, TransientMissesAreNeverMemoized)
 
 TEST(ClassStore, AppendsNeverFillTheMemo)
 {
-  const int n = 4;
+  // Width 5: at width <= 4 the appended class would be served from its
+  // NPN4 table slot rather than the index and memo tiers this test observes.
+  const int n = 5;
   std::mt19937_64 rng{0xadd5ULL};
   ClassStoreOptions options;
   options.hot_cache_capacity = 0;
-  // NPN4 table off: with it on, the appended class would be served from the
-  // table slot rather than the index and memo tiers this test observes.
-  options.use_npn4_table = false;
   ClassStore store{n, options};
   const TruthTable f = tt_random(n, rng);
   TruthTable g{n};

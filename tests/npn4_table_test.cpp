@@ -3,7 +3,7 @@
 /// the exhaustive orbit-walk oracle on canonical form, carry a valid
 /// witnessing transform, and index exactly the known class counts
 /// {1, 2, 4, 14, 222}; plus the golden-hash drift guard, the ClassStore
-/// table tier's bit-identity with a store built without it, and the PN-min
+/// table tier's ids against the walk-based classifier, and the PN-min
 /// tables against brute force over every PN transform.
 
 #include "facet/npn/npn4_table.hpp"
@@ -11,12 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "facet/npn/enumerate.hpp"
 #include "facet/npn/exact_canon.hpp"
+#include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/npn4_table_golden.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/class_store.hpp"
@@ -72,16 +75,16 @@ TEST(Npn4Table, ExactCanonicalDispatchesThroughTheTable)
 {
   // The public canonicalizer entry points must answer through the table for
   // every width <= 4 — same canonical, valid witness — and agree with the
-  // pre-table search path kept for benchmarking.
+  // exhaustive orbit walk.
   std::mt19937_64 rng{0x4417ULL};
   for (int n = 0; n <= 4; ++n) {
     for (int i = 0; i < 200; ++i) {
       const TruthTable tt = tt_random(n, rng);
       const CanonResult fast = exact_npn_canonical_with_transform(tt);
-      const CanonResult search = exact_npn_canonical_search_with_transform(tt);
-      EXPECT_EQ(fast.canonical, search.canonical);
+      const CanonResult walk = exact_npn_canonical_walk_with_transform(tt);
+      EXPECT_EQ(fast.canonical, walk.canonical);
       EXPECT_EQ(exact_npn_canonical(tt), fast.canonical);
-      EXPECT_EQ(exact_npn_canonical_search(tt), fast.canonical);
+      EXPECT_EQ(exact_npn_canonical_walk(tt), fast.canonical);
       EXPECT_EQ(apply_transform(tt, fast.transform), fast.canonical);
     }
   }
@@ -184,29 +187,59 @@ std::vector<TruthTable> random_workload(int n, std::uint64_t seed, std::size_t c
   return funcs;
 }
 
-TEST(Npn4Store, TableTierIdsBitIdenticalToTableOffStore)
+/// Every table of width n (n <= 3), shuffled so a class's first query is
+/// not simply its least member, then the same sequence again as repeats.
+std::vector<TruthTable> exhaustive_workload(int n, std::uint64_t seed)
 {
-  // The same workload learned by a table-on and a table-off store must
-  // allocate identical class ids — the table changes HOW a class resolves,
-  // never WHICH class it is.
-  for (int n = 2; n <= 4; ++n) {
-    const auto funcs = random_workload(n, 0x5173ULL + static_cast<std::uint64_t>(n), 400);
-    ClassStoreOptions table_off;
-    table_off.use_npn4_table = false;
-    ClassStore with_table{n};
-    ClassStore without_table{n, table_off};
-    for (const TruthTable& f : funcs) {
-      const StoreLookupResult a = with_table.lookup_or_classify(f, true);
-      const StoreLookupResult b = without_table.lookup_or_classify(f, true);
-      ASSERT_EQ(a.class_id, b.class_id) << "n=" << n;
-      ASSERT_EQ(a.representative, b.representative) << "n=" << n;
-      ASSERT_EQ(apply_transform(f, a.to_representative), a.representative) << "n=" << n;
+  std::vector<TruthTable> funcs;
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << (1u << n)); ++bits) {
+    funcs.push_back(TruthTable::from_word(n, bits));
+  }
+  std::mt19937_64 rng{seed};
+  std::shuffle(funcs.begin(), funcs.end(), rng);
+  const std::size_t once = funcs.size();
+  for (std::size_t i = 0; i < once; ++i) {
+    funcs.push_back(funcs[i]);
+  }
+  return funcs;
+}
+
+TEST(Npn4Store, TableTierIdsMatchTheWalkClassifier)
+{
+  // A store learning a workload from empty through the table tier must
+  // allocate the ids of the sequential classifier (dense, by first
+  // occurrence) and of the orbit walk, keep each class's first query as its
+  // representative, and never canonicalize: the table changes HOW a class
+  // resolves, never WHICH class it is.
+  for (int n = 0; n <= 4; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<TruthTable> funcs =
+        n <= 3 ? exhaustive_workload(n, 0x5172ULL + static_cast<std::uint64_t>(n))
+               : random_workload(n, 0x5173ULL + static_cast<std::uint64_t>(n), 400);
+    const ClassificationResult expected = classify_exhaustive(funcs);
+    const ClassificationResult walked = classify_by_canonical(
+        funcs, [](const TruthTable& tt) { return exact_npn_canonical_walk(tt); });
+    ASSERT_EQ(expected.class_of, walked.class_of);
+
+    std::vector<std::optional<TruthTable>> first_query(expected.num_classes);
+    ClassStore store{n};
+    for (std::size_t i = 0; i < funcs.size(); ++i) {
+      const TruthTable& f = funcs[i];
+      const StoreLookupResult result = store.lookup_or_classify(f, /*append_on_miss=*/true);
+      const std::uint32_t id = expected.class_of[i];
+      ASSERT_EQ(result.class_id, id) << "function " << i;
+      if (!first_query[id].has_value()) {
+        first_query[id] = f;
+      }
+      ASSERT_EQ(result.representative, *first_query[id]) << "function " << i;
+      ASSERT_EQ(apply_transform(f, result.to_representative), result.representative);
     }
-    EXPECT_EQ(with_table.num_classes(), without_table.num_classes());
-    EXPECT_GT(with_table.num_table_hits(), 0u);
-    EXPECT_EQ(with_table.num_canonicalizations(), 0u)
-        << "a width <= 4 store must never canonicalize with the table on";
-    EXPECT_EQ(without_table.num_table_hits(), 0u);
+    EXPECT_EQ(store.num_classes(), expected.num_classes);
+    if (n <= 3) {
+      EXPECT_EQ(store.num_classes(), kExpectedClasses[n]);
+    }
+    EXPECT_GT(store.num_table_hits(), 0u);
+    EXPECT_EQ(store.num_canonicalizations(), 0u) << "a width <= 4 store must never canonicalize";
   }
 }
 
@@ -234,22 +267,6 @@ TEST(Npn4Store, ExhaustiveWidth4StoreServesEveryQueryFromTheTable)
   }
   EXPECT_EQ(store.num_canonicalizations(), 0u);
   EXPECT_GT(store.num_table_hits(), 0u);
-}
-
-TEST(Npn4Store, TableOffStoreStillWorksAndNeverCountsTableHits)
-{
-  ClassStoreOptions table_off;
-  table_off.use_npn4_table = false;
-  const auto funcs = random_workload(4, 0x0ffULL, 64);
-  StoreBuildOptions build_options;
-  build_options.store = table_off;
-  ClassStore store = build_class_store(funcs, build_options);
-  for (const TruthTable& f : funcs) {
-    const auto result = store.lookup(f);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_NE(result->source, LookupSource::kTable);
-  }
-  EXPECT_EQ(store.num_table_hits(), 0u);
 }
 
 TEST(Npn4Store, TransientMissesStayUnknownThroughTheTableTier)

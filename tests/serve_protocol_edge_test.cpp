@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/obs/registry.hpp"
 #include "facet/store/store_builder.hpp"
@@ -808,23 +809,32 @@ TEST(ServeProtocolEdge, SlowRequestThresholdLogsStructuredLines)
 TEST(ServeProtocolEdge, MemoHitsAppearInSrcAndStats)
 {
   // Hot cache off, so an equivalent repeat falls through to the semiclass
-  // memo instead of the exact-table cache; NPN4 table off, so a width-4
-  // store still exercises the memo and index tiers at all.
+  // memo instead of the exact-table cache; width 5, because a width <= 4
+  // store answers from the NPN4 table and never reaches the memo and index
+  // tiers.
+  const int n = 5;
   std::mt19937_64 rng{0xed33ULL};
   std::vector<TruthTable> funcs;
   for (std::size_t i = 0; i < 20; ++i) {
-    funcs.push_back(tt_random(4, rng));
+    funcs.push_back(tt_random(n, rng));
   }
   StoreBuildOptions build_options;
   build_options.store.hot_cache_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
 
+  // An NPN image of the representative with other words but the same
+  // semiclass image: the memo answers it once the first lookup filled it.
   const TruthTable rep = store.records().front().representative;
+  const TruthTable image = semiclass_form(rep).image;
   TruthTable variant = rep;
-  do {
-    variant = apply_transform(rep, NpnTransform::random(4, rng));
-  } while (variant == rep);
+  for (int attempt = 0; attempt < 4096; ++attempt) {
+    variant = apply_transform(rep, NpnTransform::random(n, rng));
+    if (variant != rep && semiclass_form(variant).image == image) {
+      break;
+    }
+  }
+  ASSERT_NE(variant, rep);
+  ASSERT_EQ(semiclass_form(variant).image, image);
 
   ServeStats stats;
   const auto lines = run_serve(

@@ -269,10 +269,7 @@ TEST(StoreSegment, OtherFormatVersionsAreRejectedOnEveryLoadPath)
   // Base files written by the retired layouts.
   for (const std::uint32_t version : {1u, 2u}) {
     SCOPED_TRACE("base version " + std::to_string(version));
-    const std::string bytes = legacy_base_file(version, built);
-    std::istringstream is{bytes};
-    expect_version_error([&] { (void)ClassStore::load(is); });
-    write_file(bad_path, bytes);
+    write_file(bad_path, legacy_base_file(version, built));
     expect_open_and_reload_reject();
   }
 
@@ -309,14 +306,14 @@ TEST(StoreSegment, OtherFormatVersionsAreRejectedOnEveryLoadPath)
 
 TEST(StoreSegment, FlushDeltaSealsTheMemtableIntoASegment)
 {
-  const int n = 4;
+  // Width 5, above the NPN4 table tier, which would answer every repeat
+  // at width <= 4. The semiclass memo would answer the post-flush repeats
+  // before the index; disable it so this test exercises the delta tier
+  // directly.
+  const int n = 5;
   const auto funcs = make_npn_workload(n, 15, 2, 0x5e604ULL);
-  // The semiclass memo (and, at width 4, the NPN4 table tier) would answer
-  // the post-flush repeats before the index; disable both so this test
-  // exercises the delta tier directly.
   StoreBuildOptions build_options;
   build_options.store.semiclass_memo_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
   const auto novel = novel_functions(store, 3, 0x5e605ULL);
 
@@ -346,11 +343,18 @@ TEST(StoreSegment, FlushDeltaSealsTheMemtableIntoASegment)
     EXPECT_EQ(hit->source, LookupSource::kIndex);
   }
   // And save() folds them into the serialized base.
-  std::ostringstream saved;
-  store.save(saved);
-  std::istringstream reload{saved.str()};
-  const ClassStore reloaded = ClassStore::load(reload);
+  const std::string path = temp_path("segment_flush_seal.fcs");
+  std::remove(ClassStore::delta_log_path(path).c_str());
+  store.save(path);
+  const ClassStore reloaded = ClassStore::open(path);
   EXPECT_EQ(reloaded.num_records(), store.num_records());
+  EXPECT_EQ(reloaded.num_delta_segments(), 0u);
+  for (std::size_t i = 0; i < novel.size(); ++i) {
+    const auto hit = reloaded.lookup(novel[i]);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->class_id, ids[i]);
+  }
+  std::remove(path.c_str());
 }
 
 class StoreDeltaRoundTrip : public ::testing::TestWithParam<bool> {};
