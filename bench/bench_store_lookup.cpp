@@ -32,9 +32,9 @@
 /// A fourth phase benchmarks the NPN4 norm-table tier on the exhaustive
 /// 16-bit workload: an empty width-4 store learning all 65,536 tables (ids
 /// must equal classify_exhaustive's, the store must never canonicalize),
-/// then cold lookups (every one src=table) and warm lookups, plus the
-/// table-dispatch canonicalizer rate on a sample checked against the
-/// orbit walk. Report: BENCH_npn4.json (--npn4-out).
+/// then cold lookups (every one src=table), plus the table-dispatch
+/// canonicalizer rate on a sample checked against the orbit walk.
+/// Report: BENCH_npn4.json (--npn4-out).
 ///
 /// A fifth phase benchmarks cold probes of the block-packed base-segment
 /// layout: --cold-records synthetic classes (default 1M at --cold-n 7),
@@ -629,10 +629,9 @@ int main(int argc, char** argv)
   npn4_identical = npn4_identical && npn4_store.num_classes() == kNpn4NumClasses &&
                    npn4_store.num_canonicalizations() == 0 && npn4_table_hits > 0;
 
-  // Cold + warm lookups over the fully-learned class set. Cold IS the
-  // steady state: every query is one table load + one slot load, the hot
-  // cache never consulted.
-  npn4_store.clear_hot_cache();
+  // Cold lookups over the fully-learned class set. Cold IS the steady
+  // state: every query is one table load + one slot load, the hot cache
+  // never consulted.
   watch.reset();
   for (std::size_t i = 0; i < npn4_funcs.size(); ++i) {
     const auto result = npn4_store.lookup(npn4_funcs[i]);
@@ -641,11 +640,6 @@ int main(int argc, char** argv)
                      result->source == LookupSource::kTable;
   }
   const double npn4_cold_seconds = watch.seconds();
-  watch.reset();
-  for (const auto& f : npn4_funcs) {
-    (void)npn4_store.lookup(f);
-  }
-  const double npn4_warm_seconds = watch.seconds();
   npn4_identical = npn4_identical && npn4_store.num_canonicalizations() == 0;
 
   // Canonicalizer throughput: the table dispatch on an n = 4 sample, then
@@ -666,12 +660,10 @@ int main(int argc, char** argv)
   const double npn4_table_rate = per_sec(npn4_sample, npn4_table_seconds);
   const double npn4_learn_rate = per_sec(npn4_funcs.size(), npn4_learn_seconds);
   const double npn4_cold_rate = per_sec(npn4_funcs.size(), npn4_cold_seconds);
-  const double npn4_warm_rate = per_sec(npn4_funcs.size(), npn4_warm_seconds);
 
   std::cout << "learn: " << npn4_learn_rate << " appends/s (" << npn4_table_hits
             << " table hits, 0 canonicalizations)\n"
             << "cold:  " << npn4_cold_rate << " lookups/s\n"
-            << "warm:  " << npn4_warm_rate << " lookups/s\n"
             << "canonicalizer (" << npn4_sample << " sampled): table " << npn4_table_rate
             << "/s\n"
             << "table-tier ids bit-identical to the sequential classifier: "
@@ -687,7 +679,6 @@ int main(int argc, char** argv)
             << "  \"classes\": " << kNpn4NumClasses << ",\n"
             << "  \"learn_on_appends_per_sec\": " << npn4_learn_rate << ",\n"
             << "  \"cold_on_lookups_per_sec\": " << npn4_cold_rate << ",\n"
-            << "  \"warm_on_lookups_per_sec\": " << npn4_warm_rate << ",\n"
             << "  \"table_hits\": " << npn4_table_hits << ",\n"
             << "  \"canon_sample\": " << npn4_sample << ",\n"
             << "  \"table_canon_per_sec\": " << npn4_table_rate << ",\n"

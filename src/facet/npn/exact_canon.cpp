@@ -5,6 +5,7 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "facet/npn/enumerate.hpp"
 #include "facet/npn/npn4_table.hpp"
@@ -141,6 +142,30 @@ CanonResult walk(const TruthTable& tt)
 /// Free variables of the blocks the face bound works on: kPnMin4's width.
 constexpr int kFaceVars = 4;
 
+/// The least value `c` ones can take in a block of at most 64 bits: all of
+/// them packed at the low end.
+[[nodiscard]] std::uint64_t packed_low(std::uint64_t c)
+{
+  return c >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c) - 1;
+}
+
+/// -1, 0 or 1 as a is less than, equal to or greater than b.
+[[nodiscard]] int three_way(std::uint64_t a, std::uint64_t b) { return a == b ? 0 : (a > b ? 1 : -1); }
+
+/// Compares `c` ones packed low in a block of `words` whole words against
+/// the block `iw`, most significant word first.
+[[nodiscard]] int compare_packed_words(std::uint64_t c, const std::uint64_t* iw, std::size_t words)
+{
+  for (std::size_t w = words; w-- > 0;) {
+    const std::uint64_t base = static_cast<std::uint64_t>(w) * 64;
+    const int cmp = three_way(packed_low(c > base ? c - base : 0), iw[w]);
+    if (cmp != 0) {
+      return cmp;
+    }
+  }
+  return 0;
+}
+
 /// Least value any completion can give a block of 2^k bits holding `block`
 /// (k free variables): the remaining transforms permute and complement
 /// those k variables, so for k <= 4 the block's PN-minimum is exact; above
@@ -150,19 +175,43 @@ constexpr int kFaceVars = 4;
   if (k <= kFaceVars) {
     return pn_min(k, block);
   }
-  const int c = popcount64(block);
-  return c >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c) - 1;
+  return packed_low(static_cast<std::uint64_t>(popcount64(block)));
 }
 
-/// Swaps table positions a and b of a single-word table (n <= 6).
+// Table primitives of the branch-and-bound, one overload per table
+// representation: a single 64-bit word for n <= 6, a TruthTable for
+// n = 7, 8 (so the TruthTable overloads always see at least two words).
+// A depth-d "top block" is the table's most significant 2^(n-d) bits.
+
+[[nodiscard]] std::uint64_t complement(std::uint64_t w, int n) { return ~w & low_bits_mask(n); }
+
+[[nodiscard]] TruthTable complement(const TruthTable& t, int /*n*/) { return ~t; }
+
+[[nodiscard]] TruthTable to_truth_table(std::uint64_t w, int n) { return TruthTable::from_word(n, w); }
+
+[[nodiscard]] TruthTable to_truth_table(TruthTable t, int /*n*/) { return t; }
+
+[[nodiscard]] std::uint64_t count_ones(std::uint64_t w)
+{
+  return static_cast<std::uint64_t>(popcount64(w));
+}
+
+[[nodiscard]] std::uint64_t count_ones(const TruthTable& t) { return t.count_ones(); }
+
+/// Swaps table positions a <= b.
 void swap_positions(std::uint64_t& w, int a, int b)
 {
   if (a != b) {
-    w = swap_in_word(w, std::min(a, b), std::max(a, b));
+    w = swap_in_word(w, a, b);
   }
 }
 
 void swap_positions(TruthTable& t, int a, int b) { swap_vars_in_place(t, a, b); }
+
+/// Complements table position p (the bits above a sub-word table stay zero).
+void flip_position(std::uint64_t& w, int p) { w = flip_in_word(w, p); }
+
+void flip_position(TruthTable& t, int p) { flip_var_in_place(t, p); }
 
 /// The c-th 16-bit chunk of a table: the 4-variable face its top positions
 /// select with value c.
@@ -171,6 +220,111 @@ void swap_positions(TruthTable& t, int a, int b) { swap_vars_in_place(t, a, b); 
 [[nodiscard]] std::uint64_t chunk16(const TruthTable& t, unsigned c)
 {
   return (t.word(c >> 2) >> (16 * (c & 3))) & 0xFFFF;
+}
+
+/// Ones of r's depth-level top block restricted to minterms where the
+/// variable at position `s` is 1 (s is below the assigned region).
+[[nodiscard]] std::uint64_t masked_top_count(std::uint64_t r, int n, int depth, int s)
+{
+  const std::uint64_t bits = std::uint64_t{1} << n;
+  const std::uint64_t region = bits >> depth;
+  const std::uint64_t region_mask =
+      (region >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << region) - 1) << (bits - region));
+  return count_ones(r & region_mask & kVarMask[static_cast<std::size_t>(s)]);
+}
+
+[[nodiscard]] std::uint64_t masked_top_count(const TruthTable& r, int /*n*/, int depth, int s)
+{
+  const std::uint64_t bits = r.num_bits();
+  const std::uint64_t region = bits >> depth;
+  if (region >= 64) {
+    std::uint64_t count = 0;
+    for (std::size_t w = (bits - region) >> 6; w < (bits >> 6); ++w) {
+      if (s >= kVarsPerWord) {
+        if (((w >> (s - kVarsPerWord)) & 1u) != 0) {
+          count += count_ones(r.word(w));
+        }
+      } else {
+        count += count_ones(r.word(w) & kVarMask[static_cast<std::size_t>(s)]);
+      }
+    }
+    return count;
+  }
+  // Sub-word region in the last word; s is in-word (s < log2(region) < 6).
+  const std::uint64_t region_mask = ((std::uint64_t{1} << region) - 1) << (64 - region);
+  return count_ones(r.words().back() & region_mask & kVarMask[static_cast<std::size_t>(s)]);
+}
+
+/// Compares `c` ones packed low against the incumbent's depth-level top
+/// block: >0 means the packed bound alone already exceeds the incumbent
+/// there (prune), 0 a tie, <0 strictly smaller.
+[[nodiscard]] int compare_packed_top(std::uint64_t inc, int n, std::uint64_t c, int depth)
+{
+  const std::uint64_t bits = std::uint64_t{1} << n;
+  return three_way(packed_low(c), inc >> (bits - (bits >> depth)));
+}
+
+[[nodiscard]] int compare_packed_top(const TruthTable& inc, int /*n*/, std::uint64_t c, int depth)
+{
+  const std::uint64_t bits = inc.num_bits();
+  const std::uint64_t block = bits >> depth;
+  if (block <= 64) {
+    return three_way(packed_low(c), inc.words().back() >> (64 - block));
+  }
+  return compare_packed_words(c, inc.words().data() + ((bits - block) >> 6),
+                              static_cast<std::size_t>(block >> 6));
+}
+
+/// True iff no completion of node `r` at `depth` can beat the incumbent:
+/// compares the per-block floor (block_floor: PN-minimum up to 4 free
+/// variables, packed low above) against `inc`, most significant block
+/// first. Equality prunes too (only strict improvements matter).
+[[nodiscard]] bool bound_prunes(std::uint64_t r, std::uint64_t inc, int n, int depth)
+{
+  const int block_log = n - depth;
+  const std::uint64_t mask = low_bits_mask(block_log);
+  for (std::uint64_t block = std::uint64_t{1} << depth; block-- > 0;) {
+    const std::uint64_t shift = block << block_log;
+    const std::uint64_t bv = block_floor((r >> shift) & mask, block_log);
+    const std::uint64_t iv = (inc >> shift) & mask;
+    if (bv != iv) {
+      return bv > iv;
+    }
+  }
+  return true;
+}
+
+[[nodiscard]] bool bound_prunes(const TruthTable& r, const TruthTable& inc, int n, int depth)
+{
+  const int block_log = n - depth;
+  if (block_log >= kVarsPerWord) {
+    // Blocks span whole words; above 4 free variables the floor is packed low.
+    const std::size_t words_per_block = std::size_t{1} << (block_log - kVarsPerWord);
+    for (std::size_t block = std::size_t{1} << depth; block-- > 0;) {
+      const std::uint64_t* rw = r.words().data() + block * words_per_block;
+      std::uint64_t c = 0;
+      for (std::size_t w = 0; w < words_per_block; ++w) {
+        c += count_ones(rw[w]);
+      }
+      const int cmp = compare_packed_words(c, inc.words().data() + block * words_per_block,
+                                           words_per_block);
+      if (cmp != 0) {
+        return cmp > 0;
+      }
+    }
+    return true;
+  }
+  // Sub-word blocks (they never straddle a word: power-of-two sizes).
+  const std::uint64_t mask = low_bits_mask(block_log);
+  for (std::uint64_t block = std::uint64_t{1} << depth; block-- > 0;) {
+    const std::uint64_t bit = block << block_log;
+    const std::uint64_t bv = block_floor((r.word(bit >> 6) >> (bit & 63)) & mask, block_log);
+    const std::uint64_t iv = (inc.word(bit >> 6) >> (bit & 63)) & mask;
+    if (bv != iv) {
+      return bv > iv;
+    }
+  }
+  return true;
 }
 
 /// The (n-4)-variable faces (cofactors) of f and ~f whose PN-minimum is
@@ -290,50 +444,78 @@ class LeastFaces {
 /// semiclass ordering — so the enumeration only descends into
 /// permutation/phase prefixes consistent with a still-improvable cofactor
 /// ordering instead of the full 2^(n+1) * n! orbit.
-template <bool track>
+///
+/// The search is written once over two table representations, and only the
+/// table primitives above differ: `Table` is one std::uint64_t for n <= 6 and
+/// a TruthTable for n = 7, 8. The store's hot range n = 5, 6 keeps the word:
+/// there every node operation is a few register instructions and nodes pass
+/// by value, while the multi-word table measured 16-27% slower at those
+/// widths on circuit functions.
+template <typename Table, bool track>
 class Bnb {
  public:
-  Bnb(const TruthTable& tt, const SemiclassResult& seed) : n_{tt.num_vars()}, faces_{tt, n_}
+  Bnb(const TruthTable& tt, const SemiclassResult& seed)
+      : n_{tt.num_vars()}, faces_{table_of(tt), n_}, best_{table_of(seed.image)},
+        best_transform_{seed.transform}
   {
-    best_.canonical = seed.image;
-    best_.transform = seed.transform;
     for (int out = 0; out <= 1; ++out) {
       output_neg_ = out == 1;
-      const TruthTable root = output_neg_ ? ~tt : tt;
+      const Table root = output_neg_ ? complement(table_of(tt), n_) : table_of(tt);
       std::iota(vars_at_.begin(), vars_at_.begin() + n_, 0);
-      if (faces_.any(output_neg_) && !bound_prunes(root, 0)) {
-        descend(root, 0, root.count_ones(), 0, 0);
-      }
-    }
-    if constexpr (track) {
-      // The store's bit-identity guarantee rides on this witness; fail loudly
-      // rather than return a transform that does not reproduce the canonical.
-      if (apply_transform_fast(tt, best_.transform) != best_.canonical) {
-        throw std::logic_error("exact_npn_canonical: branch-and-bound witness failed verification");
+      if (faces_.any(output_neg_) && !bound_prunes(root, best_, n_, 0)) {
+        descend(root, 0, count_ones(root), 0, 0);
       }
     }
   }
 
-  [[nodiscard]] CanonResult result() && { return std::move(best_); }
+  /// The canonical form of `tt` (the table searched) and, with `track`,
+  /// its witness.
+  [[nodiscard]] CanonResult result(const TruthTable& tt) &&
+  {
+    CanonResult out{to_truth_table(std::move(best_), n_), best_transform_};
+    if constexpr (track) {
+      // The store's bit-identity guarantee rides on this witness; fail loudly
+      // rather than return a transform that does not reproduce the canonical.
+      if (apply_transform_fast(tt, out.transform) != out.canonical) {
+        throw std::logic_error("exact_npn_canonical: branch-and-bound witness failed verification");
+      }
+    }
+    return out;
+  }
 
  private:
+  static constexpr bool kWord = std::is_same_v<Table, std::uint64_t>;
+  /// The widest n the representation serves.
+  static constexpr int kWidth = kWord ? kVarsPerWord : 8;
+  /// Word nodes pass by value: a const& cost 10-15% at n = 5.
+  using Node = std::conditional_t<kWord, Table, const Table&>;
+
   struct Candidate {
     std::uint64_t top_count = 0;
     int slot = 0;
     int phase = 0;
   };
 
+  [[nodiscard]] static Table table_of(const TruthTable& t)
+  {
+    if constexpr (kWord) {
+      return t.word(0);
+    } else {
+      return t;
+    }
+  }
+
   /// `top_count` is the popcount of r's most significant depth-level block
   /// (the whole table at the root), passed down so each child's new
   /// top-block count follows from one masked popcount on the parent. The
   /// assigned source variables are `fixed_vars`; `fixed_values` holds the
   /// value each takes in the top block (1 for phase 0).
-  void descend(const TruthTable& r, int depth, std::uint64_t top_count, unsigned fixed_vars,
+  void descend(Node r, int depth, std::uint64_t top_count, unsigned fixed_vars,
                unsigned fixed_values)
   {
     if (depth == n_) {
-      if (r < best_.canonical) {
-        best_.canonical = r;
+      if (r < best_) {
+        best_ = r;
         if constexpr (track) {
           NpnTransform t = NpnTransform::identity(n_);
           t.output_neg = output_neg_;
@@ -342,7 +524,7 @@ class Bnb {
             t.perm[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(n_ - 1 - k);
             t.input_neg |= static_cast<std::uint32_t>(assigned_phase_[static_cast<std::size_t>(k)]) << v;
           }
-          best_.transform = t;
+          best_transform_ = t;
         }
       }
       return;
@@ -357,15 +539,15 @@ class Bnb {
     // here.
     const int target = n_ - 1 - depth;
     const std::array<unsigned, 2> face_vars = faces_.allowed(output_neg_, fixed_vars, fixed_values);
-    std::array<Candidate, 16> candidates;
+    std::array<Candidate, 2 * kWidth> candidates;
     std::size_t count = 0;
     for (int s = 0; s <= target; ++s) {
-      const std::uint64_t ones_side = masked_top_count(r, depth, s);
+      const std::uint64_t ones_side = masked_top_count(r, n_, depth, s);
       const std::uint64_t counts[2] = {ones_side, top_count - ones_side};
       const int var = vars_at_[static_cast<std::size_t>(s)];
       for (int p = 0; p <= 1; ++p) {
         if (((face_vars[static_cast<std::size_t>(p)] >> var) & 1u) == 0 ||
-            compare_packed_with_incumbent_top(counts[p], depth + 1) > 0) {
+            compare_packed_top(best_, n_, counts[p], depth + 1) > 0) {
           continue;
         }
         candidates[count++] = Candidate{counts[p], s, p};
@@ -390,18 +572,31 @@ class Bnb {
       // for materialization. A strictly smaller packed top block is rarely
       // pruned by the full bound (above 4 free variables never: the first
       // differing block decides), so the full scan only runs on ties.
-      const int cmp = compare_packed_with_incumbent_top(c.top_count, depth + 1);
+      const int cmp = compare_packed_top(best_, n_, c.top_count, depth + 1);
       if (cmp > 0) {
         continue;
       }
-      TruthTable child = r;
+      if constexpr (kWord) {
+        // On a tie, the second block (the other half of the parent's top
+        // block, whose count is known) packed low above the incumbent's
+        // prunes too, still without materializing the child.
+        if (cmp == 0) {
+          const std::uint64_t bits = std::uint64_t{1} << n_;
+          const std::uint64_t sub = bits >> (depth + 1);
+          const std::uint64_t iv2 = (best_ >> (bits - 2 * sub)) & ((std::uint64_t{1} << sub) - 1);
+          if (packed_low(top_count - c.top_count) > iv2) {
+            continue;
+          }
+        }
+      }
+      Table child = r;
       if (c.slot != target) {
-        swap_vars_in_place(child, c.slot, target);
+        swap_positions(child, c.slot, target);
       }
       if (c.phase != 0) {
-        flip_var_in_place(child, target);
+        flip_position(child, target);
       }
-      if (cmp == 0 && bound_prunes(child, depth + 1)) {
+      if (cmp == 0 && bound_prunes(child, best_, n_, depth + 1)) {
         continue;
       }
       const int v = vars_at_[static_cast<std::size_t>(c.slot)];
@@ -419,305 +614,10 @@ class Bnb {
     }
   }
 
-  /// Ones of r's depth-level top block restricted to minterms where the
-  /// variable at position `s` is 1 (s is below the assigned region).
-  [[nodiscard]] static std::uint64_t masked_top_count(const TruthTable& r, int depth, int s)
-  {
-    const std::uint64_t bits = r.num_bits();
-    const std::uint64_t region = bits >> depth;
-    if (bits <= 64) {
-      const std::uint64_t region_mask =
-          (region >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << region) - 1) << (bits - region));
-      return static_cast<std::uint64_t>(
-          popcount64(r.word(0) & region_mask & kVarMask[static_cast<std::size_t>(s)]));
-    }
-    if (region >= 64) {
-      std::uint64_t count = 0;
-      for (std::size_t w = (bits - region) >> 6; w < (bits >> 6); ++w) {
-        if (s >= kVarsPerWord) {
-          if (((w >> (s - kVarsPerWord)) & 1u) != 0) {
-            count += static_cast<std::uint64_t>(popcount64(r.word(w)));
-          }
-        } else {
-          count += static_cast<std::uint64_t>(
-              popcount64(r.word(w) & kVarMask[static_cast<std::size_t>(s)]));
-        }
-      }
-      return count;
-    }
-    // Sub-word region in the last word; s is in-word (s < log2(region) < 6).
-    const std::uint64_t word = r.word((bits - 1) >> 6);
-    const std::uint64_t region_mask = ((std::uint64_t{1} << region) - 1) << (64 - region);
-    return static_cast<std::uint64_t>(
-        popcount64(word & region_mask & kVarMask[static_cast<std::size_t>(s)]));
-  }
-
-  /// Compares the packed-low value of `c` ones against the incumbent's
-  /// depth-level top block: >0 means the packed bound alone already exceeds
-  /// the incumbent there (prune), 0 a tie, <0 strictly smaller.
-  [[nodiscard]] int compare_packed_with_incumbent_top(std::uint64_t c, int depth) const
-  {
-    const TruthTable& inc = best_.canonical;
-    const std::uint64_t bits = inc.num_bits();
-    const std::uint64_t block = bits >> depth;
-    if (block <= 64) {
-      std::uint64_t iv;
-      if (bits <= 64) {
-        iv = inc.word(0) >> (bits - block);
-      } else {
-        iv = inc.word((bits - 1) >> 6) >> (64 - block);
-      }
-      const std::uint64_t bv = c >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c) - 1;
-      return bv == iv ? 0 : (bv > iv ? 1 : -1);
-    }
-    const std::size_t words_per_block = static_cast<std::size_t>(block >> 6);
-    const std::uint64_t* iw = inc.words().data() + ((bits - block) >> 6);
-    for (std::size_t w = words_per_block; w-- > 0;) {
-      const std::uint64_t base = static_cast<std::uint64_t>(w) * 64;
-      std::uint64_t bw = 0;
-      if (c >= base + 64) {
-        bw = ~std::uint64_t{0};
-      } else if (c > base) {
-        bw = (std::uint64_t{1} << (c - base)) - 1;
-      }
-      if (bw != iw[w]) {
-        return bw > iw[w] ? 1 : -1;
-      }
-    }
-    return 0;
-  }
-
-  /// True iff no completion of node `r` at `depth` can beat the incumbent:
-  /// compares the per-block floor (block_floor: PN-minimum up to 4 free
-  /// variables, packed low above) against best_, most significant block
-  /// first. Equality prunes too (only strict improvements matter).
-  [[nodiscard]] bool bound_prunes(const TruthTable& r, int depth) const
-  {
-    const TruthTable& inc = best_.canonical;
-    const std::uint64_t bits = r.num_bits();
-    const int block_log = n_ - depth;
-
-    if (bits > 64 && block_log >= 6) {
-      // Blocks span whole words.
-      const std::size_t words_per_block = std::size_t{1} << (block_log - 6);
-      for (std::size_t block = std::size_t{1} << depth; block-- > 0;) {
-        const std::uint64_t* rw = r.words().data() + block * words_per_block;
-        const std::uint64_t* iw = inc.words().data() + block * words_per_block;
-        std::uint64_t c = 0;
-        for (std::size_t w = 0; w < words_per_block; ++w) {
-          c += static_cast<std::uint64_t>(popcount64(rw[w]));
-        }
-        for (std::size_t w = words_per_block; w-- > 0;) {
-          const std::uint64_t base = static_cast<std::uint64_t>(w) * 64;
-          std::uint64_t bw = 0;
-          if (c >= base + 64) {
-            bw = ~std::uint64_t{0};
-          } else if (c > base) {
-            bw = (std::uint64_t{1} << (c - base)) - 1;
-          }
-          if (bw != iw[w]) {
-            return bw > iw[w];
-          }
-        }
-      }
-      return true;
-    }
-
-    // Sub-word blocks (they never straddle a word: power-of-two sizes).
-    const std::uint64_t block_bits = bits >> depth;
-    const std::uint64_t mask =
-        block_bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << block_bits) - 1;
-    for (std::uint64_t block = std::uint64_t{1} << depth; block-- > 0;) {
-      const std::uint64_t bit = block * block_bits;
-      const std::uint64_t rv = (r.word(bit >> 6) >> (bit & 63)) & mask;
-      const std::uint64_t iv = (inc.word(bit >> 6) >> (bit & 63)) & mask;
-      const std::uint64_t bv = block_floor(rv, block_log);
-      if (bv != iv) {
-        return bv > iv;
-      }
-    }
-    return true;
-  }
-
   int n_;
-  LeastFaces<70 * 16> faces_;
-  CanonResult best_;
-  bool output_neg_ = false;
-  std::array<int, 8> vars_at_{};
-  std::array<int, 8> assigned_var_{};
-  std::array<int, 8> assigned_phase_{};
-};
-
-/// Single-word specialization of the branch-and-bound for 5 <= n <= 6 — the
-/// store's hot range, where the whole table is one 64-bit word and every
-/// node operation is a handful of register instructions. Same search, same
-/// traversal order, bit-identical results to Bnb (property-tested via the
-/// walk oracle).
-template <bool track>
-class WordBnb {
- public:
-  WordBnb(const TruthTable& tt, const SemiclassResult& seed)
-      : n_{tt.num_vars()}, bits_{tt.num_bits()}, faces_{tt.word(0), n_}
-  {
-    best_word_ = seed.image.word(0);
-    best_transform_ = seed.transform;
-    const std::uint64_t table_mask = low_bits_mask(n_);
-    for (int out = 0; out <= 1; ++out) {
-      output_neg_ = out == 1;
-      const std::uint64_t root = (out != 0 ? ~tt.word(0) : tt.word(0)) & table_mask;
-      std::iota(vars_at_.begin(), vars_at_.begin() + n_, 0);
-      if (faces_.any(output_neg_) && !bound_prunes(root, 0)) {
-        descend(root, 0, static_cast<std::uint64_t>(popcount64(root)), 0, 0);
-      }
-    }
-  }
-
-  [[nodiscard]] CanonResult result(const TruthTable& tt) &&
-  {
-    CanonResult out;
-    out.canonical = TruthTable::from_word(n_, best_word_);
-    out.transform = best_transform_;
-    if constexpr (track) {
-      if (apply_transform_fast(tt, out.transform) != out.canonical) {
-        throw std::logic_error("exact_npn_canonical: branch-and-bound witness failed verification");
-      }
-    }
-    return out;
-  }
-
- private:
-  void descend(std::uint64_t r, int depth, std::uint64_t top_count, unsigned fixed_vars,
-               unsigned fixed_values)
-  {
-    if (depth == n_) {
-      if (r < best_word_) {
-        best_word_ = r;
-        if constexpr (track) {
-          NpnTransform t = NpnTransform::identity(n_);
-          t.output_neg = output_neg_;
-          for (int k = 0; k < n_; ++k) {
-            const int v = assigned_var_[static_cast<std::size_t>(k)];
-            t.perm[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(n_ - 1 - k);
-            t.input_neg |= static_cast<std::uint32_t>(assigned_phase_[static_cast<std::size_t>(k)]) << v;
-          }
-          best_transform_ = t;
-        }
-      }
-      return;
-    }
-
-    const int target = n_ - 1 - depth;
-    const std::uint64_t region = bits_ >> depth;
-    const std::uint64_t region_mask =
-        (region >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << region) - 1) << (bits_ - region));
-
-    const std::array<unsigned, 2> face_vars = faces_.allowed(output_neg_, fixed_vars, fixed_values);
-    std::array<Candidate, 12> candidates;
-    std::size_t count = 0;
-    for (int s = 0; s <= target; ++s) {
-      const std::uint64_t ones_side = static_cast<std::uint64_t>(
-          popcount64(r & region_mask & kVarMask[static_cast<std::size_t>(s)]));
-      const std::uint64_t counts[2] = {ones_side, top_count - ones_side};
-      const int var = vars_at_[static_cast<std::size_t>(s)];
-      for (int p = 0; p <= 1; ++p) {
-        if (((face_vars[static_cast<std::size_t>(p)] >> var) & 1u) == 0 ||
-            compare_packed_with_incumbent_top(counts[p], depth + 1) > 0) {
-          continue;
-        }
-        candidates[count++] = Candidate{counts[p], s, p};
-      }
-    }
-    std::sort(candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(count),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.top_count != b.top_count) {
-                  return a.top_count < b.top_count;
-                }
-                if (a.slot != b.slot) {
-                  return a.slot < b.slot;
-                }
-                return a.phase < b.phase;
-              });
-
-    for (std::size_t k = 0; k < count; ++k) {
-      const Candidate& c = candidates[k];
-      const int cmp = compare_packed_with_incumbent_top(c.top_count, depth + 1);
-      if (cmp > 0) {
-        continue;
-      }
-      if (cmp == 0) {
-        // First blocks tie; compare the second (the other half of the
-        // parent's top block, whose count we already know) before paying for
-        // materialization. Strictly-greater packed bound there prunes.
-        const std::uint64_t sub = bits_ >> (depth + 1);
-        const std::uint64_t iv2 =
-            (best_word_ >> (bits_ - 2 * sub)) & ((std::uint64_t{1} << sub) - 1);
-        const std::uint64_t c2 = top_count - c.top_count;
-        const std::uint64_t bv2 = c2 >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c2) - 1;
-        if (bv2 > iv2) {
-          continue;
-        }
-      }
-      std::uint64_t child = r;
-      if (c.slot != target) {
-        child = swap_in_word(child, c.slot, target);
-      }
-      if (c.phase != 0) {
-        child = flip_in_word(child, target) & low_bits_mask(n_);
-      }
-      if (cmp == 0 && bound_prunes(child, depth + 1)) {
-        continue;
-      }
-      const int v = vars_at_[static_cast<std::size_t>(c.slot)];
-      const int displaced = vars_at_[static_cast<std::size_t>(target)];
-      vars_at_[static_cast<std::size_t>(c.slot)] = displaced;
-      vars_at_[static_cast<std::size_t>(target)] = v;
-      if constexpr (track) {
-        assigned_var_[static_cast<std::size_t>(depth)] = v;
-        assigned_phase_[static_cast<std::size_t>(depth)] = c.phase;
-      }
-      descend(child, depth + 1, c.top_count, fixed_vars | 1u << v,
-              c.phase == 0 ? fixed_values | 1u << v : fixed_values);
-      vars_at_[static_cast<std::size_t>(c.slot)] = v;
-      vars_at_[static_cast<std::size_t>(target)] = displaced;
-    }
-  }
-
-  struct Candidate {
-    std::uint64_t top_count = 0;
-    int slot = 0;
-    int phase = 0;
-  };
-
-  [[nodiscard]] int compare_packed_with_incumbent_top(std::uint64_t c, int depth) const
-  {
-    const std::uint64_t block = bits_ >> depth;
-    const std::uint64_t iv = best_word_ >> (bits_ - block);
-    const std::uint64_t bv = c >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << c) - 1;
-    return bv == iv ? 0 : (bv > iv ? 1 : -1);
-  }
-
-  [[nodiscard]] bool bound_prunes(std::uint64_t r, int depth) const
-  {
-    const int block_log = n_ - depth;
-    const std::uint64_t block_bits = bits_ >> depth;
-    const std::uint64_t mask =
-        block_bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << block_bits) - 1;
-    for (std::uint64_t block = std::uint64_t{1} << depth; block-- > 0;) {
-      const std::uint64_t shift = block * block_bits;
-      const std::uint64_t rv = (r >> shift) & mask;
-      const std::uint64_t iv = (best_word_ >> shift) & mask;
-      const std::uint64_t bv = block_floor(rv, block_log);
-      if (bv != iv) {
-        return bv > iv;
-      }
-    }
-    return true;
-  }
-
-  int n_;
-  std::uint64_t bits_;
-  LeastFaces<15 * 4> faces_;
-  std::uint64_t best_word_ = 0;
+  /// Capacity C(n, n-4) * 2^(n-4) at the widest n of the representation.
+  LeastFaces<kWord ? 15 * 4 : 70 * 16> faces_;
+  Table best_;
   NpnTransform best_transform_;
   bool output_neg_ = false;
   std::array<int, 8> vars_at_{};
@@ -742,8 +642,8 @@ CanonResult canonical_dispatch(const TruthTable& tt, const SemiclassResult* seed
     own = semiclass_form(tt);
     seed = &*own;
   }
-  CanonResult result = n <= kVarsPerWord ? WordBnb<track>{tt, *seed}.result(tt)
-                                         : Bnb<track>{tt, *seed}.result();
+  CanonResult result = n <= kVarsPerWord ? Bnb<std::uint64_t, track>{tt, *seed}.result(tt)
+                                         : Bnb<TruthTable, track>{tt, *seed}.result(tt);
   latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
   return result;
 }

@@ -37,6 +37,13 @@
 ///       value agrees with, and an output polarity with no such face is
 ///       skipped whole.
 ///
+///    The search is one class template over two table representations:
+///    one 64-bit word for n <= 6 and a multi-word TruthTable for n = 7, 8.
+///    Only the table primitives (popcounts, swaps, flips, block compares)
+///    differ. n = 5, 6 keep the word because they are the store's hot
+///    range: a node is a register passed by value, and running the
+///    multi-word table there was measured 16-27% slower.
+///
 ///    Every cut removes only subtrees with no leaf equal to the canonical
 ///    form, and the traversal order (sparsest top block first, then slot,
 ///    then phase) does not depend on the bounds. So the witness — the

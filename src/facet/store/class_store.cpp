@@ -360,17 +360,15 @@ std::vector<StoreRecord> ClassStore::persisted_records() const
 
 // -- persistence -------------------------------------------------------------
 
-void ClassStore::save(std::ostream& os) const
-{
-  const std::vector<StoreRecord> merged = persisted_records();
-  // Loaded after the records are collected, so the header's class count
-  // bounds every collected id even if an append lands in between.
-  write_base_segment(os, num_vars_, num_classes(), merged);
-}
-
 void ClassStore::save(const std::string& path) const
 {
-  rename_into_place(write_tmp_file(path, [&](std::ostream& os) { save(os); }), path);
+  const std::string tmp = write_tmp_file(path, [&](std::ostream& os) {
+    const std::vector<StoreRecord> merged = persisted_records();
+    // Loaded after the records are collected, so the header's class count
+    // bounds every collected id even if an append lands in between.
+    write_base_segment(os, num_vars_, num_classes(), merged);
+  });
+  rename_into_place(tmp, path);
 }
 
 ClassStore::StoredTiers ClassStore::read_tiers(const std::string& path, bool use_mmap,

@@ -295,11 +295,9 @@ class ClassStore {
 
   // -- persistence ---------------------------------------------------------
 
-  /// Serializes base + deltas + memtable, re-sorted by canonical form, as
-  /// one fresh base segment. Live-transient class ids (non-appending
-  /// misses) are not persisted. The path overload writes a tmp file and
-  /// renames it over `path`.
-  void save(std::ostream& os) const;
+  /// Writes base + deltas + memtable, re-sorted by canonical form, as one
+  /// fresh base segment to a tmp file renamed over `path`. Live-transient
+  /// class ids (non-appending misses) are not persisted.
   void save(const std::string& path) const;
 
   /// Opens `path` and replays its delta log (delta_log_path(path)) if

@@ -24,6 +24,7 @@
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
+#include "facet/store/segment.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/store/store_format.hpp"
 #include "facet/tt/tt_generate.hpp"
@@ -65,10 +66,11 @@ std::optional<TruthTable> same_image_sibling(const TruthTable& f, std::mt19937_6
   return std::nullopt;
 }
 
+/// The bytes save() writes: every persisted record as one base segment.
 std::string serialize(const ClassStore& store)
 {
   std::ostringstream os;
-  store.save(os);
+  write_base_segment(os, store.num_vars(), store.num_classes(), store.persisted_records());
   return os.str();
 }
 

@@ -226,6 +226,17 @@ TEST(ExactCanon, SearchMatchesWalk)
   for (int i = 0; i < 20; ++i) {
     funcs.push_back(tt_random(7, rng));
   }
+  // n = 7 with 1-4 ones and their complements: the multi-word search's
+  // sub-word blocks and packed-low ties.
+  for (std::uint64_t ones = 1; ones <= 4; ++ones) {
+    for (int i = 0; i < 2; ++i) {
+      const TruthTable f = tt_random_with_ones(7, ones, rng);
+      funcs.push_back(f);
+      funcs.push_back(~f);
+    }
+  }
+  funcs.push_back(tt_threshold(7, 2));
+  funcs.push_back(tt_majority(7));
   for (const TruthTable& f : funcs) {
     EXPECT_EQ(exact_npn_canonical(f), exact_npn_canonical_walk(f)) << to_hex(f);
   }

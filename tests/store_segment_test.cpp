@@ -714,7 +714,8 @@ TEST(StoreSegment, WriteBaseSegmentRejectsNothingButStreamsDoFail)
   const ClassStore built = build_class_store(funcs, {});
   std::ostringstream os;
   os.setstate(std::ios::badbit);
-  EXPECT_THROW(built.save(os), StoreFormatError);
+  EXPECT_THROW(write_base_segment(os, n, built.num_classes(), built.persisted_records()),
+               StoreFormatError);
 }
 
 }  // namespace
