@@ -4,7 +4,7 @@
 /// Measures, on a circuit-derived n-variable dataset:
 ///   * index build time (BatchEngine classification + record assembly);
 ///   * cold lookup throughput — empty hot cache, every query pays one
-///     canonicalization plus a binary search;
+///     canonicalization plus an index probe;
 ///   * warm lookup throughput — the repeat pass, answered by the
 ///     set-associative hot cache except where a set evicted a query (its
 ///     hot-cache share is reported), the steady state of a serving workload;
@@ -24,9 +24,12 @@
 /// whole workload through lookup_or_classify(append_on_miss) — once with
 /// the semiclass memo enabled, once disabled — with every id checked
 /// against the BatchEngine reference, plus a branch-and-bound vs orbit-walk
-/// canonicalizer micro-benchmark on the workload and fixed-work
+/// canonicalizer micro-benchmark on the workload, fixed-work
 /// canonicalizer rows on seeded random functions at n = 5, 6, 7 (us/op as
-/// the min of 7 passes, each row checked against the walk).
+/// the min of 7 passes, each row checked against the walk), and fixed-work
+/// `index_miss_probe` rows: ns per find_canonical of a key no tier holds,
+/// over a materialized n = 6 base of 180k seeded records plus 0, 8 and 16
+/// delta runs of 2,048 (min of 7 passes; every answer checked).
 /// Report: BENCH_store_misspath.json (--misspath-out).
 ///
 /// A fourth phase benchmarks the NPN4 norm-table tier on the exhaustive
@@ -122,6 +125,83 @@ facet::ClassStore make_synthetic_store(int n, std::size_t count, std::uint64_t s
   return ClassStore{n, std::move(records), count};
 }
 
+/// One `index_miss_probe` row: find_canonical of keys no tier holds, over a
+/// materialized base plus `runs` delta runs.
+struct IndexProbeRow {
+  std::size_t runs = 0;
+  std::size_t probes = 0;
+  double ns_per_op = 0.0;
+  bool identical = true;
+};
+
+/// The fixed index-probe workload: a materialized n = 6 base of
+/// kIndexProbeBase records, up to kIndexProbeMaxRuns delta runs of
+/// kIndexProbeRunRecords, and keys absent from all of them — every set
+/// seeded, so rows compare across commits.
+constexpr int kIndexProbeN = 6;
+constexpr std::size_t kIndexProbeBase = 180000;
+constexpr std::size_t kIndexProbeRunRecords = 2048;
+constexpr std::size_t kIndexProbeMaxRuns = 16;
+constexpr std::size_t kIndexProbeMisses = 20000;
+constexpr int kIndexProbePasses = 7;
+
+/// Measures one row: writes the base and the first `runs` delta frames at
+/// `path`, opens the store without mmap (base and runs materialized), and
+/// times find_canonical over `misses` (min of kIndexProbePasses passes).
+/// Identity: every miss answers nullopt, and every 61st present key (base
+/// and runs) answers the class id it was written with.
+IndexProbeRow measure_index_miss_probe(const std::string& path, std::size_t runs,
+                                       const std::vector<facet::StoreRecord>& base,
+                                       const std::vector<std::vector<facet::StoreRecord>>& deltas,
+                                       const std::vector<facet::TruthTable>& misses)
+{
+  using namespace facet;
+  const std::uint64_t num_classes = base.size() + kIndexProbeMaxRuns * kIndexProbeRunRecords;
+  {
+    std::ofstream os{path, std::ios::binary | std::ios::trunc};
+    write_base_segment(os, kIndexProbeN, num_classes, base);
+  }
+  const std::string dlog = ClassStore::delta_log_path(path);
+  std::remove(dlog.c_str());
+  if (runs > 0) {
+    std::ofstream os{dlog, std::ios::binary | std::ios::trunc};
+    for (std::size_t r = 0; r < runs; ++r) {
+      write_delta_frame(os, kIndexProbeN, num_classes, deltas[r]);
+    }
+  }
+  const ClassStore store = ClassStore::open(path);
+
+  IndexProbeRow row;
+  row.runs = runs;
+  row.probes = misses.size();
+  row.identical = store.num_delta_segments() == runs;
+  for (int pass = 0; pass < kIndexProbePasses; ++pass) {
+    std::size_t found = 0;
+    Stopwatch watch;
+    for (const TruthTable& key : misses) {
+      found += store.find_canonical(key).has_value() ? 1 : 0;
+    }
+    const double ns = watch.seconds() * 1e9 / static_cast<double>(misses.size());
+    row.ns_per_op = pass == 0 ? ns : std::min(row.ns_per_op, ns);
+    row.identical = row.identical && found == 0;
+  }
+  const auto answers = [&](const StoreRecord& record) {
+    const auto hit = store.find_canonical(record.canonical);
+    return hit.has_value() && hit->class_id == record.class_id;
+  };
+  for (std::size_t i = 0; i < base.size(); i += 61) {
+    row.identical = row.identical && answers(base[i]);
+  }
+  for (std::size_t r = 0; r < runs; ++r) {
+    for (std::size_t i = 0; i < deltas[r].size(); i += 61) {
+      row.identical = row.identical && answers(deltas[r][i]);
+    }
+  }
+  std::remove(dlog.c_str());
+  std::remove(path.c_str());
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv)
@@ -167,7 +247,7 @@ int main(int argc, char** argv)
   const double build_seconds = watch.seconds();
   std::cout << "build:   " << store.num_records() << " classes in " << build_seconds << " s\n";
 
-  // --- cold lookups: no hot cache, canonicalize + binary search ------------
+  // --- cold lookups: no hot cache, canonicalize + index probe --------------
   store.clear_hot_cache();
   bool identical = true;
   watch.reset();
@@ -549,6 +629,53 @@ int main(int argc, char** argv)
     canon_rows.push_back(row);
   }
 
+  // Fixed-work index probe rows: ns per find_canonical of a canonical form
+  // no tier holds — the probe every novel append pays after canonicalizing —
+  // over a materialized base plus 0, 8 and 16 delta runs. Gated on answer
+  // identity only, never on time.
+  std::vector<IndexProbeRow> index_probe_rows;
+  bool index_probe_identical = true;
+  {
+    std::mt19937_64 rng{0x1d3c5ULL};
+    const std::size_t present = kIndexProbeBase + kIndexProbeMaxRuns * kIndexProbeRunRecords;
+    std::unordered_set<TruthTable, TruthTableHash> keys;
+    std::vector<StoreRecord> records;
+    records.reserve(present);
+    while (records.size() < present) {
+      const TruthTable key = tt_random(kIndexProbeN, rng);
+      if (keys.insert(key).second) {
+        records.push_back(StoreRecord{key, key, NpnTransform::identity(kIndexProbeN),
+                                      static_cast<std::uint32_t>(records.size()), 1});
+      }
+    }
+    std::vector<TruthTable> misses;
+    while (misses.size() < kIndexProbeMisses) {
+      TruthTable key = tt_random(kIndexProbeN, rng);
+      if (!keys.contains(key)) {
+        misses.push_back(std::move(key));
+      }
+    }
+    const auto by_canonical = [](const StoreRecord& a, const StoreRecord& b) {
+      return a.canonical < b.canonical;
+    };
+    std::vector<StoreRecord> base{records.begin(),
+                                  records.begin() + static_cast<std::ptrdiff_t>(kIndexProbeBase)};
+    std::sort(base.begin(), base.end(), by_canonical);
+    std::vector<std::vector<StoreRecord>> deltas(kIndexProbeMaxRuns);
+    for (std::size_t r = 0; r < kIndexProbeMaxRuns; ++r) {
+      const auto first = records.begin() + static_cast<std::ptrdiff_t>(
+                                               kIndexProbeBase + r * kIndexProbeRunRecords);
+      deltas[r].assign(first, first + static_cast<std::ptrdiff_t>(kIndexProbeRunRecords));
+      std::sort(deltas[r].begin(), deltas[r].end(), by_canonical);
+    }
+    const std::string probe_path = "bench_index_probe.fcs";
+    for (const std::size_t runs : {std::size_t{0}, std::size_t{8}, kIndexProbeMaxRuns}) {
+      index_probe_rows.push_back(
+          measure_index_miss_probe(probe_path, runs, base, deltas, misses));
+      index_probe_identical = index_probe_identical && index_probe_rows.back().identical;
+    }
+  }
+
   // The memo must never slow the miss path: it is always on, so it has to
   // beat the no-memo baseline outright.
   const bool memo_gate_ok = memo_speedup >= 1.0;
@@ -564,6 +691,12 @@ int main(int argc, char** argv)
     std::cout << "canonicalizer, random n=" << row.n << " (" << row.functions << " functions, min of "
               << canon_passes << " passes): " << row.us_per_op << " us/op, identical to walk: "
               << (row.identical_to_walk ? "yes" : "NO") << "\n";
+  }
+  for (const IndexProbeRow& row : index_probe_rows) {
+    std::cout << "index miss probe, " << kIndexProbeBase << " base records + " << row.runs
+              << " runs of " << kIndexProbeRunRecords << " (" << row.probes << " misses, min of "
+              << kIndexProbePasses << " passes): " << row.ns_per_op
+              << " ns/op, answers identical: " << (row.identical ? "yes" : "NO") << "\n";
   }
   std::cout << "miss-path ids bit-identical to BatchEngine: "
             << (misspath_identical ? "yes" : "NO") << "\n"
@@ -592,6 +725,16 @@ int main(int argc, char** argv)
     misspath_json << (i == 0 ? "\n" : ",\n") << "    {\"n\": " << row.n
                   << ", \"functions\": " << row.functions << ", \"us_per_op\": " << row.us_per_op
                   << ", \"identical_to_walk\": " << (row.identical_to_walk ? "true" : "false") << "}";
+  }
+  misspath_json << "\n  ],\n"
+                << "  \"index_miss_probe\": [";
+  for (std::size_t i = 0; i < index_probe_rows.size(); ++i) {
+    const IndexProbeRow& row = index_probe_rows[i];
+    misspath_json << (i == 0 ? "\n" : ",\n") << "    {\"n\": " << kIndexProbeN
+                  << ", \"base_records\": " << kIndexProbeBase << ", \"runs\": " << row.runs
+                  << ", \"run_records\": " << kIndexProbeRunRecords
+                  << ", \"probes\": " << row.probes << ", \"ns_per_op\": " << row.ns_per_op
+                  << ", \"identical\": " << (row.identical ? "true" : "false") << "}";
   }
   misspath_json << "\n  ],\n"
                 << "  \"identical_to_engine\": " << (misspath_identical ? "true" : "false") << ",\n"
@@ -690,6 +833,7 @@ int main(int argc, char** argv)
 
   // Non-zero exit on a correctness violation so CI fails loudly.
   return identical && mmap_identical && misspath_identical && canon_identical &&
+                 index_probe_identical &&
                  npn4_identical && npn4_canon_identical && cold_identical && cold_target_met &&
                  memo_gate_ok
              ? 0

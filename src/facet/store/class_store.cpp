@@ -180,29 +180,45 @@ namespace {
 /// The one tier merge: the base, then the delta runs oldest first, then
 /// `memtable`. A later occurrence of a canonical form shadows an earlier
 /// one — the lookup order memtable -> deltas (newest first) -> base — and
-/// the result is sorted by canonical form.
+/// the result is sorted by canonical form. Only the small tiers are sorted;
+/// the base, already sorted and by far the largest, is merged in one pass,
+/// so a compaction never holds a sort buffer the size of the index.
 [[nodiscard]] std::vector<StoreRecord> merge_tiers(const TierSnapshot& tiers,
                                                    std::vector<StoreRecord> memtable = {})
 {
-  std::vector<StoreRecord> merged;
-  merged.reserve(tiers.base->size() + delta_records(tiers) + memtable.size());
-  for (std::size_t i = 0; i < tiers.base->size(); ++i) {
-    merged.push_back(tiers.base->record_at(i));
-  }
+  const auto by_canonical = [](const StoreRecord& a, const StoreRecord& b) {
+    return a.canonical < b.canonical;
+  };
+  std::vector<StoreRecord> newer;
+  newer.reserve(delta_records(tiers) + memtable.size());
   for (const auto& delta : tiers.deltas) {
-    merged.insert(merged.end(), delta->records().begin(), delta->records().end());
+    newer.insert(newer.end(), delta->records().begin(), delta->records().end());
   }
-  std::move(memtable.begin(), memtable.end(), std::back_inserter(merged));
+  std::move(memtable.begin(), memtable.end(), std::back_inserter(newer));
   // Stable: equal canonical forms keep tier order, newest last, so keeping
   // the last of each equal range keeps the newest.
-  std::stable_sort(merged.begin(), merged.end(), [](const StoreRecord& a, const StoreRecord& b) {
-    return a.canonical < b.canonical;
-  });
-  const auto newest = std::unique(merged.rbegin(), merged.rend(),
+  std::stable_sort(newer.begin(), newer.end(), by_canonical);
+  const auto newest = std::unique(newer.rbegin(), newer.rend(),
                                   [](const StoreRecord& a, const StoreRecord& b) {
                                     return a.canonical == b.canonical;
                                   });
-  merged.erase(merged.begin(), newest.base());
+  newer.erase(newer.begin(), newest.base());
+
+  std::vector<StoreRecord> merged;
+  merged.reserve(tiers.base->size() + newer.size());
+  auto next = newer.begin();
+  for (std::size_t i = 0; i < tiers.base->size(); ++i) {
+    StoreRecord record = tiers.base->record_at(i);
+    for (; next != newer.end() && by_canonical(*next, record); ++next) {
+      merged.push_back(std::move(*next));
+    }
+    if (next != newer.end() && next->canonical == record.canonical) {
+      merged.push_back(std::move(*next++));  // a newer tier shadows the base
+    } else {
+      merged.push_back(std::move(record));
+    }
+  }
+  std::move(next, newer.end(), std::back_inserter(merged));
   return merged;
 }
 
@@ -537,6 +553,13 @@ void ClassStore::finish_compaction(const std::string& path, CompactionSnapshot s
   const std::string tmp = write_tmp_file(path, [&](std::ostream& os) {
     write_base_segment(os, num_vars_, snapshot.num_classes, merged);
   });
+  // A materialized base builds its hash index here, before the gate and
+  // inside the "write" phase: the merged records are immutable and nothing
+  // else sees them yet.
+  std::shared_ptr<const Segment> materialized;
+  if (!mmap_backed_) {
+    materialized = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
+  }
   const std::uint64_t t_adopt = obs::now_ticks();
 
   {
@@ -575,11 +598,7 @@ void ClassStore::finish_compaction(const std::string& path, CompactionSnapshot s
     // tiers keep serving old base + runs — the disk is already consistent
     // either way, and the compactor simply retries.
     auto next = std::make_shared<TierSnapshot>();
-    if (mmap_backed_) {
-      next->base = MmapSegment::open(path);
-    } else {
-      next->base = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
-    }
+    next->base = mmap_backed_ ? MmapSegment::open(path) : std::move(materialized);
     next->deltas.assign(survivors, tiers->deltas.end());
     gate_->publish(gate, std::move(next));
   }
@@ -600,47 +619,62 @@ std::uint64_t ClassStore::delta_log_size(const std::string& dlog_path) noexcept
 
 // -- lookup tiers ------------------------------------------------------------
 
-std::optional<StoreRecord> ClassStore::memtable_find(const TruthTable& canonical) const
-{
-  const std::lock_guard<std::mutex> lock{memtable_->mutex};
-  if (const auto it = memtable_->index.find(canonical); it != memtable_->index.end()) {
-    return memtable_->records[it->second];
-  }
-  return std::nullopt;
-}
+namespace {
 
-std::optional<StoreRecord> ClassStore::find_canonical(const TruthTable& canonical) const
+/// What a probe of the index tiers reads out of a hit: the whole record
+/// (find_canonical, the walk) ...
+struct ReadRecord {
+  using Result = std::optional<StoreRecord>;
+  [[nodiscard]] Result operator()(const StoreRecord& record) const { return record; }
+  [[nodiscard]] Result operator()(const Segment& segment, const TruthTable& key) const
+  {
+    return segment.find(key);
+  }
+};
+
+/// ... or only its class id (find_class_id), which no segment materializes
+/// a record for.
+struct ReadClassId {
+  using Result = std::optional<std::uint32_t>;
+  [[nodiscard]] Result operator()(const StoreRecord& record) const { return record.class_id; }
+  [[nodiscard]] Result operator()(const Segment& segment, const TruthTable& key) const
+  {
+    return segment.find_class_id(key);
+  }
+};
+
+}  // namespace
+
+template <typename Read>
+typename Read::Result ClassStore::probe_tiers(const TruthTable& canonical, const Read& read) const
 {
   // Memtable BEFORE the pin: a concurrent flush publishes its sealed run
   // before clearing the memtable, so a record mid-flush is visible through
   // at least one of the two probes.
-  if (auto record = memtable_find(canonical)) {
-    return record;
-  }
-  const auto tiers = gate_->pin();
-  for (auto delta = tiers->deltas.rbegin(); delta != tiers->deltas.rend(); ++delta) {
-    if (auto record = (*delta)->find(canonical)) {
-      return record;
+  {
+    const std::lock_guard<std::mutex> lock{memtable_->mutex};
+    if (const auto it = memtable_->index.find(canonical); it != memtable_->index.end()) {
+      return read(memtable_->records[it->second]);
     }
   }
-  return tiers->base->find(canonical);
+  const auto tiers = gate_->pin();
+  const std::uint64_t hash = canonical.hash();  // one hash for every run
+  for (auto delta = tiers->deltas.rbegin(); delta != tiers->deltas.rend(); ++delta) {
+    if (const StoreRecord* record = (*delta)->find_hashed(canonical, hash)) {
+      return read(*record);
+    }
+  }
+  return read(*tiers->base, canonical);
+}
+
+std::optional<StoreRecord> ClassStore::find_canonical(const TruthTable& canonical) const
+{
+  return probe_tiers(canonical, ReadRecord{});
 }
 
 std::optional<std::uint32_t> ClassStore::find_class_id(const TruthTable& canonical) const
 {
-  {
-    const std::lock_guard<std::mutex> lock{memtable_->mutex};
-    if (const auto it = memtable_->index.find(canonical); it != memtable_->index.end()) {
-      return memtable_->records[it->second].class_id;
-    }
-  }
-  const auto tiers = gate_->pin();
-  for (auto delta = tiers->deltas.rbegin(); delta != tiers->deltas.rend(); ++delta) {
-    if (const auto id = (*delta)->find_class_id(canonical)) {
-      return id;
-    }
-  }
-  return tiers->base->find_class_id(canonical);
+  return probe_tiers(canonical, ReadClassId{});
 }
 
 StoreLookupResult ClassStore::make_result(const StoreRecord& record,

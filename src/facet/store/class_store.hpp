@@ -30,12 +30,14 @@
 ///                    its semiclass form), then probe the unflushed appends
 ///                    (hash map);
 ///   4. delta runs  — flushed-but-uncompacted append runs, consulted
-///                    newest-first (each a small sorted MaterializedSegment);
-///   5. base        — the compacted index: a binary search over the sorted
-///                    records, either materialized in RAM (open) or
-///                    executed in place over a read-only mmap of the `.fcs`
-///                    file (open with use_mmap; lazily page-validated). An
-///                    index hit warms the hot cache and the memo;
+///                    newest-first (each a small sorted MaterializedSegment,
+///                    probed through its hash index);
+///   5. base        — the compacted index: materialized in RAM (open) and
+///                    probed through its hash index, or searched in place
+///                    over a read-only mmap of the `.fcs` file (open with
+///                    use_mmap; a binary search of the in-RAM block keys,
+///                    then one lazily page-validated block). An index hit
+///                    warms the hot cache and the memo;
 ///   6. live        — lookup_or_classify() only (lookup() answers nullopt):
 ///                    under the store gate, re-probe tiers 3-5, then
 ///                    classify live, allocating the next dense class id,
@@ -516,8 +518,13 @@ class ClassStore {
   /// which belongs to the primary, alone.
   [[nodiscard]] static StoredTiers read_tiers(const std::string& path, bool use_mmap,
                                               bool repair_torn_tail);
-  /// Memtable probe under its mutex; copies the record out.
-  [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
+  /// The one walk of the index tiers by canonical form, behind
+  /// find_canonical() and find_class_id(): the memtable (under its mutex),
+  /// then the delta runs newest-first, then the base. `read` turns a hit
+  /// into the answer (ReadRecord / ReadClassId in class_store.cpp).
+  template <typename Read>
+  [[nodiscard]] typename Read::Result probe_tiers(const TruthTable& canonical,
+                                                  const Read& read) const;
   /// The walk's first two tiers, shared with probe_cache(): at width <= 4,
   /// the norm-table entry of f (kept in `table` for the slower tiers) and
   /// its class's slot; wider, the hot cache.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "facet/obs/clock.hpp"
@@ -109,22 +111,68 @@ void check_sorted_by_canonical(const std::vector<StoreRecord>& records, const ch
   }
 }
 
+/// Most records one MaterializedSegment indexes: four slots per record
+/// keep the slot count within 2^32, which home_slot's multiply needs.
+constexpr std::size_t kMaxIndexedRecords = std::size_t{1} << 30;
+
+/// A full slot's fingerprint: the high word of the key's hash, masked to
+/// the bits above the record index. The slot position comes from the low
+/// word, so the two never share bits.
+[[nodiscard]] std::uint32_t slot_fingerprint(std::uint64_t hash, std::uint32_t index_mask) noexcept
+{
+  return static_cast<std::uint32_t>(hash >> 32) & ~index_mask;
+}
+
+/// The slot a hash starts probing at: its low word scaled onto
+/// [0, num_slots) by one multiply (num_slots <= 2^32).
+[[nodiscard]] std::size_t home_slot(std::uint64_t hash, std::size_t num_slots) noexcept
+{
+  return static_cast<std::size_t>(((hash & 0xffffffffULL) * num_slots) >> 32);
+}
+
 }  // namespace
 
-const StoreRecord* MaterializedSegment::find_ptr(const TruthTable& canonical) const
+MaterializedSegment::MaterializedSegment(int num_vars, std::vector<StoreRecord> records)
+    : num_vars_{num_vars}, records_{std::move(records)}
 {
-  const auto it = std::lower_bound(
-      records_.begin(), records_.end(), canonical,
-      [](const StoreRecord& r, const TruthTable& key) { return r.canonical < key; });
-  if (it != records_.end() && it->canonical == canonical) {
-    return &*it;
+  if (records_.size() > kMaxIndexedRecords) {
+    throw std::length_error{"MaterializedSegment: more records than one segment indexes"};
   }
-  return nullptr;
+  index_mask_ =
+      static_cast<std::uint32_t>((std::uint64_t{1} << std::bit_width(records_.size())) - 1);
+  slots_.assign(std::max<std::size_t>(4 * records_.size(), 1), 0);
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const std::uint64_t hash = records_[i].canonical.hash();
+    std::size_t pos = home_slot(hash, slots_.size());
+    while (slots_[pos] != 0) {
+      pos = pos + 1 == slots_.size() ? 0 : pos + 1;
+    }
+    slots_[pos] = slot_fingerprint(hash, index_mask_) | static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+const StoreRecord* MaterializedSegment::find_hashed(const TruthTable& canonical,
+                                                    std::uint64_t hash) const
+{
+  const std::uint32_t fingerprint = slot_fingerprint(hash, index_mask_);
+  for (std::size_t pos = home_slot(hash, slots_.size());;
+       pos = pos + 1 == slots_.size() ? 0 : pos + 1) {
+    const std::uint32_t slot = slots_[pos];
+    if (slot == 0) {
+      return nullptr;
+    }
+    if ((slot & ~index_mask_) == fingerprint) {
+      const StoreRecord& record = records_[(slot & index_mask_) - 1];
+      if (record.canonical == canonical) {
+        return &record;
+      }
+    }
+  }
 }
 
 std::optional<StoreRecord> MaterializedSegment::find(const TruthTable& canonical) const
 {
-  if (const StoreRecord* record = find_ptr(canonical)) {
+  if (const StoreRecord* record = find_hashed(canonical, canonical.hash())) {
     return *record;
   }
   return std::nullopt;
@@ -132,7 +180,7 @@ std::optional<StoreRecord> MaterializedSegment::find(const TruthTable& canonical
 
 std::optional<std::uint32_t> MaterializedSegment::find_class_id(const TruthTable& canonical) const
 {
-  if (const StoreRecord* record = find_ptr(canonical)) {
+  if (const StoreRecord* record = find_hashed(canonical, canonical.hash())) {
     return record->class_id;
   }
   return std::nullopt;

@@ -9,9 +9,11 @@
 ///
 /// Two base flavors exist:
 ///
-///   * MaterializedSegment — records decoded into a std::vector. What
-///     ClassStore::open without mmap (and load from a stream) produces;
-///     every byte of the file was validated up front.
+///   * MaterializedSegment — records decoded into a std::vector, plus an
+///     open-addressed hash index over them built once at construction. What
+///     ClassStore::open without mmap produces (and every delta run); every
+///     byte of the file was validated up front. A probe hashes the key once
+///     and usually touches no record at all on a miss.
 ///   * MmapSegment — the record region of a `.fcs` file mapped read-only
 ///     and searched **in place**. Nothing is decoded at open beyond the
 ///     header, the tables and the footer, so opening a million-class index
@@ -59,24 +61,28 @@ class Segment {
   /// lazy checksum validation.
   [[nodiscard]] virtual StoreRecord record_at(std::size_t i) const = 0;
 
-  /// Binary search by canonical form; nullopt when absent.
+  /// Record with canonical form `canonical`; nullopt when absent. The
+  /// materialized flavor probes its hash index, the mmap flavor binary-
+  /// searches its block keys and scans one block.
   [[nodiscard]] virtual std::optional<StoreRecord> find(const TruthTable& canonical) const = 0;
 
-  /// Binary search returning only the class id — the batch-engine hot
+  /// The same probe returning only the class id — the batch-engine hot
   /// path. Neither flavor materializes a record for this.
   [[nodiscard]] virtual std::optional<std::uint32_t> find_class_id(
       const TruthTable& canonical) const = 0;
 };
 
 /// Segment over records held in RAM. The records must already be sorted by
-/// canonical form and width-consistent — the store validates before
+/// canonical form, unique and width-consistent — the store validates before
 /// constructing (ClassStore's constructors, the delta replay, compaction).
+/// The records stay sorted (record_at, the tier merge); lookups go through
+/// a hash index built once by the constructor.
 class MaterializedSegment final : public Segment {
  public:
-  MaterializedSegment(int num_vars, std::vector<StoreRecord> records)
-      : num_vars_{num_vars}, records_{std::move(records)}
-  {
-  }
+  /// Takes the records and builds the hash index over them: one hash per
+  /// record, 16 bytes of index per record. Throws std::length_error past
+  /// 2^30 records.
+  MaterializedSegment(int num_vars, std::vector<StoreRecord> records);
 
   [[nodiscard]] int num_vars() const noexcept override { return num_vars_; }
   [[nodiscard]] std::size_t size() const noexcept override { return records_.size(); }
@@ -87,11 +93,24 @@ class MaterializedSegment final : public Segment {
 
   [[nodiscard]] const std::vector<StoreRecord>& records() const noexcept { return records_; }
 
- private:
-  [[nodiscard]] const StoreRecord* find_ptr(const TruthTable& canonical) const;
+  /// The record keyed `canonical`, or null, given `hash` ==
+  /// canonical.hash() — the one search behind find() and find_class_id(),
+  /// exposed so a probe of many runs hashes its key once. Linear probing
+  /// from the slot the hash's low word picks; a record is compared only
+  /// when its slot's fingerprint matches the key's.
+  [[nodiscard]] const StoreRecord* find_hashed(const TruthTable& canonical,
+                                               std::uint64_t hash) const;
 
+ private:
   int num_vars_;
   std::vector<StoreRecord> records_;
+  /// Open-addressed index over records_: four slots per record (load 1/4,
+  /// so a miss usually stops at its first, empty slot). 0 is an empty
+  /// slot; a full slot packs record index + 1 into its low bits
+  /// (index_mask_) and, above them, the same bits of the key hash's high
+  /// word as a fingerprint.
+  std::vector<std::uint32_t> slots_;
+  std::uint32_t index_mask_ = 0;
 };
 
 /// Layout of one v3 base segment, parsed from its raw bytes by the one

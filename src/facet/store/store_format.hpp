@@ -3,9 +3,10 @@
 ///
 /// A `.fcs` file holds the classification knowledge of one function width as
 /// one immutable **base segment**: a fixed-size little-endian header followed
-/// by records sorted by canonical form, so a reader answers "which class is
-/// this canonical form?" with one binary search — in RAM after a materialized
-/// load, or directly in the page cache through a read-only mmap
+/// by records sorted by canonical form. A reader answers "which class is
+/// this canonical form?" through a hash index built over the records after
+/// a materialized load, or with one binary search of the block keys plus
+/// one block scan directly in the page cache through a read-only mmap
 /// (segment.hpp). Layout (version 3, all integers little-endian):
 ///
 ///   header (48 bytes)

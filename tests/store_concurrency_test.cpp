@@ -355,6 +355,89 @@ TEST(StoreConcurrency, RacingAppendersAgreeOnOneIdPerClass)
   }
 }
 
+/// The same race on a file-backed store while one more thread flushes the
+/// memtable into the delta log and compacts, over and over: by the time a
+/// losing appender holds the gate, the winner's record has often left the
+/// memtable for a delta run or the base, so the gated re-probe must find
+/// it in every index tier. One id per class across threads, one record
+/// per class, and a reopened store serves every appended class under that
+/// id.
+TEST(StoreConcurrency, RacingAppendersAgreeOnOneIdPerClassWhileFlushesAndCompactionsMoveTheEpoch)
+{
+  const int n = 5;
+  const std::string path = ::testing::TempDir() + "store_concurrency_reprobe.fcs";
+  const std::string dlog = ClassStore::delta_log_path(path);
+  std::remove(dlog.c_str());
+  ClassStore{n}.save(path);
+  ClassStore store = ClassStore::open(path);
+
+  std::mt19937_64 rng{0xc0d5ULL};
+  std::vector<TruthTable> novel;
+  for (int i = 0; i < 200; ++i) {
+    const TruthTable f = tt_random(n, rng);
+    novel.push_back(f);
+    // An image of the same class through another table, so threads also
+    // race on one class through distinct queries.
+    novel.push_back(apply_transform(f, NpnTransform::random(n, rng)));
+  }
+
+  std::atomic<bool> appenders_done{false};
+  std::size_t compactions = 0;
+  std::thread mover{[&] {
+    while (!appenders_done.load()) {
+      (void)store.flush_delta(dlog);
+      std::this_thread::yield();
+      store.compact(path);
+      ++compactions;
+    }
+  }};
+
+  const std::size_t num_threads = 6;
+  std::vector<std::vector<std::uint32_t>> seen(num_threads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t] {
+      seen[t].assign(novel.size(), 0xffffffffU);
+      // Every thread walks the same order, so all of them race on each
+      // class at once and the losers re-probe under the gate.
+      for (std::size_t k = 0; k < novel.size(); ++k) {
+        seen[t][k] = store.lookup_or_classify(novel[k], /*append_on_miss=*/true).class_id;
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  appenders_done.store(true);
+  mover.join();
+  EXPECT_GT(compactions, 0u);
+
+  // One id per function across threads, and one per class: a function and
+  // its image share it.
+  for (std::size_t i = 0; i < novel.size(); ++i) {
+    for (std::size_t t = 1; t < num_threads; ++t) {
+      EXPECT_EQ(seen[t][i], seen[0][i]) << "thread " << t << " diverged on function " << i;
+    }
+  }
+  for (std::size_t i = 0; i < novel.size(); i += 2) {
+    EXPECT_EQ(seen[0][i], seen[0][i + 1]) << "function " << i << " and its image diverged";
+  }
+  // One record per class, wherever it ended up (memtable, runs, base).
+  EXPECT_EQ(store.persisted_records().size(), store.num_classes());
+
+  // Durable: flush what is left, reopen, and every class answers its id.
+  (void)store.flush_delta(dlog);
+  const ClassStore reopened = ClassStore::open(path);
+  EXPECT_EQ(reopened.num_classes(), store.num_classes());
+  for (std::size_t i = 0; i < novel.size(); ++i) {
+    const auto durable = reopened.lookup(novel[i]);
+    ASSERT_TRUE(durable.has_value()) << "function " << i << " lost on reopen";
+    EXPECT_EQ(durable->class_id, seen[0][i]);
+  }
+  std::remove(path.c_str());
+  std::remove(dlog.c_str());
+}
+
 /// A function g != f with the same semiclass image as f (bounded search
 /// over random transforms; f itself if none turns up).
 TruthTable same_image_sibling(const TruthTable& f, std::mt19937_64& rng)

@@ -16,6 +16,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -30,6 +32,7 @@
 #include "facet/store/class_store.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
+#include "facet/tt/tt_io.hpp"
 #include "facet/tt/tt_transform.hpp"
 
 namespace facet {
@@ -133,9 +136,152 @@ TEST(StoreSegment, MmapOpenIsBitIdenticalToMaterializedLoad)
     EXPECT_EQ(apply_transform(f, b->to_representative), b->representative);
   }
 
+  // Probe-by-probe identity on keys the index does not hold: both flavors
+  // miss, through the whole-record and the id-only probe alike.
+  std::mt19937_64 rng{0x5e602ULL};
+  std::size_t misses = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const TruthTable key = tt_random(n, rng);
+    const auto it = std::lower_bound(
+        materialized.records().begin(), materialized.records().end(), key,
+        [](const StoreRecord& r, const TruthTable& k) { return r.canonical < k; });
+    const bool present = it != materialized.records().end() && it->canonical == key;
+    misses += present ? 0 : 1;
+    EXPECT_EQ(mapped.find_class_id(key).has_value(), present);
+    EXPECT_EQ(materialized.find_class_id(key), mapped.find_class_id(key));
+    EXPECT_EQ(materialized.base_segment().find(key).has_value(), present);
+    EXPECT_EQ(base.find(key).has_value(), present);
+  }
+  EXPECT_GT(misses, 1000u);
+
   // The materialized records() accessor has no mmap equivalent.
   EXPECT_THROW((void)mapped.records(), std::logic_error);
   std::remove(path.c_str());
+}
+
+/// Checks MaterializedSegment::find / find_class_id against a std::lower_bound
+/// over the same sorted records, for every key in `probes`; returns how
+/// many probes hit.
+std::size_t expect_index_matches_sorted_search(int n, std::vector<StoreRecord> records,
+                                               const std::vector<TruthTable>& probes)
+{
+  const auto by_canonical = [](const StoreRecord& a, const StoreRecord& b) {
+    return a.canonical < b.canonical;
+  };
+  std::sort(records.begin(), records.end(), by_canonical);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].class_id = static_cast<std::uint32_t>(i * 7 + 3);
+  }
+  const std::vector<StoreRecord> reference = records;
+  const MaterializedSegment segment{n, std::move(records)};
+  EXPECT_EQ(segment.size(), reference.size());
+  std::size_t hits = 0;
+  for (const TruthTable& key : probes) {
+    const auto it = std::lower_bound(
+        reference.begin(), reference.end(), key,
+        [](const StoreRecord& r, const TruthTable& k) { return r.canonical < k; });
+    const bool present = it != reference.end() && it->canonical == key;
+    hits += present ? 1 : 0;
+    const std::optional<StoreRecord> found = segment.find(key);
+    const std::optional<std::uint32_t> id = segment.find_class_id(key);
+    EXPECT_EQ(found.has_value(), present) << "n=" << n << " key " << to_hex(key);
+    EXPECT_EQ(id.has_value(), present) << "n=" << n << " key " << to_hex(key);
+    if (present && found.has_value() && id.has_value()) {
+      EXPECT_EQ(found->canonical, it->canonical);
+      EXPECT_EQ(found->representative, it->representative);
+      EXPECT_EQ(found->class_id, it->class_id);
+      EXPECT_EQ(*id, it->class_id);
+    }
+  }
+  return hits;
+}
+
+/// A StoreRecord keyed `canonical` (identity witness; the id is assigned by
+/// expect_index_matches_sorted_search).
+StoreRecord record_keyed(const TruthTable& canonical)
+{
+  return StoreRecord{canonical, canonical, NpnTransform::identity(canonical.num_vars()), 0, 1};
+}
+
+TEST(StoreSegment, HashIndexAgreesWithASortedSearchOnHitsAndMisses)
+{
+  std::mt19937_64 rng{0x1d3e0ULL};
+  for (int n = 0; n <= 8; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Probe keys: every table when there are few (n <= 3), else the
+    // records plus as many random keys, nearly all absent.
+    std::vector<TruthTable> universe;
+    if (n <= 3) {
+      for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << (std::uint64_t{1} << n)); ++bits) {
+        universe.push_back(TruthTable::from_word(n, bits));
+      }
+    } else {
+      std::unordered_set<TruthTable, TruthTableHash> distinct;
+      while (distinct.size() < 1500) {
+        distinct.insert(tt_random(n, rng));
+      }
+      universe.assign(distinct.begin(), distinct.end());
+    }
+
+    // Empty segment: everything misses.
+    EXPECT_EQ(expect_index_matches_sorted_search(n, {}, universe), 0u);
+
+    // One record.
+    EXPECT_EQ(expect_index_matches_sorted_search(n, {record_keyed(universe.back())}, universe),
+              1u);
+
+    // Every other key of the universe: hits and misses interleaved.
+    std::vector<StoreRecord> half;
+    for (std::size_t i = 0; i < universe.size(); i += 2) {
+      half.push_back(record_keyed(universe[i]));
+    }
+    EXPECT_EQ(expect_index_matches_sorted_search(n, half, universe), half.size());
+  }
+}
+
+TEST(StoreSegment, HashIndexResolvesKeysWhoseHashesCollideInTheSlotBits)
+{
+  // A probe's home slot is the hash's low word scaled onto the slot count,
+  // so keys sharing the low word's top 12 bits start within one slot of
+  // each other in any index of at most 4096 slots: they form one probe
+  // cluster. Bucket random n = 6 and n = 7 keys by those bits and build
+  // indexes around the fullest bucket.
+  for (const int n : {6, 7}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::mt19937_64 rng{0xc011ULL + static_cast<std::uint64_t>(n)};
+    std::unordered_map<std::uint64_t, std::unordered_set<TruthTable, TruthTableHash>> buckets;
+    for (int i = 0; i < 200000; ++i) {
+      TruthTable key = tt_random(n, rng);
+      buckets[(key.hash() >> 20) & 0xfffULL].insert(std::move(key));
+    }
+    const auto fullest = std::max_element(buckets.begin(), buckets.end(), [](const auto& a,
+                                                                             const auto& b) {
+      return a.second.size() < b.second.size();
+    });
+    const std::vector<TruthTable> colliding{fullest->second.begin(), fullest->second.end()};
+    ASSERT_GE(colliding.size(), 40u);
+
+    // Colliding records and colliding misses, alone and among other keys;
+    // at most 1024 records, so at most 4096 slots.
+    std::vector<StoreRecord> records;
+    for (std::size_t i = 0; i < colliding.size(); i += 2) {
+      records.push_back(record_keyed(colliding[i]));
+    }
+    EXPECT_EQ(expect_index_matches_sorted_search(n, records, colliding), records.size());
+    std::vector<TruthTable> probes = colliding;
+    for (const auto& [bits, keys] : buckets) {
+      if (records.size() == 1000) {
+        break;
+      }
+      if (bits != fullest->first && keys.size() >= 2) {
+        records.push_back(record_keyed(*keys.begin()));
+        probes.push_back(*keys.begin());
+        probes.push_back(*std::next(keys.begin()));
+      }
+    }
+    const std::size_t expected_hits = records.size();
+    EXPECT_EQ(expect_index_matches_sorted_search(n, std::move(records), probes), expected_hits);
+  }
 }
 
 TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
@@ -302,6 +448,95 @@ TEST(StoreSegment, OtherFormatVersionsAreRejectedOnEveryLoadPath)
   std::remove(bad_dlog.c_str());
   std::remove(bad_path.c_str());
   std::remove(good_path.c_str());
+}
+
+TEST(StoreSegment, NewerTiersShadowTheBaseInTheMergeAndTheCompaction)
+{
+  // A delta log that repeats base classes (as a crash between a
+  // compaction's base rename and its log rewrite leaves it) and adds new
+  // ones: the newest record of each canonical form wins in every read.
+  const int n = 6;
+  std::mt19937_64 rng{0x5ead0ULL};
+  std::unordered_set<TruthTable, TruthTableHash> distinct;
+  while (distinct.size() < 40) {
+    distinct.insert(tt_random(n, rng));
+  }
+  std::vector<StoreRecord> all;
+  for (const TruthTable& key : distinct) {
+    all.push_back(StoreRecord{key, key, NpnTransform::identity(n), 0, 1});
+  }
+  const auto by_canonical = [](const StoreRecord& a, const StoreRecord& b) {
+    return a.canonical < b.canonical;
+  };
+  std::sort(all.begin(), all.end(), by_canonical);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    all[i].class_id = static_cast<std::uint32_t>(i);
+  }
+  // Base: the even records. Run 1: every third record, re-sized 2. Run 2:
+  // every fifth record, re-sized 3 — so records in both runs take 3.
+  std::vector<StoreRecord> base;
+  std::vector<StoreRecord> run1;
+  std::vector<StoreRecord> run2;
+  std::vector<StoreRecord> expected = all;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i % 2 == 0) {
+      base.push_back(all[i]);
+    }
+    if (i % 3 == 0) {
+      run1.push_back(all[i]);
+      run1.back().class_size = 2;
+      expected[i].class_size = 2;
+    }
+    if (i % 5 == 0) {
+      run2.push_back(all[i]);
+      run2.back().class_size = 3;
+      expected[i].class_size = 3;
+    }
+  }
+  std::erase_if(expected, [](const StoreRecord& r) {
+    return r.class_id % 2 != 0 && r.class_id % 3 != 0 && r.class_id % 5 != 0;
+  });
+
+  const std::string path = temp_path("segment_shadow.fcs");
+  const std::string dlog = ClassStore::delta_log_path(path);
+  {
+    std::ofstream os{path, std::ios::binary | std::ios::trunc};
+    write_base_segment(os, n, all.size(), base);
+  }
+  {
+    std::ofstream os{dlog, std::ios::binary | std::ios::trunc};
+    write_delta_frame(os, n, all.size(), run1);
+    write_delta_frame(os, n, all.size(), run2);
+  }
+  const auto expect_newest = [&](const ClassStore& store) {
+    const std::vector<StoreRecord> merged = store.persisted_records();
+    ASSERT_EQ(merged.size(), expected.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_EQ(merged[i].canonical, expected[i].canonical);
+      EXPECT_EQ(merged[i].class_id, expected[i].class_id);
+      EXPECT_EQ(merged[i].class_size, expected[i].class_size) << "record " << i;
+      const auto found = store.find_canonical(expected[i].canonical);
+      ASSERT_TRUE(found.has_value());
+      EXPECT_EQ(found->class_size, expected[i].class_size);
+    }
+  };
+  for (const bool use_mmap : {false, true}) {
+    if (use_mmap && !mmap_supported()) {
+      continue;
+    }
+    SCOPED_TRACE(use_mmap ? "mmap" : "materialized");
+    ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
+    ASSERT_EQ(store.num_delta_segments(), 2u);
+    expect_newest(store);
+    if (use_mmap) {
+      store.compact(path);
+      EXPECT_EQ(store.num_delta_segments(), 0u);
+      expect_newest(store);
+      expect_newest(ClassStore::open(path));
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(dlog.c_str());
 }
 
 TEST(StoreSegment, FlushDeltaSealsTheMemtableIntoASegment)
