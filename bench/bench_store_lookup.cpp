@@ -391,7 +391,9 @@ int main(int argc, char** argv)
     const long long faults_before = minor_faults();
     Stopwatch probe_watch;
     for (const auto& key : probe_keys) {
-      ids.push_back(segment->find_class_id(key));
+      const std::optional<StoreRecord> record = segment->find(key);
+      ids.push_back(record.has_value() ? std::optional<std::uint32_t>{record->class_id}
+                                       : std::nullopt);
     }
     const double seconds = probe_watch.seconds();
     const long long faults_after = minor_faults();
@@ -473,6 +475,15 @@ int main(int argc, char** argv)
     const ClassStore materialized = ClassStore::open(index_path);
     materialized_seconds = watch.seconds();
     materialized_rss_kib = rss_kib() - rss_before;
+    // The sampled keys are copied out before the mapped open, so the merged
+    // record copy never counts against the mapping's RSS.
+    std::vector<TruthTable> sample_keys;
+    {
+      const std::vector<StoreRecord> records = materialized.persisted_records();
+      for (std::size_t i = 0; i < records.size(); i += sample_every) {
+        sample_keys.push_back(records[i].canonical);
+      }
+    }
 
     const long long rss_mapped_before = rss_kib();
     watch.reset();
@@ -484,8 +495,7 @@ int main(int argc, char** argv)
     // Bit-identity of the two read paths, probed by canonical key — the
     // operation the load produced the index for — plus absent keys.
     std::mt19937_64 probe_rng{0xab5e17ULL};
-    for (std::size_t i = 0; i < materialized.records().size(); i += sample_every) {
-      const TruthTable& key = materialized.records()[i].canonical;
+    for (const TruthTable& key : sample_keys) {
       const auto a = materialized.find_canonical(key);
       const auto b = mapped.find_canonical(key);
       mmap_identical = mmap_identical && a.has_value() && b.has_value() &&
@@ -501,7 +511,8 @@ int main(int argc, char** argv)
       mmap_identical = mmap_identical && in_a == in_b;
     }
     mmap_rss_after_sample_kib = rss_kib() - rss_mapped_before;
-    const auto* segment = dynamic_cast<const MmapSegment*>(&mapped.base_segment());
+    const auto tiers = mapped.tier_snapshot();
+    const auto* segment = dynamic_cast<const MmapSegment*>(tiers->base.get());
     if (segment != nullptr) {
       pages_validated = segment->pages_validated();
       num_pages = segment->num_pages();

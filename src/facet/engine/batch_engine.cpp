@@ -15,8 +15,6 @@
 #include "facet/npn/semiclass.hpp"
 #include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
-#include "facet/store/class_store.hpp"
-#include "facet/store/store_router.hpp"
 #include "facet/util/hash.hpp"
 
 namespace facet {
@@ -64,42 +62,6 @@ struct LocalResult {
   std::uint32_t num_classes = 0;
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  std::size_t store_cache_hits = 0;
-  std::size_t store_table_hits = 0;
-  std::size_t store_index_hits = 0;
-};
-
-/// Class key of the store-backed kExhaustive fast path. A function resolved
-/// through a store keys on (width, stored class id) — the width qualifier
-/// matters under a router, where stores of different widths assign
-/// overlapping dense ids; an unknown function keys on its canonical image.
-/// The two flavors induce the same partition — per width, store class ids
-/// and canonical forms are bijective over the store's classes, and an
-/// unknown canonical form can never collide with a known one — so grouping
-/// is identical to grouping by canonical image alone.
-struct StoreKey {
-  bool known = false;
-  int width = 0;
-  std::uint32_t id = 0;
-  TruthTable canon;
-
-  [[nodiscard]] friend bool operator==(const StoreKey& a, const StoreKey& b)
-  {
-    if (a.known != b.known) {
-      return false;
-    }
-    return a.known ? (a.width == b.width && a.id == b.id) : a.canon == b.canon;
-  }
-};
-
-struct StoreKeyHash {
-  [[nodiscard]] std::size_t operator()(const StoreKey& k) const noexcept
-  {
-    return k.known ? static_cast<std::size_t>(hash_mix64(
-                         (0x53544f52ULL ^ k.id) + 0x9e3779b97f4a7c15ULL *
-                                                      static_cast<std::uint64_t>(k.width)))
-                   : static_cast<std::size_t>(k.canon.hash());
-  }
 };
 
 struct Hash128 {
@@ -202,7 +164,6 @@ const Value& memoized(std::unordered_map<TruthTable, Value, TruthTableHash>& cac
 }
 
 LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& options,
-                           const ClassStore* store, const StoreRouter* router,
                            BatchShardState& state, std::span<const TruthTable> funcs,
                            const std::vector<std::uint32_t>& members)
 {
@@ -231,54 +192,6 @@ LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& option
     }
 
     case ClassifierKind::kExhaustive:
-      if (store != nullptr || router != nullptr) {
-        // Store-backed fast path: NPN4 table-tier and hot-cache hits skip
-        // canonicalization entirely; index hits key by stored class id;
-        // unknown functions fall back to the memoized canonical image.
-        // Under a router, each function resolves through the store of its
-        // own width.
-        std::vector<StoreKey> key_of_unique;
-        key_of_unique.reserve(d.uniques.size());
-        std::size_t store_cache_hits = 0;
-        std::size_t store_table_hits = 0;
-        std::size_t store_index_hits = 0;
-        for (const auto& u : d.uniques) {
-          const ClassStore* resolved =
-              router != nullptr ? router->store_for(u.num_vars()) : store;
-          const bool width_matches =
-              resolved != nullptr && u.num_vars() == resolved->num_vars();
-          const int width = u.num_vars();
-          if (width_matches) {
-            if (const auto hit = resolved->probe_cache(u)) {
-              if (hit->source == LookupSource::kTable) {
-                ++store_table_hits;
-              } else {
-                ++store_cache_hits;
-              }
-              key_of_unique.push_back(StoreKey{true, width, hit->class_id, TruthTable{}});
-              continue;
-            }
-          }
-          const TruthTable& canon =
-              memoized(state.image_cache, u, hits, misses,
-                       [&](const TruthTable& tt) { return canonical_via_semiclass(state, tt); });
-          const std::optional<std::uint32_t> id =
-              width_matches ? resolved->find_class_id(canon) : std::nullopt;
-          if (id.has_value()) {
-            ++store_index_hits;
-            key_of_unique.push_back(StoreKey{true, width, *id, TruthTable{}});
-          } else {
-            key_of_unique.push_back(StoreKey{false, 0, 0, canon});
-          }
-        }
-        LocalResult local =
-            group_by_key<StoreKey, StoreKeyHash>(d, std::move(key_of_unique), hits, misses);
-        local.store_cache_hits = store_cache_hits;
-        local.store_table_hits = store_table_hits;
-        local.store_index_hits = store_index_hits;
-        return local;
-      }
-      [[fallthrough]];
     case ClassifierKind::kSemiCanonical:
     case ClassifierKind::kCodesign:
     case ClassifierKind::kHierarchical: {
@@ -418,26 +331,6 @@ void BatchEngine::clear_cache()
   }
 }
 
-void BatchEngine::attach_store(const ClassStore* store)
-{
-  if (store != nullptr && kind_ != ClassifierKind::kExhaustive) {
-    throw std::invalid_argument{
-        "BatchEngine::attach_store: the store fast path requires the exact-canonical "
-        "(kitty) engine"};
-  }
-  store_ = store;
-}
-
-void BatchEngine::attach_router(const StoreRouter* router)
-{
-  if (router != nullptr && kind_ != ClassifierKind::kExhaustive) {
-    throw std::invalid_argument{
-        "BatchEngine::attach_router: the store fast path requires the exact-canonical "
-        "(kitty) engine"};
-  }
-  router_ = router;
-}
-
 ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, BatchEngineStats* stats)
 {
   // The fp kinds class on MSV equality, so the shard key must be a function
@@ -452,8 +345,7 @@ ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, Ba
   pool_->run_indexed(plan.num_shards, [&](std::size_t s) {
     if (!plan.members[s].empty()) {
       const std::uint64_t t0 = obs::now_ticks();
-      locals[s] =
-          classify_shard(kind_, options_, store_, router_, *shards_[s], funcs, plan.members[s]);
+      locals[s] = classify_shard(kind_, options_, *shards_[s], funcs, plan.members[s]);
       shard_latency_->record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
     }
   });
@@ -489,9 +381,6 @@ ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, Ba
       stats->shards_used += plan.members[s].empty() ? 0 : 1;
       stats->cache_hits += locals[s].cache_hits;
       stats->cache_misses += locals[s].cache_misses;
-      stats->store_cache_hits += locals[s].store_cache_hits;
-      stats->store_table_hits += locals[s].store_table_hits;
-      stats->store_index_hits += locals[s].store_index_hits;
     }
   }
   return result;

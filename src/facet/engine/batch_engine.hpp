@@ -42,8 +42,6 @@
 
 namespace facet {
 
-class ClassStore;
-class StoreRouter;
 class WorkerPool;
 struct BatchShardState;
 
@@ -85,9 +83,6 @@ struct BatchEngineStats {
   std::size_t max_shard_size = 0;  ///< largest shard (skew indicator)
   std::size_t cache_hits = 0;      ///< canonicalizations skipped (dups + memo)
   std::size_t cache_misses = 0;    ///< canonicalizations actually performed
-  std::size_t store_cache_hits = 0;  ///< attached-store hot-cache hits (no canonicalization)
-  std::size_t store_table_hits = 0;  ///< attached-store NPN4 norm-table hits (width <= 4)
-  std::size_t store_index_hits = 0;  ///< attached-store index hits (canonical known)
 };
 
 /// Reusable parallel batch classifier. Thread-safe for sequential reuse
@@ -114,34 +109,12 @@ class BatchEngine {
   /// Drops all per-shard memo caches.
   void clear_cache();
 
-  /// Attaches a read-only ClassStore fast path (kExhaustive engines only —
-  /// other kinds throw std::invalid_argument). Functions found in the
-  /// store's hot cache — or resolved by its NPN4 norm-table tier on a
-  /// width <= 4 store — skip canonicalization entirely; canonical forms
-  /// found in its index key their class by the stored class id. Both key
-  /// flavors induce the same partition as the canonical image, so the
-  /// merged result stays bit-identical to the sequential classifier.
-  /// Pass nullptr to detach. The store must not be mutated (appended to)
-  /// while a classify() call is running.
-  void attach_store(const ClassStore* store);
-  [[nodiscard]] const ClassStore* attached_store() const noexcept { return store_; }
-
-  /// Attaches a StoreRouter fast path (kExhaustive engines only): every
-  /// function resolves through the router's store of its width, so one
-  /// engine accelerates mixed-width workloads. Same bit-identity guarantee
-  /// and mutation rules as attach_store; pass nullptr to detach. A router
-  /// takes precedence over an attached single store.
-  void attach_router(const StoreRouter* router);
-  [[nodiscard]] const StoreRouter* attached_router() const noexcept { return router_; }
-
  private:
   ClassifierKind kind_;
   BatchEngineOptions options_;
   std::size_t num_shards_;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<BatchShardState>> shards_;
-  const ClassStore* store_ = nullptr;
-  const StoreRouter* router_ = nullptr;
   /// `facet_batch_shard_classify_latency{classifier=...}` — per-shard
   /// classify timing, resolved once at construction (obs/registry.hpp).
   obs::LatencyHistogram* shard_latency_ = nullptr;

@@ -349,17 +349,6 @@ std::size_t ClassStore::num_delta_records() const
   return delta_records(*gate_->pin());
 }
 
-const std::vector<StoreRecord>& ClassStore::records() const
-{
-  const auto tiers = gate_->pin();
-  const auto* materialized = dynamic_cast<const MaterializedSegment*>(tiers->base.get());
-  if (materialized == nullptr) {
-    throw std::logic_error{
-        "ClassStore::records: the base segment is mmap-backed; iterate via base_segment()"};
-  }
-  return materialized->records();
-}
-
 std::vector<StoreRecord> ClassStore::persisted_records() const
 {
   // Copy the memtable BEFORE pinning the tiers: a concurrent flush publishes
@@ -619,34 +608,7 @@ std::uint64_t ClassStore::delta_log_size(const std::string& dlog_path) noexcept
 
 // -- lookup tiers ------------------------------------------------------------
 
-namespace {
-
-/// What a probe of the index tiers reads out of a hit: the whole record
-/// (find_canonical, the walk) ...
-struct ReadRecord {
-  using Result = std::optional<StoreRecord>;
-  [[nodiscard]] Result operator()(const StoreRecord& record) const { return record; }
-  [[nodiscard]] Result operator()(const Segment& segment, const TruthTable& key) const
-  {
-    return segment.find(key);
-  }
-};
-
-/// ... or only its class id (find_class_id), which no segment materializes
-/// a record for.
-struct ReadClassId {
-  using Result = std::optional<std::uint32_t>;
-  [[nodiscard]] Result operator()(const StoreRecord& record) const { return record.class_id; }
-  [[nodiscard]] Result operator()(const Segment& segment, const TruthTable& key) const
-  {
-    return segment.find_class_id(key);
-  }
-};
-
-}  // namespace
-
-template <typename Read>
-typename Read::Result ClassStore::probe_tiers(const TruthTable& canonical, const Read& read) const
+std::optional<StoreRecord> ClassStore::find_canonical(const TruthTable& canonical) const
 {
   // Memtable BEFORE the pin: a concurrent flush publishes its sealed run
   // before clearing the memtable, so a record mid-flush is visible through
@@ -654,27 +616,17 @@ typename Read::Result ClassStore::probe_tiers(const TruthTable& canonical, const
   {
     const std::lock_guard<std::mutex> lock{memtable_->mutex};
     if (const auto it = memtable_->index.find(canonical); it != memtable_->index.end()) {
-      return read(memtable_->records[it->second]);
+      return memtable_->records[it->second];
     }
   }
   const auto tiers = gate_->pin();
   const std::uint64_t hash = canonical.hash();  // one hash for every run
   for (auto delta = tiers->deltas.rbegin(); delta != tiers->deltas.rend(); ++delta) {
     if (const StoreRecord* record = (*delta)->find_hashed(canonical, hash)) {
-      return read(*record);
+      return *record;
     }
   }
-  return read(*tiers->base, canonical);
-}
-
-std::optional<StoreRecord> ClassStore::find_canonical(const TruthTable& canonical) const
-{
-  return probe_tiers(canonical, ReadRecord{});
-}
-
-std::optional<std::uint32_t> ClassStore::find_class_id(const TruthTable& canonical) const
-{
-  return probe_tiers(canonical, ReadClassId{});
+  return tiers->base->find(canonical);
 }
 
 StoreLookupResult ClassStore::make_result(const StoreRecord& record,
@@ -724,15 +676,6 @@ void ClassStore::npn4_prefill()
       npn4_publish(index, *record);
     }
   }
-}
-
-std::optional<StoreLookupResult> ClassStore::probe_cache(const TruthTable& f) const
-{
-  if (f.num_vars() != num_vars_) {
-    return std::nullopt;
-  }
-  std::optional<Npn4Result> table;
-  return probe_front(f, table);
 }
 
 std::optional<StoreLookupResult> ClassStore::probe_front(const TruthTable& f,

@@ -71,16 +71,15 @@
 /// open) and one delta-log replay (open and reload).
 ///
 /// Class ids are assigned by first occurrence at build time, exactly as the
-/// BatchEngine / sequential classifiers assign them, so classifying a
-/// dataset through lookups is bit-identical to classify_exhaustive /
-/// BatchEngine{kExhaustive} output — including on a store that starts empty
-/// and learns every class through the live tier.
+/// sequential classifiers assign them, so classifying a dataset through
+/// lookups is bit-identical to classify_exhaustive / BatchEngine{kExhaustive}
+/// output — including on a store that starts empty and learns every class
+/// through the live tier.
 ///
 /// ## Concurrency
 ///
 /// The store synchronizes itself — callers (the serve sessions, the network
-/// server, the background compactor, the batch engine's workers) never wrap
-/// it in an external lock:
+/// server, the background compactor) never wrap it in an external lock:
 ///
 ///   * The immutable tiers — base segment + delta runs — are published as
 ///     one swapped-wholesale TierSnapshot (gate.hpp). Readers pin the
@@ -107,19 +106,18 @@
 ///     written file, and only the caller's own file-level coordination
 ///     prevents two writers racing on one target path.
 ///
-/// Thread-safe from any mix of threads: lookup(), probe_cache(),
-/// find_canonical(), find_class_id(), lookup_or_classify(), flush_delta(),
-/// compact() and its two halves, and the counters (num_records /
-/// num_appended / num_delta_segments / num_classes / ...). Readers never
-/// enter the mutation gate: the snapshot pin and the memtable probe each
-/// take a dedicated mutex for a pointer copy / one hash op — never across
-/// canonicalization, segment searches or I/O, so a flush writing its frame
-/// or a compactor mid-merge cannot stall them.
+/// Thread-safe from any mix of threads: lookup(), find_canonical(),
+/// lookup_or_classify(), persisted_records(), tier_snapshot(),
+/// flush_delta(), compact() and its two halves, and the counters
+/// (num_records / num_appended / num_delta_segments / num_classes / ...).
+/// Readers never enter the mutation gate: the snapshot pin and the memtable
+/// probe each take a dedicated mutex for a pointer copy / one hash op —
+/// never across canonicalization, segment searches or I/O, so a flush
+/// writing its frame or a compactor mid-merge cannot stall them.
 /// Not synchronized: construction, move, two compactions of one store
-/// overlapping, save()/compact() racing other mutators of the same *file*,
-/// and records()/base_segment(), whose returned references are only stable
-/// while no compaction swap lands (pin tier_snapshot() to hold an epoch
-/// across concurrent swaps).
+/// overlapping, and save()/compact() racing other mutators of the same
+/// *file*. Every accessor returns a value or a pinned epoch, never a
+/// reference into tiers a compaction swap could retire.
 ///
 /// compact() never stalls readers or appenders behind its heavy merge. It
 /// runs in four phases: flush the memtable into the delta log (gated, like
@@ -276,19 +274,8 @@ class ClassStore {
     return gate_->pin();
   }
 
-  /// The base segment (compacted sorted records; excludes deltas/memtable).
-  /// The reference tracks the *currently published* base: it is stable only
-  /// while no compaction swap lands — pin tier_snapshot() instead when a
-  /// compactor may run concurrently.
-  [[nodiscard]] const Segment& base_segment() const { return *gate_->pin()->base; }
   /// True when the base serves from a read-only mmap instead of RAM.
   [[nodiscard]] bool mmap_backed() const noexcept { return mmap_backed_; }
-
-  /// The materialized base records, for stores whose base lives in RAM
-  /// (built stores, open() without mmap). Throws std::logic_error
-  /// on an mmap-backed base — iterate via base_segment().record_at there.
-  /// Like base_segment(), stable only while no compaction swap lands.
-  [[nodiscard]] const std::vector<StoreRecord>& records() const;
 
   /// Every persisted record — base, delta runs and memtable merged by the
   /// one tier merge (newest occurrence of a canonical form wins) — sorted by
@@ -388,19 +375,11 @@ class ClassStore {
 
   // -- lookup tiers --------------------------------------------------------
 
-  /// Index probe by canonical form: memtable, then delta runs newest-first,
-  /// then the base segment. No canonicalization, no cache.
+  /// Index probe by canonical form — the walk's index tiers: the memtable
+  /// (under its mutex, before the pin), then the delta runs newest-first
+  /// with one hash of the key, then the base segment. No canonicalization,
+  /// no cache.
   [[nodiscard]] std::optional<StoreRecord> find_canonical(const TruthTable& canonical) const;
-
-  /// Index probe returning only the class id — the batch-engine hot path;
-  /// skips record materialization on every tier.
-  [[nodiscard]] std::optional<std::uint32_t> find_class_id(const TruthTable& canonical) const;
-
-  /// The walk's first two tiers by the query function itself; never
-  /// canonicalizes. On a width <= 4 store, f's filled norm-table slot
-  /// (src=table); on a wider one, one hot-cache set probe.
-  /// nullopt for a query of another width.
-  [[nodiscard]] std::optional<StoreLookupResult> probe_cache(const TruthTable& f) const;
 
   /// Full read-only lookup: the tier walk (file comment) through tier 5.
   /// nullopt if the class is not in the store.
@@ -518,16 +497,10 @@ class ClassStore {
   /// which belongs to the primary, alone.
   [[nodiscard]] static StoredTiers read_tiers(const std::string& path, bool use_mmap,
                                               bool repair_torn_tail);
-  /// The one walk of the index tiers by canonical form, behind
-  /// find_canonical() and find_class_id(): the memtable (under its mutex),
-  /// then the delta runs newest-first, then the base. `read` turns a hit
-  /// into the answer (ReadRecord / ReadClassId in class_store.cpp).
-  template <typename Read>
-  [[nodiscard]] typename Read::Result probe_tiers(const TruthTable& canonical,
-                                                  const Read& read) const;
-  /// The walk's first two tiers, shared with probe_cache(): at width <= 4,
-  /// the norm-table entry of f (kept in `table` for the slower tiers) and
-  /// its class's slot; wider, the hot cache.
+  /// The walk's first two tiers: at width <= 4, the norm-table entry of f
+  /// (kept in `table` for the slower tiers) and its class's slot; wider,
+  /// the hot cache. Returns by value into the walk's result, so a cache hit
+  /// is never moved a second time.
   [[nodiscard]] std::optional<StoreLookupResult> probe_front(
       const TruthTable& f, std::optional<Npn4Result>& table) const;
   /// The answer `cache` holds under `key`, reported as `source`.
@@ -602,8 +575,8 @@ class ClassStore {
   std::unique_ptr<Npn4Slots> npn4_;
   mutable std::atomic<std::uint64_t> table_hits_{0};
   /// Live-transient classes (non-appending misses), keyed by canonical form.
-  /// Never visible to find_canonical() or the hot cache, so the batch
-  /// engine's store keys stay consistent. Gate holders only.
+  /// Never visible to find_canonical(), the hot cache or the memo, so they
+  /// keep reporting known=false. Gate holders only.
   std::unordered_map<TruthTable, StoreRecord, TruthTableHash> miss_records_;
   std::atomic<std::uint64_t> next_class_id_{0};
   std::atomic<std::uint64_t> compactions_{0};

@@ -178,14 +178,6 @@ std::optional<StoreRecord> MaterializedSegment::find(const TruthTable& canonical
   return std::nullopt;
 }
 
-std::optional<std::uint32_t> MaterializedSegment::find_class_id(const TruthTable& canonical) const
-{
-  if (const StoreRecord* record = find_hashed(canonical, canonical.hash())) {
-    return record->class_id;
-  }
-  return std::nullopt;
-}
-
 bool mmap_supported() noexcept
 {
   return FACET_HAS_MMAP != 0;
@@ -694,17 +686,6 @@ std::optional<StoreRecord> MmapSegment::find(const TruthTable& canonical) const
 {
   if (const auto i = find_index(canonical)) {
     return record_at(*i);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint32_t> MmapSegment::find_class_id(const TruthTable& canonical) const
-{
-  if (const auto i = find_index(canonical)) {
-    // compare_canonical already validated the record's block; the id rides
-    // in the word after the two tables, no decode needed.
-    const std::size_t num_words = words_for_vars(layout_.num_vars);
-    return static_cast<std::uint32_t>(load_le64(layout_.record(*i) + 8 * (2 * num_words)) >> 32);
   }
   return std::nullopt;
 }

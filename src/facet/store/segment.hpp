@@ -65,11 +65,6 @@ class Segment {
   /// materialized flavor probes its hash index, the mmap flavor binary-
   /// searches its block keys and scans one block.
   [[nodiscard]] virtual std::optional<StoreRecord> find(const TruthTable& canonical) const = 0;
-
-  /// The same probe returning only the class id — the batch-engine hot
-  /// path. Neither flavor materializes a record for this.
-  [[nodiscard]] virtual std::optional<std::uint32_t> find_class_id(
-      const TruthTable& canonical) const = 0;
 };
 
 /// Segment over records held in RAM. The records must already be sorted by
@@ -88,16 +83,14 @@ class MaterializedSegment final : public Segment {
   [[nodiscard]] std::size_t size() const noexcept override { return records_.size(); }
   [[nodiscard]] StoreRecord record_at(std::size_t i) const override { return records_[i]; }
   [[nodiscard]] std::optional<StoreRecord> find(const TruthTable& canonical) const override;
-  [[nodiscard]] std::optional<std::uint32_t> find_class_id(
-      const TruthTable& canonical) const override;
 
   [[nodiscard]] const std::vector<StoreRecord>& records() const noexcept { return records_; }
 
   /// The record keyed `canonical`, or null, given `hash` ==
-  /// canonical.hash() — the one search behind find() and find_class_id(),
-  /// exposed so a probe of many runs hashes its key once. Linear probing
-  /// from the slot the hash's low word picks; a record is compared only
-  /// when its slot's fingerprint matches the key's.
+  /// canonical.hash() — the one search behind find(), exposed so a probe
+  /// of many runs hashes its key once. Linear probing from the slot the
+  /// hash's low word picks; a record is compared only when its slot's
+  /// fingerprint matches the key's.
   [[nodiscard]] const StoreRecord* find_hashed(const TruthTable& canonical,
                                                std::uint64_t hash) const;
 
@@ -142,10 +135,10 @@ struct BaseSegmentLayout {
 /// Segment over the record region of a `.fcs` file mapped read-only.
 class MmapSegment final : public Segment {
  public:
-  /// Distinct data pages examined by find/find_class_id/find_index calls on
-  /// this mapping — deterministic page-touch accounting for the cold-probe
-  /// bench and the `facet_store_probe_pages` series, independent of what
-  /// the OS page cache happens to hold.
+  /// Distinct data pages examined by find/find_index calls on this mapping
+  /// — deterministic page-touch accounting for the cold-probe bench and the
+  /// `facet_store_probe_pages` series, independent of what the OS page
+  /// cache happens to hold.
   struct ProbeStats {
     std::uint64_t probes = 0;
     std::uint64_t pages = 0;
@@ -165,8 +158,6 @@ class MmapSegment final : public Segment {
   [[nodiscard]] std::size_t size() const noexcept override { return layout_.num_records; }
   [[nodiscard]] StoreRecord record_at(std::size_t i) const override;
   [[nodiscard]] std::optional<StoreRecord> find(const TruthTable& canonical) const override;
-  [[nodiscard]] std::optional<std::uint32_t> find_class_id(
-      const TruthTable& canonical) const override;
 
   /// Next fresh class id recorded in the mapped header.
   [[nodiscard]] std::uint64_t num_classes() const noexcept { return layout_.num_classes; }

@@ -30,12 +30,6 @@ StoreRouter StoreRouter::open(const std::vector<std::string>& paths,
   return router;
 }
 
-const ClassStore* StoreRouter::store_for(int num_vars) const noexcept
-{
-  const auto it = stores_.find(num_vars);
-  return it == stores_.end() ? nullptr : it->second.get();
-}
-
 ClassStore* StoreRouter::store_for(int num_vars) noexcept
 {
   const auto it = stores_.find(num_vars);

@@ -5,10 +5,9 @@
 /// One `.fcs` index holds one function width, but production NPN lookup —
 /// mappers enumerating cuts of mixed sizes — queries many widths through a
 /// single session. A StoreRouter owns one ClassStore per width n and
-/// routes every query by `num_vars` (store_for), so the batch engine
-/// (BatchEngine::attach_router), the serve dispatcher and the CLI
-/// (`facet_cli serve --route`) talk to one object regardless of how many
-/// widths are indexed.
+/// routes every query by `num_vars` (store_for), so the serve dispatcher,
+/// the network server and the CLI (`facet_cli serve --route`) talk to one
+/// object regardless of how many widths are indexed.
 ///
 /// Concurrency: the routing table is immutable once serving starts —
 /// attach()/open() run single-threaded at setup — and every routed store
@@ -48,7 +47,6 @@ class StoreRouter {
                                         const StoreOpenOptions& options = {});
 
   /// The store routing width `num_vars`; nullptr when unrouted.
-  [[nodiscard]] const ClassStore* store_for(int num_vars) const noexcept;
   [[nodiscard]] ClassStore* store_for(int num_vars) noexcept;
 
   [[nodiscard]] std::size_t num_stores() const noexcept { return stores_.size(); }

@@ -1,7 +1,7 @@
 /// Tests of the persistent NPN class store: build / save / load round-trips
 /// against live BatchEngine classification on randomized datasets, corrupted
 /// and version-mismatched file rejection, the hot cache, the live fallback
-/// tier, and the store-backed BatchEngine fast path.
+/// tier, and compaction.
 
 #include "facet/store/class_store.hpp"
 
@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "facet/engine/batch_engine.hpp"
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/semiclass.hpp"
@@ -122,7 +121,7 @@ TEST_P(StoreRoundTrip, BuildMatchesBatchEngineAndTransformsWitness)
     EXPECT_EQ(result->class_id, expected.class_of[i]);
     EXPECT_EQ(apply_transform(funcs[i], result->to_representative), result->representative);
   }
-  for (const auto& record : store.records()) {
+  for (const auto& record : store.persisted_records()) {
     EXPECT_EQ(apply_transform(record.representative, record.rep_to_canonical), record.canonical);
     EXPECT_EQ(exact_npn_canonical(record.representative), record.canonical);
     EXPECT_EQ(record.class_size, sizes[record.class_id]);
@@ -139,9 +138,11 @@ TEST_P(StoreRoundTrip, SaveLoadPreservesEveryLookup)
   EXPECT_EQ(loaded.num_vars(), built.num_vars());
   EXPECT_EQ(loaded.num_classes(), built.num_classes());
   ASSERT_EQ(loaded.num_records(), built.num_records());
-  for (std::size_t r = 0; r < built.records().size(); ++r) {
-    const StoreRecord& a = built.records()[r];
-    const StoreRecord& b = loaded.records()[r];
+  const std::vector<StoreRecord> built_records = built.persisted_records();
+  const std::vector<StoreRecord> loaded_records = loaded.persisted_records();
+  for (std::size_t r = 0; r < built_records.size(); ++r) {
+    const StoreRecord& a = built_records[r];
+    const StoreRecord& b = loaded_records[r];
     EXPECT_EQ(a.canonical, b.canonical);
     EXPECT_EQ(a.representative, b.representative);
     EXPECT_EQ(a.rep_to_canonical, b.rep_to_canonical);
@@ -720,49 +721,6 @@ TEST(ClassStore, WidthMismatchesAreRejected)
   EXPECT_THROW((void)store.lookup_or_classify(TruthTable{3}), std::invalid_argument);
 }
 
-TEST(BatchEngineStore, FastPathIsBitIdenticalAndCountsHits)
-{
-  const int n = 5;
-  const auto warm_half = make_npn_workload(n, 25, 3, 0x600dULL);
-  auto workload = warm_half;
-  const auto extra = make_npn_workload(n, 25, 3, 0xbad5ULL);
-  workload.insert(workload.end(), extra.begin(), extra.end());
-
-  ClassStore store = build_class_store(warm_half, {});
-  // Warm the hot cache with some direct lookups.
-  for (std::size_t i = 0; i < warm_half.size(); i += 3) {
-    (void)store.lookup(warm_half[i]);
-  }
-
-  BatchEngineOptions options;
-  options.num_threads = 2;
-  BatchEngine engine{ClassifierKind::kExhaustive, options};
-  engine.attach_store(&store);
-
-  BatchEngineStats stats;
-  const ClassificationResult with_store = engine.classify(workload, &stats);
-  const ClassificationResult expected = classify_exhaustive(workload);
-  EXPECT_EQ(with_store.num_classes, expected.num_classes);
-  EXPECT_EQ(with_store.class_of, expected.class_of);
-  EXPECT_GT(stats.store_cache_hits + stats.store_index_hits, 0u);
-
-  // Detached, the engine still matches (and no store hits are reported).
-  engine.attach_store(nullptr);
-  engine.clear_cache();
-  BatchEngineStats plain_stats;
-  const ClassificationResult plain = engine.classify(workload, &plain_stats);
-  EXPECT_EQ(plain.class_of, expected.class_of);
-  EXPECT_EQ(plain_stats.store_cache_hits, 0u);
-  EXPECT_EQ(plain_stats.store_index_hits, 0u);
-}
-
-TEST(BatchEngineStore, AttachRejectsNonExhaustiveKinds)
-{
-  ClassStore store{4};
-  BatchEngine engine{ClassifierKind::kFp};
-  EXPECT_THROW(engine.attach_store(&store), std::invalid_argument);
-}
-
 /// Appends `count` genuinely-new classes to `store`; returns them.
 std::vector<TruthTable> append_novel(ClassStore& store, std::size_t count, std::uint64_t seed)
 {
@@ -822,14 +780,15 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
     EXPECT_EQ(store.num_compactions(), 1u);
     EXPECT_EQ(store.num_delta_segments(), 1u) << "the post-snapshot run must survive";
     EXPECT_EQ(store.num_appended(), 1u) << "the memtable must survive";
-    EXPECT_EQ(store.base_segment().size(), base_records + first.size() + second.size());
+    EXPECT_EQ(store.tier_snapshot()->base->size(), base_records + first.size() + second.size());
     EXPECT_EQ(store.mmap_backed(), use_mmap);
 
     // Every class — compacted, surviving run, memtable — still answers with
     // its original id, in memory and after a fresh open of the swapped
     // files (base + rewritten delta log).
     ClassStore reopened = ClassStore::open(path, open_options);
-    EXPECT_EQ(reopened.base_segment().size(), base_records + first.size() + second.size());
+    EXPECT_EQ(reopened.tier_snapshot()->base->size(),
+              base_records + first.size() + second.size());
     EXPECT_EQ(reopened.num_delta_records(), third.size());
     for (const auto& group : {first, second, third}) {
       for (const auto& f : group) {

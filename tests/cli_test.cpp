@@ -1,0 +1,55 @@
+/// Tests of the shared command-line flag parser: value binding and the
+/// unsigned getter that count and size flags (`--jobs`, `--cache`,
+/// `--max-funcs`, ...) are read through.
+
+#include "facet/util/cli.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+namespace facet {
+namespace {
+
+/// CliArgs over `tokens`, with a program name in front.
+CliArgs parse(std::vector<std::string> tokens)
+{
+  tokens.insert(tokens.begin(), "facet_cli");
+  std::vector<char*> argv;
+  for (auto& token : tokens) {
+    argv.push_back(token.data());
+  }
+  return CliArgs{static_cast<int>(argv.size()), argv.data()};
+}
+
+TEST(CliArgs, GetUint64RejectsANegativeValue)
+{
+  // Spaced and `=` forms alike: a negative count must never wrap into a
+  // huge one (a thread count of 2^64 - 1).
+  const CliArgs spaced = parse({"build-index", "--jobs", "-1"});
+  EXPECT_THROW((void)spaced.get_uint64("jobs", 0), std::invalid_argument);
+  const CliArgs joined = parse({"classify", "--cache=-1"});
+  EXPECT_THROW((void)joined.get_uint64("cache", 0), std::invalid_argument);
+  try {
+    (void)spaced.get_uint64("jobs", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("expected a non-negative integer"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CliArgs, GetUint64ParsesZeroAndTheFullRange)
+{
+  const CliArgs args = parse({"dataset", "--jobs", "0", "--max-funcs=18446744073709551615"});
+  EXPECT_EQ(args.get_uint64("jobs", 7), 0u);
+  EXPECT_EQ(args.get_uint64("max-funcs", 0), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(args.get_uint64("cache", 42), 42u) << "an absent flag takes the fallback";
+  EXPECT_EQ(args.positional(), std::vector<std::string>{"dataset"});
+}
+
+}  // namespace
+}  // namespace facet

@@ -261,7 +261,7 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
   // appended class from the persisted index, under the id the live server
   // handed out.
   ClassStore reopened = ClassStore::open(path);
-  EXPECT_GE(reopened.base_segment().size(), base_records + 1) << "the base never grew";
+  EXPECT_GE(reopened.tier_snapshot()->base->size(), base_records + 1) << "the base never grew";
   for (std::size_t i = 0; i < novel.size(); ++i) {
     const auto result = reopened.lookup(novel[i]);
     ASSERT_TRUE(result.has_value()) << "append " << i << " was lost";

@@ -53,7 +53,7 @@ StoreRouter make_router(std::uint64_t seed)
 TEST(ServeProtocolEdge, CrlfLineEndingsAreAccepted)
 {
   ClassStore store = make_store(4, 0xed01ULL);
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
   ServeStats stats;
   const auto lines =
       run_serve(store, "lookup " + hex + "\r\ninfo\r\n  stats  \r\nquit\r\n", &stats);
@@ -123,7 +123,7 @@ TEST(ServeProtocolEdge, HexOperandWidthRejectsInvalidDigitsAtInference)
 TEST(ServeProtocolEdge, OversizedRequestLineAnswersErrAndKeepsServing)
 {
   ClassStore store = make_store(3, 0xed05ULL);
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
   std::string script;
   script += "lookup " + hex + "\n";
   script += std::string(kMaxRequestLineBytes + 100, 'a') + "\n";
@@ -154,8 +154,8 @@ TEST(ServeProtocolEdge, MlookupBatchSurvivesErrOperandsAndCountsThem)
   // Width 5: above the NPN4 table tier, so the repeated operand exercises
   // the hot cache (at width <= 4 every hit would resolve src=table).
   ClassStore store = make_store(5, 0xed07ULL);
-  const std::string a = to_hex(store.records().front().representative);
-  const std::string b = to_hex(store.records().back().representative);
+  const std::string a = to_hex(store.persisted_records().front().representative);
+  const std::string b = to_hex(store.persisted_records().back().representative);
   ServeStats stats;
   const auto lines =
       run_serve(store, "mlookup " + a + " zzzz 0x " + b + " fff " + a + "\nquit\n", &stats);
@@ -292,7 +292,7 @@ TEST(ServeProtocolEdge, ReadonlySessionRejectsMissesButServesHits)
     novel = tt_random(4, rng);
   } while (store.lookup(novel).has_value());
   store.clear_hot_cache();
-  const std::string known = to_hex(store.records().front().representative);
+  const std::string known = to_hex(store.persisted_records().front().representative);
 
   ServeOptions options;
   options.readonly = true;
@@ -312,7 +312,7 @@ TEST(ServeProtocolEdge, ReadonlySessionRejectsMissesButServesHits)
 TEST(ServeProtocolEdge, StatsAllAnswersAggregateInStdinSessions)
 {
   ClassStore store = make_store(3, 0xed17ULL);
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
   ServeStats stats;
   const auto lines =
       run_serve(store, "lookup " + hex + "\nstats all\nstats bogus\nquit\n", &stats);
@@ -330,8 +330,8 @@ TEST(ServeProtocolEdge, StatsAllAnswersAggregateInStdinSessions)
 TEST(ServeProtocolEdge, StatsAllReportsPerWidthRows)
 {
   StoreRouter router = make_router(0xed20ULL);
-  const std::string hex3 = to_hex(router.store_for(3)->records().front().representative);
-  const std::string hex4 = to_hex(router.store_for(4)->records().front().representative);
+  const std::string hex3 = to_hex(router.store_for(3)->persisted_records().front().representative);
+  const std::string hex4 = to_hex(router.store_for(4)->persisted_records().front().representative);
 
   // Two width-3 lookups and one width-4 lookup: the rows must attribute
   // traffic to the store that served it — at these widths every hit
@@ -389,8 +389,8 @@ TEST(ServeProtocolEdge, StatsLineReportsErrors)
 TEST(ServeProtocolEdge, LookupAtPinsOperandWidthThroughTheRouter)
 {
   StoreRouter router = make_router(0xed30ULL);
-  const std::string hex3 = to_hex(router.store_for(3)->records().front().representative);
-  const std::string hex4 = to_hex(router.store_for(4)->records().front().representative);
+  const std::string hex3 = to_hex(router.store_for(3)->persisted_records().front().representative);
+  const std::string hex4 = to_hex(router.store_for(4)->persisted_records().front().representative);
   ServeStats stats;
   const auto lines = run_router_serve(router,
                                       "lookup@3 " + hex3 +        // pinned, digits match
@@ -413,7 +413,7 @@ TEST(ServeProtocolEdge, LookupAtPinsOperandWidthThroughTheRouter)
 TEST(ServeProtocolEdge, LookupAtChecksTheSingleStoreWidth)
 {
   ClassStore store = make_store(3, 0xed31ULL);
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
   const auto lines = run_serve(
       store, "lookup@3 " + hex + "\nlookup@4 " + hex + hex + "\nquit\n");
   ASSERT_EQ(lines.size(), 3u);
@@ -429,7 +429,7 @@ TEST(ServeProtocolEdge, LookupAtChecksTheSingleStoreWidth)
 TEST(ServeProtocolEdge, SingleStoreEdgeCasesAnswerAlikeThroughAOneWidthRouter)
 {
   const auto known = [](const ClassStore& store) {
-    return to_hex(store.records().front().representative);
+    return to_hex(store.persisted_records().front().representative);
   };
   const auto novel = [](const ClassStore& store) {
     std::mt19937_64 rng{0xed50ULL};
@@ -512,9 +512,9 @@ TEST(ServeProtocolEdge, StatsAllTotalsEqualTheSumOfWidthRows)
   router.attach(std::make_unique<ClassStore>(make_store(3, 0xed60ULL)));
   router.attach(std::make_unique<ClassStore>(make_store(5, 0xed61ULL)));
   router.attach(std::make_unique<ClassStore>(make_store(6, 0xed62ULL)));
-  const std::string hex3 = to_hex(router.store_for(3)->records().front().representative);
-  const std::string hex5 = to_hex(router.store_for(5)->records().front().representative);
-  const std::string hex6 = to_hex(router.store_for(6)->records().back().representative);
+  const std::string hex3 = to_hex(router.store_for(3)->persisted_records().front().representative);
+  const std::string hex5 = to_hex(router.store_for(5)->persisted_records().front().representative);
+  const std::string hex6 = to_hex(router.store_for(6)->persisted_records().back().representative);
   std::mt19937_64 rng{0xed63ULL};
   TruthTable novel6{6};
   do {
@@ -715,7 +715,7 @@ TEST(ServeProtocolEdge, SingleNibbleWithDisagreeingCandidateWidthsErrs)
 TEST(ServeProtocolEdge, StatsAllCarriesCompactionAndLatencyFields)
 {
   ClassStore store = make_store(3, 0xed40ULL);
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
   const auto lines = run_serve(store, "lookup " + hex + "\nstats all\nquit\n");
   ASSERT_EQ(lines.size(), 4u);
   const std::string& agg = lines[1];
@@ -736,7 +736,7 @@ TEST(ServeProtocolEdge, StatsAllCarriesCompactionAndLatencyFields)
 TEST(ServeProtocolEdge, MetricsVerbFramesThePrometheusDump)
 {
   ClassStore store = make_store(4, 0xed41ULL);
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
   const auto lines = run_serve(store, "lookup " + hex + "\nmetrics\nquit\n");
   // Framing: `ok metrics lines=<k>`, then exactly k payload lines, then the
   // quit response — a protocol client reads precisely k lines and is back
@@ -782,7 +782,7 @@ TEST(ServeProtocolEdge, SlowRequestThresholdLogsStructuredLines)
   // legitimately stay under any microsecond threshold.
   ClassStore store = make_store(5, 0xed42ULL);
   store.clear_hot_cache();
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
 
   // Threshold of 1us: a cold lookup (semiclass + canonicalization) is
   // microseconds-scale, so it must cross it; the line carries verb, width,
@@ -824,7 +824,7 @@ TEST(ServeProtocolEdge, MemoHitsAppearInSrcAndStats)
 
   // An NPN image of the representative with other words but the same
   // semiclass image: the memo answers it once the first lookup filled it.
-  const TruthTable rep = store.records().front().representative;
+  const TruthTable rep = store.persisted_records().front().representative;
   const TruthTable image = semiclass_form(rep).image;
   TruthTable variant = rep;
   for (int attempt = 0; attempt < 4096; ++attempt) {

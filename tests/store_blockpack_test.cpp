@@ -134,10 +134,10 @@ TEST(StoreBlockPack, V3ProbesTouchOneBlock)
   // binary search runs over the in-RAM block keys.
   for (std::size_t i = 0; i < count; i += 11) {
     const auto before = segment->probe_stats();
-    const auto id = segment->find_class_id(records[i].canonical);
+    const auto hit = segment->find(records[i].canonical);
     const auto after = segment->probe_stats();
-    ASSERT_TRUE(id.has_value());
-    EXPECT_EQ(*id, records[i].class_id);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->class_id, records[i].class_id);
     EXPECT_EQ(after.probes - before.probes, 1u);
     EXPECT_EQ(after.pages - before.pages, 1u) << "present-key probe must touch one block";
   }
@@ -155,7 +155,7 @@ TEST(StoreBlockPack, V3ProbesTouchOneBlock)
   }
   if (have_below) {
     const auto before = segment->probe_stats();
-    EXPECT_FALSE(segment->find_class_id(below).has_value());
+    EXPECT_FALSE(segment->find(below).has_value());
     const auto after = segment->probe_stats();
     EXPECT_EQ(after.pages - before.pages, 0u)
         << "below-range miss must resolve from the in-RAM block keys alone";
@@ -166,7 +166,7 @@ TEST(StoreBlockPack, V3ProbesTouchOneBlock)
   for (int i = 0; i < 64; ++i) {
     const TruthTable probe = tt_random(n, rng);
     const auto before = segment->probe_stats();
-    (void)segment->find_class_id(probe);
+    (void)segment->find(probe);
     const auto after = segment->probe_stats();
     EXPECT_LE(after.pages - before.pages, 1u);
   }
@@ -202,15 +202,15 @@ TEST(StoreBlockPack, EmptyOneRecordAndBlockBoundaryCounts)
       ASSERT_EQ(segment->size(), count);
       EXPECT_EQ(segment->num_pages(), store_num_blocks(count, n));
       for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto id = segment->find_class_id(records[i].canonical);
-        ASSERT_TRUE(id.has_value());
-        EXPECT_EQ(*id, records[i].class_id);
+        const auto hit = segment->find(records[i].canonical);
+        ASSERT_TRUE(hit.has_value());
+        EXPECT_EQ(hit->class_id, records[i].class_id);
       }
       std::mt19937_64 rng{0x4bULL + count};
       for (int k = 0; k < 32; ++k) {
         const TruthTable probe = tt_random(n, rng);
         const bool in_loaded = loaded.find_canonical(probe).has_value();
-        EXPECT_EQ(segment->find_class_id(probe).has_value(), in_loaded);
+        EXPECT_EQ(segment->find(probe).has_value(), in_loaded);
       }
     }
     std::remove(path.c_str());
@@ -264,8 +264,8 @@ TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
     if (mmap_supported()) {
       const auto segment = MmapSegment::open(path);
       EXPECT_EQ(segment->pages_validated(), 0u);
-      EXPECT_TRUE(segment->find_class_id(records.front().canonical).has_value());
-      EXPECT_THROW((void)segment->find_class_id(records.back().canonical), StoreFormatError);
+      EXPECT_TRUE(segment->find(records.front().canonical).has_value());
+      EXPECT_THROW((void)segment->find(records.back().canonical), StoreFormatError);
       EXPECT_THROW((void)segment->record_at(count - 1), StoreFormatError);
     }
   };
@@ -340,10 +340,10 @@ TEST(StoreBlockPack, MergeReadsBothBaseFlavorsAndEmitsV3)
   EXPECT_EQ(file_version(path_out), kStoreVersion);
 
   const ClassStore reopened = ClassStore::open(path_out);
-  for (const auto& record : built_a.records()) {
+  for (const auto& record : built_a.persisted_records()) {
     EXPECT_TRUE(reopened.find_canonical(record.canonical).has_value());
   }
-  for (const auto& record : built_b.records()) {
+  for (const auto& record : built_b.persisted_records()) {
     EXPECT_TRUE(reopened.find_canonical(record.canonical).has_value());
   }
   std::remove(path_a.c_str());

@@ -1,6 +1,6 @@
 /// Concurrent hammering of the segmented store: many threads driving
-/// lookup() / probe_cache() / find_canonical() against stores with live
-/// delta segments and against lazily-validated mmap bases — and, since the
+/// lookup() / find_canonical() against stores with live delta segments and
+/// against lazily-validated mmap bases — and, since the
 /// store gained its internal gate (gate.hpp), mutators running
 /// *concurrently* with those readers: appends, flushes,
 /// compact() swaps, and racing appenders that must agree on one id per
@@ -90,12 +90,6 @@ std::size_t hammer(const ClassStore& store, const Workload& w, std::size_t num_t
         }
         for (std::size_t k = 0; k < w.queries.size(); ++k) {
           const std::size_t i = (k + t * 17 + round * 31) % w.queries.size();
-          if (const auto cached = store.probe_cache(w.queries[i])) {
-            if (cached->class_id != w.expected_ids[i]) {
-              ++mismatches;
-            }
-            continue;
-          }
           const auto result = store.lookup(w.queries[i]);
           if (!result.has_value() || result->class_id != w.expected_ids[i]) {
             ++mismatches;
@@ -176,14 +170,15 @@ TEST(StoreConcurrency, ReadersAgainstLazyMmapBase)
   const std::string path = ::testing::TempDir() + "store_concurrency_mmap.fcs";
   const ClassStore built = build_class_store(base_funcs, {});
   built.save(path);
-  const std::vector<StoreRecord> all_records = built.records();
+  const std::vector<StoreRecord> all_records = built.persisted_records();
   ASSERT_GT(all_records.size() * store_record_words(n) * 8, 2 * kStorePageBytes);
 
   StoreOpenOptions open_options;
   open_options.use_mmap = true;
   open_options.store.hot_cache_capacity = 64;
   ClassStore store = ClassStore::open(path, open_options);
-  const auto* segment = dynamic_cast<const MmapSegment*>(&store.base_segment());
+  const auto tiers = store.tier_snapshot();
+  const auto* segment = dynamic_cast<const MmapSegment*>(tiers->base.get());
   ASSERT_NE(segment, nullptr);
   EXPECT_EQ(segment->pages_validated(), 0u);
 
@@ -259,8 +254,8 @@ TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompa
         }
         for (std::size_t k = 0; k < w.canon_keys.size(); ++k) {
           const std::size_t i = (k + t * 29) % w.canon_keys.size();
-          const auto id = store.find_class_id(w.canon_keys[i]);
-          if (!id.has_value() || *id != w.canon_ids[i]) {
+          const auto record = store.find_canonical(w.canon_keys[i]);
+          if (!record.has_value() || record->class_id != w.canon_ids[i]) {
             ++mismatches;
           }
         }

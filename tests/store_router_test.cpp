@@ -1,12 +1,13 @@
-/// Tests of the multi-width store federation: StoreRouter dispatch, the
-/// router-backed BatchEngine fast path on mixed-width workloads, the
-/// router serve loop (width inference, mlookup batching), and the
-/// fcs-merge union (dedup by canonical form, renumber by first occurrence).
+/// Tests of the multi-width store federation: StoreRouter dispatch and
+/// reopening, the router serve loop (width inference, mlookup batching),
+/// and the fcs-merge union (dedup by canonical form, renumber by first
+/// occurrence).
 
 #include "facet/store/store_router.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <random>
@@ -14,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "facet/engine/batch_engine.hpp"
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/merge.hpp"
@@ -66,10 +66,13 @@ TEST(StoreRouter, DispatchesByWidthAndRejectsUnrouted)
     const ClassStore* store = router.store_for(funcs.front().num_vars());
     ASSERT_NE(store, nullptr);
     EXPECT_EQ(store->num_vars(), funcs.front().num_vars());
-    for (const auto& f : funcs) {
-      const auto routed = store->lookup(f);
+    // Each width's ids are the sequential classifier's on that width's set.
+    const ClassificationResult expected = classify_exhaustive(funcs);
+    for (std::size_t i = 0; i < funcs.size(); ++i) {
+      const auto routed = store->lookup(funcs[i]);
       ASSERT_TRUE(routed.has_value());
-      EXPECT_EQ(apply_transform(f, routed->to_representative), routed->representative);
+      EXPECT_EQ(routed->class_id, expected.class_of[i]);
+      EXPECT_EQ(apply_transform(funcs[i], routed->to_representative), routed->representative);
     }
   }
 
@@ -115,52 +118,6 @@ TEST(StoreRouter, OpenRestoresEveryWidthFromDisk)
   for (const auto& path : paths) {
     std::remove(path.c_str());
   }
-}
-
-TEST(StoreRouter, BatchEngineRouterFastPathIsBitIdenticalOnMixedWidths)
-{
-  // A mixed-width workload — the cut-enumeration regime the router exists
-  // for. The router-backed engine must reproduce the sequential
-  // classifier's ids bit for bit while resolving most functions through
-  // the per-width stores.
-  std::mt19937_64 rng{0x40c7e2ULL};
-  std::vector<std::vector<TruthTable>> datasets;
-  StoreRouter router = make_router(4, 6, 0x40c7e3ULL, &datasets);
-
-  std::vector<TruthTable> workload;
-  for (const auto& funcs : datasets) {
-    for (const auto& f : funcs) {
-      workload.push_back(f);
-      workload.push_back(apply_transform(f, NpnTransform::random(f.num_vars(), rng)));
-    }
-  }
-  // Plus functions of a width the router does not serve at all.
-  for (const auto& f : random_funcs(3, 20, 0x40c7e4ULL)) {
-    workload.push_back(f);
-  }
-  std::shuffle(workload.begin(), workload.end(), rng);
-
-  BatchEngineOptions options;
-  options.num_threads = 2;
-  BatchEngine engine{ClassifierKind::kExhaustive, options};
-  engine.attach_router(&router);
-  EXPECT_EQ(engine.attached_router(), &router);
-
-  BatchEngineStats stats;
-  const ClassificationResult with_router = engine.classify(workload, &stats);
-  const ClassificationResult expected = classify_exhaustive(workload);
-  EXPECT_EQ(with_router.num_classes, expected.num_classes);
-  EXPECT_EQ(with_router.class_of, expected.class_of);
-  EXPECT_GT(stats.store_cache_hits + stats.store_index_hits, 0u);
-
-  // Detached, the engine still matches.
-  engine.attach_router(nullptr);
-  engine.clear_cache();
-  const ClassificationResult plain = engine.classify(workload);
-  EXPECT_EQ(plain.class_of, expected.class_of);
-
-  BatchEngine fp_engine{ClassifierKind::kFp};
-  EXPECT_THROW(fp_engine.attach_router(&router), std::invalid_argument);
 }
 
 // -- serve protocol ----------------------------------------------------------
@@ -257,7 +214,7 @@ TEST(StoreMerge, UnionDedupsByCanonicalAndRenumbersByFirstOccurrence)
 
   // Size: |A| + |B| - |overlap|, where overlap counts shared canonicals.
   std::size_t overlap = 0;
-  for (const auto& record : store_b.records()) {
+  for (const auto& record : store_b.persisted_records()) {
     overlap += store_a.find_canonical(record.canonical).has_value() ? 1 : 0;
   }
   EXPECT_EQ(merged.num_records(),
@@ -265,7 +222,7 @@ TEST(StoreMerge, UnionDedupsByCanonicalAndRenumbersByFirstOccurrence)
   EXPECT_EQ(merged.num_classes(), merged.num_records());
 
   // First occurrence = store A's ids survive verbatim...
-  for (const auto& record : store_a.records()) {
+  for (const auto& record : store_a.persisted_records()) {
     const auto found = merged.find_canonical(record.canonical);
     ASSERT_TRUE(found.has_value());
     EXPECT_EQ(found->class_id, record.class_id);
@@ -278,7 +235,7 @@ TEST(StoreMerge, UnionDedupsByCanonicalAndRenumbersByFirstOccurrence)
   }
   // B-only classes renumber densely after A's, in B's id order.
   std::uint32_t next_expected = static_cast<std::uint32_t>(store_a.num_classes());
-  std::vector<StoreRecord> b_records{store_b.records()};
+  std::vector<StoreRecord> b_records{store_b.persisted_records()};
   std::sort(b_records.begin(), b_records.end(),
             [](const StoreRecord& x, const StoreRecord& y) { return x.class_id < y.class_id; });
   for (const auto& record : b_records) {

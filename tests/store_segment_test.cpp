@@ -107,19 +107,26 @@ TEST(StoreSegment, MmapOpenIsBitIdenticalToMaterializedLoad)
   EXPECT_EQ(mapped.num_classes(), materialized.num_classes());
   ASSERT_EQ(mapped.num_records(), materialized.num_records());
 
-  // Record-by-record identity through the segment interface, including the
-  // decode-free id probe the batch engine rides.
-  const Segment& base = mapped.base_segment();
-  for (std::size_t i = 0; i < materialized.records().size(); ++i) {
-    const StoreRecord& expected = materialized.records()[i];
+  // Record-by-record identity through the segment interface and through
+  // each store's index probe.
+  const auto mapped_tiers = mapped.tier_snapshot();
+  const auto materialized_tiers = materialized.tier_snapshot();
+  const Segment& base = *mapped_tiers->base;
+  const std::vector<StoreRecord> expected_records = materialized.persisted_records();
+  ASSERT_EQ(expected_records.size(), base.size());
+  const auto class_id_of = [](const std::optional<StoreRecord>& record) {
+    return record.has_value() ? std::optional<std::uint32_t>{record->class_id} : std::nullopt;
+  };
+  for (std::size_t i = 0; i < expected_records.size(); ++i) {
+    const StoreRecord& expected = expected_records[i];
     const StoreRecord actual = base.record_at(i);
     EXPECT_EQ(actual.canonical, expected.canonical);
     EXPECT_EQ(actual.representative, expected.representative);
     EXPECT_EQ(actual.rep_to_canonical, expected.rep_to_canonical);
     EXPECT_EQ(actual.class_id, expected.class_id);
     EXPECT_EQ(actual.class_size, expected.class_size);
-    const auto mapped_id = mapped.find_class_id(expected.canonical);
-    const auto materialized_id = materialized.find_class_id(expected.canonical);
+    const auto mapped_id = class_id_of(mapped.find_canonical(expected.canonical));
+    const auto materialized_id = class_id_of(materialized.find_canonical(expected.canonical));
     ASSERT_TRUE(mapped_id.has_value());
     EXPECT_EQ(*mapped_id, expected.class_id);
     EXPECT_EQ(materialized_id, mapped_id);
@@ -137,31 +144,29 @@ TEST(StoreSegment, MmapOpenIsBitIdenticalToMaterializedLoad)
   }
 
   // Probe-by-probe identity on keys the index does not hold: both flavors
-  // miss, through the whole-record and the id-only probe alike.
+  // miss, through the store probe and the base segment's alike.
   std::mt19937_64 rng{0x5e602ULL};
   std::size_t misses = 0;
   for (int i = 0; i < 2000; ++i) {
     const TruthTable key = tt_random(n, rng);
     const auto it = std::lower_bound(
-        materialized.records().begin(), materialized.records().end(), key,
+        expected_records.begin(), expected_records.end(), key,
         [](const StoreRecord& r, const TruthTable& k) { return r.canonical < k; });
-    const bool present = it != materialized.records().end() && it->canonical == key;
+    const bool present = it != expected_records.end() && it->canonical == key;
     misses += present ? 0 : 1;
-    EXPECT_EQ(mapped.find_class_id(key).has_value(), present);
-    EXPECT_EQ(materialized.find_class_id(key), mapped.find_class_id(key));
-    EXPECT_EQ(materialized.base_segment().find(key).has_value(), present);
+    const auto mapped_id = class_id_of(mapped.find_canonical(key));
+    EXPECT_EQ(mapped_id.has_value(), present);
+    EXPECT_EQ(class_id_of(materialized.find_canonical(key)), mapped_id);
+    EXPECT_EQ(materialized_tiers->base->find(key).has_value(), present);
     EXPECT_EQ(base.find(key).has_value(), present);
   }
   EXPECT_GT(misses, 1000u);
-
-  // The materialized records() accessor has no mmap equivalent.
-  EXPECT_THROW((void)mapped.records(), std::logic_error);
   std::remove(path.c_str());
 }
 
-/// Checks MaterializedSegment::find / find_class_id against a std::lower_bound
-/// over the same sorted records, for every key in `probes`; returns how
-/// many probes hit.
+/// Checks MaterializedSegment::find against a std::lower_bound over the
+/// same sorted records, for every key in `probes`; returns how many probes
+/// hit.
 std::size_t expect_index_matches_sorted_search(int n, std::vector<StoreRecord> records,
                                                const std::vector<TruthTable>& probes)
 {
@@ -183,14 +188,11 @@ std::size_t expect_index_matches_sorted_search(int n, std::vector<StoreRecord> r
     const bool present = it != reference.end() && it->canonical == key;
     hits += present ? 1 : 0;
     const std::optional<StoreRecord> found = segment.find(key);
-    const std::optional<std::uint32_t> id = segment.find_class_id(key);
     EXPECT_EQ(found.has_value(), present) << "n=" << n << " key " << to_hex(key);
-    EXPECT_EQ(id.has_value(), present) << "n=" << n << " key " << to_hex(key);
-    if (present && found.has_value() && id.has_value()) {
+    if (present && found.has_value()) {
       EXPECT_EQ(found->canonical, it->canonical);
       EXPECT_EQ(found->representative, it->representative);
       EXPECT_EQ(found->class_id, it->class_id);
-      EXPECT_EQ(*id, it->class_id);
     }
   }
   return hits;
@@ -305,7 +307,8 @@ TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
   // Flip one bit inside the LAST record — far from the blocks a search for
   // the smallest canonical touches. v3 geometry: a full header page, then
   // block-packed records (no record straddles a block).
-  const std::size_t last = built.records().size() - 1;
+  const std::vector<StoreRecord> built_records = built.persisted_records();
+  const std::size_t last = built_records.size() - 1;
   const std::size_t per_block = store_records_per_block(n);
   std::string bytes = read_file(path);
   const std::size_t offset = kStorePageBytes + (last / per_block) * kStorePageBytes +
@@ -319,18 +322,19 @@ TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
   // ...while the mmap open defers validation: the open succeeds, untouched
   // pages serve lookups, and the first touch of the corrupt page throws.
   const ClassStore mapped = ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
-  const auto* segment = dynamic_cast<const MmapSegment*>(&mapped.base_segment());
+  const auto tiers = mapped.tier_snapshot();
+  const auto* segment = dynamic_cast<const MmapSegment*>(tiers->base.get());
   ASSERT_NE(segment, nullptr);
   EXPECT_EQ(segment->pages_validated(), 0u);
 
-  const auto clean = mapped.find_canonical(built.records().front().canonical);
+  const auto clean = mapped.find_canonical(built_records.front().canonical);
   ASSERT_TRUE(clean.has_value());
-  EXPECT_EQ(clean->class_id, built.records().front().class_id);
+  EXPECT_EQ(clean->class_id, built_records.front().class_id);
   EXPECT_GT(segment->pages_validated(), 0u);
   EXPECT_LT(segment->pages_validated(), segment->num_pages());
 
-  EXPECT_THROW((void)mapped.base_segment().record_at(last), StoreFormatError);
-  EXPECT_THROW((void)mapped.find_canonical(built.records()[last].canonical), StoreFormatError);
+  EXPECT_THROW((void)segment->record_at(last), StoreFormatError);
+  EXPECT_THROW((void)mapped.find_canonical(built_records[last].canonical), StoreFormatError);
   std::remove(path.c_str());
 }
 
@@ -339,8 +343,9 @@ TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
 /// per-page checksum table and the footer).
 std::string legacy_base_file(std::uint32_t version, const ClassStore& built)
 {
+  const std::vector<StoreRecord> built_records = built.persisted_records();
   std::ostringstream records;
-  for (const auto& record : built.records()) {
+  for (const auto& record : built_records) {
     for_each_record_word(record, [&](std::uint64_t word) { write_u64_le(records, word); });
   }
   const std::string region = records.str();
@@ -350,7 +355,7 @@ std::string legacy_base_file(std::uint32_t version, const ClassStore& built)
   StoreHeader header;
   header.version = version;
   header.num_vars = static_cast<std::uint32_t>(built.num_vars());
-  header.num_records = built.records().size();
+  header.num_records = built_records.size();
   header.num_classes = built.num_classes();
   header.payload_hash = checksum_le_words(bytes, total_words);
   std::ostringstream tail;

@@ -33,7 +33,7 @@ ClassStore make_store(int n, std::uint64_t seed, std::size_t count = 40)
 TEST(StoreServe, LookupInfoStatsQuit)
 {
   ClassStore store = make_store(4, 0x5e12ULL);
-  const std::string hex = to_hex(store.records().front().representative);
+  const std::string hex = to_hex(store.persisted_records().front().representative);
 
   ServeStats stats;
   const auto lines = run_serve(
@@ -155,7 +155,7 @@ TEST(StoreServe, UnknownFunctionsFallBackToLiveAndCanAppend)
 TEST(StoreServe, OneWidthRouterAnswersLikeTheStoreAlone)
 {
   const auto known = [](const ClassStore& store) {
-    return to_hex(store.records().front().representative);
+    return to_hex(store.persisted_records().front().representative);
   };
   const auto novel = [](const ClassStore& store) {
     std::mt19937_64 rng{0x5e18ULL};

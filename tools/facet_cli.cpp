@@ -89,7 +89,7 @@ int cmd_classify(const CliArgs& args)
   // (0 = hardware concurrency). Without --jobs the sequential classifiers
   // run directly, as before.
   const bool use_engine = args.has("jobs");
-  const std::size_t jobs = static_cast<std::size_t>(args.get_int("jobs", 0));
+  const std::size_t jobs = static_cast<std::size_t>(args.get_uint64("jobs", 0));
 
   const std::vector<TruthTable> funcs = read_input_functions(n, args);
   if (funcs.empty()) {
@@ -193,10 +193,10 @@ void persist_store_if_requested(const CliArgs& args, ClassStore& store,
 ClassStoreOptions store_options_from(const CliArgs& args)
 {
   ClassStoreOptions options;
-  options.hot_cache_capacity = static_cast<std::size_t>(
-      args.get_int("cache", static_cast<std::int64_t>(options.hot_cache_capacity)));
-  options.hot_cache_shards = static_cast<std::size_t>(
-      args.get_int("cache-shards", static_cast<std::int64_t>(options.hot_cache_shards)));
+  options.hot_cache_capacity =
+      static_cast<std::size_t>(args.get_uint64("cache", options.hot_cache_capacity));
+  options.hot_cache_shards =
+      static_cast<std::size_t>(args.get_uint64("cache-shards", options.hot_cache_shards));
   return options;
 }
 
@@ -218,14 +218,14 @@ int cmd_build_index(const CliArgs& args)
     std::cerr << "usage: facet_cli build-index --n N --out FILE.fcs [--input FILE] [--jobs N]\n";
     return 1;
   }
+  StoreBuildOptions options;
+  options.num_threads = static_cast<std::size_t>(args.get_uint64("jobs", 0));
   const std::vector<TruthTable> funcs = read_input_functions(n, args);
   if (funcs.empty()) {
     std::cerr << "error: no functions read (expected one hex truth table per line)\n";
     return 1;
   }
 
-  StoreBuildOptions options;
-  options.num_threads = static_cast<std::size_t>(args.get_int("jobs", 0));
   BatchEngineStats stats;
   options.stats = &stats;
 
@@ -680,7 +680,7 @@ int cmd_dataset(const CliArgs& args)
 {
   const int n = static_cast<int>(args.get_int("n", 6));
   CircuitDatasetOptions options;
-  options.max_functions = static_cast<std::size_t>(args.get_int("max-funcs", 10000));
+  options.max_functions = static_cast<std::size_t>(args.get_uint64("max-funcs", 10000));
   options.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x5eed));
   for (const auto& tt : make_circuit_dataset(n, options)) {
     std::cout << to_hex(tt) << "\n";
