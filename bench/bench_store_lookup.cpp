@@ -68,6 +68,9 @@
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace {
 
@@ -86,9 +89,15 @@ long long minor_faults()
   return 0;
 }
 
-/// Resident-set size in KiB (0 when the platform offers no /proc/self/statm).
+/// Resident-set size in KiB (0 when the platform offers no /proc/self/statm),
+/// read after handing free heap pages back to the OS (glibc), so a delta
+/// counts what the measured step holds rather than how much of it the
+/// allocator could serve from pages that earlier phases freed.
 long long rss_kib()
 {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
 #if defined(__linux__)
   std::ifstream statm{"/proc/self/statm"};
   long long pages_total = 0;
@@ -159,14 +168,14 @@ IndexProbeRow measure_index_miss_probe(const std::string& path, std::size_t runs
   const std::uint64_t num_classes = base.size() + kIndexProbeMaxRuns * kIndexProbeRunRecords;
   {
     std::ofstream os{path, std::ios::binary | std::ios::trunc};
-    write_base_segment(os, kIndexProbeN, num_classes, base);
+    write_base_segment(os, kIndexProbeN, num_classes, encode_records(base));
   }
   const std::string dlog = ClassStore::delta_log_path(path);
   std::remove(dlog.c_str());
   if (runs > 0) {
     std::ofstream os{dlog, std::ios::binary | std::ios::trunc};
     for (std::size_t r = 0; r < runs; ++r) {
-      write_delta_frame(os, kIndexProbeN, num_classes, deltas[r]);
+      write_delta_frame(os, kIndexProbeN, num_classes, encode_records(deltas[r]));
     }
   }
   const ClassStore store = ClassStore::open(path);
@@ -347,7 +356,7 @@ int main(int argc, char** argv)
     }
     {
       std::ofstream v3{cold_v3_path, std::ios::binary | std::ios::trunc};
-      write_base_segment(v3, cold_n, cold_set.size(), cold_set);
+      write_base_segment(v3, cold_n, cold_set.size(), encode_records(cold_set));
     }
 
     // Probe keys: alternate present records (strided across the index) and

@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iterator>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -50,9 +50,8 @@ const char* lookup_source_name(LookupSource source) noexcept
 ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
     : num_vars_{num_vars},
       options_{options},
-      gate_{std::make_unique<StoreGate<TierSnapshot>>(std::make_shared<TierSnapshot>(
-          TierSnapshot{std::make_shared<MaterializedSegment>(num_vars, std::vector<StoreRecord>{}),
-                       {}}))},
+      gate_{std::make_unique<StoreGate<TierSnapshot>>(std::make_shared<TierSnapshot>(TierSnapshot{
+          std::make_shared<MaterializedSegment>(num_vars, std::vector<std::uint64_t>{}), {}}))},
       memtable_{std::make_unique<Memtable>()},
       cache_{table_words(num_vars), table_words(num_vars), options.hot_cache_capacity,
              options.hot_cache_shards},
@@ -104,7 +103,7 @@ ClassStore::ClassStore(int num_vars, std::vector<StoreRecord> records, std::uint
     }
   }
   reset_tiers(std::make_shared<TierSnapshot>(
-      TierSnapshot{std::make_shared<MaterializedSegment>(num_vars_, std::move(records)), {}}));
+      TierSnapshot{std::make_shared<MaterializedSegment>(num_vars_, encode_records(records)), {}}));
   next_class_id_.store(num_classes, std::memory_order_relaxed);
   npn4_prefill();
 }
@@ -178,47 +177,62 @@ namespace {
 }
 
 /// The one tier merge: the base, then the delta runs oldest first, then
-/// `memtable`. A later occurrence of a canonical form shadows an earlier
-/// one — the lookup order memtable -> deltas (newest first) -> base — and
-/// the result is sorted by canonical form. Only the small tiers are sorted;
-/// the base, already sorted and by far the largest, is merged in one pass,
-/// so a compaction never holds a sort buffer the size of the index.
-[[nodiscard]] std::vector<StoreRecord> merge_tiers(const TierSnapshot& tiers,
-                                                   std::vector<StoreRecord> memtable = {})
+/// `memtable` (packed records, any order). A later occurrence of a
+/// canonical form shadows an earlier one — the lookup order memtable ->
+/// deltas (newest first) -> base — and the result is packed records sorted
+/// by canonical form. Only the small tiers are sorted, by pointer to their
+/// packed words; the base, already sorted and by far the largest, is copied
+/// word for word in one pass, so a compaction never holds a sort buffer or
+/// a decoded record per base record.
+[[nodiscard]] std::vector<std::uint64_t> merge_tiers(const TierSnapshot& tiers,
+                                                     std::span<const std::uint64_t> memtable = {})
 {
-  const auto by_canonical = [](const StoreRecord& a, const StoreRecord& b) {
-    return a.canonical < b.canonical;
+  const std::size_t stride = store_record_words(tiers.base->num_vars());
+  const std::size_t key_words = words_for_vars(tiers.base->num_vars());
+  const auto order = [key_words](const std::uint64_t* a, const std::uint64_t* b) {
+    return compare_canonical_words(a, b, key_words);
   };
-  std::vector<StoreRecord> newer;
-  newer.reserve(delta_records(tiers) + memtable.size());
+  std::vector<const std::uint64_t*> newer;
+  newer.reserve(delta_records(tiers) + memtable.size() / stride);
+  const auto add_run = [&](std::span<const std::uint64_t> words) {
+    for (std::size_t at = 0; at < words.size(); at += stride) {
+      newer.push_back(words.data() + at);
+    }
+  };
   for (const auto& delta : tiers.deltas) {
-    newer.insert(newer.end(), delta->records().begin(), delta->records().end());
+    add_run(delta->record_words());
   }
-  std::move(memtable.begin(), memtable.end(), std::back_inserter(newer));
+  add_run(memtable);
   // Stable: equal canonical forms keep tier order, newest last, so keeping
   // the last of each equal range keeps the newest.
-  std::stable_sort(newer.begin(), newer.end(), by_canonical);
-  const auto newest = std::unique(newer.rbegin(), newer.rend(),
-                                  [](const StoreRecord& a, const StoreRecord& b) {
-                                    return a.canonical == b.canonical;
-                                  });
+  std::stable_sort(newer.begin(), newer.end(),
+                   [&](const std::uint64_t* a, const std::uint64_t* b) { return order(a, b) < 0; });
+  const auto newest =
+      std::unique(newer.rbegin(), newer.rend(),
+                  [&](const std::uint64_t* a, const std::uint64_t* b) { return order(a, b) == 0; });
   newer.erase(newer.begin(), newest.base());
 
-  std::vector<StoreRecord> merged;
-  merged.reserve(tiers.base->size() + newer.size());
+  std::vector<std::uint64_t> merged;
+  merged.reserve((tiers.base->size() + newer.size()) * stride);
+  const auto append = [&](const std::uint64_t* record) {
+    merged.insert(merged.end(), record, record + stride);
+  };
+  std::vector<std::uint64_t> record(stride);
   auto next = newer.begin();
   for (std::size_t i = 0; i < tiers.base->size(); ++i) {
-    StoreRecord record = tiers.base->record_at(i);
-    for (; next != newer.end() && by_canonical(*next, record); ++next) {
-      merged.push_back(std::move(*next));
+    tiers.base->copy_record_words(i, record.data());
+    for (; next != newer.end() && order(*next, record.data()) < 0; ++next) {
+      append(*next);
     }
-    if (next != newer.end() && next->canonical == record.canonical) {
-      merged.push_back(std::move(*next++));  // a newer tier shadows the base
+    if (next != newer.end() && order(*next, record.data()) == 0) {
+      append(*next++);  // a newer tier shadows the base
     } else {
-      merged.push_back(std::move(record));
+      append(record.data());
     }
   }
-  std::move(next, newer.end(), std::back_inserter(merged));
+  for (; next != newer.end(); ++next) {
+    append(*next);
+  }
   return merged;
 }
 
@@ -349,18 +363,30 @@ std::size_t ClassStore::num_delta_records() const
   return delta_records(*gate_->pin());
 }
 
-std::vector<StoreRecord> ClassStore::persisted_records() const
+std::vector<std::uint64_t> ClassStore::persisted_words() const
 {
-  // Copy the memtable BEFORE pinning the tiers: a concurrent flush publishes
-  // its sealed run before clearing the memtable, so every record is visible
-  // through at least one of the two (a record seen through both is
-  // identical, and the memtable copy shadowing the run is a no-op).
-  std::vector<StoreRecord> memtable;
+  // Encode the memtable BEFORE pinning the tiers: a concurrent flush
+  // publishes its sealed run before clearing the memtable, so every record
+  // is visible through at least one of the two (a record seen through both
+  // is identical, and the memtable copy shadowing the run is a no-op).
+  std::vector<std::uint64_t> memtable;
   {
     const std::lock_guard<std::mutex> lock{memtable_->mutex};
-    memtable = memtable_->records;
+    memtable = encode_records(memtable_->records);
   }
-  return merge_tiers(*gate_->pin(), std::move(memtable));
+  return merge_tiers(*gate_->pin(), memtable);
+}
+
+std::vector<StoreRecord> ClassStore::persisted_records() const
+{
+  const std::vector<std::uint64_t> words = persisted_words();
+  const std::size_t stride = store_record_words(num_vars_);
+  std::vector<StoreRecord> records;
+  records.reserve(words.size() / stride);
+  for (std::size_t at = 0; at < words.size(); at += stride) {
+    records.push_back(decode_record(num_vars_, words.data() + at));
+  }
+  return records;
 }
 
 // -- persistence -------------------------------------------------------------
@@ -368,7 +394,7 @@ std::vector<StoreRecord> ClassStore::persisted_records() const
 void ClassStore::save(const std::string& path) const
 {
   const std::string tmp = write_tmp_file(path, [&](std::ostream& os) {
-    const std::vector<StoreRecord> merged = persisted_records();
+    const std::vector<std::uint64_t> merged = persisted_words();
     // Loaded after the records are collected, so the header's class count
     // bounds every collected id even if an append lands in between.
     write_base_segment(os, num_vars_, num_classes(), merged);
@@ -392,7 +418,7 @@ ClassStore::StoredTiers ClassStore::read_tiers(const std::string& path, bool use
     LoadedBase loaded = read_base_segment(is);
     stored.num_classes = loaded.num_classes;
     stored.tiers->base =
-        std::make_shared<MaterializedSegment>(loaded.num_vars, std::move(loaded.records));
+        std::make_shared<MaterializedSegment>(loaded.num_vars, std::move(loaded.record_words));
   }
 
   const int num_vars = stored.tiers->base->num_vars();
@@ -406,7 +432,7 @@ ClassStore::StoredTiers ClassStore::read_tiers(const std::string& path, bool use
   for (auto& run : replay.runs) {
     stored.num_classes = std::max(stored.num_classes, run.num_classes_after);
     stored.tiers->deltas.push_back(
-        std::make_shared<MaterializedSegment>(num_vars, std::move(run.records)));
+        std::make_shared<MaterializedSegment>(num_vars, std::move(run.record_words)));
   }
   if (replay.torn_tail && repair_torn_tail) {
     // Repair the crashed append: truncate back to the intact prefix so the
@@ -459,9 +485,19 @@ std::size_t ClassStore::flush_delta_locked(const std::unique_lock<std::mutex>& g
   if (memtable_->records.empty()) {
     return 0;
   }
-  std::vector<StoreRecord> run = memtable_->records;
-  std::sort(run.begin(), run.end(),
-            [](const StoreRecord& a, const StoreRecord& b) { return a.canonical < b.canonical; });
+  std::vector<const StoreRecord*> sorted;
+  sorted.reserve(memtable_->records.size());
+  for (const auto& record : memtable_->records) {
+    sorted.push_back(&record);
+  }
+  std::sort(sorted.begin(), sorted.end(), [](const StoreRecord* a, const StoreRecord* b) {
+    return a->canonical < b->canonical;
+  });
+  std::vector<std::uint64_t> run;
+  run.reserve(sorted.size() * store_record_words(num_vars_));
+  for (const StoreRecord* record : sorted) {
+    append_record_words(run, *record);
+  }
   write_delta_frame(os, num_vars_, num_classes(), run);
   os.flush();
   if (!os) {
@@ -537,7 +573,7 @@ void ClassStore::finish_compaction(const std::string& path, CompactionSnapshot s
 
   // Merge and write with no gate held: the pinned segments are immutable.
   const std::uint64_t t_merge = obs::now_ticks();
-  std::vector<StoreRecord> merged = merge_tiers(*snapshot.tiers);
+  std::vector<std::uint64_t> merged = merge_tiers(*snapshot.tiers);
   const std::uint64_t t_write = obs::now_ticks();
   const std::string tmp = write_tmp_file(path, [&](std::ostream& os) {
     write_base_segment(os, num_vars_, snapshot.num_classes, merged);
@@ -576,7 +612,7 @@ void ClassStore::finish_compaction(const std::string& path, CompactionSnapshot s
       // valid (if conservative) num_classes_after for each frame.
       const std::string log_tmp = write_tmp_file(dlog, [&](std::ostream& os) {
         for (auto run = survivors; run != tiers->deltas.end(); ++run) {
-          write_delta_frame(os, num_vars_, num_classes(), (*run)->records());
+          write_delta_frame(os, num_vars_, num_classes(), (*run)->record_words());
         }
       });
       rename_into_place(log_tmp, dlog);
@@ -622,8 +658,8 @@ std::optional<StoreRecord> ClassStore::find_canonical(const TruthTable& canonica
   const auto tiers = gate_->pin();
   const std::uint64_t hash = canonical.hash();  // one hash for every run
   for (auto delta = tiers->deltas.rbegin(); delta != tiers->deltas.rend(); ++delta) {
-    if (const StoreRecord* record = (*delta)->find_hashed(canonical, hash)) {
-      return *record;
+    if (const auto i = (*delta)->find_hashed(canonical, hash)) {
+      return (*delta)->record_at(*i);
     }
   }
   return tiers->base->find(canonical);

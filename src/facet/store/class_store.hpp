@@ -447,6 +447,10 @@ class ClassStore {
   /// the miss policy (class_store.cpp).
   struct Miss;
 
+  /// persisted_records() before decoding: the one tier merge over the
+  /// pinned tiers and the memtable, as packed records (what save writes).
+  [[nodiscard]] std::vector<std::uint64_t> persisted_words() const;
+
   /// The memtable (tier 3): live misses with append_on_miss, hash-indexed
   /// by canonical form; sealed into a delta run by flush_delta(). Only gate
   /// holders mutate it; the mutex lets readers probe it concurrently, and

@@ -70,27 +70,25 @@ obs::LatencyHistogram& block_scan_len_histogram(int width)
   return *histograms[static_cast<std::size_t>(width)];
 }
 
-/// Decodes one record from its raw little-endian bytes — the single source
-/// of truth for the record layout on the zero-copy read side.
-StoreRecord decode_record(const unsigned char* bytes, int num_vars)
+/// Appends the record at `bytes` (raw little-endian, one record stride) to
+/// `out` as packed words, read the way decode_record reads it: excess
+/// table bits cleared, the transform checked (StoreFormatError). Returns
+/// its class id. Both file loaders go through here.
+std::uint32_t load_record(const unsigned char* bytes, int num_vars, std::vector<std::uint64_t>& out)
 {
+  const std::size_t first = out.size();
+  const std::size_t stride = store_record_words(num_vars);
+  for (std::size_t w = 0; w < stride; ++w) {
+    out.push_back(load_le64(bytes + 8 * w));
+  }
+  std::uint64_t* record = out.data() + first;
   const std::size_t num_words = words_for_vars(num_vars);
-  std::vector<std::uint64_t> canonical(num_words);
-  for (std::size_t w = 0; w < num_words; ++w) {
-    canonical[w] = load_le64(bytes + 8 * w);
+  if (num_vars < kVarsPerWord) {
+    record[0] &= low_bits_mask(num_vars);
+    record[num_words] &= low_bits_mask(num_vars);
   }
-  std::vector<std::uint64_t> representative(num_words);
-  for (std::size_t w = 0; w < num_words; ++w) {
-    representative[w] = load_le64(bytes + 8 * (num_words + w));
-  }
-  const std::uint64_t id_size = load_le64(bytes + 8 * (2 * num_words));
-  const std::array<std::uint64_t, 2> packed = {load_le64(bytes + 8 * (2 * num_words + 1)),
-                                               load_le64(bytes + 8 * (2 * num_words + 2))};
-  return StoreRecord{TruthTable{num_vars, std::move(canonical)},
-                     TruthTable{num_vars, std::move(representative)},
-                     unpack_transform(num_vars, packed),
-                     static_cast<std::uint32_t>(id_size >> 32),
-                     static_cast<std::uint32_t>(id_size & 0xffffffffULL)};
+  (void)unpack_transform(num_vars, {record[2 * num_words + 1], record[2 * num_words + 2]});
+  return record_class_id(num_vars, record);
 }
 
 /// Reads `is` to its end. Both stream loaders parse from bytes, like the
@@ -102,13 +100,38 @@ std::string read_to_end(std::istream& is)
   return std::move(buffer).str();
 }
 
-void check_sorted_by_canonical(const std::vector<StoreRecord>& records, const char* what)
+void check_sorted_by_canonical(std::span<const std::uint64_t> record_words, int num_vars,
+                               const char* what)
 {
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    if (!(records[i - 1].canonical < records[i].canonical)) {
+  const std::size_t stride = store_record_words(num_vars);
+  for (std::size_t at = stride; at < record_words.size(); at += stride) {
+    if (compare_canonical_words(record_words.data() + at - stride, record_words.data() + at,
+                                words_for_vars(num_vars)) >= 0) {
       throw StoreFormatError{std::string{what} + " records are not sorted by canonical form"};
     }
   }
+}
+
+/// store_record_words(num_vars); throws std::invalid_argument on a width
+/// out of range.
+std::size_t checked_stride(int num_vars)
+{
+  if (num_vars < 0 || num_vars > kMaxVars) {
+    throw std::invalid_argument{"MaterializedSegment: num_vars out of range"};
+  }
+  return store_record_words(num_vars);
+}
+
+/// Records in `record_words`; throws std::invalid_argument on a partial
+/// record.
+std::size_t count_records(std::span<const std::uint64_t> record_words, int num_vars,
+                          const char* who)
+{
+  const std::size_t stride = store_record_words(num_vars);
+  if (record_words.size() % stride != 0) {
+    throw std::invalid_argument{std::string{who} + ": record words are not whole records"};
+  }
+  return record_words.size() / stride;
 }
 
 /// Most records one MaterializedSegment indexes: four slots per record
@@ -132,17 +155,20 @@ constexpr std::size_t kMaxIndexedRecords = std::size_t{1} << 30;
 
 }  // namespace
 
-MaterializedSegment::MaterializedSegment(int num_vars, std::vector<StoreRecord> records)
-    : num_vars_{num_vars}, records_{std::move(records)}
+MaterializedSegment::MaterializedSegment(int num_vars, std::vector<std::uint64_t> record_words)
+    : num_vars_{num_vars},
+      stride_{checked_stride(num_vars)},
+      size_{count_records(record_words, num_vars, "MaterializedSegment")},
+      words_{std::move(record_words)}
 {
-  if (records_.size() > kMaxIndexedRecords) {
+  if (size_ > kMaxIndexedRecords) {
     throw std::length_error{"MaterializedSegment: more records than one segment indexes"};
   }
-  index_mask_ =
-      static_cast<std::uint32_t>((std::uint64_t{1} << std::bit_width(records_.size())) - 1);
-  slots_.assign(std::max<std::size_t>(4 * records_.size(), 1), 0);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const std::uint64_t hash = records_[i].canonical.hash();
+  const std::size_t key_words = words_for_vars(num_vars_);
+  index_mask_ = static_cast<std::uint32_t>((std::uint64_t{1} << std::bit_width(size_)) - 1);
+  slots_.assign(std::max<std::size_t>(4 * size_, 1), 0);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const std::uint64_t hash = hash_table_words(num_vars_, {record(i), key_words});
     std::size_t pos = home_slot(hash, slots_.size());
     while (slots_[pos] != 0) {
       pos = pos + 1 == slots_.size() ? 0 : pos + 1;
@@ -151,29 +177,39 @@ MaterializedSegment::MaterializedSegment(int num_vars, std::vector<StoreRecord> 
   }
 }
 
-const StoreRecord* MaterializedSegment::find_hashed(const TruthTable& canonical,
-                                                    std::uint64_t hash) const
+std::optional<std::size_t> MaterializedSegment::find_hashed(const TruthTable& canonical,
+                                                            std::uint64_t hash) const
 {
+  if (canonical.num_vars() != num_vars_) {
+    return std::nullopt;
+  }
+  const std::uint64_t* key = canonical.words().data();
+  const std::size_t key_words = canonical.num_words();
   const std::uint32_t fingerprint = slot_fingerprint(hash, index_mask_);
   for (std::size_t pos = home_slot(hash, slots_.size());;
        pos = pos + 1 == slots_.size() ? 0 : pos + 1) {
     const std::uint32_t slot = slots_[pos];
     if (slot == 0) {
-      return nullptr;
+      return std::nullopt;
     }
     if ((slot & ~index_mask_) == fingerprint) {
-      const StoreRecord& record = records_[(slot & index_mask_) - 1];
-      if (record.canonical == canonical) {
-        return &record;
+      const std::size_t i = (slot & index_mask_) - 1;
+      if (std::equal(key, key + key_words, record(i))) {
+        return i;
       }
     }
   }
 }
 
+void MaterializedSegment::copy_record_words(std::size_t i, std::uint64_t* out) const
+{
+  std::copy_n(record(i), stride_, out);
+}
+
 std::optional<StoreRecord> MaterializedSegment::find(const TruthTable& canonical) const
 {
-  if (const StoreRecord* record = find_hashed(canonical, canonical.hash())) {
-    return *record;
+  if (const auto i = find_hashed(canonical, canonical.hash())) {
+    return record_at(*i);
   }
   return std::nullopt;
 }
@@ -187,31 +223,35 @@ bool mmap_supported() noexcept
 
 namespace {
 
-/// Fills `block` (kStorePageWords words, zero-padded) with the records of
-/// block `b` and returns how many records landed in it.
-std::size_t pack_block(std::vector<std::uint64_t>& block, std::span<const StoreRecord> records,
+/// Fills `block` (kStorePageWords words, zero-padded) with the packed
+/// records of block `b` and returns how many records landed in it.
+std::size_t pack_block(std::vector<std::uint64_t>& block,
+                       std::span<const std::uint64_t> record_words, std::size_t stride,
                        std::size_t b, std::size_t per_block)
 {
-  std::fill(block.begin(), block.end(), 0);
   const std::size_t first = b * per_block;
-  const std::size_t count = std::min(per_block, records.size() - first);
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < count; ++r) {
-    for_each_record_word(records[first + r], [&](std::uint64_t word) { block[w++] = word; });
-  }
+  const std::size_t count = std::min(per_block, record_words.size() / stride - first);
+  const auto end = std::copy_n(record_words.begin() + static_cast<std::ptrdiff_t>(first * stride),
+                               count * stride, block.begin());
+  std::fill(end, block.end(), 0);
   return count;
 }
 
 }  // namespace
 
 void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classes,
-                        std::span<const StoreRecord> records)
+                        std::span<const std::uint64_t> record_words)
 {
+  const std::size_t num_records = count_records(record_words, num_vars, "write_base_segment");
+  const std::size_t stride = store_record_words(num_vars);
   const std::size_t per_block = store_records_per_block(num_vars);
+  if (per_block == 0) {
+    throw std::invalid_argument{"write_base_segment: a num_vars " + std::to_string(num_vars) +
+                                " record does not fit one store block"};
+  }
   const std::size_t key_words = words_for_vars(num_vars);
-  const std::uint64_t num_blocks = store_num_blocks(records.size(), num_vars);
-  const std::uint64_t total_words =
-      static_cast<std::uint64_t>(store_record_words(num_vars)) * records.size();
+  const std::uint64_t num_blocks = store_num_blocks(num_records, num_vars);
+  const std::uint64_t total_words = record_words.size();
 
   // Pass 1: per-block checksums (over the full zero-padded block, exactly
   // what the lazy reader validates) and the sparse footer index — each
@@ -222,7 +262,7 @@ void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classe
   block_keys.reserve(static_cast<std::size_t>(num_blocks) * key_words);
   block_hashes.reserve(static_cast<std::size_t>(num_blocks));
   for (std::uint64_t b = 0; b < num_blocks; ++b) {
-    pack_block(block, records, static_cast<std::size_t>(b), per_block);
+    pack_block(block, record_words, stride, static_cast<std::size_t>(b), per_block);
     for (std::size_t k = 0; k < key_words; ++k) {
       block_keys.push_back(block[k]);
     }
@@ -247,7 +287,7 @@ void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classe
   StoreHeader header;
   header.version = kStoreVersion;
   header.num_vars = static_cast<std::uint32_t>(num_vars);
-  header.num_records = records.size();
+  header.num_records = num_records;
   header.num_classes = num_classes;
   header.payload_hash = table_hasher.value();
   write_store_header(os, header);
@@ -257,7 +297,7 @@ void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classe
   }
 
   for (std::uint64_t b = 0; b < num_blocks; ++b) {
-    pack_block(block, records, static_cast<std::size_t>(b), per_block);
+    pack_block(block, record_words, stride, static_cast<std::size_t>(b), per_block);
     for (const auto word : block) {
       write_u64_le(os, word);
     }
@@ -313,6 +353,11 @@ BaseSegmentLayout parse_base_segment(const unsigned char* bytes, std::size_t siz
   layout.num_classes = load_le64(bytes + 24);
   layout.record_stride = store_record_words(layout.num_vars) * 8;
   layout.records_per_block = store_records_per_block(layout.num_vars);
+  if (layout.records_per_block == 0) {
+    std::ostringstream msg;
+    msg << "corrupt header: a num_vars " << num_vars << " record does not fit one store block";
+    throw StoreFormatError{msg.str()};
+  }
   const std::uint64_t num_records = load_le64(bytes + 16);
   const std::uint64_t payload_hash = load_le64(bytes + 32);
   // Bound the record count by the buffer before any size arithmetic, so a
@@ -400,38 +445,36 @@ LoadedBase read_base_segment(std::istream& is)
   for (std::size_t b = 0; b < layout.num_blocks; ++b) {
     validate_base_block(layout, b);
   }
-  out.records.reserve(layout.num_records);
+  out.record_words.reserve(layout.num_records * (layout.record_stride / 8));
   for (std::size_t i = 0; i < layout.num_records; ++i) {
-    out.records.push_back(decode_record(layout.record(i), layout.num_vars));
-    if (out.records.back().class_id >= out.num_classes) {
+    if (load_record(layout.record(i), layout.num_vars, out.record_words) >= out.num_classes) {
       throw StoreFormatError{"corrupt store: record class id exceeds the header's class count"};
     }
   }
-  check_sorted_by_canonical(out.records, "store");
+  check_sorted_by_canonical(out.record_words, out.num_vars, "store");
   return out;
 }
 
 // -- delta log ---------------------------------------------------------------
 
 void write_delta_frame(std::ostream& os, int num_vars, std::uint64_t num_classes_after,
-                       std::span<const StoreRecord> records)
+                       std::span<const std::uint64_t> record_words)
 {
-  const std::uint64_t total_words =
-      static_cast<std::uint64_t>(store_record_words(num_vars)) * records.size();
-  PayloadHasher hasher{total_words};
-  for (const auto& r : records) {
-    for_each_record_word(r, [&](std::uint64_t word) { hasher.mix(word); });
+  const std::size_t num_records = count_records(record_words, num_vars, "write_delta_frame");
+  PayloadHasher hasher{record_words.size()};
+  for (const auto word : record_words) {
+    hasher.mix(word);
   }
 
   DeltaFrameHeader header;
   header.version = kStoreVersion;
   header.num_vars = static_cast<std::uint32_t>(num_vars);
-  header.num_records = records.size();
+  header.num_records = num_records;
   header.num_classes_after = num_classes_after;
   header.payload_hash = hasher.value();
   write_delta_frame_header(os, header);
-  for (const auto& r : records) {
-    for_each_record_word(r, [&](std::uint64_t word) { write_u64_le(os, word); });
+  for (const auto word : record_words) {
+    write_u64_le(os, word);
   }
   if (!os) {
     throw StoreFormatError{"delta frame write failed"};
@@ -487,14 +530,14 @@ DeltaLogReplay read_delta_log(std::istream& is, int num_vars)
     }
     DeltaRun run;
     run.num_classes_after = num_classes_after;
-    run.records.reserve(static_cast<std::size_t>(num_records));
+    run.record_words.reserve(static_cast<std::size_t>(total_words));
     for (std::uint64_t i = 0; i < num_records; ++i) {
-      run.records.push_back(decode_record(records_begin + i * stride, num_vars));
-      if (run.records.back().class_id >= num_classes_after) {
+      if (load_record(records_begin + i * stride, num_vars, run.record_words) >=
+          num_classes_after) {
         throw StoreFormatError{"corrupt delta frame: record class id exceeds its class count"};
       }
     }
-    check_sorted_by_canonical(run.records, "delta frame");
+    check_sorted_by_canonical(run.record_words, num_vars, "delta frame");
     out.runs.push_back(std::move(run));
     offset += kDeltaFrameHeaderBytes + static_cast<std::size_t>(num_records) * stride;
     out.clean_bytes = offset;
@@ -598,10 +641,21 @@ int MmapSegment::compare_canonical(std::size_t i, const TruthTable& key) const
   return 0;
 }
 
-StoreRecord MmapSegment::record_at(std::size_t i) const
+void MmapSegment::copy_record_words(std::size_t i, std::uint64_t* out) const
 {
   validate_page(i / layout_.records_per_block);
-  return decode_record(layout_.record(i), layout_.num_vars);
+  const unsigned char* rec = layout_.record(i);
+  for (std::size_t w = 0; w < layout_.record_stride / 8; ++w) {
+    out[w] = load_le64(rec + 8 * w);
+  }
+}
+
+StoreRecord MmapSegment::record_at(std::size_t i) const
+{
+  // No record straddles a block, so one block's words hold any record.
+  std::array<std::uint64_t, kStorePageWords> words;
+  copy_record_words(i, words.data());
+  return decode_record(layout_.num_vars, words.data());
 }
 
 std::optional<std::size_t> MmapSegment::find_index(const TruthTable& key) const
@@ -631,15 +685,8 @@ std::optional<std::size_t> MmapSegment::find_index_blocked(const TruthTable& key
   std::size_t hi = layout_.num_blocks;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t* block_key = layout_.block_keys.data() + mid * key_words;
-    int cmp = 0;
-    for (std::size_t w = key_words; w-- > 0;) {
-      if (block_key[w] != target[w]) {
-        cmp = block_key[w] < target[w] ? -1 : 1;
-        break;
-      }
-    }
-    if (cmp <= 0) {
+    if (compare_canonical_words(layout_.block_keys.data() + mid * key_words, target.data(),
+                                key_words) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;

@@ -1,23 +1,27 @@
 /// \file segment.hpp
 /// \brief Read-only record segments backing the class store.
 ///
-/// A Segment is an immutable sorted run of StoreRecords searchable by
+/// A Segment is an immutable sorted run of store records searchable by
 /// canonical form. The store composes them into a lookup hierarchy
 /// (class_store.hpp): one **base segment** — the full compacted index —
 /// shadowed by zero or more small **delta segments** holding appends that
 /// have not been compacted yet.
 ///
-/// Two base flavors exist:
+/// Both flavors hold their records in the one v3 record codec
+/// (store_format.hpp) — one in RAM, one in a mapping — and decode a record
+/// only when a probe hits it or record_at asks for it:
 ///
-///   * MaterializedSegment — records decoded into a std::vector, plus an
+///   * MaterializedSegment — the packed record words in one flat vector,
+///     store_record_words(n) words per record exactly as on disk, plus an
 ///     open-addressed hash index over them built once at construction. What
 ///     ClassStore::open without mmap produces (and every delta run); every
-///     byte of the file was validated up front. A probe hashes the key once
-///     and usually touches no record at all on a miss.
+///     byte of the file was validated up front. A probe hashes the key once,
+///     compares it with a record's canonical words in place, and usually
+///     touches no record at all on a miss.
 ///   * MmapSegment — the record region of a `.fcs` file mapped read-only
 ///     and searched **in place**. Nothing is decoded at open beyond the
 ///     header, the tables and the footer, so opening a million-class index
-///     costs microseconds instead of a full decode. The block-key table is
+///     costs microseconds instead of a full load. The block-key table is
 ///     lifted into RAM at open, a probe binary-searches it without touching
 ///     a single data page, and then scans exactly one 4 KiB block linearly
 ///     — O(log N_blocks) RAM compares + ~1 cold page per probe. Blocks are
@@ -61,44 +65,64 @@ class Segment {
   /// lazy checksum validation.
   [[nodiscard]] virtual StoreRecord record_at(std::size_t i) const = 0;
 
+  /// Copies record `i`'s store_record_words(n) packed words to `out` — the
+  /// tier merge's read, which never decodes. The mmap flavor validates the
+  /// record's page first, like record_at.
+  virtual void copy_record_words(std::size_t i, std::uint64_t* out) const = 0;
+
   /// Record with canonical form `canonical`; nullopt when absent. The
   /// materialized flavor probes its hash index, the mmap flavor binary-
   /// searches its block keys and scans one block.
   [[nodiscard]] virtual std::optional<StoreRecord> find(const TruthTable& canonical) const = 0;
 };
 
-/// Segment over records held in RAM. The records must already be sorted by
-/// canonical form, unique and width-consistent — the store validates before
-/// constructing (ClassStore's constructors, the delta replay, compaction).
-/// The records stay sorted (record_at, the tier merge); lookups go through
-/// a hash index built once by the constructor.
+/// Segment over packed records held in RAM. The records must already be
+/// sorted by canonical form, unique and well-formed — the store validates
+/// before constructing (ClassStore's constructors, the file readers, the
+/// delta flush, compaction). The records stay sorted (record_at, the tier
+/// merge); lookups go through a hash index built once by the constructor.
 class MaterializedSegment final : public Segment {
  public:
-  /// Takes the records and builds the hash index over them: one hash per
-  /// record, 16 bytes of index per record. Throws std::length_error past
-  /// 2^30 records.
-  MaterializedSegment(int num_vars, std::vector<StoreRecord> records);
+  /// Takes `record_words` (encode_records: store_record_words(num_vars)
+  /// words per record) and builds the hash index over them: one hash per
+  /// record, 16 bytes of index per record. Throws std::invalid_argument on
+  /// an out-of-range width or a partial record, std::length_error past 2^30
+  /// records.
+  MaterializedSegment(int num_vars, std::vector<std::uint64_t> record_words);
 
   [[nodiscard]] int num_vars() const noexcept override { return num_vars_; }
-  [[nodiscard]] std::size_t size() const noexcept override { return records_.size(); }
-  [[nodiscard]] StoreRecord record_at(std::size_t i) const override { return records_[i]; }
+  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
+  [[nodiscard]] StoreRecord record_at(std::size_t i) const override
+  {
+    return decode_record(num_vars_, record(i));
+  }
+  void copy_record_words(std::size_t i, std::uint64_t* out) const override;
   [[nodiscard]] std::optional<StoreRecord> find(const TruthTable& canonical) const override;
 
-  [[nodiscard]] const std::vector<StoreRecord>& records() const noexcept { return records_; }
-
-  /// The record keyed `canonical`, or null, given `hash` ==
+  /// Index of the record keyed `canonical`, or nullopt, given `hash` ==
   /// canonical.hash() — the one search behind find(), exposed so a probe
   /// of many runs hashes its key once. Linear probing from the slot the
-  /// hash's low word picks; a record is compared only when its slot's
-  /// fingerprint matches the key's.
-  [[nodiscard]] const StoreRecord* find_hashed(const TruthTable& canonical,
-                                               std::uint64_t hash) const;
+  /// hash's low word picks; a record's canonical words are compared in
+  /// place only when its slot's fingerprint matches the key's.
+  [[nodiscard]] std::optional<std::size_t> find_hashed(const TruthTable& canonical,
+                                                       std::uint64_t hash) const;
+
+  /// Every record's packed words, in canonical order (what a delta-log
+  /// rewrite writes back and the tier merge interleaves).
+  [[nodiscard]] std::span<const std::uint64_t> record_words() const noexcept { return words_; }
 
  private:
+  [[nodiscard]] const std::uint64_t* record(std::size_t i) const noexcept
+  {
+    return words_.data() + i * stride_;
+  }
+
   int num_vars_;
-  std::vector<StoreRecord> records_;
-  /// Open-addressed index over records_: four slots per record (load 1/4,
-  /// so a miss usually stops at its first, empty slot). 0 is an empty
+  std::size_t stride_;  ///< store_record_words(num_vars_)
+  std::size_t size_;
+  std::vector<std::uint64_t> words_;
+  /// Open-addressed index over the records: four slots per record (load
+  /// 1/4, so a miss usually stops at its first, empty slot). 0 is an empty
   /// slot; a full slot packs record index + 1 into its low bits
   /// (index_mask_) and, above them, the same bits of the key hash's high
   /// word as a fingerprint.
@@ -157,6 +181,7 @@ class MmapSegment final : public Segment {
   [[nodiscard]] int num_vars() const noexcept override { return layout_.num_vars; }
   [[nodiscard]] std::size_t size() const noexcept override { return layout_.num_records; }
   [[nodiscard]] StoreRecord record_at(std::size_t i) const override;
+  void copy_record_words(std::size_t i, std::uint64_t* out) const override;
   [[nodiscard]] std::optional<StoreRecord> find(const TruthTable& canonical) const override;
 
   /// Next fresh class id recorded in the mapped header.
@@ -194,33 +219,36 @@ class MmapSegment final : public Segment {
 [[nodiscard]] bool mmap_supported() noexcept;
 
 /// Writes one v3 base segment — header, block-packed records, block-key
-/// table, block-checksum table, footer — to `os`. `records` must be sorted
-/// by canonical form. Every base writer (save, compaction, fcs-merge)
-/// funnels through here.
+/// table, block-checksum table, footer — to `os`. `record_words` holds the
+/// packed records (encode_records), sorted by canonical form. Every base
+/// writer (save, compaction, fcs-merge) funnels through here. Throws
+/// std::invalid_argument on a partial record.
 void write_base_segment(std::ostream& os, int num_vars, std::uint64_t num_classes,
-                        std::span<const StoreRecord> records);
+                        std::span<const std::uint64_t> record_words);
 
 /// Materialized read of a base segment: the stream is buffered and parsed
 /// by the same layout parser as MmapSegment::open, every block is checked
-/// by the same block validator, and every record is decoded, with
-/// canonical sortedness/uniqueness and class ids below the header's class
-/// count checked on top.
+/// by the same block validator, and every record is loaded into packed
+/// words the way decode_record reads it (excess table bits cleared, the
+/// transform checked), with canonical sortedness/uniqueness and class ids
+/// below the header's class count checked on top.
 struct LoadedBase {
   int num_vars = 0;
   std::uint64_t num_classes = 0;
-  std::vector<StoreRecord> records;
+  std::vector<std::uint64_t> record_words;
 };
 [[nodiscard]] LoadedBase read_base_segment(std::istream& is);
 
-/// Appends one delta frame holding `records` (sorted by canonical form) to
-/// `os`.
+/// Appends one delta frame holding the packed `record_words` (sorted by
+/// canonical form) to `os`. Throws std::invalid_argument on a partial
+/// record.
 void write_delta_frame(std::ostream& os, int num_vars, std::uint64_t num_classes_after,
-                       std::span<const StoreRecord> records);
+                       std::span<const std::uint64_t> record_words);
 
-/// One decoded delta frame.
+/// One loaded delta frame: its records packed like a MaterializedSegment's.
 struct DeltaRun {
   std::uint64_t num_classes_after = 0;
-  std::vector<StoreRecord> records;
+  std::vector<std::uint64_t> record_words;
 };
 
 /// Result of replaying a delta log.

@@ -144,6 +144,53 @@ NpnTransform unpack_transform(int num_vars, const std::array<std::uint64_t, 2>& 
   return t;
 }
 
+void append_record_words(std::vector<std::uint64_t>& out, const StoreRecord& record)
+{
+  const auto canonical = record.canonical.words();
+  const auto representative = record.representative.words();
+  out.insert(out.end(), canonical.begin(), canonical.end());
+  out.insert(out.end(), representative.begin(), representative.end());
+  out.push_back((static_cast<std::uint64_t>(record.class_id) << 32) |
+                static_cast<std::uint64_t>(record.class_size));
+  const auto packed = pack_transform(record.rep_to_canonical);
+  out.push_back(packed[0]);
+  out.push_back(packed[1]);
+}
+
+std::vector<std::uint64_t> encode_records(std::span<const StoreRecord> records)
+{
+  std::vector<std::uint64_t> words;
+  if (!records.empty()) {
+    words.reserve(records.size() * store_record_words(records.front().canonical.num_vars()));
+  }
+  for (const auto& record : records) {
+    append_record_words(words, record);
+  }
+  return words;
+}
+
+StoreRecord decode_record(int num_vars, const std::uint64_t* words)
+{
+  const std::size_t num_words = words_for_vars(num_vars);
+  const std::uint64_t* tail = words + 2 * num_words;  // id | size, then the transform
+  return StoreRecord{TruthTable{num_vars, std::span<const std::uint64_t>{words, num_words}},
+                     TruthTable{num_vars, std::span<const std::uint64_t>{words + num_words, num_words}},
+                     unpack_transform(num_vars, {tail[1], tail[2]}),
+                     static_cast<std::uint32_t>(tail[0] >> 32),
+                     static_cast<std::uint32_t>(tail[0] & 0xffffffffULL)};
+}
+
+int compare_canonical_words(const std::uint64_t* a, const std::uint64_t* b,
+                            std::size_t num_words) noexcept
+{
+  for (std::size_t w = num_words; w-- > 0;) {
+    if (a[w] != b[w]) {
+      return a[w] < b[w] ? -1 : 1;
+    }
+  }
+  return 0;
+}
+
 std::string transform_to_compact(const NpnTransform& t)
 {
   std::ostringstream out;

@@ -74,8 +74,10 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "facet/npn/transform.hpp"
 #include "facet/tt/truth_table.hpp"
@@ -162,9 +164,9 @@ struct StoreRecord {
 /// Number of u64 words one record occupies for an n-variable store.
 [[nodiscard]] std::size_t store_record_words(int num_vars) noexcept;
 
-/// Records packed into one block (>= 1 for every width the truth-table
-/// kernel supports — a record is at most (2 * 4 + 3) * 8 = 88 bytes at
-/// kMaxVars).
+/// Records packed into one block: >= 1 up to n = 13 (a 2,072-byte record),
+/// 0 past it — a width no base segment can hold, which the writer and the
+/// layout parser reject.
 [[nodiscard]] std::size_t store_records_per_block(int num_vars) noexcept;
 
 /// Number of blocks holding `num_records` records of an n-variable store.
@@ -218,23 +220,32 @@ void write_u64_le(std::ostream& os, std::uint64_t value);
 /// [0, num_vars) and that the negation masks fit the width.
 [[nodiscard]] NpnTransform unpack_transform(int num_vars, const std::array<std::uint64_t, 2>& words);
 
-/// Streams a record's words in file order into `emit` — the single source
-/// of truth for the record layout on the write side.
-template <typename Emit>
-void for_each_record_word(const StoreRecord& record, const Emit& emit)
+/// Appends `record`'s store_record_words(n) words to `out` in file order —
+/// the single encoder of the record layout.
+void append_record_words(std::vector<std::uint64_t>& out, const StoreRecord& record);
+
+/// `records` packed back to back in the record codec, store_record_words(n)
+/// words each: the form every segment writer and MaterializedSegment take.
+[[nodiscard]] std::vector<std::uint64_t> encode_records(std::span<const StoreRecord> records);
+
+/// Decodes the packed record at `words` (store_record_words(num_vars) of
+/// them) — the single decoder, behind both segment flavors. Throws
+/// StoreFormatError when the transform words are not a transform of the
+/// width.
+[[nodiscard]] StoreRecord decode_record(int num_vars, const std::uint64_t* words);
+
+/// Class id of the packed record at `words`.
+[[nodiscard]] inline std::uint32_t record_class_id(int num_vars,
+                                                   const std::uint64_t* words) noexcept
 {
-  for (const auto w : record.canonical.words()) {
-    emit(w);
-  }
-  for (const auto w : record.representative.words()) {
-    emit(w);
-  }
-  emit((static_cast<std::uint64_t>(record.class_id) << 32) |
-       static_cast<std::uint64_t>(record.class_size));
-  const auto packed = pack_transform(record.rep_to_canonical);
-  emit(packed[0]);
-  emit(packed[1]);
+  return static_cast<std::uint32_t>(words[2 * words_for_vars(num_vars)] >> 32);
 }
+
+/// -1 / 0 / +1 of canonical form `a` against `b`, both `num_words` words —
+/// the order records are sorted in (most-significant word first, like
+/// TruthTable's operator<=>).
+[[nodiscard]] int compare_canonical_words(const std::uint64_t* a, const std::uint64_t* b,
+                                          std::size_t num_words) noexcept;
 
 /// Compact single-token rendering for the line protocol and CLI output:
 /// "p2,0,1:n3:o1" = perm (2,0,1), input_neg 0b011, output negated.

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "facet/util/hash.hpp"
-
 namespace facet {
 
 namespace {
@@ -123,7 +121,7 @@ std::strong_ordering TruthTable::operator<=>(const TruthTable& other) const noex
 
 std::uint64_t TruthTable::hash() const noexcept
 {
-  return hash_words(words(), 0x9d7fb5e3c1a64b21ULL ^ static_cast<std::uint64_t>(num_vars_));
+  return hash_table_words(num_vars_, words());
 }
 
 void TruthTable::mask_excess() noexcept

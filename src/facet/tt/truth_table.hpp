@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "facet/tt/bit_ops.hpp"
+#include "facet/util/hash.hpp"
 
 namespace facet {
 
@@ -156,6 +157,15 @@ class TruthTable {
 [[nodiscard]] constexpr std::size_t words_for_vars(int num_vars) noexcept
 {
   return num_vars <= kVarsPerWord ? 1u : (std::size_t{1} << (num_vars - kVarsPerWord));
+}
+
+/// The hash TruthTable::hash() returns, computed from a table's width and
+/// raw words, so a store indexes packed record words without building a
+/// table and a probe hashes its key once for every segment.
+[[nodiscard]] constexpr std::uint64_t hash_table_words(
+    int num_vars, std::span<const std::uint64_t> words) noexcept
+{
+  return hash_words(words, 0x9d7fb5e3c1a64b21ULL ^ static_cast<std::uint64_t>(num_vars));
 }
 
 /// Functor for unordered containers keyed by TruthTable.

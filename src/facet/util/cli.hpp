@@ -7,12 +7,14 @@
 
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace facet {
@@ -57,10 +59,8 @@ class CliArgs {
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const
   {
     const auto it = values_.find(name);
-    if (it == values_.end()) {
-      return fallback;
-    }
-    return std::stoll(it->second);
+    return it == values_.end() ? fallback
+                               : parse_whole<std::int64_t>(name, it->second, "an integer");
   }
 
   /// Unsigned 64-bit getter for size/byte/count flags: full uint64 range,
@@ -69,23 +69,15 @@ class CliArgs {
   [[nodiscard]] std::uint64_t get_uint64(const std::string& name, std::uint64_t fallback) const
   {
     const auto it = values_.find(name);
-    if (it == values_.end()) {
-      return fallback;
-    }
-    if (it->second.find('-') != std::string::npos) {
-      throw std::invalid_argument{"--" + name + ": expected a non-negative integer, got '" +
-                                  it->second + "'"};
-    }
-    return std::stoull(it->second);
+    return it == values_.end()
+               ? fallback
+               : parse_whole<std::uint64_t>(name, it->second, "a non-negative integer");
   }
 
   [[nodiscard]] double get_double(const std::string& name, double fallback) const
   {
     const auto it = values_.find(name);
-    if (it == values_.end()) {
-      return fallback;
-    }
-    return std::stod(it->second);
+    return it == values_.end() ? fallback : parse_whole<double>(name, it->second, "a number");
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const
@@ -100,6 +92,23 @@ class CliArgs {
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// `text` read as a T with nothing left over — no trailing characters
+  /// (`5x`, `1e3` for an integer), no sign on an unsigned value, nothing
+  /// out of T's range; otherwise std::invalid_argument naming the flag.
+  template <typename T>
+  [[nodiscard]] static T parse_whole(const std::string& name, const std::string& text,
+                                     const char* expected)
+  {
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    if (error != std::errc{} || end != last) {
+      throw std::invalid_argument{"--" + name + ": expected " + expected + ", got '" + text +
+                                  "'"};
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

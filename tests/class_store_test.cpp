@@ -69,7 +69,8 @@ std::optional<TruthTable> same_image_sibling(const TruthTable& f, std::mt19937_6
 std::string serialize(const ClassStore& store)
 {
   std::ostringstream os;
-  write_base_segment(os, store.num_vars(), store.num_classes(), store.persisted_records());
+  write_base_segment(os, store.num_vars(), store.num_classes(),
+                     encode_records(store.persisted_records()));
   return os.str();
 }
 

@@ -1,6 +1,7 @@
-/// Tests of the shared command-line flag parser: value binding and the
+/// Tests of the shared command-line flag parser: value binding, the
 /// unsigned getter that count and size flags (`--jobs`, `--cache`,
-/// `--max-funcs`, ...) are read through.
+/// `--max-funcs`, ...) are read through, and whole-string parsing by every
+/// numeric getter.
 
 #include "facet/util/cli.hpp"
 
@@ -49,6 +50,40 @@ TEST(CliArgs, GetUint64ParsesZeroAndTheFullRange)
   EXPECT_EQ(args.get_uint64("max-funcs", 0), std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(args.get_uint64("cache", 42), 42u) << "an absent flag takes the fallback";
   EXPECT_EQ(args.positional(), std::vector<std::string>{"dataset"});
+}
+
+TEST(CliArgs, NumericGettersRejectTrailingCharacters)
+{
+  // A mistyped count must fail, not be read as its numeric prefix.
+  const CliArgs args =
+      parse({"dataset", "--max-funcs", "5x", "--jobs=1e3", "--cache=", "--n", "4 ", "--rate=0.5s"});
+  for (const char* flag : {"max-funcs", "jobs", "cache"}) {
+    SCOPED_TRACE(flag);
+    try {
+      (void)args.get_uint64(flag, 0);
+      ADD_FAILURE() << "get_uint64 accepted a partial number";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("expected a non-negative integer"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)args.get_int(flag, 0), std::invalid_argument);
+  }
+  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("rate", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("cache", 0), std::invalid_argument);
+}
+
+TEST(CliArgs, NumericGettersParseWholeValues)
+{
+  const CliArgs args = parse({"bench", "--n", "-3", "--funcs=120000", "--rate", "1e3",
+                              "--big=18446744073709551616"});
+  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_EQ(args.get_int("funcs", 0), 120000);
+  EXPECT_EQ(args.get_uint64("funcs", 0), 120000u);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0), 1000.0);
+  EXPECT_DOUBLE_EQ(args.get_double("funcs", 0), 120000.0);
+  // One past the uint64 range is out of range, not wrapped.
+  EXPECT_THROW((void)args.get_uint64("big", 0), std::invalid_argument);
 }
 
 }  // namespace

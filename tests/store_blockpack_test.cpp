@@ -79,7 +79,7 @@ std::vector<StoreRecord> synthetic_records(int n, std::size_t count, std::uint64
 void write_v3_file(const std::string& path, int n, const std::vector<StoreRecord>& records)
 {
   std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  write_base_segment(os, n, records.size(), records);
+  write_base_segment(os, n, records.size(), encode_records(records));
 }
 
 std::vector<TruthTable> make_npn_workload(int n, std::size_t bases, std::size_t images_per_base,

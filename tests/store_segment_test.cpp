@@ -178,7 +178,7 @@ std::size_t expect_index_matches_sorted_search(int n, std::vector<StoreRecord> r
     records[i].class_id = static_cast<std::uint32_t>(i * 7 + 3);
   }
   const std::vector<StoreRecord> reference = records;
-  const MaterializedSegment segment{n, std::move(records)};
+  const MaterializedSegment segment{n, encode_records(records)};
   EXPECT_EQ(segment.size(), reference.size());
   std::size_t hits = 0;
   for (const TruthTable& key : probes) {
@@ -345,8 +345,8 @@ std::string legacy_base_file(std::uint32_t version, const ClassStore& built)
 {
   const std::vector<StoreRecord> built_records = built.persisted_records();
   std::ostringstream records;
-  for (const auto& record : built_records) {
-    for_each_record_word(record, [&](std::uint64_t word) { write_u64_le(records, word); });
+  for (const std::uint64_t word : encode_records(built_records)) {
+    write_u64_le(records, word);
   }
   const std::string region = records.str();
   const auto* bytes = reinterpret_cast<const unsigned char*>(region.data());
@@ -506,12 +506,12 @@ TEST(StoreSegment, NewerTiersShadowTheBaseInTheMergeAndTheCompaction)
   const std::string dlog = ClassStore::delta_log_path(path);
   {
     std::ofstream os{path, std::ios::binary | std::ios::trunc};
-    write_base_segment(os, n, all.size(), base);
+    write_base_segment(os, n, all.size(), encode_records(base));
   }
   {
     std::ofstream os{dlog, std::ios::binary | std::ios::trunc};
-    write_delta_frame(os, n, all.size(), run1);
-    write_delta_frame(os, n, all.size(), run2);
+    write_delta_frame(os, n, all.size(), encode_records(run1));
+    write_delta_frame(os, n, all.size(), encode_records(run2));
   }
   const auto expect_newest = [&](const ClassStore& store) {
     const std::vector<StoreRecord> merged = store.persisted_records();
@@ -906,9 +906,9 @@ TEST(StoreSegment, DeltaFrameWithAnOutOfRangeClassIdIsRejected)
   std::istringstream good_is{good};
   const DeltaLogReplay replay = read_delta_log(good_is, n);
   ASSERT_EQ(replay.runs.size(), 1u);
-  const std::vector<StoreRecord>& records = replay.runs.front().records;
+  const std::vector<std::uint64_t>& records = replay.runs.front().record_words;
   std::ostringstream bad_frame;
-  write_delta_frame(bad_frame, n, records.front().class_id, records);
+  write_delta_frame(bad_frame, n, record_class_id(n, records.data()), records);
   const std::string bad = bad_frame.str();
 
   const auto expect_bound_error = [](const auto& read) {
@@ -954,7 +954,8 @@ TEST(StoreSegment, WriteBaseSegmentRejectsNothingButStreamsDoFail)
   const ClassStore built = build_class_store(funcs, {});
   std::ostringstream os;
   os.setstate(std::ios::badbit);
-  EXPECT_THROW(write_base_segment(os, n, built.num_classes(), built.persisted_records()),
+  EXPECT_THROW(write_base_segment(os, n, built.num_classes(),
+                                  encode_records(built.persisted_records())),
                StoreFormatError);
 }
 
