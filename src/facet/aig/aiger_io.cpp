@@ -38,82 +38,46 @@ std::string write_aiger_string(const Aig& aig)
   return oss.str();
 }
 
-Aig read_aiger(std::istream& is)
+namespace {
+
+/// The largest maximum variable index M a header may declare: the literal
+/// 2 * M + 1 must fit Aig::Literal's 32 bits.
+constexpr std::size_t kMaxAigerVariable = (std::size_t{1} << 31) - 1;
+
+struct AigerHeader {
+  std::size_t m = 0;  ///< maximum variable index
+  std::size_t i = 0;  ///< inputs
+  std::size_t o = 0;  ///< outputs
+  std::size_t a = 0;  ///< AND gates
+};
+
+/// Parses "<magic> M I L O A" and rejects what neither reader supports:
+/// latches, M >= 2^31, and M != I + A (write_aiger and write_aiger_binary
+/// always emit M = I + A). The counts are checked, never trusted: nothing
+/// is sized from them until the bytes behind them have been read.
+AigerHeader read_header(std::istream& is, const std::string& who, const std::string& magic,
+                        const std::string& format)
 {
-  std::string magic;
-  std::size_t m = 0, i = 0, l = 0, o = 0, a = 0;
-  if (!(is >> magic >> m >> i >> l >> o >> a)) {
-    throw std::runtime_error("read_aiger: malformed header");
+  std::string found;
+  std::size_t l = 0;
+  AigerHeader h;
+  if (!(is >> found >> h.m >> h.i >> l >> h.o >> h.a)) {
+    throw std::runtime_error(who + ": malformed header");
   }
-  if (magic != "aag") {
-    throw std::runtime_error("read_aiger: expected ASCII AIGER ('aag')");
+  if (found != magic) {
+    throw std::runtime_error(who + ": expected " + format + " AIGER ('" + magic + "')");
   }
   if (l != 0) {
-    throw std::runtime_error("read_aiger: latches are not supported (combinational only)");
+    throw std::runtime_error(who + ": latches are not supported (combinational only)");
   }
-
-  Aig aig;
-  // Input literal in the file -> literal in the reconstructed AIG. The
-  // reconstruction re-runs structural hashing, so file node ids and rebuilt
-  // node ids can differ; literals are remapped through this table.
-  std::vector<Aig::Literal> remap(2 * (m + 1), Aig::kFalse);
-  remap[0] = Aig::kFalse;
-  remap[1] = Aig::kTrue;
-
-  std::vector<std::size_t> input_literals(i);
-  for (std::size_t k = 0; k < i; ++k) {
-    if (!(is >> input_literals[k])) {
-      throw std::runtime_error("read_aiger: missing input literal");
-    }
-    if (input_literals[k] % 2 != 0 || input_literals[k] > 2 * m) {
-      throw std::runtime_error("read_aiger: invalid input literal");
-    }
+  if (h.m > kMaxAigerVariable) {
+    throw std::runtime_error(who + ": maximum variable index exceeds 2^31 - 1");
   }
-  std::vector<std::size_t> output_literals(o);
-  for (std::size_t k = 0; k < o; ++k) {
-    if (!(is >> output_literals[k])) {
-      throw std::runtime_error("read_aiger: missing output literal");
-    }
+  if (h.i > h.m || h.a != h.m - h.i) {
+    throw std::runtime_error(who + ": header counts are inconsistent");
   }
-
-  for (std::size_t k = 0; k < i; ++k) {
-    const Aig::Literal lit = aig.add_input();
-    remap[input_literals[k]] = lit;
-    remap[input_literals[k] + 1] = Aig::literal_not(lit);
-  }
-
-  for (std::size_t k = 0; k < a; ++k) {
-    std::size_t lhs = 0, rhs0 = 0, rhs1 = 0;
-    if (!(is >> lhs >> rhs0 >> rhs1)) {
-      throw std::runtime_error("read_aiger: missing AND definition");
-    }
-    if (lhs % 2 != 0 || lhs > 2 * m || rhs0 > 2 * m + 1 || rhs1 > 2 * m + 1) {
-      throw std::runtime_error("read_aiger: invalid AND literals");
-    }
-    const Aig::Literal f0 = remap[rhs0];
-    const Aig::Literal f1 = remap[rhs1];
-    const Aig::Literal lit = aig.add_and(f0, f1);
-    remap[lhs] = lit;
-    remap[lhs + 1] = Aig::literal_not(lit);
-  }
-
-  for (std::size_t k = 0; k < o; ++k) {
-    if (output_literals[k] > 2 * m + 1) {
-      throw std::runtime_error("read_aiger: invalid output literal");
-    }
-    aig.add_output(remap[output_literals[k]]);
-  }
-  // Symbol table and comments are ignored on read.
-  return aig;
+  return h;
 }
-
-Aig read_aiger_string(const std::string& text)
-{
-  std::istringstream iss{text};
-  return read_aiger(iss);
-}
-
-namespace {
 
 /// 7-bit varint encoding of the binary AIGER delta stream.
 void write_varint(std::ostream& os, std::uint64_t value)
@@ -146,6 +110,82 @@ void write_varint(std::ostream& os, std::uint64_t value)
 }
 
 }  // namespace
+
+Aig read_aiger(std::istream& is)
+{
+  const AigerHeader h = read_header(is, "read_aiger", "aag", "ASCII");
+
+  // Every count grows with the literals actually read, so a header that
+  // promises more than the file holds fails on the missing bytes instead of
+  // allocating for them.
+  std::vector<std::size_t> input_literals;
+  for (std::size_t k = 0; k < h.i; ++k) {
+    std::size_t lit = 0;
+    if (!(is >> lit)) {
+      throw std::runtime_error("read_aiger: missing input literal");
+    }
+    if (lit < 2 || lit % 2 != 0 || lit > 2 * h.m) {
+      throw std::runtime_error("read_aiger: invalid input literal");
+    }
+    input_literals.push_back(lit);
+  }
+  std::vector<std::size_t> output_literals;
+  for (std::size_t k = 0; k < h.o; ++k) {
+    std::size_t lit = 0;
+    if (!(is >> lit)) {
+      throw std::runtime_error("read_aiger: missing output literal");
+    }
+    if (lit > 2 * h.m + 1) {
+      throw std::runtime_error("read_aiger: invalid output literal");
+    }
+    output_literals.push_back(lit);
+  }
+  struct AndLine {
+    std::size_t lhs, rhs0, rhs1;
+  };
+  std::vector<AndLine> ands;
+  for (std::size_t k = 0; k < h.a; ++k) {
+    AndLine line{};
+    if (!(is >> line.lhs >> line.rhs0 >> line.rhs1)) {
+      throw std::runtime_error("read_aiger: missing AND definition");
+    }
+    if (line.lhs < 2 || line.lhs % 2 != 0 || line.lhs > 2 * h.m || line.rhs0 > 2 * h.m + 1 ||
+        line.rhs1 > 2 * h.m + 1) {
+      throw std::runtime_error("read_aiger: invalid AND literals");
+    }
+    ands.push_back(line);
+  }
+
+  Aig aig;
+  // Input literal in the file -> literal in the reconstructed AIG. The
+  // reconstruction re-runs structural hashing, so file node ids and rebuilt
+  // node ids can differ; literals are remapped through this table. M = I + A
+  // definitions have been read, so its size is bounded by the input's.
+  std::vector<Aig::Literal> remap(2 * (h.m + 1), Aig::kFalse);
+  remap[0] = Aig::kFalse;
+  remap[1] = Aig::kTrue;
+  for (const std::size_t input : input_literals) {
+    const Aig::Literal lit = aig.add_input();
+    remap[input] = lit;
+    remap[input + 1] = Aig::literal_not(lit);
+  }
+  for (const AndLine& line : ands) {
+    const Aig::Literal lit = aig.add_and(remap[line.rhs0], remap[line.rhs1]);
+    remap[line.lhs] = lit;
+    remap[line.lhs + 1] = Aig::literal_not(lit);
+  }
+  for (const std::size_t output : output_literals) {
+    aig.add_output(remap[output]);
+  }
+  // Symbol table and comments are ignored on read.
+  return aig;
+}
+
+Aig read_aiger_string(const std::string& text)
+{
+  std::istringstream iss{text};
+  return read_aiger(iss);
+}
 
 void write_aiger_binary(const Aig& aig, std::ostream& os)
 {
@@ -180,42 +220,31 @@ std::string write_aiger_binary_string(const Aig& aig)
 
 Aig read_aiger_binary(std::istream& is)
 {
-  std::string magic;
-  std::size_t m = 0, i = 0, l = 0, o = 0, a = 0;
-  if (!(is >> magic >> m >> i >> l >> o >> a)) {
-    throw std::runtime_error("read_aiger_binary: malformed header");
-  }
-  if (magic != "aig") {
-    throw std::runtime_error("read_aiger_binary: expected binary AIGER ('aig')");
-  }
-  if (l != 0) {
-    throw std::runtime_error("read_aiger_binary: latches are not supported (combinational only)");
-  }
-  if (m != i + a) {
-    throw std::runtime_error("read_aiger_binary: header counts are inconsistent");
-  }
+  const AigerHeader h = read_header(is, "read_aiger_binary", "aig", "binary");
 
-  std::vector<std::size_t> output_literals(o);
-  for (std::size_t k = 0; k < o; ++k) {
-    if (!(is >> output_literals[k]) || output_literals[k] > 2 * m + 1) {
+  std::vector<std::size_t> output_literals;
+  for (std::size_t k = 0; k < h.o; ++k) {
+    std::size_t lit = 0;
+    if (!(is >> lit) || lit > 2 * h.m + 1) {
       throw std::runtime_error("read_aiger_binary: invalid output literal");
     }
+    output_literals.push_back(lit);
   }
   // Consume the newline terminating the last ASCII line before the deltas.
   is.get();
 
+  // Literal in the file -> literal in the reconstructed AIG, grown one node
+  // at a time: the inputs, then each AND once its deltas have been read.
   Aig aig;
-  std::vector<Aig::Literal> remap(2 * (m + 1), Aig::kFalse);
-  remap[0] = Aig::kFalse;
-  remap[1] = Aig::kTrue;
-  for (std::size_t k = 0; k < i; ++k) {
+  std::vector<Aig::Literal> remap{Aig::kFalse, Aig::kTrue};
+  for (std::size_t k = 0; k < h.i; ++k) {
     const Aig::Literal lit = aig.add_input();
-    remap[2 * (k + 1)] = lit;
-    remap[2 * (k + 1) + 1] = Aig::literal_not(lit);
+    remap.push_back(lit);
+    remap.push_back(Aig::literal_not(lit));
   }
 
-  for (std::size_t k = 0; k < a; ++k) {
-    const std::size_t lhs = 2 * (i + 1 + k);
+  for (std::size_t k = 0; k < h.a; ++k) {
+    const std::size_t lhs = 2 * (h.i + 1 + k);
     const std::uint64_t delta0 = read_varint(is);
     const std::uint64_t delta1 = read_varint(is);
     if (delta0 == 0 || delta0 > lhs || delta1 > lhs - delta0) {
@@ -224,12 +253,12 @@ Aig read_aiger_binary(std::istream& is)
     const std::size_t rhs0 = lhs - delta0;
     const std::size_t rhs1 = rhs0 - delta1;
     const Aig::Literal lit = aig.add_and(remap[rhs0], remap[rhs1]);
-    remap[lhs] = lit;
-    remap[lhs + 1] = Aig::literal_not(lit);
+    remap.push_back(lit);
+    remap.push_back(Aig::literal_not(lit));
   }
 
-  for (std::size_t k = 0; k < o; ++k) {
-    aig.add_output(remap[output_literals[k]]);
+  for (const std::size_t output : output_literals) {
+    aig.add_output(remap[output]);
   }
   return aig;
 }

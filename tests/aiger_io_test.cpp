@@ -92,6 +92,9 @@ TEST(AigerIo, BinaryRejectsMalformedInput)
   EXPECT_THROW(read_aiger_binary_string("aig 2 1 1 0 0\n"), std::runtime_error);   // latches
   EXPECT_THROW(read_aiger_binary_string("aig 3 1 0 0 1\n"), std::runtime_error);   // bad counts
   EXPECT_THROW(read_aiger_binary_string("aig 2 1 0 0 1\n"), std::runtime_error);   // missing deltas
+  // M = I + A = 2^64 - 1: the remap table's size 2 * (M + 1) wraps to 0.
+  EXPECT_THROW(read_aiger_binary_string("aig 18446744073709551615 18446744073709551615 0 0 0\n"),
+               std::runtime_error);
 }
 
 TEST(AigerIo, RejectsMalformedInput)
@@ -101,6 +104,12 @@ TEST(AigerIo, RejectsMalformedInput)
   EXPECT_THROW(read_aiger_string("aag 1 1 1 0 0\n2\n2 0\n"), std::runtime_error);  // latches
   EXPECT_THROW(read_aiger_string("aag 1 1 0 0 0\n3\n"), std::runtime_error);       // odd input literal
   EXPECT_THROW(read_aiger_string("aag 2 1 0 0 1\n2\n"), std::runtime_error);       // missing AND body
+  // M = 2^64 - 1: the remap table's size 2 * (M + 1) wraps to 0.
+  EXPECT_THROW(read_aiger_string("aag 18446744073709551615 0 0 0 0\n"), std::runtime_error);
+  // M = 2 * 10^9 with no definitions: M != I + A, never a 16 GB remap table.
+  EXPECT_THROW(read_aiger_string("aag 2000000000 0 0 0 0\n"), std::runtime_error);
+  // M = I + A = 2 * 10^9 with no input lines: fails on the missing bytes.
+  EXPECT_THROW(read_aiger_string("aag 2000000000 2000000000 0 0 0\n"), std::runtime_error);
 }
 
 }  // namespace

@@ -483,12 +483,21 @@ TEST(ClassStore, MemoAssistedLearningMatchesSequentialClassifier)
   ClassStoreOptions options;
   options.hot_cache_capacity = 0;
   ClassStore store{n, options};
+  // A memo-less twin learns the same workload through canonicalization
+  // alone, to the same ids.
+  options.semiclass_memo_capacity = 0;
+  ClassStore twin{n, options};
   for (std::size_t i = 0; i < funcs.size(); ++i) {
     const auto result = store.lookup_or_classify(funcs[i], /*append_on_miss=*/true);
     EXPECT_EQ(result.class_id, expected.class_of[i]) << "function " << i;
     EXPECT_EQ(apply_transform(funcs[i], result.to_representative), result.representative);
+    EXPECT_EQ(twin.lookup_or_classify(funcs[i], /*append_on_miss=*/true).class_id,
+              expected.class_of[i])
+        << "function " << i << ", memo off";
   }
   EXPECT_EQ(store.num_classes(), expected.num_classes);
+  EXPECT_EQ(twin.num_classes(), expected.num_classes);
+  EXPECT_EQ(twin.num_memo_hits(), 0u);
   EXPECT_EQ(store.num_appended(), expected.num_classes);
   // Every image beyond the first of each class can be served by the memo,
   // so at most one exact canonicalization per class is unavoidable; with

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "facet/engine/batch_engine.hpp"
@@ -398,21 +399,32 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
   const std::uint64_t errors_before = serve_counter("facet_serve_errors_total");
   const std::uint64_t sessions_before = serve_counter("facet_serve_connections_total");
 
-  // v2 client: one binary batch over the whole set, then quit.
+  // v2 clients, four at once: each sends one binary batch over the whole
+  // set, then quits.
+  const std::size_t v2_clients = 4;
   {
-    Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
-    ASSERT_TRUE(send_all(client.fd(), encode_batch_request(FrameVerb::kLookup, 5, funcs)));
-    const Response batch = read_response(client.fd());
-    EXPECT_EQ(batch.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
-    const auto records = decode_records(batch.payload);
-    ASSERT_TRUE(records.has_value());
-    ASSERT_EQ(records->size(), funcs.size());
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-      EXPECT_EQ((*records)[i].class_id, expected.class_of[i]);
+    const auto v2_client = [&] {
+      Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+      ASSERT_TRUE(send_all(client.fd(), encode_batch_request(FrameVerb::kLookup, 5, funcs)));
+      const Response batch = read_response(client.fd());
+      EXPECT_EQ(batch.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
+      const auto records = decode_records(batch.payload);
+      ASSERT_TRUE(records.has_value());
+      ASSERT_EQ(records->size(), funcs.size());
+      for (std::size_t i = 0; i < funcs.size(); ++i) {
+        EXPECT_EQ((*records)[i].class_id, expected.class_of[i]);
+      }
+      ASSERT_TRUE(send_all(client.fd(), encode_control_request(FrameVerb::kQuit)));
+      const Response bye = read_response(client.fd());
+      EXPECT_EQ(bye.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
+    };
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < v2_clients; ++c) {
+      clients.emplace_back(v2_client);
     }
-    ASSERT_TRUE(send_all(client.fd(), encode_control_request(FrameVerb::kQuit)));
-    const Response bye = read_response(client.fd());
-    EXPECT_EQ(bye.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
+    for (std::thread& client : clients) {
+      client.join();
+    }
   }
 
   // v1 client on the SAME port: the first byte is ASCII, so the line
@@ -433,7 +445,7 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
   server.request_shutdown();
   server.wait();
   EXPECT_EQ(serve_counter("facet_serve_errors_total") - errors_before, 0u);
-  EXPECT_EQ(serve_counter("facet_serve_connections_total") - sessions_before, 2u);
+  EXPECT_EQ(serve_counter("facet_serve_connections_total") - sessions_before, v2_clients + 1);
 }
 
 /// CI's protocol v2 smoke at test scale: an idle fleet pins reactor slots

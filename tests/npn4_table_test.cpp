@@ -267,6 +267,26 @@ TEST(Npn4Store, ExhaustiveWidth4StoreServesEveryQueryFromTheTable)
   }
   EXPECT_EQ(store.num_canonicalizations(), 0u);
   EXPECT_GT(store.num_table_hits(), 0u);
+
+  // An empty store learning the whole width, shuffled, allocates the
+  // sequential classifier's ids without canonicalizing, then answers every
+  // table cold from the table tier under the same id.
+  std::shuffle(all.begin(), all.end(), rng);
+  const ClassificationResult expected = classify_exhaustive(all);
+  ClassStore learning{4};
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const auto result = learning.lookup_or_classify(all[i], /*append_on_miss=*/true);
+    ASSERT_EQ(result.class_id, expected.class_of[i]) << "function " << i;
+  }
+  EXPECT_EQ(learning.num_classes(), kNpn4NumClasses);
+  learning.clear_hot_cache();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const auto result = learning.lookup(all[i]);
+    ASSERT_TRUE(result.has_value());
+    ASSERT_EQ(result->class_id, expected.class_of[i]) << "function " << i;
+    ASSERT_EQ(result->source, LookupSource::kTable);
+  }
+  EXPECT_EQ(learning.num_canonicalizations(), 0u);
 }
 
 TEST(Npn4Store, TransientMissesStayUnknownThroughTheTableTier)

@@ -6,12 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "facet/npn/transform.hpp"
@@ -58,20 +58,23 @@ std::uint32_t file_version(const std::string& path)
 /// geometry tests need record volume, not classification work.
 std::vector<StoreRecord> synthetic_records(int n, std::size_t count, std::uint64_t seed)
 {
+  // The first `count` distinct draws, sorted: a sort and a dedup per round
+  // instead of a hash set, which a 1M-record base would double in memory.
   std::mt19937_64 rng{seed};
-  std::unordered_set<TruthTable, TruthTableHash> keys;
+  std::vector<TruthTable> keys;
+  keys.reserve(count);
   while (keys.size() < count) {
-    keys.insert(tt_random(n, rng));
+    while (keys.size() < count) {
+      keys.push_back(tt_random(n, rng));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   }
   std::vector<StoreRecord> records;
   records.reserve(count);
   for (const auto& key : keys) {
-    records.push_back(StoreRecord{key, key, NpnTransform::identity(n), 0, 1});
-  }
-  std::sort(records.begin(), records.end(),
-            [](const StoreRecord& a, const StoreRecord& b) { return a.canonical < b.canonical; });
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    records[i].class_id = static_cast<std::uint32_t>(i);
+    records.push_back(StoreRecord{key, key, NpnTransform::identity(n),
+                                  static_cast<std::uint32_t>(records.size()), 1});
   }
   return records;
 }
@@ -118,59 +121,71 @@ TEST(StoreBlockPack, V3ProbesTouchOneBlock)
   if (!mmap_supported()) {
     GTEST_SKIP() << "no mmap on this platform";
   }
-  const int n = 6;
-  const std::size_t per_block = store_records_per_block(n);
-  const std::size_t count = 5 * per_block + 7;  // several blocks, ragged tail
-  const auto records = synthetic_records(n, count, 0xb10c0ULL);
-  const std::string path = temp_path("blockpack_probe.fcs");
-  write_v3_file(path, n, records);
+  struct Input {
+    int n;
+    std::size_t count;
+    std::uint64_t seed;
+  };
+  // Several n = 6 blocks with a ragged tail, and a 1M-record n = 7 base:
+  // the scale at which a binary search over its ~13,700 data pages would
+  // touch about 14 of them per probe.
+  const Input inputs[] = {{6, 5 * store_records_per_block(6) + 7, 0xb10c0ULL},
+                          {7, 1000000, 0xb10c7ULL}};
+  for (const Input& input : inputs) {
+    const int n = input.n;
+    const std::size_t count = input.count;
+    SCOPED_TRACE("n=" + std::to_string(n) + " records=" + std::to_string(count));
+    const auto records = synthetic_records(n, count, input.seed);
+    const std::string path = temp_path("blockpack_probe_" + std::to_string(n) + ".fcs");
+    write_v3_file(path, n, records);
 
-  const auto segment = MmapSegment::open(path);
-  EXPECT_EQ(file_version(path), kStoreVersion);
-  EXPECT_EQ(segment->num_pages(), store_num_blocks(count, n));
-  ASSERT_EQ(segment->size(), count);
+    const auto segment = MmapSegment::open(path);
+    EXPECT_EQ(file_version(path), kStoreVersion);
+    EXPECT_EQ(segment->num_pages(), store_num_blocks(count, n));
+    ASSERT_EQ(segment->size(), count);
 
-  // Every present key resolves by touching EXACTLY one data block — the
-  // binary search runs over the in-RAM block keys.
-  for (std::size_t i = 0; i < count; i += 11) {
-    const auto before = segment->probe_stats();
-    const auto hit = segment->find(records[i].canonical);
-    const auto after = segment->probe_stats();
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->class_id, records[i].class_id);
-    EXPECT_EQ(after.probes - before.probes, 1u);
-    EXPECT_EQ(after.pages - before.pages, 1u) << "present-key probe must touch one block";
-  }
-
-  // A key below the first block key is provably absent without touching a
-  // single data page.
-  TruthTable below = records.front().canonical;
-  bool have_below = false;
-  for (std::uint64_t bits = 0; bits < 64 && !have_below; ++bits) {
-    const TruthTable candidate = TruthTable::from_word(n, bits);
-    if (candidate < records.front().canonical) {
-      below = candidate;
-      have_below = true;
+    // Every present key resolves by touching EXACTLY one data block — the
+    // binary search runs over the in-RAM block keys — and answers the id
+    // its record was written with.
+    const std::size_t stride = std::max<std::size_t>(11, count / 10000);
+    for (std::size_t i = 0; i < count; i += stride) {
+      const auto before = segment->probe_stats();
+      const auto hit = segment->find(records[i].canonical);
+      const auto after = segment->probe_stats();
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(hit->class_id, records[i].class_id);
+      EXPECT_EQ(after.probes - before.probes, 1u);
+      EXPECT_EQ(after.pages - before.pages, 1u) << "present-key probe must touch one block";
     }
-  }
-  if (have_below) {
-    const auto before = segment->probe_stats();
-    EXPECT_FALSE(segment->find(below).has_value());
-    const auto after = segment->probe_stats();
-    EXPECT_EQ(after.pages - before.pages, 0u)
-        << "below-range miss must resolve from the in-RAM block keys alone";
-  }
 
-  // Any miss touches at most one block.
-  std::mt19937_64 rng{0xab5eULL};
-  for (int i = 0; i < 64; ++i) {
-    const TruthTable probe = tt_random(n, rng);
-    const auto before = segment->probe_stats();
-    (void)segment->find(probe);
-    const auto after = segment->probe_stats();
-    EXPECT_LE(after.pages - before.pages, 1u);
+    // A key below the first block key (the constant 0, the least table) is
+    // provably absent without touching a single data page.
+    const TruthTable below{n};
+    if (below < records.front().canonical) {
+      const auto before = segment->probe_stats();
+      EXPECT_FALSE(segment->find(below).has_value());
+      const auto after = segment->probe_stats();
+      EXPECT_EQ(after.pages - before.pages, 0u)
+          << "below-range miss must resolve from the in-RAM block keys alone";
+    }
+
+    // Planted misses miss, each touching at most one block.
+    std::mt19937_64 rng{0xab5eULL};
+    for (int i = 0; i < 2000; ++i) {
+      const TruthTable probe = tt_random(n, rng);
+      const auto it = std::lower_bound(
+          records.begin(), records.end(), probe,
+          [](const StoreRecord& r, const TruthTable& k) { return r.canonical < k; });
+      if (it != records.end() && it->canonical == probe) {
+        continue;
+      }
+      const auto before = segment->probe_stats();
+      EXPECT_FALSE(segment->find(probe).has_value());
+      const auto after = segment->probe_stats();
+      EXPECT_LE(after.pages - before.pages, 1u);
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(StoreBlockPack, EmptyOneRecordAndBlockBoundaryCounts)

@@ -20,6 +20,24 @@
 #include <unordered_set>
 #include <vector>
 
+// The heap-byte count of the memory test: glibc's mallinfo2 sees the heap
+// only where glibc's allocator serves it, not under a sanitizer's.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FACET_TEST_SANITIZER_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define FACET_TEST_SANITIZER_HEAP 1
+#endif
+#endif
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33)) && \
+    !defined(FACET_TEST_SANITIZER_HEAP)
+#include <malloc.h>
+#define FACET_TEST_HAS_MALLINFO2 1
+#else
+#define FACET_TEST_HAS_MALLINFO2 0
+#endif
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #define FACET_TEST_HAS_RLIMIT 1
@@ -286,6 +304,52 @@ TEST(StoreSegment, HashIndexResolvesKeysWhoseHashesCollideInTheSlotBits)
   }
 }
 
+TEST(StoreSegment, MaterializedBaseHoldsAtMost96BytesPerRecord)
+{
+#if FACET_TEST_HAS_MALLINFO2
+  // A materialized base holds the on-disk record codec (56 B per record at
+  // n = 7) plus its 16 B per record of hash index; 96 B leaves slack for
+  // the store's fixed costs, never for a decoded copy of the records.
+  const int n = 7;
+  const std::size_t count = 200000;
+  std::vector<TruthTable> keys = tt_random_set(n, count, 0x5e6eULL);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  ASSERT_EQ(keys.size(), count);  // 200k draws from 2^128 tables never collide
+  const std::string path = temp_path("segment_materialized_bytes.fcs");
+  std::remove(ClassStore::delta_log_path(path).c_str());
+  {
+    std::vector<StoreRecord> records;
+    records.reserve(count);
+    for (const TruthTable& key : keys) {
+      records.push_back(record_keyed(key));
+      records.back().class_id = static_cast<std::uint32_t>(records.size() - 1);
+    }
+    std::ofstream os{path, std::ios::binary | std::ios::trunc};
+    write_base_segment(os, n, count, encode_records(records));
+  }
+  // Live heap bytes: small chunks plus the ones glibc mmaps.
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = ::mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  // A first open pays the process's one-time allocations (registries,
+  // stream buffers); the second is the store alone.
+  (void)ClassStore::open(path);
+  const double before = heap_bytes();
+  const ClassStore store = ClassStore::open(path);
+  const double per_record = (heap_bytes() - before) / static_cast<double>(count);
+  ASSERT_EQ(store.num_records(), count);
+  EXPECT_FALSE(store.mmap_backed());
+  // The count must see the record words at all, or the bound proves nothing.
+  EXPECT_GE(per_record, static_cast<double>(store_record_words(n) * sizeof(std::uint64_t)));
+  EXPECT_LE(per_record, 96.0);
+  std::remove(path.c_str());
+#else
+  GTEST_SKIP() << "no glibc mallinfo2 heap count here (non-glibc, or a sanitizer's allocator)";
+#endif
+}
+
 TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
 {
   if (!mmap_supported()) {
@@ -459,11 +523,13 @@ TEST(StoreSegment, NewerTiersShadowTheBaseInTheMergeAndTheCompaction)
 {
   // A delta log that repeats base classes (as a crash between a
   // compaction's base rename and its log rewrite leaves it) and adds new
-  // ones: the newest record of each canonical form wins in every read.
+  // ones: the newest record of each canonical form wins in every read, and
+  // a form no tier holds misses. Inputs: 2 runs, and 0, 8 and 16 — the
+  // run counts a serving store reaches between compactions.
   const int n = 6;
   std::mt19937_64 rng{0x5ead0ULL};
   std::unordered_set<TruthTable, TruthTableHash> distinct;
-  while (distinct.size() < 40) {
+  while (distinct.size() < 600) {
     distinct.insert(tt_random(n, rng));
   }
   std::vector<StoreRecord> all;
@@ -477,71 +543,86 @@ TEST(StoreSegment, NewerTiersShadowTheBaseInTheMergeAndTheCompaction)
   for (std::size_t i = 0; i < all.size(); ++i) {
     all[i].class_id = static_cast<std::uint32_t>(i);
   }
-  // Base: the even records. Run 1: every third record, re-sized 2. Run 2:
-  // every fifth record, re-sized 3 — so records in both runs take 3.
-  std::vector<StoreRecord> base;
-  std::vector<StoreRecord> run1;
-  std::vector<StoreRecord> run2;
-  std::vector<StoreRecord> expected = all;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (i % 2 == 0) {
-      base.push_back(all[i]);
+  // Base: the even records. Run r (1-based) holds every record whose index
+  // is a multiple of the r-th odd prime, re-sized r + 1, so a record in
+  // several runs takes the newest one's size. The rest are in no tier.
+  constexpr std::array<std::size_t, 16> kRunModuli = {3,  5,  7,  11, 13, 17, 19, 23,
+                                                      29, 31, 37, 41, 43, 47, 53, 59};
+  for (const std::size_t runs : {std::size_t{2}, std::size_t{0}, std::size_t{8}, std::size_t{16}}) {
+    SCOPED_TRACE("runs=" + std::to_string(runs));
+    std::vector<StoreRecord> base;
+    std::vector<std::vector<StoreRecord>> run_records(runs);
+    std::vector<StoreRecord> expected;
+    std::vector<TruthTable> misses;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      StoreRecord newest = all[i];
+      bool held = i % 2 == 0;
+      if (held) {
+        base.push_back(all[i]);
+      }
+      for (std::size_t r = 0; r < runs; ++r) {
+        if (i % kRunModuli[r] == 0) {
+          run_records[r].push_back(all[i]);
+          run_records[r].back().class_size = static_cast<std::uint32_t>(r + 2);
+          newest.class_size = static_cast<std::uint32_t>(r + 2);
+          held = true;
+        }
+      }
+      if (held) {
+        expected.push_back(newest);
+      } else {
+        misses.push_back(all[i].canonical);
+      }
     }
-    if (i % 3 == 0) {
-      run1.push_back(all[i]);
-      run1.back().class_size = 2;
-      expected[i].class_size = 2;
-    }
-    if (i % 5 == 0) {
-      run2.push_back(all[i]);
-      run2.back().class_size = 3;
-      expected[i].class_size = 3;
-    }
-  }
-  std::erase_if(expected, [](const StoreRecord& r) {
-    return r.class_id % 2 != 0 && r.class_id % 3 != 0 && r.class_id % 5 != 0;
-  });
+    ASSERT_FALSE(misses.empty());
 
-  const std::string path = temp_path("segment_shadow.fcs");
-  const std::string dlog = ClassStore::delta_log_path(path);
-  {
-    std::ofstream os{path, std::ios::binary | std::ios::trunc};
-    write_base_segment(os, n, all.size(), encode_records(base));
-  }
-  {
-    std::ofstream os{dlog, std::ios::binary | std::ios::trunc};
-    write_delta_frame(os, n, all.size(), encode_records(run1));
-    write_delta_frame(os, n, all.size(), encode_records(run2));
-  }
-  const auto expect_newest = [&](const ClassStore& store) {
-    const std::vector<StoreRecord> merged = store.persisted_records();
-    ASSERT_EQ(merged.size(), expected.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      EXPECT_EQ(merged[i].canonical, expected[i].canonical);
-      EXPECT_EQ(merged[i].class_id, expected[i].class_id);
-      EXPECT_EQ(merged[i].class_size, expected[i].class_size) << "record " << i;
-      const auto found = store.find_canonical(expected[i].canonical);
-      ASSERT_TRUE(found.has_value());
-      EXPECT_EQ(found->class_size, expected[i].class_size);
+    const std::string path = temp_path("segment_shadow.fcs");
+    const std::string dlog = ClassStore::delta_log_path(path);
+    std::remove(dlog.c_str());
+    {
+      std::ofstream os{path, std::ios::binary | std::ios::trunc};
+      write_base_segment(os, n, all.size(), encode_records(base));
     }
-  };
-  for (const bool use_mmap : {false, true}) {
-    if (use_mmap && !mmap_supported()) {
-      continue;
+    if (runs > 0) {
+      std::ofstream os{dlog, std::ios::binary | std::ios::trunc};
+      for (const auto& run : run_records) {
+        write_delta_frame(os, n, all.size(), encode_records(run));
+      }
     }
-    SCOPED_TRACE(use_mmap ? "mmap" : "materialized");
-    ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
-    ASSERT_EQ(store.num_delta_segments(), 2u);
-    expect_newest(store);
-    if (use_mmap) {
-      store.compact(path);
-      EXPECT_EQ(store.num_delta_segments(), 0u);
+    const auto expect_newest = [&](const ClassStore& store) {
+      const std::vector<StoreRecord> merged = store.persisted_records();
+      ASSERT_EQ(merged.size(), expected.size());
+      for (std::size_t i = 0; i < merged.size(); ++i) {
+        EXPECT_EQ(merged[i].canonical, expected[i].canonical);
+        EXPECT_EQ(merged[i].class_id, expected[i].class_id);
+        EXPECT_EQ(merged[i].class_size, expected[i].class_size) << "record " << i;
+        const auto found = store.find_canonical(expected[i].canonical);
+        ASSERT_TRUE(found.has_value());
+        EXPECT_EQ(found->class_id, expected[i].class_id);
+        EXPECT_EQ(found->class_size, expected[i].class_size);
+      }
+      for (const TruthTable& miss : misses) {
+        EXPECT_FALSE(store.find_canonical(miss).has_value()) << to_hex(miss);
+      }
+    };
+    for (const bool use_mmap : {false, true}) {
+      if (use_mmap && !mmap_supported()) {
+        continue;
+      }
+      SCOPED_TRACE(use_mmap ? "mmap" : "materialized");
+      ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
+      ASSERT_EQ(store.num_delta_segments(), runs);
       expect_newest(store);
-      expect_newest(ClassStore::open(path));
+      if (use_mmap) {
+        store.compact(path);
+        EXPECT_EQ(store.num_delta_segments(), 0u);
+        expect_newest(store);
+        expect_newest(ClassStore::open(path));
+      }
     }
+    std::remove(path.c_str());
+    std::remove(dlog.c_str());
   }
-  std::remove(path.c_str());
-  std::remove(dlog.c_str());
 }
 
 TEST(StoreSegment, FlushDeltaSealsTheMemtableIntoASegment)
