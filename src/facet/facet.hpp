@@ -21,7 +21,6 @@
 #include "facet/engine/batch_engine.hpp"
 #include "facet/engine/shard.hpp"
 #include "facet/engine/work_queue.hpp"
-#include "facet/net/fd_stream.hpp"
 #include "facet/net/frame.hpp"
 #include "facet/net/reactor.hpp"
 #include "facet/net/server.hpp"

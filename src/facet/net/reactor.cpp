@@ -1,19 +1,10 @@
 #include "facet/net/reactor.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define FACET_HAS_SOCKETS 1
-#endif
-
-#ifdef FACET_HAS_SOCKETS
-
 #include <errno.h>
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <array>
 #include <atomic>
@@ -32,105 +23,6 @@
 namespace facet {
 
 namespace {
-
-/// Level-triggered readiness poller owned by one loop: a registered fd is
-/// reported on every wait for as long as it stays ready. Watching for
-/// writability replaces watching for readability (a connection with a
-/// parked reply reads nothing until the reply drains).
-class Poller {
- public:
-  virtual ~Poller() = default;
-  /// Registers fd for readability.
-  virtual void add(int fd) = 0;
-  /// Switches fd between watching readability and watching writability.
-  virtual void watch_write(int fd, bool write) = 0;
-  virtual void remove(int fd) = 0;
-  /// Appends every ready fd to `ready`; blocks up to timeout_ms (-1 =
-  /// forever). EINTR returns with nothing ready.
-  virtual void wait(std::vector<int>& ready, int timeout_ms) = 0;
-};
-
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : ep_{::epoll_create1(EPOLL_CLOEXEC)}
-  {
-    if (ep_ < 0) {
-      throw NetError{std::string{"epoll_create1: "} + std::strerror(errno)};
-    }
-  }
-  ~EpollPoller() override { ::close(ep_); }
-
-  void add(int fd) override { ctl(EPOLL_CTL_ADD, fd, EPOLLIN); }
-  void watch_write(int fd, bool write) override
-  {
-    ctl(EPOLL_CTL_MOD, fd, write ? EPOLLOUT : EPOLLIN);
-  }
-  void remove(int fd) override { ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
-
-  void wait(std::vector<int>& ready, int timeout_ms) override
-  {
-    std::array<epoll_event, 128> events;
-    const int n = ::epoll_wait(ep_, events.data(), static_cast<int>(events.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) {
-        return;
-      }
-      throw NetError{std::string{"epoll_wait: "} + std::strerror(errno)};
-    }
-    for (int i = 0; i < n; ++i) {
-      ready.push_back(events[static_cast<std::size_t>(i)].data.fd);
-    }
-  }
-
- private:
-  void ctl(int op, int fd, std::uint32_t mask)
-  {
-    epoll_event event{};
-    event.events = mask;
-    event.data.fd = fd;
-    if (::epoll_ctl(ep_, op, fd, &event) < 0) {
-      throw NetError{std::string{"epoll_ctl: "} + std::strerror(errno)};
-    }
-  }
-
-  int ep_;
-};
-#endif  // __linux__
-
-/// Portable poll(2) backend: the watched set is rebuilt into one pollfd
-/// array per wait. O(connections) per wake where epoll is O(ready) — correct
-/// everywhere, fast enough for the platforms that lack epoll.
-class PollPoller final : public Poller {
- public:
-  void add(int fd) override { watched_[fd] = POLLIN; }
-  void watch_write(int fd, bool write) override { watched_[fd] = write ? POLLOUT : POLLIN; }
-  void remove(int fd) override { watched_.erase(fd); }
-
-  void wait(std::vector<int>& ready, int timeout_ms) override
-  {
-    fds_.clear();
-    for (const auto& [fd, events] : watched_) {
-      fds_.push_back(pollfd{fd, events, 0});
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) {
-        return;
-      }
-      throw NetError{std::string{"poll: "} + std::strerror(errno)};
-    }
-    for (const pollfd& fd : fds_) {
-      if (fd.revents != 0) {
-        ready.push_back(fd.fd);
-      }
-    }
-  }
-
- private:
-  std::unordered_map<int, short> watched_;
-  std::vector<pollfd> fds_;
-};
 
 /// Sends as much of `data` as the socket takes without blocking and erases
 /// the sent prefix; EINTR retried, SIGPIPE suppressed. False once the peer
@@ -176,7 +68,11 @@ struct Reactor::Impl {
   /// touched from other threads.
   struct Loop {
     Impl& reactor;
-    std::unique_ptr<Poller> poller;
+    /// Level-triggered epoll set: a registered fd is reported on every wait
+    /// for as long as it stays ready. Watching writability replaces
+    /// watching readability (a connection with a parked reply reads nothing
+    /// until the reply drains).
+    Socket epoll;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
     std::array<std::vector<int>, kWheelSlots> wheel;
     std::size_t wheel_pos = 0;
@@ -189,15 +85,10 @@ struct Reactor::Impl {
     std::atomic<std::size_t> load{0};
     std::thread thread;
 
-    explicit Loop(Impl& owner) : reactor{owner}
+    explicit Loop(Impl& owner) : reactor{owner}, epoll{::epoll_create1(EPOLL_CLOEXEC)}
     {
-#ifdef __linux__
-      if (!reactor.options.use_poll) {
-        poller = std::make_unique<EpollPoller>();
-      }
-#endif
-      if (!poller) {
-        poller = std::make_unique<PollPoller>();
+      if (!epoll.valid()) {
+        throw NetError{std::string{"epoll_create1: "} + std::strerror(errno)};
       }
       int pipe_fds[2];
       if (::pipe(pipe_fds) != 0) {
@@ -207,11 +98,23 @@ struct Reactor::Impl {
       wake_write = Socket{pipe_fds[1]};
       ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
       ::fcntl(pipe_fds[1], F_SETFL, O_NONBLOCK);
-      poller->add(pipe_fds[0]);
+      watch(EPOLL_CTL_ADD, pipe_fds[0], EPOLLIN);
       next_tick = Clock::now() + reactor.tick;
     }
     Loop(const Loop&) = delete;
     Loop& operator=(const Loop&) = delete;
+
+    /// Adds (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) `fd` in this loop's
+    /// set for `events`; throws NetError on failure.
+    void watch(int op, int fd, std::uint32_t events)
+    {
+      epoll_event event{};
+      event.events = events;
+      event.data.fd = fd;
+      if (::epoll_ctl(epoll.fd(), op, fd, &event) < 0) {
+        throw NetError{std::string{"epoll_ctl: "} + std::strerror(errno)};
+      }
+    }
 
     void wake() noexcept
     {
@@ -283,7 +186,7 @@ struct Reactor::Impl {
       Conn& conn = *it->second;
       condemn(conn);
       conn.session->on_close();
-      poller->remove(fd);
+      ::epoll_ctl(epoll.fd(), EPOLL_CTL_DEL, fd, nullptr);
       conns.erase(it);
     }
 
@@ -299,7 +202,7 @@ struct Reactor::Impl {
           if (conn.closing) {
             retire(fd);
           } else {
-            poller->watch_write(fd, false);
+            watch(EPOLL_CTL_MOD, fd, EPOLLIN);
           }
         }
         return;
@@ -334,7 +237,7 @@ struct Reactor::Impl {
       } else if (!out.empty() && !reactor.stopping.load()) {
         // backpressure: read nothing more until the peer takes the tail
         conn.parked = std::move(out);
-        poller->watch_write(fd, true);
+        watch(EPOLL_CTL_MOD, fd, EPOLLOUT);
       } else if (conn.closing || !out.empty()) {
         retire(fd);  // mid-drain, the tail a slow peer left is dropped
       }
@@ -361,7 +264,7 @@ struct Reactor::Impl {
         Conn& raw = *conn;
         conns[fd] = std::move(conn);
         try {
-          poller->add(fd);
+          watch(EPOLL_CTL_ADD, fd, EPOLLIN);
         } catch (const std::exception& e) {
           std::cerr << "facet-serve: reactor add failed: " << e.what() << "\n";
           retire(fd);
@@ -393,7 +296,7 @@ struct Reactor::Impl {
     void run()
     {
       bool drain_begun = false;
-      std::vector<int> ready;
+      std::array<epoll_event, 128> events;
       for (;;) {
         const auto now = Clock::now();
         if (reactor.stopping.load() && !drain_begun) {
@@ -413,10 +316,17 @@ struct Reactor::Impl {
               std::chrono::duration_cast<std::chrono::milliseconds>(next_tick - now);
           timeout_ms = static_cast<int>(std::max<long long>(0, until.count()));
         }
-        ready.clear();
-        poller->wait(ready, timeout_ms);
+        int ready = ::epoll_wait(epoll.fd(), events.data(), static_cast<int>(events.size()),
+                                 timeout_ms);
+        if (ready < 0) {
+          if (errno != EINTR) {
+            throw NetError{std::string{"epoll_wait: "} + std::strerror(errno)};
+          }
+          ready = 0;
+        }
         const auto woke = Clock::now();
-        for (const int fd : ready) {
+        for (int i = 0; i < ready; ++i) {
+          const int fd = events[static_cast<std::size_t>(i)].data.fd;
           if (fd == wake_read.fd()) {
             char drain[64];
             while (::read(fd, drain, sizeof drain) > 0) {
@@ -568,33 +478,3 @@ std::size_t Reactor::num_workers() const noexcept
 }
 
 }  // namespace facet
-
-#else  // !FACET_HAS_SOCKETS
-
-namespace facet {
-
-struct Reactor::Impl {};
-
-Reactor::Reactor(const ReactorOptions&) {}
-Reactor::~Reactor() = default;
-
-void Reactor::start()
-{
-  throw NetError{"reactor unsupported on this platform"};
-}
-
-void Reactor::stop() {}
-
-void Reactor::add(Socket, std::unique_ptr<ReactorConnection> session)
-{
-  session->on_close();
-}
-
-std::size_t Reactor::num_workers() const noexcept
-{
-  return 0;
-}
-
-}  // namespace facet
-
-#endif  // FACET_HAS_SOCKETS

@@ -1,11 +1,11 @@
 /// \file reactor.hpp
-/// \brief Per-worker epoll (poll fallback) event loops for the server.
+/// \brief Per-worker epoll event loops for the server.
 ///
 /// A Reactor runs one event loop per worker thread. Each loop owns a share
-/// of the connections for their whole life — its own poller, connection
+/// of the connections for their whole life — its own epoll set, connection
 /// table, timer wheel and wake pipe — and reads, dispatches, writes and
 /// expires them on its own thread: the thread that reads a frame answers
-/// it. An idle connection costs one poller registration and one timer-wheel
+/// it. An idle connection costs one epoll registration and one timer-wheel
 /// entry — no thread, no stack — so thousands of mostly-idle clients share
 /// a few loops sized to the hardware.
 ///
@@ -78,9 +78,6 @@ struct ReactorOptions {
   std::size_t workers = 0;
   /// Close connections idle for this long; <= 0 disables the timer wheel.
   std::chrono::milliseconds idle_timeout{0};
-  /// Force the portable poll(2) backend even where epoll is available —
-  /// exists so the fallback is testable on Linux, not for production use.
-  bool use_poll = false;
 };
 
 class Reactor {

@@ -1,34 +1,24 @@
 #include "facet/net/server.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <exception>
 #include <iostream>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <utility>
 
-#include "facet/net/fd_stream.hpp"
 #include "facet/net/frame.hpp"
 #include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define FACET_HAS_SOCKETS 1
-#include <cerrno>
-#include <csignal>
-#include <poll.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define FACET_HAS_SOCKETS 0
-#endif
-
 namespace facet {
 
 namespace {
-
-#if FACET_HAS_SOCKETS
 
 /// (inode, mtime, size) of one file; zeros when absent. The readonly reload
 /// poll compares these to spot a compaction's base rename (new inode) or a
@@ -51,8 +41,6 @@ std::array<std::uint64_t, 6> index_stamp(const std::string& index_path) noexcept
   const auto dlog = file_stamp(ClassStore::delta_log_path(index_path));
   return {base[0], base[1], base[2], dlog[0], dlog[1], dlog[2]};
 }
-
-#endif
 
 }  // namespace
 
@@ -107,12 +95,13 @@ std::vector<ClassStore*> ServeServer::served_stores() const
 }
 
 /// One reactor-owned connection: sniffs (or is pinned to) a protocol on its
-/// first bytes, then runs the shared ServeDispatcher through either the v2
-/// FrameSession or a v1 line splitter. Methods run on the owning loop's
-/// thread only (the reactor's contract), so the dispatcher's plain session
-/// counters need no synchronization; the process-wide ones are registry
-/// atomics. Its ServeConnectionSlot, taken in the accept thread, holds one
-/// unit of the admission gauge until the reactor destroys the connection.
+/// first bytes, then feeds them to the shared ServeDispatcher through either
+/// the v2 FrameSession or the v1 line session (ServeDispatcher::consume).
+/// Methods run on the owning loop's thread only (the reactor's contract), so
+/// the dispatcher's plain session counters need no synchronization; the
+/// process-wide ones are registry atomics. Its ServeConnectionSlot, taken in
+/// the accept thread, holds one unit of the admission gauge until the
+/// reactor destroys the connection.
 class ServeConnection final : public ReactorConnection {
  public:
   ServeConnection(ServeServer* server, int forced_proto)
@@ -122,9 +111,6 @@ class ServeConnection final : public ReactorConnection {
         proto_{forced_proto},
         accepted_ticks_{obs::now_ticks()}
   {
-    line_latency_ = &obs::MetricRegistry::global().histogram(
-        "facet_serve_frame_latency",
-        obs::label("proto", "v1") + "," + obs::label("verb", "line"));
   }
 
   bool on_data(std::string& in, std::string& out) override
@@ -138,25 +124,18 @@ class ServeConnection final : public ReactorConnection {
     if (proto_ == 2) {
       return frame_.consume(in, out) == FrameStep::kContinue;
     }
-    return consume_lines(in, out);
+    const bool keep = dispatcher_.consume(in, out);
+    in.clear();  // the line session keeps its own unfinished line
+    return keep;
   }
 
   void on_eof(std::string& in, std::string& out) override
   {
-    if (proto_ != 1) {
-      return;  // v2 (or never-spoke): an incomplete trailing frame is noise
+    if (proto_ == 1) {
+      // answers a final request that arrived without its newline
+      dispatcher_.consume(in, out, /*at_eof=*/true);
     }
-    // The v1 stream loop answers a final request that arrived without its
-    // newline — keep that for parity with the old blocking server.
-    std::ostringstream reply;
-    if (overflowing_) {
-      dispatcher_.handle_oversized_line(reply);
-      overflowing_ = false;
-    } else if (!in.empty()) {
-      dispatcher_.handle_request_line(in, reply);
-    }
-    in.clear();
-    out += reply.str();
+    // v2 (or never-spoke): an incomplete trailing frame is noise
   }
 
   void on_close() noexcept override
@@ -171,57 +150,19 @@ class ServeConnection final : public ReactorConnection {
     static obs::LatencyHistogram& lifetime =
         obs::MetricRegistry::global().histogram("facet_serve_connection_lifetime");
     lifetime.record_ns(obs::ticks_to_ns(obs::now_ticks() - accepted_ticks_));
-    server_->compactor_cv_.notify_one();  // the exit flush may have sealed a new run
+    if (!server_->options_.readonly) {
+      server_->maintenance_cv_.notify_one();  // the exit flush may have sealed a new run
+    }
   }
 
  private:
-  bool consume_lines(std::string& in, std::string& out)
-  {
-    std::ostringstream reply;
-    bool keep = true;
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = in.find('\n', start);
-      if (nl == std::string::npos) {
-        break;
-      }
-      if (overflowing_) {
-        // the tail of an oversized line just ended; the err is its answer
-        dispatcher_.handle_oversized_line(reply);
-        overflowing_ = false;
-      } else {
-        const std::string line = in.substr(start, nl - start);
-        const std::uint64_t t0 = obs::now_ticks();
-        keep = dispatcher_.handle_request_line(line, reply);
-        line_latency_->record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
-      }
-      start = nl + 1;
-      if (!keep) {
-        break;
-      }
-    }
-    in.erase(0, start);
-    if (overflowing_ || (keep && in.size() > kMaxRequestLineBytes)) {
-      // an unbounded line without a newline cannot be allowed to balloon
-      // the buffer: discard as it streams in, answer err at its newline
-      overflowing_ = true;
-      in.clear();
-    }
-    out += reply.str();
-    return keep;
-  }
-
   ServeConnectionSlot slot_;
   ServeServer* server_;
   ServeDispatcher dispatcher_;
   FrameSession frame_;
   int proto_;  ///< 0 = sniff first byte, 1 = v1 lines, 2 = v2 frames
-  bool overflowing_ = false;
   std::uint64_t accepted_ticks_;
-  obs::LatencyHistogram* line_latency_ = nullptr;
 };
-
-#if FACET_HAS_SOCKETS
 
 ServeServer::~ServeServer()
 {
@@ -248,10 +189,9 @@ void ServeServer::start()
   if (::pipe(wake_pipe_) != 0) {
     throw NetError{"cannot create shutdown pipe"};
   }
-  // send() passes MSG_NOSIGNAL where it exists (Linux), but macOS has
-  // neither it nor a portable per-socket equivalent here — a peer that
-  // vanishes mid-response must surface as a write error, never as a
-  // process-killing SIGPIPE.
+  // A peer that vanishes mid-response must surface as a write error, never
+  // as a process-killing SIGPIPE: the server's own sends pass MSG_NOSIGNAL,
+  // and this covers every other socket write in the process.
   std::signal(SIGPIPE, SIG_IGN);
   // Size the accept backlog to the connection cap: a reactor fleet connects
   // in bursts far larger than the default 64, and an overflowing accept
@@ -279,12 +219,8 @@ void ServeServer::start()
       stopping_.store(true);
     }
   }};
-  const bool compaction_enabled =
-      !options_.readonly &&
-      (options_.compact_after_runs != 0 || options_.compact_after_bytes != 0);
-  if (compaction_enabled) {
-    compactor_thread_ = std::thread{[this] { compactor_loop(); }};
-  }
+  // One maintenance thread: a writable server compacts, a readonly one
+  // polls for the primary's compactions.
   if (options_.readonly && options_.reload_poll.count() > 0) {
     // Stamp before launching so startup never triggers a spurious reload —
     // the stores already serve exactly what is on disk right now.
@@ -293,7 +229,10 @@ void ServeServer::start()
         reload_stamps_[width] = index_stamp(index.path);
       }
     }
-    reload_thread_ = std::thread{[this] { reload_poll_loop(); }};
+    maintenance_thread_ = std::thread{[this] { maintenance_loop(options_.reload_poll); }};
+  } else if (!options_.readonly &&
+             (options_.compact_after_runs != 0 || options_.compact_after_bytes != 0)) {
+    maintenance_thread_ = std::thread{[this] { maintenance_loop(options_.compact_poll); }};
   }
 }
 
@@ -349,10 +288,13 @@ void ServeServer::accept_loop()
         continue;
       }
       if (ServeConnectionSlot::active() >= static_cast<std::int64_t>(options_.max_connections)) {
-        FdStreamBuf buf{connection.fd()};
-        std::ostream out{&buf};
-        out << "err server at capacity (" << options_.max_connections << " connections)\n"
-            << std::flush;
+        // One non-blocking send: a fresh socket's buffer takes the line, and
+        // a peer that is gone or not reading never stalls the accept thread.
+        const std::string refusal =
+            "err server at capacity (" + std::to_string(options_.max_connections) +
+            " connections)\n";
+        (void)::send(connection.fd(), refusal.data(), refusal.size(),
+                     MSG_NOSIGNAL | MSG_DONTWAIT);
         continue;  // connection closes on scope exit
       }
       reactor_->add(std::move(connection),
@@ -383,13 +325,13 @@ void ServeServer::wait()
     reactor_->stop();
   }
 
-  if (compactor_thread_.joinable()) {
-    compactor_cv_.notify_all();
-    compactor_thread_.join();
-  }
-  if (reload_thread_.joinable()) {
-    reload_cv_.notify_all();
-    reload_thread_.join();
+  if (maintenance_thread_.joinable()) {
+    {
+      // under the mutex: the thread is waiting, or has yet to read stopping_
+      const std::lock_guard<std::mutex> lock{maintenance_mutex_};
+      maintenance_cv_.notify_all();
+    }
+    maintenance_thread_.join();
   }
   final_flush();
   drained_ = true;
@@ -413,30 +355,20 @@ void ServeServer::final_flush()
   }
 }
 
-void ServeServer::compactor_loop()
+void ServeServer::maintenance_loop(std::chrono::milliseconds period)
 {
-  std::unique_lock<std::mutex> lock{compactor_mutex_};
+  std::unique_lock<std::mutex> lock{maintenance_mutex_};
   while (!stopping_.load()) {
-    compactor_cv_.wait_for(lock, options_.compact_poll);
+    maintenance_cv_.wait_for(lock, period);
     if (stopping_.load()) {
       break;
     }
     lock.unlock();
-    run_due_compactions();
-    lock.lock();
-  }
-}
-
-void ServeServer::reload_poll_loop()
-{
-  std::unique_lock<std::mutex> lock{reload_mutex_};
-  while (!stopping_.load()) {
-    reload_cv_.wait_for(lock, options_.reload_poll);
-    if (stopping_.load()) {
-      break;
+    if (options_.readonly) {
+      run_due_reloads();
+    } else {
+      run_due_compactions();
     }
-    lock.unlock();
-    run_due_reloads();
     lock.lock();
   }
 }
@@ -537,37 +469,5 @@ void ServeServer::compact_one(int width, ClassStore& store, const std::string& p
   const std::lock_guard<std::mutex> log_lock{compaction_log_mutex_};
   compaction_log_.push_back(event);
 }
-
-#else  // !FACET_HAS_SOCKETS
-
-ServeServer::~ServeServer() = default;
-
-void ServeServer::start()
-{
-  throw NetError{"sockets are not supported on this platform"};
-}
-
-void ServeServer::wait()
-{
-  throw NetError{"sockets are not supported on this platform"};
-}
-
-void ServeServer::request_shutdown() noexcept {}
-
-void ServeServer::accept_loop() {}
-void ServeServer::compactor_loop() {}
-std::size_t ServeServer::run_due_compactions()
-{
-  return 0;
-}
-void ServeServer::reload_poll_loop() {}
-std::size_t ServeServer::run_due_reloads()
-{
-  return 0;
-}
-void ServeServer::compact_one(int, ClassStore&, const std::string&) {}
-void ServeServer::final_flush() {}
-
-#endif
 
 }  // namespace facet

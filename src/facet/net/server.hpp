@@ -7,14 +7,15 @@
 /// either the v1 line protocol of store/serve.hpp or the v2 binary frame
 /// protocol of net/frame.hpp (`--proto auto` sniffs the first byte: 0xFB
 /// is a v2 frame, anything else a v1 line) against ONE shared store.
-/// Connections are owned by an epoll/poll Reactor (net/reactor.hpp): one
-/// event loop per worker thread (`--workers`, default
-/// hardware_concurrency), each owning its connections for their whole
-/// life — the thread that reads a frame answers it. An idle connection
-/// costs one poller registration instead of a thread, so thousands of
-/// mostly-idle clients share a few loops sized to the machine. The server carries NO store lock of its own —
-/// synchronization lives inside the store layer (class_store.hpp,
-/// store_router.hpp):
+/// Connections are owned by an epoll Reactor (net/reactor.hpp): one event
+/// loop per worker thread (`--workers`, default hardware_concurrency), each
+/// owning its connections for their whole life — the thread that reads a
+/// frame answers it. An idle connection costs one epoll registration
+/// instead of a thread, so thousands of mostly-idle clients share a few
+/// loops sized to the machine.
+///
+/// The server carries NO store lock of its own — synchronization lives
+/// inside the store layer (class_store.hpp, store_router.hpp):
 ///
 ///   * lookups, hot-cache probes and index searches run gate-free against
 ///     the store's atomically-published tier snapshot — reader connections
@@ -25,20 +26,22 @@
 ///     another.
 ///
 /// What remains here is connection lifecycle (accept, capacity, idle
-/// timeout, drain) and the background compactor the ROADMAP asked for: a
-/// thread that watches every served store and, when the sealed delta-run
-/// count or the `.dlog` size crosses its threshold, folds base + runs into
-/// a fresh base segment through the store's one compaction path
+/// timeout, drain) and one maintenance thread. On a writable server it is
+/// the background compactor: it watches every served store and, when the
+/// sealed delta-run count or the `.dlog` size crosses its threshold, folds
+/// base + runs into a fresh base segment through the store's one
+/// compaction path
 /// (ClassStore::compact, run in its two halves begin_compaction /
 /// finish_compaction so the server can count what it folds) — the heavy
 /// merge and file write run against a pinned snapshot with no gate held,
 /// and only the final swap enters the store's gate, so live traffic never
-/// stalls behind a compaction.
+/// stalls behind a compaction. On a readonly replica it is the reload poll
+/// (ServeServerOptions::reload_poll) that adopts the primary's compactions.
 ///
 /// Shutdown (request_shutdown(), wired to SIGINT/SIGTERM by the CLI) is
 /// graceful: stop accepting, wake every in-flight connection (its session
 /// flushes appends to the delta log on exit, exactly like `quit`), join the
-/// compactor, then run one final flush — a server killed mid-traffic loses
+/// maintenance thread, then run one final flush — a server killed mid-traffic loses
 /// zero appended classes.
 ///
 /// `--readonly` drops the mutation paths entirely: misses answer `err`
@@ -146,7 +149,7 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  /// Binds the listeners and launches the accept and compactor threads.
+  /// Binds the listeners and launches the accept and maintenance threads.
   /// Throws NetError when no endpoint is configured or a bind fails.
   void start();
 
@@ -185,12 +188,14 @@ class ServeServer {
   [[nodiscard]] ServeOptions session_options();
   [[nodiscard]] std::vector<ClassStore*> served_stores() const;
 
-  void compactor_loop();
+  /// The maintenance thread: every `period` (or on a wake-up), one
+  /// compaction sweep on a writable server, one reload sweep on a readonly
+  /// one.
+  void maintenance_loop(std::chrono::milliseconds period);
   /// One trigger sweep over every served store; returns compactions done.
   std::size_t run_due_compactions();
   void compact_one(int width, ClassStore& store, const std::string& path);
 
-  void reload_poll_loop();
   /// One stat sweep over every served index; reloads stores whose base or
   /// delta log changed on disk. Returns reloads performed.
   std::size_t run_due_reloads();
@@ -212,21 +217,20 @@ class ServeServer {
   int wake_pipe_[2] = {-1, -1};
 
   std::thread accept_thread_;
-  std::thread compactor_thread_;
-  std::thread reload_thread_;
+  std::thread maintenance_thread_;
   /// Owns every accepted connection; created in start() (its worker count
   /// depends on the resolved options).
   std::unique_ptr<Reactor> reactor_;
 
-  std::mutex compactor_mutex_;
-  std::condition_variable compactor_cv_;
+  /// Wakes the maintenance thread early: shutdown, and a connection's
+  /// exit flush on a writable server.
+  std::mutex maintenance_mutex_;
+  std::condition_variable maintenance_cv_;
   mutable std::mutex compaction_log_mutex_;
   std::vector<CompactionEvent> compaction_log_;
 
-  std::mutex reload_mutex_;
-  std::condition_variable reload_cv_;
   /// width -> (inode, mtime, size) of the base file and its delta log, as
-  /// last reloaded. Touched only by start() and the reload thread.
+  /// last reloaded. Touched only by start() and the maintenance thread.
   std::map<int, std::array<std::uint64_t, 6>> reload_stamps_;
   std::atomic<std::uint64_t> reloads_{0};
 

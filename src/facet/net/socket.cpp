@@ -1,28 +1,17 @@
 #include "facet/net/socket.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define FACET_HAS_SOCKETS 1
 #include <arpa/inet.h>
-#include <cerrno>
-#include <cstring>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
-#else
-#define FACET_HAS_SOCKETS 0
-#endif
 
+#include <cerrno>
 #include <charconv>
+#include <cstring>
 
 namespace facet {
-
-bool net_supported() noexcept
-{
-  return FACET_HAS_SOCKETS != 0;
-}
 
 Socket& Socket::operator=(Socket&& other) noexcept
 {
@@ -52,8 +41,6 @@ TcpEndpoint parse_tcp_endpoint(const std::string& spec)
   endpoint.port = static_cast<std::uint16_t>(port);
   return endpoint;
 }
-
-#if FACET_HAS_SOCKETS
 
 namespace {
 
@@ -137,12 +124,6 @@ Socket listen_unix(const std::string& path, int backlog)
   return sock;
 }
 
-Socket accept_connection(const Socket& listener)
-{
-  int error = 0;
-  return accept_connection(listener, error);
-}
-
 Socket accept_connection(const Socket& listener, int& error)
 {
   error = 0;
@@ -161,17 +142,6 @@ Socket accept_connection(const Socket& listener, int& error)
     throw_errno("accept");
   }
   return Socket{fd};
-}
-
-void set_receive_timeout(const Socket& socket, std::chrono::milliseconds timeout)
-{
-  if (timeout.count() <= 0) {
-    return;
-  }
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  ::setsockopt(socket.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 Socket connect_tcp(const TcpEndpoint& endpoint)
@@ -217,60 +187,5 @@ Socket connect_unix(const std::string& path)
   }
   return sock;
 }
-
-#else  // !FACET_HAS_SOCKETS
-
-namespace {
-
-[[noreturn]] void throw_unsupported()
-{
-  throw NetError{"sockets are not supported on this platform"};
-}
-
-}  // namespace
-
-void Socket::close() noexcept
-{
-  fd_ = -1;
-}
-
-Socket listen_tcp(const TcpEndpoint&, int)
-{
-  throw_unsupported();
-}
-
-std::uint16_t local_tcp_port(const Socket&)
-{
-  throw_unsupported();
-}
-
-Socket listen_unix(const std::string&, int)
-{
-  throw_unsupported();
-}
-
-Socket accept_connection(const Socket&)
-{
-  throw_unsupported();
-}
-
-Socket accept_connection(const Socket&, int&)
-{
-  throw_unsupported();
-}
-
-void set_receive_timeout(const Socket&, std::chrono::milliseconds) {}
-
-Socket connect_tcp(const TcpEndpoint&)
-{
-  throw_unsupported();
-}
-
-Socket connect_unix(const std::string&)
-{
-  throw_unsupported();
-}
-
-#endif
 
 }  // namespace facet

@@ -4,13 +4,10 @@
 /// Thin RAII wrappers — no framework. The server (server.hpp) composes a
 /// Socket-owning listener per endpoint; tests and benches use the connect
 /// helpers as clients. Everything throws NetError with the errno message on
-/// failure, and net_supported() reports whether the platform has sockets at
-/// all (the Windows build compiles these as throwing stubs, mirroring
-/// mmap_supported in segment.hpp).
+/// failure.
 
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -22,9 +19,6 @@ class NetError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// True when this platform supports the net subsystem (POSIX sockets).
-[[nodiscard]] bool net_supported() noexcept;
 
 /// RAII file descriptor. Move-only; closes on destruction.
 class Socket {
@@ -68,20 +62,10 @@ struct TcpEndpoint {
 /// Accepts one connection from a listener; blocks. Transient failures —
 /// EINTR, ECONNABORTED, and fd/buffer exhaustion (EMFILE/ENFILE/ENOBUFS/
 /// ENOMEM, which a connection burst can trigger and a retry can recover
-/// from) — return an invalid Socket so the accept loop retries; anything
-/// else throws NetError.
-[[nodiscard]] Socket accept_connection(const Socket& listener);
-
-/// accept_connection that also reports WHICH transient errno made it return
-/// an invalid Socket (0 on success). The accept loop backs off only on fd /
-/// buffer pressure (EMFILE, ENFILE, ENOBUFS, ENOMEM) and retries
-/// immediately on EINTR / ECONNABORTED.
+/// from) — return an invalid Socket and set `error` to that errno (0 on
+/// success), so the accept loop backs off only on fd / buffer pressure and
+/// retries at once on EINTR / ECONNABORTED; anything else throws NetError.
 [[nodiscard]] Socket accept_connection(const Socket& listener, int& error);
-
-/// Arms SO_RCVTIMEO: a read that sees no bytes for `timeout` fails, which
-/// the serve session treats as end of input (flush + exit). <= 0 is a
-/// no-op.
-void set_receive_timeout(const Socket& socket, std::chrono::milliseconds timeout);
 
 /// Client-side connects, used by tests, the bench and the CI smoke script.
 [[nodiscard]] Socket connect_tcp(const TcpEndpoint& endpoint);

@@ -24,7 +24,9 @@
 ///   facet_compaction_duration{phase=flush|merge|write|adopt|total}
 ///   facet_canonicalize_latency{path=bb|walk}
 ///   facet_batch_shard_classify_latency{classifier=<kind>}
-///   facet_serve_frame_latency{proto=v1|v2,verb=...}
+///   facet_serve_frame_latency{proto=v1|v2,verb=...}   (v2: one frame;
+///                                         v1, verb=line: one line of any
+///                                         line session, socket or stdin)
 ///   facet_serve_active_connections        (gauge)
 ///   facet_serve_connections_total / facet_serve_requests_total /
 ///   facet_serve_errors_total / facet_store_flushed_records_total (counters)

@@ -223,7 +223,7 @@ struct CompactionSnapshot {
 /// How ClassStore::open materializes the base segment.
 struct StoreOpenOptions {
   /// Map the `.fcs` record region read-only and search it in place instead
-  /// of decoding every record into RAM. Requires mmap_supported().
+  /// of decoding every record into RAM.
   bool use_mmap = false;
   ClassStoreOptions store{};
 };

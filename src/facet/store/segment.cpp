@@ -1,5 +1,10 @@
 #include "facet/store/segment.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -11,16 +16,6 @@
 
 #include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define FACET_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define FACET_HAS_MMAP 0
-#endif
 
 namespace facet {
 
@@ -212,11 +207,6 @@ std::optional<StoreRecord> MaterializedSegment::find(const TruthTable& canonical
     return record_at(*i);
   }
   return std::nullopt;
-}
-
-bool mmap_supported() noexcept
-{
-  return FACET_HAS_MMAP != 0;
 }
 
 // -- base segment writers ----------------------------------------------------
@@ -547,8 +537,6 @@ DeltaLogReplay read_delta_log(std::istream& is, int num_vars)
 
 // -- mmap segment ------------------------------------------------------------
 
-#if FACET_HAS_MMAP
-
 std::shared_ptr<MmapSegment> MmapSegment::open(const std::string& path)
 {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -592,18 +580,6 @@ MmapSegment::~MmapSegment()
     mapped_segment_bytes_gauge().sub(static_cast<std::int64_t>(mapped_bytes_));
   }
 }
-
-#else  // !FACET_HAS_MMAP
-
-std::shared_ptr<MmapSegment> MmapSegment::open(const std::string& path)
-{
-  throw StoreFormatError{"mmap-backed stores are not supported on this platform (" + path +
-                         "); use a materialized load instead"};
-}
-
-MmapSegment::~MmapSegment() = default;
-
-#endif  // FACET_HAS_MMAP
 
 void MmapSegment::validate_page(std::size_t block) const
 {

@@ -169,9 +169,7 @@ class MmapSegment final : public Segment {
   };
 
   /// Maps `path` and parses its layout; data blocks are validated lazily on
-  /// first touch. Throws StoreFormatError on any
-  /// structural violation, and std::runtime_error when the platform has no
-  /// mmap (see mmap_supported()).
+  /// first touch. Throws StoreFormatError on any structural violation.
   [[nodiscard]] static std::shared_ptr<MmapSegment> open(const std::string& path);
 
   ~MmapSegment() override;
@@ -214,9 +212,6 @@ class MmapSegment final : public Segment {
   mutable std::atomic<std::uint64_t> probe_count_{0};
   mutable std::atomic<std::uint64_t> probe_pages_{0};
 };
-
-/// True when this platform supports MmapSegment (POSIX mmap).
-[[nodiscard]] bool mmap_supported() noexcept;
 
 /// Writes one v3 base segment — header, block-packed records, block-key
 /// table, block-checksum table, footer — to `os`. `record_words` holds the

@@ -73,6 +73,9 @@ struct ServeSeries {
 
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   std::array<obs::LatencyHistogram*, kVerbNames.size()> request_latency{};
+  /// Every v1 line a session ends, whatever transport carried it.
+  obs::LatencyHistogram& line_latency = registry.histogram(
+      "facet_serve_frame_latency", obs::label("proto", "v1") + "," + obs::label("verb", "line"));
   /// mlookup operands per batch (counts, not ns).
   obs::LatencyHistogram& batch_size =
       registry.histogram("facet_serve_batch_size", obs::label("verb", "mlookup"));
@@ -152,34 +155,6 @@ ServeSeries& series()
     value = value * 10 + (c - '0');
   }
   return value <= kMaxVars ? value : -1;
-}
-
-/// Reads one request line (up to '\n'); false only at end of input with
-/// nothing read. Lines longer than kMaxRequestLineBytes set `overflow` and
-/// the excess is consumed and discarded, so a hostile client cannot balloon
-/// the serving process by withholding a newline.
-bool read_request_line(std::istream& in, std::string& line, bool& overflow)
-{
-  line.clear();
-  overflow = false;
-  std::streambuf* buf = in.rdbuf();
-  using Traits = std::char_traits<char>;
-  bool read_any = false;
-  for (int ch = buf->sbumpc(); ch != Traits::eof(); ch = buf->sbumpc()) {
-    read_any = true;
-    if (ch == '\n') {
-      return true;
-    }
-    if (line.size() < kMaxRequestLineBytes) {
-      line.push_back(static_cast<char>(ch));
-    } else {
-      overflow = true;
-    }
-  }
-  if (!read_any) {
-    in.setstate(std::ios::eofbit);
-  }
-  return read_any;
 }
 
 /// Splits the rest of a request into whitespace-separated operands.
@@ -313,45 +288,88 @@ ServeDispatcher::ServeDispatcher(const std::vector<ClassStore*>& stores,
   }
 }
 
+bool ServeDispatcher::consume(std::string_view bytes, std::string& out, bool at_eof)
+{
+  bool keep = true;
+  while (keep && !bytes.empty()) {
+    const std::size_t nl = bytes.find('\n');
+    const std::string_view piece = bytes.substr(0, nl);
+    if (!discarding_ && line_.size() + piece.size() > kMaxRequestLineBytes) {
+      // an unbounded line cannot be allowed to balloon the session: drop
+      // it as it streams in, answer err at its newline
+      discarding_ = true;
+      line_.clear();
+    }
+    if (!discarding_) {
+      line_.append(piece);
+    }
+    if (nl == std::string_view::npos) {
+      break;
+    }
+    bytes.remove_prefix(nl + 1);
+    keep = end_line(out);
+  }
+  if (keep && at_eof && (discarding_ || !line_.empty())) {
+    keep = end_line(out);  // the unterminated last line
+  }
+  return keep;
+}
+
+bool ServeDispatcher::end_line(std::string& out)
+{
+  bool keep = true;
+  if (discarding_) {
+    count_request();
+    count_error();
+    reply_ << "err request line exceeds " << kMaxRequestLineBytes << " bytes\n";
+  } else {
+    const std::uint64_t t0 = obs::now_ticks();
+    std::string trimmed;
+    if (normalize_request(line_, trimmed)) {
+      count_request();
+      verb_ = Verb::kOther;
+      request_width_ = -1;
+      request_src_ = nullptr;
+      keep = handle(trimmed, reply_);
+      finish_request(t0);
+    }
+    series().line_latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+  }
+  out += reply_.str();
+  reply_.str({});
+  line_.clear();
+  discarding_ = false;
+  return keep;
+}
+
 ServeStats ServeDispatcher::run(std::istream& in, std::ostream& out)
 {
   const ServeConnectionSlot connection;
-  std::string line;
-  bool overflow = false;
-  while (read_request_line(in, line, overflow)) {
-    if (overflow) {
-      handle_oversized_line(out);
-      continue;
+  std::streambuf& source = *in.rdbuf();
+  std::string chunk;
+  std::string reply;
+  for (bool keep = true; keep;) {
+    // One blocking byte, then whatever the stream already buffers: an
+    // interactive client is answered line by line, a script in bulk.
+    chunk.clear();
+    const int first = source.sbumpc();
+    const bool at_eof = first == std::char_traits<char>::eof();
+    if (!at_eof) {
+      chunk.push_back(static_cast<char>(first));
+      const auto buffered = std::min<std::streamsize>(source.in_avail(), 1 << 16);
+      if (buffered > 0) {
+        chunk.resize(1 + static_cast<std::size_t>(buffered));
+        chunk.resize(1 + static_cast<std::size_t>(source.sgetn(chunk.data() + 1, buffered)));
+      }
     }
-    if (!handle_request_line(line, out)) {
-      break;
+    keep = consume(chunk, reply, at_eof) && !at_eof;
+    if (!reply.empty()) {
+      out << reply << std::flush;
+      reply.clear();
     }
   }
   flush_on_exit();
   return stats_;
-}
-
-void ServeDispatcher::handle_oversized_line(std::ostream& out)
-{
-  count_request();
-  count_error();
-  out << "err request line exceeds " << kMaxRequestLineBytes << " bytes\n" << std::flush;
-}
-
-bool ServeDispatcher::handle_request_line(const std::string& line, std::ostream& out)
-{
-  std::string trimmed;
-  if (!normalize_request(line, trimmed)) {
-    return true;
-  }
-  count_request();
-  const std::uint64_t t0 = obs::now_ticks();
-  verb_ = Verb::kOther;
-  request_width_ = -1;
-  request_src_ = nullptr;
-  const bool keep_serving = handle(trimmed, out);
-  finish_request(t0);
-  return keep_serving;
 }
 
 /// Handles one normalized request line; false ends the session (quit).
@@ -368,9 +386,9 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     const bool report_flush = flush_configured();
     const std::size_t flushed = flush_on_exit();
     if (report_flush) {
-      out << "ok bye flushed=" << flushed << "\n" << std::flush;
+      out << "ok bye flushed=" << flushed << "\n";
     } else {
-      out << "ok bye\n" << std::flush;
+      out << "ok bye\n";
     }
     return false;
   }
@@ -383,7 +401,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     verb_ = Verb::kMetrics;
     if (!read_operands(request).empty()) {
       count_error();
-      out << "err metrics takes no argument\n" << std::flush;
+      out << "err metrics takes no argument\n";
       return true;
     }
     emit_metrics(out);
@@ -393,12 +411,12 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     verb_ = Verb::kStats;
     const std::vector<std::string> operands = read_operands(request);
     if (operands.size() == 1 && operands.front() == "all") {
-      out << stats_all_text() << std::flush;
+      out << stats_all_text();
       return true;
     }
     if (!operands.empty()) {
       count_error();
-      out << "err stats takes no argument or 'all'\n" << std::flush;
+      out << "err stats takes no argument or 'all'\n";
       return true;
     }
     emit_stats(out);
@@ -416,8 +434,7 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
       if (width_override < 0) {
         count_error();
         out << "err bad width in '" << command << "' (use " << head << "@<n>, 0 <= n <= "
-            << kMaxVars << ")\n"
-            << std::flush;
+            << kMaxVars << ")\n";
         return true;
       }
       base = head;
@@ -428,10 +445,10 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     const std::vector<std::string> operands = read_operands(request);
     if (operands.size() != 1) {
       count_error();
-      out << "err lookup takes exactly one hex truth table\n" << std::flush;
+      out << "err lookup takes exactly one hex truth table\n";
       return true;
     }
-    out << resolve_operand(operands.front(), width_override) << "\n" << std::flush;
+    out << resolve_operand(operands.front(), width_override) << "\n";
     return true;
   }
   if (base == "mlookup") {
@@ -439,22 +456,20 @@ bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
     const std::vector<std::string> operands = read_operands(request);
     if (operands.empty()) {
       count_error();
-      out << "err mlookup takes one or more hex truth tables\n" << std::flush;
+      out << "err mlookup takes one or more hex truth tables\n";
       return true;
     }
     series().batch_size.record_ns(operands.size());
-    // One response line per operand, one flush per batch: pipelined
-    // clients pay the flush latency once instead of per function. An err
+    // One response line per operand, all written together: pipelined
+    // clients pay the write latency once instead of per function. An err
     // on one operand answers in place; the batch always completes.
     for (const auto& hex : operands) {
       out << resolve_operand(hex, width_override) << "\n";
     }
-    out << std::flush;
     return true;
   }
   count_error();
-  out << "err unknown command '" << command << "' (lookup|mlookup|info|stats|metrics|quit)\n"
-      << std::flush;
+  out << "err unknown command '" << command << "' (lookup|mlookup|info|stats|metrics|quit)\n";
   return true;
 }
 
@@ -632,8 +647,7 @@ void ServeDispatcher::emit_info(std::ostream& out)
     out << "ok n=" << store.num_vars() << " records=" << store.num_records()
         << " appended=" << store.num_appended() << " deltas=" << store.num_delta_segments()
         << " classes=" << store.num_classes()
-        << " cache_entries=" << store.hot_cache_stats().entries << "\n"
-        << std::flush;
+        << " cache_entries=" << store.hot_cache_stats().entries << "\n";
     return;
   }
   std::size_t records = 0;
@@ -647,8 +661,7 @@ void ServeDispatcher::emit_info(std::ostream& out)
     out << (store == stores_.front() ? "" : ",") << store->num_vars();
   }
   out << " stores=" << stores_.size() << " records=" << records << " classes=" << classes
-      << " cache_entries=" << cache_entries << "\n"
-      << std::flush;
+      << " cache_entries=" << cache_entries << "\n";
 }
 
 void ServeDispatcher::emit_stats(std::ostream& out)
@@ -661,8 +674,7 @@ void ServeDispatcher::emit_stats(std::ostream& out)
       << " cache_hits=" << stats_.cache_hits << " memo_hits=" << stats_.memo_hits
       << " table_hits=" << stats_.table_hits << " index_hits=" << stats_.index_hits
       << " live=" << stats_.live << " appended=" << appended << " errors=" << stats_.errors
-      << "\n"
-      << std::flush;
+      << "\n";
 }
 
 std::string ServeDispatcher::stats_all_text()
@@ -709,7 +721,7 @@ void ServeDispatcher::emit_metrics(std::ostream& out)
 {
   const std::string text = metrics_text();
   const auto lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
-  out << "ok metrics lines=" << lines << "\n" << text << std::flush;
+  out << "ok metrics lines=" << lines << "\n" << text;
 }
 
 std::string ServeDispatcher::metrics_text()

@@ -1,10 +1,12 @@
 /// \file serve.hpp
-/// \brief Long-lived line-protocol sessions serving class stores over streams.
+/// \brief Long-lived line-protocol sessions serving class stores.
 ///
-/// `facet_cli serve` runs a session over stdin/stdout, and the network
-/// listener (net/server.hpp) runs the same protocol per accepted socket, so
-/// other processes (a mapper, a test harness, a fleet of remote clients) can
-/// drive a store without re-loading the index per query. One request per
+/// The v1 session is one byte consumer, ServeDispatcher::consume: the
+/// network listener (net/server.hpp) feeds it each socket's bytes as they
+/// arrive, and `facet_cli serve` feeds it stdin through run(), its stream
+/// adapter — so other processes (a mapper, a test harness, a fleet of
+/// remote clients) can drive a store without re-loading the index per
+/// query, and every transport frames lines the same way. One request per
 /// line:
 ///
 ///   lookup <hex>        ->  ok id=<id> rep=<hex> t=<compact-transform>
@@ -15,9 +17,9 @@
 ///                              width, and the explicit way to name one
 ///                              width of a single-nibble operand (see
 ///                              below).
-///   mlookup <hex>...    ->  one lookup-response line per operand, flushed
-///                              once at the end of the batch — pipelined
-///                              clients stop paying per-line flush latency.
+///   mlookup <hex>...    ->  one lookup-response line per operand, written
+///                              together at the end of the batch — pipelined
+///                              clients stop paying per-line write latency.
 ///                              An err on one operand answers in place and
 ///                              never aborts the rest of the batch.
 ///   mlookup@<n> <hex>...->  the batched form of lookup@<n>.
@@ -112,8 +114,9 @@
 ///     `0x` payload — answers one canonical shape:
 ///     `err operand '<token>': <reason>`.
 ///   * Request lines are capped at kMaxRequestLineBytes; an oversized line
-///     is consumed and answered with a single `err` instead of buffering
-///     unbounded input.
+///     is discarded as it arrives and answered with a single `err` at its
+///     newline instead of buffering unbounded input — however the reads
+///     that carried it were split.
 ///   * A session that ends via EOF flushes its appends exactly like `quit`
 ///     (when a delta-log path is configured), so a dropped connection never
 ///     silently loses appended classes.
@@ -125,10 +128,11 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "facet/store/class_store.hpp"
@@ -215,9 +219,9 @@ struct ServeOptions {
 
 /// The transport-independent core of one serve session: verb semantics
 /// (lookup/append policy, width routing, stats/metrics rendering, exit
-/// flush, counters) shared by every protocol front end — the v1 line loop
-/// (run), the network server's reactor connections, and the protocol v2
-/// frame sessions (net/frame.hpp).
+/// flush, counters) shared by every protocol front end — the v1 line
+/// session (consume, which socket connections feed directly and run() feeds
+/// from a stream) and the protocol v2 frame sessions (net/frame.hpp).
 ///
 /// The dispatcher holds no lock, ever: every store access synchronizes
 /// inside ClassStore (snapshot-epoch reads, a per-store mutation gate —
@@ -234,18 +238,22 @@ class ServeDispatcher {
 
   // ---- v1 line protocol -------------------------------------------------
 
-  /// The full v1 loop over streams (what a stdin session runs): read lines
-  /// until `quit` or end of input, flush on exit, return the session stats.
+  /// The v1 session, fed raw bytes as they arrive, split anywhere: appends
+  /// the answer of every line that `bytes` completes to `out` and keeps the
+  /// unfinished tail for the next call. The one place a v1 line ends: a
+  /// line longer than kMaxRequestLineBytes (newline excluded) is discarded
+  /// as it arrives and answered with one `err`. `at_eof` says the input
+  /// ends after `bytes`; an unterminated last line is then answered too.
+  /// Returns false once `quit` ends the session — bytes after it are
+  /// ignored, and the caller feeds no more. Every line is counted in
+  /// `facet_serve_frame_latency{proto="v1",verb="line"}`.
+  bool consume(std::string_view bytes, std::string& out, bool at_eof = false);
+
+  /// The v1 session over streams (what a stdin session runs): feeds
+  /// consume what `in` delivers, writing and flushing each answer to `out`
+  /// as soon as it is ready, until `quit` or end of input; then flushes
+  /// appends and returns the session stats.
   ServeStats run(std::istream& in, std::ostream& out);
-
-  /// Handles one raw v1 request line (newline stripped): trims, counts,
-  /// dispatches, records latency. Returns false when the session ends
-  /// (`quit`). Blank/comment lines are skipped for free.
-  bool handle_request_line(const std::string& line, std::ostream& out);
-
-  /// The response to a line that exceeded kMaxRequestLineBytes (the caller
-  /// discards the excess and calls this instead of handle_request_line).
-  void handle_oversized_line(std::ostream& out);
 
   // ---- shared verb semantics (protocol v2 and other front ends) ---------
 
@@ -292,6 +300,10 @@ class ServeDispatcher {
  private:
   enum class Verb : std::size_t { kLookup, kMlookup, kInfo, kStats, kMetrics, kQuit, kOther };
 
+  /// Answers the line held in `line_` (or the oversized one dropped while
+  /// `discarding_`), appends the answer to `out` and resets both. False on
+  /// `quit`.
+  bool end_line(std::string& out);
   bool handle(const std::string& trimmed, std::ostream& out);
   [[nodiscard]] std::string resolve_operand(const std::string& token, int width_override);
   [[nodiscard]] std::string resolve_ambiguous_nibble(const std::string& token,
@@ -310,6 +322,13 @@ class ServeDispatcher {
   ServeOptions options_;
   ServeStats stats_;
   bool exit_flushed_ = false;
+
+  /// v1 framing state carried between consume calls: the unfinished line
+  /// and whether it passed kMaxRequestLineBytes (its bytes are then dropped
+  /// as they arrive); `reply_` renders one line's answer.
+  std::string line_;
+  bool discarding_ = false;
+  std::ostringstream reply_;
 
   /// Per-request scratch for the latency series and the slow-request log:
   /// the verb being handled and the last resolved operand's width/tier.

@@ -758,9 +758,6 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
   build_class_store(make_npn_workload(n, 12, 2, 0x3f01ULL), {}).save(path);
 
   for (const bool use_mmap : {false, true}) {
-    if (use_mmap && !mmap_supported()) {
-      continue;
-    }
     std::remove(dlog.c_str());
     StoreOpenOptions open_options;
     open_options.use_mmap = use_mmap;

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "facet/engine/batch_engine.hpp"
-#include "facet/net/fd_stream.hpp"
 #include "facet/net/server.hpp"
 #include "facet/net/socket.hpp"
 #include "facet/store/store_builder.hpp"
@@ -24,14 +23,12 @@
 #include "facet/tt/tt_io.hpp"
 #include "serve_session.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/socket.h>
-#endif
-
 namespace facet {
 namespace {
 
+using serve_test::send_all;
 using serve_test::serve_counter;
+using serve_test::SocketLines;
 
 std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t seed)
 {
@@ -336,8 +333,6 @@ TEST_F(FrameSessionTest, StatsMetricsAndQuitVerbsAnswer)
   ASSERT_EQ(responses[2].payload.size(), 8u);  // u64 flushed count
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 std::string recv_exact(int fd, std::size_t want)
 {
   std::string data;
@@ -366,24 +361,8 @@ Response read_response(int fd)
   return r;
 }
 
-bool send_all(int fd, const std::string& data)
-{
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
-    if (n <= 0) {
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 TEST(Frame, V1AndV2AutoSniffShareOnePort)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const auto funcs = random_funcs(5, 30, 0xF2D4ULL);
   const ClassificationResult expected = classify_batch(funcs, ClassifierKind::kExhaustive, {});
   const std::string path = ::testing::TempDir() + "frame_sniff_5.fcs";
@@ -431,14 +410,12 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
   // protocol answers.
   {
     Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
-    FdStreamBuf buf{client.fd()};
-    std::ostream out{&buf};
-    std::istream in{&buf};
-    out << "lookup " << to_hex(funcs.front()) << "\nquit\n" << std::flush;
+    SocketLines in{client.fd()};
+    ASSERT_TRUE(send_all(client.fd(), "lookup " + to_hex(funcs.front()) + "\nquit\n"));
     std::string line;
-    ASSERT_TRUE(std::getline(in, line));
+    ASSERT_TRUE(in.next(line));
     EXPECT_EQ(line.rfind("ok id=" + std::to_string(expected.class_of[0]), 0), 0u);
-    ASSERT_TRUE(std::getline(in, line));
+    ASSERT_TRUE(in.next(line));
     EXPECT_EQ(line.rfind("ok bye", 0), 0u);
   }
 
@@ -454,9 +431,6 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
 /// with the whole fleet still connected, persists the append.
 TEST(Frame, IdleFleetV2AppendAndSniffedV1AgreeThenDrainPersists)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const auto funcs = random_funcs(5, 30, 0xF2D6ULL);
   const ClassificationResult expected = classify_batch(funcs, ClassifierKind::kExhaustive, {});
   const TruthTable novel = random_funcs(5, 1, 0xF2D7ULL).front();
@@ -504,12 +478,10 @@ TEST(Frame, IdleFleetV2AppendAndSniffedV1AgreeThenDrainPersists)
     }
     {
       Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
-      FdStreamBuf buf{client.fd()};
-      std::ostream out{&buf};
-      std::istream in{&buf};
-      out << "lookup " << to_hex(funcs.front()) << "\nquit\n" << std::flush;
+      SocketLines in{client.fd()};
+      ASSERT_TRUE(send_all(client.fd(), "lookup " + to_hex(funcs.front()) + "\nquit\n"));
       std::string line;
-      ASSERT_TRUE(std::getline(in, line));
+      ASSERT_TRUE(in.next(line));
       // "ok id=<k> rep=..." — the id is the second token's value
       EXPECT_EQ(line.rfind("ok id=" + std::to_string(first_id) + " ", 0), 0u) << line;
     }
@@ -532,9 +504,6 @@ TEST(Frame, IdleFleetV2AppendAndSniffedV1AgreeThenDrainPersists)
 /// malformed frame.
 TEST(Frame, FramingFaultsCountOneRequestAndOneError)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const std::string path = ::testing::TempDir() + "frame_faults_5.fcs";
   build_class_store(random_funcs(5, 10, 0xF2D5ULL), {}).save(path);
   std::remove(ClassStore::delta_log_path(path).c_str());
@@ -583,8 +552,6 @@ TEST(Frame, FramingFaultsCountOneRequestAndOneError)
   EXPECT_EQ(serve_counter("facet_serve_errors_total") - errors_before, 2u);
   std::remove(path.c_str());
 }
-
-#endif  // sockets
 
 }  // namespace
 }  // namespace facet

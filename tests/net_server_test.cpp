@@ -15,11 +15,11 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "facet/engine/batch_engine.hpp"
-#include "facet/net/fd_stream.hpp"
 #include "facet/net/socket.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/store_builder.hpp"
@@ -31,7 +31,10 @@
 namespace facet {
 namespace {
 
+using serve_test::exchange;
+using serve_test::send_all;
 using serve_test::serve_counter;
+using serve_test::SocketLines;
 
 std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t seed)
 {
@@ -41,25 +44,6 @@ std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t see
     funcs.push_back(tt_random(n, rng));
   }
   return funcs;
-}
-
-/// Writes `script` (which must end in "quit\n") over `socket` and reads
-/// every response line until the server closes the connection.
-std::vector<std::string> exchange(Socket socket, const std::string& script)
-{
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-  out << script << std::flush;
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    lines.push_back(line);
-  }
-  return lines;
 }
 
 /// Parses "ok id=<id> ..."; -1 for anything else.
@@ -73,9 +57,6 @@ long parse_id(const std::string& line)
 
 TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   // One store per width, built from the same datasets the BatchEngine
   // classifies — store lookups must answer the engine's exact class ids.
   const auto funcs4 = random_funcs(4, 60, 0x4e01ULL);
@@ -170,9 +151,6 @@ TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
 
 TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const int n = 5;
   const auto base_funcs = random_funcs(n, 40, 0x4e10ULL);
   const std::string path = ::testing::TempDir() + "net_server_compact.fcs";
@@ -274,9 +252,6 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
 
 TEST(NetServer, ReadonlyServerRejectsAppendsAndServesConcurrentReaders)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const int n = 4;
   const auto funcs = random_funcs(n, 30, 0x4e20ULL);
   const std::string path = ::testing::TempDir() + "net_server_ro.fcs";
@@ -327,9 +302,6 @@ TEST(NetServer, ReadonlyServerRejectsAppendsAndServesConcurrentReaders)
 
 TEST(NetServer, IdleTimeoutDisconnectsAndFlushesLikeCleanExit)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const int n = 4;
   const std::string path = ::testing::TempDir() + "net_server_idle.fcs";
   const std::string dlog = ClassStore::delta_log_path(path);
@@ -356,15 +328,12 @@ TEST(NetServer, IdleTimeoutDisconnectsAndFlushesLikeCleanExit)
   // (EOF on our read) and the session-exit flush must make the append
   // durable — an idle client neither pins its slot nor loses work.
   Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-  out << "lookup " << to_hex(novel) << "\n" << std::flush;
+  SocketLines in{socket.fd()};
+  send_all(socket.fd(), "lookup " + to_hex(novel) + "\n");
   std::string line;
-  ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
+  ASSERT_TRUE(in.next(line));
   EXPECT_EQ(line.rfind("ok id=", 0), 0u) << line;
-  EXPECT_FALSE(static_cast<bool>(std::getline(in, line)))
-      << "the idle connection was not cut: " << line;
+  EXPECT_FALSE(in.next(line)) << "the idle connection was not cut: " << line;
 
   for (int spin = 0; spin < 200 && ServeConnectionSlot::active() != 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
@@ -383,9 +352,6 @@ TEST(NetServer, IdleTimeoutDisconnectsAndFlushesLikeCleanExit)
 
 TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   // Regression: wait()'s drain used to join the front connection with the
   // connections lock released and then pop_front() — a handler exiting in
   // that window could reap the joined entry, so the pop destroyed a
@@ -412,17 +378,15 @@ TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
   for (std::size_t c = 0; c < num_lingerers; ++c) {
     lingerers.emplace_back([&] {
       Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
-      FdStreamBuf buf{socket.fd()};
-      std::ostream out{&buf};
-      std::istream in{&buf};
-      out << "lookup " << to_hex(funcs[0]) << "\n" << std::flush;
+      SocketLines in{socket.fd()};
+      send_all(socket.fd(), "lookup " + to_hex(funcs[0]) + "\n");
       std::string line;
-      if (!std::getline(in, line)) {
+      if (!in.next(line)) {
         return;
       }
       ++lingering;
-      while (std::getline(in, line)) {
-        // drain: the server shuts the socket down, getline sees EOF
+      while (in.next(line)) {
+        // drain: the server shuts the socket down, the read sees EOF
       }
     });
   }
@@ -473,9 +437,6 @@ TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
 /// signal handler takes) loses zero width-5 appends.
 TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndCompacts)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const auto funcs4 = random_funcs(4, 50, 0x4e60ULL);
   const ClassificationResult expected4 = classify_batch(funcs4, ClassifierKind::kExhaustive, {});
   const auto funcs5 = random_funcs(5, 30, 0x4e61ULL);
@@ -604,11 +565,55 @@ TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndComp
   }
 }
 
+/// The v1 line cap applies to the whole line, however the reads that carry
+/// it are split: a lookup line of kMaxRequestLineBytes + 1000 bytes, sent
+/// as kMaxRequestLineBytes - 10 bytes, a pause, then the rest, answers the
+/// err a stdin session gives it (ServeProtocolEdge.
+/// OversizedRequestLineAnswersErrAndKeepsServing), and the connection
+/// keeps serving.
+TEST(NetServer, OversizedLineSplitAcrossReadsAnswersErrAndKeepsServing)
+{
+  const auto funcs = random_funcs(3, 10, 0x4e70ULL);
+  const std::string path = ::testing::TempDir() + "net_server_oversized.fcs";
+  build_class_store(funcs, {}).save(path);
+  ClassStore store = ClassStore::open(path);
+
+  ServeServerOptions options;
+  options.listen = "127.0.0.1:0";
+  ServeServer server{store, path, options};
+  server.start();
+  const std::uint64_t errors_before = serve_counter("facet_serve_errors_total");
+
+  // A well-formed lookup, blank-padded past the cap: only the cap can
+  // turn it into an err.
+  const std::string hex = to_hex(funcs.front());
+  std::string oversized = "lookup " + hex;
+  oversized.resize(kMaxRequestLineBytes + 1000, ' ');
+  const std::size_t head = kMaxRequestLineBytes - 10;
+  Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
+  ASSERT_TRUE(send_all(socket.fd(), std::string_view{oversized}.substr(0, head)));
+  std::this_thread::sleep_for(std::chrono::milliseconds{100});
+  ASSERT_TRUE(send_all(socket.fd(), std::string_view{oversized}.substr(head)));
+  ASSERT_TRUE(send_all(socket.fd(), "\nlookup " + hex + "\nquit\n"));
+  SocketLines in{socket.fd()};
+  std::vector<std::string> lines;
+  for (std::string line; in.next(line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], "err request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+                          " bytes");
+  EXPECT_GE(parse_id(lines[1]), 0) << "the session must survive the flood: " << lines[1];
+  EXPECT_EQ(lines[2].rfind("ok bye", 0), 0u) << lines[2];
+  EXPECT_EQ(serve_counter("facet_serve_errors_total") - errors_before, 1u);
+
+  server.request_shutdown();
+  server.wait();
+  std::remove(path.c_str());
+}
+
 TEST(NetServer, CapacityOverflowAnswersErrAndCloses)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const auto funcs = random_funcs(3, 10, 0x4e30ULL);
   const std::string path = ::testing::TempDir() + "net_server_cap.fcs";
   build_class_store(funcs, {}).save(path);
@@ -623,19 +628,17 @@ TEST(NetServer, CapacityOverflowAnswersErrAndCloses)
   // Hold one connection open, then connect again: the second must be
   // rejected with the capacity error.
   Socket first = connect_tcp({"127.0.0.1", server.tcp_port()});
-  FdStreamBuf first_buf{first.fd()};
-  std::ostream first_out{&first_buf};
-  std::istream first_in{&first_buf};
-  first_out << "info\n" << std::flush;
+  SocketLines first_in{first.fd()};
+  send_all(first.fd(), "info\n");
   std::string line;
-  ASSERT_TRUE(static_cast<bool>(std::getline(first_in, line)));
+  ASSERT_TRUE(first_in.next(line));
 
   const auto rejected =
       exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), std::string{});
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].rfind("err server at capacity", 0), 0u) << rejected[0];
 
-  first_out << "quit\n" << std::flush;
+  send_all(first.fd(), "quit\n");
   server.request_shutdown();
   server.wait();
   std::remove(path.c_str());
@@ -646,9 +649,6 @@ TEST(NetServer, CapacityOverflowAnswersErrAndCloses)
 /// close, and once one client quits its slot is free for the next.
 TEST(NetServer, ConnectionCapRejectsTheThirdAndReadmitsAfterAQuit)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const auto funcs = random_funcs(3, 10, 0x4e31ULL);
   const std::string path = ::testing::TempDir() + "net_server_cap2.fcs";
   build_class_store(funcs, {}).save(path);
@@ -664,20 +664,15 @@ TEST(NetServer, ConnectionCapRejectsTheThirdAndReadmitsAfterAQuit)
   server.start();
 
   // Two held connections, each admitted (answered) before the next.
-  struct Held {
-    Socket socket;
-    std::unique_ptr<FdStreamBuf> buf;
-  };
-  std::vector<Held> held;
+  std::vector<Socket> held;
   for (int c = 0; c < 2; ++c) {
-    Held h{connect_tcp({"127.0.0.1", server.tcp_port()}), nullptr};
-    h.buf = std::make_unique<FdStreamBuf>(h.socket.fd());
-    std::iostream io{h.buf.get()};
-    io << "info\n" << std::flush;
+    Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
+    SocketLines in{socket.fd()};
+    send_all(socket.fd(), "info\n");
     std::string line;
-    ASSERT_TRUE(static_cast<bool>(std::getline(io, line)));
+    ASSERT_TRUE(in.next(line));
     EXPECT_EQ(line.rfind("ok n=3 ", 0), 0u) << line;
-    held.push_back(std::move(h));
+    held.push_back(std::move(socket));
   }
 
   // exchange() reads to EOF: exactly one line means the server closed.
@@ -686,12 +681,12 @@ TEST(NetServer, ConnectionCapRejectsTheThirdAndReadmitsAfterAQuit)
   EXPECT_EQ(rejected[0], "err server at capacity (2 connections)");
 
   {
-    std::iostream io{held.front().buf.get()};
-    io << "quit\n" << std::flush;
+    SocketLines in{held.front().fd()};
+    send_all(held.front().fd(), "quit\n");
     std::string line;
-    ASSERT_TRUE(static_cast<bool>(std::getline(io, line)));
+    ASSERT_TRUE(in.next(line));
     EXPECT_EQ(line.rfind("ok bye", 0), 0u) << line;
-    EXPECT_FALSE(static_cast<bool>(std::getline(io, line))) << line;
+    EXPECT_FALSE(in.next(line)) << line;
   }
   for (int spin = 0; spin < 400 && ServeConnectionSlot::active() != 1; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});

@@ -1,15 +1,11 @@
-/// Direct tests of the epoll/poll reactor: a fleet of mostly-idle
-/// connections served by a few event loops, idle expiry through the timer
-/// wheel, graceful drain on stop(), exactly-once on_close, loop affinity
-/// and least-loaded placement, backpressure from a peer that never reads,
-/// and the poll(2) fallback behaving identically to epoll.
+/// Direct tests of the epoll reactor: a fleet of mostly-idle connections
+/// served by a few event loops, idle expiry through the timer wheel,
+/// graceful drain on stop(), exactly-once on_close, loop affinity and
+/// least-loaded placement, and backpressure from a peer that never reads.
 
 #include "facet/net/reactor.hpp"
 
 #include <gtest/gtest.h>
-
-#if defined(__unix__) || defined(__APPLE__)
-
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -183,7 +179,6 @@ TEST_P(ReactorSweep, IdleFleetOnTwoWorkersEchoesEveryConnection)
   // connections cost a poller slot, not a thread.
   ReactorOptions options;
   options.workers = 2;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
   EXPECT_EQ(reactor.num_workers(), 2u);
@@ -223,7 +218,6 @@ TEST_P(ReactorSweep, ClientEofRetiresTheConnection)
 {
   ReactorOptions options;
   options.workers = 1;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
 
@@ -243,7 +237,6 @@ TEST_P(ReactorSweep, IdleTimeoutExpiresSilentConnections)
 {
   ReactorOptions options;
   options.workers = 2;
-  options.use_poll = GetParam();
   options.idle_timeout = std::chrono::milliseconds{100};
   Reactor reactor{options};
   reactor.start();
@@ -269,7 +262,6 @@ TEST_P(ReactorSweep, ActivityResetsTheIdleClock)
 {
   ReactorOptions options;
   options.workers = 1;
-  options.use_poll = GetParam();
   options.idle_timeout = std::chrono::milliseconds{150};
   Reactor reactor{options};
   reactor.start();
@@ -292,7 +284,6 @@ TEST_P(ReactorSweep, AddAfterStopClosesTheSessionImmediately)
 {
   ReactorOptions options;
   options.workers = 1;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
   reactor.stop();
@@ -309,7 +300,6 @@ TEST_P(ReactorSweep, EveryCallOfAConnectionRunsOnOneThread)
 {
   ReactorOptions options;
   options.workers = 2;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
 
@@ -350,7 +340,6 @@ TEST_P(ReactorSweep, TwoLoopsServeFourConnectionsTwoEach)
 {
   ReactorOptions options;
   options.workers = 2;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
 
@@ -378,7 +367,6 @@ TEST_P(ReactorSweep, ANewConnectionLandsOnTheLoopAClosedOneFreed)
 {
   ReactorOptions options;
   options.workers = 2;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
 
@@ -409,7 +397,6 @@ TEST_P(ReactorSweep, APeerThatNeverReadsStallsNoOtherConnection)
 {
   ReactorOptions options;
   options.workers = 1;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
 
@@ -458,7 +445,6 @@ TEST_P(ReactorSweep, AddRacingStopClosesEverySessionOnce)
 {
   ReactorOptions options;
   options.workers = 2;
-  options.use_poll = GetParam();
   Reactor reactor{options};
   reactor.start();
 
@@ -492,10 +478,10 @@ TEST_P(ReactorSweep, AddRacingStopClosesEverySessionOnce)
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PollerKinds, ReactorSweep, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "PollFallback" : "DefaultPoller";
-                         });
+// One instance: epoll is the one poller. The unused parameter keeps the
+// case names (`PollerKinds/ReactorSweep.<case>/DefaultPoller`) stable.
+INSTANTIATE_TEST_SUITE_P(PollerKinds, ReactorSweep, ::testing::Values(false),
+                         [](const ::testing::TestParamInfo<bool>&) { return "DefaultPoller"; });
 
 TEST(Reactor, StopWithoutStartIsANoop)
 {
@@ -511,12 +497,3 @@ TEST(Reactor, StopWithoutStartIsANoop)
 
 }  // namespace
 }  // namespace facet
-
-#else  // !unix
-
-TEST(Reactor, SkippedWithoutSockets)
-{
-  GTEST_SKIP() << "no sockets on this platform";
-}
-
-#endif

@@ -16,15 +16,17 @@
 #include <thread>
 #include <vector>
 
-#include "facet/net/fd_stream.hpp"
 #include "facet/net/server.hpp"
 #include "facet/net/socket.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
+#include "serve_session.hpp"
 
 namespace facet {
 namespace {
+
+using serve_test::exchange;
 
 std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t seed)
 {
@@ -34,25 +36,6 @@ std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t see
     funcs.push_back(tt_random(n, rng));
   }
   return funcs;
-}
-
-/// Writes `script` (must end in "quit\n") and reads every response line
-/// until the server closes the connection.
-std::vector<std::string> exchange(Socket socket, const std::string& script)
-{
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-  out << script << std::flush;
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    lines.push_back(line);
-  }
-  return lines;
 }
 
 /// Parses "ok id=<id> ..."; -1 for anything else.
@@ -66,9 +49,6 @@ long parse_id(const std::string& line)
 
 TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const int n = 5;
   const auto base_funcs = random_funcs(n, 40, 0xf1ee7ULL);
   const std::string path = ::testing::TempDir() + "replica_fleet.fcs";
@@ -95,7 +75,7 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
   std::vector<std::unique_ptr<ServeServer>> replicas;
   for (std::size_t r = 0; r < num_replicas; ++r) {
     replica_stores.push_back(std::make_unique<ClassStore>(
-        ClassStore::open(path, StoreOpenOptions{.use_mmap = mmap_supported()})));
+        ClassStore::open(path, StoreOpenOptions{.use_mmap = true})));
     ServeServerOptions replica_options;
     replica_options.listen = "127.0.0.1:0";
     replica_options.readonly = true;
@@ -226,9 +206,6 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
 
 TEST(ReplicaFleet, ReloadPollRecoversAfterTransientFailure)
 {
-  if (!net_supported()) {
-    GTEST_SKIP() << "no sockets on this platform";
-  }
   const int n = 5;
   const auto base_funcs = random_funcs(n, 25, 0xf1efULL);
   const std::string path = ::testing::TempDir() + "replica_recover.fcs";

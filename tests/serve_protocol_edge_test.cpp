@@ -1,7 +1,8 @@
 /// Protocol edge cases of the hardened serve loops: CRLF input, comment-only
 /// sessions, malformed operands (bare "0x", invalid digits, wrong digit
 /// counts) answering one canonical err shape in both loops, oversized
-/// request lines, per-operand mlookup error isolation, flush-on-exit with
+/// request lines, line framing that does not depend on how the bytes
+/// arrive, per-operand mlookup error isolation, flush-on-exit with
 /// `ok bye flushed=<k>` reporting, readonly sessions, and `stats all`.
 
 #include "facet/store/serve.hpp"
@@ -14,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -136,6 +138,78 @@ TEST(ServeProtocolEdge, OversizedRequestLineAnswersErrAndKeepsServing)
   EXPECT_EQ(lines[2].rfind("ok id=", 0), 0u) << "the loop must survive the flood";
   EXPECT_EQ(lines[3], "ok bye");
   EXPECT_EQ(stats.errors, 1u);
+}
+
+/// The one v1 session frames lines the same however the bytes arrive: a
+/// script fed to ServeDispatcher::consume whole, byte by byte and in 7-byte
+/// pieces answers byte for byte what run() answers over an istringstream.
+TEST(ServeProtocolEdge, FramingDoesNotDependOnHowBytesArrive)
+{
+  // Width 5: above the NPN4 table tier, so a repeated lookup answers from
+  // the hot cache. Every feed gets a fresh twin store.
+  const auto fresh_store = [] { return make_store(5, 0xed30ULL); };
+  const ClassStore probe = fresh_store();
+  const std::string a = to_hex(probe.persisted_records().front().representative);
+  const std::string b = to_hex(probe.persisted_records().back().representative);
+  const std::string oversized(kMaxRequestLineBytes + 5, 'x');
+  const std::string script = "lookup " + a + "\r\n\n# comment\n   \nlookup@5 " + b +
+                             "\nmlookup " + a + " " + b + " zz\n" + oversized + "\nlookup " + a +
+                             "\nstats\nquit\nlookup " + a + "\n";
+  const std::string unterminated = "lookup " + a + "\ninfo\nlookup " + b;
+
+  const auto via_run = [&](const std::string& bytes) {
+    ClassStore store = fresh_store();
+    ServeDispatcher dispatcher{&store, nullptr, {}};
+    std::istringstream in{bytes};
+    std::ostringstream out;
+    dispatcher.run(in, out);
+    return out.str();
+  };
+  const auto via_consume = [&](const std::string& bytes, std::size_t piece) {
+    ClassStore store = fresh_store();
+    ServeDispatcher dispatcher{&store, nullptr, {}};
+    std::string out;
+    bool keep = true;
+    for (std::size_t at = 0; keep && at < bytes.size(); at += piece) {
+      keep = dispatcher.consume(std::string_view{bytes}.substr(at, piece), out);
+    }
+    if (keep) {
+      dispatcher.consume({}, out, /*at_eof=*/true);
+    }
+    return out;
+  };
+  const auto lines_of = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream reader{text};
+    for (std::string line; std::getline(reader, line);) {
+      lines.push_back(line);
+    }
+    return lines;
+  };
+
+  const std::string expected = via_run(script);
+  const auto lines = lines_of(expected);
+  ASSERT_EQ(lines.size(), 9u) << expected.substr(0, 2000);
+  EXPECT_NE(lines[0].find(" src=index "), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1].rfind("ok id=", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[4].rfind("err operand 'zz'", 0), 0u) << lines[4];
+  EXPECT_EQ(lines[5], "err request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+                          " bytes");
+  EXPECT_NE(lines[6].find(" src=cache "), std::string::npos) << lines[6];
+  EXPECT_EQ(lines[7].rfind("ok requests=6 lookups=5 ", 0), 0u) << lines[7];
+  EXPECT_EQ(lines[8], "ok bye") << "nothing after quit is answered";
+
+  const std::string expected_tail = via_run(unterminated);
+  const auto tail_lines = lines_of(expected_tail);
+  ASSERT_EQ(tail_lines.size(), 3u) << expected_tail;
+  EXPECT_EQ(tail_lines[2].rfind("ok id=", 0), 0u) << "the unterminated request is answered";
+
+  for (const std::size_t piece : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+    SCOPED_TRACE(piece == 0 ? "whole" : std::to_string(piece) + "-byte pieces");
+    EXPECT_TRUE(via_consume(script, piece == 0 ? script.size() : piece) == expected);
+    EXPECT_EQ(via_consume(unterminated, piece == 0 ? unterminated.size() : piece),
+              expected_tail);
+  }
 }
 
 TEST(ServeProtocolEdge, ZeroOperandMlookupAnswersErr)

@@ -2,24 +2,99 @@
 /// ServeDispatcher and read the answer back as lines (with `stats all`
 /// counters as this session's growth), check that a single store and a
 /// one-width router over an identical twin store answer byte for byte
-/// alike, and read the process-wide serve counters.
+/// alike, read the process-wide serve counters, and talk to a server over
+/// a socket with plain send(2) / recv(2).
 
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <cerrno>
 #include <functional>
 #include <memory>
 #include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "facet/net/socket.hpp"
 #include "facet/obs/registry.hpp"
 #include "facet/store/serve.hpp"
 
 namespace facet::serve_test {
+
+/// Sends every byte of `data`; false once the peer is gone.
+inline bool send_all(int fd, std::string_view data)
+{
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Reads a connected socket line by line with plain recv(2), keeping the
+/// bytes after the last newline for the next call.
+class SocketLines {
+ public:
+  explicit SocketLines(int fd) : fd_{fd} {}
+
+  /// The next line, without its "\n" or "\r\n". At end of stream, a final
+  /// unterminated line counts; false once nothing is left.
+  bool next(std::string& line)
+  {
+    std::size_t nl;
+    while ((nl = pending_.find('\n')) == std::string::npos) {
+      char buf[4096];
+      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n <= 0) {
+        if (pending_.empty()) {
+          return false;
+        }
+        nl = pending_.size();
+        pending_.push_back('\n');
+        break;
+      }
+      pending_.append(buf, static_cast<std::size_t>(n));
+    }
+    line.assign(pending_, 0, nl);
+    pending_.erase(0, nl + 1);
+    if (!line.empty() && line.back() == '\r') {
+      line.pop_back();
+    }
+    return true;
+  }
+
+ private:
+  int fd_;
+  std::string pending_;
+};
+
+/// Sends `script` (which must end in "quit\n" unless the server closes
+/// on its own) over `socket` and reads every response line until the
+/// server closes the connection.
+inline std::vector<std::string> exchange(Socket socket, const std::string& script)
+{
+  send_all(socket.fd(), script);
+  SocketLines reader{socket.fd()};
+  std::vector<std::string> lines;
+  for (std::string line; reader.next(line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
 
 /// A process-wide serve counter, read straight from the registry. Tests
 /// compare its growth across the traffic they drive: every earlier case of

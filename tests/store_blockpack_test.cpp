@@ -118,9 +118,6 @@ std::vector<TruthTable> novel_functions(const ClassStore& store, std::size_t cou
 
 TEST(StoreBlockPack, V3ProbesTouchOneBlock)
 {
-  if (!mmap_supported()) {
-    GTEST_SKIP() << "no mmap on this platform";
-  }
   struct Input {
     int n;
     std::size_t count;
@@ -212,21 +209,19 @@ TEST(StoreBlockPack, EmptyOneRecordAndBlockBoundaryCounts)
     }
 
     // Mmap open: same answers through the blocked search.
-    if (mmap_supported()) {
-      const auto segment = MmapSegment::open(path);
-      ASSERT_EQ(segment->size(), count);
-      EXPECT_EQ(segment->num_pages(), store_num_blocks(count, n));
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto hit = segment->find(records[i].canonical);
-        ASSERT_TRUE(hit.has_value());
-        EXPECT_EQ(hit->class_id, records[i].class_id);
-      }
-      std::mt19937_64 rng{0x4bULL + count};
-      for (int k = 0; k < 32; ++k) {
-        const TruthTable probe = tt_random(n, rng);
-        const bool in_loaded = loaded.find_canonical(probe).has_value();
-        EXPECT_EQ(segment->find(probe).has_value(), in_loaded);
-      }
+    const auto segment = MmapSegment::open(path);
+    ASSERT_EQ(segment->size(), count);
+    EXPECT_EQ(segment->num_pages(), store_num_blocks(count, n));
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const auto hit = segment->find(records[i].canonical);
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(hit->class_id, records[i].class_id);
+    }
+    std::mt19937_64 rng{0x4bULL + count};
+    for (int k = 0; k < 32; ++k) {
+      const TruthTable probe = tt_random(n, rng);
+      const bool in_loaded = loaded.find_canonical(probe).has_value();
+      EXPECT_EQ(segment->find(probe).has_value(), in_loaded);
     }
     std::remove(path.c_str());
   }
@@ -264,10 +259,8 @@ TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
     write_file(path, bad);
     EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = false}),
                  StoreFormatError);
-    if (mmap_supported()) {
-      EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = true}),
-                   StoreFormatError);
-    }
+    EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = true}),
+                 StoreFormatError);
   };
   // Damage inside the last block: the materialized loader rejects up front;
   // the mmap flavor opens, serves untouched blocks, and throws at first
@@ -276,13 +269,11 @@ TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
     write_file(path, bad);
     EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = false}),
                  StoreFormatError);
-    if (mmap_supported()) {
-      const auto segment = MmapSegment::open(path);
-      EXPECT_EQ(segment->pages_validated(), 0u);
-      EXPECT_TRUE(segment->find(records.front().canonical).has_value());
-      EXPECT_THROW((void)segment->find(records.back().canonical), StoreFormatError);
-      EXPECT_THROW((void)segment->record_at(count - 1), StoreFormatError);
-    }
+    const auto segment = MmapSegment::open(path);
+    EXPECT_EQ(segment->pages_validated(), 0u);
+    EXPECT_TRUE(segment->find(records.front().canonical).has_value());
+    EXPECT_THROW((void)segment->find(records.back().canonical), StoreFormatError);
+    EXPECT_THROW((void)segment->record_at(count - 1), StoreFormatError);
   };
 
   // A flipped bit in a record of the last block fails its block checksum.
@@ -349,7 +340,7 @@ TEST(StoreBlockPack, MergeReadsBothBaseFlavorsAndEmitsV3)
   // One materialized input and one mmap-backed input (where supported).
   const ClassStore loaded_a = ClassStore::open(path_a);
   const ClassStore opened_b =
-      ClassStore::open(path_b, StoreOpenOptions{.use_mmap = mmap_supported()});
+      ClassStore::open(path_b, StoreOpenOptions{.use_mmap = true});
   const ClassStore merged = merge_class_stores({&loaded_a, &opened_b});
   merged.save(path_out);
   EXPECT_EQ(file_version(path_out), kStoreVersion);
@@ -402,9 +393,6 @@ class StoreReload : public ::testing::TestWithParam<bool> {};
 TEST_P(StoreReload, ReplicaAdoptsAppendsAndCompactionWithoutTouchingTheLog)
 {
   const bool use_mmap = GetParam();
-  if (use_mmap && !mmap_supported()) {
-    GTEST_SKIP() << "no mmap on this platform";
-  }
   const int n = 5;
   const auto funcs = make_npn_workload(n, 30, 2, 0x4e10ULL);
   const std::string path = temp_path(use_mmap ? "reload_mmap.fcs" : "reload.fcs");

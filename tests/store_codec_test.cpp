@@ -200,16 +200,14 @@ TEST(StoreCodec, PackedSegmentsRoundTripEveryWidth)
     ASSERT_EQ(replay.runs.size(), 1u);
     EXPECT_EQ(replay.runs.front().record_words, words);
 
-    if (mmap_supported()) {
-      const std::string path =
-          ::testing::TempDir() + "store_codec_roundtrip_" + std::to_string(n) + ".fcs";
-      {
-        std::ofstream os{path, std::ios::binary | std::ios::trunc};
-        os << file.str();
-      }
-      expect_segment_holds(*MmapSegment::open(path), records, seed);
-      std::remove(path.c_str());
+    const std::string path =
+        ::testing::TempDir() + "store_codec_roundtrip_" + std::to_string(n) + ".fcs";
+    {
+      std::ofstream os{path, std::ios::binary | std::ios::trunc};
+      os << file.str();
     }
+    expect_segment_holds(*MmapSegment::open(path), records, seed);
+    std::remove(path.c_str());
   }
 }
 
@@ -246,15 +244,13 @@ TEST(StoreCodec, WidthsWhoseRecordsOverflowABlockAreRejected)
     EXPECT_NE(std::string{e.what()}.find("does not fit one store block"), std::string::npos)
         << e.what();
   }
-  if (mmap_supported()) {
-    const std::string path = ::testing::TempDir() + "store_codec_n14.fcs";
-    {
-      std::ofstream out{path, std::ios::binary | std::ios::trunc};
-      out << bytes;
-    }
-    EXPECT_THROW((void)MmapSegment::open(path), StoreFormatError);
-    std::remove(path.c_str());
+  const std::string path = ::testing::TempDir() + "store_codec_n14.fcs";
+  {
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    out << bytes;
   }
+  EXPECT_THROW((void)MmapSegment::open(path), StoreFormatError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

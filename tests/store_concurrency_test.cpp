@@ -154,9 +154,6 @@ TEST(StoreConcurrency, ReadersAgainstLiveDeltaSegments)
 
 TEST(StoreConcurrency, ReadersAgainstLazyMmapBase)
 {
-  if (!mmap_supported()) {
-    GTEST_SKIP() << "no mmap on this platform";
-  }
   // A multi-page n=6 base so concurrent readers race on the lazy page
   // validation flags themselves. Most hammer traffic is find_canonical —
   // no canonicalization, pure segment reads — so the test stays fast under

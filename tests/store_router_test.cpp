@@ -95,9 +95,6 @@ TEST(StoreRouter, OpenRestoresEveryWidthFromDisk)
   }
 
   for (const bool use_mmap : {false, true}) {
-    if (use_mmap && !mmap_supported()) {
-      continue;
-    }
     StoreOpenOptions options;
     options.use_mmap = use_mmap;
     StoreRouter opened = StoreRouter::open(paths, options);

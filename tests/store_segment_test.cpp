@@ -38,12 +38,7 @@
 #define FACET_TEST_HAS_MALLINFO2 0
 #endif
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#define FACET_TEST_HAS_RLIMIT 1
-#else
-#define FACET_TEST_HAS_RLIMIT 0
-#endif
 
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/transform.hpp"
@@ -108,9 +103,6 @@ std::vector<TruthTable> novel_functions(const ClassStore& store, std::size_t cou
 
 TEST(StoreSegment, MmapOpenIsBitIdenticalToMaterializedLoad)
 {
-  if (!mmap_supported()) {
-    GTEST_SKIP() << "no mmap on this platform";
-  }
   const int n = 5;
   const auto funcs = make_npn_workload(n, 60, 3, 0x5e601ULL);
   const ClassStore built = build_class_store(funcs, {});
@@ -352,9 +344,6 @@ TEST(StoreSegment, MaterializedBaseHoldsAtMost96BytesPerRecord)
 
 TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
 {
-  if (!mmap_supported()) {
-    GTEST_SKIP() << "no mmap on this platform";
-  }
   // Enough singleton n=6 classes that the record region spans several pages
   // (40 bytes per record, 4096-byte pages).
   const int n = 6;
@@ -452,10 +441,7 @@ TEST(StoreSegment, OtherFormatVersionsAreRejectedOnEveryLoadPath)
   std::remove(bad_dlog.c_str());
   built.save(good_path);
 
-  std::vector<bool> flavors{false};
-  if (mmap_supported()) {
-    flavors.push_back(true);
-  }
+  const std::vector<bool> flavors{false, true};
   // Replicas serving the good file, to reload from the bad one.
   std::vector<ClassStore> replicas;
   for (const bool use_mmap : flavors) {
@@ -606,9 +592,6 @@ TEST(StoreSegment, NewerTiersShadowTheBaseInTheMergeAndTheCompaction)
       }
     };
     for (const bool use_mmap : {false, true}) {
-      if (use_mmap && !mmap_supported()) {
-        continue;
-      }
       SCOPED_TRACE(use_mmap ? "mmap" : "materialized");
       ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
       ASSERT_EQ(store.num_delta_segments(), runs);
@@ -683,9 +666,6 @@ class StoreDeltaRoundTrip : public ::testing::TestWithParam<bool> {};
 TEST_P(StoreDeltaRoundTrip, FlushedFramesReplayOnOpen)
 {
   const bool use_mmap = GetParam();
-  if (use_mmap && !mmap_supported()) {
-    GTEST_SKIP() << "no mmap on this platform";
-  }
   const int n = 5;
   const auto funcs = make_npn_workload(n, 25, 2, 0x5e606ULL);
   const std::string path = temp_path(use_mmap ? "segment_delta_mmap.fcs" : "segment_delta.fcs");
@@ -897,7 +877,6 @@ TEST(StoreSegment, FailedFrameWriteLeavesMemtableAndRunsUntouched)
   EXPECT_EQ(store.num_delta_segments(), 1u);
 }
 
-#if FACET_TEST_HAS_RLIMIT
 TEST(StoreSegment, FlushCutShortByAFileSizeLimitTruncatesTheLogBack)
 {
   const int n = 4;
@@ -961,7 +940,6 @@ TEST(StoreSegment, FlushCutShortByAFileSizeLimitTruncatesTheLogBack)
   std::remove(dlog.c_str());
   std::remove(path.c_str());
 }
-#endif
 
 TEST(StoreSegment, DeltaFrameWithAnOutOfRangeClassIdIsRejected)
 {
@@ -1004,10 +982,7 @@ TEST(StoreSegment, DeltaFrameWithAnOutOfRangeClassIdIsRejected)
   expect_bound_error([&] { (void)read_delta_log(bad_is, n); });
 
   std::vector<ClassStore> replicas;
-  std::vector<bool> flavors{false};
-  if (mmap_supported()) {
-    flavors.push_back(true);
-  }
+  const std::vector<bool> flavors{false, true};
   for (const bool use_mmap : flavors) {
     replicas.push_back(ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap}));
   }

@@ -40,13 +40,11 @@
 ///   facet_cli dataset --n 5 --max-funcs 1000 > set5.txt
 ///   facet_cli convert --to-binary circuit.aag circuit.aig
 
-#include <csignal>
-#include <fstream>
-
-#if defined(__linux__)
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include <csignal>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -499,10 +497,6 @@ int cmd_serve(const CliArgs& args)
 /// the primary renames into place. Replica k listens on base port + k + 1.
 int cmd_fleet(const CliArgs& args)
 {
-#if !defined(__linux__)
-  std::cerr << "error: fleet needs /proc/self/exe to respawn replicas (Linux only)\n";
-  return 1;
-#else
   const std::string index = args.get_string("index", "");
   const std::string listen = args.get_string("listen", "");
   if (index.empty() || listen.empty()) {
@@ -569,7 +563,6 @@ int cmd_fleet(const CliArgs& args)
     ::waitpid(pid, &status, 0);
   }
   return rc;
-#endif
 }
 
 int cmd_fcs_merge(const CliArgs& args)
