@@ -8,7 +8,9 @@
 
 #include "facet/engine/shard.hpp"
 #include "facet/engine/work_queue.hpp"
+#include "facet/npn/codesign.hpp"
 #include "facet/npn/exact_canon.hpp"
+#include "facet/npn/hierarchical.hpp"
 #include "facet/npn/matcher.hpp"
 #include "facet/npn/npn4_table.hpp"
 #include "facet/npn/semi_canonical.hpp"
@@ -19,42 +21,10 @@
 
 namespace facet {
 
-/// Per-shard persistent state: memo caches that survive across classify()
-/// calls. Each shard is processed by exactly one worker per call, and a
-/// function always hashes to the same shard, so no locking is needed.
-struct BatchShardState {
-  /// Image-based kinds: input table -> canonical image. For kHierarchical
-  /// this holds the level-1 (semi-canonical) image.
-  std::unordered_map<TruthTable, TruthTable, TruthTableHash> image_cache;
-  /// kHierarchical level 2: semi-canonical image -> refined image.
-  std::unordered_map<TruthTable, TruthTable, TruthTableHash> refine_cache;
-  /// fp kinds: input table -> full configured MSV.
-  std::unordered_map<TruthTable, std::vector<std::uint32_t>, TruthTableHash> msv_cache;
-  /// kExact: input table -> class representative (first member of its NPN
-  /// class ever seen in this shard).
-  std::unordered_map<TruthTable, TruthTable, TruthTableHash> rep_cache;
-  /// kExact: MSV bucket -> representatives, mirrors classify_exact's buckets.
-  std::unordered_map<std::vector<std::uint32_t>, std::vector<TruthTable>, U32VectorHash> exact_buckets;
-
-  /// kExhaustive: semiclass image (semiclass_form, semiclass.hpp) ->
-  /// canonical form. The image is a member of the input's NPN orbit, so
-  /// every function mapping onto a seen image shares its canonical form and
-  /// skips the exact canonicalizer. The image_cache above only helps
-  /// bit-identical repeats; this memo catches equivalent ones.
-  std::unordered_map<TruthTable, TruthTable, TruthTableHash> semiclass_memo;
-
-  void clear()
-  {
-    image_cache.clear();
-    refine_cache.clear();
-    msv_cache.clear();
-    rep_cache.clear();
-    exact_buckets.clear();
-    semiclass_memo.clear();
-  }
-};
-
 namespace {
+
+/// Shards per worker thread: skew headroom for the pool's dynamic claiming.
+constexpr std::size_t kShardsPerThread = 8;
 
 /// Shard-local classification output, parallel to ShardPlan::members[s].
 struct LocalResult {
@@ -102,14 +72,15 @@ Dedup dedup_members(std::span<const TruthTable> funcs, const std::vector<std::ui
 }
 
 /// Groups per-unique keys into dense local class ids (first-occurrence
-/// order) and expands them back onto the shard's members.
+/// order) and expands them back onto the shard's members. Every member is
+/// one hit or one miss: repeats and the `memo_hits` uniques skipped the
+/// canonicalizer, every other unique paid it.
 template <typename Key, typename Hasher>
-LocalResult group_by_key(const Dedup& d, std::vector<Key> key_of_unique, std::size_t hits,
-                         std::size_t misses)
+LocalResult group_by_key(const Dedup& d, std::vector<Key> key_of_unique, std::size_t memo_hits)
 {
   LocalResult local;
-  local.cache_hits = hits;
-  local.cache_misses = misses;
+  local.cache_hits = d.unique_of.size() - d.uniques.size() + memo_hits;
+  local.cache_misses = d.uniques.size() - memo_hits;
   std::unordered_map<Key, std::uint32_t, Hasher> classes;
   classes.reserve(key_of_unique.size());
   std::vector<std::uint32_t> class_of_unique;
@@ -127,129 +98,121 @@ LocalResult group_by_key(const Dedup& d, std::vector<Key> key_of_unique, std::si
   return local;
 }
 
-/// Exact canonical form of `tt` through the shard's semiclass memo: a seen
-/// semiclass image answers directly (it lies in tt's orbit, so its
-/// canonical form is tt's), else pay the exact canonicalizer once and
-/// memoize the image.
-TruthTable canonical_via_semiclass(BatchShardState& state, const TruthTable& tt)
+/// The memoized value of `key`, or compute(key) stored under it. A memo hit
+/// skips the canonicalizer, so it counts in `hits`.
+template <typename Compute>
+TruthTable memoized(std::unordered_map<TruthTable, TruthTable, TruthTableHash>& memo, TruthTable key,
+                    std::size_t& hits, const Compute& compute)
 {
-  if (tt.num_vars() <= kNpn4MaxVars) {
-    // The exact canonicalizer is a single NPN4 norm-table load at these
-    // widths — cheaper than deriving the image, so the memo would only add
-    // overhead for what the table already answers in O(1).
-    return exact_npn_canonical(tt);
-  }
-  SemiclassResult sc = semiclass_form(tt);
-  if (const auto it = state.semiclass_memo.find(sc.image); it != state.semiclass_memo.end()) {
-    return it->second;
-  }
-  TruthTable canon = exact_npn_canonical(tt);
-  state.semiclass_memo.emplace(std::move(sc.image), canon);
-  return canon;
-}
-
-/// Looks up `tt` in `cache` or computes-and-stores via `compute`, counting
-/// hits and misses.
-template <typename Value, typename Compute>
-const Value& memoized(std::unordered_map<TruthTable, Value, TruthTableHash>& cache,
-                      const TruthTable& tt, std::size_t& hits, std::size_t& misses,
-                      const Compute& compute)
-{
-  if (const auto it = cache.find(tt); it != cache.end()) {
+  if (const auto it = memo.find(key); it != memo.end()) {
     ++hits;
     return it->second;
   }
-  ++misses;
-  return cache.emplace(tt, compute(tt)).first->second;
+  TruthTable value = compute(key);
+  memo.emplace(std::move(key), value);
+  return value;
 }
 
-LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& options,
-                           BatchShardState& state, std::span<const TruthTable> funcs,
-                           const std::vector<std::uint32_t>& members)
+LocalResult classify_shard(ClassifierKind kind, const SignatureConfig& signature,
+                           std::span<const TruthTable> funcs, const std::vector<std::uint32_t>& members)
 {
-  Dedup d = dedup_members(funcs, members);
-  // Duplicate members never pay canonicalization — the first flavor of hit.
-  std::size_t hits = members.size() - d.uniques.size();
-  std::size_t misses = 0;
+  // Duplicate members never pay canonicalization — the first flavor of hit;
+  // the kExhaustive and kHierarchical memos below count the second.
+  const Dedup d = dedup_members(funcs, members);
 
   switch (kind) {
     case ClassifierKind::kExact: {
+      // MSV bucket -> class representatives (first member of each class in
+      // this shard), mirroring classify_exact's buckets.
+      std::unordered_map<std::vector<std::uint32_t>, std::vector<TruthTable>, U32VectorHash> buckets;
       std::vector<TruthTable> rep_of_unique;
       rep_of_unique.reserve(d.uniques.size());
       for (const auto& u : d.uniques) {
-        rep_of_unique.push_back(memoized(state.rep_cache, u, hits, misses, [&](const TruthTable& tt) {
-          auto& reps = state.exact_buckets[build_msv(tt, options.signature)];
-          for (const auto& rep : reps) {
-            if (npn_equivalent(rep, tt)) {
-              return rep;
-            }
-          }
-          reps.push_back(tt);
-          return tt;
-        }));
+        auto& reps = buckets[build_msv(u, signature)];
+        const auto rep = std::find_if(reps.begin(), reps.end(),
+                                      [&](const TruthTable& r) { return npn_equivalent(r, u); });
+        if (rep == reps.end()) {
+          reps.push_back(u);
+          rep_of_unique.push_back(u);
+        } else {
+          rep_of_unique.push_back(*rep);
+        }
       }
-      return group_by_key<TruthTable, TruthTableHash>(d, std::move(rep_of_unique), hits, misses);
+      return group_by_key<TruthTable, TruthTableHash>(d, std::move(rep_of_unique), 0);
     }
 
-    case ClassifierKind::kExhaustive:
-    case ClassifierKind::kSemiCanonical:
-    case ClassifierKind::kCodesign:
-    case ClassifierKind::kHierarchical: {
+    case ClassifierKind::kExhaustive: {
+      // Semiclass image (semiclass_form) -> canonical form. The image is a
+      // member of the input's NPN orbit, so every function mapping onto a
+      // seen image shares its canonical form and skips the exact
+      // canonicalizer — the memo catches equivalent inputs, not just repeats.
+      std::unordered_map<TruthTable, TruthTable, TruthTableHash> semiclass_memo;
+      std::size_t memo_hits = 0;
       std::vector<TruthTable> image_of_unique;
       image_of_unique.reserve(d.uniques.size());
       for (const auto& u : d.uniques) {
-        image_of_unique.push_back(memoized(state.image_cache, u, hits, misses, [&](const TruthTable& tt) {
-          switch (kind) {
-            case ClassifierKind::kExhaustive:
-              return canonical_via_semiclass(state, tt);
-            case ClassifierKind::kSemiCanonical:
-              return semi_canonical(tt);
-            case ClassifierKind::kCodesign:
-              return codesign_canonical(tt, options.codesign);
-            case ClassifierKind::kHierarchical: {
-              // Same two-level composition as classify_hierarchical: refine
-              // the semi-canonical representative with a budgeted co-designed
-              // pass; the refined image is the class key.
-              const TruthTable semi = semi_canonical(tt);
-              CodesignOptions refine_options;
-              refine_options.budget = options.hierarchical_refine_budget;
-              std::size_t refine_hits = 0;
-              std::size_t refine_misses = 0;
-              return memoized(state.refine_cache, semi, refine_hits, refine_misses,
-                              [&](const TruthTable& s) { return codesign_canonical(s, refine_options); });
-            }
-            default:
-              throw std::logic_error{"unreachable image kind"};
-          }
-        }));
+        if (u.num_vars() <= kNpn4MaxVars) {
+          // The exact canonicalizer is a single NPN4 norm-table load at these
+          // widths — cheaper than deriving the image.
+          image_of_unique.push_back(exact_npn_canonical(u));
+        } else {
+          image_of_unique.push_back(memoized(semiclass_memo, semiclass_form(u).image, memo_hits,
+                                             [&](const TruthTable&) { return exact_npn_canonical(u); }));
+        }
       }
-      return group_by_key<TruthTable, TruthTableHash>(d, std::move(image_of_unique), hits, misses);
+      return group_by_key<TruthTable, TruthTableHash>(d, std::move(image_of_unique), memo_hits);
+    }
+
+    case ClassifierKind::kHierarchical: {
+      // Same two-level composition as classify_hierarchical: refine the
+      // semi-canonical representative with a budgeted co-designed pass,
+      // once per distinct semi-canonical image; the refined image is the
+      // class key.
+      CodesignOptions refine_options;
+      refine_options.budget = kHierarchicalRefineBudget;
+      std::unordered_map<TruthTable, TruthTable, TruthTableHash> refine_memo;
+      std::size_t memo_hits = 0;
+      std::vector<TruthTable> image_of_unique;
+      image_of_unique.reserve(d.uniques.size());
+      for (const auto& u : d.uniques) {
+        image_of_unique.push_back(memoized(refine_memo, semi_canonical(u), memo_hits,
+                                           [&](const TruthTable& semi) {
+                                             return codesign_canonical(semi, refine_options);
+                                           }));
+      }
+      return group_by_key<TruthTable, TruthTableHash>(d, std::move(image_of_unique), memo_hits);
+    }
+
+    case ClassifierKind::kSemiCanonical:
+    case ClassifierKind::kCodesign: {
+      std::vector<TruthTable> image_of_unique;
+      image_of_unique.reserve(d.uniques.size());
+      for (const auto& u : d.uniques) {
+        image_of_unique.push_back(kind == ClassifierKind::kSemiCanonical ? semi_canonical(u)
+                                                                         : codesign_canonical(u));
+      }
+      return group_by_key<TruthTable, TruthTableHash>(d, std::move(image_of_unique), 0);
     }
 
     case ClassifierKind::kFp: {
       std::vector<std::vector<std::uint32_t>> msv_of_unique;
       msv_of_unique.reserve(d.uniques.size());
       for (const auto& u : d.uniques) {
-        msv_of_unique.push_back(memoized(state.msv_cache, u, hits, misses, [&](const TruthTable& tt) {
-          return build_msv(tt, options.signature);
-        }));
+        msv_of_unique.push_back(build_msv(u, signature));
       }
-      return group_by_key<std::vector<std::uint32_t>, U32VectorHash>(d, std::move(msv_of_unique), hits,
-                                                                     misses);
+      return group_by_key<std::vector<std::uint32_t>, U32VectorHash>(d, std::move(msv_of_unique), 0);
     }
 
     case ClassifierKind::kFpHashed: {
       std::vector<Hash128> key_of_unique;
       key_of_unique.reserve(d.uniques.size());
       for (const auto& u : d.uniques) {
-        const auto& msv = memoized(state.msv_cache, u, hits, misses, [&](const TruthTable& tt) {
-          return build_msv(tt, options.signature);
-        });
+        const auto msv = build_msv(u, signature);
         // Same two-seed 128-bit key as classify_fp_hashed.
         key_of_unique.push_back(Hash128{hash_u32_span(msv, 0xa0761d6478bd642fULL),
                                         hash_u32_span(msv, 0x589965cc75374cc3ULL)});
       }
-      return group_by_key<Hash128, Hash128Hasher>(d, std::move(key_of_unique), hits, misses);
+      return group_by_key<Hash128, Hash128Hasher>(d, std::move(key_of_unique), 0);
     }
   }
   throw std::logic_error{"unknown ClassifierKind"};
@@ -304,49 +267,30 @@ std::optional<ClassifierKind> classifier_kind_from_name(std::string_view name)
   return std::nullopt;
 }
 
-BatchEngine::BatchEngine(ClassifierKind kind, BatchEngineOptions options)
-    : kind_{kind}, options_{options}, pool_{std::make_unique<WorkerPool>(options.num_threads)}
+ClassificationResult classify_batch(std::span<const TruthTable> funcs, ClassifierKind kind,
+                                    const BatchEngineOptions& options, BatchEngineStats* stats)
 {
-  num_shards_ = options_.num_shards != 0 ? options_.num_shards : pool_->num_threads() * 8;
-  num_shards_ = std::max<std::size_t>(1, num_shards_);
-  shards_.reserve(num_shards_);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    shards_.push_back(std::make_unique<BatchShardState>());
-  }
-  shard_latency_ = &obs::MetricRegistry::global().histogram(
+  WorkerPool pool{options.num_threads};
+  // `facet_batch_shard_classify_latency{classifier=...}` — per-shard
+  // classify timing (obs/registry.hpp).
+  obs::LatencyHistogram& shard_latency = obs::MetricRegistry::global().histogram(
       "facet_batch_shard_classify_latency", obs::label("classifier", classifier_kind_name(kind)));
-}
 
-BatchEngine::~BatchEngine() = default;
-
-std::size_t BatchEngine::num_threads() const noexcept
-{
-  return pool_->num_threads();
-}
-
-void BatchEngine::clear_cache()
-{
-  for (auto& shard : shards_) {
-    shard->clear();
-  }
-}
-
-ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, BatchEngineStats* stats)
-{
   // The fp kinds class on MSV equality, so the shard key must be a function
   // of the full MSV; every other kind classes on keys that imply NPN
   // equivalence, for which the cheap invariant prefix is safe. See shard.hpp.
-  const ShardKeyKind key_kind = (kind_ == ClassifierKind::kFp || kind_ == ClassifierKind::kFpHashed)
+  const ShardKeyKind key_kind = (kind == ClassifierKind::kFp || kind == ClassifierKind::kFpHashed)
                                     ? ShardKeyKind::kFullMsv
                                     : ShardKeyKind::kInvariantPrefix;
-  const ShardPlan plan = make_shard_plan(funcs, num_shards_, key_kind, options_.signature, *pool_);
+  const ShardPlan plan =
+      make_shard_plan(funcs, kShardsPerThread * pool.num_threads(), key_kind, options.signature, pool);
 
   std::vector<LocalResult> locals(plan.num_shards);
-  pool_->run_indexed(plan.num_shards, [&](std::size_t s) {
+  pool.run_indexed(plan.num_shards, [&](std::size_t s) {
     if (!plan.members[s].empty()) {
       const std::uint64_t t0 = obs::now_ticks();
-      locals[s] = classify_shard(kind_, options_, *shards_[s], funcs, plan.members[s]);
-      shard_latency_->record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+      locals[s] = classify_shard(kind, options.signature, funcs, plan.members[s]);
+      shard_latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
     }
   });
 
@@ -375,7 +319,7 @@ ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, Ba
 
   if (stats != nullptr) {
     *stats = {};
-    stats->threads = pool_->num_threads();
+    stats->threads = pool.num_threads();
     stats->max_shard_size = plan.max_shard_size();
     for (std::size_t s = 0; s < plan.num_shards; ++s) {
       stats->shards_used += plan.members[s].empty() ? 0 : 1;
@@ -384,13 +328,6 @@ ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, Ba
     }
   }
   return result;
-}
-
-ClassificationResult classify_batch(std::span<const TruthTable> funcs, ClassifierKind kind,
-                                    const BatchEngineOptions& options, BatchEngineStats* stats)
-{
-  BatchEngine engine{kind, options};
-  return engine.classify(funcs, stats);
 }
 
 }  // namespace facet

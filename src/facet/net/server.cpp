@@ -151,7 +151,12 @@ class ServeConnection final : public ReactorConnection {
         obs::MetricRegistry::global().histogram("facet_serve_connection_lifetime");
     lifetime.record_ns(obs::ticks_to_ns(obs::now_ticks() - accepted_ticks_));
     if (!server_->options_.readonly) {
-      server_->maintenance_cv_.notify_one();  // the exit flush may have sealed a new run
+      // the exit flush may have sealed a new run
+      {
+        const std::lock_guard<std::mutex> lock{server_->maintenance_mutex_};
+        server_->compaction_due_ = true;
+      }
+      server_->maintenance_cv_.notify_one();
     }
   }
 
@@ -221,7 +226,10 @@ void ServeServer::start()
   }};
   // One maintenance thread: a writable server compacts, a readonly one
   // polls for the primary's compactions.
-  if (options_.readonly && options_.reload_poll.count() > 0) {
+  const bool reloads = options_.readonly && options_.reload_poll.count() > 0;
+  const bool compacts = !options_.readonly &&
+                        (options_.compact_after_runs != 0 || options_.compact_after_bytes != 0);
+  if (reloads) {
     // Stamp before launching so startup never triggers a spurious reload —
     // the stores already serve exactly what is on disk right now.
     for (const auto& [width, index] : served_) {
@@ -229,10 +237,9 @@ void ServeServer::start()
         reload_stamps_[width] = index_stamp(index.path);
       }
     }
-    maintenance_thread_ = std::thread{[this] { maintenance_loop(options_.reload_poll); }};
-  } else if (!options_.readonly &&
-             (options_.compact_after_runs != 0 || options_.compact_after_bytes != 0)) {
-    maintenance_thread_ = std::thread{[this] { maintenance_loop(options_.compact_poll); }};
+  }
+  if (reloads || compacts) {
+    maintenance_thread_ = std::thread{[this] { maintenance_loop(); }};
   }
 }
 
@@ -355,11 +362,17 @@ void ServeServer::final_flush()
   }
 }
 
-void ServeServer::maintenance_loop(std::chrono::milliseconds period)
+void ServeServer::maintenance_loop()
 {
   std::unique_lock<std::mutex> lock{maintenance_mutex_};
   while (!stopping_.load()) {
-    maintenance_cv_.wait_for(lock, period);
+    if (options_.readonly) {
+      maintenance_cv_.wait_for(lock, options_.reload_poll);
+    } else {
+      // A close during the previous sweep left the flag set: sweep again.
+      maintenance_cv_.wait(lock, [this] { return compaction_due_ || stopping_.load(); });
+      compaction_due_ = false;
+    }
     if (stopping_.load()) {
       break;
     }
@@ -425,7 +438,7 @@ std::size_t ServeServer::run_due_compactions()
       ++performed;
     } catch (const std::exception& e) {
       // A failed compaction leaves the store serving its old tiers — log
-      // and retry on the next poll rather than dying.
+      // and retry on the next sweep rather than dying.
       std::cerr << "facet-serve: compaction of width " << width << " failed: " << e.what()
                 << "\n";
     }

@@ -27,10 +27,12 @@
 ///
 /// What remains here is connection lifecycle (accept, capacity, idle
 /// timeout, drain) and one maintenance thread. On a writable server it is
-/// the background compactor: it watches every served store and, when the
-/// sealed delta-run count or the `.dlog` size crosses its threshold, folds
-/// base + runs into a fresh base segment through the store's one
-/// compaction path
+/// the background compactor. A writable server owns its files and every
+/// delta flush happens in a session, so the compactor sleeps until a
+/// session closes (its exit flush may have sealed a run) and then checks
+/// every served store: when the sealed delta-run count or the `.dlog` size
+/// crosses its threshold, it folds base + runs into a fresh base segment
+/// through the store's one compaction path
 /// (ClassStore::compact, run in its two halves begin_compaction /
 /// finish_compaction so the server can count what it folds) — the heavy
 /// merge and file write run against a pinned snapshot with no gate held,
@@ -120,8 +122,6 @@ struct ServeServerOptions {
   /// Compact a store once its `.dlog` reaches this many bytes
   /// (0 disables the size trigger).
   std::uint64_t compact_after_bytes = 0;
-  /// How often the compactor re-checks the triggers.
-  std::chrono::milliseconds compact_poll{200};
 };
 
 /// One compaction the server performed (surfaced for logs and tests).
@@ -188,10 +188,10 @@ class ServeServer {
   [[nodiscard]] ServeOptions session_options();
   [[nodiscard]] std::vector<ClassStore*> served_stores() const;
 
-  /// The maintenance thread: every `period` (or on a wake-up), one
-  /// compaction sweep on a writable server, one reload sweep on a readonly
-  /// one.
-  void maintenance_loop(std::chrono::milliseconds period);
+  /// The maintenance thread: on a writable server, one compaction sweep
+  /// per batch of session closes (compaction_due_); on a readonly one, one
+  /// reload sweep every reload_poll.
+  void maintenance_loop();
   /// One trigger sweep over every served store; returns compactions done.
   std::size_t run_due_compactions();
   void compact_one(int width, ClassStore& store, const std::string& path);
@@ -222,10 +222,12 @@ class ServeServer {
   /// depends on the resolved options).
   std::unique_ptr<Reactor> reactor_;
 
-  /// Wakes the maintenance thread early: shutdown, and a connection's
-  /// exit flush on a writable server.
+  /// Wakes the maintenance thread: shutdown, and a connection's exit flush
+  /// on a writable server, which sets compaction_due_ under the mutex so a
+  /// close that lands mid-sweep is never lost.
   std::mutex maintenance_mutex_;
   std::condition_variable maintenance_cv_;
+  bool compaction_due_ = false;
   mutable std::mutex compaction_log_mutex_;
   std::vector<CompactionEvent> compaction_log_;
 

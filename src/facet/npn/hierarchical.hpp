@@ -19,9 +19,13 @@
 
 namespace facet {
 
+/// Default candidate budget of the refinement level (the batch engine's
+/// kHierarchical runs with it too).
+inline constexpr std::size_t kHierarchicalRefineBudget = 64;
+
 /// Hierarchical classification; `refine_budget` bounds the per-representative
 /// canonical search of the refinement level.
-[[nodiscard]] ClassificationResult classify_hierarchical(std::span<const TruthTable> funcs,
-                                                         std::size_t refine_budget = 64);
+[[nodiscard]] ClassificationResult classify_hierarchical(
+    std::span<const TruthTable> funcs, std::size_t refine_budget = kHierarchicalRefineBudget);
 
 }  // namespace facet

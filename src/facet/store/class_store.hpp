@@ -72,7 +72,7 @@
 ///
 /// Class ids are assigned by first occurrence at build time, exactly as the
 /// sequential classifiers assign them, so classifying a dataset through
-/// lookups is bit-identical to classify_exhaustive / BatchEngine{kExhaustive}
+/// lookups is bit-identical to classify_exhaustive / classify_batch(kExhaustive)
 /// output — including on a store that starts empty and learns every class
 /// through the live tier.
 ///

@@ -24,7 +24,7 @@ namespace {
 /// `facet_store_mapped_segment_bytes`: bytes currently mmapped by store
 /// base segments, process-wide. Maintained by MmapSegment's open/destroy
 /// pair so the gauge tracks remaps across compaction swaps.
-[[maybe_unused]] obs::Gauge& mapped_segment_bytes_gauge()
+obs::Gauge& mapped_segment_bytes_gauge()
 {
   static obs::Gauge& gauge = obs::MetricRegistry::global().gauge("facet_store_mapped_segment_bytes");
   return gauge;

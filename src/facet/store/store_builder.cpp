@@ -27,9 +27,8 @@ ClassStore build_class_store(std::span<const TruthTable> funcs, const StoreBuild
 
   BatchEngineOptions engine_options;
   engine_options.num_threads = options.num_threads;
-  engine_options.num_shards = options.num_shards;
-  BatchEngine engine{ClassifierKind::kExhaustive, engine_options};
-  const ClassificationResult result = engine.classify(funcs, options.stats);
+  const ClassificationResult result =
+      classify_batch(funcs, ClassifierKind::kExhaustive, engine_options, options.stats);
 
   // First dataset member of every class, in class-id order (ids are dense by
   // first occurrence, so the first member of class c precedes every other).

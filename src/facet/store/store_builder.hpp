@@ -1,9 +1,9 @@
 /// \file store_builder.hpp
-/// \brief Builds a ClassStore from a dataset via the parallel BatchEngine.
+/// \brief Builds a ClassStore from a dataset via the parallel batch engine.
 ///
-/// Classification runs on BatchEngine{kExhaustive} (exact canonical classes,
-/// dense ids by first occurrence), then one exact canonicalization with a
-/// witnessing transform per class — fanned out over the worker pool —
+/// Classification is one classify_batch(kExhaustive) call (exact canonical
+/// classes, dense ids by first occurrence), then one exact canonicalization
+/// with a witnessing transform per class — fanned out over a worker pool —
 /// produces the store records. The resulting store answers lookups with the
 /// exact class ids, sizes and partition the engine would produce on the
 /// build dataset.
@@ -20,11 +20,9 @@ namespace facet {
 struct StoreBuildOptions {
   /// Worker threads for classification and canonicalization (0 = all cores).
   std::size_t num_threads = 0;
-  /// Shard count forwarded to the BatchEngine (0 = engine default).
-  std::size_t num_shards = 0;
   /// Options of the produced store (hot-cache sizing).
   ClassStoreOptions store{};
-  /// Optional telemetry of the underlying engine run.
+  /// Optional telemetry of the underlying classify_batch call.
   BatchEngineStats* stats = nullptr;
 };
 

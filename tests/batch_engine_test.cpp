@@ -1,12 +1,14 @@
 /// Tests for the parallel batch-classification engine: bit-identity with
-/// every sequential classifier, determinism across thread/shard counts,
-/// memo-cache behavior, and degenerate inputs.
+/// every sequential classifier, determinism across thread (and so shard)
+/// counts, hit/miss accounting, and degenerate inputs.
 
 #include "facet/engine/batch_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "facet/npn/fp_classifier.hpp"
 #include "facet/npn/hierarchical.hpp"
 #include "facet/npn/semi_canonical.hpp"
+#include "facet/npn/transform.hpp"
 #include "facet/tt/tt_generate.hpp"
 
 namespace facet {
@@ -92,13 +95,8 @@ TEST(BatchEngine, MatchesEverySequentialClassifierOnRandomSets)
   for (const int n : {4, 5, 6}) {
     const auto funcs = make_random_dataset(n, 400, 0xbeef + static_cast<std::uint64_t>(n));
     for (const auto kind : all_kinds()) {
-      BatchEngineOptions options;
-      options.num_threads = 4;
-      BatchEngine engine{kind, options};
-      const auto parallel = engine.classify(funcs);
-      const auto sequential = sequential_reference(kind, funcs);
       SCOPED_TRACE("n=" + std::to_string(n) + " kind=" + classifier_kind_name(kind));
-      expect_identical(parallel, sequential);
+      expect_identical(classify_batch(funcs, kind, {.num_threads = 4}), sequential_reference(kind, funcs));
     }
   }
 }
@@ -132,12 +130,14 @@ TEST(BatchEngine, OneThreadAndManyThreadsAgree)
 
 TEST(BatchEngine, ShardCountDoesNotChangeTheResult)
 {
+  // 8 shards per thread: 1..7 threads split the input 8 to 56 ways.
   const auto funcs = make_random_dataset(5, 300, 77);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-    BatchEngineOptions options;
-    options.num_threads = 4;
-    options.num_shards = shards;
-    expect_identical(classify_batch(funcs, ClassifierKind::kExact, options), classify_exact(funcs));
+  for (const auto kind : all_kinds()) {
+    const ClassificationResult sequential = sequential_reference(kind, funcs);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7}}) {
+      SCOPED_TRACE(classifier_kind_name(kind) + " threads=" + std::to_string(threads));
+      expect_identical(classify_batch(funcs, kind, {.num_threads = threads}), sequential);
+    }
   }
 }
 
@@ -168,45 +168,55 @@ TEST(BatchEngine, SingleFunction)
 TEST(BatchEngine, DuplicateHeavyInputHitsTheCache)
 {
   // 64 distinct functions, each repeated 16 times — the cut-enumeration
-  // profile the memo cache targets.
+  // profile the per-shard dedup targets.
   const auto base = make_random_dataset(6, 64, 13);
   std::vector<TruthTable> funcs;
   for (int rep = 0; rep < 16; ++rep) {
     funcs.insert(funcs.end(), base.begin(), base.end());
   }
 
-  BatchEngineOptions options;
-  options.num_threads = 4;
-  BatchEngine engine{ClassifierKind::kCodesign, options};
   BatchEngineStats stats;
-  const auto parallel = engine.classify(funcs, &stats);
-  expect_identical(parallel, classify_codesign(funcs));
+  expect_identical(classify_batch(funcs, ClassifierKind::kCodesign, {.num_threads = 4}, &stats),
+                   classify_codesign(funcs));
   // Every repeat of a function is a hit; only distinct tables miss.
   EXPECT_EQ(stats.cache_misses, base.size());
   EXPECT_EQ(stats.cache_hits, funcs.size() - base.size());
-
-  // A second call over the same set is fully memoized.
-  BatchEngineStats again;
-  expect_identical(engine.classify(funcs, &again), parallel);
-  EXPECT_EQ(again.cache_misses, 0u);
-  EXPECT_EQ(again.cache_hits, funcs.size());
 }
 
 TEST(BatchEngine, MemoizationOffStillMatchesSequential)
 {
+  // Distinct random functions: the refine memo rarely hits, so nearly every
+  // function pays both levels, and the result still matches.
   const auto funcs = make_random_dataset(5, 200, 3);
-  BatchEngineOptions options;
-  options.num_threads = 4;
-  BatchEngine engine{ClassifierKind::kHierarchical, options};
-  const ClassificationResult sequential = classify_hierarchical(funcs);
-  expect_identical(engine.classify(funcs), sequential);
-  // With the memo cleared between calls the second call recomputes
-  // everything, and still matches.
-  engine.clear_cache();
   BatchEngineStats stats;
-  expect_identical(engine.classify(funcs, &stats), sequential);
+  expect_identical(classify_batch(funcs, ClassifierKind::kHierarchical, {.num_threads = 4}, &stats),
+                   classify_hierarchical(funcs));
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
   EXPECT_GT(stats.cache_misses, 0u);
+}
+
+TEST(BatchEngine, SemiclassMemoHitsSkipTheCanonicalizer)
+{
+  // 64 distinct NPN images of one n = 6 function: every image lands in the
+  // same shard, and an image whose semiclass image was already resolved
+  // there answers from the memo instead of the exact canonicalizer.
+  std::mt19937_64 rng{0x5c1a55ULL};
+  const TruthTable f = tt_random(6, rng);
+  std::vector<TruthTable> funcs;
+  while (funcs.size() < 64) {
+    const TruthTable image = apply_transform(f, NpnTransform::random(6, rng));
+    if (std::find(funcs.begin(), funcs.end(), image) == funcs.end()) {
+      funcs.push_back(image);
+    }
+  }
+
+  BatchEngineStats stats;
+  const ClassificationResult batch =
+      classify_batch(funcs, ClassifierKind::kExhaustive, {.num_threads = 2}, &stats);
+  expect_identical(batch, classify_exhaustive(funcs));
+  EXPECT_EQ(batch.num_classes, 1u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
+  EXPECT_LT(stats.cache_misses, funcs.size()) << "no semiclass-memo hit was counted";
 }
 
 TEST(BatchEngine, KindNamesRoundTrip)
@@ -224,18 +234,12 @@ TEST(BatchEngine, KindNamesRoundTrip)
 TEST(BatchEngine, StatsReportShardsAndThreads)
 {
   const auto funcs = make_random_dataset(6, 500, 11);
-  BatchEngineOptions options;
-  options.num_threads = 4;
-  options.num_shards = 16;
-  BatchEngine engine{ClassifierKind::kSemiCanonical, options};
-  EXPECT_EQ(engine.num_threads(), 4u);
-  EXPECT_EQ(engine.num_shards(), 16u);
   BatchEngineStats stats;
-  (void)engine.classify(funcs, &stats);
+  (void)classify_batch(funcs, ClassifierKind::kSemiCanonical, {.num_threads = 4}, &stats);
   EXPECT_EQ(stats.threads, 4u);
   EXPECT_GE(stats.shards_used, 1u);
-  EXPECT_LE(stats.shards_used, 16u);
-  EXPECT_GE(stats.max_shard_size, funcs.size() / 16);
+  EXPECT_LE(stats.shards_used, 8u * stats.threads);
+  EXPECT_GE(stats.max_shard_size, funcs.size() / (8u * stats.threads));
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
 }
 

@@ -1,5 +1,5 @@
 /// Tests of the persistent NPN class store: build / save / load round-trips
-/// against live BatchEngine classification on randomized datasets, corrupted
+/// against live classify_batch classification on randomized datasets, corrupted
 /// and version-mismatched file rejection, the hot cache, the live fallback
 /// tier, and compaction.
 

@@ -1,6 +1,6 @@
 /// End-to-end tests of the socket serving subsystem: >= 8 concurrent
 /// clients over TCP and Unix-domain sockets sharing one router, with class
-/// ids bit-identical to the BatchEngine; background compaction collapsing
+/// ids bit-identical to classify_batch; background compaction collapsing
 /// delta runs under live traffic; capacity rejection; readonly fan-out; and
 /// graceful shutdown losing zero appends.
 
@@ -57,7 +57,7 @@ long parse_id(const std::string& line)
 
 TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
 {
-  // One store per width, built from the same datasets the BatchEngine
+  // One store per width, built from the same datasets classify_batch
   // classifies — store lookups must answer the engine's exact class ids.
   const auto funcs4 = random_funcs(4, 60, 0x4e01ULL);
   const auto funcs5 = random_funcs(5, 80, 0x4e02ULL);
@@ -164,7 +164,6 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
   options.listen = "127.0.0.1:0";
   options.append_on_miss = true;
   options.compact_after_runs = 1;  // collapse every sealed run immediately
-  options.compact_poll = std::chrono::milliseconds{5};
   ServeServer server{store, path, options};
   server.start();
 
@@ -218,7 +217,7 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
     EXPECT_EQ(lines.back().rfind("ok bye flushed=", 0), 0u) << lines.back();
   }
 
-  // The compactor runs on a 5ms poll with a 1-run threshold: wait for it to
+  // Each session close wakes the 1-run-threshold compactor: wait for it to
   // fold the sealed runs into the base.
   for (int spin = 0; spin < 400 && server.compaction_log().empty(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
@@ -246,6 +245,67 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
     EXPECT_TRUE(result->known);
     EXPECT_EQ(static_cast<long>(result->class_id), appended_ids[i]);
   }
+  std::remove(path.c_str());
+  std::remove(ClassStore::delta_log_path(path).c_str());
+}
+
+/// The compactor sleeps until a session closes. Sessions that close while a
+/// compaction runs must still wake the next sweep: once the traffic stops,
+/// every run they sealed is compacted, with no further session to wake it.
+TEST(NetServer, RunsSealedDuringACompactionAreCompactedAfterTrafficStops)
+{
+  const int n = 6;
+  // A base large enough that each compaction's merge and file write outlast
+  // a loopback append session.
+  const auto base_funcs = random_funcs(n, 2000, 0x4e70ULL);
+  const std::string path = ::testing::TempDir() + "net_server_lost_wake.fcs";
+  build_class_store(base_funcs, {}).save(path);
+  std::remove(ClassStore::delta_log_path(path).c_str());
+
+  std::vector<TruthTable> novel;
+  {
+    std::mt19937_64 rng{0x4e71ULL};
+    ClassStore probe = ClassStore::open(path);
+    while (novel.size() < 32) {
+      const TruthTable f = tt_random(n, rng);
+      if (!probe.lookup(f).has_value() && std::find(novel.begin(), novel.end(), f) == novel.end()) {
+        novel.push_back(f);
+      }
+    }
+  }
+
+  ClassStore store = ClassStore::open(path);
+  ServeServerOptions options;
+  options.listen = "127.0.0.1:0";
+  options.append_on_miss = true;
+  options.compact_after_runs = 1;
+  ServeServer server{store, path, options};
+  server.start();
+
+  // One append per session, back to back: each seals its record in a run
+  // (its exit flush, or the flush that opens a compaction racing it), and
+  // most close while the compactor is busy folding an earlier run.
+  for (const auto& f : novel) {
+    const auto lines =
+        exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), "lookup " + to_hex(f) + "\nquit\n");
+    ASSERT_EQ(lines.size(), 2u);
+    ASSERT_GE(parse_id(lines[0]), 0) << lines[0];
+    ASSERT_EQ(lines[1].rfind("ok bye flushed=", 0), 0u) << lines[1];
+  }
+
+  // No traffic from here on: the sweeps already woken must fold every run.
+  for (int spin = 0; spin < 2000 && store.num_delta_segments() != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  EXPECT_EQ(store.num_delta_segments(), 0u) << "a run sealed mid-compaction was never compacted";
+  std::size_t folded = 0;
+  for (const auto& event : server.compaction_log()) {
+    folded += event.records;
+  }
+  EXPECT_EQ(folded, novel.size()) << "every appended record is folded exactly once";
+
+  server.request_shutdown();
+  server.wait();
   std::remove(path.c_str());
   std::remove(ClassStore::delta_log_path(path).c_str());
 }
@@ -432,7 +492,7 @@ TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
 /// The per-width striping contract end to end: a fleet hammers width-4
 /// reads while width-5 traffic appends, flushes (session exits) and
 /// compacts (1-run-threshold background compactor) through the router —
-/// reader answers stay bit-identical to the BatchEngine throughout, and the
+/// reader answers stay bit-identical to classify_batch throughout, and the
 /// SIGTERM-style drain (request_shutdown + wait, the exact path the CLI's
 /// signal handler takes) loses zero width-5 appends.
 TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndCompacts)
@@ -467,7 +527,6 @@ TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndComp
   options.listen = "127.0.0.1:0";
   options.append_on_miss = true;
   options.compact_after_runs = 1;
-  options.compact_poll = std::chrono::milliseconds{5};
   ServeServer server{router, {{4, path4}, {5, path5}}, options};
   server.start();
 

@@ -63,7 +63,6 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
   primary_options.listen = "127.0.0.1:0";
   primary_options.append_on_miss = true;
   primary_options.compact_after_runs = 1;
-  primary_options.compact_poll = std::chrono::milliseconds{5};
   ServeServer primary{primary_store, path, primary_options};
   primary.start();
   ASSERT_NE(primary.tcp_port(), 0);
