@@ -52,11 +52,10 @@ std::vector<TruthTable> symmetric_mix(int n, std::size_t count, double symmetric
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
-  const CliArgs args{argc, argv};
-  const std::size_t count = static_cast<std::size_t>(args.get_int("count", 2000));
-  std::mt19937_64 rng{static_cast<std::uint64_t>(args.get_int("seed", 77))};
+  const std::size_t count = static_cast<std::size_t>(args.get_uint64("count", 2000));
+  std::mt19937_64 rng{args.get_uint64("seed", 77)};
   const int n = 7;
 
   std::cout << "Ablation: symmetry collapse in the co-designed canonical baseline (n = " << n << ")\n\n";
@@ -97,3 +96,5 @@ int main(int argc, char** argv)
                "the Fig. 5 stability gap.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

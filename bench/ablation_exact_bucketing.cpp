@@ -16,12 +16,11 @@
 #include "facet/util/table.hpp"
 #include "facet/util/timer.hpp"
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
   using namespace facet;
-  const CliArgs args{argc, argv};
   const int n = static_cast<int>(args.get_int("n", 6));
-  const std::size_t max_funcs = static_cast<std::size_t>(args.get_int("max-funcs", 8000));
+  const std::size_t max_funcs = static_cast<std::size_t>(args.get_uint64("max-funcs", 8000));
 
   CircuitDatasetOptions options;
   options.max_functions = max_funcs;
@@ -56,3 +55,5 @@ int main(int argc, char** argv)
                "traditional exact methods.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

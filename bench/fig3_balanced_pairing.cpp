@@ -18,18 +18,17 @@
 #include "facet/tt/tt_io.hpp"
 #include "facet/util/cli.hpp"
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
   using namespace facet;
-  const CliArgs args{argc, argv};
-  std::mt19937_64 rng{static_cast<std::uint64_t>(args.get_int("seed", 2023))};
-  const int trials = static_cast<int>(args.get_int("trials", 1000));
+  std::mt19937_64 rng{args.get_uint64("seed", 2023)};
+  const std::uint64_t trials = args.get_uint64("trials", 1000);
   const int n = 4;
 
   std::cout << "Fig. 3: balanced NPN-equivalent pair with exchanged OSV1/OSV0\n\n";
 
   int found = 0;
-  for (int trial = 0; trial < trials && found < 3; ++trial) {
+  for (std::uint64_t trial = 0; trial < trials && found < 3; ++trial) {
     const TruthTable f = tt_random_with_ones(n, TruthTable{n}.num_bits() / 2, rng);
     const auto f1 = osv1(f);
     const auto f0 = osv0(f);
@@ -70,3 +69,5 @@ int main(int argc, char** argv)
                "functions, and the MSV's min-over-polarity rule still classifies the pair together.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

@@ -52,18 +52,17 @@ double coefficient_of_variation(const std::vector<double>& batch_times)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
   using namespace facet;
-  const CliArgs args{argc, argv};
-  const int points = static_cast<int>(args.get_int("points", 8));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 55));
+  const std::uint64_t points = args.get_uint64("points", 8);
+  const std::uint64_t seed = args.get_uint64("seed", 55);
 
   std::cout << "Fig. 5: runtime stability, ours vs co-designed canonical (testnpn -11 analog)\n";
 
   for (const auto& [n, step_flag, step_default] :
-       std::vector<std::tuple<int, const char*, std::int64_t>>{{5, "step5", 25000}, {7, "step7", 10000}}) {
-    const std::size_t step = static_cast<std::size_t>(args.get_int(step_flag, step_default));
+       std::vector<std::tuple<int, const char*, std::uint64_t>>{{5, "step5", 25000}, {7, "step7", 10000}}) {
+    const std::size_t step = static_cast<std::size_t>(args.get_uint64(step_flag, step_default));
     std::cout << "\n" << n << "-bit functions (consecutive binary encoding), step " << step << ":\n\n";
 
     AsciiTable table;
@@ -79,9 +78,9 @@ int main(int argc, char** argv)
       (void)classify_codesign(warm);
     }
 
-    for (int p = 1; p <= points; ++p) {
+    for (std::uint64_t p = 1; p <= points; ++p) {
       const std::size_t count = step * static_cast<std::size_t>(p);
-      const auto funcs = make_consecutive_dataset(n, count, seed + static_cast<std::uint64_t>(p));
+      const auto funcs = make_consecutive_dataset(n, count, seed + p);
 
       Stopwatch w1;
       // The hashed variant is Algorithm 1 verbatim (class <- hash(MSV)) and
@@ -110,3 +109,5 @@ int main(int argc, char** argv)
                "baseline's fluctuates with the tie/symmetry structure of each batch.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

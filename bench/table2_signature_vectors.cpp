@@ -18,13 +18,12 @@
 #include "facet/util/table.hpp"
 #include "facet/util/timer.hpp"
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
   using namespace facet;
-  const CliArgs args{argc, argv};
   const int min_n = static_cast<int>(args.get_int("min-n", 4));
   const int max_n = static_cast<int>(args.get_int("max-n", 8));
-  const std::size_t max_funcs = static_cast<std::size_t>(args.get_int("max-funcs", 20000));
+  const std::size_t max_funcs = static_cast<std::size_t>(args.get_uint64("max-funcs", 20000));
 
   std::cout << "Table II: #classes per signature-vector combination (circuit-derived sets)\n\n";
 
@@ -66,3 +65,5 @@ int main(int argc, char** argv)
             << "Total time: " << total.seconds() << " s\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

@@ -2,7 +2,8 @@
 /// the same circuit-derived sets as Table II.
 ///
 /// Column mapping to the paper:
-///   Kitty        -> exhaustive exact canonical form (n <= 6 only)
+///   Kitty        -> exhaustive exact canonical form, with the semiclass
+///                   memo of classify_exhaustive (n <= 6 only)
 ///   testnpn -6   -> semi-canonical baseline (Huang FPT'13 analog)
 ///   testnpn -7   -> hierarchical baseline (Petkovska FPL'16 analog)
 ///   testnpn -11  -> co-designed canonical baseline (Zhou TC'20 analog,
@@ -55,16 +56,15 @@ Timed timed(Fn&& fn)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
   using namespace facet;
-  const CliArgs args{argc, argv};
   const int min_n = static_cast<int>(args.get_int("min-n", 4));
   const int max_n = static_cast<int>(args.get_int("max-n", 8));
-  const std::size_t max_funcs = static_cast<std::size_t>(args.get_int("max-funcs", 20000));
+  const std::size_t max_funcs = static_cast<std::size_t>(args.get_uint64("max-funcs", 20000));
   // --jobs 0 = hardware concurrency, matching facet_cli; hardware_concurrency
   // itself may legally report 0, so clamp to one worker.
-  std::size_t jobs = static_cast<std::size_t>(args.get_int("jobs", 0));
+  std::size_t jobs = static_cast<std::size_t>(args.get_uint64("jobs", 0));
   if (jobs == 0) {
     jobs = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -157,3 +157,5 @@ int main(int argc, char** argv)
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

@@ -16,14 +16,13 @@
 
 #include "facet/facet.hpp"
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
   using namespace facet;
-  const CliArgs args{argc, argv};
   const int n = static_cast<int>(args.get_int("n", 5));
-  const std::size_t seeds = static_cast<std::size_t>(args.get_int("seeds", 12));
-  const std::size_t variants = static_cast<std::size_t>(args.get_int("variants", 40));
-  const std::size_t noise = static_cast<std::size_t>(args.get_int("noise", 50));
+  const std::size_t seeds = static_cast<std::size_t>(args.get_uint64("seeds", 12));
+  const std::size_t variants = static_cast<std::size_t>(args.get_uint64("variants", 40));
+  const std::size_t noise = static_cast<std::size_t>(args.get_uint64("noise", 50));
 
   std::mt19937_64 rng{0x11B4A4Bu};
 
@@ -76,3 +75,5 @@ int main(int argc, char** argv)
             << "% of the original)\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

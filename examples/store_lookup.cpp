@@ -10,12 +10,11 @@
 
 #include "facet/facet.hpp"
 
-int main(int argc, char** argv)
+int run(const facet::CliArgs& args)
 {
   using namespace facet;
-  const CliArgs args{argc, argv};
   const int n = static_cast<int>(args.get_int("n", 4));
-  const std::size_t max_funcs = static_cast<std::size_t>(args.get_int("funcs", 2000));
+  const std::size_t max_funcs = static_cast<std::size_t>(args.get_uint64("funcs", 2000));
 
   // 1. A workload: cut functions harvested from the synthetic circuit suite.
   CircuitDatasetOptions dataset_options;
@@ -66,3 +65,5 @@ int main(int argc, char** argv)
   std::remove(path.c_str());
   return 0;
 }
+
+int main(int argc, char** argv) { return facet::run_main(argc, argv, run); }

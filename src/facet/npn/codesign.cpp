@@ -180,8 +180,7 @@ TruthTable codesign_canonical(const TruthTable& tt, const CodesignOptions& optio
 
 ClassificationResult classify_codesign(std::span<const TruthTable> funcs, const CodesignOptions& options)
 {
-  return classify_by_canonical(funcs,
-                               [&options](const TruthTable& tt) { return codesign_canonical(tt, options); });
+  return classify_by_key(funcs, [&options](const TruthTable& tt) { return codesign_canonical(tt, options); });
 }
 
 }  // namespace facet

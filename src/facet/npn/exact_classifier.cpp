@@ -4,6 +4,8 @@
 
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/matcher.hpp"
+#include "facet/npn/npn4_table.hpp"
+#include "facet/npn/semiclass.hpp"
 #include "facet/sig/msv.hpp"
 #include "facet/util/hash.hpp"
 
@@ -69,7 +71,23 @@ ClassificationResult classify_exact(std::span<const TruthTable> funcs, const Sig
 
 ClassificationResult classify_exhaustive(std::span<const TruthTable> funcs)
 {
-  return classify_by_canonical(funcs, [](const TruthTable& tt) { return exact_npn_canonical(tt); });
+  // Semiclass image (semiclass_form) -> canonical form. The image is a
+  // member of the input's NPN orbit, so every function mapping onto a seen
+  // image shares its canonical form and skips the exact canonicalizer: the
+  // memo catches equivalent inputs, not just repeats.
+  std::unordered_map<TruthTable, TruthTable, TruthTableHash> semiclass_memo;
+  return classify_by_key(funcs, [&semiclass_memo](const TruthTable& tt) {
+    if (tt.num_vars() <= kNpn4MaxVars) {
+      // The exact canonicalizer is a single NPN4 norm-table load at these
+      // widths, cheaper than deriving the image.
+      return exact_npn_canonical(tt);
+    }
+    auto [it, inserted] = semiclass_memo.try_emplace(semiclass_form(tt).image);
+    if (inserted) {
+      it->second = exact_npn_canonical(tt);
+    }
+    return it->second;
+  });
 }
 
 }  // namespace facet

@@ -47,7 +47,9 @@ struct ExactClassifyStats {
 
 /// Exact classification by exact canonical form (n <= 8 only): the NPN4
 /// table at n <= 4, branch-and-bound beyond; dense ids by first
-/// occurrence. The Table III "Kitty" baseline.
+/// occurrence. The Table III "Kitty" baseline. Beyond n = 4 a memo from
+/// semiclass image (semiclass.hpp) to canonical form lets an input whose
+/// image was seen before skip the branch-and-bound.
 [[nodiscard]] ClassificationResult classify_exhaustive(std::span<const TruthTable> funcs);
 
 }  // namespace facet

@@ -1,26 +1,14 @@
 #include "facet/npn/fp_classifier.hpp"
 
-#include <unordered_map>
-
 #include "facet/util/hash.hpp"
 
 namespace facet {
 
 ClassificationResult classify_fp(std::span<const TruthTable> funcs, const SignatureConfig& config)
 {
-  ClassificationResult result;
-  result.class_of.reserve(funcs.size());
   // Keyed on the full MSV: a hash collision therefore cannot merge classes
   // (Algorithm 1's hash is an implementation device, not the class identity).
-  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, U32VectorHash> classes;
-  for (const auto& f : funcs) {
-    auto msv = build_msv(f, config);
-    const auto [it, inserted] = classes.emplace(std::move(msv), static_cast<std::uint32_t>(classes.size()));
-    (void)inserted;
-    result.class_of.push_back(it->second);
-  }
-  result.num_classes = classes.size();
-  return result;
+  return classify_by_key<U32VectorHash>(funcs, [&config](const TruthTable& f) { return build_msv(f, config); });
 }
 
 namespace {
@@ -42,19 +30,10 @@ struct Hash128Hasher {
 
 ClassificationResult classify_fp_hashed(std::span<const TruthTable> funcs, const SignatureConfig& config)
 {
-  ClassificationResult result;
-  result.class_of.reserve(funcs.size());
-  std::unordered_map<Hash128, std::uint32_t, Hash128Hasher> classes;
-  classes.reserve(funcs.size());
-  for (const auto& f : funcs) {
+  return classify_by_key<Hash128Hasher>(funcs, [&config](const TruthTable& f) {
     const auto msv = build_msv(f, config);
-    const Hash128 key{hash_u32_span(msv, 0xa0761d6478bd642fULL), hash_u32_span(msv, 0x589965cc75374cc3ULL)};
-    const auto [it, inserted] = classes.emplace(key, static_cast<std::uint32_t>(classes.size()));
-    (void)inserted;
-    result.class_of.push_back(it->second);
-  }
-  result.num_classes = classes.size();
-  return result;
+    return Hash128{hash_u32_span(msv, 0xa0761d6478bd642fULL), hash_u32_span(msv, 0x589965cc75374cc3ULL)};
+  });
 }
 
 }  // namespace facet

@@ -7,34 +7,21 @@
 
 namespace facet {
 
-ClassificationResult classify_hierarchical(std::span<const TruthTable> funcs, std::size_t refine_budget)
+ClassificationResult classify_hierarchical(std::span<const TruthTable> funcs)
 {
-  ClassificationResult result;
-  result.class_of.reserve(funcs.size());
-
-  // Level 1: group by semi-canonical image. The image itself is an
-  // NPN-equivalent member of the class, so it doubles as the group
-  // representative for the refinement level.
-  std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> final_class_of_semi;
-  std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> refined_classes;
   CodesignOptions refine_options;
-  refine_options.budget = refine_budget;
-
-  for (const auto& f : funcs) {
-    const TruthTable semi = semi_canonical(f);
-    auto it = final_class_of_semi.find(semi);
-    if (it == final_class_of_semi.end()) {
-      // Level 2: refine this new representative only.
-      const TruthTable refined = codesign_canonical(semi, refine_options);
-      const auto [rit, inserted] =
-          refined_classes.emplace(refined, static_cast<std::uint32_t>(refined_classes.size()));
-      (void)inserted;
-      it = final_class_of_semi.emplace(semi, rit->second).first;
+  refine_options.budget = kHierarchicalRefineBudget;
+  // Level 1: the semi-canonical image. It is an NPN-equivalent member of the
+  // class, so it doubles as the group representative that level 2 refines,
+  // once per distinct image; the refined image is the class key.
+  std::unordered_map<TruthTable, TruthTable, TruthTableHash> refined_of_semi;
+  return classify_by_key(funcs, [&](const TruthTable& f) {
+    auto [it, inserted] = refined_of_semi.try_emplace(semi_canonical(f));
+    if (inserted) {
+      it->second = codesign_canonical(it->first, refine_options);
     }
-    result.class_of.push_back(it->second);
-  }
-  result.num_classes = refined_classes.size();
-  return result;
+    return it->second;
+  });
 }
 
 }  // namespace facet

@@ -19,13 +19,11 @@
 
 namespace facet {
 
-/// Default candidate budget of the refinement level (the batch engine's
-/// kHierarchical runs with it too).
+/// Candidate budget of the refinement level's co-designed search.
 inline constexpr std::size_t kHierarchicalRefineBudget = 64;
 
-/// Hierarchical classification; `refine_budget` bounds the per-representative
-/// canonical search of the refinement level.
-[[nodiscard]] ClassificationResult classify_hierarchical(
-    std::span<const TruthTable> funcs, std::size_t refine_budget = kHierarchicalRefineBudget);
+/// Hierarchical classification: semi-canonical grouping, then each distinct
+/// semi-canonical image refined once under kHierarchicalRefineBudget.
+[[nodiscard]] ClassificationResult classify_hierarchical(std::span<const TruthTable> funcs);
 
 }  // namespace facet

@@ -71,7 +71,7 @@ TruthTable semi_canonical(const TruthTable& tt)
 
 ClassificationResult classify_semi_canonical(std::span<const TruthTable> funcs)
 {
-  return classify_by_canonical(funcs, [](const TruthTable& tt) { return semi_canonical(tt); });
+  return classify_by_key(funcs, [](const TruthTable& tt) { return semi_canonical(tt); });
 }
 
 }  // namespace facet

@@ -9,6 +9,8 @@
 
 #include <charconv>
 #include <cstdint>
+#include <exception>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <set>
@@ -112,5 +114,19 @@ class CliArgs {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// The main() of a bench or example: parses argv and runs `body`. A
+/// malformed flag (a getter's std::invalid_argument, e.g. a negative count)
+/// or any other exception prints "error: <what>" and exits 1, as facet_cli
+/// does.
+inline int run_main(int argc, char** argv, int (*body)(const CliArgs&))
+{
+  try {
+    return body(CliArgs{argc, argv});
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}
 
 }  // namespace facet

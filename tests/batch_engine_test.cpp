@@ -20,6 +20,7 @@
 #include "facet/npn/hierarchical.hpp"
 #include "facet/npn/semi_canonical.hpp"
 #include "facet/npn/transform.hpp"
+#include "facet/obs/registry.hpp"
 #include "facet/tt/tt_generate.hpp"
 
 namespace facet {
@@ -185,8 +186,9 @@ TEST(BatchEngine, DuplicateHeavyInputHitsTheCache)
 
 TEST(BatchEngine, MemoizationOffStillMatchesSequential)
 {
-  // Distinct random functions: the refine memo rarely hits, so nearly every
-  // function pays both levels, and the result still matches.
+  // Distinct random functions: classify_hierarchical's refine memo rarely
+  // hits, so nearly every function pays both levels, and the result still
+  // matches.
   const auto funcs = make_random_dataset(5, 200, 3);
   BatchEngineStats stats;
   expect_identical(classify_batch(funcs, ClassifierKind::kHierarchical, {.num_threads = 4}, &stats),
@@ -199,7 +201,8 @@ TEST(BatchEngine, SemiclassMemoHitsSkipTheCanonicalizer)
 {
   // 64 distinct NPN images of one n = 6 function: every image lands in the
   // same shard, and an image whose semiclass image was already resolved
-  // there answers from the memo instead of the exact canonicalizer.
+  // there answers from classify_exhaustive's memo instead of the exact
+  // canonicalizer.
   std::mt19937_64 rng{0x5c1a55ULL};
   const TruthTable f = tt_random(6, rng);
   std::vector<TruthTable> funcs;
@@ -210,13 +213,43 @@ TEST(BatchEngine, SemiclassMemoHitsSkipTheCanonicalizer)
     }
   }
 
+  const obs::LatencyHistogram& bb = obs::MetricRegistry::global().histogram(
+      "facet_canonicalize_latency", obs::label("path", "bb"));
+  const std::uint64_t bb_before = bb.snapshot().count();
   BatchEngineStats stats;
   const ClassificationResult batch =
       classify_batch(funcs, ClassifierKind::kExhaustive, {.num_threads = 2}, &stats);
+  const std::uint64_t bb_runs = bb.snapshot().count() - bb_before;
   expect_identical(batch, classify_exhaustive(funcs));
   EXPECT_EQ(batch.num_classes, 1u);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
-  EXPECT_LT(stats.cache_misses, funcs.size()) << "no semiclass-memo hit was counted";
+  // No input repeats: every function is a distinct one handed to the
+  // classifier, and the memo hits show only as skipped canonicalizations.
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, funcs.size());
+  EXPECT_LT(bb_runs, funcs.size()) << "no semiclass-memo hit skipped the canonicalizer";
+}
+
+TEST(BatchEngine, NonDefaultSignatureMatchesSequential)
+{
+  // `facet_cli classify --method fp-extended --jobs N` runs the fp kind
+  // under all_extended(). OIV alone merges classes (115 fp classes for the
+  // 150 true ones here), so fp's full-MSV shard key and exact's buckets
+  // both see collisions.
+  std::mt19937_64 rng{0x51a7ULL};
+  std::vector<TruthTable> funcs;
+  for (int i = 0; i < 150; ++i) {
+    const TruthTable f = tt_random(6, rng);
+    funcs.push_back(f);
+    funcs.push_back(apply_transform(f, NpnTransform::random(6, rng)));
+  }
+  for (const auto& config : {SignatureConfig::all_extended(), SignatureConfig::oiv_only()}) {
+    const BatchEngineOptions options{.num_threads = 4, .signature = config};
+    SCOPED_TRACE(config.name());
+    expect_identical(classify_batch(funcs, ClassifierKind::kFp, options), classify_fp(funcs, config));
+    expect_identical(classify_batch(funcs, ClassifierKind::kFpHashed, options),
+                     classify_fp_hashed(funcs, config));
+    expect_identical(classify_batch(funcs, ClassifierKind::kExact, options), classify_exact(funcs, config));
+  }
 }
 
 TEST(BatchEngine, KindNamesRoundTrip)

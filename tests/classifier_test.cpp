@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "facet/npn/codesign.hpp"
@@ -15,6 +16,7 @@
 #include "facet/npn/hierarchical.hpp"
 #include "facet/npn/matcher.hpp"
 #include "facet/npn/semi_canonical.hpp"
+#include "facet/obs/registry.hpp"
 #include "facet/tt/tt_generate.hpp"
 
 namespace facet {
@@ -217,6 +219,31 @@ TEST(Classifier, StrongerBucketsReduceMatcherWork)
   (void)classify_exact(funcs, SignatureConfig::all(), &strong_stats);
   EXPECT_LE(strong_stats.matcher_calls, weak_stats.matcher_calls);
   EXPECT_GE(strong_stats.buckets, weak_stats.buckets);
+}
+
+TEST(Classifier, ExhaustiveSemiclassMemoSkipsTheCanonicalizer)
+{
+  // 64 distinct NPN images of one n = 6 function. An image whose semiclass
+  // image was already resolved answers from classify_exhaustive's memo, so
+  // the branch-and-bound canonicalizer runs fewer than 64 times.
+  std::mt19937_64 rng{0x5c1a55ULL};
+  const TruthTable f = tt_random(6, rng);
+  std::vector<TruthTable> funcs;
+  while (funcs.size() < 64) {
+    const TruthTable image = apply_transform(f, NpnTransform::random(6, rng));
+    if (std::find(funcs.begin(), funcs.end(), image) == funcs.end()) {
+      funcs.push_back(image);
+    }
+  }
+
+  const obs::LatencyHistogram& bb = obs::MetricRegistry::global().histogram(
+      "facet_canonicalize_latency", obs::label("path", "bb"));
+  const std::uint64_t bb_before = bb.snapshot().count();
+  const ClassificationResult result = classify_exhaustive(funcs);
+  const std::uint64_t bb_runs = bb.snapshot().count() - bb_before;
+  EXPECT_EQ(result.num_classes, 1u);
+  EXPECT_GE(bb_runs, 1u);
+  EXPECT_LT(bb_runs, funcs.size()) << "no semiclass-memo hit skipped the canonicalizer";
 }
 
 TEST(Classifier, EmptyInput)

@@ -86,5 +86,33 @@ TEST(CliArgs, NumericGettersParseWholeValues)
   EXPECT_THROW((void)args.get_uint64("big", 0), std::invalid_argument);
 }
 
+TEST(CliArgs, RunMainRejectsANegativeCountBeforeTheBodyRuns)
+{
+  // A bench main reads its flags first: `--jobs -1` exits 1 with the
+  // getter's message instead of wrapping into 2^64 - 1 worker threads.
+  std::vector<std::string> tokens{"table3_classifier_comparison", "--jobs", "-1"};
+  std::vector<char*> argv;
+  for (auto& token : tokens) {
+    argv.push_back(token.data());
+  }
+  static bool worked = false;
+  const auto body = [](const CliArgs& args) {
+    const std::uint64_t jobs = args.get_uint64("jobs", 0);
+    worked = true;
+    return jobs == 0 ? 0 : 2;
+  };
+  testing::internal::CaptureStderr();
+  const int rc = run_main(static_cast<int>(argv.size()), argv.data(), body);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 1);
+  EXPECT_FALSE(worked);
+  EXPECT_NE(err.find("error: --jobs: expected a non-negative integer, got '-1'"), std::string::npos) << err;
+
+  tokens[2] = "0";
+  argv = {tokens[0].data(), tokens[1].data(), tokens[2].data()};
+  EXPECT_EQ(run_main(static_cast<int>(argv.size()), argv.data(), body), 0);
+  EXPECT_TRUE(worked);
+}
+
 }  // namespace
 }  // namespace facet

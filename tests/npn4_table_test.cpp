@@ -217,7 +217,7 @@ TEST(Npn4Store, TableTierIdsMatchTheWalkClassifier)
         n <= 3 ? exhaustive_workload(n, 0x5172ULL + static_cast<std::uint64_t>(n))
                : random_workload(n, 0x5173ULL + static_cast<std::uint64_t>(n), 400);
     const ClassificationResult expected = classify_exhaustive(funcs);
-    const ClassificationResult walked = classify_by_canonical(
+    const ClassificationResult walked = classify_by_key(
         funcs, [](const TruthTable& tt) { return exact_npn_canonical_walk(tt); });
     ASSERT_EQ(expected.class_of, walked.class_of);
 

@@ -117,29 +117,7 @@ int cmd_classify(const CliArgs& args)
     options.signature = config;
     result = classify_batch(funcs, *kind, options, &stats);
   } else {
-    switch (*kind) {
-      case ClassifierKind::kExact:
-        result = classify_exact(funcs);
-        break;
-      case ClassifierKind::kExhaustive:
-        result = classify_exhaustive(funcs);
-        break;
-      case ClassifierKind::kFp:
-        result = classify_fp(funcs, config);
-        break;
-      case ClassifierKind::kFpHashed:
-        result = classify_fp_hashed(funcs, config);
-        break;
-      case ClassifierKind::kSemiCanonical:
-        result = classify_semi_canonical(funcs);
-        break;
-      case ClassifierKind::kHierarchical:
-        result = classify_hierarchical(funcs);
-        break;
-      case ClassifierKind::kCodesign:
-        result = classify_codesign(funcs);
-        break;
-    }
+    result = classify(funcs, *kind, config);
   }
   const double seconds = watch.seconds();
   const std::uint64_t table_lookups = npn4_table_lookups() - table_lookups_before;
