@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "facet/data/dataset.hpp"
@@ -57,12 +58,14 @@ int run(const facet::CliArgs& args)
   using namespace facet;
   const std::uint64_t points = args.get_uint64("points", 8);
   const std::uint64_t seed = args.get_uint64("seed", 55);
+  // Every flag is read before the first line of output, so a malformed one
+  // fails with nothing printed.
+  const std::size_t step5 = static_cast<std::size_t>(args.get_uint64("step5", 25000));
+  const std::size_t step7 = static_cast<std::size_t>(args.get_uint64("step7", 10000));
 
   std::cout << "Fig. 5: runtime stability, ours vs co-designed canonical (testnpn -11 analog)\n";
 
-  for (const auto& [n, step_flag, step_default] :
-       std::vector<std::tuple<int, const char*, std::uint64_t>>{{5, "step5", 25000}, {7, "step7", 10000}}) {
-    const std::size_t step = static_cast<std::size_t>(args.get_uint64(step_flag, step_default));
+  for (const auto& [n, step] : std::vector<std::pair<int, std::size_t>>{{5, step5}, {7, step7}}) {
     std::cout << "\n" << n << "-bit functions (consecutive binary encoding), step " << step << ":\n\n";
 
     AsciiTable table;

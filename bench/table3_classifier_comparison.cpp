@@ -22,10 +22,8 @@
 /// Flags: --min-n, --max-n (default 4..8), --max-funcs (default 20000),
 ///        --jobs (batch-engine threads), --sequential-only.
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 
 #include "facet/data/dataset.hpp"
 #include "facet/engine/batch_engine.hpp"
@@ -36,6 +34,7 @@
 #include "facet/npn/hierarchical.hpp"
 #include "facet/npn/semi_canonical.hpp"
 #include "facet/util/cli.hpp"
+#include "facet/util/parallel.hpp"
 #include "facet/util/table.hpp"
 #include "facet/util/timer.hpp"
 
@@ -62,12 +61,8 @@ int run(const facet::CliArgs& args)
   const int min_n = static_cast<int>(args.get_int("min-n", 4));
   const int max_n = static_cast<int>(args.get_int("max-n", 8));
   const std::size_t max_funcs = static_cast<std::size_t>(args.get_uint64("max-funcs", 20000));
-  // --jobs 0 = hardware concurrency, matching facet_cli; hardware_concurrency
-  // itself may legally report 0, so clamp to one worker.
-  std::size_t jobs = static_cast<std::size_t>(args.get_uint64("jobs", 0));
-  if (jobs == 0) {
-    jobs = std::max(1u, std::thread::hardware_concurrency());
-  }
+  // --jobs 0 = hardware concurrency, resolved as facet_cli does.
+  const std::size_t jobs = resolve_num_threads(args.get_uint64("jobs", 0));
   const bool run_engine = !args.get_bool("sequential-only");
 
   std::cout << "Table III: runtime (s) and accuracy of NPN classifiers (circuit-derived sets)\n\n";

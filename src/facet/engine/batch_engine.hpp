@@ -3,16 +3,17 @@
 ///        the library.
 ///
 /// classify_batch runs the sequential classifier of a ClassifierKind
-/// (classifier.hpp) on a worker pool, in three phases:
+/// (classifier.hpp) on worker threads, in three phases:
 ///
-///  1. shard: partition the input by a cheap NPN-invariant key (shard.hpp)
-///     chosen so that no class of the classifier can straddle two shards;
-///  2. classify: on the worker pool (work_queue.hpp), each shard drops its
-///     repeated functions, so the repeats ubiquitous in cut-enumeration
-///     workloads never pay canonicalization twice, and hands its distinct
-///     functions to classify(), the same call the sequential path makes.
-///     Any memo lives in the classifier it serves (the semiclass memo of
-///     classify_exhaustive, the refine memo of classify_hierarchical);
+///  1. shard: partition the input by a cheap NPN-invariant key, chosen so
+///     that no class of the classifier can straddle two shards;
+///  2. classify: parallel_for (util/parallel.hpp) hands shards to threads;
+///     each shard drops its repeated functions, so the repeats ubiquitous
+///     in cut-enumeration workloads never pay canonicalization twice, and
+///     hands its distinct functions to classify(), the same call the
+///     sequential path makes. Any memo lives in the classifier it serves
+///     (the semiclass memo of classify_exhaustive, the refine memo of
+///     classify_hierarchical);
 ///  3. merge: renumber shard-local class ids into dense global ids by first
 ///     occurrence in input order.
 ///
@@ -34,8 +35,9 @@
 namespace facet {
 
 struct BatchEngineOptions {
-  /// Worker threads (including the calling thread); 0 = hardware concurrency.
-  /// The input is split into 8 shards per thread (skew headroom).
+  /// Worker threads (including the calling thread); 0 = hardware concurrency,
+  /// above kMaxThreads classify_batch throws std::invalid_argument. The input
+  /// is split into 8 shards per thread (skew headroom).
   std::size_t num_threads = 0;
   /// Signature configuration for the fp kinds and exact bucketing.
   SignatureConfig signature = SignatureConfig::all();
@@ -55,7 +57,7 @@ struct BatchEngineStats {
   std::size_t cache_misses = 0;
 };
 
-/// Classifies `funcs` on a worker pool; the result is bit-identical to
+/// Classifies `funcs` on worker threads; the result is bit-identical to
 /// classify(funcs, kind, options.signature).
 [[nodiscard]] ClassificationResult classify_batch(std::span<const TruthTable> funcs, ClassifierKind kind,
                                                   const BatchEngineOptions& options = {},

@@ -19,8 +19,6 @@
 #include "facet/aig/simulate.hpp"
 #include "facet/data/dataset.hpp"
 #include "facet/engine/batch_engine.hpp"
-#include "facet/engine/shard.hpp"
-#include "facet/engine/work_queue.hpp"
 #include "facet/net/frame.hpp"
 #include "facet/net/reactor.hpp"
 #include "facet/net/server.hpp"
@@ -64,5 +62,6 @@
 #include "facet/tt/tt_transform.hpp"
 #include "facet/util/cli.hpp"
 #include "facet/util/hash.hpp"
+#include "facet/util/parallel.hpp"
 #include "facet/util/table.hpp"
 #include "facet/util/timer.hpp"

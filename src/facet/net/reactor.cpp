@@ -19,6 +19,7 @@
 
 #include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
+#include "facet/util/parallel.hpp"
 
 namespace facet {
 
@@ -411,6 +412,7 @@ void Reactor::start()
   if (im.started) {
     return;
   }
+  const std::size_t count = resolve_num_threads(im.options.workers);
   im.started = true;
 
   if (im.options.idle_timeout.count() > 0) {
@@ -418,9 +420,6 @@ void Reactor::start()
         std::chrono::milliseconds{1},
         im.options.idle_timeout / static_cast<int>(Impl::kWheelSlots / 2));
   }
-  const std::size_t count = im.options.workers != 0
-                                ? im.options.workers
-                                : std::max(1u, std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < count; ++i) {
     im.loops.push_back(std::make_unique<Impl::Loop>(im));
   }

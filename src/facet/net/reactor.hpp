@@ -74,7 +74,8 @@ class ReactorConnection {
 };
 
 struct ReactorOptions {
-  /// Event loops, one thread each; 0 = std::thread::hardware_concurrency().
+  /// Event loops, one thread each; 0 = hardware concurrency, above
+  /// kMaxThreads start() throws std::invalid_argument (util/parallel.hpp).
   std::size_t workers = 0;
   /// Close connections idle for this long; <= 0 disables the timer wheel.
   std::chrono::milliseconds idle_timeout{0};

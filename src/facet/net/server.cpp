@@ -227,8 +227,7 @@ void ServeServer::start()
   // One maintenance thread: a writable server compacts, a readonly one
   // polls for the primary's compactions.
   const bool reloads = options_.readonly && options_.reload_poll.count() > 0;
-  const bool compacts = !options_.readonly &&
-                        (options_.compact_after_runs != 0 || options_.compact_after_bytes != 0);
+  const bool compacts = !options_.readonly && options_.compact_after_runs != 0;
   if (reloads) {
     // Stamp before launching so startup never triggers a spurious reload —
     // the stores already serve exactly what is on disk right now.
@@ -425,12 +424,7 @@ std::size_t ServeServer::run_due_compactions()
     }
     // Trigger probes read the published tier snapshot without entering the
     // store gate.
-    const bool due = (options_.compact_after_runs != 0 &&
-                      index.store->num_delta_segments() >= options_.compact_after_runs) ||
-                     (options_.compact_after_bytes != 0 &&
-                      ClassStore::delta_log_size(ClassStore::delta_log_path(index.path)) >=
-                          options_.compact_after_bytes);
-    if (!due) {
+    if (index.store->num_delta_segments() < options_.compact_after_runs) {
       continue;
     }
     try {

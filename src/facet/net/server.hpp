@@ -30,8 +30,8 @@
 /// the background compactor. A writable server owns its files and every
 /// delta flush happens in a session, so the compactor sleeps until a
 /// session closes (its exit flush may have sealed a run) and then checks
-/// every served store: when the sealed delta-run count or the `.dlog` size
-/// crosses its threshold, it folds base + runs into a fresh base segment
+/// every served store: when the sealed delta-run count reaches
+/// `compact_after_runs`, it folds base + runs into a fresh base segment
 /// through the store's one compaction path
 /// (ClassStore::compact, run in its two halves begin_compaction /
 /// finish_compaction so the server can count what it folds) — the heavy
@@ -100,7 +100,8 @@ struct ServeServerOptions {
   /// connection, "v1" / "v2" pin every connection to one protocol.
   std::string proto = "auto";
 
-  /// Event-loop threads running protocol sessions; 0 = hardware_concurrency.
+  /// Event-loop threads running protocol sessions; 0 = hardware_concurrency,
+  /// above kMaxThreads start() throws std::invalid_argument.
   std::size_t workers = 0;
 
   /// Sessions log any request slower than this many microseconds to stderr
@@ -117,11 +118,8 @@ struct ServeServerOptions {
   std::chrono::milliseconds reload_poll{0};
 
   /// Compact a store once it holds >= this many sealed delta runs
-  /// (0 disables the run-count trigger).
+  /// (0 disables background compaction).
   std::size_t compact_after_runs = 0;
-  /// Compact a store once its `.dlog` reaches this many bytes
-  /// (0 disables the size trigger).
-  std::uint64_t compact_after_bytes = 0;
 };
 
 /// One compaction the server performed (surfaced for logs and tests).

@@ -369,8 +369,8 @@ class ClassStore {
     return compactions_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes currently in the delta log at `dlog_path` (0 when absent) — the
-  /// `--compact-after-bytes` trigger input.
+  /// Bytes currently in the delta log at `dlog_path` (0 when absent) — what
+  /// a compaction folds away (CompactionEvent::bytes).
   [[nodiscard]] static std::uint64_t delta_log_size(const std::string& dlog_path) noexcept;
 
   // -- lookup tiers --------------------------------------------------------

@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "facet/engine/work_queue.hpp"
 #include "facet/npn/exact_canon.hpp"
+#include "facet/util/parallel.hpp"
 
 namespace facet {
 
@@ -42,10 +42,9 @@ ClassStore build_class_store(std::span<const TruthTable> funcs, const StoreBuild
   }
   const std::vector<std::uint32_t> sizes = result.class_sizes();
 
-  // One canonicalization-with-transform per class, fanned out over a pool.
+  // One canonicalization-with-transform per class, fanned out over threads.
   std::vector<StoreRecord> records(result.num_classes);
-  WorkerPool pool{options.num_threads};
-  pool.run_indexed(result.num_classes, [&](std::size_t c) {
+  parallel_for(result.num_classes, options.num_threads, [&](std::size_t c) {
     const TruthTable& rep = funcs[rep_index[c]];
     const CanonResult canon = exact_npn_canonical_with_transform(rep);
     records[c] = StoreRecord{canon.canonical, rep, canon.transform,

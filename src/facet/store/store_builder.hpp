@@ -3,7 +3,7 @@
 ///
 /// Classification is one classify_batch(kExhaustive) call (exact canonical
 /// classes, dense ids by first occurrence), then one exact canonicalization
-/// with a witnessing transform per class — fanned out over a worker pool —
+/// with a witnessing transform per class — fanned out by parallel_for —
 /// produces the store records. The resulting store answers lookups with the
 /// exact class ids, sizes and partition the engine would produce on the
 /// build dataset.
@@ -18,7 +18,8 @@
 namespace facet {
 
 struct StoreBuildOptions {
-  /// Worker threads for classification and canonicalization (0 = all cores).
+  /// Worker threads for classification and canonicalization (0 = all cores;
+  /// above kMaxThreads build_class_store throws std::invalid_argument).
   std::size_t num_threads = 0;
   /// Options of the produced store (hot-cache sizing).
   ClassStoreOptions store{};

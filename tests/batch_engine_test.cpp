@@ -1,6 +1,7 @@
 /// Tests for the parallel batch-classification engine: bit-identity with
 /// every sequential classifier, determinism across thread (and so shard)
-/// counts, hit/miss accounting, and degenerate inputs.
+/// counts, hit/miss accounting, and degenerate inputs; and for the
+/// parallel_for / resolve_num_threads pair it runs on.
 
 #include "facet/engine/batch_engine.hpp"
 
@@ -8,12 +9,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <mutex>
 #include <random>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "facet/data/dataset.hpp"
-#include "facet/engine/work_queue.hpp"
 #include "facet/npn/codesign.hpp"
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/fp_classifier.hpp"
@@ -22,6 +27,7 @@
 #include "facet/npn/transform.hpp"
 #include "facet/obs/registry.hpp"
 #include "facet/tt/tt_generate.hpp"
+#include "facet/util/parallel.hpp"
 
 namespace facet {
 namespace {
@@ -60,35 +66,83 @@ void expect_identical(const ClassificationResult& a, const ClassificationResult&
   ASSERT_EQ(a.class_of, b.class_of);
 }
 
-TEST(WorkerPool, RunsEveryIndexExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-  WorkerPool pool{4};
-  EXPECT_EQ(pool.num_threads(), 4u);
   std::vector<std::atomic<int>> counts(1000);
-  pool.run_indexed(counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); });
+  parallel_for(counts.size(), 4, [&](std::size_t i) { counts[i].fetch_add(1); });
   for (const auto& c : counts) {
     EXPECT_EQ(c.load(), 1);
   }
 }
 
-TEST(WorkerPool, EmptyBatchReturnsImmediately)
+TEST(ParallelFor, EmptyBatchReturnsImmediately)
 {
-  WorkerPool pool{2};
   bool called = false;
-  pool.run_indexed(0, [&](std::size_t) { called = true; });
+  parallel_for(0, 2, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(WorkerPool, PropagatesTaskExceptions)
+TEST(ParallelFor, PropagatesTaskExceptions)
 {
-  WorkerPool pool{3};
-  EXPECT_THROW(pool.run_indexed(64,
-                                [&](std::size_t i) {
-                                  if (i == 17) {
-                                    throw std::runtime_error{"boom"};
-                                  }
-                                }),
+  std::vector<std::atomic<int>> counts(64);
+  EXPECT_THROW(parallel_for(counts.size(), 3,
+                            [&](std::size_t i) {
+                              if (i == 17) {
+                                throw std::runtime_error{"boom"};
+                              }
+                              counts[i].fetch_add(1);
+                            }),
                std::runtime_error);
+  // The throw stops no other index: the remaining 63 still ran, once each.
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].load(), i == 17 ? 0 : 1) << "index " << i;
+  }
+}
+
+/// Threads of this process right now, as the kernel counts them.
+std::size_t live_threads()
+{
+  std::ifstream status{"/proc/self/status"};
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoul(line.substr(8));
+    }
+  }
+  return 0;
+}
+
+TEST(ParallelFor, StartsNoMoreThreadsThanItems)
+{
+  const std::size_t before = live_threads();
+  ASSERT_GE(before, 1u);
+  std::mutex mutex;
+  std::set<std::thread::id> callers;
+  std::size_t most_live = 0;
+  parallel_for(3, 8, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock{mutex};
+    callers.insert(std::this_thread::get_id());
+    most_live = std::max(most_live, live_threads());
+  });
+  EXPECT_GE(callers.size(), 1u);
+  EXPECT_LE(callers.size(), 3u);
+  // Three items need at most two helpers next to the caller, whatever
+  // num_threads asks for.
+  EXPECT_LE(most_live, before + 2);
+}
+
+TEST(ResolveNumThreads, ZeroIsHardwareConcurrencyAndTheBoundIsInclusive)
+{
+  // Only resolve_num_threads sees an over-bound count: handed to anything
+  // that starts threads, a broken bound would start them.
+  const std::size_t hardware = resolve_num_threads(0);
+  EXPECT_GE(hardware, 1u);
+  EXPECT_LE(hardware, kMaxThreads);
+  if (std::thread::hardware_concurrency() != 0) {
+    EXPECT_EQ(hardware, std::min<std::size_t>(std::thread::hardware_concurrency(), kMaxThreads));
+  }
+  EXPECT_EQ(resolve_num_threads(1), 1u);
+  EXPECT_EQ(resolve_num_threads(kMaxThreads), kMaxThreads);
+  EXPECT_THROW((void)resolve_num_threads(kMaxThreads + 1), std::invalid_argument);
 }
 
 TEST(BatchEngine, MatchesEverySequentialClassifierOnRandomSets)

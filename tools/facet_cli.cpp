@@ -85,9 +85,9 @@ int cmd_classify(const CliArgs& args)
   const std::string method = args.get_string("method", "fp");
   // --jobs N: classify on the parallel batch engine with N worker threads
   // (0 = hardware concurrency). Without --jobs the sequential classifiers
-  // run directly, as before.
+  // run directly, as before. The count is checked before any input is read.
   const bool use_engine = args.has("jobs");
-  const std::size_t jobs = static_cast<std::size_t>(args.get_uint64("jobs", 0));
+  const std::size_t jobs = resolve_num_threads(args.get_uint64("jobs", 0));
 
   const std::vector<TruthTable> funcs = read_input_functions(n, args);
   if (funcs.empty()) {
@@ -195,7 +195,7 @@ int cmd_build_index(const CliArgs& args)
     return 1;
   }
   StoreBuildOptions options;
-  options.num_threads = static_cast<std::size_t>(args.get_uint64("jobs", 0));
+  options.num_threads = resolve_num_threads(args.get_uint64("jobs", 0));
   const std::vector<TruthTable> funcs = read_input_functions(n, args);
   if (funcs.empty()) {
     std::cerr << "error: no functions read (expected one hex truth table per line)\n";
@@ -384,9 +384,9 @@ ServeServerOptions server_options_from(const CliArgs& args)
   options.reload_poll = std::chrono::milliseconds{static_cast<IdleRep>(reload_ms)};
   options.compact_after_runs =
       static_cast<std::size_t>(args.get_uint64("compact-after-runs", 0));
-  options.compact_after_bytes = args.get_uint64("compact-after-bytes", 0);
   options.slow_request_us = args.get_uint64("slow-us", 0);
-  options.workers = static_cast<std::size_t>(args.get_uint64("workers", 0));
+  // Checked here too, so an over-bound count fails before any port is bound.
+  options.workers = resolve_num_threads(args.get_uint64("workers", 0));
   options.proto = args.get_string("proto", "auto");
   if (options.proto != "auto" && options.proto != "v1" && options.proto != "v2") {
     throw std::invalid_argument{"--proto: expected v1, v2 or auto"};
@@ -469,7 +469,7 @@ int cmd_serve(const CliArgs& args)
 
 /// `facet_cli fleet`: one writable primary plus N read-only replica
 /// processes, all serving the SAME store directory. The primary runs
-/// in-process (background compaction enabled via --compact-after-*); each
+/// in-process (background compaction enabled via --compact-after-runs); each
 /// replica is this same binary re-exec'ed as
 /// `serve --readonly --reload-poll-ms T`, so it adopts every compacted base
 /// the primary renames into place. Replica k listens on base port + k + 1.
@@ -480,7 +480,7 @@ int cmd_fleet(const CliArgs& args)
   if (index.empty() || listen.empty()) {
     std::cerr << "usage: facet_cli fleet --index FILE.fcs --listen HOST:PORT [--replicas N]\n"
                  "       [--reload-poll-ms T] [--mmap] [--append]\n"
-                 "       [--compact-after-runs K] [--compact-after-bytes B]\n";
+                 "       [--compact-after-runs K]\n";
     return 1;
   }
   const std::size_t replicas = static_cast<std::size_t>(args.get_uint64("replicas", 2));
@@ -692,7 +692,7 @@ void print_usage()
                "  classify    --n N [--method fp|fp-extended|fp-hashed|exact|kitty|semi|hier|codesign]\n"
                "              [--jobs N] [--input FILE] [--print-classes]\n"
                "              (hex tables on stdin by default; --jobs N runs the parallel\n"
-               "               batch engine with N threads, 0 = all cores)\n"
+               "               batch engine with N threads, 0 = all cores, at most 1024)\n"
                "  build-index --n N --out FILE.fcs [--input FILE] [--jobs N]\n"
                "              (classify a dataset and persist it as a class store)\n"
                "  lookup      --index FILE.fcs [<hex>...] [--input FILE] [--append] [--mmap]\n"
@@ -713,7 +713,7 @@ void print_usage()
                "  serve       ... --listen [HOST:]PORT and/or --unix PATH [--readonly]\n"
                "              [--max-conns N] [--idle-timeout-ms T] [--workers N]\n"
                "              [--proto auto|v1|v2]\n"
-               "              [--compact-after-runs K] [--compact-after-bytes B]\n"
+               "              [--compact-after-runs K]\n"
                "              [--slow-us T] [--metrics-json FILE]\n"
                "              (socket server: one epoll event loop per worker (--workers,\n"
                "               default = hardware threads) owns its share of the connections\n"
@@ -722,8 +722,8 @@ void print_usage()
                "               0xFB = v2), v1/v2 pin it; port 0 binds an ephemeral port,\n"
                "               reported on stderr;\n"
                "               --readonly rejects appends and live classification;\n"
-               "               --compact-after-* runs background compaction when a store's\n"
-               "               delta runs / .dlog bytes cross the threshold;\n"
+               "               --compact-after-runs K runs background compaction once a\n"
+               "               store holds K sealed delta runs;\n"
                "               --readonly --reload-poll-ms T re-stats the index every T ms\n"
                "               and re-opens it when the primary compacts (replica mode);\n"
                "               SIGINT/SIGTERM drain connections and flush before exit)\n"
