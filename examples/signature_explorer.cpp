@@ -43,11 +43,8 @@ void explore(const TruthTable& tt)
             << ", sen1 = " << sensitivity1(tt) << ", total influence = " << total_influence(tt) << "\n\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv)
+int run(const CliArgs& args, int argc, char** argv)
 {
-  const CliArgs args{argc, argv};
   const int n = static_cast<int>(args.get_int("n", 3));
 
   std::vector<TruthTable> functions;
@@ -85,4 +82,12 @@ int main(int argc, char** argv)
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv)
+{
+  return run_main(argc, argv,
+                  [argc, argv](const CliArgs& args) { return run(args, argc, argv); });
 }

@@ -70,6 +70,11 @@ namespace facet {
 /// (npn4_table.hpp); wider inputs run the branch-and-bound search.
 [[nodiscard]] TruthTable exact_npn_canonical(const TruthTable& tt);
 
+/// Same result, reusing `seed` == semiclass_form(tt) as the branch-and-bound
+/// incumbent instead of deriving it again (classify_exhaustive has it from
+/// its memo key).
+[[nodiscard]] TruthTable exact_npn_canonical(const TruthTable& tt, const SemiclassResult& seed);
+
 struct CanonResult {
   TruthTable canonical;
   /// Transform with apply_transform(input, transform) == canonical.

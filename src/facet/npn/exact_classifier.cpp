@@ -82,9 +82,11 @@ ClassificationResult classify_exhaustive(std::span<const TruthTable> funcs)
       // widths, cheaper than deriving the image.
       return exact_npn_canonical(tt);
     }
-    auto [it, inserted] = semiclass_memo.try_emplace(semiclass_form(tt).image);
+    const SemiclassResult sc = semiclass_form(tt);
+    auto [it, inserted] = semiclass_memo.try_emplace(sc.image);
     if (inserted) {
-      it->second = exact_npn_canonical(tt);
+      // The image seeds the search: one semiclass pass per memo miss.
+      it->second = exact_npn_canonical(tt, sc);
     }
     return it->second;
   });

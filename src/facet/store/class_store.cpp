@@ -715,10 +715,11 @@ void ClassStore::npn4_prefill()
 }
 
 std::optional<StoreLookupResult> ClassStore::probe_front(const TruthTable& f,
-                                                         std::optional<Npn4Result>& table) const
+                                                         std::optional<Npn4Result>& table,
+                                                         bool& admit) const
 {
   if (npn4_ == nullptr) {
-    return cached_answer(cache_, f, LookupSource::kHotCache);
+    return cached_answer(cache_, f, LookupSource::kHotCache, &admit);
   }
   // Tier 0: one table load resolves class index + canonical + witness. No
   // cache, no memo, no canonicalization — the table IS the canonicalizer
@@ -734,18 +735,23 @@ std::optional<StoreLookupResult> ClassStore::probe_front(const TruthTable& f,
 
 std::optional<StoreLookupResult> ClassStore::cached_answer(const AnswerCache& cache,
                                                            const TruthTable& key,
-                                                           LookupSource source) const
+                                                           LookupSource source,
+                                                           bool* admit) const
 {
   std::optional<StoreLookupResult> result{std::in_place};
   result->representative = TruthTable{num_vars_};
   CacheEntry entry;
-  if (cache.get(key.words(), entry, result->representative.words())) {
+  const CacheProbe probe = cache.get(key.words(), entry, result->representative.words());
+  if (probe) {
     result->class_id = entry.class_id;
     result->to_representative = entry.to_representative;
     result->known = true;
     result->source = source;
   } else {
     result.reset();
+    if (admit != nullptr) {
+      *admit = probe.admit;
+    }
   }
   return result;
 }
@@ -757,13 +763,16 @@ void ClassStore::cache_put(const TruthTable& f, const StoreLookupResult& result)
 }
 
 std::optional<StoreLookupResult> ClassStore::memo_probe(const TruthTable& f,
-                                                        const SemiclassResult& sc) const
+                                                        const SemiclassResult& sc,
+                                                        bool admit) const
 {
   std::optional<StoreLookupResult> result = cached_answer(memo_, sc.image, LookupSource::kMemo);
   if (result.has_value()) {
     // f --sc.transform--> image --entry.to_representative--> representative.
     result->to_representative = compose(result->to_representative, sc.transform);
-    cache_put(f, *result);
+    if (admit) {
+      cache_put(f, *result);
+    }
   }
   return result;
 }
@@ -802,10 +811,13 @@ std::optional<StoreLookupResult> ClassStore::walk(const TruthTable& f,
   const bool sampled = obs::sample_1_in<kFastTierSample>();
   std::uint64_t t0 = sampled ? obs::now_ticks() : 0;
   std::optional<Npn4Result> table;
-  std::optional<StoreLookupResult> result = probe_front(f, table);
+  // The hot cache's verdict on a put of f: a memo hit puts only what it
+  // admits, the slower tiers always put (f just cost a canonicalization).
+  bool admit = true;
+  std::optional<StoreLookupResult> result = probe_front(f, table, admit);
   std::optional<SemiclassResult> sc;
   if (!result.has_value() && !table.has_value() && options_.semiclass_memo_capacity > 0) {
-    result = memo_probe(f, sc.emplace(semiclass_form(f)));
+    result = memo_probe(f, sc.emplace(semiclass_form(f)), admit);
   }
   const bool searched = !result.has_value();
   if (searched) {

@@ -20,12 +20,18 @@
 ///                    the table's canonical form; a hit fills the slot;
 ///   1. hot cache   — f itself was looked up recently: one probe of a
 ///                    sharded set-associative table keyed by f's words, no
-///                    canonicalization at all (hot_cache.hpp);
+///                    canonicalization at all (hot_cache.hpp). A miss also
+///                    yields the cache's admission verdict on f: admit while
+///                    the cache has room, else only when f repeats (its tag
+///                    is one of the last keys declined in its set);
 ///   2. memo        — semiclass memo: map f to its one-pass semiclass image
 ///                    (semiclass_form, semiclass.hpp, word-level and
 ///                    allocation-free for n <= 7) and probe a second such
 ///                    table keyed by that exact image — no search, no exact
-///                    canonicalization;
+///                    canonicalization. A hit warms the hot cache only when
+///                    tier 1 admitted f, so a stream of orbit images that
+///                    never repeat costs no put and no eviction; index hits
+///                    and live appends always warm it;
 ///   3. memtable    — canonicalize f with a witnessing transform (seeded by
 ///                    its semiclass form), then probe the unflushed appends
 ///                    (hash map);
@@ -503,20 +509,25 @@ class ClassStore {
                                               bool repair_torn_tail);
   /// The walk's first two tiers: at width <= 4, the norm-table entry of f
   /// (kept in `table` for the slower tiers) and its class's slot; wider,
-  /// the hot cache. Returns by value into the walk's result, so a cache hit
-  /// is never moved a second time.
+  /// the hot cache, whose miss sets `admit` to its verdict on a put of f.
+  /// Returns by value into the walk's result, so a cache hit is never
+  /// moved a second time.
   [[nodiscard]] std::optional<StoreLookupResult> probe_front(
-      const TruthTable& f, std::optional<Npn4Result>& table) const;
-  /// The answer `cache` holds under `key`, reported as `source`.
+      const TruthTable& f, std::optional<Npn4Result>& table, bool& admit) const;
+  /// The answer `cache` holds under `key`, reported as `source`. On a miss
+  /// a non-null `admit` receives the cache's admission verdict.
   [[nodiscard]] std::optional<StoreLookupResult> cached_answer(const AnswerCache& cache,
                                                                const TruthTable& key,
-                                                               LookupSource source) const;
+                                                               LookupSource source,
+                                                               bool* admit = nullptr) const;
   /// Hot-cache put of f's resolved answer.
   void cache_put(const TruthTable& f, const StoreLookupResult& result) const;
-  /// Memo probe by f's semiclass image `sc`; a hit warms the hot cache.
-  /// nullopt when no resolved class was memoized under that image.
+  /// Memo probe by f's semiclass image `sc`; a hit warms the hot cache when
+  /// the hot cache admitted f. nullopt when no resolved class was memoized
+  /// under that image.
   [[nodiscard]] std::optional<StoreLookupResult> memo_probe(const TruthTable& f,
-                                                            const SemiclassResult& sc) const;
+                                                            const SemiclassResult& sc,
+                                                            bool admit) const;
   /// Memoizes an index-resolved answer for f under f's semiclass image `sc`.
   void memo_insert(const SemiclassResult& sc, const StoreLookupResult& result) const;
   /// The tier walk behind lookup() and lookup_or_classify(): tiers 0-5 of

@@ -22,6 +22,18 @@
 /// (only then does a miss read those lines too). With no free way there,
 /// the put evicts the home set's least recently used way.
 ///
+/// A get that misses also says whether a put of the key should follow
+/// (CacheProbe::admit), under the shard lock it already holds. While a put
+/// would take a free way — the shard is still growing, or a set of the
+/// key's probe span has room — every miss is admitted. Once it would evict,
+/// a miss is admitted only when it repeats: each set keeps the tags of the
+/// last three keys declined there (ghosts, in the spare bytes of its line),
+/// and a miss whose tag is a ghost of its home set consumes that ghost and
+/// is admitted; any other miss becomes the newest ghost and is declined.
+/// So a stream of keys that never come back costs one set line per miss
+/// instead of a put and an eviction, and the cache keeps what does repeat.
+/// put itself stays unconditional: admission is the caller's choice.
+///
 /// `capacity` is a hard bound on the entries of the whole cache: it is
 /// split across the shards, and each shard's final geometry has exactly its
 /// share of ways. Storage is not allocated up front: a shard starts with
@@ -57,6 +69,15 @@ struct HotCacheStats {
   std::size_t slots = 0;
 };
 
+/// What a get found: a hit (the value and payload were copied out), or a
+/// miss and whether a put of the key should follow it.
+struct CacheProbe {
+  bool hit = false;
+  /// On a miss: the key repeats, or a put would take a free way.
+  bool admit = false;
+  explicit operator bool() const noexcept { return hit; }
+};
+
 template <typename Value>
 class SetAssociativeCache {
   static_assert(std::is_trivially_copyable_v<Value>, "values are stored as raw words");
@@ -85,10 +106,12 @@ class SetAssociativeCache {
   }
 
   /// Copies the cached value and payload of `key` out and marks the entry
-  /// most recently used. False on a miss. Keys span `key_words` words and
-  /// payloads `payload_words`, in get and put alike.
-  [[nodiscard]] bool get(std::span<const std::uint64_t> key, Value& value,
-                         std::span<std::uint64_t> payload) const
+  /// most recently used. On a miss, reports the admission verdict of the
+  /// file comment (and notes the key as a ghost when it declines). Keys
+  /// span `key_words` words and payloads `payload_words`, in get and put
+  /// alike.
+  [[nodiscard]] CacheProbe get(std::span<const std::uint64_t> key, Value& value,
+                               std::span<std::uint64_t> payload) const
   {
     const std::uint64_t h = hash_words(key);
     Shard& shard = shard_for(h);
@@ -100,10 +123,10 @@ class SetAssociativeCache {
       std::memcpy(static_cast<void*>(&value), record + key_words_ + payload_words_,
                   sizeof(Value));
       touch(shard.sets[slot->set], slot->way);
-      return true;
+      return CacheProbe{.hit = true};
     }
     ++shard.misses;
-    return false;
+    return CacheProbe{.admit = admits(shard, h)};
   }
 
   /// Inserts or refreshes the entry of `key`. A new key takes a free way of
@@ -165,17 +188,24 @@ class SetAssociativeCache {
   /// the next kProbeSets - 1 sets (ring order within the shard).
   static constexpr std::size_t kProbeSets = 4;
 
+  /// Declined tags a set remembers (see admits).
+  static constexpr std::size_t kGhosts = 3;
+
   /// One set's metadata, in one cache line: per way the tag, the LRU rank
   /// (0 = most recently used) and the distance from the entry's home set;
   /// ways [0, used) are filled. `spilled` counts the entries homed here
   /// that live in later sets — zero means a miss reads this line only.
+  /// `ghosts` holds the tags of the last misses declined here, newest
+  /// first; 0 marks an empty ghost.
   struct alignas(64) SetLine {
     std::array<std::uint32_t, kWays> tags{};
+    std::array<std::uint32_t, kGhosts> ghosts{};
     std::array<std::uint8_t, kWays> rank{};
     std::array<std::uint8_t, kWays> offset{};
     std::uint8_t used = 0;
     std::uint8_t spilled = 0;
   };
+  static_assert(sizeof(SetLine) == 64, "a set's metadata is one cache line");
 
   struct Slot {
     std::size_t set = 0;
@@ -297,6 +327,48 @@ class SetAssociativeCache {
       }
     }
     return std::nullopt;
+  }
+
+  /// A miss's verdict on a put of its key: yes while the put would take a
+  /// free way — the shard is still growing, or a set of the key's probe
+  /// span has room. Otherwise yes only when the key's tag is a ghost of its
+  /// home set, which the match consumes; a tag that is not becomes the
+  /// newest ghost, pushing out the oldest. A tag of 0 reads as an empty
+  /// ghost, so the rare key with that tag is always admitted.
+  static bool admits(Shard& shard, std::uint64_t h)
+  {
+    if (shard.sets.size() < shard.final_sets || has_free_way(shard, h)) {
+      return true;
+    }
+    std::array<std::uint32_t, kGhosts>& ghosts = shard.sets[set_of(shard, h)].ghosts;
+    const std::uint32_t tag = tag_of(h);
+    const auto ghost = std::find(ghosts.begin(), ghosts.end(), tag);
+    if (ghost != ghosts.end()) {
+      std::copy(ghost + 1, ghosts.end(), ghost);
+      ghosts.back() = 0;
+      return true;
+    }
+    std::copy_backward(ghosts.begin(), ghosts.end() - 1, ghosts.end());
+    ghosts.front() = tag;
+    return false;
+  }
+
+  /// Whether a put of a new key hashing to `h` would find a free way: some
+  /// set of its probe span is not full. A shard with every slot filled has
+  /// none, so only a shard with room scans the span.
+  static bool has_free_way(const Shard& shard, std::uint64_t h) noexcept
+  {
+    if (shard.entries == num_slots(shard)) {
+      return false;
+    }
+    const std::size_t home = set_of(shard, h);
+    for (std::size_t distance = 0; distance < probe_span(shard); ++distance) {
+      const std::size_t set = (home + distance) % shard.sets.size();
+      if (shard.sets[set].used < ways_of(shard, set)) {
+        return true;
+      }
+    }
+    return false;
   }
 
   /// Marks `way` most recently used: every way ranked before it ages by one.

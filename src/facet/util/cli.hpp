@@ -19,6 +19,8 @@
 #include <system_error>
 #include <vector>
 
+#include "facet/util/parallel.hpp"
+
 namespace facet {
 
 class CliArgs {
@@ -115,11 +117,38 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// The main() of a bench or example: parses argv and runs `body`. A
-/// malformed flag (a getter's std::invalid_argument, e.g. a negative count)
-/// or any other exception prints "error: <what>" and exits 1, as facet_cli
-/// does.
-inline int run_main(int argc, char** argv, int (*body)(const CliArgs&))
+/// The base port of `facet_cli fleet --listen HOST:PORT --replicas N`,
+/// checked before anything is forked: the primary listens on PORT and
+/// replica k on PORT + k + 1. Throws std::invalid_argument unless `port` is
+/// a whole number in 1-65535 (port 0 is ephemeral and would leave the
+/// replica ports undetermined), `replicas` is at most kMaxThreads, and the
+/// last replica port is at most 65535.
+inline int fleet_base_port(const std::string& port, std::uint64_t replicas)
+{
+  std::int64_t base = 0;
+  const char* last = port.data() + port.size();
+  const auto [end, error] = std::from_chars(port.data(), last, base);
+  if (error != std::errc{} || end != last || base < 1 || base > 65535) {
+    throw std::invalid_argument{"fleet: base port '" + port +
+                                "' is not in 1-65535 (port 0 is ephemeral)"};
+  }
+  if (replicas > kMaxThreads) {
+    throw std::invalid_argument{"--replicas: " + std::to_string(replicas) + " is above " +
+                                std::to_string(kMaxThreads)};
+  }
+  if (static_cast<std::uint64_t>(base) + replicas > 65535) {
+    throw std::invalid_argument{"--replicas: " + std::to_string(replicas) +
+                                " replicas from base port " + port + " run past port 65535"};
+  }
+  return static_cast<int>(base);
+}
+
+/// The main() of a bench or example: parses argv and runs `body`, any
+/// callable taking the CliArgs and returning the exit code. A malformed
+/// flag (a getter's std::invalid_argument, e.g. a negative count) or any
+/// other exception prints "error: <what>" and exits 1, as facet_cli does.
+template <typename Body>
+int run_main(int argc, char** argv, Body&& body)
 {
   try {
     return body(CliArgs{argc, argv});

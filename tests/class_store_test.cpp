@@ -344,6 +344,72 @@ TEST(ClassStore, HotCacheServesRepeatsAndEvicts)
   EXPECT_EQ(store.hot_cache_stats().entries, 0u);
 }
 
+TEST(ClassStore, FullHotCacheAdmitsOnlyRepeatedMemoHits)
+{
+  // Width 5, where the memo is a tier (width <= 4 is the table's). One
+  // shard of kWays entries is one set, so every query shares its ghosts.
+  const int n = 5;
+  const std::size_t ways = SetAssociativeCache<int>::kWays;
+  std::mt19937_64 rng{0xad317ULL};
+  const auto funcs = make_npn_workload(n, 24, 0, 0xad31ULL);
+  StoreBuildOptions build_options;
+  build_options.num_threads = 1;
+  build_options.store.hot_cache_capacity = ways;
+  build_options.store.hot_cache_shards = 1;
+  const ClassStore store = build_class_store(funcs, build_options);
+  build_options.store.hot_cache_capacity = 0;
+  const ClassStore twin = build_class_store(funcs, build_options);
+  const auto expect_twin_id = [&twin](const TruthTable& q, const StoreLookupResult& result) {
+    const auto expected = twin.lookup(q);
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_EQ(result.class_id, expected->class_id);
+  };
+
+  // Index hits fill the cache (their puts are unconditional) and memoize
+  // every member's semiclass image.
+  for (const TruthTable& f : funcs) {
+    const auto result = store.lookup(f);
+    ASSERT_TRUE(result.has_value());
+    expect_twin_id(f, *result);
+  }
+  ASSERT_EQ(store.hot_cache_stats().entries, ways);
+
+  // Distinct NPN images sharing a member's semiclass image: memo hits the
+  // full cache declines, so none of them evicts.
+  std::vector<TruthTable> siblings;
+  for (const TruthTable& f : funcs) {
+    const std::optional<TruthTable> g = same_image_sibling(f, rng);
+    if (g.has_value() && std::find(funcs.begin(), funcs.end(), *g) == funcs.end() &&
+        std::find(siblings.begin(), siblings.end(), *g) == siblings.end()) {
+      siblings.push_back(*g);
+    }
+  }
+  ASSERT_GE(siblings.size(), 8u);
+  const TruthTable repeat = siblings.back();
+  siblings.pop_back();
+  const HotCacheStats full = store.hot_cache_stats();
+  for (const TruthTable& g : siblings) {
+    const auto result = store.lookup(g);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->source, LookupSource::kMemo);
+    expect_twin_id(g, *result);
+  }
+  EXPECT_EQ(store.hot_cache_stats().evictions, full.evictions);
+  EXPECT_EQ(store.hot_cache_stats().insertions, full.insertions);
+
+  // A repeated memo hit is declined, then admitted, then served by the cache.
+  std::vector<LookupSource> sources;
+  for (int k = 0; k < 3; ++k) {
+    const auto result = store.lookup(repeat);
+    ASSERT_TRUE(result.has_value());
+    expect_twin_id(repeat, *result);
+    sources.push_back(result->source);
+  }
+  EXPECT_EQ(sources, (std::vector<LookupSource>{LookupSource::kMemo, LookupSource::kMemo,
+                                                LookupSource::kHotCache}));
+  EXPECT_EQ(store.hot_cache_stats().evictions, full.evictions + 1);
+}
+
 TEST(ClassStore, SemiclassMemoServesEquivalentsWithoutRecanonicalizing)
 {
   // Width 5: a width <= 4 store answers from the NPN4 table and never

@@ -1,7 +1,7 @@
 /// Tests of the shared command-line flag parser: value binding, the
 /// unsigned getter that count and size flags (`--jobs`, `--cache`,
-/// `--max-funcs`, ...) are read through, and whole-string parsing by every
-/// numeric getter.
+/// `--max-funcs`, ...) are read through, whole-string parsing by every
+/// numeric getter, and the port bounds of `facet_cli fleet`.
 
 #include "facet/util/cli.hpp"
 
@@ -112,6 +112,24 @@ TEST(CliArgs, RunMainRejectsANegativeCountBeforeTheBodyRuns)
   argv = {tokens[0].data(), tokens[1].data(), tokens[2].data()};
   EXPECT_EQ(run_main(static_cast<int>(argv.size()), argv.data(), body), 0);
   EXPECT_TRUE(worked);
+}
+
+TEST(CliArgs, FleetBasePortBoundsEveryReplicaPort)
+{
+  EXPECT_EQ(fleet_base_port("7600", 2), 7600);
+  EXPECT_EQ(fleet_base_port("1", 0), 1);
+  EXPECT_EQ(fleet_base_port("65535", 0), 65535);
+  EXPECT_EQ(fleet_base_port("64511", kMaxThreads), 64511);  // last replica on 65535
+  // The base port itself: 1-65535, whole.
+  for (const char* port : {"0", "-1", "65536", "99999999999999999999", "76x", ""}) {
+    EXPECT_THROW((void)fleet_base_port(port, 2), std::invalid_argument) << port;
+  }
+  // The replica count: at most kMaxThreads, and no replica port past 65535.
+  EXPECT_THROW((void)fleet_base_port("1", kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW((void)fleet_base_port("64512", kMaxThreads), std::invalid_argument);
+  EXPECT_THROW((void)fleet_base_port("65535", 1), std::invalid_argument);
+  EXPECT_THROW((void)fleet_base_port("7600", std::numeric_limits<std::uint64_t>::max()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -142,6 +142,27 @@ TEST(ExactCanon, SeededSearchMatchesUnseeded)
   }
 }
 
+TEST(ExactCanon, SeededCanonicalMatchesUnseeded)
+{
+  // The canonical-only entry point classify_exhaustive seeds with its memo
+  // key: random and totally symmetric functions (parity, threshold,
+  // majority) whose equal cofactors tie, at the search's widths 5-7.
+  std::mt19937_64 rng{0x5eed2ULL};
+  for (int n = 5; n <= 7; ++n) {
+    std::vector<TruthTable> funcs{tt_parity(n), tt_threshold(n, 2), tt_threshold(n, n / 2)};
+    if (n % 2 == 1) {
+      funcs.push_back(tt_majority(n));
+    }
+    for (int trial = 0; trial < 12; ++trial) {
+      funcs.push_back(tt_random(n, rng));
+    }
+    for (const TruthTable& f : funcs) {
+      EXPECT_EQ(exact_npn_canonical(f, semiclass_form(f)), exact_npn_canonical(f))
+          << "n=" << n << " f=" << to_hex(f);
+    }
+  }
+}
+
 /// The witness-golden workload at width n: random functions, sparse and
 /// dense functions (1, 2, 3 and 2^n - 1 ones), and the symmetric majority,
 /// parity and threshold functions, whose many equal cofactors tie. Parity

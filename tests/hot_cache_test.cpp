@@ -2,7 +2,9 @@
 /// capacity is a hard bound for every shard count, a full set evicts its
 /// least recently used way, full sets spill instead of evicting while the
 /// cache has room, storage grows with the entries instead of being
-/// allocated up front, and concurrent get/put churn stays consistent.
+/// allocated up front, a miss is admitted while a put would not evict and
+/// otherwise only when it repeats, and concurrent get/put churn stays
+/// consistent.
 
 #include "facet/store/hot_cache.hpp"
 
@@ -124,6 +126,97 @@ TEST(HotCache, FullSetEvictsItsLeastRecentlyUsedWay)
   EXPECT_EQ(stats.entries, ways);
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.insertions, ways + 2);
+}
+
+/// The verdict of a get of `key` that must miss: true = admit.
+bool miss_admits(const TestCache& cache, std::uint64_t key)
+{
+  TestValue value;
+  std::array<std::uint64_t, 1> payload{};
+  const CacheProbe probe = cache.get({&key, 1}, value, payload);
+  EXPECT_FALSE(probe.hit);
+  return probe.admit;
+}
+
+TEST(HotCache, FullSetDeclinesAKeyItHasNotSeen)
+{
+  const std::size_t ways = TestCache::kWays;
+  const TestCache cache{1, 1, ways, 1};  // one set
+  const auto keys = distinct_keys(ways + 1, 0x3a);
+  for (std::size_t i = 0; i < ways; ++i) {
+    put_key(cache, keys[i], static_cast<std::uint32_t>(i));
+  }
+  const HotCacheStats before = cache.stats();
+  EXPECT_FALSE(miss_admits(cache, keys[ways]));
+  const HotCacheStats after = cache.stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.insertions, before.insertions);
+  for (std::size_t i = 0; i < ways; ++i) {
+    EXPECT_EQ(get_key(cache, keys[i]), static_cast<std::int64_t>(i));
+  }
+}
+
+TEST(HotCache, FullSetAdmitsAKeyOnItsSecondMiss)
+{
+  const std::size_t ways = TestCache::kWays;
+  const TestCache cache{1, 1, ways, 1};
+  const auto keys = distinct_keys(ways + 1, 0x3b);
+  for (std::size_t i = 0; i < ways; ++i) {
+    put_key(cache, keys[i], static_cast<std::uint32_t>(i));
+  }
+  const std::uint64_t repeat = keys[ways];
+  EXPECT_FALSE(miss_admits(cache, repeat));
+  EXPECT_TRUE(miss_admits(cache, repeat));
+  // The match consumed the ghost: a third miss starts over.
+  EXPECT_FALSE(miss_admits(cache, repeat));
+  EXPECT_TRUE(miss_admits(cache, repeat));
+  put_key(cache, repeat, 99);
+  EXPECT_EQ(get_key(cache, repeat), 99);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(HotCache, ThreeNewerGhostsPushAKeyOut)
+{
+  const std::size_t ways = TestCache::kWays;
+  const TestCache cache{1, 1, ways, 1};
+  const auto keys = distinct_keys(ways + 6, 0x3c);
+  for (std::size_t i = 0; i < ways; ++i) {
+    put_key(cache, keys[i], static_cast<std::uint32_t>(i));
+  }
+  const std::uint64_t first = keys[ways];
+  EXPECT_FALSE(miss_admits(cache, first));
+  // Two newer ghosts still leave it among the set's three...
+  EXPECT_FALSE(miss_admits(cache, keys[ways + 1]));
+  EXPECT_FALSE(miss_admits(cache, keys[ways + 2]));
+  EXPECT_TRUE(miss_admits(cache, first));
+  // ...three push it out.
+  EXPECT_FALSE(miss_admits(cache, first));
+  EXPECT_FALSE(miss_admits(cache, keys[ways + 3]));
+  EXPECT_FALSE(miss_admits(cache, keys[ways + 4]));
+  EXPECT_FALSE(miss_admits(cache, keys[ways + 5]));
+  EXPECT_FALSE(miss_admits(cache, first));
+}
+
+TEST(HotCache, AdmitsEveryMissWhileAPutWouldNotEvict)
+{
+  // A growing shard admits every miss.
+  const TestCache growing{1, 1, std::size_t{1} << 12, 1};
+  const auto keys = distinct_keys(1000, 0x3d);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(miss_admits(growing, keys[i])) << i;
+    put_key(growing, keys[i], static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(growing.stats().evictions, 0u);
+  // At its final geometry, a shard admits while the set has a free way.
+  const std::size_t ways = TestCache::kWays;
+  const TestCache single{1, 1, ways, 1};
+  for (std::size_t i = 0; i < ways; ++i) {
+    ASSERT_TRUE(miss_admits(single, keys[i])) << i;
+    put_key(single, keys[i], static_cast<std::uint32_t>(i));
+  }
+  EXPECT_FALSE(miss_admits(single, keys[ways]));
+  EXPECT_EQ(single.stats().evictions, 0u);
 }
 
 TEST(HotCache, StorageFollowsEntries)

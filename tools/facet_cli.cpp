@@ -483,21 +483,15 @@ int cmd_fleet(const CliArgs& args)
                  "       [--compact-after-runs K]\n";
     return 1;
   }
-  const std::size_t replicas = static_cast<std::size_t>(args.get_uint64("replicas", 2));
+  const std::uint64_t replicas = args.get_uint64("replicas", 2);
   const std::uint64_t reload_ms = args.get_uint64("reload-poll-ms", 200);
   const auto colon = listen.rfind(':');
   const std::string host = colon == std::string::npos ? "127.0.0.1" : listen.substr(0, colon);
   const int base_port =
-      std::stoi(colon == std::string::npos ? listen : listen.substr(colon + 1));
-  if (base_port == 0) {
-    // Replica ports are derived as base + k + 1; an ephemeral primary port
-    // would leave them nowhere deterministic to land.
-    std::cerr << "error: fleet needs a fixed base port (port 0 is ephemeral)\n";
-    return 1;
-  }
+      fleet_base_port(colon == std::string::npos ? listen : listen.substr(colon + 1), replicas);
 
   std::vector<pid_t> children;
-  for (std::size_t k = 0; k < replicas; ++k) {
+  for (std::uint64_t k = 0; k < replicas; ++k) {
     std::vector<std::string> argv_strings{
         "facet_cli",  "serve",  "--index",          index,
         "--readonly", "--mmap", "--reload-poll-ms", std::to_string(reload_ms),
