@@ -2,8 +2,8 @@
 /// the same circuit-derived sets as Table II.
 ///
 /// Column mapping to the paper:
-///   Kitty        -> exhaustive exact canonical form, with the semiclass
-///                   memo of classify_exhaustive (n <= 6 only)
+///   Kitty        -> exhaustive exact canonical form, one search per
+///                   semiclass image in classify_exhaustive (n <= 6 only)
 ///   testnpn -6   -> semi-canonical baseline (Huang FPT'13 analog)
 ///   testnpn -7   -> hierarchical baseline (Petkovska FPL'16 analog)
 ///   testnpn -11  -> co-designed canonical baseline (Zhou TC'20 analog,

@@ -22,8 +22,8 @@ int run(const facet::CliArgs& args)
   const std::vector<TruthTable> funcs = make_circuit_dataset(n, dataset_options);
   std::cout << "dataset: " << funcs.size() << " functions of " << n << " variables\n";
 
-  // 2. Build the store: one classify_batch call over the dataset, one record
-  //    per NPN class.
+  // 2. Build the store: the dataset classified as classify_batch does, one
+  //    record per NPN class.
   const ClassStore built = build_class_store(funcs, {});
   std::cout << "built:   " << built.num_records() << " classes\n";
 

@@ -178,9 +178,11 @@ TruthTable codesign_canonical(const TruthTable& tt, const CodesignOptions& optio
   return a <= b ? a : b;
 }
 
-ClassificationResult classify_codesign(std::span<const TruthTable> funcs, const CodesignOptions& options)
+ClassificationResult classify_codesign(std::span<const TruthTable> funcs, const CodesignOptions& options,
+                                       std::size_t num_threads)
 {
-  return classify_by_key(funcs, [&options](const TruthTable& tt) { return codesign_canonical(tt, options); });
+  return classify_by_key(
+      funcs, [&options](const TruthTable& tt) { return codesign_canonical(tt, options); }, num_threads);
 }
 
 }  // namespace facet

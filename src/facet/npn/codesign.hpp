@@ -51,6 +51,7 @@ struct CodesignStats {
 
 /// Classification by co-designed canonical image.
 [[nodiscard]] ClassificationResult classify_codesign(std::span<const TruthTable> funcs,
-                                                     const CodesignOptions& options = {});
+                                                     const CodesignOptions& options = {},
+                                                     std::size_t num_threads = 1);
 
 }  // namespace facet

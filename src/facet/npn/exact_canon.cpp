@@ -660,14 +660,6 @@ TruthTable exact_npn_canonical(const TruthTable& tt)
   return canonical_dispatch<false>(tt, nullptr).canonical;
 }
 
-TruthTable exact_npn_canonical(const TruthTable& tt, const SemiclassResult& seed)
-{
-  if (tt.num_vars() <= kNpn4MaxVars) {
-    return exact_npn_canonical(tt);
-  }
-  return canonical_dispatch<false>(tt, &seed).canonical;
-}
-
 CanonResult exact_npn_canonical_with_transform(const TruthTable& tt)
 {
   if (tt.num_vars() <= kNpn4MaxVars) {

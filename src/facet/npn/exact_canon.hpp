@@ -70,11 +70,6 @@ namespace facet {
 /// (npn4_table.hpp); wider inputs run the branch-and-bound search.
 [[nodiscard]] TruthTable exact_npn_canonical(const TruthTable& tt);
 
-/// Same result, reusing `seed` == semiclass_form(tt) as the branch-and-bound
-/// incumbent instead of deriving it again (classify_exhaustive has it from
-/// its memo key).
-[[nodiscard]] TruthTable exact_npn_canonical(const TruthTable& tt, const SemiclassResult& seed);
-
 struct CanonResult {
   TruthTable canonical;
   /// Transform with apply_transform(input, transform) == canonical.
@@ -87,8 +82,9 @@ struct CanonResult {
 
 /// Same result, reusing `seed` == semiclass_form(tt) as the branch-and-bound
 /// incumbent instead of deriving it again (the store has it from its memo
-/// probe). A wrong seed that would change the result fails the witness
-/// check and throws std::logic_error.
+/// probe, classify_exhaustive from its image stage; width <= 4 ignores it).
+/// A wrong seed that would change the result fails the witness check and
+/// throws std::logic_error.
 [[nodiscard]] CanonResult exact_npn_canonical_with_transform(const TruthTable& tt,
                                                              const SemiclassResult& seed);
 

@@ -10,7 +10,7 @@
 ///     bucket;
 ///  2. within a bucket, maintain class representatives and decide membership
 ///     with the complete pairwise matcher (matcher.hpp), which is exact in
-///     both directions.
+///     both directions. Buckets are matched independently, on threads.
 ///
 /// MSV collisions between inequivalent functions (the paper observes them
 /// from n = 8) are resolved by the matcher, so the output is exact even
@@ -18,9 +18,12 @@
 
 #pragma once
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "facet/npn/classifier.hpp"
+#include "facet/npn/exact_canon.hpp"
 #include "facet/sig/msv.hpp"
 
 namespace facet {
@@ -43,13 +46,25 @@ struct ExactClassifyStats {
 /// classification" — the ablation bench quantifies it.
 [[nodiscard]] ClassificationResult classify_exact(std::span<const TruthTable> funcs,
                                                   const SignatureConfig& bucket_config = SignatureConfig::all(),
-                                                  ExactClassifyStats* stats = nullptr);
+                                                  ExactClassifyStats* stats = nullptr, std::size_t num_threads = 1);
+
+/// classify_exhaustive's classes and, per class, the exact canonical form
+/// and witness of its first member.
+struct ExhaustiveClassification {
+  ClassificationResult classes;
+  /// canon[c] == exact_npn_canonical_with_transform(first member of c).
+  std::vector<CanonResult> canon;
+};
 
 /// Exact classification by exact canonical form (n <= 8 only): the NPN4
-/// table at n <= 4, branch-and-bound beyond; dense ids by first
-/// occurrence. The Table III "Kitty" baseline. Beyond n = 4 a memo from
-/// semiclass image (semiclass.hpp) to canonical form lets an input whose
-/// image was seen before skip the branch-and-bound.
-[[nodiscard]] ClassificationResult classify_exhaustive(std::span<const TruthTable> funcs);
+/// table at n <= 4, branch-and-bound beyond. Beyond n = 4 the functions are
+/// first grouped by semiclass image (semiclass.hpp), and each image group
+/// runs one search, so equivalent inputs, not just repeats, skip it.
+[[nodiscard]] ExhaustiveClassification classify_exhaustive_with_transforms(std::span<const TruthTable> funcs,
+                                                                           std::size_t num_threads = 1);
+
+/// Its classes, dense by first occurrence: the Table III "Kitty" baseline.
+[[nodiscard]] ClassificationResult classify_exhaustive(std::span<const TruthTable> funcs,
+                                                       std::size_t num_threads = 1);
 
 }  // namespace facet

@@ -4,11 +4,13 @@
 
 namespace facet {
 
-ClassificationResult classify_fp(std::span<const TruthTable> funcs, const SignatureConfig& config)
+ClassificationResult classify_fp(std::span<const TruthTable> funcs, const SignatureConfig& config,
+                                 std::size_t num_threads)
 {
   // Keyed on the full MSV: a hash collision therefore cannot merge classes
   // (Algorithm 1's hash is an implementation device, not the class identity).
-  return classify_by_key<U32VectorHash>(funcs, [&config](const TruthTable& f) { return build_msv(f, config); });
+  return classify_by_key<U32VectorHash>(
+      funcs, [&config](const TruthTable& f) { return build_msv(f, config); }, num_threads);
 }
 
 namespace {
@@ -28,12 +30,14 @@ struct Hash128Hasher {
 
 }  // namespace
 
-ClassificationResult classify_fp_hashed(std::span<const TruthTable> funcs, const SignatureConfig& config)
+ClassificationResult classify_fp_hashed(std::span<const TruthTable> funcs, const SignatureConfig& config,
+                                        std::size_t num_threads)
 {
-  return classify_by_key<Hash128Hasher>(funcs, [&config](const TruthTable& f) {
+  const auto key_of = [&config](const TruthTable& f) {
     const auto msv = build_msv(f, config);
     return Hash128{hash_u32_span(msv, 0xa0761d6478bd642fULL), hash_u32_span(msv, 0x589965cc75374cc3ULL)};
-  });
+  };
+  return classify_by_key<Hash128Hasher>(funcs, key_of, num_threads);
 }
 
 }  // namespace facet

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "facet/npn/classifier.hpp"
@@ -29,13 +30,15 @@ namespace facet {
 /// collisions cannot merge classes; use this variant wherever class counts
 /// feed an accuracy comparison.
 [[nodiscard]] ClassificationResult classify_fp(std::span<const TruthTable> funcs,
-                                               const SignatureConfig& config = SignatureConfig::all());
+                                               const SignatureConfig& config = SignatureConfig::all(),
+                                               std::size_t num_threads = 1);
 
 /// Algorithm 1's literal "class <- hash(MSV)" step: classes keyed on a
 /// 128-bit hash of the MSV. Constant-size keys keep the class map compact
 /// and cache-friendly at millions of functions (the Fig. 5 regime); a
 /// collision would need ~2^64 classes to become likely.
 [[nodiscard]] ClassificationResult classify_fp_hashed(std::span<const TruthTable> funcs,
-                                                      const SignatureConfig& config = SignatureConfig::all());
+                                                      const SignatureConfig& config = SignatureConfig::all(),
+                                                      std::size_t num_threads = 1);
 
 }  // namespace facet

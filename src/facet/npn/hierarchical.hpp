@@ -23,7 +23,9 @@ namespace facet {
 inline constexpr std::size_t kHierarchicalRefineBudget = 64;
 
 /// Hierarchical classification: semi-canonical grouping, then each distinct
-/// semi-canonical image refined once under kHierarchicalRefineBudget.
-[[nodiscard]] ClassificationResult classify_hierarchical(std::span<const TruthTable> funcs);
+/// semi-canonical image refined once under kHierarchicalRefineBudget. Both
+/// levels run on `num_threads` threads.
+[[nodiscard]] ClassificationResult classify_hierarchical(std::span<const TruthTable> funcs,
+                                                         std::size_t num_threads = 1);
 
 }  // namespace facet

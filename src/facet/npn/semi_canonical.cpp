@@ -69,9 +69,9 @@ TruthTable semi_canonical(const TruthTable& tt)
   return a <= b ? a : b;
 }
 
-ClassificationResult classify_semi_canonical(std::span<const TruthTable> funcs)
+ClassificationResult classify_semi_canonical(std::span<const TruthTable> funcs, std::size_t num_threads)
 {
-  return classify_by_key(funcs, [](const TruthTable& tt) { return semi_canonical(tt); });
+  return classify_by_key(funcs, semi_canonical, num_threads);
 }
 
 }  // namespace facet

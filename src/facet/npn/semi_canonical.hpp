@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "facet/npn/classifier.hpp"
@@ -23,6 +24,7 @@ namespace facet {
 [[nodiscard]] TruthTable semi_canonical(const TruthTable& tt);
 
 /// Classification by semi-canonical image.
-[[nodiscard]] ClassificationResult classify_semi_canonical(std::span<const TruthTable> funcs);
+[[nodiscard]] ClassificationResult classify_semi_canonical(std::span<const TruthTable> funcs,
+                                                           std::size_t num_threads = 1);
 
 }  // namespace facet

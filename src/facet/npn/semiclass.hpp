@@ -13,9 +13,9 @@
 ///    significant position. The image is NOT invariant (ties are broken by
 ///    index), but it is an exact member of f's orbit with a witnessing
 ///    transform. That makes it the key of the store's semiclass memo and of
-///    classify_exhaustive's memo (class_store.hpp, exact_classifier.hpp):
-///    every function mapping onto a memoized image is in that image's
-///    class, so a hit is exact by construction. It also seeds
+///    classify_exhaustive's image stage (class_store.hpp,
+///    exact_classifier.hpp): every function mapping onto a known image is in
+///    that image's class, so a hit is exact by construction. It also seeds
 ///    the branch-and-bound canonicalizer's incumbent and constrains which
 ///    permutations/phases the exact search must consider. It works on the
 ///    table's words: cofactor counts are masked popcounts (variables >= 6

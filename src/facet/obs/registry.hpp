@@ -23,7 +23,6 @@
 ///   facet_serve_connection_lifetime
 ///   facet_compaction_duration{phase=flush|merge|write|adopt|total}
 ///   facet_canonicalize_latency{path=bb|walk}
-///   facet_batch_shard_classify_latency{classifier=<kind>}
 ///   facet_serve_frame_latency{proto=v1|v2,verb=...}   (v2: one frame;
 ///                                         v1, verb=line: one line of any
 ///                                         line session, socket or stdin)

@@ -2,9 +2,10 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "facet/npn/exact_canon.hpp"
+#include "facet/npn/exact_classifier.hpp"
 #include "facet/util/parallel.hpp"
 
 namespace facet {
@@ -25,31 +26,30 @@ ClassStore build_class_store(std::span<const TruthTable> funcs, const StoreBuild
     }
   }
 
-  BatchEngineOptions engine_options;
-  engine_options.num_threads = options.num_threads;
-  const ClassificationResult result =
-      classify_batch(funcs, ClassifierKind::kExhaustive, engine_options, options.stats);
-
-  // First dataset member of every class, in class-id order (ids are dense by
-  // first occurrence, so the first member of class c precedes every other).
-  constexpr std::uint32_t kUnseen = 0xffffffffU;
-  std::vector<std::uint32_t> rep_index(result.num_classes, kUnseen);
-  for (std::size_t i = 0; i < funcs.size(); ++i) {
-    auto& slot = rep_index[result.class_of[i]];
-    if (slot == kUnseen) {
-      slot = static_cast<std::uint32_t>(i);
-    }
+  const std::size_t threads = resolve_num_threads(options.num_threads);
+  ExhaustiveClassification exhaustive;
+  std::size_t num_distinct = 0;
+  const ClassificationResult result = classify_distinct(
+      funcs,
+      [&](std::span<const TruthTable> uniques) {
+        exhaustive = classify_exhaustive_with_transforms(uniques, threads);
+        return exhaustive.classes;
+      },
+      &num_distinct);
+  if (options.stats != nullptr) {
+    *options.stats = {.threads = threads, .cache_hits = funcs.size() - num_distinct, .cache_misses = num_distinct};
   }
-  const std::vector<std::uint32_t> sizes = result.class_sizes();
 
-  // One canonicalization-with-transform per class, fanned out over threads.
-  std::vector<StoreRecord> records(result.num_classes);
-  parallel_for(result.num_classes, options.num_threads, [&](std::size_t c) {
-    const TruthTable& rep = funcs[rep_index[c]];
-    const CanonResult canon = exact_npn_canonical_with_transform(rep);
-    records[c] = StoreRecord{canon.canonical, rep, canon.transform,
-                             static_cast<std::uint32_t>(c), sizes[c]};
-  });
+  // The first dataset member of a class is the first distinct one, whose
+  // canonical form and witness the image stage kept.
+  const std::vector<std::uint32_t> first = result.first_members();
+  const std::vector<std::uint32_t> sizes = result.class_sizes();
+  std::vector<StoreRecord> records;
+  records.reserve(result.num_classes);
+  for (std::uint32_t c = 0; c < result.num_classes; ++c) {
+    CanonResult& canon = exhaustive.canon[c];
+    records.push_back(StoreRecord{std::move(canon.canonical), funcs[first[c]], canon.transform, c, sizes[c]});
+  }
 
   return ClassStore{num_vars, std::move(records), result.num_classes, options.store};
 }

@@ -1,10 +1,10 @@
 /// \file store_builder.hpp
-/// \brief Builds a ClassStore from a dataset via the parallel batch engine.
+/// \brief Builds a ClassStore from a dataset on the batch engine's threads.
 ///
-/// Classification is one classify_batch(kExhaustive) call (exact canonical
-/// classes, dense ids by first occurrence), then one exact canonicalization
-/// with a witnessing transform per class — fanned out by parallel_for —
-/// produces the store records. The resulting store answers lookups with the
+/// Classification is classify_batch(kExhaustive)'s, through
+/// classify_exhaustive_with_transforms: one branch-and-bound per semiclass
+/// image, whose canonical form and witness for each class's first member
+/// become the store record. The resulting store answers lookups with the
 /// exact class ids, sizes and partition the engine would produce on the
 /// build dataset.
 
@@ -23,7 +23,7 @@ struct StoreBuildOptions {
   std::size_t num_threads = 0;
   /// Options of the produced store (hot-cache sizing).
   ClassStoreOptions store{};
-  /// Optional telemetry of the underlying classify_batch call.
+  /// Optional telemetry of the classification, as classify_batch reports it.
   BatchEngineStats* stats = nullptr;
 };
 

@@ -1,7 +1,7 @@
 /// Tests for the parallel batch-classification engine: bit-identity with
-/// every sequential classifier, determinism across thread (and so shard)
-/// counts, hit/miss accounting, and degenerate inputs; and for the
-/// parallel_for / resolve_num_threads pair it runs on.
+/// every sequential classifier, determinism across thread counts, hit/miss
+/// accounting, one search per semiclass image, and degenerate inputs; and
+/// for the parallel_for / resolve_num_threads pair it runs on.
 
 #include "facet/engine/batch_engine.hpp"
 
@@ -24,6 +24,7 @@
 #include "facet/npn/fp_classifier.hpp"
 #include "facet/npn/hierarchical.hpp"
 #include "facet/npn/semi_canonical.hpp"
+#include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/obs/registry.hpp"
 #include "facet/tt/tt_generate.hpp"
@@ -183,9 +184,9 @@ TEST(BatchEngine, OneThreadAndManyThreadsAgree)
   }
 }
 
-TEST(BatchEngine, ShardCountDoesNotChangeTheResult)
+TEST(BatchEngine, ThreadCountDoesNotChangeTheResult)
 {
-  // 8 shards per thread: 1..7 threads split the input 8 to 56 ways.
+  // 1..7 threads split the key computations 8 to 56 ways.
   const auto funcs = make_random_dataset(5, 300, 77);
   for (const auto kind : all_kinds()) {
     const ClassificationResult sequential = sequential_reference(kind, funcs);
@@ -205,7 +206,8 @@ TEST(BatchEngine, EmptyInput)
     const auto result = classify_batch({}, kind, options, &stats);
     EXPECT_EQ(result.num_classes, 0u);
     EXPECT_TRUE(result.class_of.empty());
-    EXPECT_EQ(stats.shards_used, 0u);
+    EXPECT_EQ(stats.threads, 4u);
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
   }
 }
 
@@ -223,7 +225,7 @@ TEST(BatchEngine, SingleFunction)
 TEST(BatchEngine, DuplicateHeavyInputHitsTheCache)
 {
   // 64 distinct functions, each repeated 16 times — the cut-enumeration
-  // profile the per-shard dedup targets.
+  // profile the engine's dedup targets.
   const auto base = make_random_dataset(6, 64, 13);
   std::vector<TruthTable> funcs;
   for (int rep = 0; rep < 16; ++rep) {
@@ -240,9 +242,9 @@ TEST(BatchEngine, DuplicateHeavyInputHitsTheCache)
 
 TEST(BatchEngine, MemoizationOffStillMatchesSequential)
 {
-  // Distinct random functions: classify_hierarchical's refine memo rarely
-  // hits, so nearly every function pays both levels, and the result still
-  // matches.
+  // Distinct random functions: classify_hierarchical's semi-canonical
+  // images rarely coincide, so nearly every function pays both levels, and
+  // the result still matches.
   const auto funcs = make_random_dataset(5, 200, 3);
   BatchEngineStats stats;
   expect_identical(classify_batch(funcs, ClassifierKind::kHierarchical, {.num_threads = 4}, &stats),
@@ -253,42 +255,47 @@ TEST(BatchEngine, MemoizationOffStillMatchesSequential)
 
 TEST(BatchEngine, SemiclassMemoHitsSkipTheCanonicalizer)
 {
-  // 64 distinct NPN images of one n = 6 function: every image lands in the
-  // same shard, and an image whose semiclass image was already resolved
-  // there answers from classify_exhaustive's memo instead of the exact
-  // canonicalizer.
+  // 64 distinct NPN images of one n = 6 function: classify_exhaustive's
+  // image stage runs the exact canonicalizer once per distinct semiclass
+  // image, not once per function, at every thread count.
   std::mt19937_64 rng{0x5c1a55ULL};
   const TruthTable f = tt_random(6, rng);
   std::vector<TruthTable> funcs;
+  std::set<TruthTable> images;
   while (funcs.size() < 64) {
     const TruthTable image = apply_transform(f, NpnTransform::random(6, rng));
     if (std::find(funcs.begin(), funcs.end(), image) == funcs.end()) {
       funcs.push_back(image);
+      images.insert(semiclass_form(image).image);
     }
   }
+  ASSERT_LT(images.size(), funcs.size()) << "no two inputs share a semiclass image";
 
   const obs::LatencyHistogram& bb = obs::MetricRegistry::global().histogram(
       "facet_canonicalize_latency", obs::label("path", "bb"));
-  const std::uint64_t bb_before = bb.snapshot().count();
-  BatchEngineStats stats;
-  const ClassificationResult batch =
-      classify_batch(funcs, ClassifierKind::kExhaustive, {.num_threads = 2}, &stats);
-  const std::uint64_t bb_runs = bb.snapshot().count() - bb_before;
-  expect_identical(batch, classify_exhaustive(funcs));
-  EXPECT_EQ(batch.num_classes, 1u);
-  // No input repeats: every function is a distinct one handed to the
-  // classifier, and the memo hits show only as skipped canonicalizations.
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, funcs.size());
-  EXPECT_LT(bb_runs, funcs.size()) << "no semiclass-memo hit skipped the canonicalizer";
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::uint64_t bb_before = bb.snapshot().count();
+    BatchEngineStats stats;
+    const ClassificationResult batch =
+        classify_batch(funcs, ClassifierKind::kExhaustive, {.num_threads = threads}, &stats);
+    const std::uint64_t bb_runs = bb.snapshot().count() - bb_before;
+    expect_identical(batch, classify_exhaustive(funcs));
+    EXPECT_EQ(batch.num_classes, 1u);
+    // No input repeats: every function is a distinct one handed to the
+    // classifier, and the image stage shows only as skipped searches.
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.cache_misses, funcs.size());
+    EXPECT_EQ(bb_runs, images.size());
+  }
 }
 
 TEST(BatchEngine, NonDefaultSignatureMatchesSequential)
 {
   // `facet_cli classify --method fp-extended --jobs N` runs the fp kind
   // under all_extended(). OIV alone merges classes (115 fp classes for the
-  // 150 true ones here), so fp's full-MSV shard key and exact's buckets
-  // both see collisions.
+  // 150 true ones here), so fp's full-MSV keys and exact's buckets both see
+  // collisions.
   std::mt19937_64 rng{0x51a7ULL};
   std::vector<TruthTable> funcs;
   for (int i = 0; i < 150; ++i) {
@@ -318,15 +325,12 @@ TEST(BatchEngine, KindNamesRoundTrip)
   EXPECT_EQ(classifier_kind_from_name("exhaustive"), ClassifierKind::kExhaustive);
 }
 
-TEST(BatchEngine, StatsReportShardsAndThreads)
+TEST(BatchEngine, StatsReportThreadsAndCacheCounts)
 {
   const auto funcs = make_random_dataset(6, 500, 11);
   BatchEngineStats stats;
   (void)classify_batch(funcs, ClassifierKind::kSemiCanonical, {.num_threads = 4}, &stats);
   EXPECT_EQ(stats.threads, 4u);
-  EXPECT_GE(stats.shards_used, 1u);
-  EXPECT_LE(stats.shards_used, 8u * stats.threads);
-  EXPECT_GE(stats.max_shard_size, funcs.size() / (8u * stats.threads));
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
 }
 

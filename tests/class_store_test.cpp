@@ -14,6 +14,7 @@
 #include <future>
 #include <optional>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
+#include "facet/obs/registry.hpp"
 #include "facet/store/segment.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/store/store_format.hpp"
@@ -107,11 +109,25 @@ TEST_P(StoreRoundTrip, BuildMatchesBatchEngineAndTransformsWitness)
 
   StoreBuildOptions build_options;
   build_options.num_threads = 2;
+  // The registry is process-global: read the build's searches as a delta.
+  const obs::LatencyHistogram& bb = obs::MetricRegistry::global().histogram(
+      "facet_canonicalize_latency", obs::label("path", "bb"));
+  const std::uint64_t bb_before = bb.snapshot().count();
   ClassStore store = build_class_store(funcs, build_options);
+  const std::uint64_t bb_runs = bb.snapshot().count() - bb_before;
 
   const ClassificationResult expected = classify_exhaustive(funcs);
   EXPECT_EQ(store.num_classes(), expected.num_classes);
   EXPECT_EQ(store.num_records(), expected.num_classes);
+  if (n > 4) {
+    // One branch-and-bound per distinct semiclass image: the record's
+    // witness comes from the classifying search, not a second one.
+    std::set<TruthTable> images;
+    for (const auto& f : funcs) {
+      images.insert(semiclass_form(f).image);
+    }
+    EXPECT_EQ(bb_runs, images.size());
+  }
 
   const auto sizes = expected.class_sizes();
   for (std::size_t i = 0; i < funcs.size(); ++i) {
@@ -125,6 +141,7 @@ TEST_P(StoreRoundTrip, BuildMatchesBatchEngineAndTransformsWitness)
   for (const auto& record : store.persisted_records()) {
     EXPECT_EQ(apply_transform(record.representative, record.rep_to_canonical), record.canonical);
     EXPECT_EQ(exact_npn_canonical(record.representative), record.canonical);
+    EXPECT_EQ(exact_npn_canonical_with_transform(record.representative).transform, record.rep_to_canonical);
     EXPECT_EQ(record.class_size, sizes[record.class_id]);
   }
 }

@@ -223,9 +223,9 @@ TEST(Classifier, StrongerBucketsReduceMatcherWork)
 
 TEST(Classifier, ExhaustiveSemiclassMemoSkipsTheCanonicalizer)
 {
-  // 64 distinct NPN images of one n = 6 function. An image whose semiclass
-  // image was already resolved answers from classify_exhaustive's memo, so
-  // the branch-and-bound canonicalizer runs fewer than 64 times.
+  // 64 distinct NPN images of one n = 6 function. classify_exhaustive's
+  // image stage searches once per distinct semiclass image, so the
+  // branch-and-bound canonicalizer runs fewer than 64 times.
   std::mt19937_64 rng{0x5c1a55ULL};
   const TruthTable f = tt_random(6, rng);
   std::vector<TruthTable> funcs;

@@ -144,9 +144,9 @@ TEST(ExactCanon, SeededSearchMatchesUnseeded)
 
 TEST(ExactCanon, SeededCanonicalMatchesUnseeded)
 {
-  // The canonical-only entry point classify_exhaustive seeds with its memo
-  // key: random and totally symmetric functions (parity, threshold,
-  // majority) whose equal cofactors tie, at the search's widths 5-7.
+  // The seeded search classify_exhaustive runs on its image stage's forms:
+  // random and totally symmetric functions (parity, threshold, majority)
+  // whose equal cofactors tie, at the search's widths 5-7.
   std::mt19937_64 rng{0x5eed2ULL};
   for (int n = 5; n <= 7; ++n) {
     std::vector<TruthTable> funcs{tt_parity(n), tt_threshold(n, 2), tt_threshold(n, n / 2)};
@@ -157,8 +157,11 @@ TEST(ExactCanon, SeededCanonicalMatchesUnseeded)
       funcs.push_back(tt_random(n, rng));
     }
     for (const TruthTable& f : funcs) {
-      EXPECT_EQ(exact_npn_canonical(f, semiclass_form(f)), exact_npn_canonical(f))
-          << "n=" << n << " f=" << to_hex(f);
+      const CanonResult seeded = exact_npn_canonical_with_transform(f, semiclass_form(f));
+      const CanonResult unseeded = exact_npn_canonical_with_transform(f);
+      EXPECT_EQ(seeded.canonical, unseeded.canonical) << "n=" << n << " f=" << to_hex(f);
+      EXPECT_EQ(seeded.transform, unseeded.transform) << "n=" << n << " f=" << to_hex(f);
+      EXPECT_EQ(seeded.canonical, exact_npn_canonical(f)) << "n=" << n << " f=" << to_hex(f);
     }
   }
 }

@@ -128,9 +128,8 @@ int cmd_classify(const CliArgs& args)
     std::cout << "npn4:      " << table_lookups << " table lookup(s) (O(1) tier, n <= 4)\n";
   }
   if (use_engine) {
-    std::cout << "engine:    " << stats.threads << " thread(s), " << stats.shards_used
-              << " shard(s) used (max " << stats.max_shard_size << " funcs), cache " << stats.cache_hits
-              << " hit(s) / " << stats.cache_misses << " miss(es)\n";
+    std::cout << "engine:    " << stats.threads << " thread(s), cache " << stats.cache_hits << " hit(s) / "
+              << stats.cache_misses << " miss(es)\n";
   }
   if (args.get_bool("print-classes")) {
     for (std::size_t i = 0; i < funcs.size(); ++i) {
